@@ -172,51 +172,77 @@ fn bench_worker_ingest(c: &mut Criterion) {
     g.finish();
 }
 
-/// Sharded-study reduction: drain K shards' worker states through the
-/// checkpoint codec and fold them pairwise — the study-end cost a
-/// multi-server deployment pays once for its elasticity.
+/// One worker's state after group `k` ran all `n_ts` timesteps: `p = 6`,
+/// one threshold, the seven paper quantiles (336 B per cell and timestep).
+fn filled_worker_state(k: usize, cells: usize, n_ts: usize) -> melissa::server::state::WorkerState {
+    use melissa::server::state::WorkerState;
+    use melissa_mesh::CellRange;
+
+    let p = 6usize;
+    let slab = CellRange {
+        start: 0,
+        len: cells,
+    };
+    let mut st = WorkerState::with_stats(0, slab, p, n_ts, &[0.5], &PAPER_PROBS);
+    for ts in 0..n_ts as u32 {
+        for role in 0..(p + 2) as u16 {
+            let vals: Vec<f64> = (0..cells)
+                .map(|i| ((i + role as usize * 13 + k * 31) as f64).cos())
+                .collect();
+            st.on_data(k as u64, role, ts, 0, &vals);
+        }
+    }
+    st
+}
+
+/// Sharded-study reduction: fold K shards' worker states pairwise — the
+/// study-end cost a multi-server deployment pays once for its elasticity.
 fn bench_shard_reduce(c: &mut Criterion) {
     use melissa::server::state::WorkerState;
     use melissa::shard::reduce_worker_states;
-    use melissa_mesh::CellRange;
 
     let mut g = c.benchmark_group("shard_reduce");
-    let (p, cells, n_ts) = (6usize, 16_384usize, 4usize);
-    let make_shard = |k: usize| -> WorkerState {
-        let mut st = WorkerState::with_stats(
-            0,
-            CellRange {
-                start: 0,
-                len: cells,
-            },
-            p,
-            n_ts,
-            &[0.5],
-            &PAPER_PROBS,
-        );
-        for ts in 0..n_ts as u32 {
-            for role in 0..(p + 2) as u16 {
-                let vals: Vec<f64> = (0..cells)
-                    .map(|i| ((i + role as usize * 13 + k * 31) as f64).cos())
-                    .collect();
-                st.on_data(k as u64, role, ts, 0, &vals);
-            }
-        }
-        st
-    };
+    let (cells, n_ts) = (16_384usize, 4usize);
     for n_shards in [4usize, 8] {
-        let shards: Vec<Vec<WorkerState>> = (0..n_shards).map(|k| vec![make_shard(k)]).collect();
+        let shards: Vec<Vec<WorkerState>> = (0..n_shards)
+            .map(|k| vec![filled_worker_state(k, cells, n_ts)])
+            .collect();
         g.throughput(Throughput::Elements((n_shards * cells * n_ts) as u64));
         g.bench_with_input(
             BenchmarkId::new("reduce_16k_cells_4ts", n_shards),
             &n_shards,
             |b, _| {
-                // The reduction borrows its input, so the timed closure
-                // measures only the drain + merges (no per-iteration
-                // clone of the shard states).
+                // The borrowing adaptor, so every iteration sees the same
+                // input: one clone of the shard states, then the in-place
+                // fold the study runs on the states it owns.
                 b.iter(|| black_box(reduce_worker_states(black_box(&shards))));
             },
         );
+    }
+    g.finish();
+}
+
+/// The worker-state codec where bytes are really needed (checkpoint
+/// files, re-homing, remote shards, the daemon's `results` RPC), on the
+/// `shard_reduce` state and on the 137 MB worker of the `tube_*`
+/// study_bench workloads (half of an 8 192-cell mesh, 100 timesteps).
+fn bench_state_codec(c: &mut Criterion) {
+    use melissa::server::checkpoint::{pack_state, unpack_state};
+
+    let mut g = c.benchmark_group("state_codec");
+    for (name, cells, n_ts) in [
+        ("16k_cells_4ts", 16_384usize, 4usize),
+        ("tube_worker_4k_cells_100ts", 4_096, 100),
+    ] {
+        let state = filled_worker_state(0, cells, n_ts);
+        let packed = pack_state(&state);
+        g.throughput(Throughput::Bytes(packed.len() as u64));
+        g.bench_with_input(BenchmarkId::new("pack", name), &state, |b, state| {
+            b.iter(|| black_box(pack_state(black_box(state))));
+        });
+        g.bench_with_input(BenchmarkId::new("unpack", name), &packed, |b, packed| {
+            b.iter(|| black_box(unpack_state(black_box(packed), 0).unwrap()));
+        });
     }
     g.finish();
 }
@@ -293,6 +319,7 @@ criterion_group!(
     bench_sobol_merge,
     bench_worker_ingest,
     bench_shard_reduce,
+    bench_state_codec,
     bench_codec,
     bench_solver_step
 );

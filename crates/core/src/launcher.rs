@@ -356,13 +356,13 @@ pub fn run_study_in(
     let run = supervise_shard(&ctx, 0, &scope, &groups)?;
 
     let mut report = run.report;
-    report.wall_time = ctx.started.elapsed();
     let results = StudyResults::from_worker_states(
         ctx.p,
         ctx.config.solver.n_timesteps,
         ctx.n_cells,
         run.states,
     );
+    report.wall_time = ctx.started.elapsed();
     Ok(StudyOutput { results, report })
 }
 

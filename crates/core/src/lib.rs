@@ -46,8 +46,8 @@
 //!    launcher meanwhile supervises faults (kill/resubmit, checkpoint
 //!    restore) and watches the convergence signals.
 //! 3. **Finalize** — groups flush their links, the server(s) stop, and a
-//!    sharded study reduces the per-shard worker states into one state
-//!    set ([`shard::reduce_worker_states`]).
+//!    sharded study folds the per-shard worker states, in place, into
+//!    one state set ([`shard::reduce_owned_states`]).
 //! 4. **Report** — the final [`StudyOutput`] carries the assembled
 //!    statistics maps ([`StudyResults`]) and the launcher's full
 //!    accounting ([`StudyReport`]: restarts, data volume, backpressure,

@@ -38,8 +38,13 @@ pub struct StudyReport {
     /// Final routing epoch: 0 for a static study, incremented once per
     /// fence (migration or re-homing).
     pub routing_epoch: u64,
-    /// Wall-clock duration of the study.
+    /// Wall-clock duration of the study, from launch to assembled
+    /// results (the study-end reduction included).
     pub wall_time: Duration,
+    /// Part of [`wall_time`](Self::wall_time) spent reducing the shards'
+    /// worker states into one state set; zero for a single-server study,
+    /// which has nothing to reduce.
+    pub reduce_time: Duration,
     /// Data messages ingested by the server.
     pub data_messages: u64,
     /// Data payload bytes ingested by the server — the storage the study
@@ -116,6 +121,7 @@ impl StudyReport {
             shards_joined: 0,
             routing_epoch: 0,
             wall_time: Duration::ZERO,
+            reduce_time: Duration::ZERO,
             data_messages: 0,
             data_bytes: 0,
             replays_discarded: 0,
@@ -179,6 +185,13 @@ impl std::fmt::Display for StudyReport {
             "wall time         : {:.2} s",
             self.wall_time.as_secs_f64()
         )?;
+        if self.n_shards > 1 {
+            writeln!(
+                f,
+                "shard reduction   : {:.3} s",
+                self.reduce_time.as_secs_f64()
+            )?;
+        }
         writeln!(
             f,
             "in transit data   : {:.1} MiB in {} messages (zero intermediate files)",
@@ -335,7 +348,10 @@ mod tests {
     fn shard_line_appears_only_for_sharded_studies() {
         let mut r = StudyReport::new(4);
         assert!(!r.to_string().contains("server shards"));
+        assert!(!r.to_string().contains("shard reduction"));
         r.n_shards = 4;
+        r.reduce_time = Duration::from_millis(1250);
         assert!(r.to_string().contains("server shards     : 4"));
+        assert!(r.to_string().contains("shard reduction   : 1.250 s"));
     }
 }

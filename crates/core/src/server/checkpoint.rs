@@ -16,9 +16,11 @@
 //! `melissa_stats::checkpoint_format`.
 //!
 //! The byte codec is exposed separately from the file I/O
-//! ([`pack_state`] / [`unpack_state`]): the sharded-study reduction tree
-//! drains every shard's worker states through the same codec a remote
-//! shard would ship over the wire, and the round trip is bit-identical.
+//! ([`pack_state`] / [`unpack_state`]) for the other places a state leaves
+//! its process: dead-shard re-homing, shards in other processes shipping
+//! states to the reducer, the daemon's `results` RPC.  The round trip is
+//! bit-identical.  The in-process study-end reduction owns its states and
+//! does not use it.
 //!
 //! ## Format versions
 //!
@@ -40,10 +42,14 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use melissa_mesh::CellRange;
 use melissa_sobol::UbiquitousSobol;
 use melissa_stats::{FieldMinMax, FieldMoments, FieldQuantiles, FieldThreshold};
+use melissa_transport::codec::{
+    copy_words_to_le, get_count, get_f64, get_u32, get_u64, get_words, words_from_le, WireError,
+};
+use rayon::prelude::*;
 
 use super::state::WorkerState;
 
@@ -53,6 +59,9 @@ const MAGIC: u32 = 0x4d4c5341; // "MLSA"
 const VERSION: u32 = 4;
 /// Oldest format version still restorable (pre-quantile layout).
 const MIN_VERSION: u32 = 2;
+/// Packed states below this size are copied on the calling thread: the
+/// copy is over before worker threads would have started.
+const PAR_MIN: usize = 1 << 20;
 
 /// Checkpoint read failure.
 #[derive(Debug)]
@@ -76,6 +85,13 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
+impl From<WireError> for CheckpointError {
+    fn from(e: WireError) -> Self {
+        let (WireError::Truncated { what } | WireError::Invalid { what }) = e;
+        CheckpointError::Corrupt(what)
+    }
+}
+
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -96,101 +112,158 @@ pub fn checkpoint_file(dir: &Path, worker_id: usize) -> std::path::PathBuf {
     dir.join(format!("melissa_worker_{worker_id}.ckpt"))
 }
 
+/// One run of bytes of the packed layout, in file order: scalar fields
+/// as bytes, bulk arrays by reference until the output buffer exists.
+enum Part<'a> {
+    Scalars(Vec<u8>),
+    Sobol(&'a UbiquitousSobol),
+    F64(&'a [f64]),
+    U64(&'a [u64]),
+}
+
+impl Part<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Part::Scalars(b) => b.len(),
+            Part::Sobol(s) => 8 * UbiquitousSobol::doubles_per_cell(s.dim()) * s.cells(),
+            Part::F64(v) => 8 * v.len(),
+            Part::U64(v) => 8 * v.len(),
+        }
+    }
+
+    fn write(&self, dst: &mut [u8]) {
+        match self {
+            Part::Scalars(b) => dst.copy_from_slice(b),
+            Part::Sobol(s) => s.pack_le_into(dst),
+            Part::F64(v) => copy_words_to_le(dst, v),
+            Part::U64(v) => copy_words_to_le(dst, v),
+        }
+    }
+}
+
+/// The packed layout as a list of `(timestep, part)`: the writer walks
+/// the format once, appending scalars to `head` and queueing each bulk
+/// array under the timestep it belongs to; [`finish`](Self::finish) then
+/// sizes the buffer exactly and fills the timesteps in parallel.
+#[derive(Default)]
+struct Plan<'a> {
+    parts: Vec<(usize, Part<'a>)>,
+    head: Vec<u8>,
+}
+
+impl<'a> Plan<'a> {
+    fn bulk(&mut self, ts: usize, part: Part<'a>) {
+        let head = std::mem::take(&mut self.head);
+        self.parts.push((ts, Part::Scalars(head)));
+        self.parts.push((ts, part));
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        self.bulk(usize::MAX, Part::Scalars(Vec::new()));
+        let total: usize = self.parts.iter().map(|(_, part)| part.len()).sum();
+        let mut out = vec![0u8; total];
+        let mut rest = out.as_mut_slice();
+        let mut fills: Vec<(usize, &mut [u8], Part<'a>)> = Vec::with_capacity(self.parts.len());
+        for (ts, part) in self.parts {
+            let (slot, tail) = rest.split_at_mut(part.len());
+            rest = tail;
+            fills.push((ts, slot, part));
+        }
+        // Grouped by timestep, equal spans of the list carry equal bytes.
+        fills.sort_by_key(|&(ts, ..)| ts);
+        let min_len = if total < PAR_MIN { usize::MAX } else { 1 };
+        fills
+            .into_par_iter()
+            .with_min_len(min_len)
+            .for_each(|(_, slot, part)| part.write(slot));
+        out
+    }
+}
+
 /// Packs `state` into the v4 checkpoint byte layout.
 ///
-/// This is the serialisation shared by the on-disk checkpoint files, the
-/// sharded-study reduction tree and dead-shard re-homing, which all drain
-/// worker states through this codec exactly as a remote shard would ship
-/// them.  The output is a deterministic function of the state
+/// This is the serialisation shared by the on-disk checkpoint files,
+/// dead-shard re-homing, out-of-process shards and the daemon's `results`
+/// RPC.  The output is a deterministic function of the state
 /// (bookkeeping maps are written in sorted order), and
 /// `pack_state ∘ unpack_state` is bit-identical (asserted by
-/// `v4_roundtrip_is_bit_identical`).
+/// `v4_roundtrip_is_bit_identical`).  The buffer is allocated once at its
+/// final size and the tiled state is written straight into it.
 pub fn pack_state(state: &WorkerState) -> Vec<u8> {
     let (sobol, moments, minmax, thresholds, quantiles, last_completed, finished, integrated) =
         state.checkpoint_parts();
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u64_le(state.worker_id() as u64);
-    buf.put_u64_le(state.slab().start as u64);
-    buf.put_u64_le(state.slab().len as u64);
-    buf.put_u32_le(state.dim() as u32);
-    buf.put_u32_le(state.n_timesteps() as u32);
-    // One pack buffer reused across all timesteps (the tiled state packs
-    // into the legacy role-major layout, keeping the file format stable).
-    let mut flat = Vec::new();
-    for s in sobol {
-        s.pack_into(&mut flat);
-        buf.put_u64_le(s.n_groups());
-        buf.put_u64_le(flat.len() as u64);
-        for v in &flat {
-            buf.put_f64_le(*v);
-        }
+    let mut plan = Plan::default();
+    plan.head.put_u32_le(MAGIC);
+    plan.head.put_u32_le(VERSION);
+    plan.head.put_u64_le(state.worker_id() as u64);
+    plan.head.put_u64_le(state.slab().start as u64);
+    plan.head.put_u64_le(state.slab().len as u64);
+    plan.head.put_u32_le(state.dim() as u32);
+    plan.head.put_u32_le(state.n_timesteps() as u32);
+    // The tiled Sobol' state packs into the legacy role-major layout,
+    // keeping the file format stable.
+    for (ts, s) in sobol.iter().enumerate() {
+        let part = Part::Sobol(s);
+        plan.head.put_u64_le(s.n_groups());
+        plan.head.put_u64_le(part.len() as u64 / 8);
+        plan.bulk(ts, part);
     }
-    for m in moments {
+    for (ts, m) in moments.iter().enumerate() {
         let (n, mean, m2, m3, m4) = m.raw_state();
-        buf.put_u64_le(n);
-        buf.put_u64_le(mean.len() as u64);
+        plan.head.put_u64_le(n);
+        plan.head.put_u64_le(mean.len() as u64);
         for arr in [mean, m2, m3, m4] {
-            for v in arr {
-                buf.put_f64_le(*v);
-            }
+            plan.bulk(ts, Part::F64(arr));
         }
     }
-    for mm in minmax {
+    for (ts, mm) in minmax.iter().enumerate() {
         let (n, mn, mx) = mm.raw_state();
-        buf.put_u64_le(n);
-        buf.put_u64_le(mn.len() as u64);
+        plan.head.put_u64_le(n);
+        plan.head.put_u64_le(mn.len() as u64);
         for arr in [mn, mx] {
-            for v in arr {
-                buf.put_f64_le(*v);
-            }
+            plan.bulk(ts, Part::F64(arr));
         }
     }
     let n_thresholds = thresholds.first().map_or(0, |v| v.len());
-    buf.put_u64_le(n_thresholds as u64);
+    plan.head.put_u64_le(n_thresholds as u64);
     for ti in 0..n_thresholds {
-        for per_ts in thresholds {
+        for (ts, per_ts) in thresholds.iter().enumerate() {
             let (threshold, n, exceeded) = per_ts[ti].raw_state();
-            buf.put_f64_le(threshold);
-            buf.put_u64_le(n);
-            buf.put_u64_le(exceeded.len() as u64);
-            for v in exceeded {
-                buf.put_u64_le(*v);
-            }
+            plan.head.put_f64_le(threshold);
+            plan.head.put_u64_le(n);
+            plan.head.put_u64_le(exceeded.len() as u64);
+            plan.bulk(ts, Part::U64(exceeded));
         }
     }
     // Quantile section (format v3+).  Probabilities and the step exponent
     // are shared across timesteps; the per-timestep record arrays are the
     // tiled storage verbatim.
     let n_probs = quantiles.first().map_or(0, |q| q.probs().len());
-    buf.put_u64_le(n_probs as u64);
+    plan.head.put_u64_le(n_probs as u64);
     if let Some(first) = quantiles.first() {
-        buf.put_f64_le(first.gamma());
+        plan.head.put_f64_le(first.gamma());
         for p in first.probs() {
-            buf.put_f64_le(*p);
+            plan.head.put_f64_le(*p);
         }
-        for q in quantiles {
+        for (ts, q) in quantiles.iter().enumerate() {
             let (n, _, _, records) = q.raw_state();
-            buf.put_u64_le(n);
-            buf.put_u64_le(records.len() as u64);
-            for v in records {
-                buf.put_f64_le(*v);
-            }
+            plan.head.put_u64_le(n);
+            plan.head.put_u64_le(records.len() as u64);
+            plan.bulk(ts, Part::F64(records));
         }
     }
     // Sorted by group id so checkpoint bytes are a deterministic function
     // of the state (HashMap iteration order is salted per instance).
     let mut completed: Vec<(u64, i64)> = last_completed.iter().map(|(g, ts)| (*g, *ts)).collect();
     completed.sort_unstable_by_key(|&(g, _)| g);
-    buf.put_u64_le(completed.len() as u64);
+    plan.head.put_u64_le(completed.len() as u64);
     for (g, ts) in completed {
-        buf.put_u64_le(g);
-        buf.put_i64_le(ts);
+        plan.head.put_u64_le(g);
+        plan.head.put_i64_le(ts);
     }
-    buf.put_u64_le(finished.len() as u64);
+    plan.head.put_u64_le(finished.len() as u64);
     for g in finished {
-        buf.put_u64_le(*g);
+        plan.head.put_u64_le(*g);
     }
     // Integrated-interval section (format v4+), sorted by group id for
     // determinism: per group the `(lower_exclusive, last]` timestep
@@ -198,16 +271,16 @@ pub fn pack_state(state: &WorkerState) -> Vec<u8> {
     let mut intervals: Vec<(u64, &Vec<(i64, i64)>)> =
         integrated.iter().map(|(g, segs)| (*g, segs)).collect();
     intervals.sort_unstable_by_key(|&(g, _)| g);
-    buf.put_u64_le(intervals.len() as u64);
+    plan.head.put_u64_le(intervals.len() as u64);
     for (g, segs) in intervals {
-        buf.put_u64_le(g);
-        buf.put_u64_le(segs.len() as u64);
+        plan.head.put_u64_le(g);
+        plan.head.put_u64_le(segs.len() as u64);
         for &(lo, hi) in segs {
-            buf.put_i64_le(lo);
-            buf.put_i64_le(hi);
+            plan.head.put_i64_le(lo);
+            plan.head.put_i64_le(hi);
         }
     }
-    buf.to_vec()
+    plan.finish()
 }
 
 /// Writes `state` to `dir`, returning the byte count (the paper reports
@@ -226,118 +299,69 @@ pub fn write_checkpoint(dir: &Path, state: &WorkerState) -> Result<u64, Checkpoi
 
 /// Unpacks a checkpoint byte buffer produced by [`pack_state`] (or read
 /// from a v2/v3 checkpoint file) into a [`WorkerState`] for worker
-/// `worker_id`.
+/// `worker_id`.  Safe on untrusted bytes: every failure is an `Err`.
 pub fn unpack_state(bytes: &[u8], worker_id: usize) -> Result<WorkerState, CheckpointError> {
-    let mut buf = bytes;
+    use CheckpointError::Corrupt;
+    let buf = &mut &*bytes;
 
-    macro_rules! need {
-        ($n:expr, $what:expr) => {
-            if buf.remaining() < $n {
-                return Err(CheckpointError::Corrupt($what));
-            }
-        };
+    if get_u32(buf, "header")? != MAGIC {
+        return Err(Corrupt("bad magic"));
     }
-
-    need!(8, "header");
-    if buf.get_u32_le() != MAGIC {
-        return Err(CheckpointError::Corrupt("bad magic"));
-    }
-    let version = buf.get_u32_le();
+    let version = get_u32(buf, "header")?;
     if !(MIN_VERSION..=VERSION).contains(&version) {
         return Err(CheckpointError::UnsupportedVersion { found: version });
     }
-    need!(8 * 3 + 4 * 2, "shape");
-    let file_worker = buf.get_u64_le() as usize;
-    if file_worker != worker_id {
-        return Err(CheckpointError::Corrupt("worker id mismatch"));
+    if get_u64(buf, "shape")? != worker_id as u64 {
+        return Err(Corrupt("worker id mismatch"));
     }
-    let slab = CellRange {
-        start: buf.get_u64_le() as usize,
-        len: buf.get_u64_le() as usize,
+    let start = usize::try_from(get_u64(buf, "shape")?).ok();
+    let len = usize::try_from(get_u64(buf, "shape")?).ok();
+    let p = get_u32(buf, "shape")? as usize;
+    let n_timesteps = get_u32(buf, "shape")? as usize;
+    let slab = start
+        .zip(len)
+        .filter(|&(start, len)| len > 0 && start.checked_add(len).is_some());
+    let sobol_len = len.and_then(|len| p.checked_mul(4)?.checked_add(4)?.checked_mul(len));
+    let (Some((start, len)), Some(sobol_len), true) = (slab, sobol_len, p > 0) else {
+        return Err(Corrupt("degenerate shape"));
     };
-    let p = buf.get_u32_le() as usize;
-    let n_timesteps = buf.get_u32_le() as usize;
-    if slab.len == 0 || p == 0 {
-        return Err(CheckpointError::Corrupt("degenerate shape"));
+    let slab = CellRange { start, len };
+    // Bound the count (three 16-byte section headers per timestep) before sizing vectors by it.
+    if n_timesteps > buf.remaining() / 48 {
+        return Err(Corrupt("timestep count"));
     }
 
     let mut sobol = Vec::with_capacity(n_timesteps);
     for _ in 0..n_timesteps {
-        need!(16, "sobol header");
-        let n = buf.get_u64_le();
-        let flat_len = buf.get_u64_le() as usize;
-        if flat_len != (4 + 4 * p) * slab.len {
-            return Err(CheckpointError::Corrupt("sobol payload length"));
-        }
-        need!(flat_len * 8, "sobol payload");
-        let mut flat = Vec::with_capacity(flat_len);
-        for _ in 0..flat_len {
-            flat.push(buf.get_f64_le());
-        }
-        sobol.push(UbiquitousSobol::unpack(p, slab.len, n, &flat));
+        let n = get_u64(buf, "sobol header")?;
+        let raw = get_words(buf, sobol_len, 1, "sobol payload")?;
+        sobol.push(UbiquitousSobol::unpack_le(p, slab.len, n, raw));
     }
 
     let mut moments = Vec::with_capacity(n_timesteps);
     for _ in 0..n_timesteps {
-        need!(16, "moments header");
-        let n = buf.get_u64_le();
-        let len = buf.get_u64_le() as usize;
-        if len != slab.len {
-            return Err(CheckpointError::Corrupt("moments length"));
-        }
-        need!(len * 8 * 4, "moments payload");
-        let mut arrays: Vec<Vec<f64>> = Vec::with_capacity(4);
-        for _ in 0..4 {
-            let mut a = Vec::with_capacity(len);
-            for _ in 0..len {
-                a.push(buf.get_f64_le());
-            }
-            arrays.push(a);
-        }
-        let m4 = arrays.pop().unwrap();
-        let m3 = arrays.pop().unwrap();
-        let m2 = arrays.pop().unwrap();
-        let mean = arrays.pop().unwrap();
+        let n = get_u64(buf, "moments header")?;
+        let raw = get_words(buf, slab.len, 4, "moments payload")?;
+        let mut arrays = raw.chunks_exact(slab.len * 8).map(words_from_le);
+        let [mean, m2, m3, m4] = std::array::from_fn(|_| arrays.next().expect("four arrays read"));
         moments.push(FieldMoments::from_raw_state(n, mean, m2, m3, m4));
     }
 
     let mut minmax = Vec::with_capacity(n_timesteps);
     for _ in 0..n_timesteps {
-        need!(16, "minmax header");
-        let n = buf.get_u64_le();
-        let len = buf.get_u64_le() as usize;
-        if len != slab.len {
-            return Err(CheckpointError::Corrupt("minmax length"));
-        }
-        need!(len * 8 * 2, "minmax payload");
-        let mut mn = Vec::with_capacity(len);
-        for _ in 0..len {
-            mn.push(buf.get_f64_le());
-        }
-        let mut mx = Vec::with_capacity(len);
-        for _ in 0..len {
-            mx.push(buf.get_f64_le());
-        }
+        let n = get_u64(buf, "minmax header")?;
+        let (mn, mx) = get_words(buf, slab.len, 2, "minmax payload")?.split_at(slab.len * 8);
+        let (mn, mx) = (words_from_le(mn), words_from_le(mx));
         minmax.push(FieldMinMax::from_raw_state(n, mn, mx));
     }
 
-    need!(8, "threshold count");
-    let n_thresholds = buf.get_u64_le() as usize;
+    let n_thresholds = get_count(buf, 24, "threshold count")?;
     let mut thresholds: Vec<Vec<FieldThreshold>> = vec![Vec::new(); n_timesteps];
     for _ in 0..n_thresholds {
         for per_ts in thresholds.iter_mut() {
-            need!(24, "threshold header");
-            let threshold = buf.get_f64_le();
-            let n = buf.get_u64_le();
-            let len = buf.get_u64_le() as usize;
-            if len != slab.len {
-                return Err(CheckpointError::Corrupt("threshold length"));
-            }
-            need!(len * 8, "threshold payload");
-            let mut exceeded = Vec::with_capacity(len);
-            for _ in 0..len {
-                exceeded.push(buf.get_u64_le());
-            }
+            let threshold = get_f64(buf, "threshold header")?;
+            let n = get_u64(buf, "threshold header")?;
+            let exceeded = words_from_le(get_words(buf, slab.len, 1, "threshold payload")?);
             per_ts.push(FieldThreshold::from_raw_state(threshold, n, exceeded));
         }
     }
@@ -349,83 +373,58 @@ pub fn unpack_state(bytes: &[u8], worker_id: usize) -> Result<WorkerState, Check
     // worker threads, where a panic would kill the worker instead of
     // triggering the fresh-state fallback.
     let mut quantiles: Vec<FieldQuantiles> = Vec::new();
-    if version >= 3 {
-        need!(8, "quantile prob count");
-        let n_probs = buf.get_u64_le() as usize;
-        if n_probs > 4096 {
-            return Err(CheckpointError::Corrupt("implausible quantile count"));
+    let n_probs = match version {
+        2 => 0,
+        _ => get_count(buf, 8, "quantile prob count")?,
+    };
+    if n_probs > 4096 {
+        return Err(Corrupt("implausible quantile count"));
+    }
+    if n_probs > 0 {
+        let gamma = get_f64(buf, "quantile config")?;
+        if !(gamma > 0.5 && gamma <= 1.0) {
+            return Err(Corrupt("quantile step exponent"));
         }
-        if n_probs > 0 {
-            need!(8 * (1 + n_probs), "quantile config");
-            let gamma = buf.get_f64_le();
-            if !(gamma > 0.5 && gamma <= 1.0) {
-                return Err(CheckpointError::Corrupt("quantile step exponent"));
-            }
-            let mut probs = Vec::with_capacity(n_probs);
-            for _ in 0..n_probs {
-                let p = buf.get_f64_le();
-                if !(p > 0.0 && p < 1.0) {
-                    return Err(CheckpointError::Corrupt("quantile probability"));
-                }
-                probs.push(p);
-            }
-            let expected_flat = n_probs
-                .checked_mul(slab.len)
-                .ok_or(CheckpointError::Corrupt("quantile payload length"))?;
-            for _ in 0..n_timesteps {
-                need!(16, "quantile header");
-                let n = buf.get_u64_le();
-                let flat_len = buf.get_u64_le() as usize;
-                if flat_len != expected_flat {
-                    return Err(CheckpointError::Corrupt("quantile payload length"));
-                }
-                need!(flat_len * 8, "quantile payload");
-                let mut flat = Vec::with_capacity(flat_len);
-                for _ in 0..flat_len {
-                    flat.push(buf.get_f64_le());
-                }
-                quantiles.push(FieldQuantiles::from_raw_state(
-                    slab.len, &probs, gamma, n, &flat,
-                ));
-            }
+        let probs = (0..n_probs)
+            .map(|_| get_f64(buf, "quantile config"))
+            .collect::<Result<Vec<f64>, _>>()?;
+        if !probs.iter().all(|&p| p > 0.0 && p < 1.0) {
+            return Err(Corrupt("quantile probability"));
+        }
+        let flat_len = n_probs
+            .checked_mul(slab.len)
+            .ok_or(Corrupt("quantile payload"))?;
+        for _ in 0..n_timesteps {
+            let n = get_u64(buf, "quantile header")?;
+            let (words, _) = get_words(buf, flat_len, 1, "quantile payload")?.as_chunks::<8>();
+            let records = words.iter().map(|w| f64::from_le_bytes(*w));
+            let q = FieldQuantiles::from_raw_state(slab.len, &probs, gamma, n, records);
+            quantiles.push(q);
         }
     }
 
-    need!(8, "bookkeeping");
-    let n_groups = buf.get_u64_le() as usize;
+    let n_groups = get_count(buf, 16, "bookkeeping")?;
     let mut last_completed = HashMap::with_capacity(n_groups);
     for _ in 0..n_groups {
-        need!(16, "last_completed entry");
-        let g = buf.get_u64_le();
-        let ts = buf.get_i64_le();
-        last_completed.insert(g, ts);
+        last_completed.insert(get_u64(buf, "last_completed entry")?, buf.get_i64_le());
     }
-    need!(8, "finished count");
-    let n_finished = buf.get_u64_le() as usize;
-    let mut finished = Vec::with_capacity(n_finished);
-    for _ in 0..n_finished {
-        need!(8, "finished entry");
-        finished.push(buf.get_u64_le());
-    }
+    let n_finished = get_count(buf, 8, "finished count")?;
+    let finished = words_from_le(&buf[..n_finished * 8]);
+    buf.advance(n_finished * 8);
 
     // Integrated-interval section: absent before v4.  Legacy states were
     // written before migration existed, so each group's integration is
     // exactly the contiguous range `(-1, last_completed]`.
     let mut integrated: HashMap<u64, Vec<(i64, i64)>> = HashMap::new();
     if version >= 4 {
-        need!(8, "interval group count");
-        let n_interval_groups = buf.get_u64_le() as usize;
-        for _ in 0..n_interval_groups {
-            need!(16, "interval group header");
-            let g = buf.get_u64_le();
-            let n_segs = buf.get_u64_le() as usize;
-            need!(n_segs * 16, "interval segments");
+        for _ in 0..get_count(buf, 16, "interval group count")? {
+            let g = get_u64(buf, "interval group header")?;
+            let n_segs = get_count(buf, 16, "interval segments")?;
             let mut segs = Vec::with_capacity(n_segs);
             for _ in 0..n_segs {
-                let lo = buf.get_i64_le();
-                let hi = buf.get_i64_le();
+                let (lo, hi) = (buf.get_i64_le(), buf.get_i64_le());
                 if lo >= hi {
-                    return Err(CheckpointError::Corrupt("empty interval segment"));
+                    return Err(Corrupt("empty interval segment"));
                 }
                 segs.push((lo, hi));
             }
@@ -464,6 +463,7 @@ pub fn read_checkpoint(dir: &Path, worker_id: usize) -> Result<WorkerState, Chec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("melissa-ckpt-{tag}-{}", std::process::id()));
@@ -633,8 +633,8 @@ mod tests {
     }
 
     /// The in-memory codec round-trips without touching the filesystem —
-    /// the path the sharded reduction tree uses to drain shard states —
-    /// and re-packing the unpacked state reproduces the exact bytes.
+    /// the path a remote shard's states take to the reducer — and
+    /// re-packing the unpacked state reproduces the exact bytes.
     #[test]
     fn pack_unpack_roundtrip_is_bit_identical_in_memory() {
         let st = populated_state();

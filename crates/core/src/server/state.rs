@@ -660,6 +660,18 @@ impl WorkerState {
         self.fused_sweeps += other.fused_sweeps;
     }
 
+    /// Drops what a checkpoint never carries — in-flight assemblies, the
+    /// pooled buffers and the ban set — and frees their memory.  The
+    /// study-end reduction calls this on every lineage: at that point a
+    /// pending assembly belongs to an abandoned group whose partial data
+    /// was never integrated anywhere, and [`merge`](Self::merge) refuses
+    /// states that still hold one.
+    pub fn discard_in_flight(&mut self) {
+        self.assembly = HashMap::new();
+        self.pool = Vec::new();
+        self.banned = HashSet::new();
+    }
+
     /// In-flight assembly count (for memory diagnostics).
     pub fn pending_assemblies(&self) -> usize {
         self.assembly.len()

@@ -20,13 +20,16 @@
 //!   (`"shard<k>/server/<w>"`, see
 //!   [`melissa_transport::directory::names`]), sharing the global batch
 //!   runner (node budget), study clock and convergence coordination;
-//! * at study end a **reduction** ([`reduce_worker_states`]) drains every
-//!   shard's worker states through the checkpoint codec
-//!   ([`pack_state`] /
-//!   [`unpack_state`] — exactly
-//!   the bytes a remote shard would ship) and merges them pairwise with
+//! * at study end a **reduction** ([`reduce_owned_states`]) takes the
+//!   shards' worker states by value and folds them in place with
 //!   [`WorkerState::merge`]: Sobol'/moments via Pébay pairwise formulas,
 //!   min/max and threshold counters exactly, quantiles count-weighted.
+//!   No bytes are produced: the checkpoint codec
+//!   ([`pack_state`](crate::server::checkpoint::pack_state) /
+//!   [`unpack_state`](crate::server::checkpoint::unpack_state)) is for
+//!   states that really cross a file or a wire — a remote shard ships
+//!   `pack_state` bytes and the receiver reduces what it unpacked, with
+//!   bit-identical results because the codec round trip is bit-identical.
 //!
 //! ## Determinism and bit-exactness
 //!
@@ -57,7 +60,6 @@ use crate::config::StudyConfig;
 use crate::fault::FaultPlan;
 use crate::launcher::{supervise_shard, StudyContext, StudyRuntime};
 use crate::report::StudyReport;
-use crate::server::checkpoint::{pack_state, unpack_state};
 use crate::server::state::WorkerState;
 use crate::study::{StudyOutput, StudyResults};
 use melissa_transport::directory::names;
@@ -303,22 +305,23 @@ impl NodeMap {
 /// server had integrated every group.
 ///
 /// `shards[k][w]` is shard `k`'s worker `w`; every shard must run the
-/// same worker count/slab partition (they all serve the same mesh).  Each
-/// state is first drained through the checkpoint codec — the bytes a
-/// remote shard would ship to the reducer; the round trip is
-/// bit-identical and drops in-flight assemblies, which at study end
-/// belong to abandoned groups whose partial data was never integrated
-/// anywhere.  The pairwise [`WorkerState::merge`]s then run in parallel
-/// over the `W` independent per-worker chains, each chain folding in
-/// shard-index order (see the module docs for why the combine order is
-/// canonical).
+/// same worker count/slab partition (they all serve the same mesh).  The
+/// states are consumed: each lineage first drops its in-flight assemblies
+/// (at study end they belong to abandoned groups whose partial data was
+/// never integrated anywhere), pooled buffers and ban set, then lineage
+/// `k + 1` is folded into the accumulated lineages `0..=k` with one
+/// [`WorkerState::merge`] per worker — the `W` merges of a fold run in
+/// parallel, each itself tile-parallel — and is freed as soon as it is
+/// merged.  Every per-worker chain therefore folds in shard-index order
+/// (see the module docs for why the combine order is canonical), and the
+/// reduction holds no copy of any state.
 ///
 /// # Panics
 /// Panics if shards disagree on worker count, slab partition or
 /// configured statistics, or if any group was integrated by two shards
 /// (double counting would bias every estimator — the router makes this
 /// impossible in a real study).
-pub fn reduce_worker_states(shards: &[Vec<WorkerState>]) -> Vec<WorkerState> {
+pub fn reduce_owned_states(shards: Vec<Vec<WorkerState>>) -> Vec<WorkerState> {
     assert!(!shards.is_empty(), "nothing to reduce");
     let n_workers = shards[0].len();
     for (k, s) in shards.iter().enumerate() {
@@ -345,32 +348,25 @@ pub fn reduce_worker_states(shards: &[Vec<WorkerState>]) -> Vec<WorkerState> {
         }
     }
 
-    // Drain: every shard state crosses the checkpoint codec exactly as it
-    // would cross the wire from a remote shard (the input is only read —
-    // the reduction works on the unpacked copies).
-    let mut per_worker: Vec<Vec<WorkerState>> = (0..n_workers).map(|_| Vec::new()).collect();
-    for shard in shards {
-        for (w, state) in shard.iter().enumerate() {
-            let packed = pack_state(state);
-            let drained = unpack_state(&packed, state.worker_id())
-                .expect("pack/unpack of a live worker state cannot fail");
-            per_worker[w].push(drained);
-        }
-    }
-
-    // Merge: W independent chains in parallel, each a left fold in shard
-    // order (each pairwise merge is itself tile-parallel).
     use rayon::prelude::*;
-    per_worker
-        .into_par_iter()
-        .map(|mut chain| {
-            let mut acc = chain.remove(0);
-            for next in &chain {
-                acc.merge(next);
-            }
-            acc
-        })
-        .collect()
+    let mut lineages = shards.into_iter();
+    let mut acc = lineages.next().expect("checked non-empty above");
+    acc.iter_mut().for_each(WorkerState::discard_in_flight);
+    for lineage in lineages {
+        acc.par_iter_mut()
+            .zip(lineage.into_par_iter())
+            .for_each(|(acc, mut next)| {
+                next.discard_in_flight();
+                acc.merge(&next);
+            });
+    }
+    acc
+}
+
+/// [`reduce_owned_states`] for callers that keep their states: clones
+/// them, then reduces the clones.
+pub fn reduce_worker_states(shards: &[Vec<WorkerState>]) -> Vec<WorkerState> {
+    reduce_owned_states(shards.to_vec())
 }
 
 /// Runs a sharded study: `N` supervised server instances over disjoint
@@ -523,7 +519,6 @@ pub(crate) fn run_sharded_study(
     report.events.sort_by_key(|e| e.order_key());
     report.origin = ctx.started;
     report.routing_epoch = ctx.coord.routing.epoch();
-    report.wall_time = ctx.started.elapsed();
 
     // Reduce over the state *lineages* in slot order: each slot's final
     // states are one lineage (a permanently dead shard's lineage is its
@@ -532,8 +527,11 @@ pub(crate) fn run_sharded_study(
     // integrated anything drop out without disturbing the canonical
     // order.
     let states: Vec<Vec<WorkerState>> = states.into_iter().filter(|s| !s.is_empty()).collect();
-    let reduced = reduce_worker_states(&states);
+    let reduce_started = std::time::Instant::now();
+    let reduced = reduce_owned_states(states);
+    report.reduce_time = reduce_started.elapsed();
     let results = StudyResults::from_worker_states(ctx.p, solver_timesteps, ctx.n_cells, reduced);
+    report.wall_time = ctx.started.elapsed();
     Ok(StudyOutput { results, report })
 }
 

@@ -131,6 +131,11 @@ fn sharded_study_reduces_to_single_server_statistics() {
     // matches the single server exactly.
     assert_eq!(sharded.report.data_messages, single.report.data_messages);
     assert_eq!(sharded.report.data_bytes, single.report.data_bytes);
+    // The wall clock covers the study-end reduction (it used to be
+    // stamped before it); a single server has nothing to reduce.
+    assert!(sharded.report.reduce_time > std::time::Duration::ZERO);
+    assert!(sharded.report.reduce_time <= sharded.report.wall_time);
+    assert_eq!(single.report.reduce_time, std::time::Duration::ZERO);
 
     let n_ts = single.results.n_timesteps();
     for ts in [0, n_ts / 2, n_ts - 1] {
@@ -384,10 +389,9 @@ proptest! {
         prop_assert_eq!(fa, fb);
     }
 
-    /// The canonical reduction (what the study runs, parallel over worker
-    /// chains, drained through the checkpoint codec) is bit-identical to
-    /// the sequential left fold — the codec round trip and the thread
-    /// schedule contribute nothing.
+    /// The canonical reduction (what the study runs, the workers of each
+    /// fold merged in parallel) is bit-identical to the sequential left
+    /// fold — the thread schedule contributes nothing.
     #[test]
     fn canonical_reduction_is_bit_identical_to_the_left_fold(
         per_shard in prop::collection::vec(

@@ -303,26 +303,19 @@ impl UbiquitousSobol {
     /// letting checkpoint writers reuse one allocation across timesteps.
     pub fn pack_into(&self, flat: &mut Vec<f64>) {
         flat.clear();
-        flat.reserve(self.stride * self.cells);
-        let gather = |flat: &mut Vec<f64>, off: usize| {
-            flat.extend((0..self.cells).map(|c| self.state[c * self.stride + off]));
-        };
-        gather(flat, MEAN_A);
-        gather(flat, MEAN_B);
-        for k in 0..self.p {
-            gather(flat, PARAM_BLOCK + 4 * k);
-        }
-        gather(flat, M2_A);
-        gather(flat, M2_B);
-        for k in 0..self.p {
-            gather(flat, PARAM_BLOCK + 4 * k + 1);
-        }
-        for k in 0..self.p {
-            gather(flat, PARAM_BLOCK + 4 * k + 2);
-        }
-        for k in 0..self.p {
-            gather(flat, PARAM_BLOCK + 4 * k + 3);
-        }
+        flat.resize(self.stride * self.cells, 0.0);
+        self.gather_role_major(flat, |v| v);
+    }
+
+    /// [`pack`](Self::pack) straight into serialized form: `dst` receives
+    /// the flat array as little-endian words, with no staging vector.
+    ///
+    /// # Panics
+    /// Panics unless `dst` is exactly `8 × (4 + 4p) × cells` bytes.
+    pub fn pack_le_into(&self, dst: &mut [u8]) {
+        let (words, rest) = dst.as_chunks_mut::<8>();
+        assert!(rest.is_empty(), "bad checkpoint payload length");
+        self.gather_role_major(words, f64::to_le_bytes);
     }
 
     /// Rebuilds from [`pack`](Self::pack) output.
@@ -330,31 +323,62 @@ impl UbiquitousSobol {
     /// # Panics
     /// Panics if `flat` has the wrong length.
     pub fn unpack(p: usize, cells: usize, n: u64, flat: &[f64]) -> Self {
+        Self::scatter_role_major(p, cells, n, flat, |v| v)
+    }
+
+    /// Rebuilds from [`pack_le_into`](Self::pack_le_into) output.
+    ///
+    /// # Panics
+    /// Panics if `raw` has the wrong length.
+    pub fn unpack_le(p: usize, cells: usize, n: u64, raw: &[u8]) -> Self {
+        let (words, rest) = raw.as_chunks::<8>();
+        assert!(rest.is_empty(), "bad checkpoint payload length");
+        Self::scatter_role_major(p, cells, n, words, f64::from_le_bytes)
+    }
+
+    /// Writes the role-major flat array into `dst` in one cache-blocked
+    /// pass: each tile's records are read once and leave as `4 + 4p` runs
+    /// of consecutive words, instead of one strided sweep over the whole
+    /// state per role array.
+    fn gather_role_major<T>(&self, dst: &mut [T], conv: impl Fn(f64) -> T) {
+        let (stride, cells) = (self.stride, self.cells);
+        assert_eq!(dst.len(), stride * cells, "bad checkpoint payload length");
+        let offsets = role_major_offsets(self.p);
+        for c0 in (0..cells).step_by(self.tile) {
+            let c1 = (c0 + self.tile).min(cells);
+            let recs = &self.state[c0 * stride..c1 * stride];
+            for (r, &off) in offsets.iter().enumerate() {
+                let run = &mut dst[r * cells + c0..r * cells + c1];
+                for (out, rec) in run.iter_mut().zip(recs.chunks_exact(stride)) {
+                    *out = conv(rec[off]);
+                }
+            }
+        }
+    }
+
+    /// Inverse of [`gather_role_major`](Self::gather_role_major), tile by
+    /// tile in the same single pass.
+    fn scatter_role_major<T: Copy>(
+        p: usize,
+        cells: usize,
+        n: u64,
+        src: &[T],
+        conv: impl Fn(T) -> f64,
+    ) -> Self {
         let mut acc = Self::new(p, cells);
         let stride = acc.stride;
-        assert_eq!(flat.len(), stride * cells, "bad checkpoint payload length");
+        assert_eq!(src.len(), stride * cells, "bad checkpoint payload length");
         acc.n = n;
-        let mut arrays = flat.chunks_exact(cells);
-        let scatter = |arr: &[f64], off: usize, state: &mut AlignedVec| {
-            for (c, &v) in arr.iter().enumerate() {
-                state[c * stride + off] = v;
+        let offsets = role_major_offsets(p);
+        for c0 in (0..cells).step_by(acc.tile) {
+            let c1 = (c0 + acc.tile).min(cells);
+            let recs = &mut acc.state[c0 * stride..c1 * stride];
+            for (r, &off) in offsets.iter().enumerate() {
+                let run = &src[r * cells + c0..r * cells + c1];
+                for (rec, v) in recs.chunks_exact_mut(stride).zip(run) {
+                    rec[off] = conv(*v);
+                }
             }
-        };
-        let mut offsets = Vec::with_capacity(2 * (p + 2) + 2 * p);
-        offsets.push(MEAN_A);
-        offsets.push(MEAN_B);
-        offsets.extend((0..p).map(|k| PARAM_BLOCK + 4 * k));
-        offsets.push(M2_A);
-        offsets.push(M2_B);
-        offsets.extend((0..p).map(|k| PARAM_BLOCK + 4 * k + 1));
-        offsets.extend((0..p).map(|k| PARAM_BLOCK + 4 * k + 2));
-        offsets.extend((0..p).map(|k| PARAM_BLOCK + 4 * k + 3));
-        for off in offsets {
-            scatter(
-                arrays.next().expect("length checked above"),
-                off,
-                &mut acc.state,
-            );
         }
         acc
     }
@@ -368,6 +392,21 @@ impl UbiquitousSobol {
         self.n += 1;
         (self.n as f64, self.stride, &mut self.state)
     }
+}
+
+/// Record offsets in serialized role-major order: the means of every role
+/// (`A`, `B`, `C^0…`), the `m2` sums in the same role order, then `c_bc`,
+/// then `c_ac`.
+fn role_major_offsets(p: usize) -> Vec<usize> {
+    let block = |field: usize| (0..p).map(move |k| PARAM_BLOCK + 4 * k + field);
+    [MEAN_A, MEAN_B]
+        .into_iter()
+        .chain(block(0))
+        .chain([M2_A, M2_B])
+        .chain(block(1))
+        .chain(block(2))
+        .chain(block(3))
+        .collect()
 }
 
 /// Updates the packed records of one tile with one group's field values.
@@ -599,6 +638,31 @@ mod tests {
         let (n, flat) = acc.pack();
         let back = UbiquitousSobol::unpack(P, CELLS, n, &flat);
         assert_eq!(acc, back);
+    }
+
+    /// The byte form is the flat array's little-endian image, and both
+    /// forms restore the state exactly, over several tiles with a ragged
+    /// last one.
+    #[test]
+    fn le_pack_is_the_flat_arrays_byte_image_across_tiles() {
+        let cells = 3 * 64 + 9;
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut acc = UbiquitousSobol::new(P, cells);
+        assert!(cells > 3 * acc.cells_per_tile(), "must span several tiles");
+        for _ in 0..5 {
+            let g: Vec<Vec<f64>> = (0..P + 2)
+                .map(|_| (0..cells).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect())
+                .collect();
+            let refs: Vec<&[f64]> = g.iter().map(|f| f.as_slice()).collect();
+            acc.update_group(&refs);
+        }
+        let (n, flat) = acc.pack();
+        let want: Vec<u8> = flat.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let mut raw = vec![0u8; want.len()];
+        acc.pack_le_into(&mut raw);
+        assert_eq!(raw, want);
+        assert_eq!(UbiquitousSobol::unpack_le(P, cells, n, &raw), acc);
+        assert_eq!(UbiquitousSobol::unpack(P, cells, n, &flat), acc);
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! wrappers), but the payload of every section is the `raw_state()` of
 //! an accumulator defined *here* in `melissa-stats` (or in
 //! `melissa-sobol` for the Sobol' tiles).  The tables below make that
-//! contract auditable in one place — in particular for the sharded-study
-//! **reduction tree**, which reuses the same pack/unpack codec to drain
-//! shard worker states exactly as a remote shard would ship them over
-//! the wire.
+//! contract auditable in one place — for the checkpoint files and for
+//! every other place a worker state leaves its process as these bytes:
+//! dead-shard re-homing, a remote shard shipping its states to the
+//! reducer, the daemon's `results` RPC.  (The in-process study-end
+//! reduction owns its states and merges them in place; it produces no
+//! bytes.)
 //!
 //! ## Conventions
 //!
@@ -27,8 +29,9 @@
 //!   hash map, whose iteration order is salted per process), the writer
 //!   sorts by key before emitting.  This is what makes
 //!   `pack ∘ unpack ∘ pack` bit-stable, lets tests compare checkpoint
-//!   bytes across runs, and guarantees the reduction tree's drain step
-//!   adds no noise.
+//!   bytes across runs (the core crate pins a golden digest of them), and
+//!   guarantees that a state shipped through the codec reduces to the
+//!   same bits as one merged in place.
 //!
 //! ## File header
 //!
@@ -117,10 +120,11 @@
 //!
 //! In-flight assemblies are deliberately **not** serialized: on restore
 //! their groups replay from the beginning and discard-on-replay drops
-//! everything at or below the per-group `last_completed` floor — which is
-//! also why the reduction tree's drain through this codec is safe: at
-//! study end, pending assemblies belong only to abandoned groups whose
-//! partial data was never integrated anywhere.
+//! everything at or below the per-group `last_completed` floor.  The
+//! study-end reduction drops them for the same reason, whether a state
+//! reaches it as these bytes or by value: at study end, pending
+//! assemblies belong only to abandoned groups whose partial data was
+//! never integrated anywhere.
 //!
 //! ## Version history
 //!

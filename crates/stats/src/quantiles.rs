@@ -611,20 +611,31 @@ impl FieldQuantiles {
         (self.n, self.gamma, &self.probs, &self.state)
     }
 
-    /// Rebuilds from checkpointed raw state.
+    /// Rebuilds from checkpointed raw state.  `records` yields the record
+    /// array of [`raw_state`](Self::raw_state) in order — an iterator, so
+    /// a checkpoint reader can decode its bytes straight into the tiled
+    /// storage without a staging vector.
     ///
     /// # Panics
-    /// Panics if `flat` is not `cells × probs.len()` doubles or the shape
-    /// is degenerate.
-    pub fn from_raw_state(cells: usize, probs: &[f64], gamma: f64, n: u64, flat: &[f64]) -> Self {
+    /// Panics if `records` is not `cells × probs.len()` doubles or the
+    /// shape is degenerate.
+    pub fn from_raw_state(
+        cells: usize,
+        probs: &[f64],
+        gamma: f64,
+        n: u64,
+        records: impl ExactSizeIterator<Item = f64>,
+    ) -> Self {
         let mut acc = Self::with_gamma(cells, probs, gamma);
         assert_eq!(
-            flat.len(),
+            records.len(),
             cells * acc.stride,
             "bad quantile checkpoint payload length"
         );
         acc.n = n;
-        acc.state.copy_from_slice(flat);
+        for (slot, v) in acc.state.iter_mut().zip(records) {
+            *slot = v;
+        }
         acc
     }
 
@@ -908,7 +919,7 @@ mod tests {
             let (n, g, p, f) = acc.raw_state();
             (n, g, p.to_vec(), f.to_vec())
         };
-        let back = FieldQuantiles::from_raw_state(5, &probs, gamma, n, &flat);
+        let back = FieldQuantiles::from_raw_state(5, &probs, gamma, n, flat.iter().copied());
         assert_eq!(acc, back);
     }
 

@@ -55,12 +55,81 @@ get_prim!(get_u32, u32, get_u32_le, 4);
 get_prim!(get_u64, u64, get_u64_le, 8);
 get_prim!(get_f64, f64, get_f64_le, 8);
 
+/// An 8-byte wire word (`f64` or `u64`) and its little-endian image.
+pub trait LeWord: Copy {
+    /// The value's little-endian bytes.
+    fn to_le(self) -> [u8; 8];
+    /// The value these little-endian bytes encode.
+    fn from_le(bytes: [u8; 8]) -> Self;
+}
+
+macro_rules! le_word {
+    ($ty:ty) => {
+        impl LeWord for $ty {
+            fn to_le(self) -> [u8; 8] {
+                self.to_le_bytes()
+            }
+
+            fn from_le(bytes: [u8; 8]) -> Self {
+                <$ty>::from_le_bytes(bytes)
+            }
+        }
+    };
+}
+
+le_word!(f64);
+le_word!(u64);
+
+/// Words staged per `put_slice` call by the bulk slice writers: 4 KiB of
+/// stack, so the staging copy stays in L1 and the sink sees a few large
+/// appends instead of one per element.
+const BULK_WORDS: usize = 512;
+
+/// Appends `values` as little-endian words, [`BULK_WORDS`] at a time
+/// (byte-identical to one `put_*_le` per element, on any sink).
+fn put_words<B: BufMut, T: LeWord>(buf: &mut B, values: &[T]) {
+    let mut staged = [[0u8; 8]; BULK_WORDS];
+    for chunk in values.chunks(BULK_WORDS) {
+        for (s, v) in staged.iter_mut().zip(chunk) {
+            *s = v.to_le();
+        }
+        buf.put_slice(staged[..chunk.len()].as_flattened());
+    }
+}
+
+/// Copies `values` into `dst` as little-endian words — the fixed-offset
+/// form of [`put_f64_slice`] / [`put_u64_slice`]'s payload, for writers
+/// that fill a pre-sized buffer.  Compiles to a plain copy on
+/// little-endian hosts.
+///
+/// # Panics
+/// Panics unless `dst.len() == 8 * values.len()`.
+pub fn copy_words_to_le<T: LeWord>(dst: &mut [u8], values: &[T]) {
+    let (words, rest) = dst.as_chunks_mut::<8>();
+    assert!(
+        rest.is_empty() && words.len() == values.len(),
+        "length mismatch"
+    );
+    for (w, v) in words.iter_mut().zip(values) {
+        *w = v.to_le();
+    }
+}
+
+/// Decodes `src` (little-endian words) into an owned vector in one bulk
+/// sweep, which optimises to a straight memcpy on little-endian hosts.
+///
+/// # Panics
+/// Panics unless `src.len()` is a multiple of 8.
+pub fn words_from_le<T: LeWord>(src: &[u8]) -> Vec<T> {
+    let (words, rest) = src.as_chunks::<8>();
+    assert!(rest.is_empty(), "length mismatch");
+    words.iter().map(|w| T::from_le(*w)).collect()
+}
+
 /// Writes a `u64`-length-prefixed `f64` slice.
 pub fn put_f64_slice<B: BufMut>(buf: &mut B, values: &[f64]) {
     buf.put_u64_le(values.len() as u64);
-    for v in values {
-        buf.put_f64_le(*v);
-    }
+    put_words(buf, values);
 }
 
 /// Reads a `u64`-length-prefixed `f64` vector with a sanity cap.
@@ -80,10 +149,7 @@ pub fn get_f64_vec<B: Buf>(buf: &mut B, what: &'static str) -> WireResult<Vec<f6
     }
     let chunk = buf.chunk();
     if chunk.len() >= len * 8 {
-        let mut out = vec![0.0f64; len];
-        for (o, b) in out.iter_mut().zip(chunk.chunks_exact(8)) {
-            *o = f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
-        }
+        let out = words_from_le(&chunk[..len * 8]);
         buf.advance(len * 8);
         return Ok(out);
     }
@@ -93,6 +159,44 @@ pub fn get_f64_vec<B: Buf>(buf: &mut B, what: &'static str) -> WireResult<Vec<f6
         out.push(buf.get_f64_le());
     }
     Ok(out)
+}
+
+/// Reads a `u64` count of records of at least `record_bytes` each and
+/// rejects one the remaining bytes cannot hold — so a count from the wire
+/// is bounded by the message before anything is sized by it.
+pub fn get_count<B: Buf>(
+    buf: &mut B,
+    record_bytes: usize,
+    what: &'static str,
+) -> WireResult<usize> {
+    let n = get_u64(buf, what)?;
+    match usize::try_from(n) {
+        Ok(n) if n <= buf.remaining() / record_bytes => Ok(n),
+        _ => Err(WireError::Truncated { what }),
+    }
+}
+
+/// Reads one counted array section: a `u64` length that must equal
+/// `expect`, then `arrays × expect` 8-byte words, returned undecoded (for
+/// [`words_from_le`]).  Sizes are checked arithmetic, so
+/// an `expect` derived from untrusted fields cannot overflow.
+pub fn get_words<'a>(
+    buf: &mut &'a [u8],
+    expect: usize,
+    arrays: usize,
+    what: &'static str,
+) -> WireResult<&'a [u8]> {
+    if get_u64(buf, what)? != expect as u64 {
+        return Err(WireError::Invalid { what });
+    }
+    match expect.checked_mul(8).and_then(|n| n.checked_mul(arrays)) {
+        Some(n_bytes) if n_bytes <= buf.len() => {
+            let (words, rest) = buf.split_at(n_bytes);
+            *buf = rest;
+            Ok(words)
+        }
+        _ => Err(WireError::Truncated { what }),
+    }
 }
 
 /// Writes a `u32`-length-prefixed UTF-8 string.
@@ -145,9 +249,7 @@ pub fn read_frame<R: std::io::Read>(r: &mut R, cap: usize) -> std::io::Result<Op
 /// Writes a `u64`-length-prefixed `u64` slice.
 pub fn put_u64_slice<B: BufMut>(buf: &mut B, values: &[u64]) {
     buf.put_u64_le(values.len() as u64);
-    for v in values {
-        buf.put_u64_le(*v);
-    }
+    put_words(buf, values);
 }
 
 /// Reads a `u64`-length-prefixed `u64` vector.
@@ -232,6 +334,73 @@ mod tests {
             get_str(&mut b, "s"),
             Err(WireError::Invalid { .. })
         ));
+    }
+
+    /// A sink that never holds more than three contiguous bytes.
+    #[derive(Default)]
+    struct Fragmented(Vec<Vec<u8>>);
+
+    impl BufMut for Fragmented {
+        fn put_slice(&mut self, src: &[u8]) {
+            self.0.extend(src.chunks(3).map(<[u8]>::to_vec));
+        }
+    }
+
+    /// The bulk writers emit exactly the bytes of one `put_*_le` per
+    /// element — bit patterns a float copy could disturb included — on a
+    /// contiguous and on a fragmented sink, across the staging boundary.
+    #[test]
+    fn bulk_slice_writers_match_the_per_element_form() {
+        let specials = [
+            f64::from_bits(0x7ff8_dead_beef_0001), // quiet NaN with payload
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
+            f64::from_bits(0xfff8_0000_0000_0000), // negative NaN
+            -0.0,
+            f64::from_bits(1), // smallest subnormal
+            -f64::MIN_POSITIVE / 2.0,
+            f64::INFINITY,
+            1.5,
+        ];
+        for len in [
+            0,
+            1,
+            7,
+            BULK_WORDS - 1,
+            BULK_WORDS,
+            BULK_WORDS + 1,
+            3 * BULK_WORDS + 5,
+        ] {
+            let floats: Vec<f64> = (0..len).map(|i| specials[i % specials.len()]).collect();
+            let words: Vec<u64> = floats.iter().map(|v| v.to_bits() ^ 0x5555).collect();
+            let mut want_f = BytesMut::new();
+            let mut want_u = BytesMut::new();
+            want_f.put_u64_le(len as u64);
+            want_u.put_u64_le(len as u64);
+            for (f, u) in floats.iter().zip(&words) {
+                want_f.put_f64_le(*f);
+                want_u.put_u64_le(*u);
+            }
+            let (mut got_f, mut got_u) = (BytesMut::new(), BytesMut::new());
+            put_f64_slice(&mut got_f, &floats);
+            put_u64_slice(&mut got_u, &words);
+            assert_eq!(got_f, want_f, "f64 × {len}");
+            assert_eq!(got_u, want_u, "u64 × {len}");
+            let (mut frag_f, mut frag_u) = (Fragmented::default(), Fragmented::default());
+            put_f64_slice(&mut frag_f, &floats);
+            put_u64_slice(&mut frag_u, &words);
+            assert_eq!(frag_f.0.concat(), &want_f[..], "fragmented f64 × {len}");
+            assert_eq!(frag_u.0.concat(), &want_u[..], "fragmented u64 × {len}");
+            // The fixed-offset forms and their decoders agree bit for bit.
+            let mut fixed = vec![0u8; len * 8];
+            copy_words_to_le(&mut fixed, &floats);
+            assert_eq!(fixed, &want_f[8..]);
+            let back = words_from_le::<f64>(&fixed);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&back), bits(&floats));
+            copy_words_to_le(&mut fixed, &words);
+            assert_eq!(fixed, &want_u[8..]);
+            assert_eq!(words_from_le::<u64>(&fixed), words);
+        }
     }
 
     #[test]

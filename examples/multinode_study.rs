@@ -47,7 +47,7 @@ use melissa_repro::melissa::protocol::Message;
 use melissa_repro::melissa::server::checkpoint::{pack_state, unpack_state};
 use melissa_repro::melissa::server::state::WorkerState;
 use melissa_repro::melissa::server::{Server, ServerConfig};
-use melissa_repro::melissa::shard::{reduce_worker_states, GroupRouter, NodeMap};
+use melissa_repro::melissa::shard::{reduce_owned_states, GroupRouter, NodeMap};
 use melissa_repro::melissa::study::StudyResults;
 use melissa_repro::melissa::{Study, StudyConfig};
 use melissa_repro::sobol::design::PickFreeze;
@@ -373,7 +373,9 @@ fn run_multinode(sever_after: Option<u64>) -> StudyResults {
     }
     drop(directory);
 
-    let reduced = reduce_worker_states(&shard_states);
+    // The shipped bytes were the wire crossing; the unpacked states are
+    // owned here and fold in place.
+    let reduced = reduce_owned_states(shard_states);
     StudyResults::from_worker_states(
         InjectionParams::parameter_space().dim(),
         config.solver.n_timesteps,

@@ -28,7 +28,7 @@
 //! checkpoint-restore server recovery — so a shard failure never stalls
 //! the other shards.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,22 +36,22 @@ use std::time::{Duration, Instant};
 use melissa_sobol::design::PickFreeze;
 use melissa_solver::injection::InjectionParams;
 use melissa_solver::FrozenFlow;
-use melissa_telemetry::{EventKind, Telemetry};
+use melissa_telemetry::{EventKind, Gauge, Histogram, Telemetry};
 use melissa_transport::directory::names;
 use melissa_transport::{
-    make_transport_with, KillSwitch, LivenessTracker, LoadMonitor, Receiver, RecvTimeoutError,
-    Transport,
+    make_transport_with, BoxReceiver, BoxSender, KillSwitch, LivenessTracker, LoadMonitor,
+    Receiver, RecvTimeoutError, Transport,
 };
 use parking_lot::Mutex;
 
 use crate::config::StudyConfig;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, Migration, MigrationMoves, ShardKill};
 use crate::group::{run_group, GroupContext, GroupOutcome};
 use crate::protocol::Message;
 use crate::report::StudyReport;
 use crate::server::checkpoint::read_checkpoint;
 use crate::server::state::WorkerState;
-use crate::server::{Server, ServerConfig};
+use crate::server::{Server, ServerConfig, ServerShared};
 use crate::shard::{GroupRouter, RoutingTable};
 use crate::study::{StudyOutput, StudyResults};
 use melissa_mesh::SlabPartition;
@@ -59,15 +59,16 @@ use melissa_scheduler::{Dispatcher, JobRunner};
 
 /// The execution environment a study runs in.
 ///
-/// The defaults reproduce the standalone launcher exactly: a fresh
-/// transport built from [`StudyConfig::transport`], a private
-/// ticket-FIFO [`JobRunner`] sized to
+/// The defaults are the standalone launcher: a fresh transport built
+/// from [`StudyConfig::transport`], a private [`JobRunner`] (a
+/// one-tenant pool, FIFO) sized to
 /// [`StudyConfig::max_concurrent_groups`], the flat endpoint namespace
 /// and no external cancellation.  A multi-tenant service overrides all
-/// four — the shared transport, a per-study [`Dispatcher`] slice of the
-/// shared node pool, a `study<id>` scope isolating every endpoint name
-/// and checkpoint path, and a cancel switch wired to its `cancel` RPC —
-/// and the supervision machinery in between runs unchanged.
+/// four — the shared transport, a per-study [`Dispatcher`] stream on the
+/// shared node pool (the same runner, many tenants), a `study<id>` scope
+/// isolating every endpoint name and checkpoint path, and a cancel
+/// switch wired to its `cancel` RPC — and the supervision machinery in
+/// between runs unchanged.
 #[derive(Default)]
 pub struct StudyRuntime {
     /// Transport override (`None` builds one from the configuration).
@@ -122,13 +123,10 @@ pub(crate) struct Handoff {
 /// drives the early-stop decision for the whole study — adaptive stopping
 /// works unchanged under sharding.
 pub(crate) struct Coordination {
-    /// Per-shard latest max CI width (∞ until the shard reports one).
-    ci: Mutex<Vec<f64>>,
-    /// Per-shard latest max Robbins–Monro quantile step (∞ until the
-    /// shard reports one; 0 when order statistics are disabled).
-    qstep: Mutex<Vec<f64>>,
-    /// Per-shard finished-group counts.
-    finished: Mutex<Vec<usize>>,
+    /// Per-shard latest `(max CI width, max Robbins–Monro quantile step,
+    /// finished groups)`.  Both signals are ∞ until the shard reports
+    /// one; the quantile step is 0 when order statistics are disabled.
+    signals: Mutex<Vec<(f64, f64, usize)>>,
     /// Set once the aggregate signal crosses the target: every shard
     /// cancels its remaining groups.
     early_stop: AtomicBool,
@@ -137,53 +135,35 @@ pub(crate) struct Coordination {
     /// ([`crate::shard::RoutingTable`]).
     pub(crate) routing: RoutingTable,
     /// Per-slot migration mailboxes: a fencing supervisor pushes its
-    /// [`Handoff`] here and the target drains its own mailbox each
-    /// supervision tick.
+    /// [`Handoff`] here and the target drains its own mailbox (FIFO in
+    /// push order) each supervision tick.
     mailboxes: Vec<Mutex<Vec<Handoff>>>,
 }
 
 impl Coordination {
-    pub(crate) fn new(n_slots: usize, routing: RoutingTable) -> Self {
+    fn new(n_slots: usize, routing: RoutingTable) -> Self {
         Self {
-            ci: Mutex::new(vec![f64::INFINITY; n_slots]),
-            qstep: Mutex::new(vec![f64::INFINITY; n_slots]),
-            finished: Mutex::new(vec![0; n_slots]),
+            signals: Mutex::new(vec![(f64::INFINITY, f64::INFINITY, 0); n_slots]),
             early_stop: AtomicBool::new(false),
             routing,
             mailboxes: (0..n_slots).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
 
-    /// Delivers a fence's handoff to the target slot's mailbox.
-    pub(crate) fn push_handoff(&self, slot: usize, handoff: Handoff) {
-        self.mailboxes[slot].lock().push(handoff);
-    }
-
-    /// Drains the slot's mailbox (FIFO in push order).
-    pub(crate) fn take_handoffs(&self, slot: usize) -> Vec<Handoff> {
-        std::mem::take(&mut *self.mailboxes[slot].lock())
-    }
-
     fn publish(&self, shard: usize, ci: f64, qstep: f64, finished: usize) {
-        self.ci.lock()[shard] = ci;
-        self.qstep.lock()[shard] = qstep;
-        self.finished.lock()[shard] = finished;
+        self.signals.lock()[shard] = (ci, qstep, finished);
     }
 
-    /// Aggregate CI signal: the max over shards (∞ until every shard with
-    /// groups has reported).
-    fn max_ci(&self) -> f64 {
-        self.ci.lock().iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Aggregate quantile-step signal: the max over shards (∞ until every
-    /// shard with groups has reported one).
-    fn max_qstep(&self) -> f64 {
-        self.qstep.lock().iter().copied().fold(0.0, f64::max)
-    }
-
-    fn total_finished(&self) -> usize {
-        self.finished.lock().iter().sum()
+    /// The aggregate `(CI width, quantile step, finished groups)`: each
+    /// signal the max over shards (∞ until every shard with groups has
+    /// reported one), the count their sum.
+    fn aggregate(&self) -> (f64, f64, usize) {
+        self.signals
+            .lock()
+            .iter()
+            .fold((0.0, 0.0, 0), |(ci, qstep, finished), s| {
+                (ci.max(s.0), qstep.max(s.1), finished + s.2)
+            })
     }
 }
 
@@ -311,36 +291,13 @@ pub(crate) struct ShardRun {
     pub report: StudyReport,
 }
 
-/// Runs a complete study under the launcher's supervision.
-pub fn run_study(config: StudyConfig, faults: FaultPlan) -> Result<StudyOutput, String> {
-    run_study_on(config, faults, None)
-}
-
-/// [`run_study`] over a caller-provided transport.  Passing the transport
-/// in lets a live scraper (e.g. `examples/melissa_top.rs`) connect to the
-/// study's `telemetry/shard<k>` endpoints while it runs; `None` builds
-/// one from [`StudyConfig::transport`].
-pub fn run_study_on(
-    config: StudyConfig,
-    faults: FaultPlan,
-    transport: Option<Arc<dyn Transport>>,
-) -> Result<StudyOutput, String> {
-    run_study_in(
-        config,
-        faults,
-        StudyRuntime {
-            transport,
-            ..StudyRuntime::default()
-        },
-    )
-}
-
-/// [`run_study`] inside a caller-built [`StudyRuntime`]: shared
-/// transport, injected dispatcher, outer endpoint scope and external
-/// cancellation.  This is the entry point the multi-tenant daemon uses
-/// to run many isolated studies over one node pool; with the default
-/// runtime it is exactly [`run_study`].
-pub fn run_study_in(
+/// Runs a complete study under the launcher's supervision, inside a
+/// [`StudyRuntime`]: the default runtime is the standalone launcher;
+/// the multi-tenant daemon passes a shared transport, an injected
+/// dispatcher, an outer endpoint scope and external cancellation to run
+/// many isolated studies over one node pool.  Called through
+/// [`Study`](crate::study::Study).
+pub fn run_study(
     config: StudyConfig,
     faults: FaultPlan,
     rt: StudyRuntime,
@@ -377,49 +334,238 @@ pub(crate) fn supervise_shard(
     scope: &str,
     groups: &[u64],
 ) -> Result<ShardRun, String> {
-    let config = &ctx.config;
-    let wall_limit = config.wall_limit;
-    let transport = &ctx.transport;
-    let launcher_rx = transport.bind(&names::launcher_in(scope), 1024);
+    ShardSupervisor::start(ctx, shard, scope, groups)?.run()
+}
 
-    let mut report = StudyReport::new(config.n_groups);
-    report.n_shards = config.n_shards;
-    // Stamp journal events against the shared study clock, tagged with
-    // this supervisor's slot, so per-shard journals merge on one axis.
-    report.origin = ctx.started;
-    report.shard = shard as u32;
-    if shard >= config.n_shards {
-        // A joiner slot: no groups at launch, everything arrives by
-        // handoff (elastic scale-out).
-        report.shards_joined = 1;
+/// Supervision tick: one pass waits this long on the launcher inbox.
+const POLL: Duration = Duration::from_millis(10);
+
+/// A supervisor's handles into its shard's live telemetry: control-path
+/// gauges refreshed every tick, histograms recorded on completion and
+/// migration.
+struct Probes {
+    queue_depth: Gauge,
+    free_units: Gauge,
+    load_factor: Gauge,
+    turnaround: Histogram,
+    drain: Histogram,
+    adopt: Histogram,
+}
+
+impl Probes {
+    fn new(tele: &Telemetry) -> Self {
+        let r = tele.registry();
+        Self {
+            queue_depth: r.gauge("runner_queue_depth"),
+            free_units: r.gauge("runner_free_units"),
+            load_factor: r.gauge("load_factor_milli"),
+            turnaround: r.histogram("group_turnaround_nanos"),
+            drain: r.histogram("migrate_drain_nanos"),
+            adopt: r.histogram("migrate_adopt_nanos"),
+        }
+    }
+}
+
+/// The supervision loop of one server instance, as explicit state with
+/// one method per step of [`run`](Self::run).
+///
+/// Dropping it — after [`finish`](Self::finish), on any `Err` return or
+/// on a panic — kills and joins its group jobs and abandons its server,
+/// so no job or server thread outlives the supervisor.
+struct ShardSupervisor<'a> {
+    ctx: &'a StudyContext,
+    shard: usize,
+    /// The shard's server configuration; its `scope` is the endpoint
+    /// scope everything of this shard binds under.
+    server_config: ServerConfig,
+    launcher_rx: BoxReceiver,
+    launcher_tx: BoxSender,
+    /// The running server instance (`None` only once `finish` took it).
+    server: Option<Server>,
+    server_liveness: LivenessTracker<u32>,
+    /// Load-aware supervision (the congestion-collapse fix): the loop's
+    /// own timed waits measure how starved this process is, and both
+    /// failure detectors — the server heartbeat and the zombie check —
+    /// stretch by the observed factor instead of shipping inflated
+    /// wall-clock limits that would slow detection on a healthy host.
+    load: LoadMonitor,
+    tele: Option<&'a Arc<Telemetry>>,
+    probes: Option<Probes>,
+    /// This shard's accounting, kept current as the study runs: the
+    /// latest convergence signals (`final_*`, `early_stopped`) as the
+    /// server reports them, and the server counters (`data_messages`,
+    /// `data_bytes`, `replays_discarded`, `checkpoints_written`) summed
+    /// each time a server instance ends, so a crashed server's share
+    /// survives into the final report.
+    report: StudyReport,
+
+    outcomes: Arc<Mutex<HashMap<(u64, u32), GroupOutcome>>>,
+    active: HashMap<u64, ActiveJob>,
+    /// Highest instance number each group has run as.
+    retries: HashMap<u64, u32>,
+    abandoned: HashSet<u64>,
+    /// Live ownership: shrinks when a fence migrates groups away, grows
+    /// when a handoff arrives.
+    my_groups: HashSet<u64>,
+    known_finished: HashSet<u64>,
+    known_running: HashSet<u64>,
+
+    /// Scripted chaos: server kills (transient and permanent) and
+    /// outbound migrations, each a sorted queue consumed by trigger.
+    kills: VecDeque<ShardKill>,
+    migrations: VecDeque<Migration>,
+    /// Inbound handoffs (migrations and re-homings targeting this slot)
+    /// not yet received; ownership is final only at zero.
+    handoffs_awaited: usize,
+    /// Floors adopted from inbound handoffs, remembered so a later
+    /// permanent death hands off at least these floors even if the local
+    /// checkpoint predates the adoption.
+    adopted_floors: HashMap<u64, Vec<i64>>,
+}
+
+impl Drop for ShardSupervisor<'_> {
+    fn drop(&mut self) {
+        self.stop_all_jobs();
+        if let Some(server) = self.server.take() {
+            server.abandon();
+        }
+    }
+}
+
+impl<'a> ShardSupervisor<'a> {
+    /// Starts the shard's server, waits for readiness and submits every
+    /// group of the shard once, in increasing id order (the runner's
+    /// FIFO turns that into a deterministic start order).
+    fn start(
+        ctx: &'a StudyContext,
+        shard: usize,
+        scope: &str,
+        groups: &[u64],
+    ) -> Result<Self, String> {
+        let config = &ctx.config;
+        let launcher_rx = ctx.transport.bind(&names::launcher_in(scope), 1024);
+        let launcher_tx = ctx
+            .transport
+            .connect(&names::launcher_in(scope))
+            .expect("just bound");
+
+        let mut report = StudyReport::new(config.n_groups);
+        report.n_shards = config.n_shards;
+        // Stamp journal events against the shared study clock, tagged with
+        // this supervisor's slot, so per-shard journals merge on one axis.
+        report.origin = ctx.started;
+        report.shard = shard as u32;
+        report.final_max_quantile_step = f64::INFINITY;
+        report.quantile_probs = config.quantile_probs.clone();
+        if shard >= config.n_shards {
+            // A joiner slot: no groups at launch, everything arrives by
+            // handoff (elastic scale-out).
+            report.shards_joined = 1;
+        }
+
+        let tele = ctx.telemetry(shard);
+        let server_config = ctx.server_config(shard, scope);
+        let server = Server::start(
+            server_config.clone(),
+            Arc::clone(&ctx.transport),
+            launcher_tx.clone(),
+        );
+        let mut sup = Self {
+            ctx,
+            shard,
+            server_config,
+            launcher_rx,
+            launcher_tx,
+            server: Some(server),
+            server_liveness: LivenessTracker::new(config.server_timeout),
+            load: LoadMonitor::new(),
+            tele,
+            probes: tele.map(|t| Probes::new(t)),
+            report,
+            outcomes: Arc::new(Mutex::new(HashMap::new())),
+            active: HashMap::new(),
+            retries: HashMap::new(),
+            abandoned: HashSet::new(),
+            my_groups: groups.iter().copied().collect(),
+            known_finished: HashSet::new(),
+            known_running: HashSet::new(),
+            kills: ctx.faults.kills_for_shard(shard).into(),
+            migrations: ctx.faults.migrations_from(shard).into(),
+            handoffs_awaited: ctx.faults.expected_handoffs(shard),
+            adopted_floors: HashMap::new(),
+        };
+        wait_for_ready(sup.launcher_rx.as_ref(), config.server_timeout)?;
+        for &g in groups {
+            sup.launch(g, 0);
+        }
+        // A shard with no groups still answers the convergence
+        // coordination (a neutral signal) so the aggregate does not stay
+        // pinned at ∞.
+        if groups.is_empty() {
+            ctx.coord.publish(shard, 0.0, 0.0, 0);
+        }
+        sup.server_liveness.record(0u32);
+        Ok(sup)
     }
 
-    // Live telemetry handles (all no-ops when disabled): control-path
-    // gauges each supervision tick, histograms on completion/migration.
-    let tele = ctx.telemetry(shard);
-    let queue_gauge = tele.map(|t| t.registry().gauge("runner_queue_depth"));
-    let free_gauge = tele.map(|t| t.registry().gauge("runner_free_units"));
-    let turnaround_hist = tele.map(|t| t.registry().histogram("group_turnaround_nanos"));
-    let drain_hist = tele.map(|t| t.registry().histogram("migrate_drain_nanos"));
-    let adopt_hist = tele.map(|t| t.registry().histogram("migrate_adopt_nanos"));
+    /// The supervision loop: one pass per [`POLL`] tick until every owned
+    /// group settled and the chaos script played out, the study stopped
+    /// early, or this shard died for good.
+    fn run(mut self) -> Result<ShardRun, String> {
+        loop {
+            self.check_limits()?;
+            self.refresh_probes();
+            self.drain_inbox()?;
+            self.adopt_handoffs()?;
+            self.fire_migrations()?;
+            if let Some(to) = self.fire_kill() {
+                return Ok(self.finish(Some(to)));
+            }
+            if self.recover_server()? {
+                continue;
+            }
+            self.reconcile_jobs();
+            self.check_convergence();
+            if self.done() {
+                return Ok(self.finish(None));
+            }
+        }
+    }
 
-    let server_config = ctx.server_config(shard, scope);
+    fn server(&self) -> &Server {
+        self.server.as_ref().expect("server runs until finish")
+    }
 
-    // Start the server and wait for readiness.
-    let launcher_tx = transport
-        .connect(&names::launcher_in(scope))
-        .expect("just bound");
-    let mut server = Server::start(
-        server_config.clone(),
-        Arc::clone(transport),
-        launcher_tx.clone(),
-    );
-    wait_for_ready(launcher_rx.as_ref(), config.server_timeout)?;
+    /// Journals an event through the report and mirrors the stamped copy
+    /// into the shard's live telemetry ring (a no-op when telemetry is
+    /// off).
+    fn log_ev(&mut self, kind: EventKind) {
+        let event = self.report.log(kind);
+        if let Some(t) = self.tele {
+            t.record_event(event);
+        }
+    }
 
-    let outcomes: Arc<Mutex<HashMap<(u64, u32), GroupOutcome>>> =
-        Arc::new(Mutex::new(HashMap::new()));
+    /// Publishes this shard's latest convergence signals and progress to
+    /// the cross-shard coordination.
+    fn publish_signals(&self) {
+        self.ctx.coord.publish(
+            self.shard,
+            self.report.final_max_ci,
+            self.report.final_max_quantile_step,
+            self.known_finished.len(),
+        );
+    }
 
-    let submit = |g: u64, instance: u32, server_kill: KillSwitch| -> melissa_scheduler::JobHandle {
+    /// The instance number group `g`'s next job runs as.
+    fn next_instance(&self, g: u64) -> u32 {
+        self.retries.get(&g).copied().unwrap_or(0) + 1
+    }
+
+    /// Submits instance `instance` of group `g` and tracks the job.
+    fn launch(&mut self, g: u64, instance: u32) {
+        let ctx = self.ctx;
+        let config = &ctx.config;
         // Sharded studies route through the epoch-fenced table *at submit
         // time*, so a group resubmitted after a fence connects to its new
         // owner; the single-server study keeps its (possibly
@@ -429,9 +575,9 @@ pub(crate) fn supervise_shard(
         let job_scope = if config.n_shards > 1 {
             names::scoped(&ctx.outer, &ctx.coord.routing.scope_of(g))
         } else {
-            scope.to_string()
+            self.server_config.scope.clone()
         };
-        let ctx_job = GroupContext {
+        let job = GroupContext {
             scope: job_scope,
             group_id: g,
             instance,
@@ -439,480 +585,438 @@ pub(crate) fn supervise_shard(
             solver: config.solver.clone(),
             flow: Arc::clone(&ctx.flow),
             ranks: config.ranks_per_simulation,
-            transport: Arc::clone(transport),
+            transport: Arc::clone(&ctx.transport),
             timeout: config.group_timeout,
             fault: ctx.faults.group_fault(g, instance),
             link_fault: config.link_fault.clone(),
             wire_compression: config.wire_compression,
         };
-        let outcomes = Arc::clone(&outcomes);
-        let _ = server_kill;
-        ctx.runner.submit_boxed(
+        let outcomes = Arc::clone(&self.outcomes);
+        let handle = ctx.runner.submit_boxed(
             1,
             Box::new(move |kill| {
-                let outcome = run_group(ctx_job, kill);
+                let outcome = run_group(job, kill);
                 outcomes.lock().insert((g, instance), outcome);
             }),
-        )
-    };
-
-    // Submit every group of this shard once, in increasing id order (the
-    // runner's ticket FIFO turns that into a deterministic start order).
-    let mut active: HashMap<u64, ActiveJob> = HashMap::new();
-    for &g in groups {
-        let handle = submit(g, 0, server.kill.clone());
-        active.insert(
+        );
+        self.active.insert(
             g,
             ActiveJob {
                 handle,
-                instance: 0,
+                instance,
                 started_at: Instant::now(),
             },
         );
     }
 
-    // A shard with no groups still answers the convergence coordination
-    // (a neutral signal) so the aggregate does not stay pinned at ∞.
-    if groups.is_empty() {
-        ctx.coord.publish(shard, 0.0, 0.0, 0);
+    /// Resubmits group `g` as `instance`, counted as a restart.
+    fn relaunch(&mut self, g: u64, instance: u32) {
+        self.retries.insert(g, instance);
+        self.report.group_restarts += 1;
+        self.launch(g, instance);
     }
 
-    // Supervision state.
-    let server_liveness = LivenessTracker::new(config.server_timeout);
-    server_liveness.record(0u32);
-    // Load-aware supervision (the congestion-collapse fix): the loop's
-    // own timed waits measure how starved this process is, and both
-    // failure detectors — the server heartbeat and the zombie check —
-    // stretch by the observed factor instead of shipping inflated
-    // wall-clock limits that would slow detection on a healthy host.
-    let load = LoadMonitor::new();
-    let poll = Duration::from_millis(10);
-    let load_gauge = tele.map(|t| t.registry().gauge("load_factor_milli"));
-    let mut known_finished: HashSet<u64> = HashSet::new();
-    let mut known_running: HashSet<u64> = HashSet::new();
-    let mut retries: HashMap<u64, u32> = HashMap::new();
-    let mut abandoned: HashSet<u64> = HashSet::new();
-    let mut last_ci = f64::INFINITY;
-    let mut last_quantile_step = f64::INFINITY;
-    let mut last_quantile_steps: Vec<f64> = Vec::new();
-    let mut early_stopped = false;
-    // Live ownership: groups this supervisor currently owns.  Shrinks
-    // when a fence migrates groups away, grows when a handoff arrives.
-    let mut my_groups: HashSet<u64> = groups.iter().copied().collect();
-    // Scripted chaos: server kills (transient and permanent) and
-    // outbound migrations, each a sorted queue consumed by trigger.
-    let kills = ctx.faults.kills_for_shard(shard);
-    let mut kill_idx = 0usize;
-    let migrations = ctx.faults.migrations_from(shard);
-    let mut mig_idx = 0usize;
-    let expected_handoffs = ctx.faults.expected_handoffs(shard);
-    let mut handoffs_received = 0usize;
-    // Floors adopted from inbound handoffs, remembered so a later
-    // permanent death hands off at least these floors even if the local
-    // checkpoint predates the adoption.
-    let mut adopted_floors: HashMap<u64, Vec<i64>> = HashMap::new();
-    // Counters carried across server restarts (a crashed server's shared
-    // counters would otherwise vanish from the final report).
-    let mut carried = [0u64; 4];
+    /// Kills and joins group `g`'s job, if it has one.
+    fn stop_job(&mut self, g: u64) {
+        if let Some(job) = self.active.remove(&g) {
+            job.handle.kill.kill();
+            job.handle.join();
+        }
+    }
 
-    loop {
-        // External cancellation (the daemon's `cancel` RPC): stop every
-        // job and the server cleanly, then report the study cancelled.
-        if ctx.cancel.is_killed() {
-            for (_, job) in active.iter() {
-                job.handle.kill.kill();
-            }
-            for (_, job) in active.drain() {
-                job.handle.join();
-            }
-            server.abandon();
+    /// Kills every job, then joins them all.
+    fn stop_all_jobs(&mut self) {
+        for job in self.active.values() {
+            job.handle.kill.kill();
+        }
+        for (_, job) in self.active.drain() {
+            job.handle.join();
+        }
+    }
+
+    /// Kills (if needed) and resubmits a failed group, honouring the
+    /// retry cap.
+    fn handle_group_failure(&mut self, g: u64) {
+        if self.abandoned.contains(&g) {
+            return;
+        }
+        self.stop_job(g);
+        let instance = self.next_instance(g);
+        let max_retries = self.ctx.config.max_group_retries;
+        if instance > max_retries {
+            self.abandoned.insert(g);
+            self.log_ev(EventKind::GroupAbandoned {
+                group: g,
+                retries: max_retries,
+            });
+            return;
+        }
+        self.log_ev(EventKind::GroupRestarted { group: g, instance });
+        self.relaunch(g, instance);
+    }
+
+    /// Folds an ended server instance's counters into the report.
+    fn absorb_counters(&mut self, shared: &ServerShared) {
+        self.report.data_messages += shared.messages_received.load(Ordering::Relaxed);
+        self.report.data_bytes += shared.bytes_received.load(Ordering::Relaxed);
+        self.report.replays_discarded += shared.replays_discarded.load(Ordering::Relaxed);
+        self.report.checkpoints_written += shared.checkpoints_written.load(Ordering::Relaxed);
+    }
+
+    /// External cancellation (the daemon's `cancel` RPC) and the study
+    /// wall limit.
+    fn check_limits(&self) -> Result<(), String> {
+        let progress = || {
+            format!(
+                "finished {}/{}",
+                self.known_finished.len(),
+                self.my_groups.len()
+            )
+        };
+        if self.ctx.cancel.is_killed() {
+            return Err(format!("study cancelled: {}", progress()));
+        }
+        let wall_limit = self.ctx.config.wall_limit;
+        if self.ctx.started.elapsed() > wall_limit {
             return Err(format!(
-                "study cancelled: finished {}/{}",
-                known_finished.len(),
-                my_groups.len()
+                "study exceeded wall limit {wall_limit:?}: {}",
+                progress()
             ));
         }
-        if ctx.started.elapsed() > wall_limit {
-            return Err(format!(
-                "study exceeded wall limit {:?}: finished {}/{}",
-                wall_limit,
-                known_finished.len(),
-                my_groups.len()
-            ));
-        }
+        Ok(())
+    }
 
-        // Control-path gauges, refreshed every supervision tick: how deep
-        // the FCFS queue is and how much of the node budget is free.
-        if let Some(g) = &queue_gauge {
-            g.set(ctx.runner.queued_jobs());
+    /// Control-path gauges — how deep the FCFS queue is, how much of the
+    /// node budget is free, how starved this process is — and the
+    /// heartbeat detector, which follows the measured scheduling delay
+    /// (factor 1 on a healthy host).
+    fn refresh_probes(&self) {
+        if let Some(p) = &self.probes {
+            p.queue_depth.set(self.ctx.runner.queued_jobs());
+            p.free_units.set(self.ctx.runner.free_units() as u64);
+            p.load_factor.set((self.load.factor() * 1000.0) as u64);
         }
-        if let Some(g) = &free_gauge {
-            g.set(ctx.runner.free_units() as u64);
-        }
-        if let Some(g) = &load_gauge {
-            g.set((load.factor() * 1000.0) as u64);
-        }
-        // The heartbeat detector follows the measured scheduling delay
-        // (one relaxed store; factor 1 on a healthy host).
-        server_liveness.set_timeout(load.scale(config.server_timeout));
+        self.server_liveness
+            .set_timeout(self.load.scale(self.ctx.config.server_timeout));
+    }
 
-        // 1. Drain launcher inbox.
+    /// Step 1: waits one tick on the launcher inbox and handles at most
+    /// one server message.
+    fn drain_inbox(&mut self) -> Result<(), String> {
         let wait_started = Instant::now();
-        match launcher_rx.recv_timeout(poll) {
-            Ok(frame) => {
-                if let Ok(msg) = Message::decode(&frame) {
-                    match msg {
-                        Message::Heartbeat { .. } | Message::ServerReady => {
-                            server_liveness.record(0u32);
-                        }
-                        Message::ServerReport {
-                            finished_groups,
-                            running_groups,
-                            max_ci_width,
-                            max_quantile_step,
-                            quantile_steps,
-                            blocked_sends,
-                            blocked_nanos,
-                        } => {
-                            server_liveness.record(0u32);
-                            known_finished.extend(finished_groups);
-                            known_running = running_groups.into_iter().collect();
-                            last_ci = max_ci_width;
-                            last_quantile_step = max_quantile_step;
-                            last_quantile_steps = quantile_steps;
-                            ctx.coord.publish(
-                                shard,
-                                last_ci,
-                                last_quantile_step,
-                                known_finished.len(),
-                            );
-                            // Live backpressure accounting (the Fig. 6
-                            // signal): keeps the report current mid-study
-                            // and across server crashes; the final stop
-                            // path overwrites it with the authoritative
-                            // end-of-study transport rollup.
-                            report.blocked_sends = blocked_sends;
-                            report.blocked_time = Duration::from_nanos(blocked_nanos);
-                        }
-                        Message::GroupTimeout { group_id }
-                            if !known_finished.contains(&group_id)
-                                && my_groups.contains(&group_id) =>
-                        {
-                            log_ev(
-                                &mut report,
-                                tele,
-                                EventKind::GroupTimeout { group: group_id },
-                            );
-                            handle_group_failure(
-                                group_id,
-                                &mut active,
-                                &mut retries,
-                                &mut abandoned,
-                                &mut report,
-                                tele,
-                                config.max_group_retries,
-                                &submit,
-                                &server.kill,
-                            );
-                        }
-                        _ => {}
-                    }
-                }
-            }
+        let frame = match self.launcher_rx.recv_timeout(POLL) {
+            Ok(frame) => frame,
             Err(RecvTimeoutError::Timeout) => {
-                load.observe(poll, wait_started.elapsed());
+                self.load.observe(POLL, wait_started.elapsed());
+                return Ok(());
             }
             Err(RecvTimeoutError::Disconnected) => return Err("launcher inbox closed".into()),
+        };
+        match Message::decode(&frame) {
+            Ok(Message::Heartbeat { .. } | Message::ServerReady) => {
+                self.server_liveness.record(0u32);
+            }
+            Ok(Message::ServerReport {
+                finished_groups,
+                running_groups,
+                max_ci_width,
+                max_quantile_step,
+                quantile_steps,
+                blocked_sends,
+                blocked_nanos,
+            }) => {
+                self.server_liveness.record(0u32);
+                self.known_finished.extend(finished_groups);
+                self.known_running = running_groups.into_iter().collect();
+                self.report.final_max_ci = max_ci_width;
+                self.report.final_max_quantile_step = max_quantile_step;
+                self.report.final_quantile_steps = quantile_steps;
+                self.publish_signals();
+                // Live backpressure accounting (the Fig. 6 signal): keeps
+                // the report current mid-study and across server crashes;
+                // `finish` overwrites it with the authoritative
+                // end-of-study transport rollup.
+                self.report.blocked_sends = blocked_sends;
+                self.report.blocked_time = Duration::from_nanos(blocked_nanos);
+            }
+            Ok(Message::GroupTimeout { group_id })
+                if !self.known_finished.contains(&group_id)
+                    && self.my_groups.contains(&group_id) =>
+            {
+                self.log_ev(EventKind::GroupTimeout { group: group_id });
+                self.handle_group_failure(group_id);
+            }
+            _ => {}
         }
+        Ok(())
+    }
 
-        // 1.5. Inbound handoffs: adopt migrated groups (floors first —
-        // the ban lift + discard floors must be in place before the
-        // replayed instance's first frame — then resubmit).
-        for handoff in ctx.coord.take_handoffs(shard) {
-            handoffs_received += 1;
-            let adopted_any = !handoff.groups.is_empty();
+    /// Installs a group's replay floors on every worker and waits for the
+    /// acknowledgements (the replayed instance must not start before the
+    /// floors are in place).
+    fn install_floors(&self, g: u64, floors: &[i64]) -> Result<(), String> {
+        let (server, shard) = (self.server(), self.shard);
+        server.adopt_floors(g, floors);
+        poll_until(
+            self.ctx.config.migration_timeout,
+            format_args!("shard {shard}: floor adoption for group {g}"),
+            || server.take_adopt_acks(g).then_some(()),
+        )
+    }
+
+    /// Step 2: adopts migrated groups from inbound handoffs (floors first
+    /// — the ban lift and discard floors must be in place before the
+    /// replayed instance's first frame — then resubmit).
+    fn adopt_handoffs(&mut self) -> Result<(), String> {
+        let inbound = std::mem::take(&mut *self.ctx.coord.mailboxes[self.shard].lock());
+        for handoff in inbound {
+            self.handoffs_awaited = self.handoffs_awaited.saturating_sub(1);
+            if handoff.groups.is_empty() {
+                continue;
+            }
             let adopt_started = Instant::now();
-            if adopted_any {
-                log_ev(
-                    &mut report,
-                    tele,
-                    EventKind::GroupsAdopted {
-                        epoch: handoff.epoch,
-                        n_groups: handoff.groups.len() as u64,
-                        from: handoff.from as u32,
-                    },
-                );
-            }
+            self.log_ev(EventKind::GroupsAdopted {
+                epoch: handoff.epoch,
+                n_groups: handoff.groups.len() as u64,
+                from: handoff.from as u32,
+            });
             for mg in handoff.groups {
-                server.adopt_floors(mg.id, &mg.floors);
-                await_adopt_acks(&server, mg.id, config.migration_timeout)
-                    .map_err(|e| format!("shard {shard}: {e}"))?;
-                my_groups.insert(mg.id);
-                adopted_floors.insert(mg.id, mg.floors);
-                retries.insert(mg.id, mg.next_instance);
-                report.group_restarts += 1;
-                let handle = submit(mg.id, mg.next_instance, server.kill.clone());
-                active.insert(
-                    mg.id,
-                    ActiveJob {
-                        handle,
-                        instance: mg.next_instance,
-                        started_at: Instant::now(),
-                    },
-                );
+                self.install_floors(mg.id, &mg.floors)?;
+                self.my_groups.insert(mg.id);
+                self.adopted_floors.insert(mg.id, mg.floors);
+                self.relaunch(mg.id, mg.next_instance);
             }
-            if adopted_any {
-                // Persist the adoption: a transient crash right after
-                // this point must restore the adopted floors, not
-                // resurrect pre-fence state.
-                server.checkpoint_now(&server_config.checkpoint_dir);
-                if let Some(h) = &adopt_hist {
-                    h.record(adopt_started.elapsed().as_nanos() as u64);
-                }
+            // Persist the adoption: a transient crash right after this
+            // point must restore the adopted floors, not resurrect
+            // pre-fence state.
+            self.server()
+                .checkpoint_now(&self.server_config.checkpoint_dir);
+            if let Some(p) = &self.probes {
+                p.adopt.record(adopt_started.elapsed().as_nanos() as u64);
             }
         }
+        Ok(())
+    }
 
-        // 2. Scripted live migrations (drain-and-move under an epoch
-        // fence).
-        while mig_idx < migrations.len()
-            && known_finished.len() >= migrations[mig_idx].after_finished_groups
+    /// Step 3: fires every scripted live migration whose trigger point
+    /// has been reached.
+    fn fire_migrations(&mut self) -> Result<(), String> {
+        while let Some(m) = self
+            .migrations
+            .pop_front_if(|m| self.known_finished.len() >= m.after_finished_groups)
         {
-            let m = migrations[mig_idx].clone();
-            mig_idx += 1;
-            let finished_now: HashSet<u64> =
-                server.shared().finished_groups().into_iter().collect();
-            let drain_started = Instant::now();
-            let mut candidates: Vec<u64> = match &m.moves {
-                crate::fault::MigrationMoves::Groups(gs) => gs
-                    .iter()
-                    .copied()
-                    .filter(|g| {
-                        my_groups.contains(g) && !finished_now.contains(g) && !abandoned.contains(g)
-                    })
-                    .collect(),
-                crate::fault::MigrationMoves::AllUnfinished => my_groups
-                    .iter()
-                    .copied()
-                    .filter(|g| !finished_now.contains(g) && !abandoned.contains(g))
-                    .collect(),
-            };
-            candidates.sort_unstable();
-            let mut moves: Vec<(u64, usize)> = Vec::new();
-            let mut handoff_groups: Vec<MigratedGroup> = Vec::new();
-            let last_ts = config.solver.n_timesteps as i64 - 1;
-            for &g in &candidates {
-                // Stop the sender first: after the join no new frames for
-                // the group enter the transport, so the flush barrier
-                // below fences a *final* floor.
-                if let Some(job) = active.remove(&g) {
-                    job.handle.kill.kill();
-                    job.handle.join();
-                }
-                server.migrate_out(g);
-                let floors = await_migrate_floors(&server, g, config.migration_timeout)
-                    .map_err(|e| format!("shard {shard}: {e}"))?;
-                if floors.iter().any(|&f| f >= last_ts) {
-                    // Finishing filter: some worker already integrated the
-                    // group's last timestep — too late to move.  Re-adopt
-                    // locally (lifts the ban) and resubmit if any worker
-                    // still wants data.
-                    server.adopt_floors(g, &floors);
-                    await_adopt_acks(&server, g, config.migration_timeout)
-                        .map_err(|e| format!("shard {shard}: {e}"))?;
-                    log_ev(
-                        &mut report,
-                        tele,
-                        EventKind::FinishedDuringFence {
-                            group: g,
-                            shard: shard as u32,
-                        },
-                    );
-                    if !server.shared().finished_groups().contains(&g) {
-                        let instance = retries.get(&g).copied().unwrap_or(0) + 1;
-                        retries.insert(g, instance);
-                        report.group_restarts += 1;
-                        let handle = submit(g, instance, server.kill.clone());
-                        active.insert(
-                            g,
-                            ActiveJob {
-                                handle,
-                                instance,
-                                started_at: Instant::now(),
-                            },
-                        );
-                    }
-                    continue;
-                }
-                my_groups.remove(&g);
-                known_running.remove(&g);
-                let next_instance = retries.get(&g).copied().unwrap_or(0) + 1;
-                moves.push((g, m.to));
-                handoff_groups.push(MigratedGroup {
+            self.migrate(&m)?;
+        }
+        Ok(())
+    }
+
+    /// One drain-and-move under an epoch fence.
+    fn migrate(&mut self, m: &Migration) -> Result<(), String> {
+        let finished_now: HashSet<u64> = self
+            .server()
+            .shared()
+            .finished_groups()
+            .into_iter()
+            .collect();
+        let drain_started = Instant::now();
+        let pool: Vec<u64> = match &m.moves {
+            MigrationMoves::Groups(gs) => gs.clone(),
+            MigrationMoves::AllUnfinished => self.my_groups.iter().copied().collect(),
+        };
+        let mut candidates: Vec<u64> = pool
+            .into_iter()
+            .filter(|g| {
+                self.my_groups.contains(g)
+                    && !finished_now.contains(g)
+                    && !self.abandoned.contains(g)
+            })
+            .collect();
+        candidates.sort_unstable();
+        let mut moved: Vec<MigratedGroup> = Vec::new();
+        for g in candidates {
+            if let Some(floors) = self.fence_out(g)? {
+                moved.push(MigratedGroup {
                     id: g,
                     floors,
-                    next_instance,
+                    next_instance: self.next_instance(g),
                 });
             }
-            let epoch = ctx.coord.routing.fence(&moves);
-            if let Some(t) = tele {
-                t.set_routing_epoch(epoch);
-            }
-            if let Some(h) = &drain_hist {
-                h.record(drain_started.elapsed().as_nanos() as u64);
-            }
-            report.groups_migrated += handoff_groups.len() as u64;
-            log_ev(
-                &mut report,
-                tele,
-                EventKind::MigrationFence {
-                    epoch,
-                    n_groups: handoff_groups.len() as u64,
-                    from: shard as u32,
-                    to: m.to as u32,
-                },
-            );
-            // Persist the post-fence floors before anything else can
-            // fail: a transient restore must never resurrect a migrated
-            // group's pre-fence state.
-            server.checkpoint_now(&server_config.checkpoint_dir);
-            ctx.coord.push_handoff(
-                m.to,
-                Handoff {
-                    from: shard,
-                    epoch,
-                    groups: handoff_groups,
-                },
-            );
-            if my_groups.is_empty() {
-                // Drained by scale-in: neutralise the convergence signal
-                // so this slot cannot pin the aggregate.
-                ctx.coord.publish(shard, 0.0, 0.0, known_finished.len());
-            }
         }
-
-        // 2.5. Scripted server kills: transient (crash-restore in place)
-        // or permanent (the shard is gone; re-home to a peer).
-        // At most one kill fires per supervision pass: a transient kill
-        // must crash-restore (step 3) before the next script entry, and a
-        // permanent one never comes back at all.
-        if kill_idx < kills.len() && known_finished.len() >= kills[kill_idx].after_finished_groups {
-            let k = kills[kill_idx].clone();
-            kill_idx += 1;
-            if !k.permanent {
-                log_ev(
-                    &mut report,
-                    tele,
-                    EventKind::ServerKillInjected {
-                        finished: known_finished.len() as u64,
-                    },
-                );
-                server.kill.kill();
-            } else {
-                let to = k
-                    .rehome_to
-                    .expect("validated: permanent kills name a re-home target");
-                log_ev(
-                    &mut report,
-                    tele,
-                    EventKind::ShardDeathInjected {
-                        finished: known_finished.len() as u64,
-                        rehome_to: to as u32,
-                    },
-                );
-                return rehome_dead_shard(
-                    ctx,
-                    shard,
-                    to,
-                    server,
-                    &server_config,
-                    active,
-                    report,
-                    my_groups,
-                    abandoned,
-                    retries,
-                    adopted_floors,
-                    &migrations[mig_idx..],
-                    &kills[kill_idx..],
-                    carried,
-                    (last_ci, last_quantile_step, last_quantile_steps),
-                    early_stopped,
-                );
-            }
+        let n_groups = moved.len() as u64;
+        let epoch = self.fence(&moved, m.to);
+        if let Some(p) = &self.probes {
+            p.drain.record(drain_started.elapsed().as_nanos() as u64);
         }
-
-        // 3. Server fault recovery (per-shard failover: the restored
-        // instance rebinds the same scoped endpoints, and the stable
-        // group-hash routing re-routes exactly this shard's unfinished
-        // groups back to it).
-        if server.kill.is_killed() || !server_liveness.expired().is_empty() {
-            report.server_restarts += 1;
-            log_ev(&mut report, tele, EventKind::ServerRestarted);
-            // Kill all running jobs (their sends would hang on dead
-            // endpoints), then restart the server from its checkpoint.
-            for (_, job) in active.iter() {
-                job.handle.kill.kill();
-            }
-            for (_, job) in active.drain() {
-                job.handle.join();
-            }
-            {
-                use std::sync::atomic::Ordering::Relaxed;
-                let s = server.shared();
-                carried[0] += s.messages_received.load(Relaxed);
-                carried[1] += s.bytes_received.load(Relaxed);
-                carried[2] += s.replays_discarded.load(Relaxed);
-                carried[3] += s.checkpoints_written.load(Relaxed);
-            }
-            server.abandon();
-            let restore_cfg = ServerConfig {
-                restore: true,
-                ..server_config.clone()
-            };
-            server = Server::start(restore_cfg, Arc::clone(transport), launcher_tx.clone());
-            wait_for_ready(launcher_rx.as_ref(), config.server_timeout)?;
-            server_liveness.record(0u32);
-            // Only the restored checkpoint's bookkeeping counts now: any
-            // group the launcher believed finished but the server lost
-            // since its last checkpoint must be restarted too (paper
-            // Section 4.2.3: "the groups considered as finished by the
-            // launcher but not the server").
-            known_finished = server.shared().finished_groups().into_iter().collect();
-            known_running.clear();
-            // Resubmit everything not finished; discard-on-replay absorbs
-            // any duplicated timesteps.  Iterates current ownership (not
-            // the launch-time list) in sorted order so restarts after a
-            // fence stay deterministic.
-            let mut mine: Vec<u64> = my_groups.iter().copied().collect();
-            mine.sort_unstable();
-            for g in mine {
-                if known_finished.contains(&g) || abandoned.contains(&g) {
-                    continue;
-                }
-                let instance = retries.get(&g).copied().unwrap_or(0) + 1;
-                retries.insert(g, instance);
-                log_ev(
-                    &mut report,
-                    tele,
-                    EventKind::GroupResubmitted { group: g, instance },
-                );
-                report.group_restarts += 1;
-                let handle = submit(g, instance, server.kill.clone());
-                active.insert(
-                    g,
-                    ActiveJob {
-                        handle,
-                        instance,
-                        started_at: Instant::now(),
-                    },
-                );
-            }
-            continue;
+        self.log_ev(EventKind::MigrationFence {
+            epoch,
+            n_groups,
+            from: self.shard as u32,
+            to: m.to as u32,
+        });
+        // Persist the post-fence floors before anything else can fail: a
+        // transient restore must never resurrect a migrated group's
+        // pre-fence state.
+        self.server()
+            .checkpoint_now(&self.server_config.checkpoint_dir);
+        self.hand_off(m.to, epoch, moved);
+        if self.my_groups.is_empty() {
+            // Drained by scale-in: neutralise the convergence signal so
+            // this slot cannot pin the aggregate.
+            self.ctx
+                .coord
+                .publish(self.shard, 0.0, 0.0, self.known_finished.len());
         }
+        Ok(())
+    }
 
-        // 4. Reconcile job states (completed / died / zombie).
-        let mut to_fail: Vec<u64> = Vec::new();
-        let mut to_remove: Vec<u64> = Vec::new();
-        for (&g, job) in active.iter_mut() {
+    /// Stops group `g`'s job and fences the group out of this server.
+    /// Returns the final per-worker floors, or `None` if the group stays
+    /// because it was already finishing.
+    fn fence_out(&mut self, g: u64) -> Result<Option<Vec<i64>>, String> {
+        // Stop the sender first: after the join no new frames for the
+        // group enter the transport, so the flush barrier below fences a
+        // *final* floor.
+        self.stop_job(g);
+        let (server, shard) = (self.server(), self.shard);
+        server.migrate_out(g);
+        // The flush barrier: every worker drains the Data frames queued
+        // ahead of the group's `MigrateOut` and reports its final floor.
+        let floors = poll_until(
+            self.ctx.config.migration_timeout,
+            format_args!("shard {shard}: migration flush barrier for group {g}"),
+            || server.take_migrate_floors(g),
+        )?;
+        let last_ts = self.ctx.config.solver.n_timesteps as i64 - 1;
+        if floors.iter().any(|&f| f >= last_ts) {
+            // Finishing filter: some worker already integrated the group's
+            // last timestep — too late to move.  Re-adopt locally (lifts
+            // the ban) and resubmit if any worker still wants data.
+            self.install_floors(g, &floors)?;
+            self.log_ev(EventKind::FinishedDuringFence {
+                group: g,
+                shard: self.shard as u32,
+            });
+            if !self.server().shared().finished_groups().contains(&g) {
+                self.relaunch(g, self.next_instance(g));
+            }
+            return Ok(None);
+        }
+        self.my_groups.remove(&g);
+        self.known_running.remove(&g);
+        Ok(Some(floors))
+    }
+
+    /// Re-routes `groups` to slot `to` under a new routing epoch.
+    fn fence(&mut self, groups: &[MigratedGroup], to: usize) -> u64 {
+        let moves: Vec<(u64, usize)> = groups.iter().map(|mg| (mg.id, to)).collect();
+        let epoch = self.ctx.coord.routing.fence(&moves);
+        if let Some(t) = self.tele {
+            t.set_routing_epoch(epoch);
+        }
+        self.report.groups_migrated += groups.len() as u64;
+        epoch
+    }
+
+    /// Delivers a fence's handoff to the target slot's mailbox.
+    fn hand_off(&self, to: usize, epoch: u64, groups: Vec<MigratedGroup>) {
+        self.ctx.coord.mailboxes[to].lock().push(Handoff {
+            from: self.shard,
+            epoch,
+            groups,
+        });
+    }
+
+    /// Step 4: fires at most one scripted server kill per pass — a
+    /// transient kill must crash-restore (step 5) before the next script
+    /// entry, and a permanent one never comes back at all.  Returns the
+    /// re-homing target of a permanent death.
+    fn fire_kill(&mut self) -> Option<usize> {
+        let finished = self.known_finished.len();
+        let k = self
+            .kills
+            .pop_front_if(|k| finished >= k.after_finished_groups)?;
+        let finished = finished as u64;
+        if !k.permanent {
+            self.log_ev(EventKind::ServerKillInjected { finished });
+            self.server().kill.kill();
+            return None;
+        }
+        let to = k
+            .rehome_to
+            .expect("validated: permanent kills name a re-home target");
+        self.log_ev(EventKind::ShardDeathInjected {
+            finished,
+            rehome_to: to as u32,
+        });
+        Some(to)
+    }
+
+    /// Step 5: server fault recovery (per-shard failover: the restored
+    /// instance rebinds the same scoped endpoints, and the stable
+    /// group-hash routing re-routes exactly this shard's unfinished
+    /// groups back to it).  Returns whether a recovery ran.
+    fn recover_server(&mut self) -> Result<bool, String> {
+        if !self.server().kill.is_killed() && self.server_liveness.expired().is_empty() {
+            return Ok(false);
+        }
+        self.report.server_restarts += 1;
+        self.log_ev(EventKind::ServerRestarted);
+        // Kill all running jobs (their sends would hang on dead
+        // endpoints), then restart the server from its checkpoint.
+        self.stop_all_jobs();
+        let dead = self.server.take().expect("server runs until finish");
+        self.absorb_counters(dead.shared());
+        dead.abandon();
+        let restore_cfg = ServerConfig {
+            restore: true,
+            ..self.server_config.clone()
+        };
+        self.server = Some(Server::start(
+            restore_cfg,
+            Arc::clone(&self.ctx.transport),
+            self.launcher_tx.clone(),
+        ));
+        wait_for_ready(self.launcher_rx.as_ref(), self.ctx.config.server_timeout)?;
+        self.server_liveness.record(0u32);
+        // Only the restored checkpoint's bookkeeping counts now: any
+        // group the launcher believed finished but the server lost since
+        // its last checkpoint must be restarted too (paper Section 4.2.3:
+        // "the groups considered as finished by the launcher but not the
+        // server").
+        self.known_finished = self
+            .server()
+            .shared()
+            .finished_groups()
+            .into_iter()
+            .collect();
+        self.known_running.clear();
+        // Resubmit everything not finished; discard-on-replay absorbs any
+        // duplicated timesteps.  Iterates current ownership (not the
+        // launch-time list) in sorted order so restarts after a fence
+        // stay deterministic.
+        let mut mine: Vec<u64> = self.my_groups.iter().copied().collect();
+        mine.sort_unstable();
+        for g in mine {
+            if self.known_finished.contains(&g) || self.abandoned.contains(&g) {
+                continue;
+            }
+            let instance = self.next_instance(g);
+            self.log_ev(EventKind::GroupResubmitted { group: g, instance });
+            self.relaunch(g, instance);
+        }
+        Ok(true)
+    }
+
+    /// Step 6: reconciles job states (completed / died / zombie).
+    fn reconcile_jobs(&mut self) {
+        // Zombie bound, scaled by the observed scheduling delay: a slow
+        // host or a queue-starved tenant stretches it, a healthy host
+        // keeps 2× the nominal timeout.
+        let zombie_after = self.load.scale(self.ctx.config.group_timeout * 2);
+        let mut settled: Vec<u64> = Vec::new();
+        let mut failed: Vec<u64> = Vec::new();
+        let mut failures: Vec<EventKind> = Vec::new();
+        for (&g, job) in self.active.iter_mut() {
             // A job still waiting its turn on a busy shared pool is not
             // silent — keep its zombie clock at zero until the
             // dispatcher actually grants it capacity.
@@ -920,420 +1024,272 @@ pub(crate) fn supervise_shard(
                 job.started_at = Instant::now();
             }
             if job.handle.is_finished() {
-                let outcome = outcomes.lock().get(&(g, job.instance)).cloned();
+                let outcome = self.outcomes.lock().get(&(g, job.instance)).cloned();
                 match outcome {
                     Some(GroupOutcome::Completed { .. }) => {
-                        if let Some(h) = &turnaround_hist {
-                            h.record(job.started_at.elapsed().as_nanos() as u64);
+                        if let Some(p) = &self.probes {
+                            p.turnaround
+                                .record(job.started_at.elapsed().as_nanos() as u64);
                         }
-                        to_remove.push(g);
+                        settled.push(g);
                     }
                     Some(GroupOutcome::Died { .. }) | Some(GroupOutcome::Aborted { .. }) => {
-                        log_ev(
-                            &mut report,
-                            tele,
-                            EventKind::GroupDied {
-                                group: g,
-                                instance: job.instance,
-                                detail: format!("{outcome:?}"),
-                            },
-                        );
-                        to_fail.push(g);
-                    }
-                    None => to_remove.push(g), // killed before recording
-                }
-            } else {
-                // Zombie detection: the job has been "running" longer than
-                // the timeout but the server has never heard from it.
-                // Scaled by the observed scheduling delay: a slow host
-                // or a queue-starved tenant stretches the bound, a
-                // healthy host keeps 2× the nominal timeout.
-                let silent = !known_running.contains(&g) && !known_finished.contains(&g);
-                if silent && job.started_at.elapsed() > load.scale(config.group_timeout * 2) {
-                    log_ev(
-                        &mut report,
-                        tele,
-                        EventKind::GroupZombie {
+                        failed.push(g);
+                        failures.push(EventKind::GroupDied {
                             group: g,
                             instance: job.instance,
-                        },
-                    );
-                    to_fail.push(g);
+                            detail: format!("{outcome:?}"),
+                        });
+                    }
+                    None => settled.push(g), // killed before recording
                 }
+            } else if !self.known_running.contains(&g)
+                && !self.known_finished.contains(&g)
+                && job.started_at.elapsed() > zombie_after
+            {
+                // Zombie: "running" past the bound, yet the server has
+                // never heard from it.
+                failed.push(g);
+                failures.push(EventKind::GroupZombie {
+                    group: g,
+                    instance: job.instance,
+                });
             }
         }
-        for g in to_remove {
-            active.remove(&g);
+        for g in settled {
+            self.active.remove(&g);
         }
-        for g in to_fail {
-            if known_finished.contains(&g) {
-                active.remove(&g);
-                continue;
+        for event in failures {
+            self.log_ev(event);
+        }
+        for g in failed {
+            if self.known_finished.contains(&g) {
+                self.active.remove(&g);
+            } else {
+                self.handle_group_failure(g);
             }
-            handle_group_failure(
-                g,
-                &mut active,
-                &mut retries,
-                &mut abandoned,
-                &mut report,
-                tele,
-                config.max_group_retries,
-                &submit,
-                &server.kill,
-            );
         }
+    }
 
-        // 5. Convergence loopback: stop early once every configured
-        // *aggregate* signal (max over shards: CI width and/or quantile
-        // step) converged — with both targets set, the study stops on
-        // whichever estimate is slowest.  Whichever supervisor observes
-        // the crossing flips the shared flag; all shards then cancel
-        // their remaining groups.
-        if config.target_ci_width.is_some() || config.target_quantile_step.is_some() {
-            let global_ci = ctx.coord.max_ci();
-            let global_qstep = ctx.coord.max_qstep();
-            let ci_ok = config
-                .target_ci_width
-                .is_none_or(|t| global_ci.is_finite() && global_ci < t);
-            let qstep_ok = config
-                .target_quantile_step
-                .is_none_or(|t| global_qstep.is_finite() && global_qstep < t);
-            if ci_ok && qstep_ok && ctx.coord.total_finished() > 0 {
-                ctx.coord.early_stop.store(true, Ordering::Relaxed);
-            }
-            if ctx.coord.early_stop.load(Ordering::Relaxed) && !early_stopped {
-                early_stopped = true;
-                log_ev(
-                    &mut report,
-                    tele,
-                    EventKind::EarlyStop {
-                        max_ci: global_ci,
-                        max_qstep: global_qstep,
-                        cancelled: active.len() as u64,
-                    },
-                );
-                for (_, job) in active.iter() {
-                    job.handle.kill.kill();
-                }
-                for (_, job) in active.drain() {
-                    job.handle.join();
-                }
-            }
+    /// Step 7: the convergence loopback.  Stops early once every
+    /// configured *aggregate* signal (max over shards: CI width and/or
+    /// quantile step) converged — with both targets set, the study stops
+    /// on whichever estimate is slowest.  Whichever supervisor observes
+    /// the crossing flips the shared flag; all shards then cancel their
+    /// remaining groups.
+    fn check_convergence(&mut self) {
+        let (config, coord) = (&self.ctx.config, &self.ctx.coord);
+        if config.target_ci_width.is_none() && config.target_quantile_step.is_none() {
+            return;
         }
+        let (global_ci, global_qstep, finished) = coord.aggregate();
+        let ci_ok = config
+            .target_ci_width
+            .is_none_or(|t| global_ci.is_finite() && global_ci < t);
+        let qstep_ok = config
+            .target_quantile_step
+            .is_none_or(|t| global_qstep.is_finite() && global_qstep < t);
+        if ci_ok && qstep_ok && finished > 0 {
+            coord.early_stop.store(true, Ordering::Relaxed);
+        }
+        if coord.early_stop.load(Ordering::Relaxed) && !self.report.early_stopped {
+            self.report.early_stopped = true;
+            self.log_ev(EventKind::EarlyStop {
+                max_ci: global_ci,
+                max_qstep: global_qstep,
+                cancelled: self.active.len() as u64,
+            });
+            self.stop_all_jobs();
+        }
+    }
 
-        // 6. Completion: every owned group settled *and* the chaos script
-        // fully played out (unfired fences would leave their targets
-        // waiting on the handoff quota forever).
-        let script_done = mig_idx >= migrations.len()
-            && kill_idx >= kills.len()
-            && handoffs_received >= expected_handoffs;
-        let settled = known_finished
+    /// Step 8: completion — every owned group settled *and* the chaos
+    /// script fully played out (unfired fences would leave their targets
+    /// waiting on the handoff quota forever), or the study stopped early;
+    /// either way with no job left running.
+    fn done(&self) -> bool {
+        let script_done =
+            self.migrations.is_empty() && self.kills.is_empty() && self.handoffs_awaited == 0;
+        let settled = self
+            .known_finished
             .iter()
-            .filter(|g| my_groups.contains(g))
+            .filter(|g| self.my_groups.contains(g))
             .count()
-            + abandoned.len()
-            >= my_groups.len();
-        let done = early_stopped || (script_done && settled);
-        if done && active.is_empty() {
-            break;
-        }
+            + self.abandoned.len()
+            >= self.my_groups.len();
+        (self.report.early_stopped || (script_done && settled)) && self.active.is_empty()
     }
 
-    // An early-stopped supervisor still owes its script's targets their
-    // handoff envelopes — deliver them empty so no peer blocks on the
-    // quota.
-    for m in migrations.iter().skip(mig_idx) {
-        ctx.coord.push_handoff(
-            m.to,
-            Handoff {
-                from: shard,
-                epoch: ctx.coord.routing.epoch(),
-                groups: Vec::new(),
-            },
-        );
-    }
-    for k in kills.iter().skip(kill_idx) {
-        if let (true, Some(t)) = (k.permanent, k.rehome_to) {
-            ctx.coord.push_handoff(
-                t,
-                Handoff {
-                    from: shard,
-                    epoch: ctx.coord.routing.epoch(),
-                    groups: Vec::new(),
-                },
-            );
-        }
-    }
-
-    // Final server stop: collect statistics states.
-    let link = server.data_link_stats();
-    let shared = Arc::clone(server.shared());
-    let states = server.stop();
-
-    report.groups_finished = known_finished.len();
-    // Final publish — but never for an empty shard, whose `last_ci` was
-    // never updated from ∞: overwriting its neutral signal would pin the
-    // aggregate at infinity and permanently disable early stop.  (Judged
-    // on *current* ownership: a shard drained by scale-in published its
-    // neutral signal at the fence, a joiner that adopted groups has real
-    // signals to publish.)
-    if !my_groups.is_empty() {
-        ctx.coord
-            .publish(shard, last_ci, last_quantile_step, known_finished.len());
-    }
-    report.groups_abandoned = {
-        let mut v: Vec<u64> = abandoned.into_iter().collect();
-        v.sort_unstable();
-        v
-    };
-    report.data_messages = carried[0]
-        + shared
-            .messages_received
-            .load(std::sync::atomic::Ordering::Relaxed);
-    report.data_bytes = carried[1]
-        + shared
-            .bytes_received
-            .load(std::sync::atomic::Ordering::Relaxed);
-    report.replays_discarded = carried[2]
-        + shared
-            .replays_discarded
-            .load(std::sync::atomic::Ordering::Relaxed);
-    report.checkpoints_written = carried[3]
-        + shared
-            .checkpoints_written
-            .load(std::sync::atomic::Ordering::Relaxed);
-    report.transport = transport.backend_name().to_string();
-    report.blocked_sends = link.blocked_sends;
-    report.blocked_time = link.blocked_time();
-    report.link_messages = link.messages;
-    report.link_bytes = link.bytes;
-    report.link_wire_bytes = link.wire_bytes;
-    report.early_stopped = early_stopped;
-    report.final_max_ci = last_ci;
-    report.final_max_quantile_step = last_quantile_step;
-    report.quantile_probs = config.quantile_probs.clone();
-    report.final_quantile_steps = last_quantile_steps;
-    report.transport_reconnects = transport.reconnects();
-    report.routing_epoch = ctx.coord.routing.epoch();
-
-    Ok(ShardRun { states, report })
-}
-
-/// The permanent-death exit of a shard supervisor: the server is gone for
-/// good, so its last checkpoint *is* its statistics lineage.  Every group
-/// not finished by every worker of that lineage is fenced to `to` with
-/// per-worker floors (checkpointed floor, raised to any floor this shard
-/// itself adopted earlier), and the checkpointed states are returned as
-/// this slot's contribution to the study-end reduction.
-#[allow(clippy::too_many_arguments)]
-fn rehome_dead_shard(
-    ctx: &StudyContext,
-    shard: usize,
-    to: usize,
-    server: Server,
-    server_config: &ServerConfig,
-    mut active: HashMap<u64, ActiveJob>,
-    mut report: StudyReport,
-    my_groups: HashSet<u64>,
-    abandoned: HashSet<u64>,
-    retries: HashMap<u64, u32>,
-    adopted_floors: HashMap<u64, Vec<i64>>,
-    pending_migrations: &[crate::fault::Migration],
-    pending_kills: &[crate::fault::ShardKill],
-    carried: [u64; 4],
-    signals: (f64, f64, Vec<f64>),
-    early_stopped: bool,
-) -> Result<ShardRun, String> {
-    let config = &ctx.config;
-    let tele = ctx.telemetry(shard);
-    for (_, job) in active.iter() {
-        job.handle.kill.kill();
-    }
-    for (_, job) in active.drain() {
-        job.handle.join();
-    }
-    let link = server.data_link_stats();
-    let shared = Arc::clone(server.shared());
-    server.abandon();
-
-    // The lineage is whatever the last checkpoint holds; an unreadable
-    // worker hands off cold (floor −1 ⇒ full replay at the target).
-    let n_workers = config.server_workers;
-    let partition = SlabPartition::new(ctx.n_cells, n_workers);
-    let mut lineage: Vec<WorkerState> = Vec::with_capacity(n_workers);
-    for w in 0..n_workers {
-        match read_checkpoint(&server_config.checkpoint_dir, w) {
-            Ok(mut st) => {
-                st.ensure_quantiles(&config.quantile_probs);
-                lineage.push(st);
+    /// The one exit: ends the server, settles this slot's obligations to
+    /// its peers and fills the report.  `rehome_to: None` is the live
+    /// exit — the server stops cleanly and its states are the shard's
+    /// statistics.  `Some(slot)` is the permanent-death exit — the server
+    /// is gone for good, so its last checkpoint *is* its statistics
+    /// lineage, and every group that lineage has not finished re-homes to
+    /// `slot`.
+    fn finish(&mut self, rehome_to: Option<usize>) -> ShardRun {
+        let server = self.server.take().expect("server runs until finish");
+        let link = server.data_link_stats();
+        let shared = Arc::clone(server.shared());
+        let states = match rehome_to {
+            None => {
+                self.push_owed_handoffs();
+                let states = server.stop();
+                self.report.groups_finished = self.known_finished.len();
+                // Never publish for an empty shard, whose CI signal never
+                // left ∞: overwriting its neutral signal would pin the
+                // aggregate at infinity and permanently disable early stop.  (Judged on *current* ownership: a
+                // shard drained by scale-in published its neutral signal
+                // at the fence, a joiner that adopted groups has real
+                // signals to publish.)
+                if !self.my_groups.is_empty() {
+                    self.publish_signals();
+                }
+                states
             }
-            Err(e) => {
-                log_ev(
-                    &mut report,
-                    tele,
-                    EventKind::CheckpointUnreadable {
+            Some(to) => {
+                self.stop_all_jobs();
+                server.abandon();
+                let lineage = self.checkpoint_lineage();
+                self.rehome(to, &lineage);
+                self.push_owed_handoffs();
+                lineage
+            }
+        };
+        self.absorb_counters(&shared);
+        let transport = &self.ctx.transport;
+        let report = &mut self.report;
+        report.groups_abandoned = self.abandoned.iter().copied().collect();
+        report.groups_abandoned.sort_unstable();
+        report.transport = transport.backend_name().to_string();
+        report.blocked_sends = link.blocked_sends;
+        report.blocked_time = link.blocked_time();
+        report.link_messages = link.messages;
+        report.link_bytes = link.bytes;
+        report.link_wire_bytes = link.wire_bytes;
+        report.transport_reconnects = transport.reconnects();
+        report.routing_epoch = self.ctx.coord.routing.epoch();
+        ShardRun {
+            states,
+            report: report.clone(),
+        }
+    }
+
+    /// The unfired rest of this slot's script still counts toward its
+    /// targets' handoff quotas; deliver those envelopes empty so no peer
+    /// waits on a fence that will never fire (early stop, permanent
+    /// death).
+    fn push_owed_handoffs(&self) {
+        let migrations = self.migrations.iter().map(|m| m.to);
+        let rehomings = self
+            .kills
+            .iter()
+            .filter(|k| k.permanent)
+            .filter_map(|k| k.rehome_to);
+        for to in migrations.chain(rehomings) {
+            self.hand_off(to, self.ctx.coord.routing.epoch(), Vec::new());
+        }
+    }
+
+    /// The dead server's statistics lineage: whatever its last checkpoint
+    /// holds.  An unreadable worker hands off cold (floor −1 ⇒ full
+    /// replay at the target).
+    fn checkpoint_lineage(&mut self) -> Vec<WorkerState> {
+        let ctx = self.ctx;
+        let config = &ctx.config;
+        let partition = SlabPartition::new(ctx.n_cells, config.server_workers);
+        let mut lineage = Vec::with_capacity(config.server_workers);
+        for w in 0..config.server_workers {
+            match read_checkpoint(&self.server_config.checkpoint_dir, w) {
+                Ok(mut st) => {
+                    st.ensure_quantiles(&config.quantile_probs);
+                    lineage.push(st);
+                }
+                Err(e) => {
+                    self.log_ev(EventKind::CheckpointUnreadable {
                         worker: w as u32,
                         detail: e.to_string(),
-                    },
-                );
-                lineage.push(WorkerState::with_stats(
-                    w,
-                    partition.worker_range(w),
-                    ctx.p,
-                    config.solver.n_timesteps,
-                    &config.thresholds,
-                    &config.quantile_probs,
-                ));
+                    });
+                    lineage.push(WorkerState::with_stats(
+                        w,
+                        partition.worker_range(w),
+                        ctx.p,
+                        config.solver.n_timesteps,
+                        &config.thresholds,
+                        &config.quantile_probs,
+                    ));
+                }
             }
         }
+        lineage
     }
 
-    // Only groups finished by *every* worker of the lineage stay; the
-    // rest re-home (a partially finished group replays its tail on the
-    // target, discard floors preventing any double integration).
-    let finished_everywhere: HashSet<u64> = lineage[0]
-        .finished_groups()
-        .iter()
-        .copied()
-        .filter(|g| lineage.iter().all(|s| s.finished_groups().contains(g)))
-        .collect();
-    let mut moved: Vec<u64> = my_groups
-        .iter()
-        .copied()
-        .filter(|g| !abandoned.contains(g) && !finished_everywhere.contains(g))
-        .collect();
-    moved.sort_unstable();
-    let mut handoff_groups: Vec<MigratedGroup> = Vec::with_capacity(moved.len());
-    for &g in &moved {
-        let floors: Vec<i64> = (0..n_workers)
-            .map(|w| {
-                let remembered = adopted_floors.get(&g).map(|f| f[w]).unwrap_or(-1);
-                lineage[w].completed_floor(g).max(remembered)
+    /// Fences every group the `lineage` has not finished to slot `to`,
+    /// with per-worker floors (checkpointed floor, raised to any floor
+    /// this shard itself adopted earlier).
+    fn rehome(&mut self, to: usize, lineage: &[WorkerState]) {
+        // Only groups finished by *every* worker of the lineage stay; the
+        // rest re-home (a partially finished group replays its tail on
+        // the target, discard floors preventing any double integration).
+        let finished_everywhere = |g: &u64| lineage.iter().all(|s| s.finished_groups().contains(g));
+        let mut moved: Vec<u64> = self
+            .my_groups
+            .iter()
+            .copied()
+            .filter(|g| !self.abandoned.contains(g) && !finished_everywhere(g))
+            .collect();
+        moved.sort_unstable();
+        let handoff_groups: Vec<MigratedGroup> = moved
+            .iter()
+            .map(|&g| MigratedGroup {
+                id: g,
+                floors: lineage
+                    .iter()
+                    .enumerate()
+                    .map(|(w, st)| {
+                        let remembered = self.adopted_floors.get(&g).map_or(-1, |f| f[w]);
+                        st.completed_floor(g).max(remembered)
+                    })
+                    .collect(),
+                next_instance: self.next_instance(g),
             })
             .collect();
-        handoff_groups.push(MigratedGroup {
-            id: g,
-            floors,
-            next_instance: retries.get(&g).copied().unwrap_or(0) + 1,
-        });
-    }
-    let fence: Vec<(u64, usize)> = moved.iter().map(|&g| (g, to)).collect();
-    let epoch = ctx.coord.routing.fence(&fence);
-    if let Some(t) = tele {
-        t.set_routing_epoch(epoch);
-    }
-    report.groups_migrated += handoff_groups.len() as u64;
-    report.shards_rehomed = 1;
-    log_ev(
-        &mut report,
-        tele,
-        EventKind::ShardRehomed {
+        let epoch = self.fence(&handoff_groups, to);
+        self.report.shards_rehomed = 1;
+        self.log_ev(EventKind::ShardRehomed {
             epoch,
             n_groups: handoff_groups.len() as u64,
-            from: shard as u32,
+            from: self.shard as u32,
             to: to as u32,
-        },
-    );
-    ctx.coord.push_handoff(
-        to,
-        Handoff {
-            from: shard,
-            epoch,
-            groups: handoff_groups,
-        },
-    );
-    // The rest of this shard's script will never fire; its targets still
-    // count the handoffs, so deliver empty envelopes.
-    for m in pending_migrations {
-        ctx.coord.push_handoff(
-            m.to,
-            Handoff {
-                from: shard,
-                epoch,
-                groups: Vec::new(),
-            },
-        );
+        });
+        self.hand_off(to, epoch, handoff_groups);
+        self.report.groups_finished = self
+            .my_groups
+            .iter()
+            .filter(|g| finished_everywhere(g))
+            .count();
+        // Neutralise the convergence signal: a dead slot must not pin the
+        // aggregate at its last (stale) value or at ∞.
+        self.ctx
+            .coord
+            .publish(self.shard, 0.0, 0.0, self.report.groups_finished);
     }
-    for k in pending_kills {
-        if let (true, Some(t)) = (k.permanent, k.rehome_to) {
-            ctx.coord.push_handoff(
-                t,
-                Handoff {
-                    from: shard,
-                    epoch,
-                    groups: Vec::new(),
-                },
-            );
-        }
-    }
-
-    report.groups_finished = my_groups
-        .iter()
-        .filter(|g| finished_everywhere.contains(g))
-        .count();
-    // Neutralise the convergence signal: a dead slot must not pin the
-    // aggregate at its last (stale) value or at ∞.
-    ctx.coord.publish(shard, 0.0, 0.0, report.groups_finished);
-    report.groups_abandoned = {
-        let mut v: Vec<u64> = abandoned.into_iter().collect();
-        v.sort_unstable();
-        v
-    };
-    report.data_messages = carried[0] + shared.messages_received.load(Ordering::Relaxed);
-    report.data_bytes = carried[1] + shared.bytes_received.load(Ordering::Relaxed);
-    report.replays_discarded = carried[2] + shared.replays_discarded.load(Ordering::Relaxed);
-    report.checkpoints_written = carried[3] + shared.checkpoints_written.load(Ordering::Relaxed);
-    report.transport = ctx.transport.backend_name().to_string();
-    report.blocked_sends = link.blocked_sends;
-    report.blocked_time = link.blocked_time();
-    report.link_messages = link.messages;
-    report.link_bytes = link.bytes;
-    report.link_wire_bytes = link.wire_bytes;
-    report.early_stopped = early_stopped;
-    report.final_max_ci = signals.0;
-    report.final_max_quantile_step = signals.1;
-    report.quantile_probs = config.quantile_probs.clone();
-    report.final_quantile_steps = signals.2;
-    report.transport_reconnects = ctx.transport.reconnects();
-    report.routing_epoch = epoch;
-    Ok(ShardRun {
-        states: lineage,
-        report,
-    })
 }
 
-/// Polls the migration flush barrier: every worker has drained the Data
-/// frames queued ahead of the group's `MigrateOut` and reported its final
-/// integration floor.
-fn await_migrate_floors(
-    server: &Server,
-    group: u64,
+/// Polls `probe` every 2 ms until it yields a value; fails with
+/// "`what` timed out" once `timeout` has passed without one.
+fn poll_until<T>(
     timeout: Duration,
-) -> Result<Vec<i64>, String> {
+    what: std::fmt::Arguments<'_>,
+    mut probe: impl FnMut() -> Option<T>,
+) -> Result<T, String> {
     let deadline = Instant::now() + timeout;
     loop {
-        if let Some(floors) = server.take_migrate_floors(group) {
-            return Ok(floors);
+        if let Some(value) = probe() {
+            return Ok(value);
         }
         if Instant::now() > deadline {
-            return Err(format!(
-                "migration flush barrier for group {group} timed out"
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// Polls until every worker has acknowledged the group's adopted floors
-/// (the replayed instance must not start before the floors are in place).
-fn await_adopt_acks(server: &Server, group: u64, timeout: Duration) -> Result<(), String> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if server.take_adopt_acks(group) {
-            return Ok(());
-        }
-        if Instant::now() > deadline {
-            return Err(format!("floor adoption for group {group} timed out"));
+            return Err(format!("{what} timed out"));
         }
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -1364,85 +1320,17 @@ pub fn bootstrap_directory() -> Result<(melissa_transport::DirectoryServer, Stri
 fn wait_for_ready(rx: &dyn Receiver, timeout: Duration) -> Result<(), String> {
     let deadline = Instant::now() + timeout;
     loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err("server did not become ready in time".into());
-        }
-        match rx.recv_timeout(left) {
-            Ok(frame) => {
-                if let Ok(Message::ServerReady) = Message::decode(&frame) {
-                    return Ok(());
-                }
+        match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(frame) if matches!(Message::decode(&frame), Ok(Message::ServerReady)) => {
+                return Ok(())
             }
+            Ok(_) => {}
             Err(RecvTimeoutError::Timeout) => {
                 return Err("server did not become ready in time".into())
             }
             Err(RecvTimeoutError::Disconnected) => return Err("launcher inbox closed".into()),
         }
     }
-}
-
-/// Journals an event through the report and mirrors the stamped copy into
-/// the shard's live telemetry ring (a no-op when telemetry is off).
-fn log_ev(report: &mut StudyReport, tele: Option<&Arc<Telemetry>>, kind: impl Into<EventKind>) {
-    let event = report.log(kind);
-    if let Some(t) = tele {
-        t.record_event(event);
-    }
-}
-
-/// Kills (if needed) and resubmits a failed group, honouring the retry cap.
-#[allow(clippy::too_many_arguments)]
-fn handle_group_failure<F>(
-    g: u64,
-    active: &mut HashMap<u64, ActiveJob>,
-    retries: &mut HashMap<u64, u32>,
-    abandoned: &mut HashSet<u64>,
-    report: &mut StudyReport,
-    tele: Option<&Arc<Telemetry>>,
-    max_retries: u32,
-    submit: &F,
-    server_kill: &KillSwitch,
-) where
-    F: Fn(u64, u32, KillSwitch) -> melissa_scheduler::JobHandle,
-{
-    if abandoned.contains(&g) {
-        return;
-    }
-    if let Some(job) = active.remove(&g) {
-        job.handle.kill.kill();
-        job.handle.join();
-    }
-    let n = retries.entry(g).or_insert(0);
-    *n += 1;
-    if *n > max_retries {
-        abandoned.insert(g);
-        log_ev(
-            report,
-            tele,
-            EventKind::GroupAbandoned {
-                group: g,
-                retries: max_retries,
-            },
-        );
-        return;
-    }
-    let instance = *n;
-    report.group_restarts += 1;
-    log_ev(
-        report,
-        tele,
-        EventKind::GroupRestarted { group: g, instance },
-    );
-    let handle = submit(g, instance, server_kill.clone());
-    active.insert(
-        g,
-        ActiveJob {
-            handle,
-            instance,
-            started_at: Instant::now(),
-        },
-    );
 }
 
 #[cfg(test)]
@@ -1455,14 +1343,82 @@ mod tests {
     #[test]
     fn empty_shard_neutral_signal_keeps_the_aggregate_usable() {
         let coord = Coordination::new(2, RoutingTable::new(GroupRouter::new(2, 7)));
-        assert_eq!(coord.max_ci(), f64::INFINITY, "unreported shards gate");
-        assert_eq!(coord.max_qstep(), f64::INFINITY, "qstep gates too");
+        let (ci, qstep, _) = coord.aggregate();
+        assert_eq!(ci, f64::INFINITY, "unreported shards gate");
+        assert_eq!(qstep, f64::INFINITY, "qstep gates too");
         coord.publish(1, 0.0, 0.0, 0); // empty shard: neutral, published once
         coord.publish(0, 0.02, 0.004, 3); // busy shard converged
-        assert_eq!(coord.max_ci(), 0.02);
-        assert_eq!(coord.max_qstep(), 0.004);
-        assert_eq!(coord.total_finished(), 3);
+        assert_eq!(coord.aggregate(), (0.02, 0.004, 3));
         assert!(!coord.early_stop.load(Ordering::Relaxed));
+    }
+
+    /// Both exits of a supervisor go through `finish`: a shard that dies
+    /// for good and the peer that adopts its groups fill the same report
+    /// fields.
+    #[test]
+    fn both_supervisor_exits_fill_the_same_report_fields() {
+        let mut config = StudyConfig::tiny();
+        config.n_shards = 2;
+        config.n_groups = 4;
+        config.max_concurrent_groups = 1;
+        config.checkpoint_dir =
+            std::env::temp_dir().join(format!("melissa-ut-exits-{}", std::process::id()));
+        let router = GroupRouter::from_config(&config);
+        let groups: Vec<Vec<u64>> = (0..2).map(|k| router.groups_for_shard(k, 4)).collect();
+        let victim = if groups[0].len() >= groups[1].len() {
+            0
+        } else {
+            1
+        };
+        let adopter = 1 - victim;
+        let faults = FaultPlan::none().with_shard_kill(ShardKill {
+            shard: victim,
+            after_finished_groups: 1,
+            permanent: true,
+            rehome_to: Some(adopter),
+        });
+        let ctx = StudyContext::new_in(config, faults, StudyRuntime::default());
+
+        let runs: Vec<ShardRun> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|k| {
+                    let (ctx, groups) = (&ctx, &groups[k]);
+                    s.spawn(move || supervise_shard(ctx, k, &names::shard_scope(k), groups))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .expect("supervisor panicked")
+                        .expect("shard failed")
+                })
+                .collect()
+        });
+        std::fs::remove_dir_all(&ctx.config.checkpoint_dir).ok();
+
+        let (dead, live) = (&runs[victim].report, &runs[adopter].report);
+        assert_eq!((dead.shards_rehomed, live.shards_rehomed), (1, 0));
+        assert!(dead
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::ShardRehomed { .. })));
+        assert_eq!(dead.groups_finished + live.groups_finished, 4);
+        for (exit, r) in [("permanent death", dead), ("live", live)] {
+            assert_eq!(r.transport, "in-process", "{exit}");
+            assert!(
+                r.link_messages > 0 && r.link_bytes > 0,
+                "{exit}: link rollup"
+            );
+            assert_eq!(
+                r.link_wire_bytes, r.link_bytes,
+                "{exit}: no wire in process"
+            );
+            assert_eq!(r.routing_epoch, 1, "{exit}: one fence was raised");
+            assert!(r.data_messages > 0 && r.data_bytes > 0, "{exit}: ingest");
+            assert_eq!(r.quantile_probs, ctx.config.quantile_probs, "{exit}");
+            assert_eq!(r.transport_reconnects, 0, "{exit}");
+        }
     }
 
     #[test]

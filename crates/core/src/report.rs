@@ -101,8 +101,8 @@ pub struct StudyReport {
     /// aggregated sharded reports keep 0 and carry per-shard identity on
     /// each event).
     pub shard: u32,
-    /// Chronological failure/restart journal (typed; see
-    /// [`event_lines`](Self::event_lines) for the legacy text render).
+    /// Chronological failure/restart journal (typed; `Display` renders
+    /// it through [`EventKind::render`]).
     pub events: Vec<StudyEvent>,
 }
 
@@ -156,11 +156,6 @@ impl StudyReport {
         };
         self.events.push(event.clone());
         event
-    }
-
-    /// The legacy free-text view of the journal, in journal order.
-    pub fn event_lines(&self) -> Vec<String> {
-        self.events.iter().map(|e| e.render()).collect()
     }
 
     /// Data volume in mebibytes.
@@ -264,12 +259,11 @@ impl std::fmt::Display for StudyReport {
         if !self.events.is_empty() {
             writeln!(f, "--- failure/restart log ---")?;
             for e in &self.events {
-                let text = if self.n_shards > 1 {
-                    e.render()
-                } else {
-                    e.kind.render()
-                };
-                writeln!(f, "  [+{:.3}s] {text}", e.at_nanos as f64 / 1e9)?;
+                write!(f, "  [+{:.3}s] ", e.at_nanos as f64 / 1e9)?;
+                if self.n_shards > 1 {
+                    write!(f, "[shard {}] ", e.shard)?;
+                }
+                writeln!(f, "{}", e.kind.render())?;
             }
         }
         Ok(())
@@ -320,8 +314,11 @@ mod tests {
             second.at_nanos >= first.at_nanos,
             "study clock is monotonic"
         );
-        assert_eq!(r.event_lines()[0], "[shard 2] free text");
-        assert!(r.event_lines()[1].contains("restarting from checkpoint"));
+        assert_eq!(first.shard, 2);
+        assert_eq!(r.events, vec![first, second]);
+        // Sharded reports prefix each journal line with its shard.
+        r.n_shards = 3;
+        assert!(r.to_string().contains("[shard 2] free text"));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! Layout (little-endian, via `melissa_transport::codec`):
 //! magic, version, worker_id, slab, p, n_timesteps, per-timestep packed
 //! Sobol' state, per-timestep packed moments and min/max, the threshold
-//! accumulators, the Robbins–Monro quantile records (format v3+), the
-//! last-completed map and the finished list.  Field-level tables of the
+//! accumulators, the Robbins–Monro quantile records, the last-completed
+//! map, the finished list and the integrated-interval ledger.  Field-level tables of the
 //! layout (and the determinism rules it obeys) are documented in
 //! `melissa_stats::checkpoint_format`.
 //!
@@ -22,21 +22,12 @@
 //! bit-identical.  The in-process study-end reduction owns its states and
 //! does not use it.
 //!
-//! ## Format versions
+//! ## Format version
 //!
-//! * **v4** (current) — adds the integrated-interval section: per group,
-//!   the exact timestep segments this worker integrated.  Migration-era
-//!   checkpoints need it so the study-end reduction can prove
-//!   exactly-once integration across state lineages.
-//! * **v3** (legacy, read-only) — quantile section, no interval section.
-//!   Restores synthesize the single segment `(-1, last_completed]` per
-//!   group, which is exact for any state that never received a migrated
-//!   group.
-//! * **v2** (legacy, read-only) — no quantile section.  v2 files restore
-//!   into a current server with quantiles **cold**: order statistics
-//!   restart from scratch while every other statistic resumes where it
-//!   left off (Robbins–Monro iterates carry no sufficient statistic that
-//!   could be reconstructed from the other accumulators).
+//! The format is **v4**: per group, the exact timestep segments this
+//! worker integrated, so the study-end reduction can prove exactly-once
+//! integration across state lineages.  Any other version is rejected
+//! with a typed [`CheckpointError::UnsupportedVersion`].
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -54,11 +45,8 @@ use rayon::prelude::*;
 use super::state::WorkerState;
 
 const MAGIC: u32 = 0x4d4c5341; // "MLSA"
-/// Current checkpoint format version (integrated-interval section
-/// present).
+/// The checkpoint format version.
 const VERSION: u32 = 4;
-/// Oldest format version still restorable (pre-quantile layout).
-const MIN_VERSION: u32 = 2;
 /// Packed states below this size are copied on the calling thread: the
 /// copy is over before worker threads would have started.
 const PAR_MIN: usize = 1 << 20;
@@ -70,9 +58,9 @@ pub enum CheckpointError {
     Io(io::Error),
     /// The file is not a valid checkpoint (magic/shape mismatch).
     Corrupt(&'static str),
-    /// The file's format version is outside the supported range — the
-    /// found version is carried so operators can tell a future-format
-    /// file from a corrupt one.
+    /// The file's format version is not the supported one — the found
+    /// version is carried so operators can tell another format's file
+    /// from a corrupt one.
     UnsupportedVersion {
         /// The version field the file actually contained.
         found: u32,
@@ -99,7 +87,7 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Corrupt(what) => write!(f, "corrupt checkpoint: {what}"),
             CheckpointError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported checkpoint version {found} (supported: {MIN_VERSION}..={VERSION})"
+                "unsupported checkpoint version {found} (supported: {VERSION})"
             ),
         }
     }
@@ -235,7 +223,7 @@ pub fn pack_state(state: &WorkerState) -> Vec<u8> {
             plan.bulk(ts, Part::U64(exceeded));
         }
     }
-    // Quantile section (format v3+).  Probabilities and the step exponent
+    // Quantile section.  Probabilities and the step exponent
     // are shared across timesteps; the per-timestep record arrays are the
     // tiled storage verbatim.
     let n_probs = quantiles.first().map_or(0, |q| q.probs().len());
@@ -265,7 +253,7 @@ pub fn pack_state(state: &WorkerState) -> Vec<u8> {
     for g in finished {
         plan.head.put_u64_le(*g);
     }
-    // Integrated-interval section (format v4+), sorted by group id for
+    // Integrated-interval section, sorted by group id for
     // determinism: per group the `(lower_exclusive, last]` timestep
     // segments this worker integrated.
     let mut intervals: Vec<(u64, &Vec<(i64, i64)>)> =
@@ -297,9 +285,9 @@ pub fn write_checkpoint(dir: &Path, state: &WorkerState) -> Result<u64, Checkpoi
     Ok(buf.len() as u64)
 }
 
-/// Unpacks a checkpoint byte buffer produced by [`pack_state`] (or read
-/// from a v2/v3 checkpoint file) into a [`WorkerState`] for worker
-/// `worker_id`.  Safe on untrusted bytes: every failure is an `Err`.
+/// Unpacks a checkpoint byte buffer produced by [`pack_state`] into a
+/// [`WorkerState`] for worker `worker_id`.  Safe on untrusted bytes: every
+/// failure is an `Err`.
 pub fn unpack_state(bytes: &[u8], worker_id: usize) -> Result<WorkerState, CheckpointError> {
     use CheckpointError::Corrupt;
     let buf = &mut &*bytes;
@@ -308,7 +296,7 @@ pub fn unpack_state(bytes: &[u8], worker_id: usize) -> Result<WorkerState, Check
         return Err(Corrupt("bad magic"));
     }
     let version = get_u32(buf, "header")?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(CheckpointError::UnsupportedVersion { found: version });
     }
     if get_u64(buf, "shape")? != worker_id as u64 {
@@ -366,17 +354,13 @@ pub fn unpack_state(bytes: &[u8], worker_id: usize) -> Result<WorkerState, Check
         }
     }
 
-    // Quantile section: absent in legacy v2 files — those restore with
-    // quantiles cold (an empty vector; the server retrofits fresh state).
-    // All values are validated here and rejected as `Corrupt` rather than
-    // letting `FieldQuantiles` constructor asserts panic: this runs on
-    // worker threads, where a panic would kill the worker instead of
-    // triggering the fresh-state fallback.
+    // Quantile section (empty when order statistics are off).  All values
+    // are validated here and rejected as `Corrupt` rather than letting
+    // `FieldQuantiles` constructor asserts panic: this runs on worker
+    // threads, where a panic would kill the worker instead of triggering
+    // the fresh-state fallback.
     let mut quantiles: Vec<FieldQuantiles> = Vec::new();
-    let n_probs = match version {
-        2 => 0,
-        _ => get_count(buf, 8, "quantile prob count")?,
-    };
+    let n_probs = get_count(buf, 8, "quantile prob count")?;
     if n_probs > 4096 {
         return Err(Corrupt("implausible quantile count"));
     }
@@ -412,28 +396,20 @@ pub fn unpack_state(bytes: &[u8], worker_id: usize) -> Result<WorkerState, Check
     let finished = words_from_le(&buf[..n_finished * 8]);
     buf.advance(n_finished * 8);
 
-    // Integrated-interval section: absent before v4.  Legacy states were
-    // written before migration existed, so each group's integration is
-    // exactly the contiguous range `(-1, last_completed]`.
+    // Integrated-interval section.
     let mut integrated: HashMap<u64, Vec<(i64, i64)>> = HashMap::new();
-    if version >= 4 {
-        for _ in 0..get_count(buf, 16, "interval group count")? {
-            let g = get_u64(buf, "interval group header")?;
-            let n_segs = get_count(buf, 16, "interval segments")?;
-            let mut segs = Vec::with_capacity(n_segs);
-            for _ in 0..n_segs {
-                let (lo, hi) = (buf.get_i64_le(), buf.get_i64_le());
-                if lo >= hi {
-                    return Err(Corrupt("empty interval segment"));
-                }
-                segs.push((lo, hi));
+    for _ in 0..get_count(buf, 16, "interval group count")? {
+        let g = get_u64(buf, "interval group header")?;
+        let n_segs = get_count(buf, 16, "interval segments")?;
+        let mut segs = Vec::with_capacity(n_segs);
+        for _ in 0..n_segs {
+            let (lo, hi) = (buf.get_i64_le(), buf.get_i64_le());
+            if lo >= hi {
+                return Err(Corrupt("empty interval segment"));
             }
-            integrated.insert(g, segs);
+            segs.push((lo, hi));
         }
-    } else {
-        for (&g, &ts) in &last_completed {
-            integrated.insert(g, vec![(-1, ts)]);
-        }
+        integrated.insert(g, segs);
     }
 
     Ok(WorkerState::from_checkpoint_parts(
@@ -463,7 +439,6 @@ pub fn read_checkpoint(dir: &Path, worker_id: usize) -> Result<WorkerState, Chec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("melissa-ckpt-{tag}-{}", std::process::id()));
@@ -494,102 +469,6 @@ mod tests {
         st
     }
 
-    /// Pinned legacy checkpoint writer for format **v2** (no quantile
-    /// section) and **v3** (quantile section, no interval section), used
-    /// by the cross-version restore tests.  Deliberately *not* derived
-    /// from the live writer so a format regression cannot silently
-    /// rewrite history.
-    fn write_legacy_checkpoint(
-        dir: &Path,
-        state: &WorkerState,
-        version: u32,
-    ) -> std::path::PathBuf {
-        assert!(version == 2 || version == 3);
-        std::fs::create_dir_all(dir).unwrap();
-        let (sobol, moments, minmax, thresholds, quantiles, last_completed, finished, _) =
-            state.checkpoint_parts();
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(version);
-        buf.put_u64_le(state.worker_id() as u64);
-        buf.put_u64_le(state.slab().start as u64);
-        buf.put_u64_le(state.slab().len as u64);
-        buf.put_u32_le(state.dim() as u32);
-        buf.put_u32_le(state.n_timesteps() as u32);
-        let mut flat = Vec::new();
-        for s in sobol {
-            s.pack_into(&mut flat);
-            buf.put_u64_le(s.n_groups());
-            buf.put_u64_le(flat.len() as u64);
-            for v in &flat {
-                buf.put_f64_le(*v);
-            }
-        }
-        for m in moments {
-            let (n, mean, m2, m3, m4) = m.raw_state();
-            buf.put_u64_le(n);
-            buf.put_u64_le(mean.len() as u64);
-            for arr in [mean, m2, m3, m4] {
-                for v in arr {
-                    buf.put_f64_le(*v);
-                }
-            }
-        }
-        for mm in minmax {
-            let (n, mn, mx) = mm.raw_state();
-            buf.put_u64_le(n);
-            buf.put_u64_le(mn.len() as u64);
-            for arr in [mn, mx] {
-                for v in arr {
-                    buf.put_f64_le(*v);
-                }
-            }
-        }
-        let n_thresholds = thresholds.first().map_or(0, |v| v.len());
-        buf.put_u64_le(n_thresholds as u64);
-        for ti in 0..n_thresholds {
-            for per_ts in thresholds {
-                let (threshold, n, exceeded) = per_ts[ti].raw_state();
-                buf.put_f64_le(threshold);
-                buf.put_u64_le(n);
-                buf.put_u64_le(exceeded.len() as u64);
-                for v in exceeded {
-                    buf.put_u64_le(*v);
-                }
-            }
-        }
-        if version >= 3 {
-            let n_probs = quantiles.first().map_or(0, |q| q.probs().len());
-            buf.put_u64_le(n_probs as u64);
-            if let Some(first) = quantiles.first() {
-                buf.put_f64_le(first.gamma());
-                for p in first.probs() {
-                    buf.put_f64_le(*p);
-                }
-                for q in quantiles {
-                    let (n, _, _, records) = q.raw_state();
-                    buf.put_u64_le(n);
-                    buf.put_u64_le(records.len() as u64);
-                    for v in records {
-                        buf.put_f64_le(*v);
-                    }
-                }
-            }
-        }
-        buf.put_u64_le(last_completed.len() as u64);
-        for (g, ts) in last_completed {
-            buf.put_u64_le(*g);
-            buf.put_i64_le(*ts);
-        }
-        buf.put_u64_le(finished.len() as u64);
-        for g in finished {
-            buf.put_u64_le(*g);
-        }
-        let path = checkpoint_file(dir, state.worker_id());
-        std::fs::write(&path, &buf).unwrap();
-        path
-    }
-
     #[test]
     fn roundtrip_preserves_statistics_and_bookkeeping() {
         let dir = tmpdir("rt");
@@ -607,28 +486,6 @@ mod tests {
         assert_eq!(back.finished_groups(), st.finished_groups());
         assert_eq!(back.last_completed(11), st.last_completed(11));
         assert_eq!(back.last_completed(12), Some(0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A v2 file (pinned legacy writer) restores into the current server
-    /// with quantiles cold and everything else intact.
-    #[test]
-    fn legacy_v2_restores_with_quantiles_cold() {
-        let dir = tmpdir("v2");
-        let st = populated_state();
-        write_legacy_checkpoint(&dir, &st, 2);
-        let mut back = read_checkpoint(&dir, 2).unwrap();
-        assert!(!back.tracks_quantiles(), "v2 carries no quantile state");
-        for ts in 0..2 {
-            assert_eq!(back.sobol(ts), st.sobol(ts));
-            assert_eq!(back.moments(ts), st.moments(ts));
-            assert_eq!(back.minmax(ts), st.minmax(ts));
-            assert_eq!(back.thresholds(ts), st.thresholds(ts));
-        }
-        assert_eq!(back.finished_groups(), st.finished_groups());
-        // The server retrofits fresh (cold) quantile accumulators.
-        back.ensure_quantiles(&[0.25, 0.5, 0.75]);
-        assert_eq!(back.quantiles(0).unwrap().count(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -704,24 +561,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A v3 file (pinned legacy writer) restores with quantiles intact
-    /// and the integrated intervals synthesized as `(-1, last_completed]`
-    /// per group — exact for pre-migration checkpoints.
-    #[test]
-    fn legacy_v3_restores_with_synthesized_intervals() {
-        let dir = tmpdir("v3");
-        let st = populated_state();
-        write_legacy_checkpoint(&dir, &st, 3);
-        let back = read_checkpoint(&dir, 2).unwrap();
-        for ts in 0..2 {
-            assert_eq!(back.sobol(ts), st.sobol(ts));
-            assert_eq!(back.quantiles(ts), st.quantiles(ts));
-        }
-        assert_eq!(back.integrated_intervals(11), &[(-1, 1)]);
-        assert_eq!(back.integrated_intervals(12), &[(-1, 0)]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Multi-segment interval ledgers (a group that migrated away and
     /// back) survive the v4 round trip bit-identically.
     #[test]
@@ -759,24 +598,24 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_version_reports_found_and_supported_range() {
+    fn unsupported_version_reports_found_and_supported() {
         let dir = tmpdir("ver");
         std::fs::create_dir_all(&dir).unwrap();
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC.to_le_bytes());
-        bytes.extend_from_slice(&99u32.to_le_bytes());
+        bytes.extend_from_slice(&3u32.to_le_bytes());
         std::fs::write(checkpoint_file(&dir, 0), bytes).unwrap();
         let err = match read_checkpoint(&dir, 0) {
             Err(e) => e,
-            Ok(_) => panic!("version 99 must be rejected"),
+            Ok(_) => panic!("the v3 format is no longer readable"),
         };
         assert!(matches!(
             err,
-            CheckpointError::UnsupportedVersion { found: 99 }
+            CheckpointError::UnsupportedVersion { found: 3 }
         ));
         let msg = err.to_string();
         assert!(
-            msg.contains("99") && msg.contains("2..=4"),
+            msg.contains("version 3") && msg.contains("supported: 4"),
             "error must name found and supported versions: {msg}"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -345,8 +345,8 @@ impl Server {
                     let state = if cfg.restore {
                         match read_checkpoint(&cfg.checkpoint_dir, w) {
                             Ok(mut st) => {
-                                // Legacy (pre-quantile) checkpoints restore
-                                // with quantiles cold: retrofit fresh state.
+                                // The configured probability vector wins
+                                // over whatever the checkpoint tracked.
                                 st.ensure_quantiles(&cfg.quantile_probs);
                                 st
                             }

@@ -502,10 +502,10 @@ impl WorkerState {
     /// always wins, so every worker tracks the same vector regardless of
     /// which checkpoint files survived the restart:
     ///
-    /// * legacy pre-quantile checkpoints (and checkpoints written under a
-    ///   *different* probability vector, whose estimates are not
-    ///   convertible) restart the estimates cold while every other
-    ///   statistic resumes where it left off;
+    /// * checkpoints written without quantiles, or under a *different*
+    ///   probability vector (whose estimates are not convertible),
+    ///   restart the estimates cold while every other statistic resumes
+    ///   where it left off;
     /// * an empty configuration disables quantiles even when the
     ///   checkpoint carried them;
     /// * matching restored state is kept untouched.
@@ -710,8 +710,8 @@ impl WorkerState {
 
     /// Rebuilds a state from checkpointed parts (in-flight assemblies are
     /// deliberately *not* checkpointed: their groups will be replayed).
-    /// `quantiles` is empty both when order statistics were never
-    /// configured and when restoring a legacy pre-quantile checkpoint.
+    /// `quantiles` is empty when the checkpoint was written with order
+    /// statistics off.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_checkpoint_parts(
         worker_id: usize,
@@ -955,7 +955,8 @@ mod tests {
         assert!(!st.tracks_quantiles());
         assert!(st.quantiles(0).is_none());
         assert_eq!(st.max_quantile_step(), 0.0);
-        // ensure_quantiles retrofits cold state (legacy restore path).
+        // ensure_quantiles retrofits cold state (restore under a
+        // configuration that turned order statistics on).
         st.ensure_quantiles(&[0.5]);
         assert!(st.tracks_quantiles());
         assert_eq!(st.quantiles(0).unwrap().count(), 0);

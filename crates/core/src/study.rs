@@ -47,7 +47,7 @@ impl Study {
 
     /// Runs the study to completion under the launcher's supervision.
     pub fn run(self) -> Result<StudyOutput, String> {
-        crate::launcher::run_study(self.config, self.faults)
+        self.run_in(crate::launcher::StudyRuntime::default())
     }
 
     /// Runs the study on a caller-supplied transport instead of building
@@ -63,7 +63,10 @@ impl Study {
         self,
         transport: std::sync::Arc<dyn melissa_transport::Transport>,
     ) -> Result<StudyOutput, String> {
-        crate::launcher::run_study_on(self.config, self.faults, Some(transport))
+        self.run_in(crate::launcher::StudyRuntime {
+            transport: Some(transport),
+            ..Default::default()
+        })
     }
 
     /// Runs the study inside a caller-built
@@ -74,7 +77,7 @@ impl Study {
     /// cancellable — while the supervision machinery runs unchanged.
     /// With the default runtime this is exactly [`run`](Self::run).
     pub fn run_in(self, runtime: crate::launcher::StudyRuntime) -> Result<StudyOutput, String> {
-        crate::launcher::run_study_in(self.config, self.faults, runtime)
+        crate::launcher::run_study(self.config, self.faults, runtime)
     }
 }
 
@@ -236,6 +239,84 @@ impl StudyResults {
     pub fn workers(&self) -> &[WorkerState] {
         &self.workers
     }
+
+    /// Number of configured exceedance thresholds.
+    fn n_thresholds(&self) -> usize {
+        self.workers.first().map_or(0, |w| w.thresholds(0).len())
+    }
+
+    /// Compares two result sets bit for bit over *every* timestep and
+    /// every statistics family — integrated group counts, `S_k`, `ST_k`,
+    /// mean, variance, skewness, kurtosis, min, max, threshold
+    /// exceedance and quantiles.  `None` means identical; otherwise the
+    /// first difference, named by family, timestep and cell.
+    ///
+    /// This is the house invariant across transports, shard counts,
+    /// crash-restores and tenants: same seed, same bits.
+    pub fn first_bit_mismatch(&self, other: &StudyResults) -> Option<String> {
+        self.first_mismatch(other, false)
+    }
+
+    /// [`first_bit_mismatch`](Self::first_bit_mismatch) restricted to the
+    /// order-exact families (group counts, min, max, threshold
+    /// exceedance).  This is the contract across a migration fence, which
+    /// changes the order groups fold in: the pairwise-merged accumulators
+    /// then agree to merge rounding only, and the Robbins–Monro quantile
+    /// updates are order-dependent by construction.
+    pub fn first_order_exact_mismatch(&self, other: &StudyResults) -> Option<String> {
+        self.first_mismatch(other, true)
+    }
+
+    fn first_mismatch(&self, other: &StudyResults, order_exact_only: bool) -> Option<String> {
+        let shape = |r: &StudyResults| {
+            let probs: Vec<u64> = r.quantile_probs().iter().map(|p| p.to_bits()).collect();
+            (r.p, r.n_timesteps, r.n_cells, r.n_thresholds(), probs)
+        };
+        if shape(self) != shape(other) {
+            return Some(format!(
+                "shape (p, timesteps, cells, thresholds, quantile probabilities): {:?} vs {:?}",
+                shape(self),
+                shape(other)
+            ));
+        }
+        for ts in 0..self.n_timesteps {
+            let (a, b) = (self.groups_integrated(ts), other.groups_integrated(ts));
+            if a != b {
+                return Some(format!("groups integrated ts {ts}: {a} vs {b}"));
+            }
+            let pair = |name: String, field: &dyn Fn(&StudyResults) -> Vec<f64>| {
+                (name, field(self), field(other))
+            };
+            let mut fields = vec![
+                pair("min".into(), &|r| r.min_field(ts)),
+                pair("max".into(), &|r| r.max_field(ts)),
+            ];
+            for i in 0..self.n_thresholds() {
+                fields.push(pair(format!("threshold[{i}]"), &|r| {
+                    r.threshold_probability_field(ts, i)
+                }));
+            }
+            if !order_exact_only {
+                for k in 0..self.p {
+                    fields.push(pair(format!("S_{k}"), &|r| r.first_order_field(ts, k)));
+                    fields.push(pair(format!("ST_{k}"), &|r| r.total_order_field(ts, k)));
+                }
+                fields.push(pair("mean".into(), &|r| r.mean_field(ts)));
+                fields.push(pair("variance".into(), &|r| r.variance_field(ts)));
+                fields.push(pair("skewness".into(), &|r| r.skewness_field(ts)));
+                fields.push(pair("kurtosis".into(), &|r| r.kurtosis_field(ts)));
+                for q in 0..self.quantile_probs().len() {
+                    fields.push(pair(format!("quantile[{q}]"), &|r| r.quantile_field(ts, q)));
+                }
+            }
+            for (name, a, b) in fields {
+                if let Some(c) = (0..a.len()).find(|&c| a[c].to_bits() != b[c].to_bits()) {
+                    return Some(format!("{name} ts {ts} cell {c}: {} vs {}", a[c], b[c]));
+                }
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]
@@ -276,6 +357,55 @@ mod tests {
     fn gaps_in_coverage_panic() {
         let w0 = worker_with_data(0, CellRange { start: 0, len: 3 });
         StudyResults::from_worker_states(2, 1, 8, vec![w0]);
+    }
+
+    /// One ulp on one input value is a mismatch, named by family,
+    /// timestep and cell; the order-exact subset sees a change only where
+    /// it moves an extreme or an exceedance.
+    #[test]
+    fn first_bit_mismatch_sees_a_one_ulp_perturbation() {
+        let slab = CellRange { start: 0, len: 4 };
+        // Every value is one function of (group, role, cell), except that
+        // sample (`group`, Y^B, ts 1) has `bump` applied at cell 3.
+        let results = |group: u64, bump: fn(f64) -> f64| {
+            let mut st = WorkerState::with_stats(0, slab, 2, 2, &[6.0], &[0.5]);
+            for g in 0..5u64 {
+                for ts in 0..2u32 {
+                    for role in 0..4u16 {
+                        let mut vals: Vec<f64> = (0..slab.len)
+                            .map(|i| (g as f64 + 1.3) * (role as f64 + 1.0) + i as f64)
+                            .collect();
+                        if (g, ts, role) == (group, 1, 1) {
+                            vals[3] = bump(vals[3]);
+                        }
+                        st.on_data(g, role, ts, 0, &vals);
+                    }
+                }
+            }
+            StudyResults::from_worker_states(2, 2, 4, vec![st])
+        };
+        let reference = results(0, |v| v);
+        assert_eq!(reference.first_bit_mismatch(&results(0, |v| v)), None);
+
+        // Group 4's Y^B is the ensemble maximum of its cell: one ulp on it
+        // is one ulp on the max map.
+        let one_ulp = results(4, |v| f64::from_bits(v.to_bits() + 1));
+        for diff in [
+            reference.first_bit_mismatch(&one_ulp),
+            reference.first_order_exact_mismatch(&one_ulp),
+        ] {
+            let diff = diff.expect("a one-ulp change must show");
+            assert!(diff.starts_with("max ts 1 cell 3: "), "diff: {diff}");
+        }
+
+        // A mid-ensemble value moved without crossing the threshold
+        // changes the moments but no order-exact family.
+        let shifted = results(2, |v| v + 0.25);
+        let diff = reference
+            .first_bit_mismatch(&shifted)
+            .expect("moments moved");
+        assert!(diff.contains(" ts 1 cell 3: "), "diff: {diff}");
+        assert_eq!(reference.first_order_exact_mismatch(&shifted), None);
     }
 
     #[test]

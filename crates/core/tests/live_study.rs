@@ -5,11 +5,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use melissa::protocol::Message;
 use melissa::{FaultPlan, GroupFault, Study, StudyConfig};
 use melissa_sobol::design::PickFreeze;
 use melissa_sobol::UbiquitousSobol;
 use melissa_solver::injection::InjectionParams;
 use melissa_solver::simulation::{OutputMode, Simulation};
+use melissa_telemetry::EventKind;
+use melissa_transport::directory::names;
+use melissa_transport::{make_transport, Disconnected, TransportKind};
 
 /// Computes the expected Sobol' state by running the same design
 /// in-process, without the framework (the ground truth).
@@ -180,7 +184,11 @@ fn zombie_group_is_detected_and_restarted() {
     assert_eq!(output.report.groups_finished, 2);
     assert!(output.report.group_restarts >= 1);
     assert!(
-        output.report.events.iter().any(|e| e.contains("zombie")),
+        output
+            .report
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::GroupZombie { group: 0, .. })),
         "zombie event missing from log: {:?}",
         output.report.events
     );
@@ -255,4 +263,30 @@ fn server_crash_recovers_from_checkpoint_with_exact_statistics() {
         }
     }
     std::fs::remove_dir_all(&config.checkpoint_dir).ok();
+}
+
+/// Every error exit of the supervisor tears the study down: after a
+/// wall-limit failure nothing is left receiving on the caller's transport.
+#[test]
+fn wall_limit_failure_leaves_no_server_behind() {
+    let mut config = StudyConfig::tiny();
+    config.n_groups = 16;
+    config.wall_limit = Duration::from_millis(5);
+    config.checkpoint_dir = std::env::temp_dir().join("melissa-it-wall");
+
+    let transport = make_transport(TransportKind::InProcess);
+    let err = Study::new(config)
+        .run_on(Arc::clone(&transport))
+        .err()
+        .expect("16 groups cannot finish in 5 ms");
+    assert!(err.contains("exceeded wall limit"), "error: {err}");
+
+    let data_tx = transport
+        .connect(&names::server_worker(0))
+        .expect("endpoint names outlive their study");
+    assert_eq!(
+        data_tx.send(Message::Stop.encode()),
+        Err(Disconnected),
+        "the failed study's server is still receiving"
+    );
 }

@@ -16,6 +16,7 @@ use melissa::server::state::WorkerState;
 use melissa::shard::{reduce_worker_states, GroupRouter};
 use melissa::{FaultPlan, Study, StudyConfig, StudyOutput};
 use melissa_mesh::CellRange;
+use melissa_telemetry::EventKind;
 use proptest::prelude::*;
 
 fn shard_config(n_shards: usize, tag: &str) -> StudyConfig {
@@ -46,74 +47,12 @@ fn run(config: StudyConfig, faults: FaultPlan) -> StudyOutput {
     out
 }
 
-fn assert_bits_equal(what: &str, a: &[f64], b: &[f64]) {
-    assert_eq!(a.len(), b.len(), "{what}: length");
-    for (c, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what} cell {c}: {x} vs {y}");
-    }
-}
-
 fn assert_close(what: &str, a: &[f64], b: &[f64], tol: f64) {
     for (c, (x, y)) in a.iter().zip(b).enumerate() {
         assert!(
             (x - y).abs() <= tol * (1.0 + x.abs().max(y.abs())),
             "{what} cell {c}: {x} vs {y}"
         );
-    }
-}
-
-/// Every statistics family of two sharded outputs, compared bit for bit.
-fn assert_outputs_bit_identical(a: &StudyOutput, b: &StudyOutput) {
-    let n_ts = a.results.n_timesteps();
-    let n_probs = a.results.quantile_probs().len();
-    for ts in [0, n_ts / 2, n_ts - 1] {
-        assert_eq!(
-            a.results.groups_integrated(ts),
-            b.results.groups_integrated(ts)
-        );
-        for k in 0..a.results.dim() {
-            assert_bits_equal(
-                &format!("S_{k} ts {ts}"),
-                &a.results.first_order_field(ts, k),
-                &b.results.first_order_field(ts, k),
-            );
-            assert_bits_equal(
-                &format!("ST_{k} ts {ts}"),
-                &a.results.total_order_field(ts, k),
-                &b.results.total_order_field(ts, k),
-            );
-        }
-        for (what, fa, fb) in [
-            ("mean", a.results.mean_field(ts), b.results.mean_field(ts)),
-            (
-                "variance",
-                a.results.variance_field(ts),
-                b.results.variance_field(ts),
-            ),
-            (
-                "skewness",
-                a.results.skewness_field(ts),
-                b.results.skewness_field(ts),
-            ),
-            ("min", a.results.min_field(ts), b.results.min_field(ts)),
-            ("max", a.results.max_field(ts), b.results.max_field(ts)),
-        ] {
-            assert_bits_equal(&format!("{what} ts {ts}"), &fa, &fb);
-        }
-        for idx in 0..2 {
-            assert_bits_equal(
-                &format!("threshold[{idx}] ts {ts}"),
-                &a.results.threshold_probability_field(ts, idx),
-                &b.results.threshold_probability_field(ts, idx),
-            );
-        }
-        for q in 0..n_probs {
-            assert_bits_equal(
-                &format!("quantile[{q}] ts {ts}"),
-                &a.results.quantile_field(ts, q),
-                &b.results.quantile_field(ts, q),
-            );
-        }
     }
 }
 
@@ -137,30 +76,13 @@ fn sharded_study_reduces_to_single_server_statistics() {
     assert!(sharded.report.reduce_time <= sharded.report.wall_time);
     assert_eq!(single.report.reduce_time, std::time::Duration::ZERO);
 
+    // Order-exact families: bit-identical to the single server.
+    assert_eq!(
+        single.results.first_order_exact_mismatch(&sharded.results),
+        None
+    );
     let n_ts = single.results.n_timesteps();
     for ts in [0, n_ts / 2, n_ts - 1] {
-        assert_eq!(
-            single.results.groups_integrated(ts),
-            sharded.results.groups_integrated(ts)
-        );
-        // Order-exact families: bit-identical to the single server.
-        assert_bits_equal(
-            "min",
-            &single.results.min_field(ts),
-            &sharded.results.min_field(ts),
-        );
-        assert_bits_equal(
-            "max",
-            &single.results.max_field(ts),
-            &sharded.results.max_field(ts),
-        );
-        for idx in 0..2 {
-            assert_bits_equal(
-                "threshold",
-                &single.results.threshold_probability_field(ts, idx),
-                &sharded.results.threshold_probability_field(ts, idx),
-            );
-        }
         // Pairwise-merged families: exact up to Pébay-merge rounding.
         for k in 0..single.results.dim() {
             assert_close(
@@ -245,7 +167,8 @@ fn killed_shard_restores_from_checkpoint_bit_identically() {
             .report
             .events
             .iter()
-            .any(|e| e.contains(&format!("[shard {victim}]")) && e.contains("FAULT INJECTION")),
+            .any(|e| e.shard as usize == victim
+                && matches!(e.kind, EventKind::ServerKillInjected { .. })),
         "kill must be logged against the victim shard: {:?}",
         killed.report.events
     );
@@ -254,7 +177,7 @@ fn killed_shard_restores_from_checkpoint_bit_identically() {
     // discard-on-replay drops what the checkpoint already integrated.
     // Every statistics family of every shard is bit-identical to the
     // fault-free run.
-    assert_outputs_bit_identical(&reference, &killed);
+    assert_eq!(reference.results.first_bit_mismatch(&killed.results), None);
 }
 
 // ---------------------------------------------------------------------

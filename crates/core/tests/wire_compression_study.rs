@@ -32,65 +32,10 @@ fn run(kind: TransportKind, compression: WireCompression, tag: &str) -> StudyOut
         .unwrap_or_else(|e| panic!("{kind}/{compression} study failed: {e}"))
 }
 
-fn assert_bits_equal(what: &str, ts: usize, a: &[f64], b: &[f64]) {
-    assert_eq!(a.len(), b.len(), "{what} ts {ts}: length");
-    for (c, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what} ts {ts} cell {c}: {x} vs {y}"
-        );
-    }
-}
-
 fn assert_statistics_match(reference: &StudyOutput, other: &StudyOutput) {
     assert_eq!(reference.report.data_messages, other.report.data_messages);
     assert_eq!(reference.report.data_bytes, other.report.data_bytes);
-    let n_ts = reference.results.n_timesteps();
-    let p = reference.results.dim();
-    let n_probs = reference.results.quantile_probs().len();
-    for ts in [0, n_ts / 2, n_ts - 1] {
-        for k in 0..p {
-            assert_bits_equal(
-                &format!("S_{k}"),
-                ts,
-                &reference.results.first_order_field(ts, k),
-                &other.results.first_order_field(ts, k),
-            );
-        }
-        assert_bits_equal(
-            "mean",
-            ts,
-            &reference.results.mean_field(ts),
-            &other.results.mean_field(ts),
-        );
-        assert_bits_equal(
-            "variance",
-            ts,
-            &reference.results.variance_field(ts),
-            &other.results.variance_field(ts),
-        );
-        assert_bits_equal(
-            "min",
-            ts,
-            &reference.results.min_field(ts),
-            &other.results.min_field(ts),
-        );
-        assert_bits_equal(
-            "max",
-            ts,
-            &reference.results.max_field(ts),
-            &other.results.max_field(ts),
-        );
-        for q in 0..n_probs {
-            assert_bits_equal(
-                &format!("quantile[{q}]"),
-                ts,
-                &reference.results.quantile_field(ts, q),
-                &other.results.quantile_field(ts, q),
-            );
-        }
-    }
+    assert_eq!(reference.results.first_bit_mismatch(&other.results), None);
 }
 
 #[test]

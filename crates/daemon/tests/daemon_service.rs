@@ -7,10 +7,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use melissa::client::ClientError;
+use melissa::protocol::Message;
 use melissa::{Study, StudyConfig, StudyResults};
 use melissa_daemon::{Daemon, DaemonClient, DaemonConfig, StudyState, TenantQuota};
 use melissa_telemetry::ScrapeFormat;
-use melissa_transport::{make_transport, TransportKind};
+use melissa_transport::directory::names;
+use melissa_transport::{make_transport, Disconnected, TransportKind};
 
 fn seeded_config(seed: u64, tag: &str) -> StudyConfig {
     let mut config = StudyConfig::tiny();
@@ -24,65 +26,12 @@ fn seeded_config(seed: u64, tag: &str) -> StudyConfig {
     config
 }
 
-fn assert_bits_equal(what: &str, ts: usize, a: &[f64], b: &[f64]) {
-    assert_eq!(a.len(), b.len(), "{what} ts {ts}: length");
-    for (c, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what} ts {ts} cell {c}: {x} (daemon) vs {y} (standalone)"
-        );
-    }
-}
-
 fn assert_results_bit_identical(daemon: &StudyResults, standalone: &StudyResults) {
-    assert_eq!(daemon.dim(), standalone.dim());
-    assert_eq!(daemon.n_timesteps(), standalone.n_timesteps());
-    assert_eq!(daemon.n_cells(), standalone.n_cells());
-    let n_ts = standalone.n_timesteps();
-    let n_probs = standalone.quantile_probs().len();
-    for ts in [0, n_ts / 2, n_ts - 1] {
-        assert_eq!(
-            daemon.groups_integrated(ts),
-            standalone.groups_integrated(ts)
-        );
-        for k in 0..standalone.dim() {
-            assert_bits_equal(
-                &format!("S_{k}"),
-                ts,
-                &daemon.first_order_field(ts, k),
-                &standalone.first_order_field(ts, k),
-            );
-            assert_bits_equal(
-                &format!("ST_{k}"),
-                ts,
-                &daemon.total_order_field(ts, k),
-                &standalone.total_order_field(ts, k),
-            );
-        }
-        assert_bits_equal(
-            "mean",
-            ts,
-            &daemon.mean_field(ts),
-            &standalone.mean_field(ts),
-        );
-        assert_bits_equal(
-            "variance",
-            ts,
-            &daemon.variance_field(ts),
-            &standalone.variance_field(ts),
-        );
-        assert_bits_equal("min", ts, &daemon.min_field(ts), &standalone.min_field(ts));
-        assert_bits_equal("max", ts, &daemon.max_field(ts), &standalone.max_field(ts));
-        for q in 0..n_probs {
-            assert_bits_equal(
-                &format!("quantile[{q}]"),
-                ts,
-                &daemon.quantile_field(ts, q),
-                &standalone.quantile_field(ts, q),
-            );
-        }
-    }
+    assert_eq!(
+        daemon.first_bit_mismatch(standalone),
+        None,
+        "daemon vs standalone"
+    );
 }
 
 /// The tentpole acceptance test: two tenants, two concurrent studies on
@@ -260,6 +209,74 @@ fn cancel_stops_a_running_study() {
     // Cancel is idempotent; unknown studies fail loud.
     client.cancel(id).expect("idempotent cancel");
     assert!(client.status(9999).is_err());
+
+    daemon.stop();
+}
+
+/// A tenant's study that fails mid-run (here: its wall limit) fails
+/// *cleanly*: it reaches `Failed` with the supervisor's error, its jobs
+/// and server threads are gone, the pool is whole again — and the other
+/// tenant's concurrent study never notices.
+#[test]
+fn failed_study_frees_its_resources_and_spares_its_neighbour() {
+    let transport = make_transport(TransportKind::InProcess);
+    let daemon = Daemon::start(
+        Arc::clone(&transport),
+        DaemonConfig {
+            pool_units: 4,
+            max_active_studies: 4,
+            ..DaemonConfig::default()
+        },
+    );
+    let client = DaemonClient::new(Arc::clone(&transport), Duration::from_secs(10));
+
+    let mut doomed_cfg = seeded_config(31, "doomed");
+    doomed_cfg.n_groups = 16;
+    doomed_cfg.wall_limit = Duration::from_millis(5);
+    let healthy_cfg = seeded_config(32, "healthy");
+    let doomed = client.submit("acme", 0, doomed_cfg).expect("admitted");
+    let healthy = client
+        .submit("globex", 0, healthy_cfg.clone())
+        .expect("admitted");
+
+    let status = client
+        .wait(doomed, Duration::from_secs(60))
+        .expect("doomed");
+    assert_eq!(status.state, StudyState::Failed);
+    match client.results(doomed) {
+        Err(ClientError::BadHandshake { detail }) => {
+            assert!(detail.contains("exceeded wall limit"), "detail: {detail}")
+        }
+        Err(other) => panic!("expected the wall-limit failure, got {other:?}"),
+        Ok(_) => panic!("a failed study must not return results"),
+    }
+
+    let status = client
+        .wait(healthy, Duration::from_secs(240))
+        .expect("healthy");
+    assert_eq!(status.state, StudyState::Done);
+    let results = client.results(healthy).expect("healthy results");
+    let mut reference_cfg = healthy_cfg;
+    reference_cfg.checkpoint_dir = reference_cfg.checkpoint_dir.join("standalone");
+    let reference = Study::new(reference_cfg).run().expect("standalone");
+    assert_results_bit_identical(&results, &reference.results);
+
+    // Nothing of the failed study is left running: the pool is whole, and
+    // its server threads took their receivers with them.
+    let json = client.scrape_daemon(ScrapeFormat::Json).expect("json");
+    assert!(
+        json.contains("\"pool_units\":4,\"free_units\":4"),
+        "json: {json}"
+    );
+    let scope = names::study_scope(doomed);
+    let data_tx = transport
+        .connect(&names::server_worker_in(&scope, 0))
+        .expect("endpoint names outlive their study");
+    assert_eq!(
+        data_tx.send(Message::Stop.encode()),
+        Err(Disconnected),
+        "the failed study's server is still receiving"
+    );
 
     daemon.stop();
 }

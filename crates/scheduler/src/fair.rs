@@ -1,9 +1,13 @@
-//! Weighted fair job scheduling across tenants sharing one node pool.
+//! The job runner: weighted fair scheduling of capacity-limited thread
+//! jobs across tenants sharing one node pool.
 //!
-//! [`JobRunner`](crate::runtime::JobRunner) is a single-queue ticket-FIFO
-//! pool: perfect when one study owns the nodes, unusable when many
-//! tenants share them (one tenant's burst heads-of-line-blocks everyone
-//! else).  [`FairRunner`] generalizes it into a **weighted multi-queue**:
+//! This is the workspace's one grant protocol.  Every job is enqueued on
+//! the submitting thread, parks on its own thread until the scheduler
+//! grants it capacity, runs, and releases its units.  A pool one study
+//! owns ([`JobRunner`](crate::runtime::JobRunner)) is the one-tenant,
+//! one-stream case, where everything below reduces to FIFO; with many
+//! tenants a single queue would let one tenant's burst head-of-line-block
+//! everyone else, so [`FairRunner`] is a **weighted multi-queue**:
 //!
 //! * one queue per tenant, served by **deficit round robin** — each visit
 //!   credits the tenant `quantum × weight` cost units and dispatches
@@ -22,8 +26,8 @@
 //!
 //! All scheduling decisions are taken under one lock in a deterministic
 //! ring order; dispatch order is a pure function of the submission and
-//! completion sequence, never of thread wake-up races — the same property
-//! that makes the ticket-FIFO runner reproducible.
+//! completion sequence, never of thread wake-up races — which is what
+//! lets a sequential study reproduce bit-identical statistics.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -129,35 +133,26 @@ impl FairState {
         self.tenants.len() - 1
     }
 
+    /// Whether the job's stream (if any) is below its concurrency cap.
+    fn stream_has_room(&self, job: &Pending) -> bool {
+        job.stream.is_none_or(|sid| {
+            let s = &self.streams[&sid];
+            s.running < s.cap
+        })
+    }
+
     /// Index into `tenants[ti].queue` of the next dispatchable job:
     /// highest priority first, submission order within a priority class,
     /// skipping jobs whose stream is at its concurrency cap or that need
     /// more units than are free.
     fn eligible(&self, ti: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (qi, job) in self.tenants[ti].queue.iter().enumerate() {
-            if job.units > self.free {
-                continue;
-            }
-            if let Some(sid) = job.stream {
-                let s = &self.streams[&sid];
-                if s.running >= s.cap {
-                    continue;
-                }
-            }
-            match best {
-                None => best = Some(qi),
-                Some(bi) => {
-                    let b = &self.tenants[ti].queue[bi];
-                    if (std::cmp::Reverse(job.priority), job.seq)
-                        < (std::cmp::Reverse(b.priority), b.seq)
-                    {
-                        best = Some(qi);
-                    }
-                }
-            }
-        }
-        best
+        self.tenants[ti]
+            .queue
+            .iter()
+            .enumerate()
+            .filter(|(_, job)| job.units <= self.free && self.stream_has_room(job))
+            .min_by_key(|(_, job)| (std::cmp::Reverse(job.priority), job.seq))
+            .map(|(qi, _)| qi)
     }
 
     /// Whether tenant `ti` has a queued job it could pay for out of its
@@ -165,12 +160,9 @@ impl FairState {
     /// free units ignored).
     fn has_affordable(&self, ti: usize) -> bool {
         let t = &self.tenants[ti];
-        t.queue.iter().any(|job| {
-            job.units as u64 <= t.deficit
-                && job
-                    .stream
-                    .is_none_or(|sid| self.streams[&sid].running < self.streams[&sid].cap)
-        })
+        t.queue
+            .iter()
+            .any(|job| job.units as u64 <= t.deficit && self.stream_has_room(job))
     }
 
     /// Runs the DRR ring until no further job can be dispatched.  Called
@@ -424,7 +416,7 @@ impl FairRunner {
         let kill = KillSwitch::new();
         // Enqueue on the submitting thread: submission order is queue
         // order, regardless of how job threads get scheduled.
-        let seq = {
+        let (seq, ti) = {
             let mut s = self.shared.state.lock();
             let seq = s.next_seq;
             s.next_seq += 1;
@@ -443,11 +435,10 @@ impl FairRunner {
             });
             s.schedule();
             self.shared.cv.notify_all();
-            seq
+            (seq, ti)
         };
         let shared = Arc::clone(&self.shared);
         let kill_in_job = kill.clone();
-        let tenant_name = tenant.to_string();
         let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let started_in_job = Arc::clone(&started);
         let handle = std::thread::spawn(move || {
@@ -477,14 +468,18 @@ impl FairRunner {
                     st.running -= 1;
                 }
             }
-            if let Some(t) = s.tenants.iter_mut().find(|t| t.name == tenant_name) {
-                t.running_jobs -= 1;
-                t.running_units -= units;
-            }
+            // Tenants are never removed, so the index taken at submission
+            // still names this job's tenant.
+            s.tenants[ti].running_jobs -= 1;
+            s.tenants[ti].running_units -= units;
             s.schedule();
             shared.cv.notify_all();
         });
-        JobHandle::from_parts(kill, started, handle)
+        JobHandle {
+            kill,
+            started,
+            handle,
+        }
     }
 }
 
@@ -505,11 +500,6 @@ impl StreamHandle {
     /// The stream id (pass to [`FairRunner::close_stream`] when done).
     pub fn id(&self) -> u64 {
         self.stream
-    }
-
-    /// The tenant this stream submits as.
-    pub fn tenant(&self) -> &str {
-        &self.tenant
     }
 }
 

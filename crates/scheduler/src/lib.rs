@@ -11,13 +11,15 @@
 //!   simulator** (FIFO queue, submission throttle, node-level allocation,
 //!   machine-availability ramp, job traces) that drives the full-scale
 //!   performance model behind Figures 6a–6d;
-//! * [`runtime`] — a **real concurrent job runner** (capacity-limited
-//!   thread jobs with cooperative kill switches and walltime watchdogs)
-//!   that executes live small-scale studies end to end;
-//! * [`fair`] — a **weighted multi-queue fair scheduler** over the same
-//!   capacity model (deficit round robin across tenants, priority within
-//!   a tenant, per-stream concurrency caps) that lets many studies share
-//!   one node pool under the multi-tenant daemon.
+//! * [`fair`] — the **real concurrent job runner**: capacity-limited
+//!   thread jobs with cooperative kill switches, granted under one lock by
+//!   deficit round robin across tenants, priority within a tenant and
+//!   per-stream concurrency caps.  It lets many studies share one node
+//!   pool under the multi-tenant daemon;
+//! * [`runtime`] — what every submission shares (the [`JobHandle`], the
+//!   [`Dispatcher`] surface supervisors submit through) and
+//!   [`JobRunner`], the pool a standalone study owns: the one-tenant case
+//!   of the fair runner, where round robin is FIFO.
 //!
 //! [`trace`] provides the time-series recorder used by both.
 
@@ -32,5 +34,5 @@ pub use batch::{Availability, BatchSim, JobRecord, JobRequest, JobState};
 pub use cluster::Cluster;
 pub use des::EventQueue;
 pub use fair::{FairRunner, StreamHandle, TenantUsage};
-pub use runtime::{Dispatcher, JobHandle, JobRunner, Watchdog};
+pub use runtime::{Dispatcher, JobHandle, JobRunner};
 pub use trace::TimeSeries;

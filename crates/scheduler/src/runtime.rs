@@ -4,56 +4,28 @@
 //! for free resource units (the stand-in for cluster nodes), runs, and
 //! releases them — exactly the lifecycle the batch simulator models, but on
 //! real work.  Every job receives a [`KillSwitch`] so the launcher can kill
-//! and resubmit it (paper Section 4.2.2), and [`Watchdog`] flips switches
-//! at deadlines (walltime enforcement).
+//! and resubmit it (paper Section 4.2.2).
+//!
+//! This module holds what every runner shares — the [`JobHandle`] a
+//! submission returns and the [`Dispatcher`] surface supervisors submit
+//! through — and [`JobRunner`], the pool a standalone study owns.  The
+//! grant protocol itself lives in [`crate::fair`]: a `JobRunner` is the
+//! one-tenant, one-stream case of the [`FairRunner`], so a standalone
+//! study and a daemon-hosted one dispatch through the same code.
 //!
 //! Queued jobs start in **submission order** (FCFS, the batch-scheduler
-//! default): each submission takes a ticket and the capacity is granted in
-//! ticket order, never by condvar wake-up races.  Deterministic start
-//! order is what lets a sequential study reproduce bit-identical
+//! default): a job is enqueued on the submitting thread and granted
+//! capacity under one lock, never by condvar wake-up races.  Deterministic
+//! start order is what lets a sequential study reproduce bit-identical
 //! statistics across transport backends.
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use melissa_transport::KillSwitch;
-use parking_lot::{Condvar, Mutex};
 
-/// Shared FCFS capacity semaphore.
-#[derive(Debug)]
-struct Capacity {
-    state: Mutex<CapState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct CapState {
-    free: usize,
-    /// The ticket currently allowed to acquire (FCFS head of queue).
-    next_serving: u64,
-    /// Tickets whose jobs were killed while queued; skipped at the head.
-    abandoned: HashSet<u64>,
-}
-
-impl CapState {
-    /// Skips over abandoned tickets at the head of the queue.
-    fn advance_past_abandoned(&mut self) {
-        while self.abandoned.remove(&self.next_serving) {
-            self.next_serving += 1;
-        }
-    }
-}
-
-/// A capacity-limited thread-job runner with FCFS start order.
-#[derive(Clone)]
-pub struct JobRunner {
-    capacity: Arc<Capacity>,
-    next_ticket: Arc<AtomicU64>,
-    total_units: usize,
-}
+use crate::fair::{FairRunner, StreamHandle};
 
 /// Handle to a submitted job.
 pub struct JobHandle {
@@ -61,26 +33,11 @@ pub struct JobHandle {
     pub kill: KillSwitch,
     /// Set the moment the job is granted capacity and begins running
     /// (stays `false` for the whole queued wait).
-    started: Arc<AtomicBool>,
-    handle: JoinHandle<()>,
+    pub(crate) started: Arc<AtomicBool>,
+    pub(crate) handle: JoinHandle<()>,
 }
 
 impl JobHandle {
-    /// Assembles a handle from a kill switch, the started flag and the
-    /// job thread (used by the fair runner, which manages its own grant
-    /// protocol).
-    pub(crate) fn from_parts(
-        kill: KillSwitch,
-        started: Arc<AtomicBool>,
-        handle: JoinHandle<()>,
-    ) -> Self {
-        Self {
-            kill,
-            started,
-            handle,
-        }
-    }
-
     /// Waits for the job thread to end.
     pub fn join(self) {
         let _ = self.handle.join();
@@ -102,12 +59,11 @@ impl JobHandle {
 
 /// A capacity pool that group supervisors can submit jobs into.
 ///
-/// Two implementations exist: [`JobRunner`] (one study owns the whole
-/// pool, ticket-FIFO start order) and the fair runner's
-/// [`StreamHandle`](crate::fair::StreamHandle) (many studies share one
-/// pool under deficit-round-robin arbitration).  The launcher only needs
-/// this surface, which is what lets a study run unchanged inside the
-/// multi-tenant daemon.
+/// Implemented by the fair runner's [`StreamHandle`] (one study's slice
+/// of a pool many studies share under deficit-round-robin arbitration)
+/// and by [`JobRunner`] (a pool one study owns, which is a `StreamHandle`
+/// on a private pool).  The launcher only needs this surface, which is what
+/// lets a study run unchanged inside the multi-tenant daemon.
 pub trait Dispatcher: Send + Sync {
     /// Submits a job needing `units` units; the work closure must poll
     /// its [`KillSwitch`].
@@ -123,21 +79,31 @@ pub trait Dispatcher: Send + Sync {
     fn total_units(&self) -> usize;
 }
 
+/// A capacity-limited thread-job runner with FCFS start order: the pool
+/// a standalone study owns.
+///
+/// It is a [`FairRunner`] with one tenant and one stream as wide as the
+/// pool, where deficit round robin reduces to FIFO.
+#[derive(Clone)]
+pub struct JobRunner {
+    stream: StreamHandle,
+}
+
 impl Dispatcher for JobRunner {
     fn submit_boxed(&self, units: usize, work: Box<dyn FnOnce(&KillSwitch) + Send>) -> JobHandle {
-        self.submit(units, work)
+        self.stream.submit_boxed(units, work)
     }
 
     fn queued_jobs(&self) -> u64 {
-        JobRunner::queued_jobs(self)
+        self.stream.queued_jobs()
     }
 
     fn free_units(&self) -> usize {
-        JobRunner::free_units(self)
+        self.stream.free_units()
     }
 
     fn total_units(&self) -> usize {
-        JobRunner::total_units(self)
+        self.stream.total_units()
     }
 }
 
@@ -147,180 +113,34 @@ impl JobRunner {
     /// # Panics
     /// Panics if `units == 0`.
     pub fn new(units: usize) -> Self {
-        assert!(units > 0, "need at least one resource unit");
         Self {
-            capacity: Arc::new(Capacity {
-                state: Mutex::new(CapState {
-                    free: units,
-                    next_serving: 0,
-                    abandoned: HashSet::new(),
-                }),
-                cv: Condvar::new(),
-            }),
-            next_ticket: Arc::new(AtomicU64::new(0)),
-            total_units: units,
+            stream: FairRunner::new(units).open_stream("", 0, units),
         }
     }
 
-    /// Total resource units.
-    pub fn total_units(&self) -> usize {
-        self.total_units
-    }
-
-    /// Units currently free.
-    pub fn free_units(&self) -> usize {
-        self.capacity.state.lock().free
-    }
-
-    /// Jobs submitted but not yet granted capacity (the FCFS queue depth),
-    /// net of queued jobs that were killed while waiting.  An
-    /// observability signal — momentarily stale by design, never used for
-    /// scheduling decisions.
-    pub fn queued_jobs(&self) -> u64 {
-        let issued = self.next_ticket.load(Ordering::Relaxed);
-        let s = self.capacity.state.lock();
-        issued
-            .saturating_sub(s.next_serving)
-            .saturating_sub(s.abandoned.len() as u64)
-    }
-
-    /// Submits a job needing `units` units.  The job takes a ticket at
-    /// submission; its thread blocks until the ticket reaches the head of
-    /// the queue *and* capacity is available (FCFS batch-queue
-    /// semantics), runs `work`, then releases its units.  `work` must
-    /// poll the passed [`KillSwitch`] to honour kills.
+    /// Submits a job needing `units` units.  The job is enqueued at
+    /// submission; its thread blocks until it reaches the head of the
+    /// queue *and* capacity is available (FCFS batch-queue semantics),
+    /// runs `work`, then releases its units.  `work` must poll the passed
+    /// [`KillSwitch`] to honour kills.
     ///
     /// # Panics
-    /// Panics if `units` exceeds the runner's total capacity (the job
-    /// could never start).
+    /// Panics if `units` is zero or exceeds the runner's total capacity
+    /// (the job could never start).
     pub fn submit<F>(&self, units: usize, work: F) -> JobHandle
     where
         F: FnOnce(&KillSwitch) + Send + 'static,
     {
-        assert!(
-            units <= self.total_units,
-            "job needs {units} units > capacity {}",
-            self.total_units
-        );
-        // The ticket is drawn on the submitting thread: submission order
-        // *is* start order, regardless of how job threads get scheduled.
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        let kill = KillSwitch::new();
-        let kill_in_job = kill.clone();
-        let started = Arc::new(AtomicBool::new(false));
-        let started_in_job = Arc::clone(&started);
-        let cap = Arc::clone(&self.capacity);
-        let handle = std::thread::spawn(move || {
-            // Acquire in ticket order (or bow out if killed while queued,
-            // passing the turn on).
-            {
-                let mut s = cap.state.lock();
-                loop {
-                    s.advance_past_abandoned();
-                    if kill_in_job.is_killed() {
-                        if s.next_serving == ticket {
-                            s.next_serving += 1;
-                            s.advance_past_abandoned();
-                        } else {
-                            s.abandoned.insert(ticket);
-                        }
-                        cap.cv.notify_all();
-                        return;
-                    }
-                    if s.next_serving == ticket && s.free >= units {
-                        s.free -= units;
-                        s.next_serving += 1;
-                        s.advance_past_abandoned();
-                        cap.cv.notify_all();
-                        break;
-                    }
-                    cap.cv.wait_for(&mut s, Duration::from_millis(10));
-                }
-            }
-            started_in_job.store(true, Ordering::Relaxed);
-            work(&kill_in_job);
-            let mut s = cap.state.lock();
-            s.free += units;
-            cap.cv.notify_all();
-        });
-        JobHandle {
-            kill,
-            started,
-            handle,
-        }
-    }
-}
-
-/// Deadline watchdog: flips kill switches when their deadline passes.
-///
-/// One background thread serves any number of armed deadlines; used for
-/// walltime enforcement and fault-injection schedules.
-pub struct Watchdog {
-    deadlines: Arc<Mutex<Vec<(Instant, KillSwitch)>>>,
-    stop: KillSwitch,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Watchdog {
-    /// Starts the watchdog thread with the given polling period.
-    pub fn start(poll: Duration) -> Self {
-        let deadlines: Arc<Mutex<Vec<(Instant, KillSwitch)>>> = Arc::new(Mutex::new(Vec::new()));
-        let stop = KillSwitch::new();
-        let d = Arc::clone(&deadlines);
-        let s = stop.clone();
-        let handle = std::thread::spawn(move || {
-            while !s.is_killed() {
-                {
-                    let mut list = d.lock();
-                    let now = Instant::now();
-                    list.retain(|(deadline, kill)| {
-                        if *deadline <= now {
-                            kill.kill();
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
-                std::thread::sleep(poll);
-            }
-        });
-        Self {
-            deadlines,
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Arms a kill at `deadline` for `kill`.
-    pub fn arm(&self, deadline: Instant, kill: KillSwitch) {
-        self.deadlines.lock().push((deadline, kill));
-    }
-
-    /// Arms a kill after a delay from now.
-    pub fn arm_in(&self, delay: Duration, kill: KillSwitch) {
-        self.arm(Instant::now() + delay, kill);
-    }
-
-    /// Number of armed deadlines still pending.
-    pub fn pending(&self) -> usize {
-        self.deadlines.lock().len()
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.stop.kill();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.submit_boxed(units, Box::new(work))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn capacity_limits_concurrency() {
@@ -391,23 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn killed_queued_job_never_runs() {
-        let runner = JobRunner::new(1);
-        let ran = Arc::new(AtomicUsize::new(0));
-        // Occupy the only unit.
-        let blocker = runner.submit(1, |_| std::thread::sleep(Duration::from_millis(100)));
-        let ran2 = Arc::clone(&ran);
-        let queued = runner.submit(1, move |_| {
-            ran2.fetch_add(1, Ordering::SeqCst);
-        });
-        queued.kill.kill();
-        queued.join();
-        blocker.join();
-        assert_eq!(ran.load(Ordering::SeqCst), 0);
-        assert_eq!(runner.free_units(), 1);
-    }
-
-    #[test]
     fn running_job_observes_kill() {
         let runner = JobRunner::new(1);
         let iterations = Arc::new(AtomicUsize::new(0));
@@ -422,17 +225,6 @@ mod tests {
         job.kill.kill();
         job.join();
         assert!(iterations.load(Ordering::SeqCst) > 0);
-    }
-
-    #[test]
-    fn watchdog_kills_at_deadline() {
-        let dog = Watchdog::start(Duration::from_millis(2));
-        let kill = KillSwitch::new();
-        dog.arm_in(Duration::from_millis(15), kill.clone());
-        assert!(!kill.is_killed());
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(kill.is_killed());
-        assert_eq!(dog.pending(), 0);
     }
 
     #[test]

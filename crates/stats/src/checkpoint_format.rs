@@ -1,4 +1,4 @@
-//! The checkpoint wire format (v2/v3): field tables for the byte layout
+//! The checkpoint wire format (v4): field tables for the byte layout
 //! every statistics family round-trips through.
 //!
 //! This is a **documentation-only** module.  The codec itself lives in
@@ -93,13 +93,10 @@
 //! | len | `u64` | must equal `slab.len` |
 //! | exceeded | `u64 × len` | per-cell exceedance counters (exact integers) |
 //!
-//! ## Section 5 — Robbins–Monro quantiles (v3+ only)
+//! ## Section 5 — Robbins–Monro quantiles
 //!
-//! Absent in v2 files: a v2 checkpoint restores with quantiles **cold**
-//! (Robbins–Monro iterates carry no sufficient statistic that could be
-//! rebuilt from the other accumulators).  In v3 the section starts with
-//! the probability count `m` as a `u64`; when `m = 0` (order statistics
-//! disabled) nothing else follows.  Otherwise:
+//! The section starts with the probability count `m` as a `u64`; when
+//! `m = 0` (order statistics disabled) nothing else follows.  Otherwise:
 //!
 //! | field | type | meaning |
 //! |---|---|---|
@@ -126,10 +123,20 @@
 //! assemblies belong only to abandoned groups whose partial data was
 //! never integrated anywhere.
 //!
-//! ## Version history
+//! ## Section 7 — integrated intervals
 //!
-//! * **v3** (current) — adds Section 5.  Re-writing a restored v3 state
-//!   reproduces the file bit for bit.
-//! * **v2** (read-only) — Sections 1–4 and 6 exactly as above.  The core
-//!   crate keeps a pinned legacy v2 writer in its tests so a format
-//!   regression cannot silently rewrite history.
+//! | field | type | meaning |
+//! |---|---|---|
+//! | n_groups | `u64` | groups with an interval ledger, **sorted by group id** |
+//! | per group: group, n_segs | `u64, u64` | the group and its segment count |
+//! | per group: (lo, hi) | `(i64, i64) × n_segs` | timestep segments `(lo, hi]` this worker integrated, `lo < hi` |
+//!
+//! The study-end reduction uses the ledger to prove every
+//! `(group, timestep)` was integrated exactly once across the state
+//! lineages a migration or re-homing creates.
+//!
+//! ## Version
+//!
+//! The format is **v4** (Sections 1–7).  Re-writing a restored state
+//! reproduces the file bit for bit.  A file of any other version is
+//! rejected with a typed error carrying the version found.

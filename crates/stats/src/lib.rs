@@ -32,7 +32,7 @@
 //! | [`field`] | vectorised per-cell statistics over mesh-sized fields |
 //! | [`tile`] | cache-blocked tile storage and disjoint parallel sweeps |
 //! | [`batch`] | two-pass reference implementations used for validation |
-//! | [`checkpoint_format`] | field tables of the v2/v3 checkpoint wire format every accumulator's `raw_state` round-trips through (documentation only) |
+//! | [`checkpoint_format`] | field tables of the v4 checkpoint wire format every accumulator's `raw_state` round-trips through (documentation only) |
 //!
 //! ## Quick example
 //!

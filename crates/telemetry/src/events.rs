@@ -5,9 +5,8 @@
 //! Events are stamped against the *study clock* (a shared origin
 //! `Instant`), so per-shard journals merge into one chronologically
 //! ordered study log with a stable total order: sort by
-//! `(at_nanos, shard, seq)`.  The legacy free-text form is kept as a view
-//! ([`EventKind::render`] / [`StudyEvent::contains`]), so reports read
-//! exactly as before.
+//! `(at_nanos, shard, seq)`.  [`EventKind::render`] is the human-readable
+//! form, used by the study report and the scrape JSON.
 
 use bytes::{BufMut, BytesMut};
 use melissa_transport::codec::{
@@ -151,8 +150,8 @@ impl From<&str> for EventKind {
 }
 
 impl EventKind {
-    /// The legacy free-text form of the event — character-compatible with
-    /// the strings the supervisors logged before the journal was typed.
+    /// The human-readable form of the event, as the study report and the
+    /// scrape JSON print it.
     pub fn render(&self) -> String {
         match self {
             EventKind::GroupTimeout { group } => {
@@ -265,18 +264,6 @@ pub struct StudyEvent {
 }
 
 impl StudyEvent {
-    /// The legacy rendered line, shard-prefixed:
-    /// `"[shard <k>] <text>"`.
-    pub fn render(&self) -> String {
-        format!("[shard {}] {}", self.shard, self.kind.render())
-    }
-
-    /// Whether the rendered line contains `pat` — the drop-in view that
-    /// keeps string-matching assertions over the journal working.
-    pub fn contains(&self, pat: &str) -> bool {
-        self.render().contains(pat)
-    }
-
     /// The stable total-order key for cross-shard merges.
     pub fn order_key(&self) -> (u64, u32, u64) {
         (self.at_nanos, self.shard, self.seq)
@@ -558,7 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn renders_preserve_legacy_substrings() {
+    fn renders_name_what_happened() {
         let kill = EventKind::ServerKillInjected { finished: 4 };
         assert!(kill.render().contains("FAULT INJECTION"));
         let death = EventKind::ShardDeathInjected {
@@ -578,14 +565,6 @@ mod tests {
             instance: 0,
         };
         assert!(zombie.render().contains("zombie"));
-        let ev = StudyEvent {
-            seq: 0,
-            at_nanos: 0,
-            shard: 2,
-            kind: kill,
-        };
-        assert!(ev.contains("[shard 2]"));
-        assert!(ev.contains("FAULT INJECTION"));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! * [`metrics`] — a lock-free registry of atomic counters, gauges and
 //!   fixed log2-bucket histograms.  Recording is relaxed atomics only;
 //!   snapshots merge associatively and bit-exactly across shards.
-//! * [`events`] — the typed, timestamped [`StudyEvent`] journal that
-//!   replaces the free-text failure/restart log, with the legacy string
-//!   render kept as a view.
+//! * [`events`] — the typed, timestamped [`StudyEvent`] journal of
+//!   failures, restarts and fences, with one human-readable render.
 //! * [`mod@scrape`] — a live snapshot protocol served on each shard's
 //!   `telemetry/shard<k>` endpoint over the study's own transport, in
 //!   binary, JSON, or Prometheus-style text (see `examples/melissa_top.rs`

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use melissa_repro::daemon::{Daemon, DaemonClient, DaemonConfig, StudyState, TenantQuota};
 use melissa_repro::melissa::client::ClientError;
-use melissa_repro::melissa::{Study, StudyConfig, StudyResults};
+use melissa_repro::melissa::{Study, StudyConfig};
 use melissa_repro::telemetry::{ScrapeFormat, ScrapeReply};
 use melissa_repro::transport::{make_transport, TransportKind};
 
@@ -40,66 +40,7 @@ fn seeded_config(kind: TransportKind, seed: u64, tag: &str) -> StudyConfig {
     config
 }
 
-/// Bit-compares every statistics family the results expose.
-fn assert_bit_identical(what: &str, hosted: &StudyResults, standalone: &StudyResults) -> usize {
-    assert_eq!(hosted.dim(), standalone.dim(), "{what}: dim");
-    assert_eq!(hosted.n_timesteps(), standalone.n_timesteps());
-    assert_eq!(hosted.n_cells(), standalone.n_cells());
-    let mut checked = 0usize;
-    let n_ts = standalone.n_timesteps();
-    let mut eq = |name: &str, ts: usize, a: &[f64], b: &[f64]| {
-        assert_eq!(a.len(), b.len());
-        for (c, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{what}: {name} ts {ts} cell {c}: {x} (daemon) vs {y} (standalone)"
-            );
-        }
-        checked += a.len();
-    };
-    for ts in [0, n_ts / 2, n_ts - 1] {
-        for k in 0..standalone.dim() {
-            eq(
-                "S_k",
-                ts,
-                &hosted.first_order_field(ts, k),
-                &standalone.first_order_field(ts, k),
-            );
-            eq(
-                "ST_k",
-                ts,
-                &hosted.total_order_field(ts, k),
-                &standalone.total_order_field(ts, k),
-            );
-        }
-        eq(
-            "mean",
-            ts,
-            &hosted.mean_field(ts),
-            &standalone.mean_field(ts),
-        );
-        eq(
-            "variance",
-            ts,
-            &hosted.variance_field(ts),
-            &standalone.variance_field(ts),
-        );
-        eq("min", ts, &hosted.min_field(ts), &standalone.min_field(ts));
-        eq("max", ts, &hosted.max_field(ts), &standalone.max_field(ts));
-        for q in 0..standalone.quantile_probs().len() {
-            eq(
-                "quantile",
-                ts,
-                &hosted.quantile_field(ts, q),
-                &standalone.quantile_field(ts, q),
-            );
-        }
-    }
-    checked
-}
-
-fn run_backend(kind: TransportKind, name: &str) -> usize {
+fn run_backend(kind: TransportKind, name: &str) {
     println!("== two tenants, one pool, {name} ==");
     let transport = make_transport(kind.clone());
     let daemon = Daemon::start(
@@ -181,7 +122,6 @@ fn run_backend(kind: TransportKind, name: &str) -> usize {
     daemon.stop();
 
     // Same-seed standalone references, fresh checkpoint scopes.
-    let mut checked = 0usize;
     for (tag, cfg, hosted) in [
         ("acme", acme_cfg, &acme_hosted),
         ("globex", globex_cfg, &globex_hosted),
@@ -189,18 +129,17 @@ fn run_backend(kind: TransportKind, name: &str) -> usize {
         let mut reference = cfg;
         reference.checkpoint_dir = reference.checkpoint_dir.join("standalone");
         let out = Study::new(reference).run().expect("standalone reference");
-        checked += assert_bit_identical(&format!("{name}/{tag}"), hosted, &out.results);
+        let diff = hosted.first_bit_mismatch(&out.results);
+        assert_eq!(diff, None, "{name}/{tag}: daemon vs standalone");
     }
-    println!("{name}: both tenants bit-identical to standalone ({checked} values)");
-    checked
+    println!("{name}: both tenants bit-identical to standalone");
 }
 
 fn main() {
-    let mut total = 0usize;
-    total += run_backend(TransportKind::InProcess, "in-process");
-    total += run_backend(TransportKind::Tcp, "tcp");
+    run_backend(TransportKind::InProcess, "in-process");
+    run_backend(TransportKind::Tcp, "tcp");
     println!(
-        "DAEMON PASS: {total} statistic values bit-identical between daemon-hosted and \
-         standalone runs across both backends"
+        "DAEMON PASS: every statistic at every timestep bit-identical between daemon-hosted \
+         and standalone runs across both backends"
     );
 }

@@ -241,18 +241,16 @@ fn orchestrate() {
 
     println!("== multi-node: server shards + groups as separate OS processes ==");
     let clean = run_multinode(None);
-    let checked = assert_results_match("multi-node vs in-process", &reference.results, &clean);
-    println!("parity: {checked} statistic values bit-identical to the in-process run\n");
+    let diff = reference.results.first_bit_mismatch(&clean);
+    assert_eq!(diff, None, "multi-node vs in-process");
+    println!("parity: every statistic at every timestep bit-identical to the in-process run\n");
 
     println!("== multi-node again, one connection killed mid-study ==");
     let severed = run_multinode(Some(150));
-    let checked = assert_results_match(
-        "severed multi-node vs in-process",
-        &reference.results,
-        &severed,
-    );
+    let diff = reference.results.first_bit_mismatch(&severed);
+    assert_eq!(diff, None, "severed multi-node vs in-process");
     println!(
-        "parity: {checked} statistic values bit-identical after a mid-stream \
+        "parity: every statistic at every timestep bit-identical after a mid-stream \
          connection kill + exactly-once reconnect"
     );
 }
@@ -401,62 +399,4 @@ fn wait_ready(rx: &dyn Receiver, timeout: Duration) -> Result<(), String> {
             Err(_) => return Err("server process never became ready".into()),
         }
     }
-}
-
-/// Compares every statistics family bit for bit; returns values checked.
-fn assert_results_match(what: &str, a: &StudyResults, b: &StudyResults) -> usize {
-    let mut checked = 0usize;
-    let n_ts = a.n_timesteps();
-    assert_eq!(n_ts, b.n_timesteps(), "{what}: timestep count");
-    let mut eq = |name: &str, ts: usize, x: &[f64], y: &[f64]| {
-        assert_eq!(x.len(), y.len(), "{what}: {name} ts {ts} length");
-        for (c, (va, vb)) in x.iter().zip(y).enumerate() {
-            assert_eq!(
-                va.to_bits(),
-                vb.to_bits(),
-                "{what}: {name} ts {ts} cell {c}: {va} vs {vb}"
-            );
-        }
-        checked += x.len();
-    };
-    for ts in [0, n_ts / 2, n_ts - 1] {
-        assert_eq!(
-            a.groups_integrated(ts),
-            b.groups_integrated(ts),
-            "{what}: group count ts {ts}"
-        );
-        for k in 0..a.dim() {
-            eq(
-                "S_k",
-                ts,
-                &a.first_order_field(ts, k),
-                &b.first_order_field(ts, k),
-            );
-            eq(
-                "ST_k",
-                ts,
-                &a.total_order_field(ts, k),
-                &b.total_order_field(ts, k),
-            );
-        }
-        eq("variance", ts, &a.variance_field(ts), &b.variance_field(ts));
-        eq("mean", ts, &a.mean_field(ts), &b.mean_field(ts));
-        eq("min", ts, &a.min_field(ts), &b.min_field(ts));
-        eq("max", ts, &a.max_field(ts), &b.max_field(ts));
-        eq(
-            "P(Y>thr)",
-            ts,
-            &a.threshold_probability_field(ts, 0),
-            &b.threshold_probability_field(ts, 0),
-        );
-        for (i, _) in a.quantile_probs().to_vec().iter().enumerate() {
-            eq(
-                "quantile",
-                ts,
-                &a.quantile_field(ts, i),
-                &b.quantile_field(ts, i),
-            );
-        }
-    }
-    checked
 }

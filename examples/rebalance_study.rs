@@ -81,39 +81,6 @@ fn chaos_plan(router: &GroupRouter) -> (FaultPlan, usize, usize) {
     (plan, src, victim)
 }
 
-/// Order-exact families, bit for bit; returns the number of values checked.
-fn assert_order_exact_identical(what: &str, a: &StudyOutput, b: &StudyOutput) -> usize {
-    let mut checked = 0usize;
-    let n_ts = a.results.n_timesteps();
-    for ts in [0, n_ts / 2, n_ts - 1] {
-        assert_eq!(
-            a.results.groups_integrated(ts),
-            b.results.groups_integrated(ts),
-            "{what}: every (group, timestep) must integrate exactly once, ts {ts}"
-        );
-        let pairs = [
-            (a.results.min_field(ts), b.results.min_field(ts), "min"),
-            (a.results.max_field(ts), b.results.max_field(ts), "max"),
-            (
-                a.results.threshold_probability_field(ts, 0),
-                b.results.threshold_probability_field(ts, 0),
-                "P(Y>thr)",
-            ),
-        ];
-        for (x, y, name) in pairs {
-            for (c, (va, vb)) in x.iter().zip(&y).enumerate() {
-                assert_eq!(
-                    va.to_bits(),
-                    vb.to_bits(),
-                    "{what}: {name} ts {ts} cell {c}: {va} vs {vb}"
-                );
-            }
-            checked += x.len();
-        }
-    }
-    checked
-}
-
 /// Sobol' indices to pairwise-merge rounding; returns the worst relative gap.
 fn max_sobol_gap(a: &StudyOutput, b: &StudyOutput) -> f64 {
     let last = a.results.n_timesteps() - 1;
@@ -165,15 +132,17 @@ fn main() {
         assert_eq!(out.report.routing_epoch, 2, "{name}: two fences raised");
     }
 
-    let c1 = assert_order_exact_identical("static vs chaos (in-process)", &reference, &chaos);
-    let c2 = assert_order_exact_identical("static vs chaos (tcp)", &reference, &chaos_tcp);
+    // Order-exact families at every timestep, bit for bit.
+    for (name, out) in [("in-process", &chaos), ("tcp", &chaos_tcp)] {
+        let diff = reference.results.first_order_exact_mismatch(&out.results);
+        assert_eq!(diff, None, "static vs chaos ({name})");
+    }
     let g1 = max_sobol_gap(&reference, &chaos);
     let g2 = max_sobol_gap(&reference, &chaos_tcp);
 
     println!(
-        "rebalance parity: {} order-exact values bit-identical under migration \
-         + re-homing in-process, {} over TCP;",
-        c1, c2
+        "rebalance parity: order-exact families bit-identical at every timestep under \
+         migration + re-homing, in-process and over TCP;"
     );
     println!(
         "                  Sobol' within {:.2e} (in-process) / {:.2e} (tcp) of the \

@@ -54,83 +54,6 @@ fn run(config: StudyConfig, faults: FaultPlan) -> StudyOutput {
     out
 }
 
-/// Compares every statistics family bit for bit; returns values checked.
-fn assert_bit_identical(what: &str, a: &StudyOutput, b: &StudyOutput) -> usize {
-    let mut checked = 0usize;
-    let n_ts = a.results.n_timesteps();
-    let mut eq = |name: &str, ts: usize, x: &[f64], y: &[f64]| {
-        assert_eq!(x.len(), y.len());
-        for (c, (va, vb)) in x.iter().zip(y).enumerate() {
-            assert_eq!(
-                va.to_bits(),
-                vb.to_bits(),
-                "{what}: {name} ts {ts} cell {c}: {va} vs {vb}"
-            );
-        }
-        checked += x.len();
-    };
-    for ts in [0, n_ts / 2, n_ts - 1] {
-        assert_eq!(
-            a.results.groups_integrated(ts),
-            b.results.groups_integrated(ts),
-            "{what}: group count ts {ts}"
-        );
-        for k in 0..a.results.dim() {
-            eq(
-                "S_k",
-                ts,
-                &a.results.first_order_field(ts, k),
-                &b.results.first_order_field(ts, k),
-            );
-            eq(
-                "ST_k",
-                ts,
-                &a.results.total_order_field(ts, k),
-                &b.results.total_order_field(ts, k),
-            );
-        }
-        eq(
-            "mean",
-            ts,
-            &a.results.mean_field(ts),
-            &b.results.mean_field(ts),
-        );
-        eq(
-            "variance",
-            ts,
-            &a.results.variance_field(ts),
-            &b.results.variance_field(ts),
-        );
-        eq(
-            "min",
-            ts,
-            &a.results.min_field(ts),
-            &b.results.min_field(ts),
-        );
-        eq(
-            "max",
-            ts,
-            &a.results.max_field(ts),
-            &b.results.max_field(ts),
-        );
-        eq(
-            "P(Y>thr)",
-            ts,
-            &a.results.threshold_probability_field(ts, 0),
-            &b.results.threshold_probability_field(ts, 0),
-        );
-        for q in 0..a.results.quantile_probs().len() {
-            eq(
-                "quantile",
-                ts,
-                &a.results.quantile_field(ts, q),
-                &b.results.quantile_field(ts, q),
-            );
-        }
-    }
-    checked
-}
-
 fn main() {
     let router = GroupRouter::from_config(&config(N_SHARDS, TransportKind::InProcess, "probe"));
     print!("group routing:");
@@ -178,40 +101,17 @@ fn main() {
 
     // The headline determinism claims: transport backends and shard
     // failover are invisible in the bits.
-    let c1 = assert_bit_identical("in-process vs TCP", &inproc, &tcp);
-    let c2 = assert_bit_identical("fault-free vs kill+restore", &inproc, &killed);
+    // (every statistic at every timestep, bit for bit)
+    let diff = inproc.results.first_bit_mismatch(&tcp.results);
+    assert_eq!(diff, None, "in-process vs TCP");
+    let diff = inproc.results.first_bit_mismatch(&killed.results);
+    assert_eq!(diff, None, "fault-free vs kill+restore");
 
     // Against the single server: order-exact families bitwise; pairwise
     // families to merge rounding.
+    let diff = single.results.first_order_exact_mismatch(&inproc.results);
+    assert_eq!(diff, None, "1 shard vs 4 shards");
     let last = single.results.n_timesteps() - 1;
-    let mut exact = 0usize;
-    for (x, y) in single
-        .results
-        .min_field(last)
-        .iter()
-        .zip(&inproc.results.min_field(last))
-    {
-        assert_eq!(x.to_bits(), y.to_bits(), "min envelope diverged");
-        exact += 1;
-    }
-    for (x, y) in single
-        .results
-        .max_field(last)
-        .iter()
-        .zip(&inproc.results.max_field(last))
-    {
-        assert_eq!(x.to_bits(), y.to_bits(), "max envelope diverged");
-        exact += 1;
-    }
-    for (x, y) in single
-        .results
-        .threshold_probability_field(last, 0)
-        .iter()
-        .zip(&inproc.results.threshold_probability_field(last, 0))
-    {
-        assert_eq!(x.to_bits(), y.to_bits(), "threshold probability diverged");
-        exact += 1;
-    }
     let mut max_rel = 0.0f64;
     for k in 0..single.results.dim() {
         for (x, y) in single
@@ -226,12 +126,9 @@ fn main() {
         }
     }
 
+    println!("parity: every statistic at every timestep bit-identical across backends and across kill+restore;");
     println!(
-        "parity: {} values bit-identical across backends, {} across kill+restore;",
-        c1, c2
-    );
-    println!(
-        "        {exact} order-exact values bit-identical to the 1-shard run, \
+        "        order-exact families bit-identical to the 1-shard run, \
          Sobol' within {max_rel:.2e} of it (pairwise-merge rounding)."
     );
 }

@@ -61,40 +61,12 @@ fn main() {
 
     // The whole point of the trait surface: identical statistics —
     // across backends AND with the wire codec on.
-    let last = tcp.results.n_timesteps() - 1;
-    let mut checked = 0usize;
-    for k in 0..tcp.results.dim() {
-        let a = tcp.results.first_order_field(last, k);
-        let b = inproc.results.first_order_field(last, k);
-        let z = zipped.results.first_order_field(last, k);
-        for (c, ((x, y), w)) in a.iter().zip(&b).zip(&z).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "S_{k} diverged at cell {c}: {x} vs {y}"
-            );
-            assert_eq!(
-                x.to_bits(),
-                w.to_bits(),
-                "S_{k} diverged under compression at cell {c}: {x} vs {w}"
-            );
-            checked += 2;
-        }
-    }
-    let var_tcp = tcp.results.variance_field(last);
-    let var_inp = inproc.results.variance_field(last);
-    let var_zip = zipped.results.variance_field(last);
-    for ((x, y), w) in var_tcp.iter().zip(&var_inp).zip(&var_zip) {
-        assert_eq!(x.to_bits(), y.to_bits(), "variance diverged");
-        assert_eq!(
-            x.to_bits(),
-            w.to_bits(),
-            "variance diverged under compression"
-        );
-        checked += 2;
-    }
+    let diff = tcp.results.first_bit_mismatch(&inproc.results);
+    assert_eq!(diff, None, "tcp vs in-process");
+    let diff = tcp.results.first_bit_mismatch(&zipped.results);
+    assert_eq!(diff, None, "tcp vs tcp under compression");
     println!(
-        "parity: {checked} statistic values bit-identical across backends \
+        "parity: every statistic at every timestep bit-identical across backends \
          ({} data frames over real sockets, {:.1} MiB, {} blocked sends)",
         tcp.report.data_messages,
         tcp.report.data_mib(),

@@ -172,6 +172,44 @@ fn bench_worker_ingest(c: &mut Criterion) {
     g.finish();
 }
 
+/// The fused sweep on its own, at the slab sizes the whole-study
+/// benchmark runs it at: 288 cells (a `daemon_small` worker: 576 cells on
+/// two workers) and 4 096 (a `tube_*` worker), `p = 6`, one threshold,
+/// seven quantiles.  A sweep this small is where the cost of *starting*
+/// it shows — the parallel dispatch, not the arithmetic.
+fn bench_fused_sweep(c: &mut Criterion) {
+    use melissa_sobol::FusedSlabUpdate;
+    use melissa_stats::{FieldMinMax, FieldThreshold};
+
+    let mut g = c.benchmark_group("fused_sweep");
+    let p = 6;
+    for cells in [288usize, 4096] {
+        let fields: Vec<Vec<f64>> = (0..p + 2)
+            .map(|r| (0..cells).map(|i| ((i + r * 13) as f64).cos()).collect())
+            .collect();
+        let refs: Vec<&[f64]> = fields.iter().map(|f| f.as_slice()).collect();
+        g.throughput(Throughput::Elements(cells as u64));
+        g.bench_with_input(BenchmarkId::new("p6_q7", cells), &cells, |b, _| {
+            let mut sobol = UbiquitousSobol::new(p, cells);
+            let mut moments = FieldMoments::new(cells);
+            let mut minmax = FieldMinMax::new(cells);
+            let mut thresholds = [FieldThreshold::new(cells, 0.5)];
+            let mut quantiles = FieldQuantiles::new(cells, &PAPER_PROBS);
+            b.iter(|| {
+                FusedSlabUpdate::new(
+                    &mut sobol,
+                    &mut moments,
+                    &mut minmax,
+                    &mut thresholds,
+                    Some(&mut quantiles),
+                )
+                .apply(black_box(&refs))
+            });
+        });
+    }
+    g.finish();
+}
+
 /// One worker's state after group `k` ran all `n_ts` timesteps: `p = 6`,
 /// one threshold, the seven paper quantiles (336 B per cell and timestep).
 fn filled_worker_state(k: usize, cells: usize, n_ts: usize) -> melissa::server::state::WorkerState {
@@ -318,6 +356,7 @@ criterion_group!(
     bench_sobol_updates,
     bench_sobol_merge,
     bench_worker_ingest,
+    bench_fused_sweep,
     bench_shard_reduce,
     bench_state_codec,
     bench_codec,

@@ -30,17 +30,17 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use melissa_sobol::design::PickFreeze;
 use melissa_solver::injection::InjectionParams;
 use melissa_solver::FrozenFlow;
-use melissa_telemetry::{EventKind, Gauge, Histogram, Telemetry};
+use melissa_telemetry::{Counter, EventKind, Gauge, Histogram, Telemetry};
 use melissa_transport::directory::names;
 use melissa_transport::{
-    make_transport_with, BoxReceiver, BoxSender, KillSwitch, LivenessTracker, LoadMonitor,
-    Receiver, RecvTimeoutError, Transport,
+    make_transport_with, BoxReceiver, BoxSender, KillSwitch, LoadMonitor, Receiver,
+    RecvTimeoutError, Transport,
 };
 use parking_lot::Mutex;
 
@@ -51,7 +51,7 @@ use crate::protocol::Message;
 use crate::report::StudyReport;
 use crate::server::checkpoint::read_checkpoint;
 use crate::server::state::WorkerState;
-use crate::server::{Server, ServerConfig, ServerShared};
+use crate::server::{instant_after, Server, ServerConfig, ServerShared};
 use crate::shard::{GroupRouter, RoutingTable};
 use crate::study::{StudyOutput, StudyResults};
 use melissa_mesh::SlabPartition;
@@ -90,7 +90,31 @@ pub struct StudyRuntime {
 struct ActiveJob {
     handle: melissa_scheduler::JobHandle,
     instance: u32,
-    started_at: Instant,
+    /// Stamped by the job itself when the dispatcher starts it; empty for
+    /// the whole queued wait, so a job waiting its turn on a busy shared
+    /// pool never looks like a zombie.
+    started_at: Arc<OnceLock<Instant>>,
+}
+
+/// Per-slot senders into the supervisors' launcher inboxes, for the
+/// payload-free [`Message::Wake`]: whoever changes something a supervisor
+/// reads from shared memory — its mailbox, the early-stop flag, the
+/// cancel switch — wakes it instead of leaving it to find out on a tick.
+/// A slot is `None` before its supervisor starts (its first pass looks at
+/// everything anyway) and after it ends.
+pub(crate) struct Wakers(Vec<Mutex<Option<BoxSender>>>);
+
+impl Wakers {
+    fn wake(&self, slot: usize) {
+        if let Some(tx) = &*self.0[slot].lock() {
+            // A full inbox already holds plenty of reasons to wake up.
+            let _ = tx.send_timeout(Message::Wake.encode(), Duration::ZERO);
+        }
+    }
+
+    fn wake_all(&self) {
+        (0..self.0.len()).for_each(|slot| self.wake(slot));
+    }
 }
 
 /// One group crossing an epoch fence: everything the adopting shard needs
@@ -135,9 +159,10 @@ pub(crate) struct Coordination {
     /// ([`crate::shard::RoutingTable`]).
     pub(crate) routing: RoutingTable,
     /// Per-slot migration mailboxes: a fencing supervisor pushes its
-    /// [`Handoff`] here and the target drains its own mailbox (FIFO in
-    /// push order) each supervision tick.
+    /// [`Handoff`] here, wakes the target, and the target drains its own
+    /// mailbox (FIFO in push order).
     mailboxes: Vec<Mutex<Vec<Handoff>>>,
+    wakers: Arc<Wakers>,
 }
 
 impl Coordination {
@@ -147,6 +172,7 @@ impl Coordination {
             early_stop: AtomicBool::new(false),
             routing,
             mailboxes: (0..n_slots).map(|_| Mutex::new(Vec::new())).collect(),
+            wakers: Arc::new(Wakers((0..n_slots).map(|_| Mutex::new(None)).collect())),
         }
     }
 
@@ -218,6 +244,8 @@ impl StudyContext {
         let routing =
             RoutingTable::new(GroupRouter::new(config.n_shards.max(1), config.shard_seed));
         let coord = Coordination::new(n_slots, routing);
+        let wakers = Arc::clone(&coord.wakers);
+        rt.cancel.on_kill(move || wakers.wake_all());
         let started = Instant::now();
         // One telemetry hub per supervisor slot, all on the shared study
         // clock so cross-shard event timestamps are comparable.
@@ -337,12 +365,29 @@ pub(crate) fn supervise_shard(
     ShardSupervisor::start(ctx, shard, scope, groups)?.run()
 }
 
-/// Supervision tick: one pass waits this long on the launcher inbox.
-const POLL: Duration = Duration::from_millis(10);
+/// What ended a supervisor's wait on its inbox (the `reason` label of
+/// `supervisor_wakeups_total`).
+#[derive(Clone, Copy)]
+enum Wakeup {
+    /// A server message: heartbeat, report, group timeout.
+    Message,
+    /// A group job of this shard ended.
+    JobEnded,
+    /// A peer's [`Message::Wake`].
+    Wake,
+    /// Nothing arrived before the earliest deadline.  A fault-free study
+    /// never counts one.
+    Deadline,
+}
+
+impl Wakeup {
+    /// The `reason` label values, in variant order.
+    const REASONS: [&'static str; 4] = ["message", "job_ended", "wake", "deadline"];
+}
 
 /// A supervisor's handles into its shard's live telemetry: control-path
-/// gauges refreshed every tick, histograms recorded on completion and
-/// migration.
+/// gauges refreshed every pass, histograms recorded on completion and
+/// migration, wake-ups counted by reason.
 struct Probes {
     queue_depth: Gauge,
     free_units: Gauge,
@@ -350,6 +395,8 @@ struct Probes {
     turnaround: Histogram,
     drain: Histogram,
     adopt: Histogram,
+    /// Indexed by [`Wakeup`].
+    wakeups: [Counter; 4],
 }
 
 impl Probes {
@@ -362,6 +409,9 @@ impl Probes {
             turnaround: r.histogram("group_turnaround_nanos"),
             drain: r.histogram("migrate_drain_nanos"),
             adopt: r.histogram("migrate_adopt_nanos"),
+            wakeups: Wakeup::REASONS.map(|reason| {
+                r.counter(&format!("supervisor_wakeups_total{{reason=\"{reason}\"}}"))
+            }),
         }
     }
 }
@@ -382,13 +432,16 @@ struct ShardSupervisor<'a> {
     launcher_tx: BoxSender,
     /// The running server instance (`None` only once `finish` took it).
     server: Option<Server>,
-    server_liveness: LivenessTracker<u32>,
-    /// Load-aware supervision (the congestion-collapse fix): the loop's
-    /// own timed waits measure how starved this process is, and both
-    /// failure detectors — the server heartbeat and the zombie check —
-    /// stretch by the observed factor instead of shipping inflated
-    /// wall-clock limits that would slow detection on a healthy host.
+    /// When the server last gave a sign of life.
+    server_seen: Instant,
+    /// Load-aware supervision (the congestion-collapse fix): the server's
+    /// heartbeats are due every `report_interval`, so how late they
+    /// arrive measures how starved this process is, and both failure
+    /// detectors — the server heartbeat and the zombie check — stretch
+    /// by the observed factor instead of shipping inflated wall-clock
+    /// limits that would slow detection on a healthy host.
     load: LoadMonitor,
+    last_heartbeat: Instant,
     tele: Option<&'a Arc<Telemetry>>,
     probes: Option<Probes>,
     /// This shard's accounting, kept current as the study runs: the
@@ -425,6 +478,7 @@ struct ShardSupervisor<'a> {
 
 impl Drop for ShardSupervisor<'_> {
     fn drop(&mut self) {
+        *self.ctx.coord.wakers.0[self.shard].lock() = None;
         self.stop_all_jobs();
         if let Some(server) = self.server.take() {
             server.abandon();
@@ -448,6 +502,7 @@ impl<'a> ShardSupervisor<'a> {
             .transport
             .connect(&names::launcher_in(scope))
             .expect("just bound");
+        *ctx.coord.wakers.0[shard].lock() = Some(launcher_tx.clone());
 
         let mut report = StudyReport::new(config.n_groups);
         report.n_shards = config.n_shards;
@@ -477,8 +532,9 @@ impl<'a> ShardSupervisor<'a> {
             launcher_rx,
             launcher_tx,
             server: Some(server),
-            server_liveness: LivenessTracker::new(config.server_timeout),
+            server_seen: Instant::now(),
             load: LoadMonitor::new(),
+            last_heartbeat: Instant::now(),
             tele,
             probes: tele.map(|t| Probes::new(t)),
             report,
@@ -504,18 +560,22 @@ impl<'a> ShardSupervisor<'a> {
         if groups.is_empty() {
             ctx.coord.publish(shard, 0.0, 0.0, 0);
         }
-        sup.server_liveness.record(0u32);
+        sup.server_seen = Instant::now();
         Ok(sup)
     }
 
-    /// The supervision loop: one pass per [`POLL`] tick until every owned
-    /// group settled and the chaos script played out, the study stopped
-    /// early, or this shard died for good.
+    /// The supervision loop: one pass per event until every owned group
+    /// settled and the chaos script played out, the study stopped early,
+    /// or this shard died for good.  Everything that can change what a
+    /// pass decides arrives as a frame on the launcher inbox — a server
+    /// message, a job's [`Message::JobEnded`], a peer's
+    /// [`Message::Wake`] — or is one of the three deadlines
+    /// [`next_deadline`](Self::next_deadline) watches; between events the
+    /// supervisor sleeps.
     fn run(mut self) -> Result<ShardRun, String> {
         loop {
             self.check_limits()?;
             self.refresh_probes();
-            self.drain_inbox()?;
             self.adopt_handoffs()?;
             self.fire_migrations()?;
             if let Some(to) = self.fire_kill() {
@@ -529,6 +589,7 @@ impl<'a> ShardSupervisor<'a> {
             if self.done() {
                 return Ok(self.finish(None));
             }
+            self.wait_for_event()?;
         }
     }
 
@@ -592,11 +653,25 @@ impl<'a> ShardSupervisor<'a> {
             wire_compression: config.wire_compression,
         };
         let outcomes = Arc::clone(&self.outcomes);
+        let started_at = Arc::new(OnceLock::new());
+        let started = Arc::clone(&started_at);
+        let inbox = self.launcher_tx.clone();
         let handle = ctx.runner.submit_boxed(
             1,
             Box::new(move |kill| {
+                let _ = started.set(Instant::now());
                 let outcome = run_group(job, kill);
                 outcomes.lock().insert((g, instance), outcome);
+                // A wake-up, not the record: the outcome above is what
+                // the supervisor settles on, so a frame lost to a full
+                // inbox costs a delay until the next server message, and
+                // a supervisor joining this job never waits on its own
+                // inbox.
+                let ended = Message::JobEnded {
+                    group_id: g,
+                    instance,
+                };
+                let _ = inbox.send_timeout(ended.encode(), Duration::ZERO);
             }),
         );
         self.active.insert(
@@ -604,7 +679,7 @@ impl<'a> ShardSupervisor<'a> {
             ActiveJob {
                 handle,
                 instance,
-                started_at: Instant::now(),
+                started_at,
             },
         );
     }
@@ -687,35 +762,102 @@ impl<'a> ShardSupervisor<'a> {
     }
 
     /// Control-path gauges — how deep the FCFS queue is, how much of the
-    /// node budget is free, how starved this process is — and the
-    /// heartbeat detector, which follows the measured scheduling delay
-    /// (factor 1 on a healthy host).
+    /// node budget is free, how starved this process is.
     fn refresh_probes(&self) {
         if let Some(p) = &self.probes {
             p.queue_depth.set(self.ctx.runner.queued_jobs());
             p.free_units.set(self.ctx.runner.free_units() as u64);
             p.load_factor.set((self.load.factor() * 1000.0) as u64);
         }
-        self.server_liveness
-            .set_timeout(self.load.scale(self.ctx.config.server_timeout));
     }
 
-    /// Step 1: waits one tick on the launcher inbox and handles at most
-    /// one server message.
-    fn drain_inbox(&mut self) -> Result<(), String> {
-        let wait_started = Instant::now();
-        let frame = match self.launcher_rx.recv_timeout(POLL) {
+    /// How long the server may stay silent before it counts as dead:
+    /// follows the measured scheduling delay (factor 1 on a healthy
+    /// host).
+    fn server_timeout(&self) -> Duration {
+        self.load.scale(self.ctx.config.server_timeout)
+    }
+
+    /// Zombie bound, scaled by the observed scheduling delay: a slow host
+    /// or a queue-starved tenant stretches it, a healthy host keeps 2×
+    /// the nominal timeout.
+    fn zombie_after(&self) -> Duration {
+        self.load.scale(self.ctx.config.group_timeout * 2)
+    }
+
+    /// Whether group `g`'s job is one the server has never heard from
+    /// (the only jobs the zombie bound applies to).
+    fn is_silent(&self, g: u64) -> bool {
+        !self.known_running.contains(&g) && !self.known_finished.contains(&g)
+    }
+
+    /// The earliest instant at which a pass has something to do although
+    /// no frame arrived: the study wall limit, the server's liveness
+    /// expiry, or a started, still silent job's zombie bound.
+    fn next_deadline(&self) -> Instant {
+        let zombie_after = self.zombie_after();
+        let zombies = self
+            .active
+            .iter()
+            .filter(|(&g, _)| self.is_silent(g))
+            .filter_map(|(_, job)| {
+                job.started_at
+                    .get()
+                    .map(|&t| instant_after(t, zombie_after))
+            });
+        zombies
+            .chain([
+                instant_after(self.ctx.started, self.ctx.config.wall_limit),
+                instant_after(self.server_seen, self.server_timeout()),
+            ])
+            .min()
+            .expect("two deadlines always exist")
+    }
+
+    fn count_wakeup(&self, reason: Wakeup) {
+        if let Some(p) = &self.probes {
+            p.wakeups[reason as usize].inc();
+        }
+    }
+
+    /// The last step of a pass: blocks on the launcher inbox until a
+    /// frame arrives or the earliest deadline passes, and handles the
+    /// frame.
+    fn wait_for_event(&mut self) -> Result<(), String> {
+        // A frame that was not queued yet when the wait began is received
+        // when it arrives (give or take this thread's scheduling delay —
+        // the very thing the load monitor measures).
+        let live = self.launcher_rx.is_empty();
+        // The margin keeps the strict `>` checks of the next pass true.
+        let deadline = instant_after(self.next_deadline(), Duration::from_millis(1));
+        let wait = deadline.saturating_duration_since(Instant::now());
+        let frame = match self.launcher_rx.recv_timeout(wait) {
             Ok(frame) => frame,
             Err(RecvTimeoutError::Timeout) => {
-                self.load.observe(POLL, wait_started.elapsed());
+                self.count_wakeup(Wakeup::Deadline);
                 return Ok(());
             }
             Err(RecvTimeoutError::Disconnected) => return Err("launcher inbox closed".into()),
         };
-        match Message::decode(&frame) {
-            Ok(Message::Heartbeat { .. } | Message::ServerReady) => {
-                self.server_liveness.record(0u32);
+        let message = Message::decode(&frame);
+        self.count_wakeup(match message {
+            Ok(Message::JobEnded { .. }) => Wakeup::JobEnded,
+            Ok(Message::Wake) => Wakeup::Wake,
+            _ => Wakeup::Message,
+        });
+        match message {
+            Ok(Message::Heartbeat { .. }) => {
+                let now = Instant::now();
+                if live {
+                    self.load.observe(
+                        self.server_config.report_interval,
+                        now.duration_since(self.last_heartbeat),
+                    );
+                }
+                self.last_heartbeat = now;
+                self.server_seen = now;
             }
+            Ok(Message::ServerReady) => self.server_seen = Instant::now(),
             Ok(Message::ServerReport {
                 finished_groups,
                 running_groups,
@@ -725,7 +867,7 @@ impl<'a> ShardSupervisor<'a> {
                 blocked_sends,
                 blocked_nanos,
             }) => {
-                self.server_liveness.record(0u32);
+                self.server_seen = Instant::now();
                 self.known_finished.extend(finished_groups);
                 self.known_running = running_groups.into_iter().collect();
                 self.report.final_max_ci = max_ci_width;
@@ -746,6 +888,9 @@ impl<'a> ShardSupervisor<'a> {
                 self.log_ev(EventKind::GroupTimeout { group: group_id });
                 self.handle_group_failure(group_id);
             }
+            // `JobEnded` and `Wake` carry nothing to handle: what they
+            // announce is in `outcomes`, the mailbox, the flags — the
+            // next pass reads it.
             _ => {}
         }
         Ok(())
@@ -757,14 +902,15 @@ impl<'a> ShardSupervisor<'a> {
     fn install_floors(&self, g: u64, floors: &[i64]) -> Result<(), String> {
         let (server, shard) = (self.server(), self.shard);
         server.adopt_floors(g, floors);
-        poll_until(
-            self.ctx.config.migration_timeout,
-            format_args!("shard {shard}: floor adoption for group {g}"),
-            || server.take_adopt_acks(g).then_some(()),
-        )
+        server
+            .shared()
+            .await_acks(self.ctx.config.migration_timeout, || {
+                server.take_adopt_acks(g).then_some(())
+            })
+            .ok_or_else(|| format!("shard {shard}: floor adoption for group {g} timed out"))
     }
 
-    /// Step 2: adopts migrated groups from inbound handoffs (floors first
+    /// Step 1: adopts migrated groups from inbound handoffs (floors first
     /// — the ban lift and discard floors must be in place before the
     /// replayed instance's first frame — then resubmit).
     fn adopt_handoffs(&mut self) -> Result<(), String> {
@@ -798,7 +944,7 @@ impl<'a> ShardSupervisor<'a> {
         Ok(())
     }
 
-    /// Step 3: fires every scripted live migration whose trigger point
+    /// Step 2: fires every scripted live migration whose trigger point
     /// has been reached.
     fn fire_migrations(&mut self) -> Result<(), String> {
         while let Some(m) = self
@@ -881,11 +1027,14 @@ impl<'a> ShardSupervisor<'a> {
         server.migrate_out(g);
         // The flush barrier: every worker drains the Data frames queued
         // ahead of the group's `MigrateOut` and reports its final floor.
-        let floors = poll_until(
-            self.ctx.config.migration_timeout,
-            format_args!("shard {shard}: migration flush barrier for group {g}"),
-            || server.take_migrate_floors(g),
-        )?;
+        let floors = server
+            .shared()
+            .await_acks(self.ctx.config.migration_timeout, || {
+                server.take_migrate_floors(g)
+            })
+            .ok_or_else(|| {
+                format!("shard {shard}: migration flush barrier for group {g} timed out")
+            })?;
         let last_ts = self.ctx.config.solver.n_timesteps as i64 - 1;
         if floors.iter().any(|&f| f >= last_ts) {
             // Finishing filter: some worker already integrated the group's
@@ -917,17 +1066,19 @@ impl<'a> ShardSupervisor<'a> {
         epoch
     }
 
-    /// Delivers a fence's handoff to the target slot's mailbox.
+    /// Delivers a fence's handoff to the target slot's mailbox and wakes
+    /// the target.
     fn hand_off(&self, to: usize, epoch: u64, groups: Vec<MigratedGroup>) {
         self.ctx.coord.mailboxes[to].lock().push(Handoff {
             from: self.shard,
             epoch,
             groups,
         });
+        self.ctx.coord.wakers.wake(to);
     }
 
-    /// Step 4: fires at most one scripted server kill per pass — a
-    /// transient kill must crash-restore (step 5) before the next script
+    /// Step 3: fires at most one scripted server kill per pass — a
+    /// transient kill must crash-restore (step 4) before the next script
     /// entry, and a permanent one never comes back at all.  Returns the
     /// re-homing target of a permanent death.
     fn fire_kill(&mut self) -> Option<usize> {
@@ -951,12 +1102,12 @@ impl<'a> ShardSupervisor<'a> {
         Some(to)
     }
 
-    /// Step 5: server fault recovery (per-shard failover: the restored
+    /// Step 4: server fault recovery (per-shard failover: the restored
     /// instance rebinds the same scoped endpoints, and the stable
     /// group-hash routing re-routes exactly this shard's unfinished
     /// groups back to it).  Returns whether a recovery ran.
     fn recover_server(&mut self) -> Result<bool, String> {
-        if !self.server().kill.is_killed() && self.server_liveness.expired().is_empty() {
+        if !self.server().kill.is_killed() && self.server_seen.elapsed() <= self.server_timeout() {
             return Ok(false);
         }
         self.report.server_restarts += 1;
@@ -977,7 +1128,7 @@ impl<'a> ShardSupervisor<'a> {
             self.launcher_tx.clone(),
         ));
         wait_for_ready(self.launcher_rx.as_ref(), self.ctx.config.server_timeout)?;
-        self.server_liveness.record(0u32);
+        self.server_seen = Instant::now();
         // Only the restored checkpoint's bookkeeping counts now: any
         // group the launcher believed finished but the server lost since
         // its last checkpoint must be restarted too (paper Section 4.2.3:
@@ -1007,71 +1158,71 @@ impl<'a> ShardSupervisor<'a> {
         Ok(true)
     }
 
-    /// Step 6: reconciles job states (completed / died / zombie).
+    /// Step 5: reconciles job states (completed / died / zombie).  A job
+    /// has ended once its outcome is recorded; the join that follows only
+    /// waits for the dispatcher to take its unit back, so the next study
+    /// step (a resubmission, closing the stream) finds the pool settled.
     fn reconcile_jobs(&mut self) {
-        // Zombie bound, scaled by the observed scheduling delay: a slow
-        // host or a queue-starved tenant stretches it, a healthy host
-        // keeps 2× the nominal timeout.
-        let zombie_after = self.load.scale(self.ctx.config.group_timeout * 2);
+        let zombie_after = self.zombie_after();
         let mut settled: Vec<u64> = Vec::new();
         let mut failed: Vec<u64> = Vec::new();
         let mut failures: Vec<EventKind> = Vec::new();
-        for (&g, job) in self.active.iter_mut() {
-            // A job still waiting its turn on a busy shared pool is not
-            // silent — keep its zombie clock at zero until the
-            // dispatcher actually grants it capacity.
-            if !job.handle.has_started() && !job.handle.is_finished() {
-                job.started_at = Instant::now();
-            }
-            if job.handle.is_finished() {
-                let outcome = self.outcomes.lock().get(&(g, job.instance)).cloned();
-                match outcome {
-                    Some(GroupOutcome::Completed { .. }) => {
-                        if let Some(p) = &self.probes {
-                            p.turnaround
-                                .record(job.started_at.elapsed().as_nanos() as u64);
-                        }
-                        settled.push(g);
+        let outcomes = self.outcomes.lock();
+        for (&g, job) in &self.active {
+            let outcome = outcomes.get(&(g, job.instance));
+            match outcome {
+                Some(GroupOutcome::Completed { .. }) => {
+                    if let (Some(p), Some(started)) = (&self.probes, job.started_at.get()) {
+                        p.turnaround.record(started.elapsed().as_nanos() as u64);
                     }
-                    Some(GroupOutcome::Died { .. }) | Some(GroupOutcome::Aborted { .. }) => {
-                        failed.push(g);
-                        failures.push(EventKind::GroupDied {
-                            group: g,
-                            instance: job.instance,
-                            detail: format!("{outcome:?}"),
-                        });
-                    }
-                    None => settled.push(g), // killed before recording
+                    settled.push(g);
                 }
-            } else if !self.known_running.contains(&g)
-                && !self.known_finished.contains(&g)
-                && job.started_at.elapsed() > zombie_after
-            {
+                Some(GroupOutcome::Died { .. }) | Some(GroupOutcome::Aborted { .. }) => {
+                    failed.push(g);
+                    failures.push(EventKind::GroupDied {
+                        group: g,
+                        instance: job.instance,
+                        detail: format!("{outcome:?}"),
+                    });
+                }
+                // Ended without recording anything (the job panicked).
+                None if job.handle.is_finished() => settled.push(g),
                 // Zombie: "running" past the bound, yet the server has
                 // never heard from it.
-                failed.push(g);
-                failures.push(EventKind::GroupZombie {
-                    group: g,
-                    instance: job.instance,
-                });
+                None if self.is_silent(g)
+                    && job
+                        .started_at
+                        .get()
+                        .is_some_and(|t| t.elapsed() > zombie_after) =>
+                {
+                    failed.push(g);
+                    failures.push(EventKind::GroupZombie {
+                        group: g,
+                        instance: job.instance,
+                    });
+                }
+                None => {}
             }
         }
+        drop(outcomes);
         for g in settled {
-            self.active.remove(&g);
+            if let Some(job) = self.active.remove(&g) {
+                job.handle.join();
+            }
         }
         for event in failures {
             self.log_ev(event);
         }
         for g in failed {
             if self.known_finished.contains(&g) {
-                self.active.remove(&g);
+                self.stop_job(g);
             } else {
                 self.handle_group_failure(g);
             }
         }
     }
 
-    /// Step 7: the convergence loopback.  Stops early once every
+    /// Step 6: the convergence loopback.  Stops early once every
     /// configured *aggregate* signal (max over shards: CI width and/or
     /// quantile step) converged — with both targets set, the study stops
     /// on whichever estimate is slowest.  Whichever supervisor observes
@@ -1089,8 +1240,9 @@ impl<'a> ShardSupervisor<'a> {
         let qstep_ok = config
             .target_quantile_step
             .is_none_or(|t| global_qstep.is_finite() && global_qstep < t);
-        if ci_ok && qstep_ok && finished > 0 {
-            coord.early_stop.store(true, Ordering::Relaxed);
+        if ci_ok && qstep_ok && finished > 0 && !coord.early_stop.swap(true, Ordering::Relaxed) {
+            // This supervisor saw the crossing; the others learn of it now.
+            coord.wakers.wake_all();
         }
         if coord.early_stop.load(Ordering::Relaxed) && !self.report.early_stopped {
             self.report.early_stopped = true;
@@ -1103,7 +1255,7 @@ impl<'a> ShardSupervisor<'a> {
         }
     }
 
-    /// Step 8: completion — every owned group settled *and* the chaos
+    /// Step 7: completion — every owned group settled *and* the chaos
     /// script fully played out (unfired fences would leave their targets
     /// waiting on the handoff quota forever), or the study stopped early;
     /// either way with no job left running.
@@ -1276,25 +1428,6 @@ impl<'a> ShardSupervisor<'a> {
     }
 }
 
-/// Polls `probe` every 2 ms until it yields a value; fails with
-/// "`what` timed out" once `timeout` has passed without one.
-fn poll_until<T>(
-    timeout: Duration,
-    what: std::fmt::Arguments<'_>,
-    mut probe: impl FnMut() -> Option<T>,
-) -> Result<T, String> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if let Some(value) = probe() {
-            return Ok(value);
-        }
-        if Instant::now() > deadline {
-            return Err(format!("{what} timed out"));
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
 /// Lease timeout of the study directory: nodes renew every couple of
 /// seconds (`TcpTransportConfig::node`), so a name going silent for this
 /// long means its process is gone.
@@ -1418,6 +1551,52 @@ mod tests {
             assert!(r.data_messages > 0 && r.data_bytes > 0, "{exit}: ingest");
             assert_eq!(r.quantile_probs, ctx.config.quantile_probs, "{exit}");
             assert_eq!(r.transport_reconnects, 0, "{exit}");
+        }
+    }
+
+    /// The regression test of the event-driven loop: a fault-free study
+    /// is carried by frames alone — server messages and its jobs'
+    /// `JobEnded` — so no wait ever runs into a deadline, nobody needs a
+    /// `Wake`, and the number of passes is bounded by the work, not by
+    /// the wall clock divided by a tick.
+    #[test]
+    fn fault_free_study_never_wakes_on_a_deadline() {
+        use melissa_transport::TransportKind;
+        for kind in [TransportKind::InProcess, TransportKind::Tcp] {
+            let mut config = StudyConfig::tiny();
+            config.transport = kind.clone();
+            config.checkpoint_dir = std::env::temp_dir()
+                .join(format!("melissa-ut-wakeups-{kind}-{}", std::process::id()));
+            let n_groups = config.n_groups as u64;
+            let ctx = StudyContext::new_in(config, FaultPlan::none(), StudyRuntime::default());
+            let groups: Vec<u64> = (0..n_groups).collect();
+            let run = supervise_shard(&ctx, 0, "", &groups).expect("study");
+            let periods = (ctx.started.elapsed().as_millis() / 50) as u64 + 1;
+            std::fs::remove_dir_all(&ctx.config.checkpoint_dir).ok();
+            assert_eq!(run.report.groups_finished as u64, n_groups, "{kind}");
+
+            let counters = ctx.telemetry(0).expect("on").registry().snapshot().counters;
+            let wakeups = |reason: &str| {
+                let name = format!("supervisor_wakeups_total{{reason=\"{reason}\"}}");
+                let found = counters.iter().find(|(n, _)| *n == name);
+                found
+                    .unwrap_or_else(|| panic!("{kind}: no counter {name}"))
+                    .1
+            };
+            assert_eq!(wakeups("deadline"), 0, "{kind}: a wait timed out");
+            assert_eq!(wakeups("wake"), 0, "{kind}: nothing to be woken for");
+            assert!(
+                (1..=n_groups).contains(&wakeups("job_ended")),
+                "{kind}: {} job_ended wake-ups",
+                wakeups("job_ended")
+            );
+            // One pushed report per group, a heartbeat and a report per
+            // 50 ms period, and slack for a period boundary.
+            let messages = wakeups("message");
+            assert!(
+                messages <= n_groups + 2 * periods + 4,
+                "{kind}: {messages} message wake-ups over {periods} report periods"
+            );
         }
     }
 

@@ -120,6 +120,25 @@ pub enum Message {
         /// The source worker's last integrated timestep (`-1` if none).
         floor: i64,
     },
+    /// Group job → launcher: this instance's job has recorded its outcome
+    /// and is about to return its pool unit.  Posted by the job itself,
+    /// so the supervisor settles it on arrival instead of finding it on a
+    /// later tick.
+    JobEnded {
+        /// Simulation-group id.
+        group_id: u64,
+        /// Restart instance.
+        instance: u32,
+    },
+    /// Anyone → launcher: something the supervisor reads from shared
+    /// memory changed — a handoff landed in its mailbox, the study-wide
+    /// early stop was raised, the study was cancelled.  Carries nothing;
+    /// the supervisor re-examines its state.
+    Wake,
+    /// Server worker → server main: a group just finished on every
+    /// worker — send the launcher a `ServerReport` now rather than at the
+    /// next report period.
+    ReportNow,
 }
 
 /// Tag bytes (wire stability).
@@ -135,6 +154,9 @@ mod tag {
     pub const STOP: u8 = 9;
     pub const MIGRATE_OUT: u8 = 10;
     pub const ADOPT_FLOOR: u8 = 11;
+    pub const JOB_ENDED: u8 = 12;
+    pub const WAKE: u8 = 13;
+    pub const REPORT_NOW: u8 = 14;
 }
 
 impl Message {
@@ -216,6 +238,13 @@ impl Message {
                 buf.put_u64_le(*group_id);
                 buf.put_i64_le(*floor);
             }
+            Message::JobEnded { group_id, instance } => {
+                buf.put_u8(tag::JOB_ENDED);
+                buf.put_u64_le(*group_id);
+                buf.put_u32_le(*instance);
+            }
+            Message::Wake => buf.put_u8(tag::WAKE),
+            Message::ReportNow => buf.put_u8(tag::REPORT_NOW),
         }
         buf.freeze()
     }
@@ -294,6 +323,12 @@ impl Message {
                 group_id: get_u64(&mut buf, "group_id")?,
                 floor: get_u64(&mut buf, "floor")? as i64,
             },
+            tag::JOB_ENDED => Message::JobEnded {
+                group_id: get_u64(&mut buf, "group_id")?,
+                instance: get_u32(&mut buf, "instance")?,
+            },
+            tag::WAKE => Message::Wake,
+            tag::REPORT_NOW => Message::ReportNow,
             _ => {
                 return Err(WireError::Invalid {
                     what: "unknown message tag",
@@ -358,6 +393,12 @@ mod tests {
             group_id: 18,
             floor: -1,
         });
+        roundtrip(Message::JobEnded {
+            group_id: 5,
+            instance: 2,
+        });
+        roundtrip(Message::Wake);
+        roundtrip(Message::ReportNow);
     }
 
     #[test]

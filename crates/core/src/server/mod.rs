@@ -45,7 +45,7 @@ use melissa_transport::{
     BoxReceiver, BoxSender, KillSwitch, LinkStatsSnapshot, LivenessTracker, RecvTimeoutError,
     Transport,
 };
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::protocol::Message;
 use checkpoint::{read_checkpoint, write_checkpoint};
@@ -140,6 +140,10 @@ pub struct ServerShared {
     /// Workers that installed an adopted replay floor per migrated-in
     /// group.
     adopt_acks: Mutex<HashMap<u64, HashSet<usize>>>,
+    /// Acknowledgements recorded so far, and where a supervisor waiting
+    /// for a fence or an adoption to complete sleeps until the next one.
+    acks_recorded: Mutex<u64>,
+    ack_recorded: Condvar,
     n_workers: usize,
 }
 
@@ -167,6 +171,8 @@ impl ServerShared {
             restores_failed: AtomicU64::new(0),
             migrate_acks: Mutex::new(HashMap::new()),
             adopt_acks: Mutex::new(HashMap::new()),
+            acks_recorded: Mutex::new(0),
+            ack_recorded: Condvar::new(),
             n_workers,
         }
     }
@@ -177,6 +183,7 @@ impl ServerShared {
             .entry(group)
             .or_default()
             .push((worker, floor));
+        self.ack_was_recorded();
     }
 
     fn ack_adopt(&self, group: u64, worker: usize) {
@@ -185,16 +192,51 @@ impl ServerShared {
             .entry(group)
             .or_default()
             .insert(worker);
+        self.ack_was_recorded();
     }
 
-    fn record_group_finished_on_worker(&self, group: u64) {
+    fn ack_was_recorded(&self) {
+        *self.acks_recorded.lock() += 1;
+        self.ack_recorded.notify_all();
+    }
+
+    /// Blocks until `probe` — a question about the recorded
+    /// acknowledgements, asked again after each new one — has an answer,
+    /// or `timeout` passes (`None`).
+    pub(crate) fn await_acks<T>(
+        &self,
+        timeout: Duration,
+        mut probe: impl FnMut() -> Option<T>,
+    ) -> Option<T> {
+        let deadline = instant_after(Instant::now(), timeout);
+        // An acknowledgement is recorded, then counted under this lock:
+        // one that lands after a probe cannot be counted — and its
+        // notification cannot be sent — before the wait below has begun.
+        let mut recorded = self.acks_recorded.lock();
+        loop {
+            if let Some(answer) = probe() {
+                return Some(answer);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            self.ack_recorded.wait_for(&mut recorded, left);
+        }
+    }
+
+    /// Counts one more worker done with `group`; `true` when that was the
+    /// last one, i.e. the group just finished on every worker.
+    fn record_group_finished_on_worker(&self, group: u64) -> bool {
         let mut counts = self.finished_counts.lock();
         let c = counts.entry(group).or_insert(0);
         *c += 1;
-        if *c == self.n_workers {
+        let finished = *c == self.n_workers;
+        if finished {
             self.finished.lock().insert(group);
             self.liveness.forget(&group);
         }
+        finished
     }
 
     /// Snapshot of fully finished groups.
@@ -339,6 +381,7 @@ impl Server {
                 let cfg = config.clone();
                 let shared = Arc::clone(&shared);
                 let kill = kill.clone();
+                let main_tx = main_sender.clone();
                 let slab = partition.worker_range(w);
                 std::thread::spawn(move || {
                     let restore_started = Instant::now();
@@ -410,7 +453,7 @@ impl Server {
                             shared.started.lock().insert(g);
                         }
                     }
-                    worker_loop(state, rx, shared, kill, cfg)
+                    worker_loop(state, rx, main_tx, shared, kill, cfg)
                 })
             })
             .collect();
@@ -472,8 +515,8 @@ impl Server {
     /// message queues FIFO behind every Data frame already in a worker's
     /// inbox, so queued frames integrate first; frames arriving *after*
     /// the ban are discarded — the acknowledged floors are final either
-    /// way.  Poll [`take_migrate_floors`](Self::take_migrate_floors) for
-    /// completion.
+    /// way.  [`take_migrate_floors`](Self::take_migrate_floors) tells
+    /// when every worker has answered.
     pub fn migrate_out(&self, group_id: u64) {
         let msg = Message::MigrateOut { group_id }.encode();
         for s in &self.worker_senders {
@@ -501,9 +544,9 @@ impl Server {
 
     /// Installs the per-worker replay floors of a migrated-in group:
     /// worker `w` adopts `floors[w]`, lifts any ban, and will discard
-    /// replayed frames up to the floor.  Poll
-    /// [`take_adopt_acks`](Self::take_adopt_acks) for completion before
-    /// submitting the group's replay job.
+    /// replayed frames up to the floor.
+    /// [`take_adopt_acks`](Self::take_adopt_acks) tells when every worker
+    /// has, which must be before the group's replay job is submitted.
     pub fn adopt_floors(&self, group_id: u64, floors: &[i64]) {
         assert_eq!(floors.len(), self.n_workers, "one floor per worker");
         for (s, &floor) in self.worker_senders.iter().zip(floors) {
@@ -633,6 +676,7 @@ pub const INGEST_SAMPLE_STRIDE: u64 = 64;
 fn worker_loop(
     mut state: WorkerState,
     rx: BoxReceiver,
+    main_tx: BoxSender,
     shared: Arc<ServerShared>,
     kill: KillSwitch,
     cfg: ServerConfig,
@@ -649,6 +693,12 @@ fn worker_loop(
         .telemetry
         .as_ref()
         .map(|t| t.registry().histogram("checkpoint_write_nanos"));
+    // A group that just finished on every worker is news the launcher
+    // acts on (it frees a pool unit, may end the study): have the main
+    // loop report it now instead of at the next report period.
+    let report_now = || {
+        let _ = main_tx.send(Message::ReportNow.encode());
+    };
     loop {
         if kill.is_killed() {
             return state; // crash: caller discards the state
@@ -692,7 +742,7 @@ fn worker_loop(
                             .replays_discarded
                             .fetch_add(state.replays_discarded - before, Ordering::Relaxed);
                         if completed && timestep as usize + 1 == state.n_timesteps() {
-                            shared.record_group_finished_on_worker(group_id);
+                            let finished = shared.record_group_finished_on_worker(group_id);
                             if cfg.track_ci {
                                 let w = state.max_ci_width(cfg.ci_variance_floor);
                                 shared.set_worker_ci(state.worker_id(), w);
@@ -706,6 +756,11 @@ fn worker_loop(
                                     state.worker_id(),
                                     state.quantile_step_widths(),
                                 );
+                            }
+                            // After the signals, so the pushed report
+                            // carries them.
+                            if finished {
+                                report_now();
                             }
                         }
                     }
@@ -732,7 +787,9 @@ fn worker_loop(
                             // (Skipped when this worker finished the group
                             // itself — it already counted.)
                             shared.started.lock().insert(group_id);
-                            shared.record_group_finished_on_worker(group_id);
+                            if shared.record_group_finished_on_worker(group_id) {
+                                report_now();
+                            }
                         }
                         shared.ack_adopt(group_id, state.worker_id());
                     }
@@ -755,6 +812,13 @@ fn worker_loop(
     }
 }
 
+/// `t + d`, saturating: a configured duration too long for the clock (a
+/// limit set to "never") means a deadline a year away, not a panic.
+pub(crate) fn instant_after(t: Instant, d: Duration) -> Instant {
+    t.checked_add(d)
+        .unwrap_or_else(|| t + Duration::from_secs(365 * 24 * 3600))
+}
+
 /// Main thread: connection handshakes, heartbeats, reports, group-timeout
 /// detection, periodic checkpoints.
 #[allow(clippy::too_many_arguments)]
@@ -768,8 +832,8 @@ fn main_loop(
     main_rx: BoxReceiver,
     scrape_rx: Option<BoxReceiver>,
 ) {
-    let mut last_report = Instant::now();
-    let mut last_checkpoint = Instant::now();
+    let mut next_report = instant_after(Instant::now(), cfg.report_interval);
+    let mut next_checkpoint = instant_after(Instant::now(), cfg.checkpoint_interval);
     // Load-aware unfinished-group detection: the loop's own timed waits
     // probe how starved this process is, and the group-liveness timeout
     // stretches by the observed factor.  On a healthy host the factor is
@@ -777,6 +841,11 @@ fn main_loop(
     // oversubscribed one a slow group is no longer declared unfinished
     // just because the whole study is being scheduled late.
     let load = melissa_transport::LoadMonitor::new();
+    // `Receiver` has no select, so this loop cannot block on the main
+    // inbox and the scrape inbox at once: the cap on its wait exists
+    // solely to serve `scrape_rx` (and to see the kill switch) within
+    // 10 ms.  Everything else wakes it exactly when due — frames on the
+    // main inbox, and the report and checkpoint deadlines below.
     let poll = Duration::from_millis(10);
     let _ = launcher_tx.send(Message::ServerReady.encode());
     loop {
@@ -784,7 +853,11 @@ fn main_loop(
             return;
         }
         let wait_started = Instant::now();
-        match main_rx.recv_timeout(poll) {
+        let wait = poll
+            .min(next_report.saturating_duration_since(wait_started))
+            .min(next_checkpoint.saturating_duration_since(wait_started));
+        let mut report_now = false;
+        match main_rx.recv_timeout(wait) {
             Ok(frame) => match Message::decode(&frame) {
                 Ok(Message::ConnectRequest { group_id, instance }) => {
                     let reply = Message::ConnectReply {
@@ -799,6 +872,7 @@ fn main_loop(
                         let _ = tx.send(reply.encode());
                     }
                 }
+                Ok(Message::ReportNow) => report_now = true,
                 Ok(Message::Checkpoint { dir }) => {
                     let msg = Message::Checkpoint { dir }.encode();
                     for s in &worker_senders {
@@ -814,9 +888,12 @@ fn main_loop(
                 }
                 _ => {}
             },
-            Err(RecvTimeoutError::Timeout) => {
+            // Only a full-length wait is a fair probe: one cut short by a
+            // deadline would turn microseconds of lateness into a ratio.
+            Err(RecvTimeoutError::Timeout) if wait == poll => {
                 load.observe(poll, wait_started.elapsed());
             }
+            Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return,
         }
 
@@ -836,10 +913,17 @@ fn main_loop(
             }
         }
 
-        if last_report.elapsed() >= cfg.report_interval {
-            last_report = Instant::now();
+        // The periodic heartbeat + report is the liveness protocol (and,
+        // by its punctuality, the launcher's load probe); a group
+        // finishing pushes one more report in between.
+        let now = Instant::now();
+        let periodic = now >= next_report;
+        if periodic {
+            next_report = instant_after(now, cfg.report_interval);
             shared.liveness.set_timeout(load.scale(cfg.group_timeout));
             let _ = launcher_tx.send(Message::Heartbeat { sender: 0 }.encode());
+        }
+        if periodic || report_now {
             let link = data_link_rollup(transport.as_ref(), &cfg.scope, cfg.n_workers);
             let report = Message::ServerReport {
                 finished_groups: shared.finished_groups(),
@@ -851,14 +935,16 @@ fn main_loop(
                 blocked_nanos: link.blocked_nanos,
             };
             let _ = launcher_tx.send(report.encode());
+        }
+        if periodic {
             for g in shared.liveness.expired() {
                 shared.liveness.forget(&g);
                 let _ = launcher_tx.send(Message::GroupTimeout { group_id: g }.encode());
             }
         }
 
-        if last_checkpoint.elapsed() >= cfg.checkpoint_interval {
-            last_checkpoint = Instant::now();
+        if now >= next_checkpoint {
+            next_checkpoint = instant_after(now, cfg.checkpoint_interval);
             let msg = Message::Checkpoint {
                 dir: cfg.checkpoint_dir.to_string_lossy().into_owned(),
             }

@@ -1,9 +1,10 @@
 //! The tenant-side client for the daemon control plane.
 //!
-//! [`DaemonClient`] drives the four lifecycle RPCs — `submit`, `status`,
-//! `cancel`, `results` — over the study transport itself: each call
-//! binds a throwaway reply endpoint, sends one [`DaemonRequest`] frame
-//! to [`names::daemon_ctl`], and waits for the single reply.  Errors are
+//! [`DaemonClient`] drives the lifecycle RPCs — `submit`, `status`,
+//! `wait`, `cancel`, `results` — over the study transport itself: each
+//! call binds a throwaway reply endpoint, sends one [`DaemonRequest`]
+//! frame to [`names::daemon_ctl`], and waits for the single reply
+//! (`wait`'s is held back by the daemon until the study ends).  Errors are
 //! the typed [`ClientError`] the rest of the framework uses; an
 //! admission rejection surfaces as
 //! [`ClientError::QuotaExceeded`] with the exhausted resource name, end
@@ -18,7 +19,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::BytesMut;
 use melissa::client::ClientError;
@@ -75,6 +76,15 @@ impl DaemonClient {
 
     /// One request/reply round trip against the control endpoint.
     fn request(&self, op: DaemonOp) -> Result<DaemonReply, ClientError> {
+        self.request_within(op, self.timeout)
+    }
+
+    /// A round trip whose reply may take up to `reply_timeout`.
+    fn request_within(
+        &self,
+        op: DaemonOp,
+        reply_timeout: Duration,
+    ) -> Result<DaemonReply, ClientError> {
         let reply_to = format!(
             "ctl/reply/{}/{}",
             std::process::id(),
@@ -94,7 +104,7 @@ impl DaemonClient {
             .encode_into(&mut buf);
             tx.send(buf.freeze()).map_err(|_| ClientError::SendFailed)?;
             let frame = rx
-                .recv_timeout(self.timeout)
+                .recv_timeout(reply_timeout)
                 .map_err(|_| ClientError::HandshakeTimeout)?;
             let mut slice: &[u8] = &frame;
             DaemonReply::decode_from(&mut slice).map_err(|e| ClientError::BadHandshake {
@@ -129,22 +139,7 @@ impl DaemonClient {
 
     /// Fetches a study's lifecycle state.
     pub fn status(&self, study: u64) -> Result<StudyStatus, ClientError> {
-        match self.request(DaemonOp::Status { study })? {
-            DaemonReply::Status {
-                study,
-                state,
-                tenant,
-                groups_finished,
-                n_groups,
-            } => Ok(StudyStatus {
-                study,
-                state,
-                tenant,
-                groups_finished,
-                n_groups,
-            }),
-            other => Err(unexpected("status", &other)),
-        }
+        status_of("status", self.request(DaemonOp::Status { study })?)
     }
 
     /// Cancels a queued or running study (idempotent on finished ones).
@@ -188,20 +183,16 @@ impl DaemonClient {
         }
     }
 
-    /// Polls `status` until the study reaches a terminal state or the
-    /// deadline passes (then [`ClientError::HandshakeTimeout`]).
+    /// Blocks until the study reaches a terminal state, or `deadline`
+    /// passes (then [`ClientError::HandshakeTimeout`]).  One request: the
+    /// daemon answers it when the study has ended *and* its admission
+    /// reservation is back, so a submission made on return is judged
+    /// against the freed quota.
     pub fn wait(&self, study: u64, deadline: Duration) -> Result<StudyStatus, ClientError> {
-        let start = Instant::now();
-        loop {
-            let status = self.status(study)?;
-            if status.state.is_terminal() {
-                return Ok(status);
-            }
-            if start.elapsed() > deadline {
-                return Err(ClientError::HandshakeTimeout);
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        status_of(
+            "wait",
+            self.request_within(DaemonOp::Wait { study }, deadline)?,
+        )
     }
 
     /// Asks the daemon to cancel everything and exit.
@@ -242,6 +233,26 @@ impl DaemonClient {
             format,
             self.timeout,
         )
+    }
+}
+
+/// The [`StudyStatus`] a `status` or `wait` reply carries.
+fn status_of(rpc: &str, reply: DaemonReply) -> Result<StudyStatus, ClientError> {
+    match reply {
+        DaemonReply::Status {
+            study,
+            state,
+            tenant,
+            groups_finished,
+            n_groups,
+        } => Ok(StudyStatus {
+            study,
+            state,
+            tenant,
+            groups_finished,
+            n_groups,
+        }),
+        other => Err(unexpected(rpc, &other)),
     }
 }
 

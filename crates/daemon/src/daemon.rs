@@ -23,13 +23,23 @@
 //! daemon-submitted study is bit-identical to the same-seed standalone
 //! run even with other tenants' studies interleaved on the pool.
 //!
+//!
+//! The control loop is event-driven: it blocks on the control inbox and
+//! nothing else.  Clients post requests there; a hosted study's thread
+//! posts `StudyEnded` as its last act; a forwarder thread re-posts
+//! whatever arrives on the telemetry endpoint; [`Daemon::stop`] posts
+//! `Shutdown`.  Every frame is handled to completion — a study's end
+//! reaps its thread, releases its admission reservation, *then* answers
+//! the clients waiting on it, then promotes the queue — so a client that
+//! learns a study is done can rely on its quota being back.
+//!
 //! [`names::daemon_ctl`]: melissa_transport::directory::names::daemon_ctl
 //! [`names::daemon_telemetry`]: melissa_transport::directory::names::daemon_telemetry
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::BytesMut;
 use melissa::server::checkpoint::pack_state;
@@ -37,12 +47,12 @@ use melissa::{Study, StudyConfig, StudyRuntime};
 use melissa_scheduler::FairRunner;
 use melissa_telemetry::ScrapeRequest;
 use melissa_transport::directory::names;
-use melissa_transport::{KillSwitch, RecvTimeoutError, Transport};
+use melissa_transport::{BoxReceiver, BoxSender, KillSwitch, Transport};
 use parking_lot::Mutex;
 
 use crate::admission::{AdmissionController, TenantQuota};
-use crate::protocol::{DaemonOp, DaemonReply, DaemonRequest, StudyState};
-use crate::snapshot::{DaemonSnapshot, StudySnapshot, TenantSnapshot};
+use crate::protocol::{ControlFrame, DaemonOp, DaemonReply, DaemonRequest, StudyState};
+use crate::snapshot::{CtlWakeups, DaemonSnapshot, StudySnapshot, TenantSnapshot};
 
 /// Deployment knobs for a daemon instance.
 #[derive(Debug, Clone)]
@@ -110,24 +120,23 @@ impl StudyRecord {
 /// A running daemon instance.  Dropping (or [`stop`](Daemon::stop)ping)
 /// cancels every hosted study and joins the control loop.
 pub struct Daemon {
-    kill: KillSwitch,
     transport: Arc<dyn Transport>,
     ctl: Option<JoinHandle<()>>,
 }
 
 impl Daemon {
-    /// Starts the daemon on `transport`, binding the control and
-    /// telemetry endpoints and spawning the control loop.
+    /// Starts the daemon on `transport`: binds the control and telemetry
+    /// endpoints (both are up when this returns) and spawns the control
+    /// loop.
     pub fn start(transport: Arc<dyn Transport>, config: DaemonConfig) -> Self {
-        let kill = KillSwitch::new();
-        let loop_kill = kill.clone();
+        let ctl_rx = transport.bind(&names::daemon_ctl(), 64);
+        let tele_rx = transport.bind(&names::daemon_telemetry(), 64);
         let loop_transport = Arc::clone(&transport);
         let ctl = std::thread::Builder::new()
             .name("melissad-ctl".into())
-            .spawn(move || control_loop(loop_transport, config, loop_kill))
+            .spawn(move || control_loop(loop_transport, config, ctl_rx, tele_rx))
             .expect("spawn daemon control loop");
         Self {
-            kill,
             transport,
             ctl: Some(ctl),
         }
@@ -144,10 +153,21 @@ impl Daemon {
     }
 
     fn shutdown(&mut self) {
-        self.kill.kill();
-        if let Some(h) = self.ctl.take() {
-            let _ = h.join();
+        let Some(ctl) = self.ctl.take() else {
+            return;
+        };
+        // Nothing bound means the loop has exited already (a client's
+        // `shutdown` RPC got there first).
+        if let Ok(tx) = self.transport.connect(&names::daemon_ctl()) {
+            let mut buf = BytesMut::new();
+            DaemonRequest {
+                reply_to: String::new(),
+                op: DaemonOp::Shutdown,
+            }
+            .encode_into(&mut buf);
+            let _ = tx.send(buf.freeze());
         }
+        let _ = ctl.join();
     }
 }
 
@@ -166,14 +186,45 @@ struct DaemonState {
     registry: HashMap<u64, Arc<StudyRecord>>,
     queue: VecDeque<u64>,
     running: HashMap<u64, JoinHandle<()>>,
+    /// Reply endpoints of `Wait` requests on studies that have not ended
+    /// yet, answered when they do.
+    waiters: HashMap<u64, Vec<String>>,
+    /// The loop's own inbox, for study threads to post `StudyEnded` on.
+    ctl_tx: BoxSender,
+    wakeups: CtlWakeups,
     next_id: u64,
     started_at: Instant,
     shutting_down: bool,
 }
 
-fn control_loop(transport: Arc<dyn Transport>, config: DaemonConfig, kill: KillSwitch) {
-    let ctl_rx = transport.bind(&names::daemon_ctl(), 64);
-    let tele_rx = transport.bind(&names::daemon_telemetry(), 64);
+fn control_loop(
+    transport: Arc<dyn Transport>,
+    config: DaemonConfig,
+    ctl_rx: BoxReceiver,
+    tele_rx: BoxReceiver,
+) {
+    let ctl_tx = transport
+        .connect(&names::daemon_ctl())
+        .expect("bound by Daemon::start");
+
+    // `Receiver` has no select: a forwarder blocks on the telemetry
+    // endpoint and re-posts what arrives onto the control inbox, so a
+    // scrape is answered when it arrives and the loop below has one
+    // thing to wait for.
+    let forwarding_over = KillSwitch::new();
+    let forwarder = {
+        let (over, ctl_tx) = (forwarding_over.clone(), ctl_tx.clone());
+        std::thread::Builder::new()
+            .name("melissad-tele".into())
+            .spawn(move || {
+                while let Ok(frame) = tele_rx.recv() {
+                    if over.is_killed() || ctl_tx.send(ControlFrame::scrape(&frame)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawn daemon telemetry forwarder")
+    };
 
     let fair = FairRunner::new(config.pool_units);
     for (tenant, weight) in &config.weights {
@@ -192,82 +243,144 @@ fn control_loop(transport: Arc<dyn Transport>, config: DaemonConfig, kill: KillS
         registry: HashMap::new(),
         queue: VecDeque::new(),
         running: HashMap::new(),
+        waiters: HashMap::new(),
+        ctl_tx,
+        wakeups: CtlWakeups::default(),
         next_id: 1,
         started_at: Instant::now(),
         shutting_down: false,
     };
 
-    let poll = Duration::from_millis(5);
-    loop {
-        if kill.is_killed() {
-            st.begin_shutdown();
-        }
-        match ctl_rx.recv_timeout(poll) {
-            Ok(frame) => st.handle_ctl_frame(&frame),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-        // Drain whatever else queued behind the first frame.
-        while let Ok(frame) = ctl_rx.try_recv() {
-            st.handle_ctl_frame(&frame);
-        }
-        while let Ok(frame) = tele_rx.try_recv() {
-            st.handle_scrape_frame(&frame);
-        }
-        st.reap_finished();
-        st.promote_queued();
+    while let Ok(frame) = ctl_rx.recv() {
+        st.handle_frame(&frame);
         if st.shutting_down && st.running.is_empty() {
             break;
         }
     }
+
+    // Unblock the forwarder with one last frame (it forwards nothing once
+    // the switch is flipped), then take both endpoints down.
+    forwarding_over.kill();
+    if let Ok(tx) = transport.connect(&names::daemon_telemetry()) {
+        let _ = tx.send(bytes::Bytes::new());
+    }
+    let _ = forwarder.join();
     transport.unbind(&names::daemon_ctl());
     transport.unbind(&names::daemon_telemetry());
 }
 
 impl DaemonState {
-    fn handle_ctl_frame(&mut self, frame: &[u8]) {
-        let mut slice: &[u8] = frame;
-        let req = match DaemonRequest::decode_from(&mut slice) {
-            Ok(req) => req,
+    /// Handles one frame off the control inbox, to completion.
+    fn handle_frame(&mut self, frame: &[u8]) {
+        match ControlFrame::decode(frame) {
+            Ok(ControlFrame::Request(req)) => {
+                self.wakeups.request += 1;
+                if let Some(reply) = self.handle_request(&req) {
+                    self.send_reply(&req.reply_to, &reply);
+                }
+            }
+            Ok(ControlFrame::StudyEnded { study }) => {
+                self.wakeups.study_ended += 1;
+                self.handle_study_ended(study);
+            }
+            Ok(ControlFrame::Scrape(request)) => {
+                self.wakeups.scrape += 1;
+                self.handle_scrape_frame(&request);
+            }
             Err(_) => return, // not a control frame; drop it
-        };
-        let reply = self.handle_op(&req.op);
-        self.send_reply(&req.reply_to, &reply);
+        }
+        // A submission queued a study, or an end or a cancellation freed
+        // a slot.
+        self.promote_queued();
     }
 
-    fn handle_op(&mut self, op: &DaemonOp) -> DaemonReply {
-        match op {
+    /// The reply to send now, or `None` for a `Wait` that has to wait.
+    fn handle_request(&mut self, req: &DaemonRequest) -> Option<DaemonReply> {
+        Some(match &req.op {
             DaemonOp::Submit {
                 tenant,
                 priority,
                 config,
             } => self.handle_submit(tenant, *priority, config),
-            DaemonOp::Status { study } => match self.registry.get(study) {
-                Some(rec) => {
-                    let groups_finished = rec
-                        .finished
-                        .lock()
-                        .as_ref()
-                        .map_or(0, |f| f.groups_finished);
-                    DaemonReply::Status {
-                        study: *study,
-                        state: rec.state(),
-                        tenant: rec.tenant.clone(),
-                        groups_finished,
-                        n_groups: rec.n_groups as u64,
-                    }
+            DaemonOp::Status { study } => self.status_reply(*study),
+            DaemonOp::Wait { study } => {
+                // "Ended" is more than a terminal state: the study's
+                // thread publishes that just before it exits, and only
+                // the `StudyEnded` handler returns its reservation.
+                let ended = self.registry.get(study).is_none_or(|rec| {
+                    rec.state().is_terminal() && !self.running.contains_key(study)
+                });
+                if !ended {
+                    self.waiters
+                        .entry(*study)
+                        .or_default()
+                        .push(req.reply_to.clone());
+                    return None;
                 }
-                None => DaemonReply::Error {
-                    detail: format!("study {study} not found"),
-                },
-            },
+                self.status_reply(*study)
+            }
             DaemonOp::Cancel { study } => self.handle_cancel(*study),
             DaemonOp::Results { study } => self.handle_results(*study),
             DaemonOp::Shutdown => {
                 self.begin_shutdown();
                 DaemonReply::ShuttingDown
             }
+        })
+    }
+
+    fn status_reply(&self, study: u64) -> DaemonReply {
+        let Some(rec) = self.registry.get(&study) else {
+            return DaemonReply::Error {
+                detail: format!("study {study} not found"),
+            };
+        };
+        let groups_finished = rec
+            .finished
+            .lock()
+            .as_ref()
+            .map_or(0, |f| f.groups_finished);
+        DaemonReply::Status {
+            study,
+            state: rec.state(),
+            tenant: rec.tenant.clone(),
+            groups_finished,
+            n_groups: rec.n_groups as u64,
         }
+    }
+
+    /// Tells everyone waiting on `study` how it ended.
+    fn answer_waiters(&mut self, study: u64) {
+        let reply = self.status_reply(study);
+        for reply_to in self.waiters.remove(&study).unwrap_or_default() {
+            self.send_reply(&reply_to, &reply);
+        }
+    }
+
+    /// A study thread announced its exit: reap it, return its admission
+    /// reservation, and only then let its waiters know — their next
+    /// submission is judged against the quota it just gave back.
+    fn handle_study_ended(&mut self, study: u64) {
+        // The frame is the thread's last act, after it published a
+        // terminal state: anything else under this tag is noise, and the
+        // join below is short.
+        let ended = self
+            .registry
+            .get(&study)
+            .is_some_and(|rec| rec.state().is_terminal());
+        if !ended {
+            return;
+        }
+        let Some(handle) = self.running.remove(&study) else {
+            return;
+        };
+        let _ = handle.join();
+        // The study's report is filled; its endpoints and per-name link
+        // history can go (totals stay, under `retired/…`).
+        self.transport.retire_scope(&names::study_scope(study));
+        let rec = &self.registry[&study];
+        self.admission
+            .release(&rec.tenant, rec.n_groups, rec.units, false);
+        self.answer_waiters(study);
     }
 
     fn handle_submit(&mut self, tenant: &str, priority: u8, config: &StudyConfig) -> DaemonReply {
@@ -302,8 +415,8 @@ impl DaemonState {
         });
         self.registry.insert(id, rec);
         self.queue.push_back(id);
-        // The promotion pass right after frame handling starts it if a
-        // slot is free; `would_queue` only reserved the queue slot.
+        // The promotion pass that ends this frame's handling starts it if
+        // a slot is free; `would_queue` only reserved the queue slot.
         DaemonReply::Submitted { study: id }
     }
 
@@ -319,6 +432,7 @@ impl DaemonState {
                 *rec.state.lock() = StudyState::Cancelled;
                 self.admission
                     .release(&rec.tenant, rec.n_groups, rec.units, true);
+                self.answer_waiters(study);
             }
             StudyState::Running => rec.cancel.kill(),
             // Terminal states: cancel is an idempotent no-op.
@@ -375,6 +489,7 @@ impl DaemonState {
                 .open_stream(&rec.tenant, rec.priority, rec.units.max(1));
             let fair = self.fair.clone();
             let transport = Arc::clone(&self.transport);
+            let ctl_tx = self.ctl_tx.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("melissad-study{id}"))
                 .spawn(move || {
@@ -415,28 +530,10 @@ impl DaemonState {
                             *rec.state.lock() = state;
                         }
                     }
+                    let _ = ctl_tx.send(ControlFrame::study_ended(rec.id));
                 })
                 .expect("spawn study supervisor");
             self.running.insert(id, handle);
-        }
-    }
-
-    /// Joins supervisor threads that have exited and returns their
-    /// admission reservations.
-    fn reap_finished(&mut self) {
-        let done: Vec<u64> = self
-            .running
-            .iter()
-            .filter(|(_, h)| h.is_finished())
-            .map(|(&id, _)| id)
-            .collect();
-        for id in done {
-            if let Some(handle) = self.running.remove(&id) {
-                let _ = handle.join();
-            }
-            let rec = &self.registry[&id];
-            self.admission
-                .release(&rec.tenant, rec.n_groups, rec.units, false);
         }
     }
 
@@ -452,6 +549,7 @@ impl DaemonState {
             *rec.state.lock() = StudyState::Cancelled;
             self.admission
                 .release(&rec.tenant, rec.n_groups, rec.units, true);
+            self.answer_waiters(id);
         }
         for rec in self.registry.values() {
             if rec.state() == StudyState::Running {
@@ -466,10 +564,7 @@ impl DaemonState {
             return;
         };
         let reply = self.snapshot().encode_reply(req.format);
-        if let Ok(tx) = self
-            .transport
-            .connect_retry(&req.reply_to, Duration::from_millis(500))
-        {
+        if let Ok(tx) = self.transport.connect(&req.reply_to) {
             let _ = tx.send(reply);
         }
     }
@@ -477,13 +572,11 @@ impl DaemonState {
     fn send_reply(&self, reply_to: &str, reply: &DaemonReply) {
         let mut buf = BytesMut::new();
         reply.encode_into(&mut buf);
-        // The client binds its reply endpoint before sending, so a
-        // short retry covers only directory propagation; a vanished
-        // client is its own problem.
-        if let Ok(tx) = self
-            .transport
-            .connect_retry(reply_to, Duration::from_secs(1))
-        {
+        // The client binds its reply endpoint before it sends, so the
+        // endpoint is either there or the client is gone (a waiter whose
+        // deadline passed): never wait for it on this thread, which
+        // serves every tenant.
+        if let Ok(tx) = self.transport.connect(reply_to) {
             let _ = tx.send(buf.freeze());
         }
     }
@@ -548,6 +641,7 @@ impl DaemonState {
             queue_depth: self.admission.queue_depth(),
             queue_cap: self.admission.queue_cap(),
             admission: self.admission.stats(),
+            ctl_wakeups: self.wakeups,
             tenants,
             studies,
         }

@@ -55,4 +55,4 @@ pub use admission::{AdmissionController, AdmissionStats, TenantLoad, TenantQuota
 pub use client::{DaemonClient, StudyStatus};
 pub use daemon::{Daemon, DaemonConfig};
 pub use protocol::{DaemonOp, DaemonReply, DaemonRequest, StudyState};
-pub use snapshot::{DaemonSnapshot, StudySnapshot, TenantSnapshot};
+pub use snapshot::{CtlWakeups, DaemonSnapshot, StudySnapshot, TenantSnapshot};

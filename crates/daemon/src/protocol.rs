@@ -300,6 +300,14 @@ pub enum DaemonOp {
     },
     /// Ask the daemon to cancel everything and exit its control loop.
     Shutdown,
+    /// Ask for a study's lifecycle state *once it is terminal*: the
+    /// daemon holds the reply (a [`DaemonReply::Status`]) back until the
+    /// study has ended and its admission reservation is released, so one
+    /// request replaces a `Status` poll.
+    Wait {
+        /// The study id returned at submission.
+        study: u64,
+    },
 }
 
 /// One control-plane request frame: where to reply, and what to do.
@@ -339,6 +347,10 @@ impl DaemonRequest {
                 buf.put_u64_le(*study);
             }
             DaemonOp::Shutdown => buf.put_u8(5),
+            DaemonOp::Wait { study } => {
+                buf.put_u8(6);
+                buf.put_u64_le(*study);
+            }
         }
     }
 
@@ -361,6 +373,9 @@ impl DaemonRequest {
                 study: get_u64(buf, "results study id")?,
             },
             5 => DaemonOp::Shutdown,
+            6 => DaemonOp::Wait {
+                study: get_u64(buf, "wait study id")?,
+            },
             _ => {
                 return Err(WireError::Invalid {
                     what: "unknown request op",
@@ -368,6 +383,65 @@ impl DaemonRequest {
             }
         };
         Ok(Self { reply_to, op })
+    }
+}
+
+/// What the daemon's control loop can find on its inbox: a client's
+/// request, or one of the frames the daemon's own threads post there so
+/// that the loop has a single thing to block on.
+pub(crate) enum ControlFrame {
+    /// A client request.
+    Request(DaemonRequest),
+    /// A study thread's last act: study `study` has published its
+    /// terminal state and is exiting.
+    StudyEnded {
+        /// The study that ended.
+        study: u64,
+    },
+    /// A frame that arrived on the daemon telemetry endpoint.
+    Scrape(Vec<u8>),
+}
+
+/// Leads an internal control frame.  A request leads with the `u32`
+/// length of its reply endpoint's name, which no frame is long enough to
+/// make this large.
+const INTERNAL: u32 = u32::MAX;
+
+impl ControlFrame {
+    /// The frame announcing that `study`'s thread is exiting.
+    pub(crate) fn study_ended(study: u64) -> bytes::Bytes {
+        let mut buf = BytesMut::with_capacity(13);
+        buf.put_u32_le(INTERNAL);
+        buf.put_u8(1);
+        buf.put_u64_le(study);
+        buf.freeze()
+    }
+
+    /// Wraps a frame received on the telemetry endpoint for the control
+    /// inbox.
+    pub(crate) fn scrape(request: &[u8]) -> bytes::Bytes {
+        let mut buf = BytesMut::with_capacity(5 + request.len());
+        buf.put_u32_le(INTERNAL);
+        buf.put_u8(2);
+        buf.put_slice(request);
+        buf.freeze()
+    }
+
+    /// Decodes whatever arrived on the control inbox.
+    pub(crate) fn decode(mut frame: &[u8]) -> WireResult<Self> {
+        if !frame.starts_with(&INTERNAL.to_le_bytes()) {
+            return DaemonRequest::decode_from(&mut frame).map(ControlFrame::Request);
+        }
+        frame = &frame[4..];
+        match get_u8(&mut frame, "internal frame tag")? {
+            1 => Ok(ControlFrame::StudyEnded {
+                study: get_u64(&mut frame, "ended study id")?,
+            }),
+            2 => Ok(ControlFrame::Scrape(frame.to_vec())),
+            _ => Err(WireError::Invalid {
+                what: "unknown internal frame",
+            }),
+        }
     }
 }
 
@@ -630,6 +704,7 @@ mod tests {
             DaemonOp::Cancel { study: 9 },
             DaemonOp::Results { study: 11 },
             DaemonOp::Shutdown,
+            DaemonOp::Wait { study: 13 },
         ];
         for op in ops {
             let req = DaemonRequest {
@@ -681,6 +756,34 @@ mod tests {
             assert!(slice.is_empty());
             assert_eq!(reply, back);
         }
+    }
+
+    #[test]
+    fn control_frames_tell_requests_from_internal_posts() {
+        let mut buf = BytesMut::new();
+        DaemonRequest {
+            reply_to: "ctl/reply/1/2".into(),
+            op: DaemonOp::Wait { study: 4 },
+        }
+        .encode_into(&mut buf);
+        assert!(matches!(
+            ControlFrame::decode(&buf),
+            Ok(ControlFrame::Request(DaemonRequest {
+                op: DaemonOp::Wait { study: 4 },
+                ..
+            }))
+        ));
+        assert!(matches!(
+            ControlFrame::decode(&ControlFrame::study_ended(9)),
+            Ok(ControlFrame::StudyEnded { study: 9 })
+        ));
+        assert!(matches!(
+            ControlFrame::decode(&ControlFrame::scrape(b"req")),
+            Ok(ControlFrame::Scrape(inner)) if inner == b"req"
+        ));
+        let truncated = &ControlFrame::study_ended(9)[..8];
+        assert!(ControlFrame::decode(truncated).is_err());
+        assert!(ControlFrame::decode(&[0xff, 0xff, 0xff, 0xff, 77]).is_err());
     }
 
     #[test]

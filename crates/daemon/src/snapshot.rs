@@ -60,6 +60,20 @@ pub struct StudySnapshot {
     pub n_groups: u64,
 }
 
+/// How often the control loop woke up, by what woke it.  The loop blocks
+/// on its inbox, so this is also the number of frames it has handled —
+/// an idle daemon's counters stand still.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CtlWakeups {
+    /// Client requests (`submit`, `status`, `wait`, `cancel`, `results`,
+    /// `shutdown`).
+    pub request: u64,
+    /// Hosted studies that announced their end.
+    pub study_ended: u64,
+    /// Scrapes of the daemon telemetry endpoint.
+    pub scrape: u64,
+}
+
 /// A point-in-time view of the whole daemon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DaemonSnapshot {
@@ -79,6 +93,8 @@ pub struct DaemonSnapshot {
     pub queue_cap: usize,
     /// Admission decision counters.
     pub admission: AdmissionStats,
+    /// Control-loop wake-ups by reason (`daemon_ctl_wakeups_total`).
+    pub ctl_wakeups: CtlWakeups,
     /// Per-tenant rollups.
     pub tenants: Vec<TenantSnapshot>,
     /// Per-study lifecycle rows.
@@ -125,6 +141,10 @@ impl DaemonSnapshot {
             self.admission.rejected_studies,
             self.admission.rejected_groups,
             self.admission.rejected_units,
+        ));
+        out.push_str(&format!(
+            "\"daemon_ctl_wakeups_total\":{{\"request\":{},\"study_ended\":{},\"scrape\":{}}},",
+            self.ctl_wakeups.request, self.ctl_wakeups.study_ended, self.ctl_wakeups.scrape,
         ));
         out.push_str("\"tenants\":[");
         for (i, t) in self.tenants.iter().enumerate() {
@@ -198,6 +218,16 @@ impl DaemonSnapshot {
         ] {
             out.push_str(&format!(
                 "melissad_admissions_total{{decision=\"rejected\",resource=\"{resource}\"}} {v}\n"
+            ));
+        }
+        out.push_str("# TYPE melissad_daemon_ctl_wakeups_total counter\n");
+        for (reason, v) in [
+            ("request", self.ctl_wakeups.request),
+            ("study_ended", self.ctl_wakeups.study_ended),
+            ("scrape", self.ctl_wakeups.scrape),
+        ] {
+            out.push_str(&format!(
+                "melissad_daemon_ctl_wakeups_total{{reason=\"{reason}\"}} {v}\n"
             ));
         }
         for (family, pick) in [
@@ -275,6 +305,11 @@ mod tests {
                 rejected_groups: 0,
                 rejected_units: 1,
             },
+            ctl_wakeups: CtlWakeups {
+                request: 9,
+                study_ended: 2,
+                scrape: 1,
+            },
             tenants: vec![TenantSnapshot {
                 tenant: "acme".into(),
                 weight: 2,
@@ -301,6 +336,9 @@ mod tests {
         let json = sample().to_json();
         assert!(json.contains("\"queue_depth\":1"));
         assert!(json.contains("\"rejected_studies\":2"));
+        assert!(json.contains(
+            "\"daemon_ctl_wakeups_total\":{\"request\":9,\"study_ended\":2,\"scrape\":1}"
+        ));
         assert!(json.contains("\"tenant\":\"acme\""));
         assert!(json.contains("\"dispatched_jobs\":17"));
         assert!(json.contains("\"state\":\"running\""));
@@ -313,6 +351,7 @@ mod tests {
         assert!(
             text.contains("melissad_admissions_total{decision=\"rejected\",resource=\"units\"} 1")
         );
+        assert!(text.contains("melissad_daemon_ctl_wakeups_total{reason=\"study_ended\"} 2"));
         assert!(text.contains("melissad_tenant_running_jobs{tenant=\"acme\"} 3"));
         assert!(
             text.contains("melissad_study_state{study=\"1\",tenant=\"acme\",state=\"running\"} 1")

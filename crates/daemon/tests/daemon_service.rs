@@ -4,7 +4,7 @@
 //! shared pool), the typed quota-rejection path, and the cancel path.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use melissa::client::ClientError;
 use melissa::protocol::Message;
@@ -12,7 +12,9 @@ use melissa::{Study, StudyConfig, StudyResults};
 use melissa_daemon::{Daemon, DaemonClient, DaemonConfig, StudyState, TenantQuota};
 use melissa_telemetry::ScrapeFormat;
 use melissa_transport::directory::names;
-use melissa_transport::{make_transport, Disconnected, TransportKind};
+use melissa_transport::{
+    make_transport, Disconnected, LinkStatsSnapshot, Transport, TransportKind,
+};
 
 fn seeded_config(seed: u64, tag: &str) -> StudyConfig {
     let mut config = StudyConfig::tiny();
@@ -323,5 +325,129 @@ fn daemon_telemetry_snapshot_aggregates_tenants_and_admissions() {
 
     let status = client.wait(id, Duration::from_secs(240)).expect("finish");
     assert_eq!(status.state, StudyState::Done);
+    daemon.stop();
+}
+
+/// A client that stopped waiting (its deadline passed, its reply endpoint
+/// is unbound) costs the control thread one failed `connect`, not a
+/// retry loop: the next tenant's RPCs are served at once.
+#[test]
+fn vanished_waiter_does_not_stall_other_tenants() {
+    let transport = make_transport(TransportKind::InProcess);
+    let daemon = Daemon::start(
+        Arc::clone(&transport),
+        DaemonConfig {
+            max_active_studies: 1,
+            ..DaemonConfig::default()
+        },
+    );
+    let rpc_timeout = Duration::from_secs(10);
+    let client = DaemonClient::new(Arc::clone(&transport), rpc_timeout);
+
+    // `running` holds the only active slot for the whole test, so
+    // `queued` stays queued until it is cancelled.
+    let mut long_cfg = seeded_config(41, "long");
+    long_cfg.n_groups = 16;
+    let running = client.submit("acme", 0, long_cfg).expect("admitted");
+    let queued = client
+        .submit("acme", 0, seeded_config(42, "queued"))
+        .expect("queued");
+    assert!(matches!(
+        client.wait(queued, Duration::from_millis(1)),
+        Err(ClientError::HandshakeTimeout)
+    ));
+
+    // Cancelling a queued study answers its waiters inside the handler,
+    // the vanished one first; then another tenant submits.
+    let started = Instant::now();
+    client.cancel(queued).expect("cancel");
+    let other = client
+        .submit("globex", 0, seeded_config(43, "other"))
+        .expect("admitted");
+    assert!(
+        started.elapsed() < rpc_timeout / 10,
+        "cancel + submit took {:?} behind a vanished waiter",
+        started.elapsed()
+    );
+    let status = client.wait(queued, Duration::from_secs(10)).expect("wait");
+    assert_eq!(status.state, StudyState::Cancelled);
+
+    client.cancel(running).expect("cancel");
+    client.cancel(other).expect("cancel");
+    daemon.stop();
+}
+
+/// Hosting the n-th identical study costs what hosting the second did:
+/// one `Wait` frame per `DaemonClient::wait` (not a `status` poll per
+/// tick), the same data-link traffic as the standalone run, and a link
+/// rollup that stopped growing after the first study was reaped.
+#[test]
+fn identical_hosted_studies_cost_the_same_frames_and_leave_the_same_ledger() {
+    fn rollup(transport: &Arc<dyn Transport>) -> (usize, u64, LinkStatsSnapshot) {
+        let stats = transport.link_stats();
+        let mut data = LinkStatsSnapshot::default();
+        let mut ctl_messages = 0;
+        for (name, snap) in &stats {
+            let mut parts = name.rsplit('/');
+            let worker = parts.next().unwrap_or("");
+            if parts.next() == Some("server") && worker.parse::<usize>().is_ok() {
+                data.absorb(snap);
+            }
+            if *name == names::daemon_ctl() {
+                ctl_messages = snap.messages;
+            }
+        }
+        (stats.len(), ctl_messages, data)
+    }
+
+    let mut config = seeded_config(77, "ledger");
+    config.n_groups = 2;
+    let mut standalone_cfg = config.clone();
+    standalone_cfg.checkpoint_dir = standalone_cfg.checkpoint_dir.join("standalone");
+    let standalone = Study::new(standalone_cfg).run().expect("standalone").report;
+    // The report is filled before the launcher sends each server worker
+    // its one-byte `Stop`; the transport's rollup, read later, has those.
+    let stops = config.server_workers as u64;
+
+    let transport = make_transport(TransportKind::InProcess);
+    let daemon = Daemon::start(Arc::clone(&transport), DaemonConfig::default());
+    let client = DaemonClient::new(Arc::clone(&transport), Duration::from_secs(10));
+
+    let mut ledger_sizes = Vec::new();
+    for _ in 0..10 {
+        let (_, ctl_before, data_before) = rollup(&transport);
+        let id = client.submit("acme", 0, config.clone()).expect("admitted");
+        let status = client.wait(id, Duration::from_secs(240)).expect("finish");
+        assert_eq!(status.state, StudyState::Done);
+        let (ledger_size, ctl_after, data_after) = rollup(&transport);
+        ledger_sizes.push(ledger_size);
+        assert_eq!(
+            ctl_after - ctl_before,
+            3,
+            "control frames of study {id}: its submit, its wait, its end"
+        );
+        assert_eq!(
+            (
+                data_after.messages - data_before.messages,
+                data_after.bytes - data_before.bytes,
+                data_after.wire_bytes - data_before.wire_bytes,
+            ),
+            (
+                standalone.link_messages + stops,
+                standalone.link_bytes + stops,
+                standalone.link_wire_bytes + stops,
+            ),
+            "data-link traffic of study {id}"
+        );
+    }
+    assert_eq!(ledger_sizes[9], ledger_sizes[1], "sizes: {ledger_sizes:?}");
+
+    let json = client.scrape_daemon(ScrapeFormat::Json).expect("json");
+    assert!(
+        json.contains(
+            "\"daemon_ctl_wakeups_total\":{\"request\":20,\"study_ended\":10,\"scrape\":1}"
+        ),
+        "json: {json}"
+    );
     daemon.stop();
 }

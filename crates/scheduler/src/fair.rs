@@ -2,8 +2,11 @@
 //! jobs across tenants sharing one node pool.
 //!
 //! This is the workspace's one grant protocol.  Every job is enqueued on
-//! the submitting thread, parks on its own thread until the scheduler
-//! grants it capacity, runs, and releases its units.  A pool one study
+//! the submitting thread and waits — as a queue entry, not as a thread —
+//! until the scheduler grants it capacity; granted jobs are run, in grant
+//! order, by the pool's persistent worker threads (one per unit, started
+//! with the pool), which release the job's units when it returns.  No
+//! thread is ever spawned for a job.  A pool one study
 //! owns ([`JobRunner`](crate::runtime::JobRunner)) is the one-tenant,
 //! one-stream case, where everything below reduces to FIFO; with many
 //! tenants a single queue would let one tenant's burst head-of-line-block
@@ -29,27 +32,36 @@
 //! completion sequence, never of thread wake-up races — which is what
 //! lets a sequential study reproduce bit-identical statistics.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
-use std::time::Duration;
+use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 
 use melissa_transport::KillSwitch;
 use parking_lot::{Condvar, Mutex};
 
-use crate::runtime::{Dispatcher, JobHandle};
+use crate::runtime::{Dispatcher, JobHandle, JobState};
 
-/// One queued, not-yet-dispatched job.
-#[derive(Debug)]
+/// The work of one job.
+type Work = Box<dyn FnOnce(&KillSwitch) + Send>;
+
+/// One submitted job: queued in its tenant's queue until the ring grants
+/// it capacity, then in the ready queue until a worker takes it.
 struct Pending {
     seq: u64,
     units: usize,
     priority: u8,
     stream: Option<u64>,
+    /// Index of the job's tenant (tenants are never removed).
+    tenant: usize,
+    work: Work,
+    /// Shared with the job's [`JobHandle`].
+    job: Arc<JobState>,
 }
 
 /// Per-tenant scheduling state: a DRR deficit and a priority-ordered
 /// queue.
-#[derive(Debug)]
 struct TenantState {
     name: String,
     weight: u64,
@@ -69,7 +81,6 @@ struct StreamState {
     queued: u64,
 }
 
-#[derive(Debug)]
 struct FairState {
     free: usize,
     quantum: u64,
@@ -77,8 +88,13 @@ struct FairState {
     next_stream: u64,
     tenants: Vec<TenantState>,
     ring_pos: usize,
-    /// Seqs granted capacity whose threads have not picked them up yet.
-    granted: HashSet<u64>,
+    /// Jobs granted capacity that no worker has taken yet, in grant
+    /// order.  Each holds its units, so there are never more of them than
+    /// idle workers.
+    ready: VecDeque<Pending>,
+    /// Set when the last runner handle is dropped: workers exit once
+    /// every submitted job has run.
+    shutdown: bool,
     /// Whether the tenant at `ring_pos` has already received its quantum
     /// for the visit in progress (a capacity-interrupted visit resumes
     /// without a second credit).
@@ -86,10 +102,32 @@ struct FairState {
     streams: HashMap<u64, StreamState>,
 }
 
-#[derive(Debug)]
 struct FairShared {
     state: Mutex<FairState>,
-    cv: Condvar,
+    /// Idle workers wait here for a ready job.
+    work: Condvar,
+}
+
+/// The pool's worker threads, shared by every clone of the runner; the
+/// last clone to go shuts them down.
+struct Workers {
+    shared: Arc<FairShared>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        self.shared.state.lock().shutdown = true;
+        self.shared.work.notify_all();
+        let me = std::thread::current().id();
+        for handle in self.handles.drain(..) {
+            // A job that held the last clone drops it on a worker, which
+            // cannot join itself; it exits on its own right after.
+            if handle.thread().id() != me {
+                let _ = handle.join();
+            }
+        }
+    }
 }
 
 /// Live usage of one tenant, for admission control and telemetry.
@@ -109,11 +147,13 @@ pub struct TenantUsage {
     pub dispatched: u64,
 }
 
-/// A deficit-round-robin fair scheduler over a shared capacity pool.
+/// A deficit-round-robin fair scheduler over a shared capacity pool,
+/// run by one persistent worker thread per unit.
 #[derive(Clone)]
 pub struct FairRunner {
     shared: Arc<FairShared>,
     total_units: usize,
+    _workers: Arc<Workers>,
 }
 
 impl FairState {
@@ -167,7 +207,7 @@ impl FairState {
 
     /// Runs the DRR ring until no further job can be dispatched.  Called
     /// under the lock whenever queues or capacity change; every dispatch
-    /// moves a seq into `granted` for its parked thread to pick up.
+    /// moves the job to the back of `ready` for a worker to take.
     ///
     /// A tenant's visit is credited `quantum × weight` exactly once; if
     /// the pool runs dry mid-visit while the tenant still has
@@ -221,7 +261,7 @@ impl FairState {
                             s.running += 1;
                             s.queued -= 1;
                         }
-                        self.granted.insert(job.seq);
+                        self.ready.push_back(job);
                     }
                     if self.free == 0 && self.has_affordable(ti) {
                         // Visit interrupted by capacity, not exhausted:
@@ -250,22 +290,111 @@ impl FairState {
         }
     }
 
-    fn remove_queued(&mut self, seq: u64) {
-        for t in &mut self.tenants {
-            if let Some(qi) = t.queue.iter().position(|j| j.seq == seq) {
-                let job = t.queue.remove(qi);
-                if let Some(sid) = job.stream {
-                    self.streams.get_mut(&sid).expect("stream exists").queued -= 1;
+    /// Takes a still-queued job out of its tenant's queue (`None` once it
+    /// has been granted capacity).
+    fn remove_queued(&mut self, tenant: usize, seq: u64) -> Option<Pending> {
+        let queue = &mut self.tenants[tenant].queue;
+        let job = queue.remove(queue.iter().position(|j| j.seq == seq)?);
+        if let Some(sid) = job.stream {
+            self.streams.get_mut(&sid).expect("stream exists").queued -= 1;
+        }
+        Some(job)
+    }
+
+    /// Returns an ended job's units to the pool.
+    fn release(&mut self, tenant: usize, stream: Option<u64>, units: usize) {
+        self.free += units;
+        if let Some(st) = stream.and_then(|sid| self.streams.get_mut(&sid)) {
+            st.running -= 1;
+        }
+        let t = &mut self.tenants[tenant];
+        t.running_jobs -= 1;
+        t.running_units -= units;
+    }
+
+    fn drained(&self) -> bool {
+        self.ready.is_empty() && self.tenants.iter().all(|t| t.queue.is_empty())
+    }
+}
+
+impl FairShared {
+    /// Runs the ring and wakes a worker per ready job.  Called under the
+    /// lock.
+    fn dispatch(&self, s: &mut FairState) {
+        s.schedule();
+        for _ in 0..s.ready.len() {
+            self.work.notify_one();
+        }
+    }
+
+    /// A worker's life: take the oldest ready job, run it, release its
+    /// units; wait when there is none.
+    fn work(&self) {
+        let mut s = self.state.lock();
+        loop {
+            let Some(granted) = s.ready.pop_front() else {
+                if s.shutdown && s.drained() {
+                    return;
                 }
-                return;
+                self.work.wait(&mut s);
+                continue;
+            };
+            drop(s);
+            let Pending {
+                units,
+                stream,
+                tenant,
+                work,
+                job,
+                ..
+            } = granted;
+            // Killed between grant and start: never runs, like a job
+            // killed while queued.
+            if !job.kill.is_killed() {
+                job.started.store(true, Ordering::Relaxed);
+                // A panicking job must not take its worker — and the
+                // units it holds — with it.
+                let _ = catch_unwind(AssertUnwindSafe(|| work(&job.kill)));
             }
+            s = self.state.lock();
+            s.release(tenant, stream, units);
+            // This worker takes the first newly ready job itself.
+            s.schedule();
+            for _ in 1..s.ready.len() {
+                self.work.notify_one();
+            }
+            // Units and stream slot are back before anyone joining the
+            // job can observe it ended.
+            job.finish();
+            if s.shutdown {
+                self.work.notify_all();
+            }
+        }
+    }
+
+    /// The kill hook of a submitted job: a job still queued is dequeued
+    /// and ends without ever running (it never consumes the tenant's
+    /// deficit); a granted or running one observes its switch.
+    fn dequeue(&self, tenant: usize, seq: u64) {
+        let removed = {
+            let mut s = self.state.lock();
+            let removed = s.remove_queued(tenant, seq);
+            if removed.is_some() {
+                self.dispatch(&mut s);
+            }
+            removed
+        };
+        // The entry (and the work closure in it) drops outside the lock.
+        if let Some(job) = removed {
+            job.job.finish();
         }
     }
 }
 
 impl FairRunner {
-    /// Creates a fair runner over `units` shared resource units with a
-    /// DRR quantum of one cost unit (= one node unit per ring visit).
+    /// Creates a fair runner over `units` shared resource units — and
+    /// starts its `units` worker threads — with a DRR quantum of one cost
+    /// unit (= one node unit per ring visit).
     ///
     /// # Panics
     /// Panics if `units == 0`.
@@ -284,21 +413,38 @@ impl FairRunner {
     pub fn with_quantum(units: usize, quantum: u64) -> Self {
         assert!(units > 0, "need at least one resource unit");
         assert!(quantum > 0, "DRR quantum must be positive");
-        Self {
-            shared: Arc::new(FairShared {
-                state: Mutex::new(FairState {
-                    free: units,
-                    quantum,
-                    next_seq: 0,
-                    next_stream: 0,
-                    tenants: Vec::new(),
-                    ring_pos: 0,
-                    granted: HashSet::new(),
-                    credited: false,
-                    streams: HashMap::new(),
-                }),
-                cv: Condvar::new(),
+        let shared = Arc::new(FairShared {
+            state: Mutex::new(FairState {
+                free: units,
+                quantum,
+                next_seq: 0,
+                next_stream: 0,
+                tenants: Vec::new(),
+                ring_pos: 0,
+                ready: VecDeque::new(),
+                shutdown: false,
+                credited: false,
+                streams: HashMap::new(),
             }),
+            work: Condvar::new(),
+        });
+        // Every running job holds at least one unit, so `units` workers
+        // can run whatever the ring grants.
+        let handles = (0..units)
+            .map(|k| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("job-pool-{k}"))
+                    .spawn(move || shared.work())
+                    .expect("spawn job-pool worker")
+            })
+            .collect();
+        Self {
+            _workers: Arc::new(Workers {
+                shared: Arc::clone(&shared),
+                handles,
+            }),
+            shared,
             total_units: units,
         }
     }
@@ -386,9 +532,10 @@ impl FairRunner {
     }
 
     /// Submits a job for `tenant` at `priority` needing `units` units.
-    /// The job queues until the DRR ring grants it capacity; `work` must
-    /// poll its [`KillSwitch`].  Killing a queued job dequeues it without
-    /// running (it never consumes the tenant's deficit).
+    /// The job queues until the DRR ring grants it capacity and a pool
+    /// worker runs it; `work` must poll its [`KillSwitch`].  Killing a
+    /// queued job dequeues it at once, without running (it never consumes
+    /// the tenant's deficit).
     ///
     /// # Panics
     /// Panics if `units` is zero or exceeds the pool capacity.
@@ -405,7 +552,7 @@ impl FairRunner {
         priority: u8,
         stream: Option<u64>,
         units: usize,
-        work: Box<dyn FnOnce(&KillSwitch) + Send>,
+        work: Work,
     ) -> JobHandle {
         assert!(units > 0, "a job must need at least one unit");
         assert!(
@@ -413,9 +560,9 @@ impl FairRunner {
             "job needs {units} units > capacity {}",
             self.total_units
         );
-        let kill = KillSwitch::new();
+        let job = Arc::new(JobState::new());
         // Enqueue on the submitting thread: submission order is queue
-        // order, regardless of how job threads get scheduled.
+        // order, whichever worker ends up running the job.
         let (seq, ti) = {
             let mut s = self.shared.state.lock();
             let seq = s.next_seq;
@@ -432,53 +579,24 @@ impl FairRunner {
                 units,
                 priority,
                 stream,
+                tenant: ti,
+                work,
+                job: Arc::clone(&job),
             });
-            s.schedule();
-            self.shared.cv.notify_all();
+            self.shared.dispatch(&mut s);
             (seq, ti)
         };
-        let shared = Arc::clone(&self.shared);
-        let kill_in_job = kill.clone();
-        let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let started_in_job = Arc::clone(&started);
-        let handle = std::thread::spawn(move || {
-            // Park until the ring grants this seq (or the job is killed
-            // while queued, in which case it dequeues and bows out).
-            {
-                let mut s = shared.state.lock();
-                loop {
-                    if s.granted.remove(&seq) {
-                        break;
-                    }
-                    if kill_in_job.is_killed() {
-                        s.remove_queued(seq);
-                        s.schedule();
-                        shared.cv.notify_all();
-                        return;
-                    }
-                    shared.cv.wait_for(&mut s, Duration::from_millis(10));
-                }
+        // Weak: the hook lives in the switch, the switch in the queue
+        // entry, the entry in the shared state.
+        let shared: Weak<FairShared> = Arc::downgrade(&self.shared);
+        job.kill.on_kill(move || {
+            if let Some(shared) = shared.upgrade() {
+                shared.dequeue(ti, seq);
             }
-            started_in_job.store(true, std::sync::atomic::Ordering::Relaxed);
-            work(&kill_in_job);
-            let mut s = shared.state.lock();
-            s.free += units;
-            if let Some(sid) = stream {
-                if let Some(st) = s.streams.get_mut(&sid) {
-                    st.running -= 1;
-                }
-            }
-            // Tenants are never removed, so the index taken at submission
-            // still names this job's tenant.
-            s.tenants[ti].running_jobs -= 1;
-            s.tenants[ti].running_units -= units;
-            s.schedule();
-            shared.cv.notify_all();
         });
         JobHandle {
-            kill,
-            started,
-            handle,
+            kill: job.kill.clone(),
+            state: job,
         }
     }
 }
@@ -504,7 +622,7 @@ impl StreamHandle {
 }
 
 impl Dispatcher for StreamHandle {
-    fn submit_boxed(&self, units: usize, work: Box<dyn FnOnce(&KillSwitch) + Send>) -> JobHandle {
+    fn submit_boxed(&self, units: usize, work: Work) -> JobHandle {
         self.runner
             .submit_in(&self.tenant, self.priority, Some(self.stream), units, work)
     }
@@ -527,6 +645,7 @@ impl Dispatcher for StreamHandle {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     /// A gate job that holds its unit until released, so tests can build
     /// a deterministic backlog before any scheduling decision is taken.
@@ -652,6 +771,64 @@ mod tests {
         doomed.kill.kill();
         doomed.join();
         assert_eq!(runner.queued_jobs(), 0);
+        release.kill();
+        blocker.join();
+        assert_eq!(ran.load(Ordering::SeqCst), 0);
+        assert_eq!(runner.free_units(), 1);
+    }
+
+    #[test]
+    fn many_jobs_run_on_the_pool_workers_only() {
+        let units = 3;
+        let runner = FairRunner::new(units);
+        let threads = Arc::new(Mutex::new(std::collections::HashSet::new()));
+        let handles: Vec<JobHandle> = (0..200)
+            .map(|i| {
+                let threads = Arc::clone(&threads);
+                runner.submit(if i % 3 == 0 { "a" } else { "b" }, 0, 1, move |_| {
+                    threads.lock().insert(std::thread::current().id());
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join();
+        }
+        let threads = threads.lock();
+        assert!(
+            (1..=units).contains(&threads.len()),
+            "200 jobs ran on {} threads, pool has {units}",
+            threads.len()
+        );
+        assert!(!threads.contains(&std::thread::current().id()));
+    }
+
+    #[test]
+    fn killed_queued_stream_job_ends_at_once_and_leaves_the_stream_idle() {
+        let runner = FairRunner::new(1);
+        let (release, blocker) = gate(&runner, "t");
+        let stream = runner.open_stream("t", 0, 1);
+        let ran = Arc::new(AtomicUsize::new(0));
+        let doomed: Vec<JobHandle> = (0..3)
+            .map(|_| {
+                let ran = Arc::clone(&ran);
+                stream.submit_boxed(
+                    1,
+                    Box::new(move |_| {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                    }),
+                )
+            })
+            .collect();
+        assert_eq!(stream.queued_jobs(), 3);
+        // The blocker still holds the only unit: these joins return
+        // because the kill dequeued the jobs, not because they ran.
+        for job in doomed {
+            job.kill.kill();
+            assert!(job.is_finished() && !job.has_started());
+            job.join();
+        }
+        assert_eq!(runner.queued_jobs(), 0);
+        runner.close_stream(stream.id());
         release.kill();
         blocker.join();
         assert_eq!(ran.load(Ordering::SeqCst), 0);

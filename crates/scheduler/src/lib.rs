@@ -11,11 +11,13 @@
 //!   simulator** (FIFO queue, submission throttle, node-level allocation,
 //!   machine-availability ramp, job traces) that drives the full-scale
 //!   performance model behind Figures 6a–6d;
-//! * [`fair`] — the **real concurrent job runner**: capacity-limited
-//!   thread jobs with cooperative kill switches, granted under one lock by
-//!   deficit round robin across tenants, priority within a tenant and
-//!   per-stream concurrency caps.  It lets many studies share one node
-//!   pool under the multi-tenant daemon;
+//! * [`fair`] — the **real concurrent job runner**: capacity-limited jobs
+//!   with cooperative kill switches, granted under one lock by deficit
+//!   round robin across tenants, priority within a tenant and per-stream
+//!   concurrency caps, and run by a persistent pool of one worker thread
+//!   per unit (a job is a queue entry until a worker takes it — no thread
+//!   per job).  It lets many studies share one node pool under the
+//!   multi-tenant daemon;
 //! * [`runtime`] — what every submission shares (the [`JobHandle`], the
 //!   [`Dispatcher`] surface supervisors submit through) and
 //!   [`JobRunner`], the pool a standalone study owns: the one-tenant case

@@ -1,51 +1,83 @@
 //! Real concurrent job runner for live studies.
 //!
-//! Executes simulation-group jobs as capacity-limited threads: a job waits
-//! for free resource units (the stand-in for cluster nodes), runs, and
-//! releases them — exactly the lifecycle the batch simulator models, but on
-//! real work.  Every job receives a [`KillSwitch`] so the launcher can kill
-//! and resubmit it (paper Section 4.2.2).
+//! Executes simulation-group jobs under a capacity limit: a job waits in
+//! a queue for free resource units (the stand-in for cluster nodes), is
+//! run by one of the pool's worker threads, and releases its units —
+//! exactly the lifecycle the batch simulator models, but on real work.
+//! Every job receives a [`KillSwitch`] so the launcher can kill and
+//! resubmit it (paper Section 4.2.2).
 //!
 //! This module holds what every runner shares — the [`JobHandle`] a
 //! submission returns and the [`Dispatcher`] surface supervisors submit
 //! through — and [`JobRunner`], the pool a standalone study owns.  The
-//! grant protocol itself lives in [`crate::fair`]: a `JobRunner` is the
-//! one-tenant, one-stream case of the [`FairRunner`], so a standalone
-//! study and a daemon-hosted one dispatch through the same code.
+//! grant protocol and the worker pool live in [`crate::fair`]: a
+//! `JobRunner` is the one-tenant, one-stream case of the [`FairRunner`],
+//! so a standalone study and a daemon-hosted one dispatch through the
+//! same code.
 //!
 //! Queued jobs start in **submission order** (FCFS, the batch-scheduler
-//! default): a job is enqueued on the submitting thread and granted
-//! capacity under one lock, never by condvar wake-up races.  Deterministic
+//! default): a job is enqueued on the submitting thread, granted capacity
+//! under one lock, and taken by the workers in grant order.  Deterministic
 //! start order is what lets a sequential study reproduce bit-identical
 //! statistics across transport backends.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use melissa_transport::KillSwitch;
+use parking_lot::{Condvar, Mutex};
 
 use crate::fair::{FairRunner, StreamHandle};
 
+/// What a job's handle, its queue entry and the worker running it share.
+pub(crate) struct JobState {
+    pub(crate) kill: KillSwitch,
+    /// Set the moment a worker starts the job's work (stays `false` for
+    /// the whole queued wait).
+    pub(crate) started: AtomicBool,
+    /// Set once the job has ended — its work returned, or a kill took it
+    /// out of the queue before it ever ran — and its units are back in
+    /// the pool.
+    ended: Mutex<bool>,
+    ended_cv: Condvar,
+}
+
+impl JobState {
+    pub(crate) fn new() -> Self {
+        Self {
+            kill: KillSwitch::new(),
+            started: AtomicBool::new(false),
+            ended: Mutex::new(false),
+            ended_cv: Condvar::new(),
+        }
+    }
+
+    pub(crate) fn finish(&self) {
+        *self.ended.lock() = true;
+        self.ended_cv.notify_all();
+    }
+}
+
 /// Handle to a submitted job.
 pub struct JobHandle {
-    /// The job's kill switch (flipping it asks the job to stop).
+    /// The job's kill switch (flipping it asks the job to stop; a job
+    /// still queued is dequeued on the spot and never runs).
     pub kill: KillSwitch,
-    /// Set the moment the job is granted capacity and begins running
-    /// (stays `false` for the whole queued wait).
-    pub(crate) started: Arc<AtomicBool>,
-    pub(crate) handle: JoinHandle<()>,
+    pub(crate) state: Arc<JobState>,
 }
 
 impl JobHandle {
-    /// Waits for the job thread to end.
+    /// Waits for the job to end.
     pub fn join(self) {
-        let _ = self.handle.join();
+        let mut ended = self.state.ended.lock();
+        while !*ended {
+            self.state.ended_cv.wait(&mut ended);
+        }
     }
 
-    /// Whether the job thread has ended.
+    /// Whether the job has ended.
     pub fn is_finished(&self) -> bool {
-        self.handle.is_finished()
+        *self.state.ended.lock()
     }
 
     /// Whether the job has been granted capacity and begun running.
@@ -53,7 +85,7 @@ impl JobHandle {
     /// busy shared pool — not a fault) from a started-but-silent one
     /// (a zombie candidate).
     pub fn has_started(&self) -> bool {
-        self.started.load(Ordering::Relaxed)
+        self.state.started.load(Ordering::Relaxed)
     }
 }
 
@@ -79,8 +111,8 @@ pub trait Dispatcher: Send + Sync {
     fn total_units(&self) -> usize;
 }
 
-/// A capacity-limited thread-job runner with FCFS start order: the pool
-/// a standalone study owns.
+/// A capacity-limited job runner with FCFS start order: the pool a
+/// standalone study owns (`units` worker threads, started with it).
 ///
 /// It is a [`FairRunner`] with one tenant and one stream as wide as the
 /// pool, where deficit round robin reduces to FIFO.
@@ -119,10 +151,10 @@ impl JobRunner {
     }
 
     /// Submits a job needing `units` units.  The job is enqueued at
-    /// submission; its thread blocks until it reaches the head of the
-    /// queue *and* capacity is available (FCFS batch-queue semantics),
-    /// runs `work`, then releases its units.  `work` must poll the passed
-    /// [`KillSwitch`] to honour kills.
+    /// submission and waits there until it reaches the head of the queue
+    /// *and* capacity is available (FCFS batch-queue semantics); a pool
+    /// worker then runs `work` and releases the units.  `work` must poll
+    /// the passed [`KillSwitch`] to honour kills.
     ///
     /// # Panics
     /// Panics if `units` is zero or exceeds the runner's total capacity

@@ -368,10 +368,22 @@ impl ScrapeSnapshot {
             }
         }
 
+        // A counter registered as `family{label="value"}` is one series
+        // of `family`; the name-sorted snapshot keeps a family's series
+        // adjacent, so its TYPE line prints once.
+        let mut family = String::new();
         for (name, v) in &self.metrics.counters {
-            let m = format!("melissa_{}", prom_name(name));
-            out.push_str(&format!("# TYPE {m} counter\n"));
-            out.push_str(&format!("{m}{{shard=\"{shard}\"}} {v}\n"));
+            let (base, labels) = match name.split_once('{') {
+                Some((base, labels)) => (base, labels.trim_end_matches('}')),
+                None => (name.as_str(), ""),
+            };
+            let m = format!("melissa_{}", prom_name(base));
+            if m != family {
+                out.push_str(&format!("# TYPE {m} counter\n"));
+                family.clone_from(&m);
+            }
+            let sep = if labels.is_empty() { "" } else { "," };
+            out.push_str(&format!("{m}{{shard=\"{shard}\"{sep}{labels}}} {v}\n"));
         }
         for (name, v) in &self.metrics.gauges {
             let m = format!("melissa_{}", prom_name(name));
@@ -724,6 +736,28 @@ mod tests {
         assert!(text.contains(
             "melissa_link_wire_bytes_total{shard=\"1\",endpoint=\"shard1/server/0\"} 2048"
         ));
+    }
+
+    #[test]
+    fn labelled_counters_render_as_one_family_in_both_text_formats() {
+        let reg = Registry::new();
+        reg.counter("supervisor_wakeups_total{reason=\"deadline\"}");
+        reg.counter("supervisor_wakeups_total{reason=\"message\"}")
+            .add(7);
+        let mut snap = sample();
+        snap.metrics = reg.snapshot();
+        let text = snap.to_prometheus();
+        assert_eq!(
+            text.matches("# TYPE melissa_supervisor_wakeups_total counter")
+                .count(),
+            1
+        );
+        assert!(
+            text.contains("melissa_supervisor_wakeups_total{shard=\"1\",reason=\"deadline\"} 0")
+        );
+        assert!(text.contains("melissa_supervisor_wakeups_total{shard=\"1\",reason=\"message\"} 7"));
+        let json = snap.to_json();
+        assert!(json.contains("\"supervisor_wakeups_total{reason=\\\"message\\\"}\":7"));
     }
 
     #[test]

@@ -315,6 +315,17 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
         0
     }
 
+    /// Retires a whole endpoint scope once nothing binds or sends under
+    /// `scope/` any more (a hosted study that ended): a backend that
+    /// keeps per-name history for [`link_stats`](Self::link_stats) from
+    /// then on reports everything named `scope/<rest>` summed under
+    /// `retired/<rest>`, so a long-lived service's rollup is bounded by
+    /// the shape of its studies instead of growing with their number,
+    /// while its totals still count every frame once.  The default keeps
+    /// every name (right for a transport that lives as long as one
+    /// study).
+    fn retire_scope(&self, _scope: &str) {}
+
     /// Connect-before-bind rendezvous: polls [`Transport::connect`] with a
     /// bounded retry loop until the endpoint appears or `timeout` elapses.
     /// This is what makes simulation groups independent jobs — they can be

@@ -679,6 +679,17 @@ pub mod names {
         scoped(study_part(scope), &telemetry(k))
     }
 
+    /// Where [`Transport::retire_scope`](crate::Transport::retire_scope)
+    /// folds the link statistics of scopes that are gone.
+    pub(crate) const RETIRED_SCOPE: &str = "retired";
+
+    /// Whether `name` is a one-shot reply endpoint — a group's handshake
+    /// reply, a control or scrape RPC's reply: bound for one frame, and
+    /// read by no statistics rollup.
+    pub(crate) fn is_reply(name: &str) -> bool {
+        name.split('/').any(|part| part == "reply")
+    }
+
     /// The multi-tenant daemon's study-submission control endpoint.
     pub fn daemon_ctl() -> String {
         "ctl/daemon".to_string()

@@ -17,12 +17,32 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::api::{BoxSender, Disconnected, FlushError, SendTimeoutError, Sender};
+use parking_lot::Mutex;
+
 use crate::endpoint::{Frame, LinkStats};
 
+/// A callback registered with [`KillSwitch::on_kill`].
+type KillHook = Box<dyn FnOnce() + Send>;
+
+#[derive(Default)]
+struct KillState {
+    killed: AtomicBool,
+    /// Hooks waiting for the flip; drained (and run) by [`KillSwitch::kill`].
+    hooks: Mutex<Vec<KillHook>>,
+}
+
 /// Cooperative cancellation token.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct KillSwitch {
-    killed: Arc<AtomicBool>,
+    state: Arc<KillState>,
+}
+
+impl std::fmt::Debug for KillSwitch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KillSwitch")
+            .field("killed", &self.is_killed())
+            .finish()
+    }
 }
 
 impl KillSwitch {
@@ -31,14 +51,39 @@ impl KillSwitch {
         Self::default()
     }
 
-    /// Flips the switch; every holder observes it.
+    /// Flips the switch; every holder observes it, and every hook
+    /// registered with [`on_kill`](Self::on_kill) runs on this thread.
     pub fn kill(&self) {
-        self.killed.store(true, Ordering::SeqCst);
+        self.state.killed.store(true, Ordering::SeqCst);
+        // Run the hooks outside the lock: a hook may register another.
+        let hooks = std::mem::take(&mut *self.state.hooks.lock());
+        for hook in hooks {
+            hook();
+        }
     }
 
     /// Whether the switch has been flipped.
     pub fn is_killed(&self) -> bool {
-        self.killed.load(Ordering::SeqCst)
+        self.state.killed.load(Ordering::SeqCst)
+    }
+
+    /// Runs `hook` exactly once: when the switch flips (on the thread
+    /// that calls [`kill`](Self::kill)), or right away if it already
+    /// has.  This is how a blocked waiter learns of a kill without
+    /// polling [`is_killed`](Self::is_killed) — the hook posts to
+    /// whatever the waiter blocks on.
+    pub fn on_kill(&self, hook: impl FnOnce() + Send + 'static) {
+        {
+            // `kill` stores the flag before it takes this lock, so a flag
+            // still clear here means its drain has not happened yet and
+            // will see the hook.
+            let mut hooks = self.state.hooks.lock();
+            if !self.is_killed() {
+                hooks.push(Box::new(hook));
+                return;
+            }
+        }
+        hook();
     }
 }
 
@@ -245,5 +290,30 @@ mod tests {
         let b = a.clone();
         b.kill();
         assert!(a.is_killed());
+    }
+
+    #[test]
+    fn on_kill_hooks_run_exactly_once_before_or_after_the_flip() {
+        let kill = KillSwitch::new();
+        let runs = Arc::new(AtomicU64::new(0));
+        let hook = |runs: &Arc<AtomicU64>| {
+            let runs = Arc::clone(runs);
+            move || {
+                runs.fetch_add(1, Ordering::SeqCst);
+            }
+        };
+        kill.on_kill(hook(&runs));
+        kill.clone().on_kill(hook(&runs));
+        assert_eq!(
+            runs.load(Ordering::SeqCst),
+            0,
+            "nothing runs before the flip"
+        );
+        kill.kill();
+        assert_eq!(runs.load(Ordering::SeqCst), 2);
+        kill.kill();
+        assert_eq!(runs.load(Ordering::SeqCst), 2, "a second kill runs nothing");
+        kill.on_kill(hook(&runs));
+        assert_eq!(runs.load(Ordering::SeqCst), 3, "late hooks run at once");
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! Fixed timeouts misfire on oversubscribed hosts: when the OS scheduler
 //! starves the whole study, silence stops meaning death.  [`LoadMonitor`]
-//! measures that starvation directly — the overshoot of the supervision
-//! loop's own timed waits — and supervisors scale their timeouts by the
+//! measures that starvation directly — how late a loop's timed wait, or
+//! a periodic heartbeat, comes back — and supervisors scale their timeouts by the
 //! observed factor ([`LivenessTracker::set_timeout`]) instead of shipping
 //! inflated wall-clock limits that slow down failure detection on healthy
 //! hosts.
@@ -111,12 +111,16 @@ impl<K: Eq + Hash + Clone> LivenessTracker<K> {
 
 /// Observed scheduling-delay monitor for load-aware supervision.
 ///
-/// A supervision loop's timed waits are a free, continuous probe of how
-/// starved the process is: on an idle host a `recv_timeout(10 ms)` that
-/// times out returns after ~10 ms; on an oversubscribed one it can take
-/// arbitrarily longer before the thread is scheduled again.  Feed each
-/// timed-out wait into [`observe`](LoadMonitor::observe) and the monitor
-/// keeps an exponentially-weighted average of the overshoot ratio —
+/// Anything a loop expects at a known interval is a free, continuous
+/// probe of how starved the process is: on an idle host a
+/// `recv_timeout(10 ms)` that times out returns after ~10 ms, and a
+/// heartbeat sent every 50 ms arrives every ~50 ms; on an oversubscribed
+/// one either can take arbitrarily longer, because some thread involved
+/// was not scheduled.  Feed each such interval (the server's main loop
+/// feeds its timed-out waits, a launcher supervisor — which blocks on
+/// events and has no timed wait to measure — the gaps between the
+/// server's heartbeats) into [`observe`](LoadMonitor::observe) and the
+/// monitor keeps an exponentially-weighted average of the overshoot ratio —
 /// [`factor`](LoadMonitor::factor), clamped to `[1, MAX_FACTOR]` — by
 /// which liveness timeouts should be stretched before declaring a silent
 /// peer dead.  On a healthy host the factor sits at 1 and detection

@@ -17,7 +17,7 @@
 //! sender clone of one endpoint shares one bounded HWM queue and one
 //! [`LinkStats`] counter set.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -25,8 +25,40 @@ use parking_lot::Mutex;
 use crate::api::{BoxReceiver, BoxSender, ConnectError, LinkStatsSnapshot, Sender as _, Transport};
 use crate::endpoint::{channel, HwmSender, LinkStats};
 
-/// Ledger of per-endpoint stats kept past rebind/unbind.
-type RetiredStats = Vec<(String, Arc<LinkStats>)>;
+/// What the ledger keeps of one endpoint name's past generations (the
+/// endpoints a rebind replaced or an unbind removed).
+#[derive(Debug, Default)]
+struct Retired {
+    /// Sum of the generations no sender holds any more: their counters
+    /// can no longer move.
+    folded: LinkStatsSnapshot,
+    /// Generations some sender still holds, and may still count on.
+    draining: Vec<Arc<LinkStats>>,
+}
+
+impl Retired {
+    fn push(&mut self, stats: Arc<LinkStats>) {
+        self.draining.push(stats);
+        // The ledger's is the last handle once every sender clone of a
+        // generation is gone.
+        let folded = &mut self.folded;
+        self.draining.retain(|stats| {
+            let settled = Arc::strong_count(stats) == 1;
+            if settled {
+                folded.absorb(&LinkStatsSnapshot::of(stats));
+            }
+            !settled
+        });
+    }
+
+    fn snapshot(&self) -> LinkStatsSnapshot {
+        let mut sum = self.folded;
+        for stats in &self.draining {
+            sum.absorb(&LinkStatsSnapshot::of(stats));
+        }
+        sum
+    }
+}
 
 /// In-process rendezvous service mapping endpoint names to bounded HWM
 /// channels.  Cheap to clone (shared state); one per deployment.
@@ -34,16 +66,36 @@ type RetiredStats = Vec<(String, Arc<LinkStats>)>;
 pub struct ChannelTransport {
     endpoints: Arc<Mutex<HashMap<String, HwmSender>>>,
     /// Stats of endpoints replaced by a rebind or removed by an unbind,
-    /// so the study-level rollup keeps counting pre-restart traffic —
-    /// the same every-frame-once accounting the TCP backend gets from
-    /// its per-connection link registry.
-    retired: Arc<Mutex<RetiredStats>>,
+    /// one entry per name, so the study-level rollup keeps counting
+    /// pre-restart traffic — the same every-frame-once accounting the
+    /// TCP backend gets from its per-connection link registry.  One-shot
+    /// reply endpoints are not kept: no rollup reads them, and a
+    /// long-lived service binds one per request.
+    retired: Arc<Mutex<BTreeMap<String, Retired>>>,
+    /// Scopes given to [`Transport::retire_scope`]: their endpoints and
+    /// ledger entries stay as they are (what a scope left bound stays
+    /// connectable), and the rollup counts them under `retired/…`.
+    retired_scopes: Arc<Mutex<HashSet<String>>>,
 }
 
 impl ChannelTransport {
     /// Creates an empty transport.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Moves a replaced or removed endpoint's stats to the ledger.
+    fn retire(&self, name: &str, old: HwmSender) {
+        if names::is_reply(name) {
+            return;
+        }
+        let stats = Arc::clone(old.stats());
+        drop(old);
+        self.retired
+            .lock()
+            .entry(name.to_string())
+            .or_default()
+            .push(stats);
     }
 }
 
@@ -53,10 +105,9 @@ impl Transport for ChannelTransport {
     /// endpoint (the restart path: a recovered server re-binds its names).
     fn bind(&self, name: &str, hwm: usize) -> BoxReceiver {
         let (tx, rx) = channel(hwm);
-        if let Some(old) = self.endpoints.lock().insert(name.to_string(), tx) {
-            self.retired
-                .lock()
-                .push((name.to_string(), Arc::clone(old.stats())));
+        let old = self.endpoints.lock().insert(name.to_string(), tx);
+        if let Some(old) = old {
+            self.retire(name, old);
         }
         Box::new(rx)
     }
@@ -76,10 +127,9 @@ impl Transport for ChannelTransport {
     /// Removes an endpoint (subsequent `connect`s fail; existing senders
     /// keep working until the receiver is dropped).
     fn unbind(&self, name: &str) {
-        if let Some(old) = self.endpoints.lock().remove(name) {
-            self.retired
-                .lock()
-                .push((name.to_string(), Arc::clone(old.stats())));
+        let old = self.endpoints.lock().remove(name);
+        if let Some(old) = old {
+            self.retire(name, old);
         }
     }
 
@@ -93,21 +143,34 @@ impl Transport for ChannelTransport {
     /// One snapshot per endpoint name: all sender clones of an endpoint
     /// share one [`LinkStats`], so the live
     /// snapshot plus the retired generations (pre-rebind/unbind) is the
-    /// complete every-frame-once rollup.
+    /// complete every-frame-once rollup.  Names under a retired scope
+    /// count under `retired/…`.
     fn link_stats(&self) -> Vec<(String, LinkStatsSnapshot)> {
-        let mut rollup: std::collections::BTreeMap<String, LinkStatsSnapshot> = self
-            .endpoints
-            .lock()
-            .iter()
-            .map(|(name, tx)| (name.clone(), LinkStatsSnapshot::of(tx.stats())))
-            .collect();
-        for (name, stats) in self.retired.lock().iter() {
+        let retired_scopes = self.retired_scopes.lock();
+        let key = |name: &str| match name.split_once('/') {
+            Some((scope, rest)) if retired_scopes.contains(scope) => {
+                names::scoped(names::RETIRED_SCOPE, rest)
+            }
+            _ => name.to_string(),
+        };
+        let mut rollup: BTreeMap<String, LinkStatsSnapshot> = BTreeMap::new();
+        for (name, tx) in self.endpoints.lock().iter() {
             rollup
-                .entry(name.clone())
+                .entry(key(name))
                 .or_default()
-                .absorb(&LinkStatsSnapshot::of(stats));
+                .absorb(&LinkStatsSnapshot::of(tx.stats()));
+        }
+        for (name, retired) in self.retired.lock().iter() {
+            rollup
+                .entry(key(name))
+                .or_default()
+                .absorb(&retired.snapshot());
         }
         rollup.into_iter().collect()
+    }
+
+    fn retire_scope(&self, scope: &str) {
+        self.retired_scopes.lock().insert(scope.to_string());
     }
 
     fn backend_name(&self) -> &'static str {
@@ -224,6 +287,72 @@ mod tests {
         t.unbind("data");
         let stats = t.link_stats();
         assert_eq!(stats[0].1.messages, 3, "unbind dropped history");
+    }
+
+    #[test]
+    fn reply_endpoints_leave_nothing_in_the_ledger() {
+        let t = ChannelTransport::new();
+        for i in 0..100 {
+            let name = format!("ctl/reply/1/{i}");
+            let _rx = t.bind(&name, 2);
+            t.connect(&name)
+                .unwrap()
+                .send(bytes::Bytes::from_static(b"r"))
+                .unwrap();
+            t.unbind(&name);
+            let _rx = t.bind(&names::group_reply_in("study1", i, 0), 2);
+            t.unbind(&names::group_reply_in("study1", i, 0));
+        }
+        assert!(t.link_stats().is_empty());
+    }
+
+    #[test]
+    fn generations_of_one_name_fold_once_their_senders_are_gone() {
+        let t = ChannelTransport::new();
+        for _ in 0..50 {
+            let _rx = t.bind("data", 4); // each bind retires the last one
+            let tx = t.connect("data").unwrap();
+            tx.send(bytes::Bytes::from_static(b"ab")).unwrap();
+        }
+        let stats = t.link_stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!((stats[0].1.messages, stats[0].1.bytes), (50, 100));
+        let ledger = t.retired.lock();
+        assert_eq!(ledger.len(), 1);
+        assert!(ledger["data"].draining.len() <= 1, "dead generations fold");
+    }
+
+    #[test]
+    fn retiring_a_scope_keeps_the_totals_and_drops_the_names() {
+        let t = ChannelTransport::new();
+        let mut sizes = Vec::new();
+        for study in 1..=4u64 {
+            let scope = names::study_scope(study);
+            // A restarted server: one generation in the ledger, one bound.
+            for _ in 0..2 {
+                let _rx = t.bind(&names::server_worker_in(&scope, 0), 4);
+                let tx = t.connect(&names::server_worker_in(&scope, 0)).unwrap();
+                tx.send(bytes::Bytes::from_static(b"abc")).unwrap();
+            }
+            let _main = t.bind(&names::server_main_in(&scope), 4);
+            t.retire_scope(&scope);
+            sizes.push(t.link_stats().len());
+        }
+        assert_eq!(sizes, vec![2; 4], "bounded by a study's shape");
+        let stats: HashMap<String, LinkStatsSnapshot> = t.link_stats().into_iter().collect();
+        assert_eq!(stats["retired/server/0"].messages, 8);
+        assert_eq!(stats["retired/server/0"].bytes, 24);
+        assert!(
+            t.connect(&names::server_worker_in("study1", 0)).is_ok(),
+            "what a scope left bound stays connectable"
+        );
+        // A scope that merely shares the prefix's letters is not touched.
+        let _rx = t.bind("study10/server/0", 4);
+        t.retire_scope("study1");
+        assert!(t
+            .link_stats()
+            .iter()
+            .any(|(name, _)| name == "study10/server/0"));
     }
 
     #[test]

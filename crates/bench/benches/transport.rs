@@ -10,6 +10,9 @@
 //!   queue for in-process).
 //! * `stream32` — send a 32-frame burst, then drain it: amortises the
 //!   hand-off latency, closer to a simulation group emitting a timestep.
+//! * `stream32_batch` — the same burst as a group client hands it over
+//!   since per-timestep hand-off: one `send_batch` of 32 frames cut from
+//!   one block, drained with `recv_batch`.
 //!
 //! plus `transport_compress`: the in-frame f64 wire codec in isolation
 //! and the streamed shape with compression off vs on (payload-byte
@@ -17,6 +20,7 @@
 //!
 //! Recorded baselines live in `BENCH_transport.json` at the repo root.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,7 +76,7 @@ fn bench_stream(c: &mut Criterion) {
     let mut g = c.benchmark_group("transport_stream32");
     g.sample_size(7);
     for kind in [TransportKind::InProcess, TransportKind::Tcp] {
-        for size in [4096usize, 65536] {
+        for size in [4096usize, 8192, 65536] {
             let t = make_transport(kind.clone());
             let rx = t.bind("bench", BURST + 1);
             let tx = t.connect("bench").unwrap();
@@ -86,6 +90,37 @@ fn bench_stream(c: &mut Criterion) {
                     for _ in 0..BURST {
                         rx.recv().unwrap();
                     }
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
+/// `stream32` handed over per burst instead of per frame: the frames are
+/// windows onto one block, go out in one `send_batch` and come back in as
+/// few `recv_batch`es as the link delivers them in.
+fn bench_stream_batch(c: &mut Criterion) {
+    let mut g = c.benchmark_group("transport_stream32_batch");
+    g.sample_size(7);
+    for kind in [TransportKind::InProcess, TransportKind::Tcp] {
+        for size in [4096usize, 8192, 65536] {
+            let t = make_transport(kind.clone());
+            let rx = t.bind("bench", BURST + 1);
+            let tx = t.connect("bench").unwrap();
+            let block = Bytes::from(vec![0u8; size * BURST]);
+            let mut burst: VecDeque<Bytes> = VecDeque::with_capacity(BURST);
+            let mut inbox: Vec<Bytes> = Vec::with_capacity(BURST);
+            g.throughput(Throughput::Bytes((size * BURST) as u64));
+            g.bench_with_input(BenchmarkId::new(kind.to_string(), size), &size, |b, _| {
+                b.iter(|| {
+                    burst.extend((0..BURST).map(|i| block.slice(i * size..(i + 1) * size)));
+                    tx.send_batch(&mut burst, Duration::from_secs(10)).unwrap();
+                    while inbox.len() < BURST {
+                        rx.recv_batch(&mut inbox, BURST, Duration::from_secs(10))
+                            .unwrap();
+                    }
+                    inbox.clear();
                 })
             });
         }
@@ -270,6 +305,7 @@ criterion_group!(
     benches,
     bench_roundtrip,
     bench_stream,
+    bench_stream_batch,
     bench_compress,
     bench_directory,
     bench_reconnect,

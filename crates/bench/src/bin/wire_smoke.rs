@@ -1,4 +1,4 @@
-//! Wire-path acceptance smoke: the two invariants of the bandwidth-lean
+//! Wire-path acceptance smoke: the three invariants of the bandwidth-lean
 //! TCP data path, asserted (not just measured) so CI catches a
 //! regression:
 //!
@@ -27,6 +27,16 @@
 //!    a Transpose link delivers those frames bit-identically with the
 //!    wire-byte savings visible in the link stats.
 //!
+//! 3. **A frame costs no wake-up.**  A group's timestep reaches a server
+//!    worker as one batch: one queue hand-off to the link writer, one
+//!    gathered write, a couple of block reads, one push into the ingest
+//!    queue — each waking its consumer at most once per batch.  On a
+//!    paced stream of 32-frame timesteps of 8 KiB frames (the tube-bundle
+//!    study's shape) that is ≈ 0.18 voluntary context switches per frame,
+//!    every thread of the process counted; handing the same frames over
+//!    one by one, as the data path did before, costs ≈ 0.8.  The bar is
+//!    0.25, so a per-frame wake-up on any hop cannot come back unnoticed.
+//!
 //! The deep-pipeline shape (depth 32, `transport_stream32`'s fixture) is
 //! measured and printed for the record, but its ratio is asserted only
 //! loosely: on single-core hosts it is cache-capacity-bound (see above),
@@ -35,12 +45,13 @@
 //!
 //! Run with `cargo run -p melissa-bench --release --bin wire_smoke`.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use melissa_bench::stream_cost;
 use melissa_transport::{
-    compress_payload, decompress_payload, make_transport_with, Receiver, Sender, TransportKind,
-    WireCompression,
+    compress_payload, decompress_payload, make_transport_with, Receiver, Sender, TcpTransport,
+    TransportKind, WireCompression,
 };
 
 const FRAME: usize = 65536;
@@ -177,6 +188,34 @@ fn main() {
         "link moved {} wire bytes for {} payload bytes: ratio below 2x",
         link.wire_bytes,
         link.bytes
+    );
+    // --- 3. a timestep-batched stream pays per batch, not per frame ----
+    // Best of three: a busy host adds switches, it never removes one.
+    let node = TcpTransport::new().expect("loopback listener");
+    let cost = (0..3)
+        .map(|i| {
+            let name = format!("wire-smoke-timesteps-{i}");
+            let pause = Duration::from_millis(2);
+            stream_cost(&node, &name, 8227, 32, 100, pause, true)
+        })
+        .min_by(|a, b| a.voluntary.cmp(&b.voluntary))
+        .expect("three runs");
+    println!(
+        "tcp 8 KiB timestep stream  : {:10.2} voluntary switches/frame, {:.1} frames/writev, \
+         {:.1} frames/recv",
+        cost.voluntary_per_frame(),
+        cost.frames_per_write(),
+        cost.frames_per_read()
+    );
+    assert!(
+        cost.voluntary_per_frame() <= 0.25,
+        "{:.2} voluntary context switches per frame on a timestep-batched stream: some hop \
+         wakes its consumer per frame again",
+        cost.voluntary_per_frame()
+    );
+    assert!(
+        cost.frames_per_write() >= 16.0 && cost.frames_per_read() >= 4.0,
+        "a timestep's frames no longer share their socket calls"
     );
     println!("wire smoke: OK");
 }

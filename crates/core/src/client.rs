@@ -2,9 +2,21 @@
 //!
 //! Melissa keeps intrusion into the simulation code minimal — three calls:
 //! [`GroupClient::connect`] (the *Initialise* function: dynamic connection
-//! and partition retrieval), [`GroupClient::send_timestep`] (the *Process*
-//! function: two-stage gather + N×M redistribution), and dropping the
-//! client (the *Finalize* function: disconnect).
+//! and partition retrieval), [`GroupClient::send_timestep`] +
+//! [`GroupClient::end_timestep`] (the *Process* function: two-stage
+//! gather + N×M redistribution, handed to the links once per timestep),
+//! and [`GroupClient::finish`] / dropping the client (the *Finalize*
+//! function: flush and disconnect).
+//!
+//! *Process* is a **per-timestep hand-off**.  `send_timestep` only
+//! encodes: each `Data` frame is written in one pass from the caller's
+//! borrowed rank chunk into the block of the server worker it is for, the
+//! frames of one timestep lying end to end.  `end_timestep` then gives
+//! every worker its block as one batch of frames that are windows onto it
+//! ([`Sender::send_batch`]) — the same frames, in the same per-link order
+//! and with the same bytes as a send per frame, at one allocation, one
+//! queue hand-off and at most one wake-up of the receiving side per
+//! timestep and worker.
 //!
 //! The client speaks only the backend-agnostic [`Transport`] /
 //! [`melissa_transport::Sender`] trait surface, so a group connects the
@@ -17,13 +29,15 @@
 //! owns the simulations; stage 2 (slab-intersecting redistribution to the
 //! server workers) happens here.
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
+use bytes::BytesMut;
 use melissa_mesh::{CellRange, SlabPartition};
 use melissa_transport::directory::names;
-use melissa_transport::{FaultPolicy, FaultySender, KillSwitch, Sender, Transport};
+use melissa_transport::{FaultPolicy, FaultySender, Frame, KillSwitch, Sender, Transport};
 
-use crate::protocol::Message;
+use crate::protocol::{DataHeader, Message};
 
 /// Client-side connection failure.
 #[derive(Debug)]
@@ -109,6 +123,15 @@ fn connect_failure(e: melissa_transport::ConnectError) -> ClientError {
     }
 }
 
+/// One server worker's share of the timestep being encoded.
+#[derive(Debug, Default)]
+struct Staged {
+    /// The frames, end to end.
+    block: BytesMut,
+    /// Where each frame ends in `block`.
+    ends: Vec<usize>,
+}
+
 /// A connected simulation-group client.
 #[derive(Debug)]
 pub struct GroupClient {
@@ -116,6 +139,11 @@ pub struct GroupClient {
     instance: u32,
     partition: SlabPartition,
     senders: Vec<FaultySender>,
+    /// Per server worker, what [`send_timestep`](Self::send_timestep) has
+    /// encoded since the last [`end_timestep`](Self::end_timestep).
+    staged: Vec<Staged>,
+    /// The hand-off queue, reused from batch to batch.
+    batch: VecDeque<Frame>,
     send_timeout: Duration,
     kill: KillSwitch,
     truncate_bits: Option<u8>,
@@ -191,7 +219,9 @@ impl GroupClient {
             group_id,
             instance,
             partition,
+            staged: senders.iter().map(|_| Staged::default()).collect(),
             senders,
+            batch: VecDeque::new(),
             send_timeout: timeout,
             kill,
             truncate_bits: None,
@@ -246,54 +276,89 @@ impl GroupClient {
         &self.partition
     }
 
-    /// *Process*, stage 2: redistributes one role's gathered rank chunks to
-    /// the server workers.  `chunks` are `(global range, values)` pairs as
-    /// produced by the solver's rank decomposition; each chunk is split
-    /// along the static slab intersections (paper Fig. 4).
+    /// *Process*, stage 2: redistributes one role's gathered rank chunks
+    /// among the server workers.  `chunks` are `(global range, values)`
+    /// pairs as produced by the solver's rank decomposition; each chunk is
+    /// split along the static slab intersections (paper Fig. 4) and each
+    /// piece encoded, straight from the borrowed slice, behind the frames
+    /// already waiting for its worker.  Nothing leaves before
+    /// [`end_timestep`](Self::end_timestep).
     pub fn send_timestep(
         &mut self,
         role: u16,
         timestep: u32,
         chunks: &[(CellRange, Vec<f64>)],
     ) -> Result<(), ClientError> {
+        if self.kill.is_killed() {
+            return Err(ClientError::Killed);
+        }
         for (range, values) in chunks {
             debug_assert_eq!(range.len, values.len());
             for (worker, sub) in self.partition.redistribution(*range) {
-                if self.kill.is_killed() {
-                    return Err(ClientError::Killed);
-                }
                 let offset = sub.start - range.start;
-                let mut sub_values = values[offset..offset + sub.len].to_vec();
-                if let Some(bits) = self.truncate_bits {
-                    melissa_transport::truncate_values(&mut sub_values, bits);
-                }
-                let msg = Message::Data {
+                let values = &values[offset..offset + sub.len];
+                let header = DataHeader {
                     group_id: self.group_id,
                     instance: self.instance,
                     role,
                     timestep,
                     start: sub.start as u64,
-                    values: sub_values,
                 };
-                let frame = msg.encode();
-                let bytes = (sub.len * 8) as u64;
-                self.senders[worker]
-                    .send_timeout(frame, self.send_timeout)
-                    .map_err(|_| ClientError::SendFailed)?;
-                self.messages_sent += 1;
-                self.bytes_sent += bytes;
+                let staged = &mut self.staged[worker];
+                match self.truncate_bits {
+                    Some(bits) => header.encode_frame(&mut staged.block, values, |v| {
+                        melissa_transport::truncate_f64(v, bits)
+                    }),
+                    None => header.encode_frame(&mut staged.block, values, |v| v),
+                }
+                staged.ends.push(staged.block.len());
             }
         }
         Ok(())
     }
 
-    /// *Finalize*: flushes every data link, guaranteeing the group's
-    /// frames sit in the server workers' ingest queues before the job
-    /// reports completion.  In-process this is immediate; over TCP it
-    /// round-trips a barrier per link — which is what pins the ingest
-    /// order of sequential studies and makes their statistics
-    /// bit-identical across backends.
+    /// *Process*, hand-off: gives every server worker the frames encoded
+    /// for it since the last call, as one batch in encoding order.
+    pub fn end_timestep(&mut self) -> Result<(), ClientError> {
+        for (staged, sender) in self.staged.iter_mut().zip(&self.senders) {
+            if staged.ends.is_empty() {
+                continue;
+            }
+            // The next timestep's block will be as long as this one.
+            let next = BytesMut::with_capacity(staged.block.len());
+            let block = std::mem::replace(&mut staged.block, next).freeze();
+            let mut from = 0;
+            for end in staged.ends.drain(..) {
+                self.batch.push_back(block.slice(from..end));
+                from = end;
+            }
+            let n_frames = self.batch.len();
+            let payload_bytes = block.len() - n_frames * DataHeader::ENCODED_LEN;
+            if sender
+                .send_batch(&mut self.batch, self.send_timeout)
+                .is_err()
+            {
+                self.batch.clear();
+                return Err(if self.kill.is_killed() {
+                    ClientError::Killed
+                } else {
+                    ClientError::SendFailed
+                });
+            }
+            self.messages_sent += n_frames as u64;
+            self.bytes_sent += payload_bytes as u64;
+        }
+        Ok(())
+    }
+
+    /// *Finalize*: hands off whatever is still staged, then flushes every
+    /// data link, guaranteeing the group's frames sit in the server
+    /// workers' ingest queues before the job reports completion.
+    /// In-process this is immediate; over TCP it round-trips a barrier
+    /// per link — which is what pins the ingest order of sequential
+    /// studies and makes their statistics bit-identical across backends.
     pub fn finish(&mut self) -> Result<(), ClientError> {
+        self.end_timestep()?;
         for sender in &self.senders {
             if self.kill.is_killed() {
                 return Err(ClientError::Killed);

@@ -151,21 +151,18 @@ pub fn run_group(ctx: GroupContext, kill: &KillSwitch) -> GroupOutcome {
         // Two-stage transfer.  Stage 1: for each rank, gather that rank's
         // chunks from all p + 2 simulations onto the main simulation
         // (role A's process) — in-process this is the chunk collection.
-        // Stage 2: the client redistributes to the server slabs.
-        for rank in 0..ctx.ranks {
-            for (role, sim) in sims.iter().enumerate() {
-                let chunks = sim.rank_chunks(rank);
-                if let Err(e) = client.send_timestep(role as u16, ts, &chunks) {
-                    return match e {
-                        ClientError::Killed => GroupOutcome::Died {
-                            after_timestep: ts.checked_sub(1),
-                        },
-                        other => GroupOutcome::Aborted {
-                            reason: other.to_string(),
-                        },
-                    };
+        // Stage 2: the client redistributes to the server slabs, and
+        // hands each server worker its share of the timestep in one go.
+        let mut process = || {
+            for rank in 0..ctx.ranks {
+                for (role, sim) in sims.iter().enumerate() {
+                    client.send_timestep(role as u16, ts, &sim.rank_chunks(rank))?;
                 }
             }
+            client.end_timestep()
+        };
+        if let Err(e) = process() {
+            return ended_by(e, ts.checked_sub(1));
         }
 
         // Scripted crash *after* sending this timestep.
@@ -181,19 +178,23 @@ pub fn run_group(ctx: GroupContext, kill: &KillSwitch) -> GroupOutcome {
     // Finalize: flush the data links so every frame is ingested-or-queued
     // server-side before the job slot frees (backend-independent ordering).
     if let Err(e) = client.finish() {
-        return match e {
-            ClientError::Killed => GroupOutcome::Died {
-                after_timestep: Some(n_timesteps - 1),
-            },
-            other => GroupOutcome::Aborted {
-                reason: other.to_string(),
-            },
-        };
+        return ended_by(e, Some(n_timesteps - 1));
     }
 
     GroupOutcome::Completed {
         messages: client.messages_sent,
         bytes: client.bytes_sent,
+    }
+}
+
+/// The outcome of a job whose client failed with `e` after fully sending
+/// `after_timestep`: a kill is the job's death, anything else an abort.
+fn ended_by(e: ClientError, after_timestep: Option<u32>) -> GroupOutcome {
+    match e {
+        ClientError::Killed => GroupOutcome::Died { after_timestep },
+        other => GroupOutcome::Aborted {
+            reason: other.to_string(),
+        },
     }
 }
 

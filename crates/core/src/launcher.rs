@@ -451,6 +451,9 @@ struct ShardSupervisor<'a> {
     /// each time a server instance ends, so a crashed server's share
     /// survives into the final report.
     report: StudyReport,
+    /// `frames_rejected` of the server instances that have ended; the
+    /// running instance's count rides its reports on top of this.
+    rejected_by_ended_servers: u64,
 
     outcomes: Arc<Mutex<HashMap<(u64, u32), GroupOutcome>>>,
     active: HashMap<u64, ActiveJob>,
@@ -538,6 +541,7 @@ impl<'a> ShardSupervisor<'a> {
             tele,
             probes: tele.map(|t| Probes::new(t)),
             report,
+            rejected_by_ended_servers: 0,
             outcomes: Arc::new(Mutex::new(HashMap::new())),
             active: HashMap::new(),
             retries: HashMap::new(),
@@ -736,6 +740,8 @@ impl<'a> ShardSupervisor<'a> {
         self.report.data_bytes += shared.bytes_received.load(Ordering::Relaxed);
         self.report.replays_discarded += shared.replays_discarded.load(Ordering::Relaxed);
         self.report.checkpoints_written += shared.checkpoints_written.load(Ordering::Relaxed);
+        self.rejected_by_ended_servers += shared.frames_rejected.load(Ordering::Relaxed);
+        self.report.frames_rejected = self.rejected_by_ended_servers;
     }
 
     /// External cancellation (the daemon's `cancel` RPC) and the study
@@ -866,6 +872,7 @@ impl<'a> ShardSupervisor<'a> {
                 quantile_steps,
                 blocked_sends,
                 blocked_nanos,
+                frames_rejected,
             }) => {
                 self.server_seen = Instant::now();
                 self.known_finished.extend(finished_groups);
@@ -880,6 +887,7 @@ impl<'a> ShardSupervisor<'a> {
                 // end-of-study transport rollup.
                 self.report.blocked_sends = blocked_sends;
                 self.report.blocked_time = Duration::from_nanos(blocked_nanos);
+                self.report.frames_rejected = self.rejected_by_ended_servers + frames_rejected;
             }
             Ok(Message::GroupTimeout { group_id })
                 if !self.known_finished.contains(&group_id)

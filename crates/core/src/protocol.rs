@@ -8,8 +8,8 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use melissa_transport::codec::{
-    get_f64_vec, get_str, get_u16, get_u32, get_u64, get_u64_vec, get_u8, put_f64_slice, put_str,
-    put_u64_slice, WireError, WireResult,
+    copy_words_from_le, get_f64_vec, get_str, get_u16, get_u32, get_u64, get_u64_vec, get_u8,
+    put_f64_slice, put_f64_slice_map, put_str, put_u64_slice, words_from_le, WireError, WireResult,
 };
 
 /// One Melissa protocol message.
@@ -84,6 +84,11 @@ pub enum Message {
         blocked_sends: u64,
         /// Study-level rollup: nanoseconds those sends spent blocked.
         blocked_nanos: u64,
+        /// Frames this server instance's workers refused so far: not
+        /// decodable, or `Data` that does not fit the study (role,
+        /// timestep or cell range out of bounds).  Anything but 0 means a
+        /// peer speaks another protocol or the link corrupts bytes.
+        frames_rejected: u64,
     },
     /// Server main → launcher: a group exceeded the message timeout
     /// (unfinished-group fault, Section 4.2.2).
@@ -141,6 +146,123 @@ pub enum Message {
     ReportNow,
 }
 
+/// Everything a `Data` frame says about its values: whose they are and
+/// where they go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DataHeader {
+    /// Simulation-group id.
+    pub group_id: u64,
+    /// Restart instance.
+    pub instance: u32,
+    /// Simulation role index (`A`=0, `B`=1, `C^k`=2+k).
+    pub role: u16,
+    /// Timestep id.
+    pub timestep: u32,
+    /// First global cell id of the chunk.
+    pub start: u64,
+}
+
+impl DataHeader {
+    /// Encoded bytes ahead of the values: tag, the five fields above and
+    /// the value count.
+    pub const ENCODED_LEN: usize = 1 + 8 + 4 + 2 + 4 + 8 + 8;
+
+    /// Appends the frame of [`Message::Data`] with this header and `map`
+    /// of each of `values` to `buf` — the bytes [`Message::encode`]
+    /// produces for it, written in one pass over the caller's slice, so
+    /// a sender can lay a whole timestep's frames end to end in one
+    /// block without an owned copy of any chunk.
+    pub fn encode_frame(&self, buf: &mut BytesMut, values: &[f64], map: impl Fn(f64) -> f64) {
+        buf.put_u8(tag::DATA);
+        buf.put_u64_le(self.group_id);
+        buf.put_u32_le(self.instance);
+        buf.put_u16_le(self.role);
+        buf.put_u32_le(self.timestep);
+        buf.put_u64_le(self.start);
+        put_f64_slice_map(buf, values, map);
+    }
+}
+
+/// A `Data` frame read in place: the header decoded, the values still
+/// the frame's little-endian bytes.  The receive-side counterpart of
+/// [`DataHeader::encode_frame`] — the server copies the values straight
+/// from the frame into its assembly, with no `Vec<f64>` in between.
+///
+/// [`parse`](Self::parse) accepts exactly the frames
+/// [`Message::encode`] produces for [`Message::Data`]: the tag, and a
+/// length of [`DataHeader::ENCODED_LEN`]` + 8·n` for the `n` the frame
+/// itself claims — nothing short, nothing trailing.  Whether the header
+/// fits the study (role, timestep, cell range) is for the receiver to
+/// check against its own configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DataView<'a> {
+    /// The decoded header.
+    pub header: DataHeader,
+    payload: &'a [u8],
+}
+
+impl<'a> DataView<'a> {
+    /// Whether `frame` carries the `Data` tag (and so is for
+    /// [`parse`](Self::parse) rather than [`Message::decode`]).
+    pub fn is_data(frame: &[u8]) -> bool {
+        frame.first() == Some(&tag::DATA)
+    }
+
+    /// Validates `frame` as a `Data` frame and borrows its values.
+    pub fn parse(frame: &'a [u8]) -> WireResult<Self> {
+        let mut buf = frame;
+        if get_u8(&mut buf, "tag")? != tag::DATA {
+            return Err(WireError::Invalid {
+                what: "not a data frame",
+            });
+        }
+        let header = DataHeader {
+            group_id: get_u64(&mut buf, "group_id")?,
+            instance: get_u32(&mut buf, "instance")?,
+            role: get_u16(&mut buf, "role")?,
+            timestep: get_u32(&mut buf, "timestep")?,
+            start: get_u64(&mut buf, "start")?,
+        };
+        let n = get_u64(&mut buf, "values")?;
+        match n.checked_mul(8) {
+            Some(n_bytes) if n_bytes == buf.len() as u64 => Ok(Self {
+                header,
+                payload: buf,
+            }),
+            Some(n_bytes) if n_bytes > buf.len() as u64 => {
+                Err(WireError::Truncated { what: "values" })
+            }
+            _ => Err(WireError::Invalid {
+                what: "data frame length does not match its value count",
+            }),
+        }
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.payload.len() / 8
+    }
+
+    /// True for a frame that carries no values.
+    pub fn is_empty(&self) -> bool {
+        self.payload.is_empty()
+    }
+
+    /// Copies the values into `dst` (a plain copy on little-endian
+    /// hosts).
+    ///
+    /// # Panics
+    /// Panics unless `dst.len() == self.len()`.
+    pub fn copy_values_to(&self, dst: &mut [f64]) {
+        copy_words_from_le(dst, self.payload);
+    }
+
+    /// The values as an owned vector.
+    pub fn values(&self) -> Vec<f64> {
+        words_from_le(self.payload)
+    }
+}
+
 /// Tag bytes (wire stability).
 mod tag {
     pub const CONNECT_REQUEST: u8 = 1;
@@ -189,13 +311,14 @@ impl Message {
                 start,
                 values,
             } => {
-                buf.put_u8(tag::DATA);
-                buf.put_u64_le(*group_id);
-                buf.put_u32_le(*instance);
-                buf.put_u16_le(*role);
-                buf.put_u32_le(*timestep);
-                buf.put_u64_le(*start);
-                put_f64_slice(&mut buf, values);
+                let header = DataHeader {
+                    group_id: *group_id,
+                    instance: *instance,
+                    role: *role,
+                    timestep: *timestep,
+                    start: *start,
+                };
+                header.encode_frame(&mut buf, values, |v| v);
             }
             Message::Heartbeat { sender } => {
                 buf.put_u8(tag::HEARTBEAT);
@@ -210,6 +333,7 @@ impl Message {
                 quantile_steps,
                 blocked_sends,
                 blocked_nanos,
+                frames_rejected,
             } => {
                 buf.put_u8(tag::SERVER_REPORT);
                 put_u64_slice(&mut buf, finished_groups);
@@ -219,6 +343,7 @@ impl Message {
                 put_f64_slice(&mut buf, quantile_steps);
                 buf.put_u64_le(*blocked_sends);
                 buf.put_u64_le(*blocked_nanos);
+                buf.put_u64_le(*frames_rejected);
             }
             Message::GroupTimeout { group_id } => {
                 buf.put_u8(tag::GROUP_TIMEOUT);
@@ -264,14 +389,29 @@ impl Message {
 
     /// Decodes a frame.
     ///
-    /// `Data.values` is decoded through the copy-lean bulk path of
-    /// [`get_f64_vec`]: one contiguous sweep over the payload rather than
-    /// a cursor round-trip per value.  The values cannot *borrow* the
-    /// frame outright — they are owned `Vec<f64>` state handed to the
-    /// assembly buffers, and the payload's byte offset inside the frame
-    /// makes 8-byte alignment a coin flip — so one bulk copy is the
-    /// minimum (see `melissa_transport::codec::get_f64_vec`).
+    /// A `Data` frame goes through [`DataView::parse`] and one bulk copy
+    /// of its values into the owned `Vec<f64>` this type carries; a
+    /// receiver that only wants the values somewhere else (the server's
+    /// assembly) uses the view directly and skips that vector.
     pub fn decode(frame: &Bytes) -> WireResult<Message> {
+        if DataView::is_data(frame) {
+            let view = DataView::parse(frame)?;
+            let DataHeader {
+                group_id,
+                instance,
+                role,
+                timestep,
+                start,
+            } = view.header;
+            return Ok(Message::Data {
+                group_id,
+                instance,
+                role,
+                timestep,
+                start,
+                values: view.values(),
+            });
+        }
         let mut buf = frame.clone();
         let t = get_u8(&mut buf, "tag")?;
         let msg = match t {
@@ -284,14 +424,6 @@ impl Message {
                 n_cells: get_u64(&mut buf, "n_cells")?,
                 p: get_u32(&mut buf, "p")?,
                 n_timesteps: get_u32(&mut buf, "n_timesteps")?,
-            },
-            tag::DATA => Message::Data {
-                group_id: get_u64(&mut buf, "group_id")?,
-                instance: get_u32(&mut buf, "instance")?,
-                role: get_u16(&mut buf, "role")?,
-                timestep: get_u32(&mut buf, "timestep")?,
-                start: get_u64(&mut buf, "start")?,
-                values: get_f64_vec(&mut buf, "values")?,
             },
             tag::HEARTBEAT => Message::Heartbeat {
                 sender: get_u32(&mut buf, "sender")?,
@@ -308,6 +440,7 @@ impl Message {
                 quantile_steps: get_f64_vec(&mut buf, "quantile_steps")?,
                 blocked_sends: get_u64(&mut buf, "blocked_sends")?,
                 blocked_nanos: get_u64(&mut buf, "blocked_nanos")?,
+                frames_rejected: get_u64(&mut buf, "frames_rejected")?,
             },
             tag::GROUP_TIMEOUT => Message::GroupTimeout {
                 group_id: get_u64(&mut buf, "group_id")?,
@@ -378,6 +511,7 @@ mod tests {
             quantile_steps: vec![0.124, 0.0625, 0.124],
             blocked_sends: 42,
             blocked_nanos: 1_000_000,
+            frames_rejected: 3,
         });
         roundtrip(Message::GroupTimeout { group_id: 9 });
         roundtrip(Message::Checkpoint {
@@ -422,6 +556,98 @@ mod tests {
         let frame = msg.encode();
         let cut = frame.slice(0..frame.len() - 4);
         assert!(Message::decode(&cut).is_err());
+    }
+
+    fn data_message(values: Vec<f64>) -> Message {
+        Message::Data {
+            group_id: 0xA1B2_C3D4_E5F6_0718,
+            instance: 3,
+            role: 5,
+            timestep: 99,
+            start: 12345,
+            values,
+        }
+    }
+
+    #[test]
+    fn data_view_reads_what_encode_wrote_and_rejects_every_other_length() {
+        let values = vec![1.0, -2.5, f64::from_bits(0x7ff8_dead_beef_0001), -0.0];
+        let frame = data_message(values.clone()).encode();
+        assert_eq!(frame.len(), DataHeader::ENCODED_LEN + 8 * values.len());
+        let view = DataView::parse(&frame).unwrap();
+        assert_eq!(
+            view.header,
+            DataHeader {
+                group_id: 0xA1B2_C3D4_E5F6_0718,
+                instance: 3,
+                role: 5,
+                timestep: 99,
+                start: 12345,
+            }
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let mut copied = vec![0.0; view.len()];
+        view.copy_values_to(&mut copied);
+        assert_eq!(bits(&copied), bits(&values));
+        assert_eq!(bits(&view.values()), bits(&values));
+        // Every strict prefix is truncated; trailing bytes are a length
+        // mismatch; both through the view and through `decode`.
+        for cut in 0..frame.len() {
+            assert!(DataView::parse(&frame[..cut]).is_err(), "prefix {cut}");
+            assert!(
+                Message::decode(&frame.slice(..cut)).is_err(),
+                "prefix {cut}"
+            );
+        }
+        for extra in [1usize, 7, 8, 9] {
+            let mut long = frame.to_vec();
+            long.extend(std::iter::repeat_n(0u8, extra));
+            assert!(DataView::parse(&long).is_err(), "{extra} trailing bytes");
+        }
+        // A count that cannot be a byte length at all.
+        let mut huge = frame.to_vec();
+        huge[27..35].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(DataView::parse(&huge).is_err());
+        assert!(!DataView::is_data(&Message::Stop.encode()));
+        assert!(DataView::parse(&Message::Stop.encode()).is_err());
+    }
+
+    #[test]
+    fn encode_frame_lays_frames_end_to_end_exactly_as_encode_does() {
+        let chunks: [&[f64]; 3] = [&[1.5, 2.5, 3.5], &[], &[f64::MAX; 600]];
+        let mut block = BytesMut::new();
+        let mut ends = Vec::new();
+        let mut want = Vec::new();
+        for (i, chunk) in chunks.iter().enumerate() {
+            let header = DataHeader {
+                group_id: 7,
+                instance: 1,
+                role: i as u16,
+                timestep: 4,
+                start: 100 * i as u64,
+            };
+            // Rounding on the way out equals rounding first.
+            let round = |v: f64| melissa_transport::truncate_f64(v, 20);
+            header.encode_frame(&mut block, chunk, round);
+            ends.push(block.len());
+            want.push(
+                Message::Data {
+                    group_id: 7,
+                    instance: 1,
+                    role: i as u16,
+                    timestep: 4,
+                    start: 100 * i as u64,
+                    values: chunk.iter().map(|&v| round(v)).collect(),
+                }
+                .encode(),
+            );
+        }
+        let block = block.freeze();
+        let mut from = 0;
+        for (end, want) in ends.into_iter().zip(want) {
+            assert_eq!(block.slice(from..end), want);
+            from = end;
+        }
     }
 
     #[test]

@@ -52,6 +52,10 @@ pub struct StudyReport {
     pub data_bytes: u64,
     /// Replayed messages dropped by discard-on-replay.
     pub replays_discarded: u64,
+    /// Frames the server refused to ingest: not decodable, or `Data`
+    /// whose role, timestep or cell range is not part of the study.  0
+    /// for any study whose clients speak the protocol over sound links.
+    pub frames_rejected: u64,
     /// Messaging backend the study ran over (`"in-process"`, `"tcp"`).
     pub transport: String,
     /// Study-level link rollup: frames sent toward the server's data
@@ -125,6 +129,7 @@ impl StudyReport {
             data_messages: 0,
             data_bytes: 0,
             replays_discarded: 0,
+            frames_rejected: 0,
             transport: String::new(),
             link_messages: 0,
             link_bytes: 0,
@@ -194,6 +199,9 @@ impl std::fmt::Display for StudyReport {
             self.data_messages
         )?;
         writeln!(f, "replays discarded : {}", self.replays_discarded)?;
+        if self.frames_rejected > 0 {
+            writeln!(f, "frames rejected   : {}", self.frames_rejected)?;
+        }
         if !self.transport.is_empty() {
             writeln!(
                 f,

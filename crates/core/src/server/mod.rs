@@ -47,7 +47,7 @@ use melissa_transport::{
 };
 use parking_lot::{Condvar, Mutex};
 
-use crate::protocol::Message;
+use crate::protocol::{DataView, Message};
 use checkpoint::{read_checkpoint, write_checkpoint};
 use state::WorkerState;
 
@@ -127,6 +127,10 @@ pub struct ServerShared {
     pub messages_received: AtomicU64,
     /// Total replayed messages discarded.
     pub replays_discarded: AtomicU64,
+    /// Frames the workers refused: not decodable, or `Data` whose role,
+    /// timestep or cell range is not part of this study.  Nothing a
+    /// well-behaved client sends is ever counted here.
+    pub frames_rejected: AtomicU64,
     /// Checkpoint writes performed (all workers).
     pub checkpoints_written: AtomicU64,
     /// Workers that fell back to cold statistics because their checkpoint
@@ -167,6 +171,7 @@ impl ServerShared {
             bytes_received: AtomicU64::new(0),
             messages_received: AtomicU64::new(0),
             replays_discarded: AtomicU64::new(0),
+            frames_rejected: AtomicU64::new(0),
             checkpoints_written: AtomicU64::new(0),
             restores_failed: AtomicU64::new(0),
             migrate_acks: Mutex::new(HashMap::new()),
@@ -671,8 +676,21 @@ fn data_link_rollup(transport: &dyn Transport, scope: &str, n_workers: usize) ->
 /// `BENCH_telemetry.json`).
 pub const INGEST_SAMPLE_STRIDE: u64 = 64;
 
+/// Frames a worker takes from its inbox at a time: everything a few
+/// concurrent groups' timesteps can have queued, so a busy worker locks
+/// its queue — and the bookkeeping all workers share — once per batch.
+const INGEST_BATCH: usize = 256;
+
 /// Worker thread: pump the inbox, update local statistics, obey control
 /// messages.  Returns the final state on clean stop.
+///
+/// The inbox is drained a batch at a time — whatever is queued when the
+/// worker comes for it, which with per-timestep hand-off is a group's
+/// timestep or several — and `Data` frames are ingested through the
+/// borrowed [`DataView`], straight from the frame's bytes into the
+/// assembly.  What all workers share is touched once per batch: the
+/// message and byte totals, and per group the liveness clock and the
+/// started set.
 fn worker_loop(
     mut state: WorkerState,
     rx: BoxReceiver,
@@ -682,132 +700,153 @@ fn worker_loop(
     cfg: ServerConfig,
 ) -> WorkerState {
     // Handles resolved once, outside the pump: per-frame cost with
-    // telemetry on is two relaxed atomic adds plus a counter increment,
-    // and a clock-read pair on one in [`INGEST_SAMPLE_STRIDE`] frames.
-    let ingest_hist = cfg
-        .telemetry
-        .as_ref()
-        .map(|t| t.registry().histogram("ingest_sweep_nanos"));
+    // telemetry on is a clock-read pair on one in [`INGEST_SAMPLE_STRIDE`]
+    // frames.
+    let registry = cfg.telemetry.as_ref().map(|t| t.registry());
+    let ingest_hist = registry.map(|r| r.histogram("ingest_sweep_nanos"));
+    let ckpt_hist = registry.map(|r| r.histogram("checkpoint_write_nanos"));
+    let rejected_total = registry.map(|r| r.counter("frames_rejected_total"));
     let mut ingest_tick = 0u64;
-    let ckpt_hist = cfg
-        .telemetry
-        .as_ref()
-        .map(|t| t.registry().histogram("checkpoint_write_nanos"));
     // A group that just finished on every worker is news the launcher
     // acts on (it frees a pool unit, may end the study): have the main
     // loop report it now instead of at the next report period.
     let report_now = || {
         let _ = main_tx.send(Message::ReportNow.encode());
     };
+    let mut inbox: Vec<melissa_transport::Frame> = Vec::with_capacity(INGEST_BATCH);
+    // Groups whose liveness and started entries this batch has already
+    // refreshed (a batch holds frames of a handful of groups).
+    let mut seen: Vec<u64> = Vec::new();
     loop {
         if kill.is_killed() {
             return state; // crash: caller discards the state
         }
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(frame) => {
-                let msg = match Message::decode(&frame) {
-                    Ok(m) => m,
-                    Err(_) => continue, // corrupt frame: drop
-                };
-                match msg {
-                    Message::Data {
-                        group_id,
-                        role,
-                        timestep,
-                        start,
-                        values,
-                        ..
-                    } => {
-                        // A banned (fenced-out) group's straggler frames
-                        // must not resurrect liveness/started bookkeeping
-                        // — `on_data` discards them below.
-                        if !state.is_banned(group_id) {
-                            shared.liveness.record(group_id);
-                            shared.started.lock().insert(group_id);
-                        }
-                        shared.messages_received.fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .bytes_received
-                            .fetch_add((values.len() * 8) as u64, Ordering::Relaxed);
-                        let before = state.replays_discarded;
-                        ingest_tick = ingest_tick.wrapping_add(1);
-                        let sweep_started = (ingest_hist.is_some()
-                            && ingest_tick.is_multiple_of(INGEST_SAMPLE_STRIDE))
-                        .then(Instant::now);
-                        let completed = state.on_data(group_id, role, timestep, start, &values);
-                        if let (Some(h), Some(t0)) = (&ingest_hist, sweep_started) {
-                            h.record(t0.elapsed().as_nanos() as u64);
-                        }
-                        shared
-                            .replays_discarded
-                            .fetch_add(state.replays_discarded - before, Ordering::Relaxed);
-                        if completed && timestep as usize + 1 == state.n_timesteps() {
-                            let finished = shared.record_group_finished_on_worker(group_id);
-                            if cfg.track_ci {
-                                let w = state.max_ci_width(cfg.ci_variance_floor);
-                                shared.set_worker_ci(state.worker_id(), w);
-                            }
-                            if state.tracks_quantiles() {
-                                shared.set_worker_quantile_step(
-                                    state.worker_id(),
-                                    state.max_quantile_step(),
-                                );
-                                shared.set_worker_quantile_steps(
-                                    state.worker_id(),
-                                    state.quantile_step_widths(),
-                                );
-                            }
-                            // After the signals, so the pushed report
-                            // carries them.
-                            if finished {
-                                report_now();
-                            }
-                        }
-                    }
-                    Message::MigrateOut { group_id } => {
-                        // Flush barrier: every Data frame queued ahead of
-                        // this message has been integrated; the ban makes
-                        // the reported floor final against stragglers on
-                        // any connection.
-                        let floor = state.ban_group(group_id);
-                        shared.liveness.forget(&group_id);
-                        shared.started.lock().remove(&group_id);
-                        shared.ack_migrate(group_id, state.worker_id(), floor);
-                    }
-                    Message::AdoptFloor { group_id, floor } => {
-                        state.adopt_floor(group_id, floor);
-                        if floor >= 0
-                            && floor as usize + 1 >= state.n_timesteps()
-                            && !state.finished_groups().contains(&group_id)
-                        {
-                            // The adopted lineage already integrated this
-                            // worker's whole share of the group: count it
-                            // finished here so completion bookkeeping does
-                            // not wait for frames the replay will discard.
-                            // (Skipped when this worker finished the group
-                            // itself — it already counted.)
-                            shared.started.lock().insert(group_id);
-                            if shared.record_group_finished_on_worker(group_id) {
-                                report_now();
-                            }
-                        }
-                        shared.ack_adopt(group_id, state.worker_id());
-                    }
-                    Message::Checkpoint { dir } => {
-                        let write_started = Instant::now();
-                        if write_checkpoint(std::path::Path::new(&dir), &state).is_ok() {
-                            shared.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-                            if let Some(h) = &ckpt_hist {
-                                h.record(write_started.elapsed().as_nanos() as u64);
-                            }
-                        }
-                    }
-                    Message::Stop => return state,
-                    _ => {}
-                }
-            }
+        match rx.recv_batch(&mut inbox, INGEST_BATCH, Duration::from_millis(20)) {
+            Ok(_) => {}
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => return state,
+        }
+        seen.clear();
+        let (mut messages, mut bytes, mut rejected) = (0u64, 0u64, 0u64);
+        let replays_before = state.replays_discarded;
+        let mut stop = false;
+        for frame in inbox.drain(..) {
+            if DataView::is_data(&frame) {
+                let Ok(view) = DataView::parse(&frame) else {
+                    rejected += 1;
+                    continue;
+                };
+                let group_id = view.header.group_id;
+                ingest_tick = ingest_tick.wrapping_add(1);
+                let sweep_started = (ingest_hist.is_some()
+                    && ingest_tick.is_multiple_of(INGEST_SAMPLE_STRIDE))
+                .then(Instant::now);
+                let Ok(completed) = state.on_frame(&view) else {
+                    rejected += 1;
+                    continue;
+                };
+                if let (Some(h), Some(t0)) = (&ingest_hist, sweep_started) {
+                    h.record(t0.elapsed().as_nanos() as u64);
+                }
+                messages += 1;
+                bytes += (view.len() * 8) as u64;
+                // A banned (fenced-out) group's straggler frames must not
+                // resurrect liveness/started bookkeeping — `on_frame`
+                // discarded them above.
+                if !seen.contains(&group_id) && !state.is_banned(group_id) {
+                    seen.push(group_id);
+                    shared.liveness.record(group_id);
+                    shared.started.lock().insert(group_id);
+                }
+                if completed && view.header.timestep as usize + 1 == state.n_timesteps() {
+                    let finished = shared.record_group_finished_on_worker(group_id);
+                    if cfg.track_ci {
+                        let w = state.max_ci_width(cfg.ci_variance_floor);
+                        shared.set_worker_ci(state.worker_id(), w);
+                    }
+                    if state.tracks_quantiles() {
+                        shared
+                            .set_worker_quantile_step(state.worker_id(), state.max_quantile_step());
+                        shared.set_worker_quantile_steps(
+                            state.worker_id(),
+                            state.quantile_step_widths(),
+                        );
+                    }
+                    // After the signals, so the pushed report carries
+                    // them.
+                    if finished {
+                        report_now();
+                    }
+                }
+                continue;
+            }
+            match Message::decode(&frame) {
+                Ok(Message::MigrateOut { group_id }) => {
+                    // Flush barrier: every Data frame queued ahead of
+                    // this message has been integrated; the ban makes
+                    // the reported floor final against stragglers on
+                    // any connection.
+                    let floor = state.ban_group(group_id);
+                    shared.liveness.forget(&group_id);
+                    shared.started.lock().remove(&group_id);
+                    seen.retain(|g| *g != group_id);
+                    shared.ack_migrate(group_id, state.worker_id(), floor);
+                }
+                Ok(Message::AdoptFloor { group_id, floor }) => {
+                    state.adopt_floor(group_id, floor);
+                    if floor >= 0
+                        && floor as usize + 1 >= state.n_timesteps()
+                        && !state.finished_groups().contains(&group_id)
+                    {
+                        // The adopted lineage already integrated this
+                        // worker's whole share of the group: count it
+                        // finished here so completion bookkeeping does
+                        // not wait for frames the replay will discard.
+                        // (Skipped when this worker finished the group
+                        // itself — it already counted.)
+                        shared.started.lock().insert(group_id);
+                        if shared.record_group_finished_on_worker(group_id) {
+                            report_now();
+                        }
+                    }
+                    shared.ack_adopt(group_id, state.worker_id());
+                }
+                Ok(Message::Checkpoint { dir }) => {
+                    let write_started = Instant::now();
+                    if write_checkpoint(std::path::Path::new(&dir), &state).is_ok() {
+                        shared.checkpoints_written.fetch_add(1, Ordering::Relaxed);
+                        if let Some(h) = &ckpt_hist {
+                            h.record(write_started.elapsed().as_nanos() as u64);
+                        }
+                    }
+                }
+                Ok(Message::Stop) => {
+                    // Frames queued behind a stop are not ingested.
+                    stop = true;
+                    break;
+                }
+                Ok(_) => {}
+                Err(_) => rejected += 1,
+            }
+        }
+        inbox.clear();
+        shared
+            .messages_received
+            .fetch_add(messages, Ordering::Relaxed);
+        shared.bytes_received.fetch_add(bytes, Ordering::Relaxed);
+        shared
+            .replays_discarded
+            .fetch_add(state.replays_discarded - replays_before, Ordering::Relaxed);
+        if rejected > 0 {
+            shared
+                .frames_rejected
+                .fetch_add(rejected, Ordering::Relaxed);
+            if let Some(c) = &rejected_total {
+                c.add(rejected);
+            }
+        }
+        if stop {
+            return state;
         }
     }
 }
@@ -933,6 +972,7 @@ fn main_loop(
                 quantile_steps: shared.max_quantile_steps(),
                 blocked_sends: link.blocked_sends,
                 blocked_nanos: link.blocked_nanos,
+                frames_rejected: shared.frames_rejected.load(Ordering::Relaxed),
             };
             let _ = launcher_tx.send(report.encode());
         }

@@ -28,6 +28,8 @@ use melissa_mesh::CellRange;
 use melissa_sobol::{FusedSlabUpdate, UbiquitousSobol};
 use melissa_stats::{FieldMinMax, FieldMoments, FieldQuantiles, FieldThreshold};
 
+use crate::protocol::{DataHeader, DataView};
+
 /// Retained spare assembly buffers.  Bounds pool memory at roughly
 /// `16 × (p + 2) × slab` doubles while still absorbing the in-flight
 /// assembly churn of a busy worker.
@@ -109,6 +111,37 @@ impl Assembly {
         }
     }
 }
+
+/// A well-formed `Data` frame that is not for this worker: its role,
+/// timestep or cell range lies outside what the worker tracks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameMisfit {
+    header: DataHeader,
+    len: usize,
+    roles: usize,
+    n_timesteps: usize,
+    slab: CellRange,
+}
+
+impl std::fmt::Display for FrameMisfit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "chunk of {} cells from {} (role {}, timestep {}) outside slab [{}, {}) \
+             or out of range ({} roles, {} timesteps)",
+            self.len,
+            self.header.start,
+            self.header.role,
+            self.header.timestep,
+            self.slab.start,
+            self.slab.end(),
+            self.roles,
+            self.n_timesteps
+        )
+    }
+}
+
+impl std::error::Error for FrameMisfit {}
 
 /// Statistics and bookkeeping of one server worker.
 #[derive(Clone)]
@@ -258,7 +291,9 @@ impl WorkerState {
     ///
     /// # Panics
     /// Panics if the chunk lies outside the worker's slab or has an
-    /// out-of-range role/timestep — client bugs, not runtime conditions.
+    /// out-of-range role/timestep — a bug in the calling program.  Frames
+    /// from the network go through [`on_frame`](Self::on_frame), which
+    /// answers the same conditions with an error.
     pub fn on_data(
         &mut self,
         group_id: u64,
@@ -267,21 +302,71 @@ impl WorkerState {
         start: u64,
         values: &[f64],
     ) -> bool {
-        let role = role as usize;
-        let ts = timestep as usize;
-        assert!(role < self.p + 2, "role {role} out of range");
-        assert!(ts < self.n_timesteps, "timestep {ts} out of range");
-        let start = start as usize;
-        assert!(
-            start >= self.slab.start && start + values.len() <= self.slab.end(),
-            "chunk [{start}, {}) outside slab [{}, {})",
-            start + values.len(),
-            self.slab.start,
-            self.slab.end()
-        );
+        let header = DataHeader {
+            group_id,
+            instance: 0,
+            role,
+            timestep,
+            start,
+        };
+        match self.placement(&header, values.len()) {
+            Ok(local0) => self.ingest(&header, local0, values.len(), |dst| {
+                dst.copy_from_slice(values)
+            }),
+            Err(misfit) => panic!("{misfit}"),
+        }
+    }
+
+    /// Ingests one `Data` frame read in place: checks that it belongs to
+    /// this worker's part of the study, then copies its values straight
+    /// from the frame's bytes into the assembly.  `Ok(true)` if that
+    /// completed a `(group, timestep)` assembly; `Err` — and no change at
+    /// all — for a frame whose role, timestep or cell range this worker
+    /// does not have, whatever sent it.
+    pub fn on_frame(&mut self, frame: &DataView<'_>) -> Result<bool, FrameMisfit> {
+        let local0 = self.placement(&frame.header, frame.len())?;
+        Ok(self.ingest(&frame.header, local0, frame.len(), |dst| {
+            frame.copy_values_to(dst)
+        }))
+    }
+
+    /// Where in the slab a chunk of `n` values under `header` starts, if
+    /// this worker has such a role, timestep and cell range.
+    fn placement(&self, header: &DataHeader, n: usize) -> Result<usize, FrameMisfit> {
+        let slab = self.slab;
+        let fits = (header.role as usize) < self.p + 2
+            && (header.timestep as usize) < self.n_timesteps
+            && usize::try_from(header.start).is_ok_and(|start| {
+                start >= slab.start && start - slab.start <= slab.len && n <= slab.end() - start
+            });
+        if fits {
+            Ok(header.start as usize - slab.start)
+        } else {
+            Err(FrameMisfit {
+                header: *header,
+                len: n,
+                roles: self.p + 2,
+                n_timesteps: self.n_timesteps,
+                slab,
+            })
+        }
+    }
+
+    /// The one ingest path, past validation: accounting, the replay and
+    /// migration discards, then `fill` writes the `n` values at `local0`
+    /// of the role's assembly field, and a completed assembly is swept.
+    fn ingest(
+        &mut self,
+        header: &DataHeader,
+        local0: usize,
+        n: usize,
+        fill: impl FnOnce(&mut [f64]),
+    ) -> bool {
+        let (group_id, timestep) = (header.group_id, header.timestep);
+        let (role, ts) = (header.role as usize, timestep as usize);
 
         self.messages_received += 1;
-        self.bytes_received += (values.len() * 8) as u64;
+        self.bytes_received += (n * 8) as u64;
 
         // Migration fence: a banned group's frames are discarded no matter
         // the timestep — the group's pending work belongs to another shard
@@ -307,9 +392,8 @@ impl WorkerState {
             .assembly
             .entry((group_id, timestep))
             .or_insert_with(|| pool.pop().unwrap_or_else(|| Assembly::new(roles, slab_len)));
-        let local0 = start - self.slab.start;
-        entry.fields[role][local0..local0 + values.len()].copy_from_slice(values);
-        entry.filled[role].mark_range(local0, local0 + values.len());
+        fill(&mut entry.fields[role][local0..local0 + n]);
+        entry.filled[role].mark_range(local0, local0 + n);
 
         if !entry.complete(slab_len) {
             return false;

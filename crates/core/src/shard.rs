@@ -457,6 +457,7 @@ pub(crate) fn run_sharded_study(
         report.data_messages += r.data_messages;
         report.data_bytes += r.data_bytes;
         report.replays_discarded += r.replays_discarded;
+        report.frames_rejected += r.frames_rejected;
         report.checkpoints_written += r.checkpoints_written;
         report.link_messages += r.link_messages;
         report.link_bytes += r.link_bytes;

@@ -95,44 +95,19 @@ const GOLDEN_FNV1A64: u64 = 0x5e78_c1b1_7487_ffb1;
 // Hostile bytes
 // ---------------------------------------------------------------------
 
-/// Records the largest single allocation the test binary ever asked for,
+mod common;
+
+/// Records the largest single allocation the test binary ever asks for,
 /// so "no allocation sized by the blob" is an assertion, not a hope.
-struct PeakAlloc;
-
-static LARGEST_ALLOC: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// only addition is a relaxed counter that owns no memory.
-unsafe impl std::alloc::GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        LARGEST_ALLOC.fetch_max(layout.size(), std::sync::atomic::Ordering::Relaxed);
-        std::alloc::System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
-        LARGEST_ALLOC.fetch_max(layout.size(), std::sync::atomic::Ordering::Relaxed);
-        std::alloc::System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        LARGEST_ALLOC.fetch_max(new_size, std::sync::atomic::Ordering::Relaxed);
-        std::alloc::System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        std::alloc::System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static ALLOC: PeakAlloc = PeakAlloc;
+static ALLOC: common::CountingAlloc = common::CountingAlloc;
 
 /// No test in this file legitimately allocates more than the golden blob
 /// a few times over; a size taken from hostile bytes would dwarf this.
 const ALLOC_CEILING: usize = 16 << 20;
 
 fn assert_no_blob_sized_allocation() {
-    let peak = LARGEST_ALLOC.load(std::sync::atomic::Ordering::Relaxed);
+    let peak = common::largest_alloc();
     assert!(
         peak < ALLOC_CEILING,
         "a {peak}-byte allocation was requested"

@@ -13,9 +13,12 @@
 //!   and blocks when the buffer is full, recording every blocked send and
 //!   the nanoseconds spent blocked in [`LinkStats`] (the paper's Fig. 6
 //!   backpressure telemetry).  `send_timeout` bounds the blocking so
-//!   fault-tolerant senders notice a dead peer.
+//!   fault-tolerant senders notice a dead peer.  `send_batch` hands over
+//!   a run of frames — a group's timestep for one server worker — under
+//!   the same contract, frame for frame, at one hand-off's cost.
 //! * [`Receiver`] — the server half: blocking, timeout-bounded and
-//!   non-blocking receives with explicit disconnect errors.
+//!   non-blocking receives with explicit disconnect errors, and
+//!   `recv_batch` to take everything that is queued at once.
 //!
 //! Two backends implement the surface with identical semantics:
 //! [`crate::registry::ChannelTransport`] (in-process bounded channels) and
@@ -24,6 +27,7 @@
 //! queues).  [`TransportKind`] + [`make_transport`] select one at study
 //! configuration time.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -65,6 +69,27 @@ impl std::fmt::Display for SendTimeoutError {
 }
 
 impl std::error::Error for SendTimeoutError {}
+
+/// Why [`Sender::send_batch`] stopped early.  The frames it did not
+/// deliver are still in the caller's queue, in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SendBatchError {
+    /// The buffer stayed at the high-water mark until a frame's deadline.
+    Timeout,
+    /// The peer is gone.
+    Disconnected,
+}
+
+impl std::fmt::Display for SendBatchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SendBatchError::Timeout => write!(f, "batch send timed out on a full buffer"),
+            SendBatchError::Disconnected => write!(f, "endpoint disconnected"),
+        }
+    }
+}
+
+impl std::error::Error for SendBatchError {}
 
 /// Deadline flush failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,6 +241,45 @@ pub trait Sender: std::fmt::Debug + Send + Sync {
     /// Fault-tolerant senders use this to notice a dead server.
     fn send_timeout(&self, frame: Frame, timeout: Duration) -> Result<(), SendTimeoutError>;
 
+    /// Sends `frames` front to back — by contract **the same thing as one
+    /// [`send_timeout`](Self::send_timeout) per frame**, which is what the
+    /// provided body does:
+    ///
+    /// * *order and framing* — the frames arrive as that many frames, in
+    ///   queue order, after everything sent on this link before;
+    /// * *high-water mark* — a frame that finds the buffer full blocks
+    ///   where it stands, mid-batch, until the receiver makes room; the
+    ///   frames before it are already on their way;
+    /// * *deadline* — `timeout` bounds the wait of each frame that blocks,
+    ///   not the batch: the call fails only if the link accepted nothing
+    ///   for a whole `timeout`;
+    /// * *statistics* — [`LinkStats`] counts `messages` and `bytes` per
+    ///   delivered frame and one `blocked_sends` (with its `blocked_nanos`)
+    ///   per frame that found the buffer full, so a study's backpressure
+    ///   telemetry reads the same however its frames were grouped;
+    /// * *failure* — on `Err` the undelivered tail, starting with the
+    ///   frame that failed, is left in `frames`.
+    ///
+    /// Backends override it to pay the hand-off (queue lock, receiver
+    /// wake-up) once per batch instead of once per frame; a wrapper that
+    /// does not simply sees the frames one by one.
+    fn send_batch(
+        &self,
+        frames: &mut VecDeque<Frame>,
+        timeout: Duration,
+    ) -> Result<(), SendBatchError> {
+        while let Some(frame) = frames.pop_front() {
+            let (frame, why) = match self.send_timeout(frame, timeout) {
+                Ok(()) => continue,
+                Err(SendTimeoutError::Timeout(frame)) => (frame, SendBatchError::Timeout),
+                Err(SendTimeoutError::Disconnected(frame)) => (frame, SendBatchError::Disconnected),
+            };
+            frames.push_front(frame);
+            return Err(why);
+        }
+        Ok(())
+    }
+
     /// Delivery barrier (ZeroMQ "linger" semantics): blocks until every
     /// frame previously sent on this link sits in the receiving
     /// endpoint's queue, where per-link FIFO order is pinned.  In-process
@@ -256,6 +320,33 @@ pub trait Receiver: std::fmt::Debug + Send {
 
     /// Pops without blocking.
     fn try_recv(&self) -> Result<Frame, TryRecvError>;
+
+    /// Waits up to `timeout` for a frame, then appends it and whatever
+    /// else is already queued — at most `max` frames in all — to `into`,
+    /// oldest first; returns how many.  The same frames in the same order
+    /// as a [`recv_timeout`](Self::recv_timeout) followed by
+    /// [`try_recv`](Self::try_recv)s (the provided body); backends
+    /// override it to take the run under one queue lock.
+    fn recv_batch(
+        &self,
+        into: &mut Vec<Frame>,
+        max: usize,
+        timeout: Duration,
+    ) -> Result<usize, RecvTimeoutError> {
+        if max == 0 {
+            return Ok(0);
+        }
+        into.push(self.recv_timeout(timeout)?);
+        let mut taken = 1;
+        while taken < max {
+            match self.try_recv() {
+                Ok(frame) => into.push(frame),
+                Err(_) => break,
+            }
+            taken += 1;
+        }
+        Ok(taken)
+    }
 
     /// Frames currently buffered (approximate).
     fn len(&self) -> usize;

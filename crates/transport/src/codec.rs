@@ -85,13 +85,14 @@ le_word!(u64);
 /// appends instead of one per element.
 const BULK_WORDS: usize = 512;
 
-/// Appends `values` as little-endian words, [`BULK_WORDS`] at a time
-/// (byte-identical to one `put_*_le` per element, on any sink).
-fn put_words<B: BufMut, T: LeWord>(buf: &mut B, values: &[T]) {
+/// Appends `map` of each of `values` as little-endian words,
+/// [`BULK_WORDS`] at a time (byte-identical to one `put_*_le` per
+/// element, on any sink).
+fn put_words<B: BufMut, T: LeWord>(buf: &mut B, values: &[T], map: impl Fn(T) -> T) {
     let mut staged = [[0u8; 8]; BULK_WORDS];
     for chunk in values.chunks(BULK_WORDS) {
         for (s, v) in staged.iter_mut().zip(chunk) {
-            *s = v.to_le();
+            *s = map(*v).to_le();
         }
         buf.put_slice(staged[..chunk.len()].as_flattened());
     }
@@ -115,6 +116,23 @@ pub fn copy_words_to_le<T: LeWord>(dst: &mut [u8], values: &[T]) {
     }
 }
 
+/// Decodes `src` (little-endian words) into `dst` — the inverse of
+/// [`copy_words_to_le`], for readers that fill storage they already own
+/// (a plain copy on little-endian hosts).
+///
+/// # Panics
+/// Panics unless `src.len() == 8 * dst.len()`.
+pub fn copy_words_from_le<T: LeWord>(dst: &mut [T], src: &[u8]) {
+    let (words, rest) = src.as_chunks::<8>();
+    assert!(
+        rest.is_empty() && words.len() == dst.len(),
+        "length mismatch"
+    );
+    for (d, w) in dst.iter_mut().zip(words) {
+        *d = T::from_le(*w);
+    }
+}
+
 /// Decodes `src` (little-endian words) into an owned vector in one bulk
 /// sweep, which optimises to a straight memcpy on little-endian hosts.
 ///
@@ -128,8 +146,15 @@ pub fn words_from_le<T: LeWord>(src: &[u8]) -> Vec<T> {
 
 /// Writes a `u64`-length-prefixed `f64` slice.
 pub fn put_f64_slice<B: BufMut>(buf: &mut B, values: &[f64]) {
+    put_f64_slice_map(buf, values, |v| v);
+}
+
+/// Writes `map` of each of `values` as a `u64`-length-prefixed `f64`
+/// slice, in the one pass that encodes them — for a writer that rounds
+/// or scales on the way out without a scratch copy of the field.
+pub fn put_f64_slice_map<B: BufMut>(buf: &mut B, values: &[f64], map: impl Fn(f64) -> f64) {
     buf.put_u64_le(values.len() as u64);
-    put_words(buf, values);
+    put_words(buf, values, map);
 }
 
 /// Reads a `u64`-length-prefixed `f64` vector with a sanity cap.
@@ -249,7 +274,7 @@ pub fn read_frame<R: std::io::Read>(r: &mut R, cap: usize) -> std::io::Result<Op
 /// Writes a `u64`-length-prefixed `u64` slice.
 pub fn put_u64_slice<B: BufMut>(buf: &mut B, values: &[u64]) {
     buf.put_u64_le(values.len() as u64);
-    put_words(buf, values);
+    put_words(buf, values, |v| v);
 }
 
 /// Reads a `u64`-length-prefixed `u64` vector.
@@ -397,6 +422,15 @@ mod tests {
             let back = words_from_le::<f64>(&fixed);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
             assert_eq!(bits(&back), bits(&floats));
+            let mut in_place = vec![0.0f64; len];
+            copy_words_from_le(&mut in_place, &fixed);
+            assert_eq!(bits(&in_place), bits(&floats));
+            // The mapping writer is the plain one applied to mapped values.
+            let halved: Vec<f64> = floats.iter().map(|v| v * 0.5).collect();
+            let (mut mapped, mut plain) = (BytesMut::new(), BytesMut::new());
+            put_f64_slice_map(&mut mapped, &floats, |v| v * 0.5);
+            put_f64_slice(&mut plain, &halved);
+            assert_eq!(mapped, plain, "mapped f64 × {len}");
             copy_words_to_le(&mut fixed, &words);
             assert_eq!(fixed, &want_u[8..]);
             assert_eq!(words_from_le::<u64>(&fixed), words);

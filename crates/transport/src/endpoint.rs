@@ -10,22 +10,27 @@
 //! [`channel`] returns a bounded MPMC queue whose sender buffers
 //! asynchronously until the HWM is reached and then blocks, while recording
 //! how long it spent blocked ([`LinkStats`]) so experiments can measure
-//! backpressure exactly as the paper does.  [`HwmSender`] /
+//! backpressure exactly as the paper does.  A run of frames — a group's
+//! timestep — goes in with one [`HwmSender::send_batch`] and comes out
+//! with one [`ChannelReceiver::recv_batch`]: the same frames, the same
+//! blocking and the same counts as a call per frame, for one queue lock
+//! and at most one wake-up of the other side.  [`HwmSender`] /
 //! [`ChannelReceiver`] implement the backend-agnostic [`Sender`] /
 //! [`Receiver`]-trait pair — both the in-process
 //! backend's link type *and* the bounded-queue building block the TCP
 //! backend feeds from its writer/reader threads, which is what keeps the
 //! HWM contract and its telemetry identical across backends.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::channel::{bounded, TrySendError};
+use crossbeam::channel::{bounded, Blocked, SendManyError};
 
 use crate::api::{
-    BoxSender, Disconnected, FlushError, Receiver, RecvTimeoutError, SendTimeoutError, Sender,
-    TryRecvError,
+    BoxSender, Disconnected, FlushError, Receiver, RecvTimeoutError, SendBatchError,
+    SendTimeoutError, Sender, TryRecvError,
 };
 
 /// A framed payload (already encoded message bytes).
@@ -103,6 +108,14 @@ impl LinkStats {
     }
 }
 
+/// The queue's deadline-send failure as the link's, frame included.
+fn unsent(e: crossbeam::channel::SendTimeoutError<Frame>) -> SendTimeoutError {
+    match e {
+        crossbeam::channel::SendTimeoutError::Timeout(f) => SendTimeoutError::Timeout(f),
+        crossbeam::channel::SendTimeoutError::Disconnected(f) => SendTimeoutError::Disconnected(f),
+    }
+}
+
 /// Sending half of an HWM-buffered link (the in-process backend's
 /// [`Sender`], and the bounded-queue stage of every TCP link).
 #[derive(Debug, Clone)]
@@ -116,57 +129,64 @@ impl HwmSender {
     /// (with time accounting) when the buffer is full — ZeroMQ blocking-send
     /// semantics.
     pub fn send(&self, frame: Frame) -> Result<(), Disconnected> {
-        let len = frame.len() as u64;
-        match self.inner.try_send(frame) {
-            Ok(()) => {}
-            Err(TrySendError::Disconnected(_)) => return Err(Disconnected),
-            Err(TrySendError::Full(frame)) => {
-                self.stats.blocked_sends.fetch_add(1, Ordering::Relaxed);
-                let start = Instant::now();
-                let res = self.inner.send(frame);
-                self.stats
-                    .blocked_nanos
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if res.is_err() {
-                    return Err(Disconnected);
-                }
-            }
-        }
-        self.stats.messages.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes.fetch_add(len, Ordering::Relaxed);
-        Ok(())
+        self.send_one(frame, None).map_err(|_| Disconnected)
     }
 
     /// Sends with a deadline; returns the frame if the buffer stayed full.
     /// Used by fault-tolerant senders that must notice a dead server.
     pub fn send_timeout(&self, frame: Frame, timeout: Duration) -> Result<(), SendTimeoutError> {
+        self.send_one(frame, Some(timeout))
+    }
+
+    /// A batch of one (see [`send_batch`](Self::send_batch)), without the
+    /// queue around it.
+    fn send_one(&self, frame: Frame, timeout: Option<Duration>) -> Result<(), SendTimeoutError> {
         let len = frame.len() as u64;
-        match self.inner.try_send(frame) {
-            Ok(()) => {}
-            Err(TrySendError::Disconnected(f)) => {
-                return Err(SendTimeoutError::Disconnected(f));
-            }
-            Err(TrySendError::Full(frame)) => {
-                self.stats.blocked_sends.fetch_add(1, Ordering::Relaxed);
-                let start = Instant::now();
-                let res = self.inner.send_timeout(frame, timeout);
-                self.stats
-                    .blocked_nanos
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                match res {
-                    Ok(()) => {}
-                    Err(crossbeam::channel::SendTimeoutError::Timeout(f)) => {
-                        return Err(SendTimeoutError::Timeout(f));
-                    }
-                    Err(crossbeam::channel::SendTimeoutError::Disconnected(f)) => {
-                        return Err(SendTimeoutError::Disconnected(f));
-                    }
-                }
-            }
+        let mut blocked = Blocked::default();
+        let res = self.inner.send_one(frame, timeout, &mut blocked);
+        let (messages, bytes) = if res.is_ok() { (1, len) } else { (0, 0) };
+        self.account(messages, bytes, blocked);
+        res.map_err(unsent)
+    }
+
+    /// Hands over a whole batch in order: one queue lock for every stretch
+    /// that fits below the HWM and at most one wake-up of the receiving
+    /// side, where a `send` per frame pays both per frame.  Counts in
+    /// [`LinkStats`] exactly what those sends would: every frame buffered,
+    /// and one blocked send (with its wait) per frame that found the
+    /// buffer full.  `timeout` (`None`: for ever) bounds the wait of each
+    /// such frame; on `Err` the unsent tail is left in `frames`.
+    pub fn send_batch(
+        &self,
+        frames: &mut VecDeque<Frame>,
+        timeout: Option<Duration>,
+    ) -> Result<(), SendBatchError> {
+        let queued = |frames: &VecDeque<Frame>| {
+            let bytes: usize = frames.iter().map(Frame::len).sum();
+            (frames.len() as u64, bytes as u64)
+        };
+        let (n, bytes) = queued(frames);
+        let mut blocked = Blocked::default();
+        let res = self.inner.send_many(frames, timeout, &mut blocked);
+        let (n_left, bytes_left) = queued(frames);
+        self.account(n - n_left, bytes - bytes_left, blocked);
+        res.map_err(|e| match e {
+            SendManyError::Timeout => SendBatchError::Timeout,
+            SendManyError::Disconnected => SendBatchError::Disconnected,
+        })
+    }
+
+    fn account(&self, messages: u64, bytes: u64, blocked: Blocked) {
+        if blocked.sends > 0 {
+            self.stats
+                .blocked_sends
+                .fetch_add(blocked.sends, Ordering::Relaxed);
+            self.stats
+                .blocked_nanos
+                .fetch_add(blocked.nanos, Ordering::Relaxed);
         }
-        self.stats.messages.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes.fetch_add(len, Ordering::Relaxed);
-        Ok(())
+        self.stats.messages.fetch_add(messages, Ordering::Relaxed);
+        self.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Sends a frame *without* statistics accounting, honouring the HWM
@@ -179,14 +199,7 @@ impl HwmSender {
         frame: Frame,
         timeout: Duration,
     ) -> Result<(), SendTimeoutError> {
-        self.inner
-            .send_timeout(frame, timeout)
-            .map_err(|e| match e {
-                crossbeam::channel::SendTimeoutError::Timeout(f) => SendTimeoutError::Timeout(f),
-                crossbeam::channel::SendTimeoutError::Disconnected(f) => {
-                    SendTimeoutError::Disconnected(f)
-                }
-            })
+        self.inner.send_timeout(frame, timeout).map_err(unsent)
     }
 
     /// Shared statistics handle.
@@ -207,6 +220,14 @@ impl Sender for HwmSender {
 
     fn send_timeout(&self, frame: Frame, timeout: Duration) -> Result<(), SendTimeoutError> {
         HwmSender::send_timeout(self, frame, timeout)
+    }
+
+    fn send_batch(
+        &self,
+        frames: &mut VecDeque<Frame>,
+        timeout: Duration,
+    ) -> Result<(), SendBatchError> {
+        HwmSender::send_batch(self, frames, Some(timeout))
     }
 
     /// In-process sends deliver straight into the endpoint queue, so the
@@ -256,6 +277,25 @@ impl ChannelReceiver {
         })
     }
 
+    /// Waits up to `timeout` (`None`: for ever) for a frame, then appends
+    /// it and whatever else is queued — at most `max` frames in all — to
+    /// `into` under one queue lock; returns how many.
+    pub fn recv_batch(
+        &self,
+        into: &mut Vec<Frame>,
+        max: usize,
+        timeout: Option<Duration>,
+    ) -> Result<usize, RecvTimeoutError> {
+        self.inner
+            .recv_many(into, max, timeout)
+            .map_err(|e| match e {
+                crossbeam::channel::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
+                crossbeam::channel::RecvTimeoutError::Disconnected => {
+                    RecvTimeoutError::Disconnected
+                }
+            })
+    }
+
     /// Frames currently buffered (approximate).
     pub fn len(&self) -> usize {
         self.inner.len()
@@ -278,6 +318,15 @@ impl Receiver for ChannelReceiver {
 
     fn try_recv(&self) -> Result<Frame, TryRecvError> {
         ChannelReceiver::try_recv(self)
+    }
+
+    fn recv_batch(
+        &self,
+        into: &mut Vec<Frame>,
+        max: usize,
+        timeout: Duration,
+    ) -> Result<usize, RecvTimeoutError> {
+        ChannelReceiver::recv_batch(self, into, max, Some(timeout))
     }
 
     fn len(&self) -> usize {

@@ -12,11 +12,12 @@
 //!   [`Sender`] itself, fault injection composes with the in-process and
 //!   TCP backends alike, and faulty links can be wrapped again.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::api::{BoxSender, Disconnected, FlushError, SendTimeoutError, Sender};
+use crate::api::{BoxSender, Disconnected, FlushError, SendBatchError, SendTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::endpoint::{Frame, LinkStats};
@@ -96,6 +97,16 @@ pub struct FaultPolicy {
     pub delay: Duration,
 }
 
+/// What the fault layer does with one frame.
+enum Verdict {
+    /// The kill switch has flipped: the frame goes back to the caller.
+    Killed,
+    /// The frame is silently lost.
+    Drop,
+    /// The frame goes to the wrapped sender.
+    Forward,
+}
+
 /// A [`Sender`] wrapper that injects faults per a [`FaultPolicy`] and
 /// dies when its [`KillSwitch`] flips.  Works over any backend.
 #[derive(Debug)]
@@ -130,13 +141,12 @@ impl FaultySender {
         }
     }
 
-    /// Applies the fault policy to one frame: `Err(frame)` when the kill
-    /// switch has flipped (the undelivered frame comes back), `Ok(None)`
-    /// when the frame is dropped, and `Ok(Some(frame))` when it should be
-    /// forwarded (after any scripted delay).
-    fn inject(&self, frame: Frame) -> Result<Option<Frame>, Frame> {
+    /// The fault policy's verdict on the next frame of this link: the
+    /// kill switch first, then the scripted delay, then the frame's place
+    /// in the drop sequence.
+    fn admit(&self) -> Verdict {
         if self.kill.is_killed() {
-            return Err(frame);
+            return Verdict::Killed;
         }
         if !self.policy.delay.is_zero() {
             std::thread::sleep(self.policy.delay);
@@ -146,10 +156,10 @@ impl FaultySender {
             const PHI: f64 = 0.618_033_988_749_894_9;
             let u = (i as f64 * PHI).fract();
             if u < self.policy.drop_probability {
-                return Ok(None); // silently lost
+                return Verdict::Drop; // silently lost
             }
         }
-        Ok(Some(frame))
+        Verdict::Forward
     }
 
     /// The kill switch governing this sender.
@@ -167,10 +177,10 @@ impl Sender for FaultySender {
     /// Sends through the fault layer.  Returns `Err(Disconnected)` if the
     /// kill switch has flipped (the process is "dead").
     fn send(&self, frame: Frame) -> Result<(), Disconnected> {
-        match self.inject(frame) {
-            Err(_) => Err(Disconnected),
-            Ok(None) => Ok(()),
-            Ok(Some(frame)) => self.inner.send(frame),
+        match self.admit() {
+            Verdict::Killed => Err(Disconnected),
+            Verdict::Drop => Ok(()),
+            Verdict::Forward => self.inner.send(frame),
         }
     }
 
@@ -178,10 +188,41 @@ impl Sender for FaultySender {
     /// drops swallow the frame, delays apply *before* the deadline clock
     /// starts — a straggler is slow, not timed out).
     fn send_timeout(&self, frame: Frame, timeout: Duration) -> Result<(), SendTimeoutError> {
-        match self.inject(frame) {
-            Err(frame) => Err(SendTimeoutError::Disconnected(frame)),
-            Ok(None) => Ok(()),
-            Ok(Some(frame)) => self.inner.send_timeout(frame, timeout),
+        match self.admit() {
+            Verdict::Killed => Err(SendTimeoutError::Disconnected(frame)),
+            Verdict::Drop => Ok(()),
+            Verdict::Forward => self.inner.send_timeout(frame, timeout),
+        }
+    }
+
+    /// The policy is applied frame by frame, in order, as a send per
+    /// frame would apply it — the same frames are dropped, each pays its
+    /// delay, a kill stops the batch where it stands — and the survivors
+    /// up to that point go to the wrapped sender as one batch.
+    fn send_batch(
+        &self,
+        frames: &mut VecDeque<Frame>,
+        timeout: Duration,
+    ) -> Result<(), SendBatchError> {
+        let mut admitted = 0;
+        let mut after_kill = None;
+        while admitted < frames.len() {
+            match self.admit() {
+                Verdict::Killed => {
+                    after_kill = Some(frames.split_off(admitted));
+                    break;
+                }
+                Verdict::Drop => drop(frames.remove(admitted)),
+                Verdict::Forward => admitted += 1,
+            }
+        }
+        let sent = self.inner.send_batch(frames, timeout);
+        match after_kill {
+            None => sent,
+            Some(mut tail) => {
+                frames.append(&mut tail);
+                sent.and(Err(SendBatchError::Disconnected))
+            }
         }
     }
 
@@ -248,6 +289,111 @@ mod tests {
         }
         let delivered = rx.len() as f64;
         assert!((delivered - 750.0).abs() < 30.0, "delivered {delivered}");
+    }
+
+    fn numbered(i: u64) -> Frame {
+        bytes::Bytes::from(i.to_le_bytes().to_vec())
+    }
+
+    fn number_of(frame: &Frame) -> u64 {
+        u64::from_le_bytes(frame[..].try_into().unwrap())
+    }
+
+    #[test]
+    fn batches_drop_exactly_the_frames_single_sends_drop() {
+        const N: u64 = 1000;
+        const P_DROP: f64 = 0.3;
+        const PHI: f64 = 0.618_033_988_749_894_9;
+        let survivors: Vec<u64> = (0..N)
+            .filter(|&i| (i as f64 * PHI).fract() >= P_DROP)
+            .collect();
+        let (tx, rx) = channel(N as usize);
+        let faulty = FaultySender::new(
+            Box::new(tx),
+            FaultPolicy {
+                drop_probability: P_DROP,
+                delay: Duration::ZERO,
+            },
+            KillSwitch::new(),
+        );
+        // Batches of 0, 1, 2, … frames with single sends in between: the
+        // drop sequence runs through them as through one stream.
+        let mut next = 0;
+        let mut size = 0;
+        while next < N {
+            let end = (next + size).min(N);
+            let mut batch: VecDeque<Frame> = (next..end).map(numbered).collect();
+            faulty
+                .send_batch(&mut batch, Duration::from_secs(1))
+                .unwrap();
+            assert!(batch.is_empty());
+            next = end;
+            if next < N {
+                faulty.send(numbered(next)).unwrap();
+                next += 1;
+            }
+            size += 1;
+        }
+        let mut delivered = Vec::new();
+        while let Ok(f) = rx.try_recv() {
+            delivered.push(number_of(&f));
+        }
+        assert_eq!(delivered, survivors);
+    }
+
+    #[test]
+    fn a_kill_mid_batch_delivers_what_came_before_and_returns_the_rest() {
+        let (tx, rx) = channel(64);
+        let kill = KillSwitch::new();
+        // A per-frame delay gives the batch a middle to be killed in.
+        let faulty = FaultySender::new(
+            Box::new(tx),
+            FaultPolicy {
+                drop_probability: 0.0,
+                delay: Duration::from_millis(2),
+            },
+            kill.clone(),
+        );
+        let admitted = Arc::clone(&faulty.counter);
+        let killer = std::thread::spawn(move || {
+            while admitted.load(Ordering::Relaxed) < 5 {
+                std::thread::yield_now();
+            }
+            kill.kill();
+        });
+        let mut batch: VecDeque<Frame> = (0..40).map(numbered).collect();
+        assert_eq!(
+            faulty.send_batch(&mut batch, Duration::from_secs(1)),
+            Err(SendBatchError::Disconnected)
+        );
+        killer.join().unwrap();
+        let mut delivered = Vec::new();
+        while let Ok(f) = rx.try_recv() {
+            delivered.push(number_of(&f));
+        }
+        let returned: Vec<u64> = batch.iter().map(number_of).collect();
+        assert!(delivered.len() >= 5 && !returned.is_empty());
+        assert_eq!(delivered, (0..delivered.len() as u64).collect::<Vec<_>>());
+        assert_eq!(returned, (delivered.len() as u64..40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_batch_the_link_cannot_take_comes_back_from_the_first_unsent_frame() {
+        // Nobody drains a 3-deep link: frames 0..3 get in, 3.. come back.
+        let (tx, rx) = channel(3);
+        let faulty = FaultySender::new(Box::new(tx), FaultPolicy::default(), KillSwitch::new());
+        let mut batch: VecDeque<Frame> = (0..7).map(numbered).collect();
+        assert_eq!(
+            faulty.send_batch(&mut batch, Duration::from_millis(10)),
+            Err(SendBatchError::Timeout)
+        );
+        assert_eq!(
+            batch.iter().map(number_of).collect::<Vec<_>>(),
+            [3, 4, 5, 6]
+        );
+        assert_eq!(rx.len(), 3);
+        assert_eq!(faulty.stats().messages_sent(), 3);
+        assert_eq!(faulty.stats().sends_blocked(), 1);
     }
 
     #[test]

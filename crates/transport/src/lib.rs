@@ -19,9 +19,10 @@
 //! * [`Sender`] — the high-water-mark contract: buffer asynchronously
 //!   below the HWM, block at the HWM with [`LinkStats`] time accounting
 //!   (the paper's Fig. 6 telemetry), deadline sends, clean
-//!   [`Disconnected`] errors;
+//!   [`Disconnected`] errors, and `send_batch` to hand over a timestep's
+//!   frames under that same contract at one hand-off's cost;
 //! * [`Receiver`] — blocking / deadline / non-blocking receives with
-//!   explicit disconnects.
+//!   explicit disconnects, and `recv_batch` to take what is queued.
 //!
 //! ## Backend matrix
 //!
@@ -99,8 +100,8 @@ pub mod tcp;
 
 pub use api::{
     make_transport, make_transport_with, BoxReceiver, BoxSender, ConnectError, Disconnected,
-    LinkStatsSnapshot, Receiver, RecvTimeoutError, SendTimeoutError, Sender, Transport,
-    TransportKind, TryRecvError,
+    LinkStatsSnapshot, Receiver, RecvTimeoutError, SendBatchError, SendTimeoutError, Sender,
+    Transport, TransportKind, TryRecvError,
 };
 pub use compress::{
     compress_payload, decompress_payload, truncate_f64, truncate_values, WireCompression,

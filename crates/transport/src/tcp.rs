@@ -16,13 +16,20 @@
 //!   `1` = not found), the endpoint's high-water mark as a `u32`, the
 //!   link's **resume cursor** (see below) and the compression mode it
 //!   accepted.
-//! * **Burst-batched writes** — the writer thread gathers every frame
-//!   queued at a wakeup into one **vectored** write (`writev` over the
-//!   encoded frames in place, bounded by a 1 MiB budget), instead of one
-//!   write-plus-flush per frame: streamed traffic amortises syscalls
-//!   across the whole burst *without re-copying payload bytes into a
-//!   staging buffer*, which is what makes the streamed path faster than
-//!   lone roundtrips rather than slower.
+//! * **Burst-batched writes** — the writer thread takes every frame
+//!   queued at a wakeup in one go and gathers them into one **vectored**
+//!   write (`writev` over the encoded frames in place, bounded by a 1 MiB
+//!   budget), instead of one write-plus-flush per frame: streamed traffic
+//!   amortises syscalls across the whole burst *without re-copying
+//!   payload bytes into a staging buffer*, which is what makes the
+//!   streamed path faster than lone roundtrips rather than slower.
+//! * **Block-batched reads** — the acceptor reads the socket in blocks,
+//!   carves every complete frame out of a block as a zero-copy window
+//!   onto it and pushes the run into the ingest queue as one batch (see
+//!   `BlockReader`): a timestep handed over with
+//!   [`Sender::send_batch`] costs one queue hand-off, one `writev`, a
+//!   couple of `recv`s and one ingest push — each waking its consumer at
+//!   most once — where frame-by-frame traffic pays all of that per frame.
 //! * **In-frame payload compression** — when negotiated
 //!   ([`TcpTransportConfig::compression`]), the writer runs each data
 //!   frame payload through the lossless [`compress`](crate::compress)
@@ -88,7 +95,7 @@
 //! peer endpoint is gone for good.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -100,7 +107,7 @@ use parking_lot::Mutex;
 
 use crate::api::{
     BoxReceiver, BoxSender, ConnectError, Disconnected, FlushError, LinkStatsSnapshot,
-    SendTimeoutError, Sender, Transport,
+    RecvTimeoutError, SendBatchError, SendTimeoutError, Sender, Transport,
 };
 use crate::codec::{get_str, get_u32, get_u64, get_u8, put_str, read_frame, write_frame};
 use crate::compress::{compress_payload, decompress_payload, WireCompression};
@@ -140,6 +147,12 @@ const MIN_COMPRESS_LEN: usize = 64;
 /// may reference; a frame larger than the budget still forms its own
 /// one-frame burst.
 const BURST_BUDGET: usize = 1 << 20;
+/// Size of an acceptor's read block (see [`BlockReader`]): what a
+/// loopback socket's receive buffer holds at its default size, so one
+/// `recv` takes everything the kernel has queued — a group's timestep for
+/// one server worker, a few hundred KiB in the tube-bundle study, arrives
+/// in two or three.  A longer frame gets a block of its own size.
+const READ_BLOCK: usize = 128 * 1024;
 /// Wire image of a flush barrier (see [`FLUSH_REQUEST`]).
 const FLUSH_WIRE: [u8; 4] = FLUSH_REQUEST.to_le_bytes();
 /// Back-channel cursor acknowledgement: one tag byte plus the cursor as
@@ -264,6 +277,45 @@ struct Endpoint {
     resume: Mutex<HashMap<u64, Arc<ResumeSlot>>>,
 }
 
+/// Socket calls and the data frames they carried, summed over every
+/// link of one node (see [`TcpTransport::wire_io`]).
+#[derive(Debug, Default)]
+struct WireIo {
+    writes: AtomicU64,
+    frames_written: AtomicU64,
+    reads: AtomicU64,
+    frames_read: AtomicU64,
+}
+
+/// A point-in-time copy of one node's socket-call counters: how many
+/// `writev`s its link writers and how many `recv`s its acceptors issued
+/// for data, and how many data frames those carried — so frames per
+/// system call, the figure burst writes and block reads exist to raise,
+/// can be read off a live transport.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WireIoSnapshot {
+    /// Gathered writes issued by this node's link writers.
+    pub writes: u64,
+    /// Data frames those writes carried (retransmissions included).
+    pub frames_written: u64,
+    /// Socket reads issued by this node's acceptors.
+    pub reads: u64,
+    /// Data frames carved out of those reads.
+    pub frames_read: u64,
+}
+
+impl WireIoSnapshot {
+    /// What was counted after `earlier` was taken.
+    pub fn since(self, earlier: WireIoSnapshot) -> WireIoSnapshot {
+        WireIoSnapshot {
+            writes: self.writes - earlier.writes,
+            frames_written: self.frames_written - earlier.frames_written,
+            reads: self.reads - earlier.reads,
+            frames_read: self.frames_read - earlier.frames_read,
+        }
+    }
+}
+
 struct TcpInner {
     addr: SocketAddr,
     /// `host:port` published to the directory for every bound name.
@@ -281,6 +333,8 @@ struct TcpInner {
     reconnect_timeout: Duration,
     /// Wire compression proposed for every outbound link of this node.
     compression: WireCompression,
+    /// Socket-call counters (shared with writer and serving threads).
+    wire_io: Arc<WireIo>,
     shutdown: AtomicBool,
 }
 
@@ -345,6 +399,7 @@ impl TcpTransport {
             reconnects: Arc::new(AtomicU64::new(0)),
             reconnect_timeout: config.reconnect_timeout,
             compression: config.compression,
+            wire_io: Arc::default(),
             shutdown: AtomicBool::new(false),
         });
         let accept_inner = Arc::clone(&inner);
@@ -388,6 +443,17 @@ impl TcpTransport {
     /// Links this node's senders re-established after a connection loss.
     pub fn reconnects(&self) -> u64 {
         self.inner.reconnects.load(Ordering::Relaxed)
+    }
+
+    /// This node's socket-call counters so far.
+    pub fn wire_io(&self) -> WireIoSnapshot {
+        let io = &self.inner.wire_io;
+        WireIoSnapshot {
+            writes: io.writes.load(Ordering::Relaxed),
+            frames_written: io.frames_written.load(Ordering::Relaxed),
+            reads: io.reads.load(Ordering::Relaxed),
+            frames_read: io.frames_read.load(Ordering::Relaxed),
+        }
     }
 
     /// Severs every established serving-side connection into `name` —
@@ -528,6 +594,7 @@ impl Transport for TcpTransport {
             reconnect_timeout: self.inner.reconnect_timeout,
             reconnects: Arc::clone(&self.inner.reconnects),
             compression: proposed,
+            wire_io: Arc::clone(&self.inner.wire_io),
         });
         let writer_shared = Arc::clone(&shared);
         let writer_stats = Arc::clone(tx.stats());
@@ -592,6 +659,8 @@ struct LinkCore {
     reconnects: Arc<AtomicU64>,
     /// Compression this link proposes on every (re-)handshake.
     compression: WireCompression,
+    /// The owning transport's socket-call counters.
+    wire_io: Arc<WireIo>,
 }
 
 /// Progress state shared by one link's sender clones, its writer thread
@@ -702,6 +771,14 @@ impl Sender for TcpSender {
 
     fn send_timeout(&self, frame: Frame, timeout: Duration) -> Result<(), SendTimeoutError> {
         self.queue.send_timeout(frame, timeout)
+    }
+
+    fn send_batch(
+        &self,
+        frames: &mut VecDeque<Frame>,
+        timeout: Duration,
+    ) -> Result<(), SendBatchError> {
+        self.queue.send_batch(frames, Some(timeout))
     }
 
     /// Rides an in-band marker through the send queue, the socket and the
@@ -882,60 +959,58 @@ fn serve_connection(mut stream: TcpStream, inner: Arc<TcpInner>) {
         }
     };
 
-    // Deliberately smaller than a typical field frame: the buffer only
-    // amortises syscalls for length prefixes and small frames; payload
-    // bulk bypasses it (see `read_frame_or_flush`), so a large capacity
-    // would just route more of each big frame through an extra memcpy.
-    let mut reader = BufReader::with_capacity(8 * 1024, stream);
+    let mut reader = BlockReader::new(stream, Arc::clone(&inner.wire_io));
+    let mut items: Vec<WireItem> = Vec::new();
+    let mut run: VecDeque<Frame> = VecDeque::new();
     let mut since_ack: u64 = 0;
-    loop {
-        match read_frame_or_flush(&mut reader, MAX_DATA_FRAME) {
-            Ok(Some(WireItem::Frame(frame))) => {
-                // Blocking push into the bounded ingest queue: this stall
-                // is the receiver-side half of the HWM backpressure
-                // chain.  The cursor lock is held across the push so the
-                // count a re-handshake reads always covers it.
-                let pushed = {
-                    let mut cursor = slot.ingested.lock();
-                    // Stop without counting when fenced by a reconnected
-                    // link's newer connection, or when the endpoint
-                    // receiver is gone (stop/crash/rebind).
-                    if slot.generation.load(Ordering::SeqCst) != my_gen
-                        || ingest.send(frame).is_err()
-                    {
-                        None
-                    } else {
-                        *cursor += 1;
-                        Some(*cursor)
-                    }
-                };
-                match pushed {
-                    Some(count) => {
-                        since_ack += 1;
-                        if since_ack >= ACK_INTERVAL {
-                            since_ack = 0;
-                            if send_ack(&ack_half, count).is_err() {
-                                break;
-                            }
-                        }
-                    }
-                    None => break,
+    // Pushes the data frames read so far — one batch — into the bounded
+    // ingest queue and returns the link's cursor after them; `None` when
+    // this thread must stop.  Blocking here is the receiver-side half of
+    // the HWM backpressure chain.  The cursor lock is held across the
+    // push so the count a re-handshake reads always covers it.
+    let push = |run: &mut VecDeque<Frame>| -> Option<u64> {
+        let mut cursor = slot.ingested.lock();
+        // Stop without counting when fenced by a reconnected link's newer
+        // connection; stop after counting what got through when the
+        // endpoint receiver is gone (stop/crash/rebind).
+        if slot.generation.load(Ordering::SeqCst) != my_gen {
+            return None;
+        }
+        let offered = run.len();
+        let delivered = ingest.send_batch(run, None);
+        *cursor += (offered - run.len()) as u64;
+        delivered.ok().map(|()| *cursor)
+    };
+    'serve: while let Ok(true) = reader.read_run(&mut items, MAX_DATA_FRAME) {
+        // Whatever one read delivered goes in as one batch; a flush
+        // request splits it, because its ack must cover exactly the
+        // frames before it.
+        let mut items = items.drain(..).peekable();
+        while let Some(item) = items.next() {
+            if let WireItem::Frame(frame) = item {
+                run.push_back(frame);
+                if matches!(items.peek(), Some(WireItem::Frame(_))) {
+                    continue;
                 }
             }
-            Ok(Some(WireItem::FlushRequest)) => {
-                // Every earlier frame has been pushed into the ingest
-                // queue by now (the loop above is synchronous), so acking
-                // the cursor is exactly the delivery barrier.
+            let pushed = run.len() as u64;
+            let Some(count) = push(&mut run) else {
+                break 'serve;
+            };
+            since_ack += pushed;
+            // Every earlier frame is in the ingest queue by now, so acking
+            // the cursor on a flush request is exactly the delivery
+            // barrier; otherwise the ack is the periodic one that bounds
+            // the sender's retransmit buffer.
+            if pushed == 0 || since_ack >= ACK_INTERVAL {
                 since_ack = 0;
-                let count = *slot.ingested.lock();
                 if send_ack(&ack_half, count).is_err() {
-                    break;
+                    break 'serve;
                 }
             }
-            Ok(None) | Err(_) => break, // clean EOF or broken link
         }
     }
-    let _ = reader.get_ref().shutdown(Shutdown::Both);
+    let _ = reader.stream.shutdown(Shutdown::Both);
     inner.serving.lock().retain(|(_, t, _)| *t != token);
     retire(&slot);
 }
@@ -1038,48 +1113,30 @@ impl Conn {
         })
     }
 
-    /// Writes one burst of wire frames with gathered (vectored) writes:
-    /// one `writev` over the encoded frames in place per socket
-    /// round — no staging copy, so frame bytes are touched exactly once
-    /// on the send side (by `encode_wire_frame`) and the kernel reads
-    /// them straight from the encoding, still cache-warm.  Partial
-    /// writes (socket buffer full mid-burst) resume from the exact byte
-    /// offset; the OS caps each `writev` at `IOV_MAX` slices, which the
-    /// loop absorbs the same way.
-    fn write_burst(&mut self, parts: &[Bytes]) -> std::io::Result<()> {
-        let total: usize = parts.iter().map(Bytes::len).sum();
-        if total == 0 {
-            return Ok(());
-        }
-        if parts.len() == 1 {
-            return self.out.write_all(&parts[0]);
-        }
-        let mut slices: Vec<std::io::IoSlice<'_>> = Vec::with_capacity(parts.len());
-        let mut written = 0usize;
-        while written < total {
-            slices.clear();
-            let mut skip = written;
-            for p in parts {
-                if skip >= p.len() {
-                    skip -= p.len();
-                    continue;
-                }
-                slices.push(std::io::IoSlice::new(&p[skip..]));
-                skip = 0;
-            }
-            match self.out.write_vectored(&slices) {
+    /// Writes one burst with gathered (vectored) writes: one `writev`
+    /// over the encoded frames in place per socket round — no staging
+    /// copy, so the kernel reads frame bytes straight from where the
+    /// sender encoded them.  Partial writes (socket buffer full
+    /// mid-burst) resume from the exact byte offset; the OS caps each
+    /// `writev` at `IOV_MAX` slices, which the loop absorbs the same way.
+    /// Returns the number of `writev` calls it took.
+    fn write_burst(&mut self, mut burst: &mut [IoSlice<'_>]) -> std::io::Result<u64> {
+        let mut calls = 0;
+        while !burst.is_empty() {
+            match self.out.write_vectored(burst) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::WriteZero,
                         "socket accepted no bytes",
                     ))
                 }
-                Ok(n) => written += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Ok(n) => IoSlice::advance_slices(&mut burst, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
+            calls += 1;
         }
-        Ok(())
+        Ok(calls)
     }
 
     fn kill(&mut self) {
@@ -1087,16 +1144,15 @@ impl Conn {
     }
 }
 
-/// One queued frame's exact wire image, held as **gathered slices**: the
-/// 4-byte length prefix and the payload body as shared [`Bytes`]
-/// handles.  An uncompressed frame's body is the sender's payload
-/// itself — zero-copy; the vectored burst write puts it on the wire
-/// straight from the caller's allocation.  A compressed frame's body is
-/// the codec image (compression necessarily produces new bytes).  The
-/// retransmit buffer stores these handles verbatim, so a healed link
-/// re-sends byte-identical frames without re-encoding.
+/// One queued frame's exact wire image: the 4-byte length prefix and the
+/// payload body as a shared [`Bytes`] handle.  An uncompressed frame's
+/// body is the sender's payload itself — zero-copy; the vectored burst
+/// write puts it on the wire straight from the caller's allocation.  A
+/// compressed frame's body is the codec image (compression necessarily
+/// produces new bytes).  The retransmit buffer stores these verbatim, so
+/// a healed link re-sends byte-identical frames without re-encoding.
 struct WireImage {
-    prefix: Bytes,
+    prefix: [u8; 4],
     body: Bytes,
 }
 
@@ -1105,12 +1161,12 @@ impl WireImage {
         self.prefix.len() + self.body.len()
     }
 
-    /// Appends this image's slices to a gathered burst (cheap handle
-    /// clones, no byte copies).
-    fn push_to(&self, burst: &mut Vec<Bytes>) {
-        burst.push(self.prefix.clone());
+    /// Appends this image's slices to a gathered burst (borrows, no byte
+    /// copies).
+    fn push_to<'a>(&'a self, burst: &mut Vec<IoSlice<'a>>) {
+        burst.push(IoSlice::new(&self.prefix));
         if !self.body.is_empty() {
-            burst.push(self.body.clone());
+            burst.push(IoSlice::new(&self.body));
         }
     }
 
@@ -1130,21 +1186,18 @@ impl WireImage {
 /// [`COMPRESSED_FLAG`]), falls back to the raw length-prefixed layout —
 /// sharing the payload bytes zero-copy — whenever the payload is small
 /// or does not shrink.
-fn encode_wire_frame(frame: &Frame, compression: WireCompression) -> WireImage {
-    let mut prefix = BytesMut::with_capacity(4);
+fn encode_wire_frame(frame: Frame, compression: WireCompression) -> WireImage {
     if compression.wire_codec_enabled() && frame.len() >= MIN_COMPRESS_LEN {
-        if let Some(image) = compress_payload(frame) {
-            prefix.put_u32_le(image.len() as u32 | COMPRESSED_FLAG);
+        if let Some(image) = compress_payload(&frame) {
             return WireImage {
-                prefix: prefix.freeze(),
+                prefix: (image.len() as u32 | COMPRESSED_FLAG).to_le_bytes(),
                 body: Bytes::from(image),
             };
         }
     }
-    prefix.put_u32_le(frame.len() as u32);
     WireImage {
-        prefix: prefix.freeze(),
-        body: frame.clone(),
+        prefix: (frame.len() as u32).to_le_bytes(),
+        body: frame,
     }
 }
 
@@ -1164,15 +1217,24 @@ fn ack_reader(stream: TcpStream, shared: Arc<LinkShared>, gen: u64) {
     shared.mark_broken(gen);
 }
 
+/// What one element of a burst is: the next frame of the retransmit
+/// buffer, or a flush barrier.
+#[derive(Clone, Copy)]
+enum Part {
+    Frame,
+    Flush,
+}
+
 /// Connection writer thread: drains the send-side HWM queue in
-/// **bursts** — every wakeup gathers all queued frames (wire-encoding
-/// and compressing each in order) and hands the socket one vectored
-/// write over the encodings in place, so a stream of frames costs one
-/// syscall per burst instead of one write-plus-flush per frame, with no
-/// staging copy of the payload bytes.  Keeps every
-/// unacknowledged frame *in its wire encoding* for retransmission, and
-/// heals the link (resolve → dial → idempotent re-handshake → resume)
-/// with bounded backoff when the connection breaks.
+/// **bursts** — every wakeup takes all queued frames in one go
+/// (wire-encoding and compressing each in order) and hands the socket
+/// one vectored write per [`BURST_BUDGET`] over the encodings in place,
+/// so a stream of frames costs one syscall per burst instead of one
+/// write-plus-flush per frame, with no staging copy of the payload
+/// bytes.  Keeps every unacknowledged frame *in its wire encoding* for
+/// retransmission, and heals the link (resolve → dial → idempotent
+/// re-handshake → resume) with bounded backoff when the connection
+/// breaks.
 fn writer_loop(
     stream: TcpStream,
     rx: crate::endpoint::ChannelReceiver,
@@ -1198,8 +1260,16 @@ fn writer_loop(
     let mut epoch: u64 = 0;
     // Sent-but-unacknowledged frames in wire encoding, oldest first.
     let mut unacked: VecDeque<(u64, WireImage)> = VecDeque::new();
-    // Reused burst slice list (cheap `Bytes` handles, not frame copies).
-    let mut burst: Vec<Bytes> = Vec::with_capacity(64);
+    // Frames taken off the queue at one wakeup, and the burst being
+    // gathered from them (both reused).
+    let mut inbox: Vec<Frame> = Vec::new();
+    let mut burst: Vec<Part> = Vec::with_capacity(64);
+    // On a self-healing link an idle wait is a bounded poll, so a broken
+    // connection interrupts an idle link within one tick; with
+    // reconnection disabled there is nothing to heal and the writer
+    // blocks for free (breakage still surfaces at the next write or
+    // flush, the single-node contract).
+    let idle_wait = (!core.reconnect_timeout.is_zero()).then_some(Duration::from_millis(25));
 
     'link: loop {
         // Drop frames the receiver has acknowledged.
@@ -1223,79 +1293,77 @@ fn writer_loop(
             }
             continue;
         }
-        // Wait for the first frame of the next burst.  On a self-healing
-        // link the block is a bounded poll, so a broken connection
-        // interrupts an idle link within one tick; with reconnection
-        // disabled there is nothing to heal and the writer blocks for
-        // free (breakage still surfaces at the next write or flush, the
-        // single-node contract).
-        let first = match rx.try_recv() {
-            Ok(f) => f,
-            Err(crate::api::TryRecvError::Empty) => {
-                if core.reconnect_timeout.is_zero() {
-                    match rx.recv() {
-                        Ok(f) => f,
-                        Err(_) => break 'link,
-                    }
+        match rx.recv_batch(&mut inbox, usize::MAX, idle_wait) {
+            Ok(_) => {}
+            Err(RecvTimeoutError::Timeout) => continue 'link,
+            Err(RecvTimeoutError::Disconnected) => break 'link, // senders gone
+        }
+        let mut queued = inbox.drain(..).peekable();
+        while queued.peek().is_some() {
+            // Gather a burst: frames in queue order, up to the burst
+            // budget.  Its data frames go to the back of the retransmit
+            // buffer, which is where the write reads them from — no
+            // staging copy.
+            burst.clear();
+            let first = unacked.len();
+            let mut burst_len = 0usize;
+            for frame in queued.by_ref() {
+                if is_flush_marker(&frame) {
+                    // Barrier: everything up to `seq` must reach the
+                    // ingest queue.  Register first so a concurrent ack
+                    // (or a reconnect resume) can satisfy it, then the
+                    // in-burst request asks for the receiver's cursor.
+                    epoch += 1;
+                    shared.push_pending(epoch, seq);
+                    burst.push(Part::Flush);
+                    burst_len += FLUSH_WIRE.len();
                 } else {
-                    match rx.recv_timeout(Duration::from_millis(25)) {
-                        Ok(f) => f,
-                        Err(crate::api::RecvTimeoutError::Timeout) => continue 'link,
-                        Err(crate::api::RecvTimeoutError::Disconnected) => break 'link,
+                    seq += 1;
+                    let wire = encode_wire_frame(frame, compression);
+                    stats.add_wire_bytes(wire.len() as u64);
+                    burst_len += wire.len();
+                    unacked.push_back((seq, wire));
+                    burst.push(Part::Frame);
+                }
+                if burst_len >= BURST_BUDGET {
+                    break;
+                }
+            }
+            let written = {
+                let mut frames = unacked.range(first..);
+                let mut slices = Vec::with_capacity(2 * burst.len());
+                for part in &burst {
+                    match part {
+                        Part::Flush => slices.push(IoSlice::new(&FLUSH_WIRE)),
+                        Part::Frame => {
+                            let (_, wire) = frames.next().expect("one image per frame part");
+                            wire.push_to(&mut slices);
+                        }
+                    }
+                }
+                conn.write_burst(&mut slices)
+            };
+            match written {
+                Ok(calls) => {
+                    let frames = (unacked.len() - first) as u64;
+                    core.wire_io.writes.fetch_add(calls, Ordering::Relaxed);
+                    core.wire_io
+                        .frames_written
+                        .fetch_add(frames, Ordering::Relaxed);
+                }
+                Err(_) => {
+                    if !reconnect(
+                        &mut conn,
+                        &mut unacked,
+                        &shared,
+                        &core,
+                        &stats,
+                        &mut compression,
+                    ) {
+                        break 'link;
                     }
                 }
             }
-            Err(crate::api::TryRecvError::Disconnected) => break 'link, // senders gone
-        };
-        // Gather the burst: the first frame plus everything already
-        // queued behind it, in order, up to the burst budget.  The burst
-        // holds `Bytes` handles onto each frame's wire encoding — no
-        // staging copy.  A disconnect discovered mid-drain still writes
-        // the collected burst (the queue's tail) and resurfaces on the
-        // next wakeup.
-        burst.clear();
-        let mut burst_len = 0usize;
-        let mut next = Some(first);
-        loop {
-            let frame = match next.take() {
-                Some(f) => f,
-                None => match rx.try_recv() {
-                    Ok(f) => f,
-                    Err(_) => break,
-                },
-            };
-            if is_flush_marker(&frame) {
-                // Barrier: everything up to `seq` must reach the ingest
-                // queue.  Register first so a concurrent ack (or a
-                // reconnect resume) can satisfy it, then the in-burst
-                // request asks for the receiver's cursor.
-                epoch += 1;
-                shared.push_pending(epoch, seq);
-                burst.push(Bytes::from_static(&FLUSH_WIRE));
-                burst_len += FLUSH_WIRE.len();
-            } else {
-                seq += 1;
-                let wire = encode_wire_frame(&frame, compression);
-                stats.add_wire_bytes(wire.len() as u64);
-                burst_len += wire.len();
-                wire.push_to(&mut burst);
-                unacked.push_back((seq, wire));
-            }
-            if burst_len >= BURST_BUDGET {
-                break;
-            }
-        }
-        if conn.write_burst(&burst).is_err()
-            && !reconnect(
-                &mut conn,
-                &mut unacked,
-                &shared,
-                &core,
-                &stats,
-                &mut compression,
-            )
-        {
-            break 'link;
         }
     }
     conn.kill();
@@ -1347,19 +1415,23 @@ fn reconnect(
                 // every outstanding flush (after the retransmitted tail,
                 // the receiver's cursor reaches the link's send cursor,
                 // past all targets).
-                let mut burst: Vec<Bytes> = Vec::with_capacity(2 * unacked.len() + 1);
+                let mut burst = Vec::with_capacity(2 * unacked.len() + 1);
                 for (_, wire) in unacked.iter() {
                     wire.push_to(&mut burst);
                 }
                 // Retransmitted data bytes are wire traffic too (the
                 // re-armed barrier's 4 bytes stay uncounted, like every
                 // flush request).
-                let data_len: usize = burst.iter().map(Bytes::len).sum();
+                let data_len: usize = unacked.iter().map(|(_, wire)| wire.len()).sum();
                 if shared.has_pending() {
-                    burst.push(Bytes::from_static(&FLUSH_WIRE));
+                    burst.push(IoSlice::new(&FLUSH_WIRE));
                 }
-                if fresh.write_burst(&burst).is_ok() {
+                if let Ok(calls) = fresh.write_burst(&mut burst) {
                     stats.add_wire_bytes(data_len as u64);
+                    core.wire_io.writes.fetch_add(calls, Ordering::Relaxed);
+                    core.wire_io
+                        .frames_written
+                        .fetch_add(unacked.len() as u64, Ordering::Relaxed);
                     *conn = fresh;
                     *compression = accepted;
                     core.reconnects.fetch_add(1, Ordering::Relaxed);
@@ -1385,82 +1457,177 @@ enum WireItem {
     FlushRequest,
 }
 
-/// Reads one length-prefixed frame or a flush request; `None` on clean
-/// EOF at a frame boundary.  A prefix carrying [`COMPRESSED_FLAG`] is
-/// decompressed here — **before** the frame enters the ingest queue — so
-/// receivers, protocol decode and the ingest cursor only ever see
-/// original payload bytes; compression never leaks past the wire.
+/// The acceptor's read side: pulls the socket's bytes in **blocks** and
+/// carves every complete wire element out of each block, so a burst of
+/// frames costs one `read` — not a length read and a payload read per
+/// frame — and reaches the ingest queue as one batch.
 ///
-/// Takes the connection's `BufReader` by name (not a plain `Read`) so
-/// the payload **bulk can bypass the buffer**: whatever the buffer
-/// already holds is drained into the payload, the rest is read straight
-/// from the socket into the frame's own allocation.  Large frames thus
-/// skip the buffer's extra memcpy pass, while the buffer keeps
-/// amortising syscalls for length prefixes and small frames.
-fn read_frame_or_flush<R: Read>(
-    r: &mut BufReader<R>,
-    cap: usize,
-) -> std::io::Result<Option<WireItem>> {
-    let mut len_bytes = [0u8; 4];
-    match r.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+/// A data frame is handed out as a window onto the block it arrived in
+/// (zero-copy: the kernel's copy into the block is the only one on this
+/// side); the block is then given up to its frames and reading continues
+/// in a fresh one, with the incomplete tail moved over.  When a read
+/// fills less than a quarter of the block — a lone control frame, a
+/// trickling sender — the few frames are copied out instead and the
+/// block is kept, so a queued frame never pins much more memory than it
+/// holds.  A prefix carrying [`COMPRESSED_FLAG`] is decompressed here,
+/// **before** the frame enters the ingest queue, so receivers, protocol
+/// decode and the ingest cursor only ever see original payload bytes.
+struct BlockReader<R> {
+    stream: R,
+    /// The block being filled, zero-initialised to its whole length;
+    /// `[..filled]` is wire data not yet handed out.
+    block: Vec<u8>,
+    filled: usize,
+    io: Arc<WireIo>,
+}
+
+impl<R: Read> BlockReader<R> {
+    fn new(stream: R, io: Arc<WireIo>) -> Self {
+        Self {
+            stream,
+            block: vec![0; READ_BLOCK],
+            filled: 0,
+            io,
+        }
     }
-    let raw = u32::from_le_bytes(len_bytes);
-    if raw == FLUSH_REQUEST {
-        return Ok(Some(WireItem::FlushRequest));
+
+    /// Blocks for one `read`, then appends every wire element that is
+    /// now complete to `items`, in wire order (possibly none: a frame
+    /// longer than what has arrived so far).  `Ok(false)` on a clean EOF
+    /// at an element boundary; a frame longer than `cap`, a corrupt
+    /// compressed image or an EOF mid-frame are errors.
+    fn read_run(&mut self, items: &mut Vec<WireItem>, cap: usize) -> std::io::Result<bool> {
+        let n = loop {
+            match self.stream.read(&mut self.block[self.filled..]) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                read => break read?,
+            }
+        };
+        if n == 0 {
+            return match self.filled {
+                0 => Ok(false),
+                _ => Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "connection closed mid-frame",
+                )),
+            };
+        }
+        self.filled += n;
+        self.io.reads.fetch_add(1, Ordering::Relaxed);
+
+        // Where the complete elements lie in the block.
+        let mut spans: Vec<Span> = Vec::new();
+        let mut at = 0;
+        // Room the element that is still arriving needs, prefix included.
+        let mut pending = 0;
+        while let Some(prefix) = self.block[at..self.filled].first_chunk::<4>() {
+            let raw = u32::from_le_bytes(*prefix);
+            if raw == FLUSH_REQUEST {
+                spans.push(Span::Flush);
+                at += 4;
+                continue;
+            }
+            let len = (raw & !COMPRESSED_FLAG) as usize;
+            if len > cap {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("frame length {len} exceeds cap {cap}"),
+                ));
+            }
+            let end = at + 4 + len;
+            if end > self.filled {
+                pending = 4 + len;
+                break;
+            }
+            spans.push(Span::Frame {
+                body: at + 4..end,
+                compressed: raw & COMPRESSED_FLAG != 0,
+            });
+            at = end;
+        }
+        let (mut n_frames, mut plain_bytes) = (0u64, 0);
+        for span in &spans {
+            if let Span::Frame { body, compressed } = span {
+                n_frames += 1;
+                if !compressed {
+                    plain_bytes += body.len();
+                }
+            }
+        }
+        self.io.frames_read.fetch_add(n_frames, Ordering::Relaxed);
+
+        // Give the block up to its frames when they make up a fair share
+        // of it (compressed ones need no storage: they are decoded into
+        // their own), and start the next block with the incomplete tail.
+        let tail = at..self.filled;
+        let shared = (plain_bytes * 4 >= self.block.len()).then(|| {
+            let mut next = vec![0; READ_BLOCK.max(pending)];
+            next[..tail.len()].copy_from_slice(&self.block[tail.clone()]);
+            Bytes::from(std::mem::replace(&mut self.block, next))
+        });
+        for span in spans {
+            items.push(match span {
+                Span::Flush => WireItem::FlushRequest,
+                Span::Frame { body, compressed } => {
+                    let bytes = match &shared {
+                        Some(block) => &block[body.clone()],
+                        None => &self.block[body.clone()],
+                    };
+                    WireItem::Frame(match (&shared, compressed) {
+                        (_, true) => restore_compressed(bytes, cap)?,
+                        (Some(block), false) => block.slice(body),
+                        (None, false) => Bytes::copy_from_slice(bytes),
+                    })
+                }
+            });
+        }
+        if shared.is_some() {
+            // The tail is already at the front of the fresh block.
+        } else if self.block.len() < pending {
+            // The frame still arriving is longer than the block: it gets
+            // one of its own length — zeroed lazily by the allocator, so
+            // a lying prefix costs address space, not memory.
+            let mut longer = vec![0; pending];
+            longer[..tail.len()].copy_from_slice(&self.block[tail.clone()]);
+            self.block = longer;
+        } else {
+            self.block.copy_within(tail.clone(), 0);
+        }
+        self.filled = tail.len();
+        Ok(true)
     }
-    let compressed = raw & COMPRESSED_FLAG != 0;
-    let len = (raw & !COMPRESSED_FLAG) as usize;
-    if len > cap {
+}
+
+/// Where one complete wire element lies in a read block.
+enum Span {
+    Flush,
+    Frame {
+        /// The payload, past its length prefix.
+        body: std::ops::Range<usize>,
+        compressed: bool,
+    },
+}
+
+/// Undoes the wire codec on one frame body.
+fn restore_compressed(image: &[u8], cap: usize) -> std::io::Result<Bytes> {
+    // The decoded length rides the image header; bound it by the frame
+    // cap before the decoder allocates for it.
+    let claimed = image
+        .first_chunk::<4>()
+        .map(|b| u32::from_le_bytes(*b) as usize);
+    if claimed.is_none_or(|n| n > cap) {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap {cap}"),
+            "compressed frame with invalid decoded length",
         ));
     }
-    // Exact-capacity allocation filled via `take(..).read_to_end(..)`:
-    // reads land directly in the uninitialised spare capacity, skipping
-    // the full zeroing pass `vec![0; len]` would pay — measurable when a
-    // deep ingest queue keeps tens of frames (and thus tens of cold
-    // payload buffers) in flight.
-    let mut payload = Vec::with_capacity(len);
-    let buffered = r.buffer().len().min(len);
-    payload.extend_from_slice(&r.buffer()[..buffered]);
-    r.consume(buffered);
-    let rest = len - buffered;
-    let got = r
-        .get_mut()
-        .by_ref()
-        .take(rest as u64)
-        .read_to_end(&mut payload)?;
-    if got != rest {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed mid-frame",
-        ));
-    }
-    if compressed {
-        // The decoded length rides the image header; bound it by the
-        // same cap before the decoder allocates for it.
-        let claimed = payload
-            .get(..4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize);
-        if claimed.is_none_or(|n| n > cap) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "compressed frame with invalid decoded length",
-            ));
-        }
-        let restored = decompress_payload(&payload).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("corrupt compressed frame: {e}"),
-            )
-        })?;
-        return Ok(Some(WireItem::Frame(Bytes::from(restored))));
-    }
-    Ok(Some(WireItem::Frame(Bytes::from(payload))))
+    let restored = decompress_payload(image).map_err(|e| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("corrupt compressed frame: {e}"),
+        )
+    })?;
+    Ok(Bytes::from(restored))
 }
 
 #[cfg(test)]
@@ -1804,34 +1971,134 @@ mod tests {
         assert_eq!(stats[0].1.wire_bytes, 13);
     }
 
+    /// Everything a reader over `wire` yields until EOF, frames only.
+    fn read_all(wire: Vec<u8>) -> std::io::Result<Vec<Bytes>> {
+        let mut reader = BlockReader::new(std::io::Cursor::new(wire), Arc::default());
+        let mut items = Vec::new();
+        while reader.read_run(&mut items, MAX_DATA_FRAME)? {}
+        Ok(items
+            .into_iter()
+            .filter_map(|item| match item {
+                WireItem::Frame(frame) => Some(frame),
+                WireItem::FlushRequest => None,
+            })
+            .collect())
+    }
+
     #[test]
     fn compressed_wire_container_roundtrips_through_the_reader() {
         let f = field_frame(256, 0.0);
-        let wire = encode_wire_frame(&f, WireCompression::Transpose).concat();
+        let wire = encode_wire_frame(f.clone(), WireCompression::Transpose).concat();
         assert!(wire.len() < f.len(), "field frame must shrink on the wire");
         let raw_prefix = u32::from_le_bytes(wire[..4].try_into().unwrap());
         assert!(raw_prefix & COMPRESSED_FLAG != 0);
-        let mut cursor = BufReader::new(std::io::Cursor::new(wire.clone()));
-        match read_frame_or_flush(&mut cursor, MAX_DATA_FRAME).unwrap() {
-            Some(WireItem::Frame(restored)) => assert_eq!(restored, f),
-            other => panic!("expected a frame, got {:?}", other.is_some()),
-        }
+        assert_eq!(read_all(wire).unwrap(), [f]);
     }
 
     #[test]
     fn corrupt_compressed_frames_are_io_errors_not_panics() {
         let f = field_frame(256, 0.0);
-        let wire = encode_wire_frame(&f, WireCompression::Transpose).concat();
+        let wire = encode_wire_frame(f, WireCompression::Transpose).concat();
         // Flip a byte in the image body and lie about the decoded size.
         let mut bad = wire.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0xFF;
-        let mut cursor = BufReader::new(std::io::Cursor::new(bad));
-        assert!(read_frame_or_flush(&mut cursor, MAX_DATA_FRAME).is_err());
+        assert!(read_all(bad).is_err());
         let mut huge = wire.to_vec();
         huge[4..8].copy_from_slice(&u32::MAX.to_le_bytes()); // decoded-length header
-        let mut cursor = BufReader::new(std::io::Cursor::new(huge));
-        assert!(read_frame_or_flush(&mut cursor, MAX_DATA_FRAME).is_err());
+        assert!(read_all(huge).is_err());
+    }
+
+    /// A reader that hands its bytes out in the given portions, one per
+    /// `read` — the way a socket delivers a stream in arbitrary pieces.
+    struct Portions {
+        wire: Vec<u8>,
+        at: usize,
+        sizes: std::vec::IntoIter<usize>,
+    }
+
+    impl Read for Portions {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let left = self.wire.len() - self.at;
+            let n = self.sizes.next().unwrap_or(left).min(left).min(buf.len());
+            buf[..n].copy_from_slice(&self.wire[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn block_reader_carves_the_same_elements_however_the_stream_is_cut() {
+        // Small frames, an empty one, flush requests, one frame longer
+        // than a block and one that fills most of a block (shared) — cut
+        // mid-prefix, mid-body and across block boundaries.
+        let frames: Vec<Bytes> = [5usize, 0, 8192, READ_BLOCK + 77, 3, READ_BLOCK / 2, 1]
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| Bytes::from((0..n).map(|k| (k * 31 + i) as u8).collect::<Vec<u8>>()))
+            .collect();
+        let mut wire = Vec::new();
+        for (i, f) in frames.iter().enumerate() {
+            wire.extend_from_slice(&encode_wire_frame(f.clone(), WireCompression::Off).concat());
+            if i % 3 == 1 {
+                wire.extend_from_slice(&FLUSH_WIRE);
+            }
+        }
+        for portion in [1usize, 2, 3, 7, 4095, 8200, 100_000, usize::MAX] {
+            let n_reads = wire.len() / portion.min(wire.len()) + 2;
+            let stream = Portions {
+                wire: wire.clone(),
+                at: 0,
+                sizes: vec![portion; n_reads].into_iter(),
+            };
+            let mut reader = BlockReader::new(stream, Arc::default());
+            let (mut items, mut flushes_before) = (Vec::new(), Vec::new());
+            while reader.read_run(&mut items, MAX_DATA_FRAME).unwrap() {}
+            let mut got = Vec::new();
+            for item in items {
+                match item {
+                    WireItem::Frame(f) => got.push(f),
+                    WireItem::FlushRequest => flushes_before.push(got.len()),
+                }
+            }
+            assert_eq!(got, frames, "portion {portion}");
+            assert_eq!(flushes_before, [2, 5], "portion {portion}");
+        }
+        // An EOF inside an element is an error, not a clean end.
+        for cut in [2, 4 + 3, wire.len() - 1] {
+            assert!(read_all(wire[..cut].to_vec()).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn a_full_read_shares_its_block_and_a_sparse_one_keeps_it() {
+        let big = Bytes::from(vec![7u8; READ_BLOCK / 2]);
+        let mut wire = encode_wire_frame(big.clone(), WireCompression::Off).concat();
+        wire.extend_from_slice(&encode_wire_frame(frame(b"tiny"), WireCompression::Off).concat());
+        let stream = Portions {
+            wire,
+            at: 0,
+            sizes: vec![4 + big.len()].into_iter(),
+        };
+        let mut reader = BlockReader::new(stream, Arc::default());
+        let mut items = Vec::new();
+        let first_block = reader.block.as_ptr();
+        assert!(reader.read_run(&mut items, MAX_DATA_FRAME).unwrap());
+        match &items[..] {
+            [WireItem::Frame(f)] => {
+                assert_eq!(f, &big);
+                // Zero-copy: the frame is the block's bytes past the prefix.
+                assert_eq!(f.as_ptr(), first_block.wrapping_add(4));
+            }
+            _ => panic!("expected exactly the big frame"),
+        }
+        // Reading went on in a fresh block; eight bytes do not take it along.
+        let second_block = reader.block.as_ptr();
+        assert_ne!(second_block, first_block);
+        assert!(reader.read_run(&mut items, MAX_DATA_FRAME).unwrap());
+        assert!(matches!(&items[1], WireItem::Frame(f) if f == &frame(b"tiny")));
+        assert_eq!(reader.block.as_ptr(), second_block);
+        assert!(!reader.read_run(&mut items, MAX_DATA_FRAME).unwrap());
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! exercised *only* through the trait surface — the same way the server,
 //! clients and launcher consume it.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use melissa_transport::{
-    ChannelTransport, ConnectError, FaultPolicy, FaultySender, KillSwitch, RecvTimeoutError,
-    Sender, TcpTransport, Transport,
+    ChannelTransport, ConnectError, FaultPolicy, FaultySender, KillSwitch, LinkStatsSnapshot,
+    RecvTimeoutError, Sender, TcpTransport, Transport,
 };
 use proptest::prelude::*;
 
@@ -52,6 +53,130 @@ fn pump(
     }
     let got = drainer.join().unwrap();
     (got, tx.stats().messages_sent(), tx.stats().bytes_sent())
+}
+
+/// Like [`pump`], but hands the payloads over in runs of the given
+/// sizes, cycled: a run of one is a `send` or a `send_timeout` in turn,
+/// any other size a `send_batch` (an empty one included).  The drainer
+/// alternates single receives and `recv_batch`.  Returns what arrived and
+/// the endpoint's rollup after a flush.
+fn pump_grouped(
+    transport: &dyn Transport,
+    name: &str,
+    hwm: usize,
+    payloads: &[Vec<u8>],
+    runs: &[usize],
+) -> (Vec<Bytes>, LinkStatsSnapshot) {
+    let rx = transport.bind(name, hwm);
+    let tx = transport.connect(name).unwrap();
+    let n = payloads.len();
+    let drainer = std::thread::spawn(move || {
+        let mut got = Vec::with_capacity(n);
+        while got.len() < n {
+            if got.len() % 2 == 0 {
+                got.push(
+                    rx.recv_timeout(RECV_DEADLINE)
+                        .expect("frame within deadline"),
+                );
+            } else {
+                rx.recv_batch(&mut got, 5, RECV_DEADLINE)
+                    .expect("frames within deadline");
+            }
+        }
+        got
+    });
+    let mut frames = payloads.iter().map(|p| Bytes::from(p.clone()));
+    let mut runs = runs.iter().copied().cycle();
+    let mut singles = 0;
+    while frames.len() > 0 {
+        let mut run: VecDeque<Bytes> = frames.by_ref().take(runs.next().unwrap()).collect();
+        if run.len() == 1 {
+            singles += 1;
+            let frame = run.pop_front().unwrap();
+            if singles % 2 == 0 {
+                tx.send(frame).unwrap();
+            } else {
+                tx.send_timeout(frame, RECV_DEADLINE).unwrap();
+            }
+        } else {
+            tx.send_batch(&mut run, RECV_DEADLINE).unwrap();
+            assert!(run.is_empty());
+        }
+    }
+    let got = drainer.join().unwrap();
+    tx.flush(RECV_DEADLINE).unwrap();
+    let rollup = transport.link_stats();
+    let (_, stats) = rollup.iter().find(|(n, _)| n == name).unwrap();
+    (got, *stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// However a stream is cut into `send`s and `send_batch`es, both
+    /// backends deliver every frame once, in order, and a link counts
+    /// exactly what it counts for the same frames sent one by one:
+    /// messages, payload bytes, wire bytes — and no blocked send when the
+    /// HWM holds the whole stream.
+    #[test]
+    fn batched_and_single_sends_are_one_stream_with_one_set_of_counters(
+        payloads in prop::collection::vec(
+            prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..300),
+            1..60,
+        ),
+        runs in prop::collection::vec(0usize..9, 1..6),
+        hwm in 1usize..80,
+    ) {
+        // At least one run must make progress.
+        let mut runs = runs;
+        runs.push(3);
+        for (label, t) in backends() {
+            let (got, grouped) = pump_grouped(t.as_ref(), "grouped", hwm, &payloads, &runs);
+            let (_, single) = pump_grouped(t.as_ref(), "single", hwm, &payloads, &[1]);
+            prop_assert_eq!(got.len(), payloads.len(), "{} exactly once", label);
+            for (g, p) in got.iter().zip(&payloads) {
+                prop_assert_eq!(&g[..], &p[..], "{} order and content", label);
+            }
+            prop_assert_eq!(grouped.messages, payloads.len() as u64, "{} messages", label);
+            prop_assert_eq!(grouped.messages, single.messages, "{} messages", label);
+            prop_assert_eq!(grouped.bytes, single.bytes, "{} bytes", label);
+            prop_assert_eq!(grouped.wire_bytes, single.wire_bytes, "{} wire bytes", label);
+            if hwm >= payloads.len() {
+                prop_assert_eq!(
+                    (grouped.blocked_sends, grouped.blocked_nanos), (0, 0), "{} blocked", label
+                );
+                prop_assert_eq!(
+                    (single.blocked_sends, single.blocked_nanos), (0, 0), "{} blocked", label
+                );
+            }
+        }
+    }
+}
+
+/// A batch larger than the HWM blocks mid-way on both backends and is
+/// accounted as blocked sends, like the single sends it stands for.
+#[test]
+fn a_batch_beyond_the_hwm_blocks_mid_way_on_both_backends() {
+    for (label, t) in backends() {
+        let rx = t.bind("deep", 2);
+        let tx = t.connect("deep").unwrap();
+        // Frames big enough to also fill TCP socket buffers.
+        let frame = Bytes::from(vec![0u8; 2 * 1024 * 1024]);
+        let producer = {
+            let tx = tx.clone_box();
+            let mut batch: VecDeque<Bytes> = std::iter::repeat_n(frame.clone(), 12).collect();
+            std::thread::spawn(move || tx.send_batch(&mut batch, RECV_DEADLINE))
+        };
+        for _ in 0..12 {
+            std::thread::sleep(Duration::from_millis(10));
+            let f = rx.recv_timeout(RECV_DEADLINE).expect("frame");
+            assert_eq!(f.len(), frame.len(), "{label}");
+        }
+        producer.join().unwrap().expect("batch delivered");
+        assert_eq!(tx.stats().messages_sent(), 12, "{label}");
+        assert!(tx.stats().sends_blocked() > 0, "{label}: never hit the HWM");
+        assert!(tx.stats().blocked_time() > Duration::ZERO, "{label}");
+    }
 }
 
 proptest! {

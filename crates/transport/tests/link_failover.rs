@@ -123,6 +123,71 @@ fn killed_connection_mid_stream_delivers_every_frame_exactly_once() {
 }
 
 #[test]
+fn connection_severed_mid_batch_delivers_every_frame_once_and_the_barrier_holds() {
+    let nodes = two_nodes();
+    let rx = nodes.server.bind("batched", 16);
+    let tx = nodes
+        .client
+        .connect_retry("batched", Duration::from_secs(5))
+        .expect("connect");
+
+    // Batches four times the HWM deep: each one is in the send queue, on
+    // the socket, in a read block and in the ingest queue at once, so a
+    // cut always lands inside a batch.
+    const BATCHES: u64 = 30;
+    const PER_BATCH: u64 = 64;
+    const N: u64 = BATCHES * PER_BATCH;
+    let sender = {
+        let tx = tx.clone_box();
+        std::thread::spawn(move || {
+            for b in 0..BATCHES {
+                let mut batch: std::collections::VecDeque<Bytes> = (b * PER_BATCH
+                    ..(b + 1) * PER_BATCH)
+                    .map(indexed_frame)
+                    .collect();
+                tx.send_batch(&mut batch, Duration::from_secs(30))
+                    .expect("batch through failover");
+                if b % 5 == 0 {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            }
+            tx.flush(Duration::from_secs(30)).expect("final barrier");
+        })
+    };
+    let killer = {
+        let server = Arc::clone(&nodes.server);
+        std::thread::spawn(move || {
+            let mut cut = 0usize;
+            for _ in 0..3 {
+                std::thread::sleep(Duration::from_millis(25));
+                cut += server.sever_connections("batched");
+            }
+            cut
+        })
+    };
+    for expect in 0..N - 16 {
+        let f = rx
+            .recv_timeout(RECV_DEADLINE)
+            .unwrap_or_else(|e| panic!("frame {expect} never arrived after reconnects: {e:?}"));
+        assert_eq!(
+            frame_index(&f),
+            expect,
+            "gap or duplicate across a reconnect"
+        );
+    }
+    // The last 16 fit the ingest queue: once the barrier has returned
+    // they are in it, not merely on their way.
+    sender.join().expect("sender thread");
+    let mut tail = Vec::new();
+    while let Ok(f) = rx.try_recv() {
+        tail.push(frame_index(&f));
+    }
+    assert_eq!(tail, (N - 16..N).collect::<Vec<_>>());
+    assert!(killer.join().expect("killer thread") > 0, "nothing was cut");
+    assert!(rx.recv_timeout(Duration::from_millis(200)).is_err());
+}
+
+#[test]
 fn compressed_link_survives_mid_stream_sever_with_exactly_once_delivery() {
     // Same exactly-once contract as above, but with the in-frame wire
     // codec negotiated on the link and frames that actually compress: a

@@ -177,6 +177,15 @@ fn bench_worker_ingest(c: &mut Criterion) {
 /// two workers) and 4 096 (a `tube_*` worker), `p = 6`, one threshold,
 /// seven quantiles.  A sweep this small is where the cost of *starting*
 /// it shows — the parallel dispatch, not the arithmetic.
+///
+/// Those two rows sweep one timestep's state over and over, hot in
+/// cache.  A study does not: a `tube_*` worker holds 100 timesteps ×
+/// 4 096 cells × 336 B = 137 MB and a group sweeps each timestep's state
+/// once.  `p6_q7_cold` is that shape (one group over all 100 timesteps
+/// per iteration, state from memory every time) and `p6_q7_k2` folds two
+/// groups back to back per timestep, the second with the state still in
+/// cache — what batching completed assemblies could buy.  `state_rmw`
+/// below puts the traffic alone beside them.
 fn bench_fused_sweep(c: &mut Criterion) {
     use melissa_sobol::FusedSlabUpdate;
     use melissa_stats::{FieldMinMax, FieldThreshold};
@@ -207,6 +216,67 @@ fn bench_fused_sweep(c: &mut Criterion) {
             });
         });
     }
+
+    const CELLS: usize = 4096;
+    const TIMESTEPS: usize = 100;
+    let fields: Vec<Vec<f64>> = (0..p + 2)
+        .map(|r| (0..CELLS).map(|i| ((i + r * 13) as f64).cos()).collect())
+        .collect();
+    let refs: Vec<&[f64]> = fields.iter().map(|f| f.as_slice()).collect();
+    let mut study: Vec<_> = (0..TIMESTEPS)
+        .map(|_| {
+            (
+                UbiquitousSobol::new(p, CELLS),
+                FieldMoments::new(CELLS),
+                FieldMinMax::new(CELLS),
+                [FieldThreshold::new(CELLS, 0.5)],
+                FieldQuantiles::new(CELLS, &PAPER_PROBS),
+            )
+        })
+        .collect();
+    for (id, groups_per_pass) in [("p6_q7_cold", 1), ("p6_q7_k2", 2)] {
+        g.throughput(Throughput::Elements(
+            (groups_per_pass * TIMESTEPS * CELLS) as u64,
+        ));
+        g.bench_function(id, |b| {
+            b.iter(|| {
+                for (sobol, moments, minmax, thresholds, quantiles) in study.iter_mut() {
+                    for _ in 0..groups_per_pass {
+                        FusedSlabUpdate::new(sobol, moments, minmax, thresholds, Some(quantiles))
+                            .apply(black_box(&refs));
+                    }
+                }
+            })
+        });
+    }
+    g.finish();
+}
+
+/// What the cold sweep's memory traffic costs with no arithmetic: a
+/// read-modify-write pass over as many bytes as a `tube_*` worker's state
+/// (336 B per cell and timestep, 137 MB), and a `memcpy` of the same —
+/// per cell and timestep, to set beside `fused_sweep/p6_q7_cold`.
+fn bench_state_traffic(c: &mut Criterion) {
+    const CELL_TIMESTEPS: usize = 4096 * 100;
+    const WORDS: usize = 336 / 8;
+    let mut g = c.benchmark_group("state_rmw");
+    g.throughput(Throughput::Elements(CELL_TIMESTEPS as u64));
+    let mut state = vec![1.0f64; CELL_TIMESTEPS * WORDS];
+    g.bench_function("336B", |b| {
+        b.iter(|| {
+            for word in state.iter_mut() {
+                *word += 1.0;
+            }
+            black_box(&state);
+        })
+    });
+    let mut copy = vec![0.0f64; state.len()];
+    g.bench_function("memcpy_336B", |b| {
+        b.iter(|| {
+            copy.copy_from_slice(black_box(&state));
+            black_box(&copy);
+        })
+    });
     g.finish();
 }
 
@@ -357,6 +427,7 @@ criterion_group!(
     bench_sobol_merge,
     bench_worker_ingest,
     bench_fused_sweep,
+    bench_state_traffic,
     bench_shard_reduce,
     bench_state_codec,
     bench_codec,

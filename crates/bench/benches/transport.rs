@@ -30,6 +30,7 @@ use melissa::server::checkpoint::{read_checkpoint, write_checkpoint};
 use melissa::server::state::WorkerState;
 use melissa::{GroupRouter, RoutingTable};
 use melissa_mesh::SlabPartition;
+use melissa_transport::compress::{compress_into, decoded_len, decompress_into, PlaneScratch};
 use melissa_transport::{
     compress_payload, decompress_payload, make_transport, make_transport_with, Directory,
     DirectoryClient, DirectoryServer, TcpTransport, TcpTransportConfig, Transport, TransportKind,
@@ -145,6 +146,34 @@ fn bench_compress(c: &mut Criterion) {
     });
     g.bench_function("codec_decompress/65536", |b| {
         b.iter(|| decompress_payload(&compressed).unwrap())
+    });
+
+    // Real solver frames (8 227 B, most byte planes incompressible), coded
+    // the way a link codes them: one scratch, images end to end in one
+    // block per pass.
+    let frames = melissa_bench::tube_frames(7, 100, 10);
+    let total: usize = frames.iter().map(|f| f.len()).sum();
+    let mut scratch = PlaneScratch::default();
+    let mut block = Vec::with_capacity(total);
+    let mut restored = vec![0u8; 8227];
+    g.throughput(Throughput::Bytes(total as u64));
+    g.bench_function("codec_compress/tube8k", |b| {
+        b.iter(|| {
+            block.clear();
+            for frame in &frames {
+                compress_into(frame, &mut scratch, &mut block);
+            }
+            block.len()
+        })
+    });
+    let images: Vec<Vec<u8>> = frames.iter().filter_map(|f| compress_payload(f)).collect();
+    g.bench_function("codec_decompress/tube8k", |b| {
+        b.iter(|| {
+            for image in &images {
+                let n = decoded_len(image).unwrap();
+                decompress_into(image, &mut scratch, &mut restored[..n]).unwrap();
+            }
+        })
     });
 
     for compression in [WireCompression::Off, WireCompression::Transpose] {

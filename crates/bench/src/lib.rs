@@ -17,11 +17,18 @@
 //! Each prints a paper-vs-measured table; CSV series are written under
 //! `target/experiments/`.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::VecDeque;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
+use melissa::protocol::DataHeader;
+use melissa_sobol::design::PickFreeze;
+use melissa_solver::decomposed::DecomposedSimulation;
+use melissa_solver::{InjectionParams, UseCaseConfig};
 use melissa_transport::tcp::WireIoSnapshot;
 use melissa_transport::{TcpTransport, Transport};
 
@@ -42,6 +49,99 @@ pub fn table_header(title: &str) {
     println!("\n=== {title} ===");
     println!("{}", row("quantity", "paper", "measured/model"));
     println!("{}", "-".repeat(88));
+}
+
+/// Real solver frames: the `Data` frames group 0 of a tube-bundle study
+/// with design seed `seed` sends on every `every`-th of its first
+/// `timesteps` timesteps — the default 64 × 32 × 4 mesh over two ranks,
+/// so each frame carries one rank's 1 024-cell slice of one k-plane
+/// (8 227 B), eight simulations and eight slices a timestep.  The wire
+/// codec's real input: on these, six or seven of a frame's eight byte
+/// planes do not compress at all, where the smooth analytic field
+/// flatters it.
+pub fn tube_frames(seed: u64, timesteps: usize, every: usize) -> Vec<Bytes> {
+    const RANKS: usize = 2;
+    let solver = UseCaseConfig::default();
+    let flow = Arc::new(solver.prerun());
+    let design = PickFreeze::generate(1, &InjectionParams::parameter_space(), seed);
+    let mut sims: Vec<DecomposedSimulation> = design
+        .group(0)
+        .rows()
+        .iter()
+        .map(|row| {
+            let params = InjectionParams::from_row(row);
+            DecomposedSimulation::new(&solver, Arc::clone(&flow), params, RANKS)
+        })
+        .collect();
+    let mut frames = Vec::new();
+    for timestep in 0..timesteps.min(solver.n_timesteps) {
+        for sim in &mut sims {
+            sim.advance();
+        }
+        if (timestep + 1) % every != 0 {
+            continue;
+        }
+        for rank in 0..RANKS {
+            for (role, sim) in sims.iter().enumerate() {
+                for (range, values) in sim.rank_chunks(rank) {
+                    let header = DataHeader {
+                        group_id: 0,
+                        instance: 0,
+                        role: role as u16,
+                        timestep: timestep as u32,
+                        start: range.start as u64,
+                    };
+                    let mut frame =
+                        BytesMut::with_capacity(DataHeader::ENCODED_LEN + 8 * range.len);
+                    header.encode_frame(&mut frame, &values, |v| v);
+                    frames.push(frame.freeze());
+                }
+            }
+        }
+    }
+    frames
+}
+
+/// The system allocator, counting requests of 4 KiB or more — a field
+/// frame's worth.  A harness that asserts on allocations per frame
+/// installs it as its `#[global_allocator]` and reads [`large_allocs`].
+pub struct CountingAlloc;
+
+static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Allocations of at least 4 KiB this process has made so far, all
+/// threads (0 unless [`CountingAlloc`] is the global allocator).
+pub fn large_allocs() -> u64 {
+    LARGE_ALLOCS.load(Ordering::Relaxed)
+}
+
+fn count_alloc(size: usize) {
+    if size >= 4096 {
+        LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// only addition is a relaxed counter that owns no memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_alloc(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
 }
 
 /// Process CPU time (utime + stime over all threads), in clock ticks
@@ -110,12 +210,13 @@ impl StreamCost {
     }
 }
 
-/// Streams `timesteps` runs of `per_timestep` frames of `frame_len` bytes
-/// over a fresh link of `transport` the way a simulation group feeds a
-/// server worker — a producer thread that encodes its frames and pauses
-/// `pause` between timesteps (its solver), a consumer that takes whatever
-/// is queued — and reports what that cost.  `batched` writes a timestep
-/// into one block and hands it over with one [`send_batch`](melissa_transport::Sender::send_batch) of
+/// Streams `timesteps` runs of `per_timestep` frames — copies of
+/// `source`'s, which are all of one length, taken in turn — over a fresh
+/// link of `transport` the way a simulation group feeds a server worker —
+/// a producer thread that encodes its frames and pauses `pause` between
+/// timesteps (its solver), a consumer that takes whatever is queued — and
+/// reports what that cost.  `batched` writes a timestep into one block
+/// and hands it over with one [`send_batch`](melissa_transport::Sender::send_batch) of
 /// frames cut from it, draining with `recv_batch`; otherwise every frame
 /// is written, sent and received on its own, the shape of the data path
 /// before per-timestep hand-off, where the link is done with a frame
@@ -123,7 +224,7 @@ impl StreamCost {
 pub fn stream_cost(
     transport: &TcpTransport,
     name: &str,
-    frame_len: usize,
+    source: &[Bytes],
     per_timestep: usize,
     timesteps: usize,
     pause: Duration,
@@ -131,14 +232,24 @@ pub fn stream_cost(
 ) -> StreamCost {
     let rx = transport.bind(name, 2 * per_timestep);
     let tx = transport.connect(name).expect("just bound");
-    let timestep = move || -> VecDeque<Bytes> {
-        let block = Bytes::from(vec![0x5Au8; frame_len * per_timestep]);
+    let frame_len = source[0].len();
+    let mut sources = source.iter().cycle();
+    // The next `frames` frames, encoded end to end into one block.
+    let encoded = |sources: &mut std::iter::Cycle<std::slice::Iter<Bytes>>, frames| -> Bytes {
+        let mut block = Vec::with_capacity(frames * frame_len);
+        for frame in sources.take(frames) {
+            block.extend_from_slice(frame);
+        }
+        Bytes::from(block)
+    };
+    let timestep = |sources: &mut _| -> VecDeque<Bytes> {
+        let block = encoded(sources, per_timestep);
         (0..per_timestep)
             .map(|i| block.slice(i * frame_len..(i + 1) * frame_len))
             .collect()
     };
     // Warm the link (threads started, socket buffers grown).
-    let mut warm = timestep();
+    let mut warm = timestep(&mut sources);
     tx.send_batch(&mut warm, Duration::from_secs(10))
         .expect("warm-up");
     for _ in 0..per_timestep {
@@ -154,11 +265,11 @@ pub fn stream_cost(
         scope.spawn(|| {
             for _ in 0..timesteps {
                 if batched {
-                    tx.send_batch(&mut timestep(), Duration::from_secs(10))
+                    tx.send_batch(&mut timestep(&mut sources), Duration::from_secs(10))
                         .expect("send");
                 } else {
                     for _ in 0..per_timestep {
-                        tx.send(Bytes::from(vec![0x5Au8; frame_len])).expect("send");
+                        tx.send(encoded(&mut sources, 1)).expect("send");
                     }
                 }
                 std::thread::sleep(pause);

@@ -39,7 +39,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use melissa_mesh::SlabPartition;
-use melissa_telemetry::{LinkScrape, ScrapeRequest, ScrapeSnapshot, Telemetry};
+use melissa_telemetry::{CodecScrape, LinkScrape, ScrapeRequest, ScrapeSnapshot, Telemetry};
 use melissa_transport::directory::names;
 use melissa_transport::{
     BoxReceiver, BoxSender, KillSwitch, LinkStatsSnapshot, LivenessTracker, RecvTimeoutError,
@@ -645,6 +645,7 @@ fn scrape_snapshot(
         max_quantile_step,
         routing_epoch: tele.routing_epoch(),
         reconnects: transport.reconnects(),
+        wire_codec: CodecScrape::of(&transport.wire_io()),
         links,
         metrics,
         events,

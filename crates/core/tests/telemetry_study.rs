@@ -71,6 +71,10 @@ fn run_scraped(kind: TransportKind, tag: &str) -> (StudyOutput, usize) {
                             prom.contains("melissa_groups_finished"),
                             "Prometheus scrape misses gauges: {prom}"
                         );
+                        assert!(
+                            prom.contains("melissa_wire_codec_seconds_total{shard=\"0\",dir"),
+                            "Prometheus scrape misses the wire codec's counters: {prom}"
+                        );
                         checked_text = true;
                     }
                 }

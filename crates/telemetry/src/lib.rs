@@ -37,7 +37,8 @@ pub use metrics::{
 };
 pub use scrape::{
     scrape, scrape_endpoint_reply, scrape_in, scrape_reply, scrape_reply_in, scrape_text,
-    scrape_text_in, LinkScrape, ScrapeFormat, ScrapeReply, ScrapeRequest, ScrapeSnapshot,
+    scrape_text_in, CodecScrape, LinkScrape, ScrapeFormat, ScrapeReply, ScrapeRequest,
+    ScrapeSnapshot,
 };
 
 use std::collections::VecDeque;

@@ -23,6 +23,7 @@ use melissa_transport::codec::{
     get_f64, get_str, get_u32, get_u64, get_u8, put_str, WireError, WireResult,
 };
 use melissa_transport::directory::names;
+use melissa_transport::tcp::WireIoSnapshot;
 use melissa_transport::{Frame, LinkStatsSnapshot, Transport};
 
 use crate::events::{decode_events, encode_events, StudyEvent};
@@ -127,6 +128,35 @@ impl LinkScrape {
     }
 }
 
+/// What the wire codec cost and saved on the serving node's links so far
+/// (all zero unless TCP links negotiated compression).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CodecScrape {
+    /// Nanoseconds the node's link writers spent encoding.
+    pub encode_nanos: u64,
+    /// Nanoseconds the node's acceptors spent decoding.
+    pub decode_nanos: u64,
+    /// Payload bytes of the data frames sent on codec links.
+    pub bytes_in: u64,
+    /// Bytes those frames put on the wire behind their length prefixes.
+    pub bytes_out: u64,
+    /// How many of them went raw (too short, or not shrinking).
+    pub raw_frames: u64,
+}
+
+impl CodecScrape {
+    /// The codec counters of a transport's wire snapshot.
+    pub fn of(io: &WireIoSnapshot) -> Self {
+        Self {
+            encode_nanos: io.codec_encode_nanos,
+            decode_nanos: io.codec_decode_nanos,
+            bytes_in: io.codec_bytes_in,
+            bytes_out: io.codec_bytes_out,
+            raw_frames: io.codec_raw_frames,
+        }
+    }
+}
+
 /// A point-in-time view of one shard's study progress, transport load,
 /// metrics registry and recent events.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,6 +179,8 @@ pub struct ScrapeSnapshot {
     pub routing_epoch: u64,
     /// Transport link re-establishments (multi-node self-healing).
     pub reconnects: u64,
+    /// Wire-codec time and bytes of the serving node's links.
+    pub wire_codec: CodecScrape,
     /// Per-endpoint link counters (backpressure view).
     pub links: Vec<LinkScrape>,
     /// The metrics registry snapshot.
@@ -169,6 +201,16 @@ impl ScrapeSnapshot {
         buf.put_f64_le(self.max_quantile_step);
         buf.put_u64_le(self.routing_epoch);
         buf.put_u64_le(self.reconnects);
+        let codec = &self.wire_codec;
+        for v in [
+            codec.encode_nanos,
+            codec.decode_nanos,
+            codec.bytes_in,
+            codec.bytes_out,
+            codec.raw_frames,
+        ] {
+            buf.put_u64_le(v);
+        }
         buf.put_u32_le(self.links.len() as u32);
         for l in &self.links {
             put_str(buf, &l.endpoint);
@@ -193,6 +235,13 @@ impl ScrapeSnapshot {
         let max_quantile_step = get_f64(buf, "max quantile step")?;
         let routing_epoch = get_u64(buf, "routing epoch")?;
         let reconnects = get_u64(buf, "reconnects")?;
+        let wire_codec = CodecScrape {
+            encode_nanos: get_u64(buf, "codec encode nanos")?,
+            decode_nanos: get_u64(buf, "codec decode nanos")?,
+            bytes_in: get_u64(buf, "codec bytes in")?,
+            bytes_out: get_u64(buf, "codec bytes out")?,
+            raw_frames: get_u64(buf, "codec raw frames")?,
+        };
         let n_links = get_u32(buf, "link count")?;
         let mut links = Vec::with_capacity(n_links as usize);
         for _ in 0..n_links {
@@ -217,6 +266,7 @@ impl ScrapeSnapshot {
             max_quantile_step,
             routing_epoch,
             reconnects,
+            wire_codec,
             links,
             metrics,
             events,
@@ -237,6 +287,16 @@ impl ScrapeSnapshot {
         push_kv_f64(&mut out, "max_quantile_step", self.max_quantile_step);
         push_kv_u64(&mut out, "routing_epoch", self.routing_epoch);
         push_kv_u64(&mut out, "reconnects", self.reconnects);
+        let codec = &self.wire_codec;
+        out.push_str(&format!(
+            "\"wire_codec\":{{\"encode_nanos\":{},\"decode_nanos\":{},\"bytes_in\":{},\
+             \"bytes_out\":{},\"raw_frames\":{}}},",
+            codec.encode_nanos,
+            codec.decode_nanos,
+            codec.bytes_in,
+            codec.bytes_out,
+            codec.raw_frames
+        ));
 
         out.push_str("\"links\":[");
         for (i, l) in self.links.iter().enumerate() {
@@ -342,6 +402,28 @@ impl ScrapeSnapshot {
         out.push_str(&format!(
             "melissa_transport_reconnects_total{{shard=\"{shard}\"}} {}\n",
             self.reconnects
+        ));
+        let codec = &self.wire_codec;
+        out.push_str("# TYPE melissa_wire_codec_seconds_total counter\n");
+        for (dir, nanos) in [
+            ("encode", codec.encode_nanos),
+            ("decode", codec.decode_nanos),
+        ] {
+            out.push_str(&format!(
+                "melissa_wire_codec_seconds_total{{shard=\"{shard}\",dir=\"{dir}\"}} {:.6}\n",
+                nanos as f64 / 1e9
+            ));
+        }
+        out.push_str("# TYPE melissa_wire_codec_bytes_total counter\n");
+        for (dir, bytes) in [("in", codec.bytes_in), ("out", codec.bytes_out)] {
+            out.push_str(&format!(
+                "melissa_wire_codec_bytes_total{{shard=\"{shard}\",dir=\"{dir}\"}} {bytes}\n"
+            ));
+        }
+        out.push_str("# TYPE melissa_wire_codec_raw_frames_total counter\n");
+        out.push_str(&format!(
+            "melissa_wire_codec_raw_frames_total{{shard=\"{shard}\"}} {}\n",
+            codec.raw_frames
         ));
 
         for family in [
@@ -664,6 +746,13 @@ mod tests {
             max_quantile_step: f64::NAN,
             routing_epoch: 3,
             reconnects: 2,
+            wire_codec: CodecScrape {
+                encode_nanos: 1_500_000_000,
+                decode_nanos: 250_000,
+                bytes_in: 8192,
+                bytes_out: 6000,
+                raw_frames: 3,
+            },
             links: vec![LinkScrape {
                 endpoint: "shard1/server/0".into(),
                 messages: 10,
@@ -693,6 +782,7 @@ mod tests {
         let back = ScrapeSnapshot::decode_from(&mut slice).unwrap();
         assert_eq!(back.shard, snap.shard);
         assert_eq!(back.links, snap.links);
+        assert_eq!(back.wire_codec, snap.wire_codec);
         assert_eq!(back.metrics, snap.metrics);
         assert_eq!(back.events, snap.events);
         assert!(back.max_quantile_step.is_nan());
@@ -735,6 +825,26 @@ mod tests {
         assert!(text.contains("# TYPE melissa_link_wire_bytes_total counter"));
         assert!(text.contains(
             "melissa_link_wire_bytes_total{shard=\"1\",endpoint=\"shard1/server/0\"} 2048"
+        ));
+    }
+
+    #[test]
+    fn wire_codec_time_and_bytes_render_per_direction() {
+        let text = sample().to_prometheus();
+        for line in [
+            "# TYPE melissa_wire_codec_seconds_total counter",
+            "melissa_wire_codec_seconds_total{shard=\"1\",dir=\"encode\"} 1.500000",
+            "melissa_wire_codec_seconds_total{shard=\"1\",dir=\"decode\"} 0.000250",
+            "melissa_wire_codec_bytes_total{shard=\"1\",dir=\"in\"} 8192",
+            "melissa_wire_codec_bytes_total{shard=\"1\",dir=\"out\"} 6000",
+            "melissa_wire_codec_raw_frames_total{shard=\"1\"} 3",
+        ] {
+            assert!(text.contains(line), "missing {line:?} in:\n{text}");
+        }
+        let json = sample().to_json();
+        assert!(json.contains(
+            "\"wire_codec\":{\"encode_nanos\":1500000000,\"decode_nanos\":250000,\
+             \"bytes_in\":8192,\"bytes_out\":6000,\"raw_frames\":3}"
         ));
     }
 

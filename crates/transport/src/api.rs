@@ -406,6 +406,13 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
         0
     }
 
+    /// This node's socket-call and wire-codec counters so far (see
+    /// [`WireIoSnapshot`](crate::tcp::WireIoSnapshot)).  Backends without
+    /// a wire report zeros.
+    fn wire_io(&self) -> crate::tcp::WireIoSnapshot {
+        Default::default()
+    }
+
     /// Retires a whole endpoint scope once nothing binds or sends under
     /// `scope/` any more (a hosted study that ended): a backend that
     /// keeps per-name history for [`link_stats`](Self::link_stats) from

@@ -110,7 +110,7 @@ use crate::api::{
     RecvTimeoutError, SendBatchError, SendTimeoutError, Sender, Transport,
 };
 use crate::codec::{get_str, get_u32, get_u64, get_u8, put_str, read_frame, write_frame};
-use crate::compress::{compress_payload, decompress_payload, WireCompression};
+use crate::compress::{compress_into, decoded_len, decompress_into, PlaneScratch, WireCompression};
 use crate::directory::{Directory, DirectoryClient, LocalDirectory};
 use crate::endpoint::{channel, Frame, HwmSender, LinkStats};
 
@@ -277,21 +277,28 @@ struct Endpoint {
     resume: Mutex<HashMap<u64, Arc<ResumeSlot>>>,
 }
 
-/// Socket calls and the data frames they carried, summed over every
-/// link of one node (see [`TcpTransport::wire_io`]).
+/// Socket calls and the data frames they carried, and what the wire
+/// codec did, summed over every link of one node (see
+/// [`TcpTransport::wire_io`]).
 #[derive(Debug, Default)]
 struct WireIo {
     writes: AtomicU64,
     frames_written: AtomicU64,
     reads: AtomicU64,
     frames_read: AtomicU64,
+    codec_encode_nanos: AtomicU64,
+    codec_decode_nanos: AtomicU64,
+    codec_bytes_in: AtomicU64,
+    codec_bytes_out: AtomicU64,
+    codec_raw_frames: AtomicU64,
 }
 
 /// A point-in-time copy of one node's socket-call counters: how many
 /// `writev`s its link writers and how many `recv`s its acceptors issued
 /// for data, and how many data frames those carried — so frames per
 /// system call, the figure burst writes and block reads exist to raise,
-/// can be read off a live transport.
+/// can be read off a live transport — and what the wire codec cost and
+/// saved on the links that negotiated it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireIoSnapshot {
     /// Gathered writes issued by this node's link writers.
@@ -302,6 +309,20 @@ pub struct WireIoSnapshot {
     pub reads: u64,
     /// Data frames carved out of those reads.
     pub frames_read: u64,
+    /// Time this node's link writers spent wire-encoding bursts on links
+    /// that negotiated the codec.
+    pub codec_encode_nanos: u64,
+    /// Time this node's acceptors spent decoding compressed frames.
+    pub codec_decode_nanos: u64,
+    /// Payload bytes of the data frames sent on codec links: their
+    /// `LinkStats` `bytes`.
+    pub codec_bytes_in: u64,
+    /// What those frames put on the wire behind their length prefixes —
+    /// an image, or the payload itself: their `LinkStats` `wire_bytes`
+    /// less four bytes a frame.
+    pub codec_bytes_out: u64,
+    /// How many of them went raw: too short to try, or not shrinking.
+    pub codec_raw_frames: u64,
 }
 
 impl WireIoSnapshot {
@@ -312,6 +333,11 @@ impl WireIoSnapshot {
             frames_written: self.frames_written - earlier.frames_written,
             reads: self.reads - earlier.reads,
             frames_read: self.frames_read - earlier.frames_read,
+            codec_encode_nanos: self.codec_encode_nanos - earlier.codec_encode_nanos,
+            codec_decode_nanos: self.codec_decode_nanos - earlier.codec_decode_nanos,
+            codec_bytes_in: self.codec_bytes_in - earlier.codec_bytes_in,
+            codec_bytes_out: self.codec_bytes_out - earlier.codec_bytes_out,
+            codec_raw_frames: self.codec_raw_frames - earlier.codec_raw_frames,
         }
     }
 }
@@ -453,6 +479,11 @@ impl TcpTransport {
             frames_written: io.frames_written.load(Ordering::Relaxed),
             reads: io.reads.load(Ordering::Relaxed),
             frames_read: io.frames_read.load(Ordering::Relaxed),
+            codec_encode_nanos: io.codec_encode_nanos.load(Ordering::Relaxed),
+            codec_decode_nanos: io.codec_decode_nanos.load(Ordering::Relaxed),
+            codec_bytes_in: io.codec_bytes_in.load(Ordering::Relaxed),
+            codec_bytes_out: io.codec_bytes_out.load(Ordering::Relaxed),
+            codec_raw_frames: io.codec_raw_frames.load(Ordering::Relaxed),
         }
     }
 
@@ -646,6 +677,10 @@ impl Transport for TcpTransport {
 
     fn reconnects(&self) -> u64 {
         TcpTransport::reconnects(self)
+    }
+
+    fn wire_io(&self) -> WireIoSnapshot {
+        TcpTransport::wire_io(self)
     }
 }
 
@@ -1148,15 +1183,33 @@ impl Conn {
 /// payload body as a shared [`Bytes`] handle.  An uncompressed frame's
 /// body is the sender's payload itself — zero-copy; the vectored burst
 /// write puts it on the wire straight from the caller's allocation.  A
-/// compressed frame's body is the codec image (compression necessarily
-/// produces new bytes).  The retransmit buffer stores these verbatim, so
-/// a healed link re-sends byte-identical frames without re-encoding.
+/// compressed frame's body is a window onto its burst's block of codec
+/// images (see [`stage_burst`]).  The retransmit buffer stores these
+/// verbatim, so a healed link re-sends byte-identical frames without
+/// re-encoding.
 struct WireImage {
     prefix: [u8; 4],
     body: Bytes,
 }
 
 impl WireImage {
+    /// The image of `payload`: `image` of the burst's `block` when the
+    /// codec shrank it (the prefix then carries [`COMPRESSED_FLAG`]),
+    /// the raw length-prefixed layout — sharing the payload bytes —
+    /// otherwise.
+    fn new(payload: Frame, image: Option<std::ops::Range<usize>>, block: Option<&Bytes>) -> Self {
+        match (image, block) {
+            (Some(image), Some(block)) => WireImage {
+                prefix: (image.len() as u32 | COMPRESSED_FLAG).to_le_bytes(),
+                body: block.slice(image),
+            },
+            _ => WireImage {
+                prefix: (payload.len() as u32).to_le_bytes(),
+                body: payload,
+            },
+        }
+    }
+
     fn len(&self) -> usize {
         self.prefix.len() + self.body.len()
     }
@@ -1169,36 +1222,68 @@ impl WireImage {
             burst.push(IoSlice::new(&self.body));
         }
     }
-
-    /// The contiguous wire bytes — test-only; the data path never
-    /// materialises them.
-    #[cfg(test)]
-    fn concat(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len());
-        out.extend_from_slice(&self.prefix);
-        out.extend_from_slice(&self.body);
-        out
-    }
 }
 
-/// Encodes one queued frame for the wire: tries the lossless payload
-/// codec when the link negotiated it (marking the length prefix with
-/// [`COMPRESSED_FLAG`]), falls back to the raw length-prefixed layout —
-/// sharing the payload bytes zero-copy — whenever the payload is small
-/// or does not shrink.
-fn encode_wire_frame(frame: Frame, compression: WireCompression) -> WireImage {
-    if compression.wire_codec_enabled() && frame.len() >= MIN_COMPRESS_LEN {
-        if let Some(image) = compress_payload(&frame) {
-            return WireImage {
-                prefix: (image.len() as u32 | COMPRESSED_FLAG).to_le_bytes(),
-                body: Bytes::from(image),
-            };
+/// One staged element of a burst: a queued frame (or the flush marker)
+/// and, when the codec shrank it, where its image lies in the burst's
+/// block.
+type Staged = (Frame, Option<std::ops::Range<usize>>);
+
+/// Takes the next burst off `queued` into `staged` — frames in queue
+/// order until their wire images reach [`BURST_BUDGET`] — running every
+/// frame of [`MIN_COMPRESS_LEN`] or more through the lossless payload
+/// codec when the link negotiated it.  The images of the frames that
+/// shrink are written end to end into **one block per burst**, which is
+/// returned (a frame that is small or does not shrink keeps the raw
+/// layout); `room` is how much the block is sized for, the payload bytes
+/// still queued.  A compressed link so costs one allocation per burst,
+/// not a dozen per frame, and counts its codec time and bytes in `io`.
+fn stage_burst(
+    queued: &mut impl Iterator<Item = Frame>,
+    compression: WireCompression,
+    scratch: &mut PlaneScratch,
+    room: usize,
+    staged: &mut Vec<Staged>,
+    io: &WireIo,
+) -> Option<Bytes> {
+    let codec = compression.wire_codec_enabled();
+    let started = codec.then(Instant::now);
+    let mut block = Vec::new();
+    let (mut bytes_in, mut bytes_out, mut raw_frames) = (0, 0, 0);
+    let mut burst_len = 0;
+    for frame in queued {
+        if is_flush_marker(&frame) {
+            burst_len += FLUSH_WIRE.len();
+            staged.push((frame, None));
+        } else {
+            let image = (codec && frame.len() >= MIN_COMPRESS_LEN)
+                .then(|| {
+                    if block.capacity() == 0 {
+                        block.reserve(room.min(BURST_BUDGET));
+                    }
+                    compress_into(&frame, scratch, &mut block)
+                })
+                .flatten()
+                .map(|len| block.len() - len..block.len());
+            let body_len = image.as_ref().map_or(frame.len(), |image| image.len());
+            bytes_in += frame.len() as u64;
+            bytes_out += body_len as u64;
+            raw_frames += image.is_none() as u64;
+            burst_len += 4 + body_len;
+            staged.push((frame, image));
+        }
+        if burst_len >= BURST_BUDGET {
+            break;
         }
     }
-    WireImage {
-        prefix: (frame.len() as u32).to_le_bytes(),
-        body: frame,
+    if let Some(started) = started {
+        let nanos = started.elapsed().as_nanos() as u64;
+        io.codec_encode_nanos.fetch_add(nanos, Ordering::Relaxed);
+        io.codec_bytes_in.fetch_add(bytes_in, Ordering::Relaxed);
+        io.codec_bytes_out.fetch_add(bytes_out, Ordering::Relaxed);
+        io.codec_raw_frames.fetch_add(raw_frames, Ordering::Relaxed);
     }
+    (!block.is_empty()).then(|| Bytes::from(block))
 }
 
 /// Drains cursor acks from the back channel into the link progress;
@@ -1227,8 +1312,9 @@ enum Part {
 
 /// Connection writer thread: drains the send-side HWM queue in
 /// **bursts** — every wakeup takes all queued frames in one go
-/// (wire-encoding and compressing each in order) and hands the socket
-/// one vectored write per [`BURST_BUDGET`] over the encodings in place,
+/// (wire-encoding and compressing each in order, see [`stage_burst`]) and
+/// hands the socket one vectored write per [`BURST_BUDGET`] over the
+/// encodings in place,
 /// so a stream of frames costs one syscall per burst instead of one
 /// write-plus-flush per frame, with no staging copy of the payload
 /// bytes.  Keeps every unacknowledged frame *in its wire encoding* for
@@ -1260,10 +1346,13 @@ fn writer_loop(
     let mut epoch: u64 = 0;
     // Sent-but-unacknowledged frames in wire encoding, oldest first.
     let mut unacked: VecDeque<(u64, WireImage)> = VecDeque::new();
-    // Frames taken off the queue at one wakeup, and the burst being
-    // gathered from them (both reused).
+    // Frames taken off the queue at one wakeup, the burst being staged
+    // from them and its parts in write order (all reused), and the
+    // codec's working storage.
     let mut inbox: Vec<Frame> = Vec::new();
+    let mut staged: Vec<Staged> = Vec::with_capacity(64);
     let mut burst: Vec<Part> = Vec::with_capacity(64);
+    let mut scratch = PlaneScratch::default();
     // On a self-healing link an idle wait is a bounded poll, so a broken
     // connection interrupts an idle link within one tick; with
     // reconnection disabled there is nothing to heal and the writer
@@ -1298,16 +1387,26 @@ fn writer_loop(
             Err(RecvTimeoutError::Timeout) => continue 'link,
             Err(RecvTimeoutError::Disconnected) => break 'link, // senders gone
         }
+        let mut room: usize = inbox.iter().map(|frame| frame.len()).sum();
         let mut queued = inbox.drain(..).peekable();
         while queued.peek().is_some() {
             // Gather a burst: frames in queue order, up to the burst
             // budget.  Its data frames go to the back of the retransmit
             // buffer, which is where the write reads them from — no
             // staging copy.
+            let io = &core.wire_io;
+            let block = stage_burst(
+                &mut queued,
+                compression,
+                &mut scratch,
+                room,
+                &mut staged,
+                io,
+            );
             burst.clear();
             let first = unacked.len();
-            let mut burst_len = 0usize;
-            for frame in queued.by_ref() {
+            for (frame, image) in staged.drain(..) {
+                room -= frame.len();
                 if is_flush_marker(&frame) {
                     // Barrier: everything up to `seq` must reach the
                     // ingest queue.  Register first so a concurrent ack
@@ -1316,17 +1415,12 @@ fn writer_loop(
                     epoch += 1;
                     shared.push_pending(epoch, seq);
                     burst.push(Part::Flush);
-                    burst_len += FLUSH_WIRE.len();
                 } else {
                     seq += 1;
-                    let wire = encode_wire_frame(frame, compression);
+                    let wire = WireImage::new(frame, image, block.as_ref());
                     stats.add_wire_bytes(wire.len() as u64);
-                    burst_len += wire.len();
                     unacked.push_back((seq, wire));
                     burst.push(Part::Frame);
-                }
-                if burst_len >= BURST_BUDGET {
-                    break;
                 }
             }
             let written = {
@@ -1471,13 +1565,17 @@ enum WireItem {
 /// block is kept, so a queued frame never pins much more memory than it
 /// holds.  A prefix carrying [`COMPRESSED_FLAG`] is decompressed here,
 /// **before** the frame enters the ingest queue, so receivers, protocol
-/// decode and the ingest cursor only ever see original payload bytes.
+/// decode and the ingest cursor only ever see original payload bytes:
+/// the compressed frames of one read are decoded into one block of their
+/// own and handed out as windows onto that.
 struct BlockReader<R> {
     stream: R,
     /// The block being filled, zero-initialised to its whole length;
     /// `[..filled]` is wire data not yet handed out.
     block: Vec<u8>,
     filled: usize,
+    /// The wire codec's working storage.
+    scratch: PlaneScratch,
     io: Arc<WireIo>,
 }
 
@@ -1487,6 +1585,7 @@ impl<R: Read> BlockReader<R> {
             stream,
             block: vec![0; READ_BLOCK],
             filled: 0,
+            scratch: PlaneScratch::default(),
             io,
         }
     }
@@ -1518,8 +1617,10 @@ impl<R: Read> BlockReader<R> {
         // Where the complete elements lie in the block.
         let mut spans: Vec<Span> = Vec::new();
         let mut at = 0;
-        // Room the element that is still arriving needs, prefix included.
+        // Room the element that is still arriving needs, prefix included,
+        // and what the compressed frames so far decode to.
         let mut pending = 0;
+        let mut restored_len = 0;
         while let Some(prefix) = self.block[at..self.filled].first_chunk::<4>() {
             let raw = u32::from_le_bytes(*prefix);
             if raw == FLUSH_REQUEST {
@@ -1539,22 +1640,63 @@ impl<R: Read> BlockReader<R> {
                 pending = 4 + len;
                 break;
             }
-            spans.push(Span::Frame {
-                body: at + 4..end,
-                compressed: raw & COMPRESSED_FLAG != 0,
-            });
+            let body = at + 4..end;
+            let restored = match raw & COMPRESSED_FLAG {
+                0 => None,
+                // The decoded length rides the image header; the codec
+                // bounds it by what the image can hold, the frame cap
+                // bounds it here, before anything is allocated for it.
+                _ => match decoded_len(&self.block[body.clone()]) {
+                    Ok(len) if len <= cap => {
+                        restored_len += len;
+                        Some(restored_len - len..restored_len)
+                    }
+                    Ok(_) => return Err(corrupt_frame("decoded length exceeds the frame cap")),
+                    Err(e) => return Err(corrupt_frame(e)),
+                },
+            };
+            spans.push(Span::Frame { body, restored });
             at = end;
         }
-        let (mut n_frames, mut plain_bytes) = (0u64, 0);
+        let (mut n_frames, mut plain_bytes, mut n_compressed) = (0u64, 0, 0);
         for span in &spans {
-            if let Span::Frame { body, compressed } = span {
+            if let Span::Frame { body, restored } = span {
                 n_frames += 1;
-                if !compressed {
-                    plain_bytes += body.len();
+                match restored {
+                    None => plain_bytes += body.len(),
+                    Some(_) => n_compressed += 1,
                 }
             }
         }
         self.io.frames_read.fetch_add(n_frames, Ordering::Relaxed);
+
+        // Undo the wire codec: every compressed frame of this read into
+        // one block (a large one is zeroed lazily by the allocator, so
+        // lying headers cost address space until a frame actually decodes
+        // that far).
+        let restored_block = match n_compressed {
+            0 => None,
+            _ => {
+                let started = Instant::now();
+                let mut block = vec![0; restored_len];
+                for span in &spans {
+                    if let Span::Frame {
+                        body,
+                        restored: Some(restored),
+                    } = span
+                    {
+                        let image = &self.block[body.clone()];
+                        decompress_into(image, &mut self.scratch, &mut block[restored.clone()])
+                            .map_err(corrupt_frame)?;
+                    }
+                }
+                let nanos = started.elapsed().as_nanos() as u64;
+                self.io
+                    .codec_decode_nanos
+                    .fetch_add(nanos, Ordering::Relaxed);
+                Some(Bytes::from(block))
+            }
+        };
 
         // Give the block up to its frames when they make up a fair share
         // of it (compressed ones need no storage: they are decoded into
@@ -1568,15 +1710,11 @@ impl<R: Read> BlockReader<R> {
         for span in spans {
             items.push(match span {
                 Span::Flush => WireItem::FlushRequest,
-                Span::Frame { body, compressed } => {
-                    let bytes = match &shared {
-                        Some(block) => &block[body.clone()],
-                        None => &self.block[body.clone()],
-                    };
-                    WireItem::Frame(match (&shared, compressed) {
-                        (_, true) => restore_compressed(bytes, cap)?,
-                        (Some(block), false) => block.slice(body),
-                        (None, false) => Bytes::copy_from_slice(bytes),
+                Span::Frame { body, restored } => {
+                    WireItem::Frame(match (restored, &restored_block, &shared) {
+                        (Some(window), Some(block), _) => block.slice(window),
+                        (_, _, Some(block)) => block.slice(body),
+                        (_, _, None) => Bytes::copy_from_slice(&self.block[body]),
                     })
                 }
             });
@@ -1604,30 +1742,19 @@ enum Span {
     Frame {
         /// The payload, past its length prefix.
         body: std::ops::Range<usize>,
-        compressed: bool,
+        /// Where a compressed frame's payload lies in the read's block of
+        /// restored payloads.
+        restored: Option<std::ops::Range<usize>>,
     },
 }
 
-/// Undoes the wire codec on one frame body.
-fn restore_compressed(image: &[u8], cap: usize) -> std::io::Result<Bytes> {
-    // The decoded length rides the image header; bound it by the frame
-    // cap before the decoder allocates for it.
-    let claimed = image
-        .first_chunk::<4>()
-        .map(|b| u32::from_le_bytes(*b) as usize);
-    if claimed.is_none_or(|n| n > cap) {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "compressed frame with invalid decoded length",
-        ));
-    }
-    let restored = decompress_payload(image).map_err(|e| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("corrupt compressed frame: {e}"),
-        )
-    })?;
-    Ok(Bytes::from(restored))
+/// A compressed frame the codec refuses: fatal to its connection, as a
+/// frame longer than the cap is.
+fn corrupt_frame(why: impl std::fmt::Display) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("corrupt compressed frame: {why}"),
+    )
 }
 
 #[cfg(test)]
@@ -1898,6 +2025,18 @@ mod tests {
         Bytes::from(payload)
     }
 
+    /// Keyed xorshift noise: a payload the codec cannot shrink.
+    fn noise_frame(len: usize) -> Frame {
+        let mut x = 0x9E37_79B9u64;
+        let noise = std::iter::repeat_with(|| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        });
+        Bytes::from(noise.take(len).collect::<Vec<u8>>())
+    }
+
     #[test]
     fn compressed_link_delivers_bit_identical_payloads() {
         let mut config = TcpTransportConfig::local();
@@ -1938,16 +2077,8 @@ mod tests {
         let t = TcpTransport::with_config(config).unwrap();
         let rx = t.bind("entropy", 8);
         let tx = t.connect("entropy").unwrap();
-        // Keyed xorshift noise: the codec must fall back to raw framing.
-        let mut x = 0x9E37_79B9u64;
-        let mut payload = Vec::with_capacity(4096);
-        for _ in 0..512 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            payload.extend_from_slice(&x.to_le_bytes());
-        }
-        let f = Bytes::from(payload);
+        // Noise: the codec must fall back to raw framing.
+        let f = noise_frame(4096);
         tx.send(f.clone()).unwrap();
         assert_eq!(&rx.recv_timeout(Duration::from_secs(5)).unwrap(), &f);
         let stats = t.link_stats();
@@ -1971,6 +2102,30 @@ mod tests {
         assert_eq!(stats[0].1.wire_bytes, 13);
     }
 
+    /// The wire images a link's writer makes of `frames` as one burst.
+    fn wire_images(frames: &[Frame], compression: WireCompression) -> Vec<WireImage> {
+        let mut staged = Vec::new();
+        let room = frames.iter().map(|f| f.len()).sum();
+        let block = stage_burst(
+            &mut frames.iter().cloned(),
+            compression,
+            &mut PlaneScratch::default(),
+            room,
+            &mut staged,
+            &WireIo::default(),
+        );
+        staged
+            .into_iter()
+            .map(|(frame, image)| WireImage::new(frame, image, block.as_ref()))
+            .collect()
+    }
+
+    /// The bytes `frame` crosses the wire as.
+    fn wire_bytes(frame: &Frame, compression: WireCompression) -> Vec<u8> {
+        let image = &wire_images(std::slice::from_ref(frame), compression)[0];
+        [&image.prefix[..], &image.body[..]].concat()
+    }
+
     /// Everything a reader over `wire` yields until EOF, frames only.
     fn read_all(wire: Vec<u8>) -> std::io::Result<Vec<Bytes>> {
         let mut reader = BlockReader::new(std::io::Cursor::new(wire), Arc::default());
@@ -1988,7 +2143,7 @@ mod tests {
     #[test]
     fn compressed_wire_container_roundtrips_through_the_reader() {
         let f = field_frame(256, 0.0);
-        let wire = encode_wire_frame(f.clone(), WireCompression::Transpose).concat();
+        let wire = wire_bytes(&f, WireCompression::Transpose);
         assert!(wire.len() < f.len(), "field frame must shrink on the wire");
         let raw_prefix = u32::from_le_bytes(wire[..4].try_into().unwrap());
         assert!(raw_prefix & COMPRESSED_FLAG != 0);
@@ -1998,7 +2153,7 @@ mod tests {
     #[test]
     fn corrupt_compressed_frames_are_io_errors_not_panics() {
         let f = field_frame(256, 0.0);
-        let wire = encode_wire_frame(f, WireCompression::Transpose).concat();
+        let wire = wire_bytes(&f, WireCompression::Transpose);
         // Flip a byte in the image body and lie about the decoded size.
         let mut bad = wire.clone();
         let last = bad.len() - 1;
@@ -2039,7 +2194,7 @@ mod tests {
             .collect();
         let mut wire = Vec::new();
         for (i, f) in frames.iter().enumerate() {
-            wire.extend_from_slice(&encode_wire_frame(f.clone(), WireCompression::Off).concat());
+            wire.extend_from_slice(&wire_bytes(f, WireCompression::Off));
             if i % 3 == 1 {
                 wire.extend_from_slice(&FLUSH_WIRE);
             }
@@ -2073,8 +2228,8 @@ mod tests {
     #[test]
     fn a_full_read_shares_its_block_and_a_sparse_one_keeps_it() {
         let big = Bytes::from(vec![7u8; READ_BLOCK / 2]);
-        let mut wire = encode_wire_frame(big.clone(), WireCompression::Off).concat();
-        wire.extend_from_slice(&encode_wire_frame(frame(b"tiny"), WireCompression::Off).concat());
+        let mut wire = wire_bytes(&big, WireCompression::Off);
+        wire.extend_from_slice(&wire_bytes(&frame(b"tiny"), WireCompression::Off));
         let stream = Portions {
             wire,
             at: 0,
@@ -2099,6 +2254,125 @@ mod tests {
         assert!(matches!(&items[1], WireItem::Frame(f) if f == &frame(b"tiny")));
         assert_eq!(reader.block.as_ptr(), second_block);
         assert!(!reader.read_run(&mut items, MAX_DATA_FRAME).unwrap());
+    }
+
+    #[test]
+    fn a_burst_of_compressed_frames_is_one_block_out_and_one_block_in() {
+        // Field frames that shrink, noise that does not, a frame too
+        // short to try and a flush marker, as one burst.
+        let mut frames: Vec<Frame> = (0..6).map(|i| field_frame(512, i as f64 * 0.1)).collect();
+        frames.insert(2, noise_frame(4096));
+        frames.insert(4, frame(b"short"));
+        frames.insert(5, flush_marker());
+        let io = WireIo::default();
+        let mut staged = Vec::new();
+        let room = frames.iter().map(|f| f.len()).sum();
+        let block = stage_burst(
+            &mut frames.iter().cloned(),
+            WireCompression::Transpose,
+            &mut PlaneScratch::default(),
+            room,
+            &mut staged,
+            &io,
+        )
+        .expect("six frames shrank");
+        assert_eq!(staged.len(), frames.len());
+        let mut wire = Vec::new();
+        let mut next_image = block.as_ptr();
+        for (queued, (staged, image)) in frames.iter().zip(staged) {
+            assert_eq!(staged.as_ptr(), queued.as_ptr());
+            if is_flush_marker(&staged) {
+                assert!(image.is_none());
+                wire.extend_from_slice(&FLUSH_WIRE);
+                continue;
+            }
+            let shrank = image.is_some();
+            assert_eq!(shrank, queued.len() > 4096, "{} bytes", queued.len());
+            let image = WireImage::new(staged, image, Some(&block));
+            if shrank {
+                // Windows onto the one block, end to end.
+                assert_eq!(image.body.as_ptr(), next_image);
+                next_image = next_image.wrapping_add(image.body.len());
+            } else {
+                assert_eq!(image.body.as_ptr(), queued.as_ptr());
+            }
+            wire.extend_from_slice(&image.prefix);
+            wire.extend_from_slice(&image.body);
+        }
+        assert_eq!(next_image, block.as_ptr().wrapping_add(block.len()));
+        let data_bytes: u64 =
+            frames.iter().map(|f| f.len() as u64).sum::<u64>() - flush_marker().len() as u64;
+        assert_eq!(io.codec_bytes_in.load(Ordering::Relaxed), data_bytes);
+        assert_eq!(
+            io.codec_bytes_out.load(Ordering::Relaxed),
+            (wire.len() - 4 * frames.len()) as u64
+        );
+        assert_eq!(io.codec_raw_frames.load(Ordering::Relaxed), 2);
+
+        // The reader decodes the six into one block of their own.
+        let mut reader = BlockReader::new(std::io::Cursor::new(wire), Arc::default());
+        let mut items = Vec::new();
+        assert!(reader.read_run(&mut items, MAX_DATA_FRAME).unwrap());
+        let got: Vec<&Bytes> = items
+            .iter()
+            .filter_map(|item| match item {
+                WireItem::Frame(frame) => Some(frame),
+                WireItem::FlushRequest => None,
+            })
+            .collect();
+        let sent: Vec<&Bytes> = frames.iter().filter(|f| !is_flush_marker(f)).collect();
+        assert_eq!(got, sent);
+        let restored: Vec<&&Bytes> = got.iter().filter(|f| f.len() > 4096).collect();
+        for pair in restored.windows(2) {
+            assert_eq!(
+                pair[1].as_ptr(),
+                pair[0].as_ptr().wrapping_add(pair[0].len()),
+                "restored payloads lie end to end in one block"
+            );
+        }
+    }
+
+    #[test]
+    fn codec_counters_match_the_link_stats_less_framing() {
+        let mut config = TcpTransportConfig::local();
+        config.compression = WireCompression::Transpose;
+        let t = TcpTransport::with_config(config).unwrap();
+        let rx = t.bind("counted", 64);
+        let tx = t.connect("counted").unwrap();
+        // Frames that shrink, one that does not, one too short to try.
+        let mut frames: Vec<Frame> = (0..20).map(|i| field_frame(512, i as f64 * 0.1)).collect();
+        frames.push(noise_frame(999));
+        frames.push(frame(b"tiny"));
+        let mut batch: VecDeque<Frame> = frames.iter().cloned().collect();
+        tx.send_batch(&mut batch, Duration::from_secs(5)).unwrap();
+        tx.flush(Duration::from_secs(5)).unwrap();
+        for f in &frames {
+            assert_eq!(&rx.recv_timeout(Duration::from_secs(5)).unwrap(), f);
+        }
+        let link = &t.link_stats()[0].1;
+        let io = t.wire_io();
+        assert_eq!(io.codec_bytes_in, link.bytes);
+        assert_eq!(io.codec_bytes_out, link.wire_bytes - 4 * link.messages);
+        assert_eq!(io.codec_raw_frames, 2);
+        assert!(io.codec_encode_nanos > 0 && io.codec_decode_nanos > 0);
+        // A link that did not negotiate the codec counts nothing.
+        let plain = TcpTransport::new().unwrap();
+        let rx = plain.bind("uncounted", 4);
+        plain
+            .connect("uncounted")
+            .unwrap()
+            .send(frames[0].clone())
+            .unwrap();
+        rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        let io = plain.wire_io();
+        assert_eq!(
+            (
+                io.codec_bytes_in,
+                io.codec_encode_nanos,
+                io.codec_decode_nanos
+            ),
+            (0, 0, 0)
+        );
     }
 
     #[test]

@@ -129,6 +129,36 @@ pub struct StudyConfig {
     pub telemetry: bool,
 }
 
+// Every field travels, so a daemon-run study is the byte-for-byte
+// configuration its tenant submitted.
+melissa_transport::wire_struct!(StudyConfig {
+    n_groups,
+    transport,
+    n_shards,
+    shard_seed,
+    solver,
+    ranks_per_simulation,
+    server_workers,
+    hwm,
+    max_concurrent_groups,
+    seed,
+    group_timeout,
+    server_timeout,
+    checkpoint_interval,
+    checkpoint_dir,
+    max_group_retries,
+    target_ci_width,
+    ci_variance_floor,
+    target_quantile_step,
+    wall_limit,
+    migration_timeout,
+    wire_compression,
+    link_fault,
+    thresholds,
+    quantile_probs,
+    telemetry,
+});
+
 impl Default for StudyConfig {
     fn default() -> Self {
         Self {

@@ -2,14 +2,17 @@
 //! groups, the parallel server and the launcher.
 //!
 //! Encoded with the fixed little-endian layout of
-//! [`melissa_transport::codec`]; one tag byte selects the variant.  Every
-//! message carries enough identity (`group_id`, `instance`, `timestep`) for
-//! the server's discard-on-replay policy (paper Section 4.2.1).
+//! [`melissa_transport::codec`]: one tag byte selects the variant, and
+//! every variant but `Data` is declared as its field list; `Data`, the
+//! one on the hot path, is written and read in place by [`DataHeader`]
+//! and [`DataView`].  Every message carries enough identity (`group_id`,
+//! `instance`, `timestep`) for the server's discard-on-replay policy
+//! (paper Section 4.2.1).
 
 use bytes::{BufMut, Bytes, BytesMut};
 use melissa_transport::codec::{
-    copy_words_from_le, get_f64_vec, get_str, get_u16, get_u32, get_u64, get_u64_vec, get_u8,
-    put_f64_slice, put_f64_slice_map, put_str, put_u64_slice, words_from_le, WireError, WireResult,
+    copy_words_from_le, get_u16, get_u32, get_u64, get_u8, put_f64_slice_map, words_from_le, Wire,
+    WireError, WireResult,
 };
 
 /// One Melissa protocol message.
@@ -173,7 +176,7 @@ impl DataHeader {
     /// a sender can lay a whole timestep's frames end to end in one
     /// block without an owned copy of any chunk.
     pub fn encode_frame(&self, buf: &mut BytesMut, values: &[f64], map: impl Fn(f64) -> f64) {
-        buf.put_u8(tag::DATA);
+        buf.put_u8(DATA);
         buf.put_u64_le(self.group_id);
         buf.put_u32_le(self.instance);
         buf.put_u16_le(self.role);
@@ -205,13 +208,13 @@ impl<'a> DataView<'a> {
     /// Whether `frame` carries the `Data` tag (and so is for
     /// [`parse`](Self::parse) rather than [`Message::decode`]).
     pub fn is_data(frame: &[u8]) -> bool {
-        frame.first() == Some(&tag::DATA)
+        frame.first() == Some(&DATA)
     }
 
     /// Validates `frame` as a `Data` frame and borrows its values.
     pub fn parse(frame: &'a [u8]) -> WireResult<Self> {
         let mut buf = frame;
-        if get_u8(&mut buf, "tag")? != tag::DATA {
+        if get_u8(&mut buf, "tag")? != DATA {
             return Err(WireError::Invalid {
                 what: "not a data frame",
             });
@@ -263,114 +266,85 @@ impl<'a> DataView<'a> {
     }
 }
 
-/// Tag bytes (wire stability).
-mod tag {
-    pub const CONNECT_REQUEST: u8 = 1;
-    pub const CONNECT_REPLY: u8 = 2;
-    pub const DATA: u8 = 3;
-    pub const HEARTBEAT: u8 = 4;
-    pub const SERVER_READY: u8 = 5;
-    pub const SERVER_REPORT: u8 = 6;
-    pub const GROUP_TIMEOUT: u8 = 7;
-    pub const CHECKPOINT: u8 = 8;
-    pub const STOP: u8 = 9;
-    pub const MIGRATE_OUT: u8 = 10;
-    pub const ADOPT_FLOOR: u8 = 11;
-    pub const JOB_ENDED: u8 = 12;
-    pub const WAKE: u8 = 13;
-    pub const REPORT_NOW: u8 = 14;
+/// The `Data` tag byte, which [`DataHeader::encode_frame`] and
+/// [`DataView::parse`] own; every other variant is declared below.
+const DATA: u8 = 3;
+
+melissa_transport::wire_enum!(Message {
+    1 => ConnectRequest { group_id, instance },
+    2 => ConnectReply { n_workers, n_cells, p, n_timesteps },
+    4 => Heartbeat { sender },
+    5 => ServerReady,
+    6 => ServerReport {
+        finished_groups,
+        running_groups,
+        max_ci_width,
+        max_quantile_step,
+        quantile_steps,
+        blocked_sends,
+        blocked_nanos,
+        frames_rejected,
+    },
+    7 => GroupTimeout { group_id },
+    8 => Checkpoint { dir },
+    9 => Stop,
+    10 => MigrateOut { group_id },
+    11 => AdoptFloor { group_id, floor },
+    12 => JobEnded { group_id, instance },
+    13 => Wake,
+    14 => ReportNow,
+} else (put_data, get_data));
+
+/// Writes the one variant the declaration leaves out, `Data`.
+fn put_data(msg: &Message, buf: &mut BytesMut) {
+    if let Message::Data {
+        group_id,
+        instance,
+        role,
+        timestep,
+        start,
+        values,
+    } = msg
+    {
+        let header = DataHeader {
+            group_id: *group_id,
+            instance: *instance,
+            role: *role,
+            timestep: *timestep,
+            start: *start,
+        };
+        header.encode_frame(buf, values, |v| v);
+    }
+}
+
+/// Reads a `Data` frame — the rest of `buf`, tag included — through
+/// [`DataView::parse`] and one bulk copy of its values into the owned
+/// `Vec<f64>` this type carries.
+fn get_data(buf: &mut &[u8]) -> WireResult<Message> {
+    let view = DataView::parse(buf)?;
+    *buf = &[];
+    let DataHeader {
+        group_id,
+        instance,
+        role,
+        timestep,
+        start,
+    } = view.header;
+    Ok(Message::Data {
+        group_id,
+        instance,
+        role,
+        timestep,
+        start,
+        values: view.values(),
+    })
 }
 
 impl Message {
     /// Encodes the message to a frame.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.encoded_size_hint());
-        match self {
-            Message::ConnectRequest { group_id, instance } => {
-                buf.put_u8(tag::CONNECT_REQUEST);
-                buf.put_u64_le(*group_id);
-                buf.put_u32_le(*instance);
-            }
-            Message::ConnectReply {
-                n_workers,
-                n_cells,
-                p,
-                n_timesteps,
-            } => {
-                buf.put_u8(tag::CONNECT_REPLY);
-                buf.put_u32_le(*n_workers);
-                buf.put_u64_le(*n_cells);
-                buf.put_u32_le(*p);
-                buf.put_u32_le(*n_timesteps);
-            }
-            Message::Data {
-                group_id,
-                instance,
-                role,
-                timestep,
-                start,
-                values,
-            } => {
-                let header = DataHeader {
-                    group_id: *group_id,
-                    instance: *instance,
-                    role: *role,
-                    timestep: *timestep,
-                    start: *start,
-                };
-                header.encode_frame(&mut buf, values, |v| v);
-            }
-            Message::Heartbeat { sender } => {
-                buf.put_u8(tag::HEARTBEAT);
-                buf.put_u32_le(*sender);
-            }
-            Message::ServerReady => buf.put_u8(tag::SERVER_READY),
-            Message::ServerReport {
-                finished_groups,
-                running_groups,
-                max_ci_width,
-                max_quantile_step,
-                quantile_steps,
-                blocked_sends,
-                blocked_nanos,
-                frames_rejected,
-            } => {
-                buf.put_u8(tag::SERVER_REPORT);
-                put_u64_slice(&mut buf, finished_groups);
-                put_u64_slice(&mut buf, running_groups);
-                buf.put_f64_le(*max_ci_width);
-                buf.put_f64_le(*max_quantile_step);
-                put_f64_slice(&mut buf, quantile_steps);
-                buf.put_u64_le(*blocked_sends);
-                buf.put_u64_le(*blocked_nanos);
-                buf.put_u64_le(*frames_rejected);
-            }
-            Message::GroupTimeout { group_id } => {
-                buf.put_u8(tag::GROUP_TIMEOUT);
-                buf.put_u64_le(*group_id);
-            }
-            Message::Checkpoint { dir } => {
-                buf.put_u8(tag::CHECKPOINT);
-                put_str(&mut buf, dir);
-            }
-            Message::Stop => buf.put_u8(tag::STOP),
-            Message::MigrateOut { group_id } => {
-                buf.put_u8(tag::MIGRATE_OUT);
-                buf.put_u64_le(*group_id);
-            }
-            Message::AdoptFloor { group_id, floor } => {
-                buf.put_u8(tag::ADOPT_FLOOR);
-                buf.put_u64_le(*group_id);
-                buf.put_i64_le(*floor);
-            }
-            Message::JobEnded { group_id, instance } => {
-                buf.put_u8(tag::JOB_ENDED);
-                buf.put_u64_le(*group_id);
-                buf.put_u32_le(*instance);
-            }
-            Message::Wake => buf.put_u8(tag::WAKE),
-            Message::ReportNow => buf.put_u8(tag::REPORT_NOW),
-        }
+        self.put(&mut buf);
         buf.freeze()
     }
 
@@ -387,88 +361,13 @@ impl Message {
         }
     }
 
-    /// Decodes a frame.
+    /// Decodes a frame: exactly one message, nothing trailing.
     ///
-    /// A `Data` frame goes through [`DataView::parse`] and one bulk copy
-    /// of its values into the owned `Vec<f64>` this type carries; a
-    /// receiver that only wants the values somewhere else (the server's
-    /// assembly) uses the view directly and skips that vector.
+    /// A receiver that only wants a `Data` frame's values somewhere else
+    /// (the server's assembly) uses [`DataView`] directly and skips the
+    /// owned vector.
     pub fn decode(frame: &Bytes) -> WireResult<Message> {
-        if DataView::is_data(frame) {
-            let view = DataView::parse(frame)?;
-            let DataHeader {
-                group_id,
-                instance,
-                role,
-                timestep,
-                start,
-            } = view.header;
-            return Ok(Message::Data {
-                group_id,
-                instance,
-                role,
-                timestep,
-                start,
-                values: view.values(),
-            });
-        }
-        let mut buf = frame.clone();
-        let t = get_u8(&mut buf, "tag")?;
-        let msg = match t {
-            tag::CONNECT_REQUEST => Message::ConnectRequest {
-                group_id: get_u64(&mut buf, "group_id")?,
-                instance: get_u32(&mut buf, "instance")?,
-            },
-            tag::CONNECT_REPLY => Message::ConnectReply {
-                n_workers: get_u32(&mut buf, "n_workers")?,
-                n_cells: get_u64(&mut buf, "n_cells")?,
-                p: get_u32(&mut buf, "p")?,
-                n_timesteps: get_u32(&mut buf, "n_timesteps")?,
-            },
-            tag::HEARTBEAT => Message::Heartbeat {
-                sender: get_u32(&mut buf, "sender")?,
-            },
-            tag::SERVER_READY => Message::ServerReady,
-            tag::SERVER_REPORT => Message::ServerReport {
-                finished_groups: get_u64_vec(&mut buf, "finished_groups")?,
-                running_groups: get_u64_vec(&mut buf, "running_groups")?,
-                max_ci_width: melissa_transport::codec::get_f64(&mut buf, "max_ci_width")?,
-                max_quantile_step: melissa_transport::codec::get_f64(
-                    &mut buf,
-                    "max_quantile_step",
-                )?,
-                quantile_steps: get_f64_vec(&mut buf, "quantile_steps")?,
-                blocked_sends: get_u64(&mut buf, "blocked_sends")?,
-                blocked_nanos: get_u64(&mut buf, "blocked_nanos")?,
-                frames_rejected: get_u64(&mut buf, "frames_rejected")?,
-            },
-            tag::GROUP_TIMEOUT => Message::GroupTimeout {
-                group_id: get_u64(&mut buf, "group_id")?,
-            },
-            tag::CHECKPOINT => Message::Checkpoint {
-                dir: get_str(&mut buf, "dir")?,
-            },
-            tag::STOP => Message::Stop,
-            tag::MIGRATE_OUT => Message::MigrateOut {
-                group_id: get_u64(&mut buf, "group_id")?,
-            },
-            tag::ADOPT_FLOOR => Message::AdoptFloor {
-                group_id: get_u64(&mut buf, "group_id")?,
-                floor: get_u64(&mut buf, "floor")? as i64,
-            },
-            tag::JOB_ENDED => Message::JobEnded {
-                group_id: get_u64(&mut buf, "group_id")?,
-                instance: get_u32(&mut buf, "instance")?,
-            },
-            tag::WAKE => Message::Wake,
-            tag::REPORT_NOW => Message::ReportNow,
-            _ => {
-                return Err(WireError::Invalid {
-                    what: "unknown message tag",
-                })
-            }
-        };
-        Ok(msg)
+        Message::from_frame(frame)
     }
 }
 

@@ -75,8 +75,12 @@ impl From<io::Error> for CheckpointError {
 
 impl From<WireError> for CheckpointError {
     fn from(e: WireError) -> Self {
-        let (WireError::Truncated { what } | WireError::Invalid { what }) = e;
-        CheckpointError::Corrupt(what)
+        match e {
+            WireError::Truncated { what } | WireError::Invalid { what } => {
+                CheckpointError::Corrupt(what)
+            }
+            WireError::Schema { found, .. } => CheckpointError::UnsupportedVersion { found },
+        }
     }
 }
 

@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 
 use melissa_mesh::SlabPartition;
 use melissa_telemetry::{CodecScrape, LinkScrape, ScrapeRequest, ScrapeSnapshot, Telemetry};
+use melissa_transport::codec::Wire;
 use melissa_transport::directory::names;
 use melissa_transport::{
     BoxReceiver, BoxSender, KillSwitch, LinkStatsSnapshot, LivenessTracker, RecvTimeoutError,
@@ -942,8 +943,7 @@ fn main_loop(
         // sees a scraper, so scraping cannot perturb any statistic.
         if let (Some(rx), Some(tele)) = (&scrape_rx, &cfg.telemetry) {
             while let Ok(frame) = rx.try_recv() {
-                let mut slice: &[u8] = &frame;
-                let Ok(req) = ScrapeRequest::decode_from(&mut slice) else {
+                let Ok(req) = ScrapeRequest::from_frame(&frame) else {
                     continue; // corrupt request: drop
                 };
                 let snap = scrape_snapshot(&cfg, transport.as_ref(), &shared, tele);

@@ -20,7 +20,7 @@ use melissa::protocol::DataHeader;
 use melissa_sobol::design::PickFreeze;
 use melissa_solver::decomposed::DecomposedSimulation;
 use melissa_solver::{InjectionParams, UseCaseConfig};
-use melissa_transport::codec::{put_str, read_frame, write_frame};
+use melissa_transport::codec::{read_frame, write_frame};
 use melissa_transport::{
     compress_payload, decompress_payload, TcpTransport, TcpTransportConfig, Transport,
     WireCompression,
@@ -191,7 +191,8 @@ impl HostilePeer<'_> {
             .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("timeout");
         let mut hello = BytesMut::new();
-        put_str(&mut hello, self.endpoint);
+        hello.put_u32_le(self.endpoint.len() as u32);
+        hello.put_slice(self.endpoint.as_bytes());
         hello.put_u64_le(self.next_link_id);
         self.next_link_id += 1;
         let (mode, bits) = WireCompression::Transpose.to_wire();

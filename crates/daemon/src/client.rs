@@ -21,11 +21,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::BytesMut;
 use melissa::client::ClientError;
 use melissa::server::checkpoint::unpack_state;
 use melissa::{StudyConfig, StudyResults};
 use melissa_telemetry::{scrape_endpoint_reply, ScrapeFormat, ScrapeReply};
+use melissa_transport::codec::Wire;
 use melissa_transport::directory::names;
 use melissa_transport::{ConnectError, Transport};
 
@@ -96,18 +96,16 @@ impl DaemonClient {
                 .transport
                 .connect_retry(&names::daemon_ctl(), self.timeout)
                 .map_err(connect_failure)?;
-            let mut buf = BytesMut::new();
-            DaemonRequest {
+            let request = DaemonRequest {
                 reply_to: reply_to.clone(),
                 op,
-            }
-            .encode_into(&mut buf);
-            tx.send(buf.freeze()).map_err(|_| ClientError::SendFailed)?;
+            };
+            tx.send(request.to_frame())
+                .map_err(|_| ClientError::SendFailed)?;
             let frame = rx
                 .recv_timeout(reply_timeout)
                 .map_err(|_| ClientError::HandshakeTimeout)?;
-            let mut slice: &[u8] = &frame;
-            DaemonReply::decode_from(&mut slice).map_err(|e| ClientError::BadHandshake {
+            DaemonReply::from_frame(&frame).map_err(|e| ClientError::BadHandshake {
                 detail: format!("daemon reply: {e}"),
             })
         })();

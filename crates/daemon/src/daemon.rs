@@ -41,11 +41,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use bytes::BytesMut;
 use melissa::server::checkpoint::pack_state;
 use melissa::{Study, StudyConfig, StudyRuntime};
 use melissa_scheduler::FairRunner;
 use melissa_telemetry::ScrapeRequest;
+use melissa_transport::codec::Wire;
 use melissa_transport::directory::names;
 use melissa_transport::{BoxReceiver, BoxSender, KillSwitch, Transport};
 use parking_lot::Mutex;
@@ -159,13 +159,11 @@ impl Daemon {
         // Nothing bound means the loop has exited already (a client's
         // `shutdown` RPC got there first).
         if let Ok(tx) = self.transport.connect(&names::daemon_ctl()) {
-            let mut buf = BytesMut::new();
-            DaemonRequest {
+            let request = DaemonRequest {
                 reply_to: String::new(),
                 op: DaemonOp::Shutdown,
-            }
-            .encode_into(&mut buf);
-            let _ = tx.send(buf.freeze());
+            };
+            let _ = tx.send(request.to_frame());
         }
         let _ = ctl.join();
     }
@@ -559,8 +557,7 @@ impl DaemonState {
     }
 
     fn handle_scrape_frame(&mut self, frame: &[u8]) {
-        let mut slice: &[u8] = frame;
-        let Ok(req) = ScrapeRequest::decode_from(&mut slice) else {
+        let Ok(req) = ScrapeRequest::from_frame(frame) else {
             return;
         };
         let reply = self.snapshot().encode_reply(req.format);
@@ -570,14 +567,12 @@ impl DaemonState {
     }
 
     fn send_reply(&self, reply_to: &str, reply: &DaemonReply) {
-        let mut buf = BytesMut::new();
-        reply.encode_into(&mut buf);
         // The client binds its reply endpoint before it sends, so the
         // endpoint is either there or the client is gone (a waiter whose
         // deadline passed): never wait for it on this thread, which
         // serves every tenant.
         if let Ok(tx) = self.transport.connect(reply_to) {
-            let _ = tx.send(buf.freeze());
+            let _ = tx.send(reply.to_frame());
         }
     }
 

@@ -16,6 +16,7 @@
 
 use bytes::{BufMut, BytesMut};
 use melissa_telemetry::ScrapeFormat;
+use melissa_transport::codec::Wire;
 use melissa_transport::Frame;
 
 use crate::admission::AdmissionStats;
@@ -269,17 +270,13 @@ impl DaemonSnapshot {
     /// aggregate has no fixed binary form), so every reply decodes as
     /// [`melissa_telemetry::ScrapeReply::Text`].
     pub fn encode_reply(&self, format: ScrapeFormat) -> Frame {
+        let (format, body) = match format {
+            ScrapeFormat::Binary | ScrapeFormat::Json => (ScrapeFormat::Json, self.to_json()),
+            ScrapeFormat::Prometheus => (ScrapeFormat::Prometheus, self.to_prometheus()),
+        };
         let mut buf = BytesMut::new();
-        match format {
-            ScrapeFormat::Binary | ScrapeFormat::Json => {
-                buf.put_u8(1); // ScrapeFormat::Json on the wire
-                buf.put_slice(self.to_json().as_bytes());
-            }
-            ScrapeFormat::Prometheus => {
-                buf.put_u8(2);
-                buf.put_slice(self.to_prometheus().as_bytes());
-            }
-        }
+        format.put(&mut buf);
+        buf.put_slice(body.as_bytes());
         buf.freeze()
     }
 }
@@ -367,8 +364,7 @@ mod tests {
             ScrapeFormat::Prometheus,
         ] {
             let frame = snap.encode_reply(format);
-            let mut slice: &[u8] = &frame;
-            match ScrapeReply::decode_from(&mut slice).expect("decode") {
+            match ScrapeReply::decode(&frame).expect("decode") {
                 ScrapeReply::Text(t) => assert!(!t.is_empty()),
                 ScrapeReply::Snapshot(_) => panic!("daemon snapshot must render as text"),
             }

@@ -39,6 +39,20 @@ pub struct UseCaseConfig {
     pub prerun_tol: f64,
 }
 
+melissa_transport::wire_struct!(UseCaseConfig {
+    nx,
+    ny,
+    nz,
+    lx,
+    ly,
+    lz,
+    u_inlet,
+    diffusivity,
+    n_timesteps,
+    total_time,
+    prerun_tol,
+});
+
 impl Default for UseCaseConfig {
     fn default() -> Self {
         Self {

@@ -31,14 +31,14 @@ pub mod events;
 pub mod metrics;
 pub mod scrape;
 
-pub use events::{decode_events, encode_events, EventKind, StudyEvent};
+pub use events::{EventKind, StudyEvent};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry, N_BUCKETS,
 };
 pub use scrape::{
     scrape, scrape_endpoint_reply, scrape_in, scrape_reply, scrape_reply_in, scrape_text,
     scrape_text_in, CodecScrape, LinkScrape, ScrapeFormat, ScrapeReply, ScrapeRequest,
-    ScrapeSnapshot,
+    ScrapeSnapshot, SCRAPE_SCHEMA,
 };
 
 use std::collections::VecDeque;

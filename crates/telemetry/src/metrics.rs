@@ -17,8 +17,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::{BufMut, BytesMut};
-use melissa_transport::codec::{get_str, get_u64, put_str, WireResult};
 use parking_lot::RwLock;
 
 /// Number of histogram buckets: one zero bucket plus one per power of
@@ -178,6 +176,8 @@ impl HistogramSnapshot {
     }
 }
 
+melissa_transport::wire_struct!(HistogramSnapshot { sum, buckets });
+
 /// The registry: named counters, gauges and histograms.
 ///
 /// Registration (`counter`/`gauge`/`histogram`) takes a lock; the
@@ -295,62 +295,13 @@ impl MetricsSnapshot {
         }
         self.histograms = merged.into_iter().collect();
     }
-
-    /// Serialises the snapshot with the fixed little-endian codec.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.counters.len() as u32);
-        for (name, v) in &self.counters {
-            put_str(buf, name);
-            buf.put_u64_le(*v);
-        }
-        buf.put_u32_le(self.gauges.len() as u32);
-        for (name, v) in &self.gauges {
-            put_str(buf, name);
-            buf.put_u64_le(*v);
-        }
-        buf.put_u32_le(self.histograms.len() as u32);
-        for (name, h) in &self.histograms {
-            put_str(buf, name);
-            buf.put_u64_le(h.sum);
-            for b in &h.buckets {
-                buf.put_u64_le(*b);
-            }
-        }
-    }
-
-    /// Decodes a snapshot produced by [`encode_into`](Self::encode_into).
-    pub fn decode_from(buf: &mut &[u8]) -> WireResult<Self> {
-        use melissa_transport::codec::get_u32;
-        let n = get_u32(buf, "counter count")?;
-        let mut counters = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let name = get_str(buf, "counter name")?;
-            counters.push((name, get_u64(buf, "counter value")?));
-        }
-        let n = get_u32(buf, "gauge count")?;
-        let mut gauges = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let name = get_str(buf, "gauge name")?;
-            gauges.push((name, get_u64(buf, "gauge value")?));
-        }
-        let n = get_u32(buf, "histogram count")?;
-        let mut histograms = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let name = get_str(buf, "histogram name")?;
-            let sum = get_u64(buf, "histogram sum")?;
-            let mut buckets = Vec::with_capacity(N_BUCKETS);
-            for _ in 0..N_BUCKETS {
-                buckets.push(get_u64(buf, "histogram bucket")?);
-            }
-            histograms.push((name, HistogramSnapshot { buckets, sum }));
-        }
-        Ok(Self {
-            counters,
-            gauges,
-            histograms,
-        })
-    }
 }
+
+melissa_transport::wire_struct!(MetricsSnapshot {
+    counters,
+    gauges,
+    histograms
+});
 
 /// Name-union walk over two sorted `(name, u64)` lists, applying `fold`
 /// to values present on both sides and keeping either side's extras.
@@ -369,6 +320,8 @@ fn merge_by_name<F: Fn(&mut u64, u64)>(a: &mut Vec<(String, u64)>, b: &[(String,
 
 #[cfg(test)]
 mod tests {
+    use melissa_transport::codec::Wire;
+
     use super::*;
 
     #[test]
@@ -419,12 +372,7 @@ mod tests {
         reg.gauge("g").set(9);
         reg.histogram("h").record(100);
         let snap = reg.snapshot();
-        let mut buf = BytesMut::new();
-        snap.encode_into(&mut buf);
-        let mut slice: &[u8] = &buf;
-        let back = MetricsSnapshot::decode_from(&mut slice).unwrap();
-        assert_eq!(back, snap);
-        assert!(slice.is_empty(), "trailing bytes after decode");
+        assert_eq!(MetricsSnapshot::from_frame(&snap.to_frame()), Ok(snap));
     }
 
     #[test]

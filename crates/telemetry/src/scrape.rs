@@ -19,20 +19,18 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::{BufMut, BytesMut};
-use melissa_transport::codec::{
-    get_f64, get_str, get_u32, get_u64, get_u8, put_str, WireError, WireResult,
-};
+use melissa_transport::codec::{Wire, WireError, WireResult};
 use melissa_transport::directory::names;
 use melissa_transport::tcp::WireIoSnapshot;
 use melissa_transport::{Frame, LinkStatsSnapshot, Transport};
 
-use crate::events::{decode_events, encode_events, StudyEvent};
+use crate::events::StudyEvent;
 use crate::metrics::MetricsSnapshot;
 
 /// Snapshot wire format a scraper can ask for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScrapeFormat {
-    /// The fixed little-endian codec ([`ScrapeSnapshot::decode_from`]).
+    /// The fixed little-endian codec ([`ScrapeSnapshot`]'s [`Wire`] layout).
     #[default]
     Binary,
     /// JSON text ([`ScrapeSnapshot::to_json`]).
@@ -41,26 +39,11 @@ pub enum ScrapeFormat {
     Prometheus,
 }
 
-impl ScrapeFormat {
-    fn as_byte(self) -> u8 {
-        match self {
-            ScrapeFormat::Binary => 0,
-            ScrapeFormat::Json => 1,
-            ScrapeFormat::Prometheus => 2,
-        }
-    }
-
-    fn from_byte(b: u8) -> WireResult<Self> {
-        match b {
-            0 => Ok(ScrapeFormat::Binary),
-            1 => Ok(ScrapeFormat::Json),
-            2 => Ok(ScrapeFormat::Prometheus),
-            _ => Err(WireError::Invalid {
-                what: "unknown scrape format",
-            }),
-        }
-    }
-}
+melissa_transport::wire_enum!(ScrapeFormat {
+    0 => Binary,
+    1 => Json,
+    2 => Prometheus,
+});
 
 /// A scraper's request: where to send the reply, and in which format.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,27 +54,7 @@ pub struct ScrapeRequest {
     pub format: ScrapeFormat,
 }
 
-impl ScrapeRequest {
-    /// Serialises the request.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u8(1);
-        put_str(buf, &self.reply_to);
-        buf.put_u8(self.format.as_byte());
-    }
-
-    /// Decodes a request frame.
-    pub fn decode_from(buf: &mut &[u8]) -> WireResult<Self> {
-        let tag = get_u8(buf, "scrape request tag")?;
-        if tag != 1 {
-            return Err(WireError::Invalid {
-                what: "not a scrape request",
-            });
-        }
-        let reply_to = get_str(buf, "scrape reply endpoint")?;
-        let format = ScrapeFormat::from_byte(get_u8(buf, "scrape format")?)?;
-        Ok(Self { reply_to, format })
-    }
-}
+melissa_transport::wire_struct!(ScrapeRequest { reply_to, format });
 
 /// One data link's counters inside a snapshot (endpoint-keyed rollup of
 /// [`LinkStatsSnapshot`]).
@@ -128,6 +91,15 @@ impl LinkScrape {
     }
 }
 
+melissa_transport::wire_struct!(LinkScrape {
+    endpoint,
+    messages,
+    bytes,
+    wire_bytes,
+    blocked_sends,
+    blocked_nanos,
+});
+
 /// What the wire codec cost and saved on the serving node's links so far
 /// (all zero unless TCP links negotiated compression).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -156,6 +128,20 @@ impl CodecScrape {
         }
     }
 }
+
+melissa_transport::wire_struct!(CodecScrape {
+    encode_nanos,
+    decode_nanos,
+    bytes_in,
+    bytes_out,
+    raw_frames,
+});
+
+/// The version of [`ScrapeSnapshot`]'s binary layout, written ahead of
+/// it: change it with the layout (and the golden bytes its test pins), so
+/// a scraper built from another layout gets [`WireError::Schema`] rather
+/// than misread numbers.
+pub const SCRAPE_SCHEMA: u32 = 1;
 
 /// A point-in-time view of one shard's study progress, transport load,
 /// metrics registry and recent events.
@@ -189,94 +175,30 @@ pub struct ScrapeSnapshot {
     pub events: Vec<StudyEvent>,
 }
 
+melissa_transport::wire_struct!(
+    #[schema(SCRAPE_SCHEMA)]
+    ScrapeSnapshot {
+        shard,
+        backend,
+        uptime_nanos,
+        groups_finished,
+        groups_running,
+        max_ci_width,
+        max_quantile_step,
+        routing_epoch,
+        reconnects,
+        wire_codec,
+        links,
+        metrics,
+        events,
+    }
+);
+
 impl ScrapeSnapshot {
-    /// Serialises the snapshot with the fixed codec.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.shard);
-        put_str(buf, &self.backend);
-        buf.put_u64_le(self.uptime_nanos);
-        buf.put_u64_le(self.groups_finished);
-        buf.put_u64_le(self.groups_running);
-        buf.put_f64_le(self.max_ci_width);
-        buf.put_f64_le(self.max_quantile_step);
-        buf.put_u64_le(self.routing_epoch);
-        buf.put_u64_le(self.reconnects);
-        let codec = &self.wire_codec;
-        for v in [
-            codec.encode_nanos,
-            codec.decode_nanos,
-            codec.bytes_in,
-            codec.bytes_out,
-            codec.raw_frames,
-        ] {
-            buf.put_u64_le(v);
-        }
-        buf.put_u32_le(self.links.len() as u32);
-        for l in &self.links {
-            put_str(buf, &l.endpoint);
-            buf.put_u64_le(l.messages);
-            buf.put_u64_le(l.bytes);
-            buf.put_u64_le(l.wire_bytes);
-            buf.put_u64_le(l.blocked_sends);
-            buf.put_u64_le(l.blocked_nanos);
-        }
-        self.metrics.encode_into(buf);
-        encode_events(&self.events, buf);
-    }
-
-    /// Decodes a snapshot produced by [`encode_into`](Self::encode_into).
-    pub fn decode_from(buf: &mut &[u8]) -> WireResult<Self> {
-        let shard = get_u32(buf, "snapshot shard")?;
-        let backend = get_str(buf, "snapshot backend")?;
-        let uptime_nanos = get_u64(buf, "snapshot uptime")?;
-        let groups_finished = get_u64(buf, "groups finished")?;
-        let groups_running = get_u64(buf, "groups running")?;
-        let max_ci_width = get_f64(buf, "max ci width")?;
-        let max_quantile_step = get_f64(buf, "max quantile step")?;
-        let routing_epoch = get_u64(buf, "routing epoch")?;
-        let reconnects = get_u64(buf, "reconnects")?;
-        let wire_codec = CodecScrape {
-            encode_nanos: get_u64(buf, "codec encode nanos")?,
-            decode_nanos: get_u64(buf, "codec decode nanos")?,
-            bytes_in: get_u64(buf, "codec bytes in")?,
-            bytes_out: get_u64(buf, "codec bytes out")?,
-            raw_frames: get_u64(buf, "codec raw frames")?,
-        };
-        let n_links = get_u32(buf, "link count")?;
-        let mut links = Vec::with_capacity(n_links as usize);
-        for _ in 0..n_links {
-            links.push(LinkScrape {
-                endpoint: get_str(buf, "link endpoint")?,
-                messages: get_u64(buf, "link messages")?,
-                bytes: get_u64(buf, "link bytes")?,
-                wire_bytes: get_u64(buf, "link wire bytes")?,
-                blocked_sends: get_u64(buf, "link blocked sends")?,
-                blocked_nanos: get_u64(buf, "link blocked nanos")?,
-            });
-        }
-        let metrics = MetricsSnapshot::decode_from(buf)?;
-        let events = decode_events(buf)?;
-        Ok(Self {
-            shard,
-            backend,
-            uptime_nanos,
-            groups_finished,
-            groups_running,
-            max_ci_width,
-            max_quantile_step,
-            routing_epoch,
-            reconnects,
-            wire_codec,
-            links,
-            metrics,
-            events,
-        })
-    }
-
-    /// Renders the snapshot as a JSON object (hand-rolled: no serde in
-    /// this reproduction).  Non-finite floats render as `null`.
+    /// Renders the snapshot as a JSON object (written out by hand: no
+    /// serde in this reproduction).  Non-finite floats render as `null`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
+        let mut out = String::new();
         out.push('{');
         push_kv_u64(&mut out, "shard", self.shard as u64);
         push_kv_str(&mut out, "backend", &self.backend);
@@ -363,7 +285,7 @@ impl ScrapeSnapshot {
     /// histogram buckets).
     pub fn to_prometheus(&self) -> String {
         let shard = self.shard;
-        let mut out = String::with_capacity(2048);
+        let mut out = String::new();
         let gauge = |out: &mut String, name: &str, value: String| {
             out.push_str(&format!("# TYPE {name} gauge\n"));
             out.push_str(&format!("{name}{{shard=\"{shard}\"}} {value}\n"));
@@ -500,9 +422,9 @@ impl ScrapeSnapshot {
     /// (one format byte, then the body).
     pub fn encode_reply(&self, format: ScrapeFormat) -> Frame {
         let mut buf = BytesMut::new();
-        buf.put_u8(format.as_byte());
+        format.put(&mut buf);
         match format {
-            ScrapeFormat::Binary => self.encode_into(&mut buf),
+            ScrapeFormat::Binary => self.put(&mut buf),
             ScrapeFormat::Json => buf.put_slice(self.to_json().as_bytes()),
             ScrapeFormat::Prometheus => buf.put_slice(self.to_prometheus().as_bytes()),
         }
@@ -521,26 +443,23 @@ pub enum ScrapeReply {
 }
 
 impl ScrapeReply {
-    /// Decodes a reply frame produced by [`ScrapeSnapshot::encode_reply`].
-    pub fn decode_from(buf: &mut &[u8]) -> WireResult<Self> {
-        let format = ScrapeFormat::from_byte(get_u8(buf, "scrape reply format")?)?;
-        match format {
-            ScrapeFormat::Binary => Ok(ScrapeReply::Snapshot(Box::new(
-                ScrapeSnapshot::decode_from(buf)?,
-            ))),
-            ScrapeFormat::Json | ScrapeFormat::Prometheus => {
-                let text = String::from_utf8(buf.to_vec()).map_err(|_| WireError::Invalid {
+    /// Decodes a reply frame produced by [`ScrapeSnapshot::encode_reply`]:
+    /// one format byte, then a whole snapshot or the text.
+    pub fn decode(mut frame: &[u8]) -> WireResult<Self> {
+        match ScrapeFormat::get(&mut frame)? {
+            ScrapeFormat::Binary => ScrapeSnapshot::from_frame(frame)
+                .map(|snapshot| ScrapeReply::Snapshot(Box::new(snapshot))),
+            ScrapeFormat::Json | ScrapeFormat::Prometheus => String::from_utf8(frame.to_vec())
+                .map(ScrapeReply::Text)
+                .map_err(|_| WireError::Invalid {
                     what: "scrape reply text",
-                })?;
-                *buf = &buf[buf.len()..];
-                Ok(ScrapeReply::Text(text))
-            }
+                }),
         }
     }
 }
 
 fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+    let mut out = String::new();
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -629,19 +548,16 @@ pub fn scrape_endpoint_reply(
         let tx = transport
             .connect_retry(endpoint, timeout)
             .map_err(|e| format!("telemetry endpoint '{endpoint}': {e}"))?;
-        let mut buf = BytesMut::new();
-        ScrapeRequest {
+        let request = ScrapeRequest {
             reply_to: reply_to.clone(),
             format,
-        }
-        .encode_into(&mut buf);
-        tx.send(buf.freeze())
+        };
+        tx.send(request.to_frame())
             .map_err(|e| format!("scrape request to '{endpoint}': {e}"))?;
         let frame = rx
             .recv_timeout(timeout)
             .map_err(|e| format!("scrape reply from '{endpoint}': {e:?}"))?;
-        let mut slice: &[u8] = &frame;
-        ScrapeReply::decode_from(&mut slice).map_err(|e| format!("scrape reply decode: {e}"))
+        ScrapeReply::decode(&frame).map_err(|e| format!("scrape reply decode: {e}"))
     })();
     transport.unbind(&reply_to);
     result
@@ -773,20 +689,62 @@ mod tests {
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The binary layout of [`sample`], schema word first.  A layout
+    /// change edits these bytes and [`SCRAPE_SCHEMA`] together.
+    const GOLDEN: &str = concat!(
+        "01000000010000000a000000696e2d70726f6365737315cd5b070000000004000000000000000200",
+        "000000000000000000000000d03f000000000000f87f03000000000000000200000000000000002f",
+        "68590000000090d00300000000000020000000000000701700000000000003000000000000000100",
+        "0000000000000f0000007368617264312f7365727665722f300a0000000000000000100000000000",
+        "0000080000000000000100000000000000e70300000000000001000000000000000a000000726563",
+        "6f6e6e65637473020000000000000001000000000000001200000072756e6e65725f71756575655f",
+        "64657074680500000000000000010000000000000012000000696e676573745f73776565705f6e61",
+        "6e6f7303040000000000004100000000000000010000000000000000000000000000000100000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000001000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000010000000000000000000000000000002a00000000",
+        "00000001000000101200000071756f7465202220616e64205c206261636b",
+    );
+
     #[test]
     fn binary_snapshot_round_trips() {
         let snap = sample();
-        let mut buf = BytesMut::new();
-        snap.encode_into(&mut buf);
-        let mut slice: &[u8] = &buf;
-        let back = ScrapeSnapshot::decode_from(&mut slice).unwrap();
-        assert_eq!(back.shard, snap.shard);
+        let frame = snap.to_frame();
+        assert_eq!(hex(&frame), GOLDEN, "the scrape layout moved");
+        let back = ScrapeSnapshot::from_frame(&frame).unwrap();
+        assert_eq!(back.to_frame(), frame);
         assert_eq!(back.links, snap.links);
-        assert_eq!(back.wire_codec, snap.wire_codec);
         assert_eq!(back.metrics, snap.metrics);
         assert_eq!(back.events, snap.events);
         assert!(back.max_quantile_step.is_nan());
-        assert!(slice.is_empty());
+        // Bytes of another layout are refused by version, not misread.
+        let mut other = frame.to_vec();
+        other[..4].copy_from_slice(&(SCRAPE_SCHEMA + 1).to_le_bytes());
+        let refused = ScrapeSnapshot::from_frame(&other).unwrap_err();
+        assert_eq!(
+            refused,
+            WireError::Schema {
+                what: "ScrapeSnapshot",
+                found: SCRAPE_SCHEMA + 1,
+                expected: SCRAPE_SCHEMA,
+            }
+        );
+        other.insert(0, 0); // ScrapeFormat::Binary
+        assert_eq!(ScrapeReply::decode(&other), Err(refused));
     }
 
     #[test]
@@ -798,8 +756,7 @@ mod tests {
             ScrapeFormat::Prometheus,
         ] {
             let frame = snap.encode_reply(format);
-            let mut slice: &[u8] = &frame;
-            let reply = ScrapeReply::decode_from(&mut slice).unwrap();
+            let reply = ScrapeReply::decode(&frame).unwrap();
             match (format, reply) {
                 (ScrapeFormat::Binary, ScrapeReply::Snapshot(s)) => assert_eq!(s.shard, 1),
                 (_, ScrapeReply::Text(t)) => assert!(!t.is_empty()),
@@ -893,8 +850,7 @@ mod tests {
         let t2 = Arc::clone(&transport);
         let serve = std::thread::spawn(move || {
             let frame = server_rx.recv().expect("request");
-            let mut slice: &[u8] = &frame;
-            let req = ScrapeRequest::decode_from(&mut slice).expect("decode request");
+            let req = ScrapeRequest::from_frame(&frame).expect("decode request");
             let tx = t2.connect(&req.reply_to).expect("reply connect");
             tx.send(snap.encode_reply(req.format)).expect("reply send");
         });

@@ -478,6 +478,12 @@ pub enum TransportKind {
     },
 }
 
+crate::wire_enum!(TransportKind {
+    0 => InProcess,
+    1 => Tcp,
+    2 => TcpNode { host, port, advertise, directory },
+});
+
 impl TransportKind {
     /// A multi-node TCP node with loopback defaults: ephemeral listener
     /// on `127.0.0.1`, directory from the environment unless given.

@@ -1,12 +1,46 @@
-//! Length-checked binary codec over [`bytes`].
+//! The fixed little-endian binary layout of Melissa's wire messages and
+//! checkpoint files (no serde format crate is whitelisted for this
+//! reproduction, and a fixed layout is the HPC-realistic choice): the
+//! length-checked `get_*` helpers the checkpoint and the `Data` frame read
+//! through, and the one [`Wire`] trait every control-plane message is
+//! declared with.
 //!
-//! Melissa's wire format and checkpoint files use a fixed little-endian
-//! binary layout (no serde format crate is whitelisted for this
-//! reproduction, and a fixed layout is the HPC-realistic choice).  These
-//! helpers wrap [`bytes::Buf`]/[`bytes::BufMut`] with explicit truncation
-//! errors instead of panics.
+//! A [`Wire`] type [`put`](Wire::put)s itself into a [`BytesMut`] and
+//! [`get`](Wire::get)s itself back off the front of a byte slice.  A
+//! message is declared once, as its field list —
+//! [`wire_struct!`](crate::wire_struct), or
+//! [`wire_enum!`](crate::wire_enum) with the tag bytes written out — and
+//! both directions follow from the layout rule of each field's type:
+//!
+//! | type | layout |
+//! |---|---|
+//! | `u8`, `u16`, `u32`, `u64`, `i64`, `f64` | little-endian word (every `f64` bit pattern, NaN payloads and `-0.0` included) |
+//! | `usize` | as `u64`; a value that does not fit is an error on decode |
+//! | `bool` | a `u8` that must be 0 or 1 |
+//! | `String` | `u32` byte length, then UTF-8 |
+//! | `PathBuf` | through `String` |
+//! | `Duration` | `u64` nanoseconds |
+//! | `Option<T>` | a `u8` flag that must be 0 or 1, then `T` if 1 |
+//! | `(A, B)`, `(A, B, C)`, `Box<T>` | field by field |
+//! | [`WireCompression`] | its handshake pair ([`WireCompression::to_wire`]) |
+//! | `Vec<T>` | `u64` count, then the elements; `u8`, `u64` and `f64` elements as one bulk copy |
+//! | `wire_struct!` | its fields in declaration order, after an optional `u32` schema |
+//! | `wire_enum!` | one tag byte, then the variant's fields |
+//!
+//! **No count sizes an allocation.**  A `Vec<T>` count is checked against
+//! the bytes left — at least [`Wire::MIN_LEN`] (or 1) per element
+//! ([`get_count`]) — before anything is allocated, so a frame can only
+//! make its decoder allocate in proportion to its own length.
+//! [`Wire::from_frame`] decodes a whole frame, trailing bytes refused;
+//! every failure is a [`WireError`] naming the field that broke.
+
+use std::path::PathBuf;
+use std::time::Duration;
 
 use bytes::{Buf, BufMut};
+pub use bytes::{Bytes, BytesMut};
+
+use crate::compress::WireCompression;
 
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,13 +55,32 @@ pub enum WireError {
         /// Human-readable description.
         what: &'static str,
     },
+    /// A versioned layout written by another build.
+    Schema {
+        /// The versioned type.
+        what: &'static str,
+        /// The schema version the bytes carry.
+        found: u32,
+        /// The schema version this build reads.
+        expected: u32,
+    },
 }
 
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let name = |what: &'static str| if what.is_empty() { "a value" } else { what };
         match self {
-            WireError::Truncated { what } => write!(f, "truncated wire data while reading {what}"),
-            WireError::Invalid { what } => write!(f, "invalid wire data: {what}"),
+            WireError::Truncated { what } => {
+                write!(f, "truncated wire data while reading {}", name(what))
+            }
+            WireError::Invalid { what } => write!(f, "invalid wire data: {}", name(what)),
+            WireError::Schema {
+                what,
+                found,
+                expected,
+            } => {
+                write!(f, "{what} schema {found}, but this build reads {expected}")
+            }
         }
     }
 }
@@ -99,9 +152,8 @@ fn put_words<B: BufMut, T: LeWord>(buf: &mut B, values: &[T], map: impl Fn(T) ->
 }
 
 /// Copies `values` into `dst` as little-endian words — the fixed-offset
-/// form of [`put_f64_slice`] / [`put_u64_slice`]'s payload, for writers
-/// that fill a pre-sized buffer.  Compiles to a plain copy on
-/// little-endian hosts.
+/// form of a `Vec<f64>`'s or `Vec<u64>`'s payload, for writers that fill
+/// a pre-sized buffer.  Compiles to a plain copy on little-endian hosts.
 ///
 /// # Panics
 /// Panics unless `dst.len() == 8 * values.len()`.
@@ -144,46 +196,13 @@ pub fn words_from_le<T: LeWord>(src: &[u8]) -> Vec<T> {
     words.iter().map(|w| T::from_le(*w)).collect()
 }
 
-/// Writes a `u64`-length-prefixed `f64` slice.
-pub fn put_f64_slice<B: BufMut>(buf: &mut B, values: &[f64]) {
-    put_f64_slice_map(buf, values, |v| v);
-}
-
 /// Writes `map` of each of `values` as a `u64`-length-prefixed `f64`
-/// slice, in the one pass that encodes them — for a writer that rounds
-/// or scales on the way out without a scratch copy of the field.
+/// slice — the `Vec<f64>` layout — in the one pass that encodes them,
+/// for a writer that rounds or scales on the way out without a scratch
+/// copy of the field.
 pub fn put_f64_slice_map<B: BufMut>(buf: &mut B, values: &[f64], map: impl Fn(f64) -> f64) {
     buf.put_u64_le(values.len() as u64);
     put_words(buf, values, map);
-}
-
-/// Reads a `u64`-length-prefixed `f64` vector with a sanity cap.
-///
-/// Copy-lean: when the remaining payload is one contiguous chunk (always
-/// true for `Bytes` frames and byte slices), the values are decoded with
-/// one bulk `from_le_bytes` sweep over the chunk — which optimises to a
-/// straight memcpy on little-endian hosts — instead of `len` cursor
-/// round-trips.  True *zero*-copy (borrowing the frame) is not possible
-/// here: the result must own its storage as `Vec<f64>`, and the payload
-/// sits at an arbitrary byte offset inside the frame, so its 8-byte
-/// alignment is never guaranteed.  One aligned bulk copy is the floor.
-pub fn get_f64_vec<B: Buf>(buf: &mut B, what: &'static str) -> WireResult<Vec<f64>> {
-    let len = get_u64(buf, what)? as usize;
-    if buf.remaining() < len.saturating_mul(8) {
-        return Err(WireError::Truncated { what });
-    }
-    let chunk = buf.chunk();
-    if chunk.len() >= len * 8 {
-        let out = words_from_le(&chunk[..len * 8]);
-        buf.advance(len * 8);
-        return Ok(out);
-    }
-    // Fragmented buffer: fall back to the per-element cursor path.
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(buf.get_f64_le());
-    }
-    Ok(out)
 }
 
 /// Reads a `u64` count of records of at least `record_bytes` each and
@@ -215,30 +234,19 @@ pub fn get_words<'a>(
         return Err(WireError::Invalid { what });
     }
     match expect.checked_mul(8).and_then(|n| n.checked_mul(arrays)) {
-        Some(n_bytes) if n_bytes <= buf.len() => {
-            let (words, rest) = buf.split_at(n_bytes);
-            *buf = rest;
-            Ok(words)
-        }
-        _ => Err(WireError::Truncated { what }),
+        Some(n_bytes) => take(buf, n_bytes).map_err(|_| WireError::Truncated { what }),
+        None => Err(WireError::Truncated { what }),
     }
 }
 
-/// Writes a `u32`-length-prefixed UTF-8 string.
-pub fn put_str<B: BufMut>(buf: &mut B, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-/// Reads a `u32`-length-prefixed UTF-8 string.
-pub fn get_str<B: Buf>(buf: &mut B, what: &'static str) -> WireResult<String> {
-    let len = get_u32(buf, what)? as usize;
-    if buf.remaining() < len {
-        return Err(WireError::Truncated { what });
+/// Splits the next `n` bytes off `buf`.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> WireResult<&'a [u8]> {
+    if n > buf.len() {
+        return Err(WireError::Truncated { what: "" });
     }
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| WireError::Invalid { what })
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
 }
 
 /// Writes one `u32`-length-prefixed frame to a byte stream (the wire
@@ -271,29 +279,334 @@ pub fn read_frame<R: std::io::Read>(r: &mut R, cap: usize) -> std::io::Result<Op
     Ok(Some(payload))
 }
 
-/// Writes a `u64`-length-prefixed `u64` slice.
-pub fn put_u64_slice<B: BufMut>(buf: &mut B, values: &[u64]) {
-    buf.put_u64_le(values.len() as u64);
-    put_words(buf, values, |v| v);
+/// A value with a fixed binary layout (see the [module docs](self) for
+/// the rule of each type).
+pub trait Wire: Sized {
+    /// The fewest bytes any value encodes to: what bounds a decoded
+    /// `Vec<Self>` count before it sizes anything.
+    const MIN_LEN: usize;
+
+    /// Appends the value.
+    fn put(&self, buf: &mut BytesMut);
+
+    /// Reads one value off the front of `buf`.
+    fn get(buf: &mut &[u8]) -> WireResult<Self>;
+
+    /// Appends the elements of a sequence (its count is already written);
+    /// one by one unless the type has a bulk form.
+    fn put_seq(items: &[Self], buf: &mut BytesMut) {
+        for item in items {
+            item.put(buf);
+        }
+    }
+
+    /// Reads `n` elements of a sequence whose count [`get_count`] has
+    /// already bounded by the bytes left.
+    fn get_seq(buf: &mut &[u8], n: usize) -> WireResult<Vec<Self>> {
+        (0..n).map(|_| Self::get(buf)).collect()
+    }
+
+    /// The value as one frame.
+    fn to_frame(&self) -> Bytes {
+        let mut buf = BytesMut::new();
+        self.put(&mut buf);
+        buf.freeze()
+    }
+
+    /// Decodes a whole frame: exactly one value, nothing trailing.
+    fn from_frame(mut frame: &[u8]) -> WireResult<Self> {
+        let value = Self::get(&mut frame)?;
+        if !frame.is_empty() {
+            return Err(WireError::Invalid {
+                what: "trailing bytes",
+            });
+        }
+        Ok(value)
+    }
 }
 
-/// Reads a `u64`-length-prefixed `u64` vector.
-pub fn get_u64_vec<B: Buf>(buf: &mut B, what: &'static str) -> WireResult<Vec<u64>> {
-    let len = get_u64(buf, what)? as usize;
-    if buf.remaining() < len.saturating_mul(8) {
-        return Err(WireError::Truncated { what });
+/// Reads one field of a declared message, naming it in an error no field
+/// nested deeper has named.
+#[doc(hidden)]
+pub fn get_field<T: Wire>(buf: &mut &[u8], field: &'static str) -> WireResult<T> {
+    T::get(buf).map_err(|e| match e {
+        WireError::Truncated { what: "" } => WireError::Truncated { what: field },
+        WireError::Invalid { what: "" } => WireError::Invalid { what: field },
+        named => named,
+    })
+}
+
+/// [`Wire::MIN_LEN`] of the field `field` projects, for the declaration
+/// macros, which know a field's name but not its type.
+#[doc(hidden)]
+pub const fn min_len_of<S, F: Wire>(_field: fn(&S) -> &F) -> usize {
+    F::MIN_LEN
+}
+
+macro_rules! wire_int {
+    ($($ty:ty => $put:ident, $get:ident;)*) => {$(
+        impl Wire for $ty {
+            const MIN_LEN: usize = size_of::<$ty>();
+
+            fn put(&self, buf: &mut BytesMut) {
+                buf.$put(*self);
+            }
+
+            fn get(buf: &mut &[u8]) -> WireResult<Self> {
+                $get(buf, "")
+            }
+        }
+    )*};
+}
+
+wire_int! {
+    u16 => put_u16_le, get_u16;
+    u32 => put_u32_le, get_u32;
+}
+
+impl Wire for u8 {
+    const MIN_LEN: usize = 1;
+
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(*self);
     }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(buf.get_u64_le());
+
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        get_u8(buf, "")
     }
-    Ok(out)
+
+    fn put_seq(items: &[Self], buf: &mut BytesMut) {
+        buf.put_slice(items);
+    }
+
+    fn get_seq(buf: &mut &[u8], n: usize) -> WireResult<Vec<Self>> {
+        take(buf, n).map(<[u8]>::to_vec)
+    }
+}
+
+macro_rules! wire_word {
+    ($($ty:ty => $get:ident),*) => {$(
+        impl Wire for $ty {
+            const MIN_LEN: usize = 8;
+
+            fn put(&self, buf: &mut BytesMut) {
+                buf.put_slice(&LeWord::to_le(*self));
+            }
+
+            fn get(buf: &mut &[u8]) -> WireResult<Self> {
+                $get(buf, "")
+            }
+
+            fn put_seq(items: &[Self], buf: &mut BytesMut) {
+                put_words(buf, items, |v| v);
+            }
+
+            fn get_seq(buf: &mut &[u8], n: usize) -> WireResult<Vec<Self>> {
+                let bytes = n.checked_mul(8).ok_or(WireError::Truncated { what: "" })?;
+                take(buf, bytes).map(words_from_le)
+            }
+        }
+    )*};
+}
+
+wire_word!(u64 => get_u64, f64 => get_f64);
+
+impl Wire for String {
+    const MIN_LEN: usize = 4;
+
+    fn put(&self, buf: &mut BytesMut) {
+        (self.len() as u32).put(buf);
+        buf.put_slice(self.as_bytes());
+    }
+
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        let len = u32::get(buf)? as usize;
+        String::from_utf8(take(buf, len)?.to_vec()).map_err(|_| WireError::Invalid { what: "" })
+    }
+}
+
+/// Types laid out as another [`Wire`] type: `to` maps a value onto it,
+/// `from` maps it back or refuses it.
+macro_rules! wire_via {
+    ($($ty:ty as $via:ty: $to:expr, $from:expr;)*) => {$(
+        impl Wire for $ty {
+            const MIN_LEN: usize = <$via>::MIN_LEN;
+
+            fn put(&self, buf: &mut BytesMut) {
+                let to: fn(&$ty) -> $via = $to;
+                to(self).put(buf);
+            }
+
+            fn get(buf: &mut &[u8]) -> WireResult<Self> {
+                let from: fn($via) -> Option<$ty> = $from;
+                from(<$via>::get(buf)?).ok_or(WireError::Invalid { what: "" })
+            }
+        }
+    )*};
+}
+
+wire_via! {
+    i64 as u64: |v| *v as u64, |w| Some(w as i64);
+    usize as u64: |v| *v as u64, |w| usize::try_from(w).ok();
+    bool as u8: |v| *v as u8, |b| (b <= 1).then_some(b == 1);
+    Duration as u64: |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX),
+        |n| Some(Duration::from_nanos(n));
+    PathBuf as String: |p| p.to_string_lossy().into_owned(), |s| Some(PathBuf::from(s));
+    WireCompression as (u8, u8): |c| c.to_wire(),
+        |(mode, bits)| Some(WireCompression::from_wire(mode, bits));
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+
+    fn put(&self, buf: &mut BytesMut) {
+        self.is_some().put(buf);
+        if let Some(v) = self {
+            v.put(buf);
+        }
+    }
+
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        match bool::get(buf)? {
+            true => T::get(buf).map(Some),
+            false => Ok(None),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    const MIN_LEN: usize = T::MIN_LEN;
+
+    fn put(&self, buf: &mut BytesMut) {
+        (**self).put(buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        T::get(buf).map(Box::new)
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($t:ident $i:tt),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN_LEN: usize = 0 $(+ $t::MIN_LEN)+;
+
+            fn put(&self, buf: &mut BytesMut) {
+                $(self.$i.put(buf);)+
+            }
+
+            fn get(buf: &mut &[u8]) -> WireResult<Self> {
+                Ok(($($t::get(buf)?,)+))
+            }
+        }
+    };
+}
+
+wire_tuple!(A 0, B 1);
+wire_tuple!(A 0, B 1, C 2);
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 8;
+
+    fn put(&self, buf: &mut BytesMut) {
+        self.len().put(buf);
+        T::put_seq(self, buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        let n = get_count(buf, T::MIN_LEN.max(1), "")?;
+        T::get_seq(buf, n)
+    }
+}
+
+/// Declares a struct's [`Wire`] layout as its field list:
+/// `wire_struct!(Hello { name, link_id, compression })` writes the fields
+/// in that order and reads them back into the struct, naming the field in
+/// any error.  Every field must be listed (the struct literal of the
+/// decoder does not compile otherwise).  An optional leading
+/// `#[schema(VERSION)]` writes the `u32` `VERSION` first and refuses bytes
+/// that carry another one with [`WireError::Schema`].
+#[macro_export]
+macro_rules! wire_struct {
+    ($(#[schema($schema:expr)])? $ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::codec::Wire for $ty {
+            const MIN_LEN: usize = 0
+                $(+ { let _: u32 = $schema; 4 })?
+                $(+ $crate::codec::min_len_of(|s: &$ty| &s.$field))*;
+
+            fn put(&self, buf: &mut $crate::codec::BytesMut) {
+                $($crate::codec::Wire::put(&($schema as u32), buf);)?
+                $($crate::codec::Wire::put(&self.$field, buf);)*
+            }
+
+            fn get(buf: &mut &[u8]) -> $crate::codec::WireResult<Self> {
+                $(
+                    let found: u32 = $crate::codec::get_field(buf, stringify!($ty))?;
+                    if found != $schema {
+                        return Err($crate::codec::WireError::Schema {
+                            what: stringify!($ty),
+                            found,
+                            expected: $schema,
+                        });
+                    }
+                )?
+                Ok($ty {
+                    $($field: $crate::codec::get_field(buf, stringify!($field))?),*
+                })
+            }
+        }
+    };
+}
+
+/// Declares an enum's [`Wire`] layout as one tag byte per variant and the
+/// variant's field list:
+/// `wire_enum!(Reply { 1 => Found { addr }, 2 => NotFound })`.  An unknown
+/// tag is [`WireError::Invalid`].  A trailing `else (put, get)` hands the
+/// variants the list leaves out to two functions of the caller's: `put`
+/// gets the value, `get` the bytes from the tag on.
+#[macro_export]
+macro_rules! wire_enum {
+    (@other $ty:ident, $buf:ident, $frame:ident) => {
+        return Err($crate::codec::WireError::Invalid {
+            what: concat!("unknown ", stringify!($ty), " tag"),
+        })
+    };
+    (@other $ty:ident, $buf:ident, $frame:ident, $get_other:path) => {{
+        *$buf = $frame;
+        return $get_other($buf);
+    }};
+    ($ty:ident {
+        $($tag:literal => $var:ident $({ $($field:ident),* $(,)? })?),* $(,)?
+    } $(else ($put_other:path, $get_other:path))?) => {
+        impl $crate::codec::Wire for $ty {
+            const MIN_LEN: usize = 1;
+
+            fn put(&self, buf: &mut $crate::codec::BytesMut) {
+                match self {
+                    $($ty::$var $({ $($field),* })? => {
+                        $crate::codec::Wire::put(&($tag as u8), buf);
+                        $($($crate::codec::Wire::put($field, buf);)*)?
+                    })*
+                    $(other => $put_other(other, buf),)?
+                }
+            }
+
+            fn get(buf: &mut &[u8]) -> $crate::codec::WireResult<Self> {
+                let _frame = *buf;
+                Ok(match $crate::codec::get_field::<u8>(buf, stringify!($ty))? {
+                    $($tag => $ty::$var $({
+                        $($field: $crate::codec::get_field(buf, stringify!($field))?),*
+                    })?,)*
+                    _ => $crate::wire_enum!(@other $ty, buf, _frame $(, $get_other)?),
+                })
+            }
+        }
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     #[test]
     fn primitives_roundtrip() {
@@ -323,10 +636,7 @@ mod tests {
     #[test]
     fn f64_slice_roundtrips() {
         let values = vec![1.0, -2.0, f64::MIN_POSITIVE, 1e300];
-        let mut buf = BytesMut::new();
-        put_f64_slice(&mut buf, &values);
-        let mut b = buf.freeze();
-        assert_eq!(get_f64_vec(&mut b, "v").unwrap(), values);
+        assert_eq!(Vec::<f64>::from_frame(&values.to_frame()).unwrap(), values);
     }
 
     #[test]
@@ -334,19 +644,17 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u64_le(1000);
         buf.put_f64_le(1.0);
-        let mut b = buf.freeze();
         assert!(matches!(
-            get_f64_vec(&mut b, "v"),
+            Vec::<f64>::from_frame(&buf),
             Err(WireError::Truncated { .. })
         ));
     }
 
     #[test]
     fn strings_roundtrip() {
-        let mut buf = BytesMut::new();
-        put_str(&mut buf, "server/éç/0");
-        let mut b = buf.freeze();
-        assert_eq!(get_str(&mut b, "s").unwrap(), "server/éç/0");
+        let s = String::from("server/éç/0");
+        assert_eq!(&s.to_frame()[..4], &13u32.to_le_bytes());
+        assert_eq!(String::from_frame(&s.to_frame()), Ok(s));
     }
 
     #[test]
@@ -354,9 +662,8 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u32_le(2);
         buf.put_slice(&[0xff, 0xfe]);
-        let mut b = buf.freeze();
         assert!(matches!(
-            get_str(&mut b, "s"),
+            String::from_frame(&buf),
             Err(WireError::Invalid { .. })
         ));
     }
@@ -405,32 +712,26 @@ mod tests {
                 want_f.put_f64_le(*f);
                 want_u.put_u64_le(*u);
             }
-            let (mut got_f, mut got_u) = (BytesMut::new(), BytesMut::new());
-            put_f64_slice(&mut got_f, &floats);
-            put_u64_slice(&mut got_u, &words);
-            assert_eq!(got_f, want_f, "f64 × {len}");
-            assert_eq!(got_u, want_u, "u64 × {len}");
-            let (mut frag_f, mut frag_u) = (Fragmented::default(), Fragmented::default());
-            put_f64_slice(&mut frag_f, &floats);
-            put_u64_slice(&mut frag_u, &words);
+            assert_eq!(&floats.to_frame()[..], &want_f[..], "f64 × {len}");
+            assert_eq!(&words.to_frame()[..], &want_u[..], "u64 × {len}");
+            let mut frag_f = Fragmented::default();
+            put_f64_slice_map(&mut frag_f, &floats, |v| v);
             assert_eq!(frag_f.0.concat(), &want_f[..], "fragmented f64 × {len}");
-            assert_eq!(frag_u.0.concat(), &want_u[..], "fragmented u64 × {len}");
             // The fixed-offset forms and their decoders agree bit for bit.
             let mut fixed = vec![0u8; len * 8];
             copy_words_to_le(&mut fixed, &floats);
             assert_eq!(fixed, &want_f[8..]);
-            let back = words_from_le::<f64>(&fixed);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            let back = Vec::<f64>::from_frame(&want_f).unwrap();
             assert_eq!(bits(&back), bits(&floats));
             let mut in_place = vec![0.0f64; len];
             copy_words_from_le(&mut in_place, &fixed);
             assert_eq!(bits(&in_place), bits(&floats));
             // The mapping writer is the plain one applied to mapped values.
             let halved: Vec<f64> = floats.iter().map(|v| v * 0.5).collect();
-            let (mut mapped, mut plain) = (BytesMut::new(), BytesMut::new());
+            let mut mapped = BytesMut::new();
             put_f64_slice_map(&mut mapped, &floats, |v| v * 0.5);
-            put_f64_slice(&mut plain, &halved);
-            assert_eq!(mapped, plain, "mapped f64 × {len}");
+            assert_eq!(mapped.freeze(), halved.to_frame(), "mapped f64 × {len}");
             copy_words_to_le(&mut fixed, &words);
             assert_eq!(fixed, &want_u[8..]);
             assert_eq!(words_from_le::<u64>(&fixed), words);
@@ -440,9 +741,103 @@ mod tests {
     #[test]
     fn u64_slice_roundtrips() {
         let values = vec![0u64, 1, u64::MAX];
-        let mut buf = BytesMut::new();
-        put_u64_slice(&mut buf, &values);
-        let mut b = buf.freeze();
-        assert_eq!(get_u64_vec(&mut b, "v").unwrap(), values);
+        assert_eq!(Vec::<u64>::from_frame(&values.to_frame()).unwrap(), values);
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Pair {
+        id: u64,
+        tag: Option<String>,
+    }
+    crate::wire_struct!(Pair { id, tag });
+
+    const PAIRS: u32 = 3;
+
+    #[derive(Debug, PartialEq)]
+    struct Pairs {
+        pairs: Vec<Pair>,
+    }
+    crate::wire_struct!(
+        #[schema(PAIRS)]
+        Pairs { pairs }
+    );
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Dot,
+        Span { from: u32, to: u32 },
+    }
+    crate::wire_enum!(Shape { 1 => Dot, 7 => Span { from, to } });
+
+    #[test]
+    fn declarations_lay_fields_out_in_order_and_name_the_one_that_broke() {
+        let pairs = Pairs {
+            pairs: vec![
+                Pair { id: 9, tag: None },
+                Pair {
+                    id: 1,
+                    tag: Some("é".into()),
+                },
+            ],
+        };
+        let frame = pairs.to_frame();
+        let mut want = vec![3, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0];
+        want.extend([9, 0, 0, 0, 0, 0, 0, 0, 0]);
+        want.extend([1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0xc3, 0xa9]);
+        assert_eq!(&frame[..], &want[..]);
+        assert_eq!(Pairs::from_frame(&frame), Ok(pairs));
+        assert_eq!(<Pairs as Wire>::MIN_LEN, 12);
+        assert_eq!(<Pair as Wire>::MIN_LEN, 9);
+        // A flag that is neither 0 nor 1, a cut string, another schema.
+        want[20] = 2;
+        assert_eq!(
+            Pairs::from_frame(&want),
+            Err(WireError::Invalid { what: "tag" })
+        );
+        want[20] = 0;
+        assert_eq!(
+            Pairs::from_frame(&want[..want.len() - 1]),
+            Err(WireError::Truncated { what: "tag" })
+        );
+        want[0] = 4;
+        assert_eq!(
+            Pairs::from_frame(&want),
+            Err(WireError::Schema {
+                what: "Pairs",
+                found: 4,
+                expected: 3
+            })
+        );
+        assert_eq!(
+            &Shape::Span { from: 2, to: 5 }.to_frame()[..],
+            &[7, 2, 0, 0, 0, 5, 0, 0, 0]
+        );
+        assert_eq!(Shape::from_frame(&[1]), Ok(Shape::Dot));
+        assert_eq!(
+            Shape::from_frame(&[1, 0]),
+            Err(WireError::Invalid {
+                what: "trailing bytes"
+            })
+        );
+        assert_eq!(
+            Shape::from_frame(&[2]),
+            Err(WireError::Invalid {
+                what: "unknown Shape tag"
+            })
+        );
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_frame_before_anything_is_allocated() {
+        // A count is held to the element's MIN_LEN, not to one byte: nine
+        // `(String, u64)` pairs of at least 12 bytes do not fit in 100.
+        let mut nine = BytesMut::new();
+        9usize.put(&mut nine);
+        nine.put_slice(&[0; 100]);
+        assert!(matches!(
+            Vec::<(String, u64)>::from_frame(&nine),
+            Err(WireError::Truncated { .. })
+        ));
+        assert!(Vec::<Vec<u8>>::from_frame(&u64::MAX.to_le_bytes()).is_err());
     }
 }

@@ -39,10 +39,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::{BufMut, Bytes, BytesMut};
 use parking_lot::Mutex;
 
-use crate::codec::{get_str, get_u32, get_u8, put_str, read_frame, write_frame};
+use crate::codec::{read_frame, write_frame, Wire};
 use crate::heartbeat::LivenessTracker;
 
 /// Environment variable seeding the deployment's directory address
@@ -59,16 +58,50 @@ const MAX_DIR_FRAME: usize = 1 << 20;
 /// Dial/request deadline against a wedged directory.
 const DIR_IO_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Request/reply op tags (wire stability).
-mod tag {
-    pub const PUBLISH: u8 = 1;
-    pub const RESOLVE: u8 = 2;
-    pub const UNPUBLISH: u8 = 3;
-    pub const RENEW: u8 = 4;
-    pub const LIST: u8 = 5;
-    pub const OK: u8 = 0;
-    pub const NOT_FOUND: u8 = 1;
+/// One request to the directory server (`name` is an endpoint name,
+/// `addr` an advertised `host:port`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DirectoryRequest {
+    /// Publish (or refresh) `name → addr` and its lease.
+    Publish { name: String, addr: String },
+    /// Resolve a name.
+    Resolve { name: String },
+    /// Withdraw a name.
+    Unpublish { name: String },
+    /// Re-publish every `(name, addr)` pair a client owns (the lease
+    /// heartbeat).
+    Renew { entries: Vec<(String, String)> },
+    /// List every live entry.
+    List,
 }
+
+crate::wire_enum!(DirectoryRequest {
+    1 => Publish { name, addr },
+    2 => Resolve { name },
+    3 => Unpublish { name },
+    4 => Renew { entries },
+    5 => List,
+});
+
+/// The directory server's answer to one [`DirectoryRequest`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DirectoryReply {
+    /// Publish, unpublish or renew applied.
+    Done,
+    /// The resolved name is unknown or its lease lapsed.
+    NotFound,
+    /// The resolved name's address.
+    Found { addr: String },
+    /// Every live `(name, addr)` entry, unsorted.
+    Entries { entries: Vec<(String, String)> },
+}
+
+crate::wire_enum!(DirectoryReply {
+    0 => Done,
+    1 => NotFound,
+    2 => Found { addr },
+    3 => Entries { entries },
+});
 
 /// Directory operation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -315,64 +348,42 @@ fn serve_directory_client(mut stream: TcpStream, state: Arc<DirState>) {
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let reply = match handle_request(&req, &state) {
-            Some(r) => r,
-            None => return, // undecodable request: drop the client
+        // An undecodable request drops the client.
+        let Ok(req) = DirectoryRequest::from_frame(&req) else {
+            return;
         };
+        let reply = handle_request(req, &state).to_frame();
         if write_frame(&mut stream, &reply).is_err() || stream.flush().is_err() {
             return;
         }
     }
 }
 
-/// Decodes and applies one request, returning the reply frame.
-fn handle_request(req: &[u8], state: &DirState) -> Option<Vec<u8>> {
-    let mut buf = Bytes::copy_from_slice(req);
-    let op = get_u8(&mut buf, "dir op").ok()?;
-    let mut reply = BytesMut::new();
-    match op {
-        tag::PUBLISH => {
-            let name = get_str(&mut buf, "name").ok()?;
-            let addr = get_str(&mut buf, "addr").ok()?;
+/// Applies one request.
+fn handle_request(req: DirectoryRequest, state: &DirState) -> DirectoryReply {
+    match req {
+        DirectoryRequest::Publish { name, addr } => {
             state.publish(name, addr);
-            reply.put_u8(tag::OK);
+            DirectoryReply::Done
         }
-        tag::RESOLVE => {
-            let name = get_str(&mut buf, "name").ok()?;
-            match state.resolve(&name) {
-                Some(addr) => {
-                    reply.put_u8(tag::OK);
-                    put_str(&mut reply, &addr);
-                }
-                None => reply.put_u8(tag::NOT_FOUND),
-            }
-        }
-        tag::UNPUBLISH => {
-            let name = get_str(&mut buf, "name").ok()?;
+        DirectoryRequest::Resolve { name } => match state.resolve(&name) {
+            Some(addr) => DirectoryReply::Found { addr },
+            None => DirectoryReply::NotFound,
+        },
+        DirectoryRequest::Unpublish { name } => {
             state.unpublish(&name);
-            reply.put_u8(tag::OK);
+            DirectoryReply::Done
         }
-        tag::RENEW => {
-            let n = get_u32(&mut buf, "count").ok()?;
-            for _ in 0..n {
-                let name = get_str(&mut buf, "name").ok()?;
-                let addr = get_str(&mut buf, "addr").ok()?;
+        DirectoryRequest::Renew { entries } => {
+            for (name, addr) in entries {
                 state.publish(name, addr);
             }
-            reply.put_u8(tag::OK);
+            DirectoryReply::Done
         }
-        tag::LIST => {
-            let entries = state.live_entries();
-            reply.put_u8(tag::OK);
-            reply.put_u32_le(entries.len() as u32);
-            for (n, a) in entries {
-                put_str(&mut reply, &n);
-                put_str(&mut reply, &a);
-            }
-        }
-        _ => return None,
+        DirectoryRequest::List => DirectoryReply::Entries {
+            entries: state.live_entries(),
+        },
     }
-    Some(reply.to_vec())
 }
 
 /// Remote [`Directory`] handle over one persistent TCP connection,
@@ -425,18 +436,25 @@ impl DirectoryClient {
     }
 
     /// One request/reply round, re-dialing once on a broken connection.
-    fn request(&self, req: &[u8]) -> Result<Bytes, DirectoryError> {
+    fn request(&self, req: &DirectoryRequest) -> Result<DirectoryReply, DirectoryError> {
+        let req = req.to_frame();
         let mut guard = self.conn.lock();
         for attempt in 0..2 {
             if guard.is_none() {
                 *guard = Some(dial(&self.addr)?);
             }
             let stream = guard.as_mut().expect("just dialed");
-            let round = write_frame(stream, req)
+            let round = write_frame(stream, &req)
                 .and_then(|()| stream.flush())
                 .and_then(|()| read_frame(stream, MAX_DIR_FRAME));
             match round {
-                Ok(Some(reply)) => return Ok(Bytes::from(reply)),
+                Ok(Some(reply)) => {
+                    return DirectoryReply::from_frame(&reply).map_err(|e| {
+                        DirectoryError::Protocol {
+                            detail: e.to_string(),
+                        }
+                    })
+                }
                 Ok(None) | Err(_) if attempt == 0 => {
                     // Stale connection (directory restarted): re-dial once.
                     *guard = None;
@@ -457,33 +475,29 @@ impl DirectoryClient {
         unreachable!("two attempts always return")
     }
 
-    fn expect_ok(&self, reply: Bytes, what: &'static str) -> Result<(), DirectoryError> {
-        let mut buf = reply;
-        match get_u8(&mut buf, what) {
-            Ok(tag::OK) => Ok(()),
-            _ => Err(DirectoryError::Protocol {
-                detail: format!("unexpected {what} reply"),
-            }),
+    /// A request whose only good answer is [`DirectoryReply::Done`].
+    fn apply(&self, req: &DirectoryRequest, what: &str) -> Result<(), DirectoryError> {
+        match self.request(req)? {
+            DirectoryReply::Done => Ok(()),
+            _ => Err(unexpected(what)),
         }
     }
 
     /// Lists every live entry (sorted), for diagnostics.
     pub fn list(&self) -> Result<Vec<(String, String)>, DirectoryError> {
-        let reply = self.request(&[tag::LIST])?;
-        let mut buf = reply;
-        let proto = |detail: String| DirectoryError::Protocol { detail };
-        if get_u8(&mut buf, "list status").map_err(|e| proto(e.to_string()))? != tag::OK {
-            return Err(proto("list rejected".into()));
+        match self.request(&DirectoryRequest::List)? {
+            DirectoryReply::Entries { mut entries } => {
+                entries.sort();
+                Ok(entries)
+            }
+            _ => Err(unexpected("list")),
         }
-        let n = get_u32(&mut buf, "list count").map_err(|e| proto(e.to_string()))?;
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let name = get_str(&mut buf, "name").map_err(|e| proto(e.to_string()))?;
-            let addr = get_str(&mut buf, "addr").map_err(|e| proto(e.to_string()))?;
-            out.push((name, addr));
-        }
-        out.sort();
-        Ok(out)
+    }
+}
+
+fn unexpected(what: &str) -> DirectoryError {
+    DirectoryError::Protocol {
+        detail: format!("unexpected {what} reply"),
     }
 }
 
@@ -492,59 +506,40 @@ impl Directory for DirectoryClient {
         self.published
             .lock()
             .insert(name.to_string(), addr.to_string());
-        let mut req = BytesMut::new();
-        req.put_u8(tag::PUBLISH);
-        put_str(&mut req, name);
-        put_str(&mut req, addr);
-        let reply = self.request(&req)?;
-        self.expect_ok(reply, "publish")
+        let req = DirectoryRequest::Publish {
+            name: name.to_string(),
+            addr: addr.to_string(),
+        };
+        self.apply(&req, "publish")
     }
 
     fn resolve(&self, name: &str) -> Result<Option<String>, DirectoryError> {
-        let mut req = BytesMut::new();
-        req.put_u8(tag::RESOLVE);
-        put_str(&mut req, name);
-        let reply = self.request(&req)?;
-        let mut buf = reply;
-        match get_u8(&mut buf, "resolve status") {
-            Ok(tag::OK) => {
-                let addr = get_str(&mut buf, "addr").map_err(|e| DirectoryError::Protocol {
-                    detail: e.to_string(),
-                })?;
-                Ok(Some(addr))
-            }
-            Ok(tag::NOT_FOUND) => Ok(None),
-            _ => Err(DirectoryError::Protocol {
-                detail: "unexpected resolve reply".into(),
-            }),
+        let req = DirectoryRequest::Resolve {
+            name: name.to_string(),
+        };
+        match self.request(&req)? {
+            DirectoryReply::Found { addr } => Ok(Some(addr)),
+            DirectoryReply::NotFound => Ok(None),
+            _ => Err(unexpected("resolve")),
         }
     }
 
     fn unpublish(&self, name: &str) -> Result<(), DirectoryError> {
         self.published.lock().remove(name);
-        let mut req = BytesMut::new();
-        req.put_u8(tag::UNPUBLISH);
-        put_str(&mut req, name);
-        let reply = self.request(&req)?;
-        self.expect_ok(reply, "unpublish")
+        let req = DirectoryRequest::Unpublish {
+            name: name.to_string(),
+        };
+        self.apply(&req, "unpublish")
     }
 
     fn renew(&self) -> Result<(), DirectoryError> {
-        let entries: Vec<(String, String)> = self
+        let entries = self
             .published
             .lock()
             .iter()
             .map(|(n, a)| (n.clone(), a.clone()))
             .collect();
-        let mut req = BytesMut::new();
-        req.put_u8(tag::RENEW);
-        req.put_u32_le(entries.len() as u32);
-        for (n, a) in &entries {
-            put_str(&mut req, n);
-            put_str(&mut req, a);
-        }
-        let reply = self.request(&req)?;
-        self.expect_ok(reply, "renew")
+        self.apply(&DirectoryRequest::Renew { entries }, "renew")
     }
 
     fn location(&self) -> String {

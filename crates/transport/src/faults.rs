@@ -97,6 +97,11 @@ pub struct FaultPolicy {
     pub delay: Duration,
 }
 
+crate::wire_struct!(FaultPolicy {
+    drop_probability,
+    delay
+});
+
 /// What the fault layer does with one frame.
 enum Verdict {
     /// The kill switch has flipped: the frame goes back to the caller.

@@ -71,8 +71,10 @@
 //! ## Supporting modules
 //!
 //! * [`codec`] — length-checked little-endian binary encode/decode over
-//!   [`bytes`] (wire messages, checkpoints, and the frame stream
-//!   helpers every TCP protocol here shares);
+//!   [`bytes`]: the [`codec::Wire`] trait and the `wire_struct!` /
+//!   `wire_enum!` declarations every control message is written as, the
+//!   checkpoint's primitives, and the frame stream helpers every TCP
+//!   protocol here shares;
 //! * [`compress`] — the bandwidth-lean wire codec: lossless in-frame
 //!   f64 compression (order-2 prediction + byte-plane transpose +
 //!   zero-run coding) applied by the TCP writer and undone on ingest,

@@ -9,13 +9,13 @@
 //! * **Wire framing** — every frame crosses the socket as a little-endian
 //!   `u32` length prefix followed by the payload bytes (the payload itself
 //!   is already a [`codec`](crate::codec)-encoded protocol message).  The
-//!   connection handshake reuses the codec helpers: the client sends one
-//!   frame containing `put_str(endpoint name)`, its 64-bit **link id**
-//!   and its **wire-compression proposal** (two bytes); the acceptor
-//!   replies with one frame containing a status byte (`0` = bound,
-//!   `1` = not found), the endpoint's high-water mark as a `u32`, the
-//!   link's **resume cursor** (see below) and the compression mode it
-//!   accepted.
+//!   connection handshake is two declared [`Wire`] messages: the client
+//!   sends a [`Hello`] — endpoint name, 64-bit **link id** and
+//!   **wire-compression proposal** — and the acceptor answers
+//!   [`HelloReply::Accepted`] with the endpoint's high-water mark, the
+//!   link's **resume cursor** (see below) and the compression it
+//!   accepted, or [`HelloReply::NotFound`].  A hello that does not decode
+//!   exactly closes the connection.
 //! * **Burst-batched writes** — the writer thread takes every frame
 //!   queued at a wakeup in one go and gathers them into one **vectored**
 //!   write (`writev` over the encoded frames in place, bounded by a 1 MiB
@@ -102,14 +102,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::api::{
     BoxReceiver, BoxSender, ConnectError, Disconnected, FlushError, LinkStatsSnapshot,
     RecvTimeoutError, SendBatchError, SendTimeoutError, Sender, Transport,
 };
-use crate::codec::{get_str, get_u32, get_u64, get_u8, put_str, read_frame, write_frame};
+use crate::codec::{read_frame, write_frame, Wire};
 use crate::compress::{compress_into, decoded_len, decompress_into, PlaneScratch, WireCompression};
 use crate::directory::{Directory, DirectoryClient, LocalDirectory};
 use crate::endpoint::{channel, Frame, HwmSender, LinkStats};
@@ -121,10 +121,45 @@ const MAX_DATA_FRAME: usize = 1 << 30;
 /// Handshake I/O deadline (a wedged peer must not hang connect/accept).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Handshake status: the endpoint is bound, frames may flow.
-const STATUS_OK: u8 = 0;
-/// Handshake status: no such endpoint (client retries or gives up).
-const STATUS_NOT_FOUND: u8 = 1;
+/// The first frame on every connection: which endpoint the link feeds,
+/// which link it is (the resume-cursor key) and the compression it
+/// proposes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Hello {
+    /// The bound endpoint the link feeds.
+    pub name: String,
+    /// Process-unique link id.
+    pub link_id: u64,
+    /// Proposed wire compression.
+    pub compression: WireCompression,
+}
+
+crate::wire_struct!(Hello {
+    name,
+    link_id,
+    compression
+});
+
+/// The acceptor's answer to a [`Hello`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HelloReply {
+    /// The endpoint is bound: frames may flow.
+    Accepted {
+        /// The endpoint's high-water mark.
+        hwm: u32,
+        /// Data frames of this link already in the endpoint's queue.
+        resume: u64,
+        /// The compression the acceptor accepted.
+        compression: WireCompression,
+    },
+    /// No such endpoint here (the client retries or gives up).
+    NotFound,
+}
+
+crate::wire_enum!(HelloReply {
+    0 => Accepted { hwm, resume, compression },
+    1 => NotFound,
+});
 
 /// Wire-level flush barrier: a length prefix of `u32::MAX` (no payload)
 /// asks the acceptor — who has by then pushed every earlier frame into
@@ -903,27 +938,19 @@ fn serve_connection(mut stream: TcpStream, inner: Arc<TcpInner>) {
     if stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_err() {
         return;
     }
-    let hello = match read_frame(&mut stream, MAX_HANDSHAKE_FRAME) {
-        Ok(Some(frame)) => frame,
-        _ => return,
+    let Ok(Some(hello)) = read_frame(&mut stream, MAX_HANDSHAKE_FRAME) else {
+        return;
     };
-    let mut buf = Bytes::from(hello);
-    let name = match get_str(&mut buf, "endpoint name") {
-        Ok(n) => n,
-        Err(_) => return,
-    };
-    let link_id = match get_u64(&mut buf, "link id") {
-        Ok(id) => id,
-        Err(_) => return,
-    };
-    // Wire-compression negotiation: the client's proposal rides two
-    // trailing hello bytes (absent in pre-compression hellos, which thus
-    // negotiate `Off`).  This build understands every mode — compressed
-    // frames are self-describing via the length-prefix flag bit — so the
-    // acceptor accepts whatever was proposed and echoes it back.
-    let accepted = match (get_u8(&mut buf, "mode"), get_u8(&mut buf, "bits")) {
-        (Ok(mode), Ok(bits)) => WireCompression::from_wire(mode, bits),
-        _ => WireCompression::Off,
+    // Wire-compression negotiation: this build understands every mode —
+    // compressed frames are self-describing via the length-prefix flag
+    // bit — so the acceptor accepts whatever was proposed and echoes it.
+    let Ok(Hello {
+        name,
+        link_id,
+        compression,
+    }) = Hello::from_frame(&hello)
+    else {
+        return;
     };
 
     let (ingest, hwm, slot) = {
@@ -950,7 +977,7 @@ fn serve_connection(mut stream: TcpStream, inner: Arc<TcpInner>) {
                 // Connect-before-bind (or a stale directory entry):
                 // report "not here" and close; the client's bounded
                 // retry loop tries again.
-                let _ = write_frame(&mut stream, &[STATUS_NOT_FOUND]);
+                let _ = write_frame(&mut stream, &HelloReply::NotFound.to_frame());
                 return;
             }
         }
@@ -967,15 +994,14 @@ fn serve_connection(mut stream: TcpStream, inner: Arc<TcpInner>) {
             *slot.retired_at.lock() = Some(Instant::now());
         }
     };
-    let resume = *slot.ingested.lock();
-    let (mode, bits) = accepted.to_wire();
-    let mut reply = BytesMut::with_capacity(15);
-    reply.put_u8(STATUS_OK);
-    reply.put_u32_le(hwm);
-    reply.put_u64_le(resume);
-    reply.put_u8(mode);
-    reply.put_u8(bits);
-    if write_frame(&mut stream, &reply).is_err() || stream.set_read_timeout(None).is_err() {
+    let reply = HelloReply::Accepted {
+        hwm,
+        resume: *slot.ingested.lock(),
+        compression,
+    };
+    if write_frame(&mut stream, &reply.to_frame()).is_err()
+        || stream.set_read_timeout(None).is_err()
+    {
         retire(&slot);
         return;
     }
@@ -1093,35 +1119,30 @@ fn dial_handshake(
         .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
         .map_err(|e| io_err(e.to_string()))?;
 
-    let mut hello = BytesMut::new();
-    put_str(&mut hello, name);
-    hello.put_u64_le(link_id);
-    let (mode, bits) = proposed.to_wire();
-    hello.put_u8(mode);
-    hello.put_u8(bits);
-    write_frame(&mut stream, &hello).map_err(|e| io_err(e.to_string()))?;
+    let hello = Hello {
+        name: name.to_string(),
+        link_id,
+        compression: proposed,
+    };
+    write_frame(&mut stream, &hello.to_frame()).map_err(|e| io_err(e.to_string()))?;
     let reply =
         match read_frame(&mut stream, MAX_HANDSHAKE_FRAME).map_err(|e| io_err(e.to_string()))? {
             Some(frame) => frame,
             None => return Err(io_err("acceptor closed during handshake".into())),
         };
-    let mut buf = Bytes::from(reply);
-    let status = get_u8(&mut buf, "handshake status").map_err(|e| io_err(e.to_string()))?;
-    if status != STATUS_OK {
-        return Err(DialError::NotFound);
+    match HelloReply::from_frame(&reply).map_err(|e| io_err(format!("handshake reply: {e}")))? {
+        HelloReply::NotFound => Err(DialError::NotFound),
+        HelloReply::Accepted {
+            hwm,
+            resume,
+            compression,
+        } => {
+            stream
+                .set_read_timeout(None)
+                .map_err(|e| io_err(e.to_string()))?;
+            Ok((stream, hwm as usize, resume, compression))
+        }
     }
-    let hwm = get_u32(&mut buf, "handshake hwm").map_err(|e| io_err(e.to_string()))? as usize;
-    let resume = get_u64(&mut buf, "resume cursor").map_err(|e| io_err(e.to_string()))?;
-    // An acceptor that does not echo a mode (pre-compression reply)
-    // declined the proposal: the link runs uncompressed.
-    let accepted = match (get_u8(&mut buf, "mode"), get_u8(&mut buf, "bits")) {
-        (Ok(mode), Ok(bits)) => WireCompression::from_wire(mode, bits),
-        _ => WireCompression::Off,
-    };
-    stream
-        .set_read_timeout(None)
-        .map_err(|e| io_err(e.to_string()))?;
-    Ok((stream, hwm, resume, accepted))
 }
 
 /// One live socket of a link: the write half plus the raw stream (for
@@ -1816,6 +1837,34 @@ mod tests {
             t.connect("nobody"),
             Err(ConnectError::NotFound { .. })
         ));
+    }
+
+    /// A hello without its compression proposal is not a hello: the
+    /// acceptor closes the connection instead of negotiating `Off`.
+    #[test]
+    fn a_short_hello_closes_the_connection() {
+        let t = TcpTransport::new().unwrap();
+        let _rx = t.bind("victim", 4);
+        let hello = Hello {
+            name: "victim".into(),
+            link_id: 7,
+            compression: WireCompression::Off,
+        }
+        .to_frame();
+        for (frame, answered) in [(&hello[..], true), (&hello[..hello.len() - 2], false)] {
+            let mut stream = TcpStream::connect(t.local_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            write_frame(&mut stream, frame).unwrap();
+            let reply = read_frame(&mut stream, MAX_HANDSHAKE_FRAME);
+            assert_eq!(
+                matches!(reply, Ok(Some(_))),
+                answered,
+                "{} hello bytes",
+                frame.len()
+            );
+        }
     }
 
     #[test]

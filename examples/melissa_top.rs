@@ -101,6 +101,9 @@ fn run_live(kind: TransportKind, tag: &str) -> StudyOutput {
     let mut last_render = Instant::now() - RENDER_EVERY;
     let mut printed_formats = false;
     let (mut polls, mut hits) = (0usize, 0usize);
+    // Why the last poll went unanswered: a shard not up yet or gone,
+    // or a reply this build cannot read (another scrape schema).
+    let mut last_miss = String::new();
     while !study.is_finished() {
         std::thread::sleep(POLL_EVERY);
         let mut rows = Vec::new();
@@ -109,10 +112,13 @@ fn run_live(kind: TransportKind, tag: &str) -> StudyOutput {
             // Polls race the study lifecycle: endpoints appear when each
             // shard's server starts and vanish when it stops, so misses
             // are normal at the edges.
-            if let Ok(snap) = scrape(&transport, k, Duration::from_millis(400)) {
-                assert_eq!(snap.shard, k as u32, "scrape answered by the wrong shard");
-                hits += 1;
-                rows.push(snap);
+            match scrape(&transport, k, Duration::from_millis(400)) {
+                Ok(snap) => {
+                    assert_eq!(snap.shard, k as u32, "scrape answered by the wrong shard");
+                    hits += 1;
+                    rows.push(snap);
+                }
+                Err(miss) => last_miss = miss,
             }
         }
         if !rows.is_empty() && last_render.elapsed() >= RENDER_EVERY {
@@ -146,7 +152,7 @@ fn run_live(kind: TransportKind, tag: &str) -> StudyOutput {
     }
     let out = study.join().expect("study thread panicked");
     println!("live scrape: {hits}/{polls} polls answered mid-study");
-    assert!(hits > 0, "no live scrape ever landed");
+    assert!(hits > 0, "no live scrape ever landed: {last_miss}");
     std::fs::remove_dir_all(&dir).ok();
     out
 }
@@ -191,6 +197,7 @@ fn run_daemon_top() {
 
     let mut last_render = Instant::now() - RENDER_EVERY;
     let (mut polls, mut hits, mut aggregate_hits) = (0usize, 0usize, 0usize);
+    let mut last_miss = String::new();
     let deadline = Instant::now() + Duration::from_secs(240);
     loop {
         let status = client.status(id).expect("status");
@@ -207,12 +214,14 @@ fn run_daemon_top() {
             polls += 1;
             // Same lifecycle races as the standalone view: the scoped
             // endpoints exist only while the study's servers are up.
-            if let Ok(ScrapeReply::Snapshot(snap)) =
-                client.scrape_study(id, k, ScrapeFormat::Binary)
-            {
-                assert_eq!(snap.shard, k as u32, "scrape answered by the wrong shard");
-                hits += 1;
-                rows.push(*snap);
+            match client.scrape_study(id, k, ScrapeFormat::Binary) {
+                Ok(ScrapeReply::Snapshot(snap)) => {
+                    assert_eq!(snap.shard, k as u32, "scrape answered by the wrong shard");
+                    hits += 1;
+                    rows.push(*snap);
+                }
+                Ok(ScrapeReply::Text(_)) => {}
+                Err(miss) => last_miss = miss,
             }
         }
         if !rows.is_empty() && last_render.elapsed() >= RENDER_EVERY {
@@ -226,7 +235,7 @@ fn run_daemon_top() {
         }
     }
     println!("live scrape: {hits}/{polls} shard polls answered, {aggregate_hits} aggregates");
-    assert!(hits > 0, "no per-study scrape ever landed");
+    assert!(hits > 0, "no per-study scrape ever landed: {last_miss}");
     assert!(
         aggregate_hits > 0,
         "the daemon telemetry endpoint never answered"

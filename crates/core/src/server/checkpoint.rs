@@ -40,7 +40,6 @@ use melissa_stats::{FieldMinMax, FieldMoments, FieldQuantiles, FieldThreshold};
 use melissa_transport::codec::{
     copy_words_to_le, get_count, get_f64, get_u32, get_u64, get_words, words_from_le, WireError,
 };
-use rayon::prelude::*;
 
 use super::state::WorkerState;
 
@@ -164,10 +163,7 @@ impl<'a> Plan<'a> {
         // Grouped by timestep, equal spans of the list carry equal bytes.
         fills.sort_by_key(|&(ts, ..)| ts);
         let min_len = if total < PAR_MIN { usize::MAX } else { 1 };
-        fills
-            .into_par_iter()
-            .with_min_len(min_len)
-            .for_each(|(_, slot, part)| part.write(slot));
+        melissa_sync::for_each_item(fills, min_len, |(_, slot, part)| part.write(slot));
         out
     }
 }

@@ -39,6 +39,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use melissa_mesh::SlabPartition;
+use melissa_sync::{Condvar, Mutex};
 use melissa_telemetry::{CodecScrape, LinkScrape, ScrapeRequest, ScrapeSnapshot, Telemetry};
 use melissa_transport::codec::Wire;
 use melissa_transport::directory::names;
@@ -46,7 +47,6 @@ use melissa_transport::{
     BoxReceiver, BoxSender, KillSwitch, LinkStatsSnapshot, LivenessTracker, RecvTimeoutError,
     Transport,
 };
-use parking_lot::{Condvar, Mutex};
 
 use crate::protocol::{DataView, Message};
 use checkpoint::{read_checkpoint, write_checkpoint};
@@ -227,7 +227,7 @@ impl ServerShared {
             if left.is_zero() {
                 return None;
             }
-            self.ack_recorded.wait_for(&mut recorded, left);
+            recorded = self.ack_recorded.wait_timeout(recorded, left);
         }
     }
 

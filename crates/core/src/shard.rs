@@ -62,9 +62,9 @@ use crate::launcher::{supervise_shard, StudyContext, StudyRuntime};
 use crate::report::StudyReport;
 use crate::server::state::WorkerState;
 use crate::study::{StudyOutput, StudyResults};
+use melissa_sync::Mutex;
 use melissa_transport::directory::names;
 use melissa_transport::{Directory, DirectoryError};
-use parking_lot::Mutex;
 
 /// Deterministic group-to-shard router: `shard = hash(seed, group) % N`
 /// with a SplitMix64 finaliser, so the assignment is uniform, a pure
@@ -348,17 +348,15 @@ pub fn reduce_owned_states(shards: Vec<Vec<WorkerState>>) -> Vec<WorkerState> {
         }
     }
 
-    use rayon::prelude::*;
     let mut lineages = shards.into_iter();
     let mut acc = lineages.next().expect("checked non-empty above");
     acc.iter_mut().for_each(WorkerState::discard_in_flight);
     for lineage in lineages {
-        acc.par_iter_mut()
-            .zip(lineage.into_par_iter())
-            .for_each(|(acc, mut next)| {
-                next.discard_in_flight();
-                acc.merge(&next);
-            });
+        let pairs: Vec<_> = acc.iter_mut().zip(lineage).collect();
+        melissa_sync::for_each_item(pairs, 0, |(acc, mut next)| {
+            next.discard_in_flight();
+            acc.merge(&next);
+        });
     }
     acc
 }

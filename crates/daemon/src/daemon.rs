@@ -44,11 +44,11 @@ use std::time::Instant;
 use melissa::server::checkpoint::pack_state;
 use melissa::{Study, StudyConfig, StudyRuntime};
 use melissa_scheduler::FairRunner;
+use melissa_sync::Mutex;
 use melissa_telemetry::ScrapeRequest;
 use melissa_transport::codec::Wire;
 use melissa_transport::directory::names;
 use melissa_transport::{BoxReceiver, BoxSender, KillSwitch, Transport};
-use parking_lot::Mutex;
 
 use crate::admission::{AdmissionController, TenantQuota};
 use crate::protocol::{ControlFrame, DaemonOp, DaemonReply, DaemonRequest, StudyState};

@@ -38,8 +38,8 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 
+use melissa_sync::{Condvar, Mutex};
 use melissa_transport::KillSwitch;
-use parking_lot::{Condvar, Mutex};
 
 use crate::runtime::{Dispatcher, JobHandle, JobState};
 
@@ -336,7 +336,7 @@ impl FairShared {
                 if s.shutdown && s.drained() {
                     return;
                 }
-                self.work.wait(&mut s);
+                s = self.work.wait(s);
                 continue;
             };
             drop(s);

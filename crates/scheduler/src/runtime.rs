@@ -24,8 +24,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use melissa_sync::{Condvar, Mutex};
 use melissa_transport::KillSwitch;
-use parking_lot::{Condvar, Mutex};
 
 use crate::fair::{FairRunner, StreamHandle};
 
@@ -71,7 +71,7 @@ impl JobHandle {
     pub fn join(self) {
         let mut ended = self.state.ended.lock();
         while !*ended {
-            self.state.ended_cv.wait(&mut ended);
+            ended = self.state.ended_cv.wait(ended);
         }
     }
 
@@ -170,7 +170,7 @@ impl JobRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use melissa_sync::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 

@@ -13,8 +13,8 @@ use std::time::Duration;
 
 use melissa_scheduler::fair::FairRunner;
 use melissa_scheduler::runtime::JobHandle;
+use melissa_sync::Mutex;
 use melissa_transport::KillSwitch;
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 /// Occupies the pool's single unit until released, building a

@@ -5,7 +5,7 @@
 //! ubiquitous Sobol' state (all roles), and the field moments, min/max
 //! envelope, threshold-exceedance counters and Robbins–Monro quantile
 //! estimates (the i.i.d. `Y^A`/`Y^B` samples only, paper Section 4.1).
-//! Doing that as independent Rayon sweeps re-reads the fields and re-pays
+//! Doing that as independent parallel sweeps re-reads the fields and re-pays
 //! the parallel dispatch per statistic; [`FusedSlabUpdate`] folds
 //! everything in **one** tile-parallel pass: each tile task updates its
 //! slice of every accumulator while the incoming field stripe is hot in
@@ -18,7 +18,7 @@
 //! order per cell — so results are bit-compatible with the unfused
 //! reference path (property-tested in `melissa`'s `proptest_server.rs`).
 
-use rayon::prelude::*;
+use melissa_sync::for_each_index;
 
 use melissa_stats::quantiles::{rm_step_scale, update_tile_quantiles_pair};
 use melissa_stats::{
@@ -153,7 +153,7 @@ impl<'a> FusedSlabUpdate<'a> {
         let thr_ref = &thr;
         let quant_ref = &quant;
         let (m_mean, m_m2, m_m3, m_m4, mn, mx) = (&m_mean, &m_m2, &m_m3, &m_m4, &mn, &mx);
-        (0..n_tiles).into_par_iter().for_each(move |t| {
+        for_each_index(0..n_tiles, 0, move |t| {
             let c0 = t * tile;
             let c1 = (c0 + tile).min(cells);
             // SAFETY (all range_mut calls below): tile cell ranges are

@@ -35,11 +35,11 @@
 //!
 //! [`update_group`](UbiquitousSobol::update_group) and
 //! [`merge`](UbiquitousSobol::merge) are tile-parallel and allocation-free
-//! in steady state: the sweep hands disjoint tile ranges to Rayon workers
+//! in steady state: the sweep hands disjoint tile ranges to the span pool
 //! through [`melissa_stats::DisjointSlices`], with no per-call task-list
 //! scaffolding.
 
-use rayon::prelude::*;
+use melissa_sync::for_each_index;
 
 use melissa_stats::{tile_cells, AlignedVec, DisjointSlices};
 
@@ -137,7 +137,7 @@ impl UbiquitousSobol {
         let n_tiles = cells.div_ceil(tile);
         let state = DisjointSlices::new(&mut self.state);
         let state = &state;
-        (0..n_tiles).into_par_iter().for_each(move |t| {
+        for_each_index(0..n_tiles, 0, move |t| {
             let c0 = t * tile;
             let c1 = (c0 + tile).min(cells);
             // SAFETY: tile cell ranges are pairwise disjoint.
@@ -172,7 +172,7 @@ impl UbiquitousSobol {
         let state = DisjointSlices::new(&mut self.state);
         let state = &state;
         let other_state: &[f64] = &other.state;
-        (0..n_tiles).into_par_iter().for_each(move |t| {
+        for_each_index(0..n_tiles, 0, move |t| {
             let c0 = t * tile;
             let c1 = (c0 + tile).min(cells);
             // SAFETY: tile cell ranges are pairwise disjoint.

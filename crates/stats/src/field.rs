@@ -6,7 +6,7 @@
 //! layout (`Vec<f64>` per moment — few enough arrays per type that each
 //! sweep stays prefetcher-friendly, unlike the `4 + 4p`-array Sobol' state,
 //! which lives in the cell-contiguous tiled layout of `melissa-sobol`) and
-//! update all cells of an incoming field in one Rayon-parallel sweep.
+//! update all cells of an incoming field in one parallel sweep.
 //!
 //! On the server's hot path these accumulators are not updated through
 //! their own `update` sweeps at all: the fused ingest kernel
@@ -15,11 +15,11 @@
 //! accessors below.  The scalar recurrences are shared, so both paths are
 //! bit-identical.
 
-use rayon::prelude::*;
+use melissa_sync::for_each_item;
 
 use crate::{MinMax, OnlineMoments, ThresholdExceedance};
 
-/// Minimum chunk size for parallel field sweeps; below this the Rayon
+/// Minimum chunk size for parallel field sweeps; below this the parallel
 /// dispatch overhead dominates the arithmetic.
 const PAR_CHUNK: usize = 4096;
 
@@ -71,25 +71,26 @@ impl FieldMoments {
         self.n += 1;
         let n = self.n as f64;
         let nn_term = n * n - 3.0 * n + 3.0;
-        self.mean
-            .par_chunks_mut(PAR_CHUNK)
-            .zip(self.m2.par_chunks_mut(PAR_CHUNK))
-            .zip(self.m3.par_chunks_mut(PAR_CHUNK))
-            .zip(self.m4.par_chunks_mut(PAR_CHUNK))
-            .zip(sample.par_chunks(PAR_CHUNK))
-            .for_each(|((((mean, m2), m3), m4), xs)| {
-                for i in 0..xs.len() {
-                    let delta = xs[i] - mean[i];
-                    let delta_n = delta / n;
-                    let delta_n2 = delta_n * delta_n;
-                    let term1 = delta * delta_n * (n - 1.0);
-                    mean[i] += delta_n;
-                    m4[i] +=
-                        term1 * delta_n2 * nn_term + 6.0 * delta_n2 * m2[i] - 4.0 * delta_n * m3[i];
-                    m3[i] += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * m2[i];
-                    m2[i] += term1;
-                }
-            });
+        let chunks = self
+            .mean
+            .chunks_mut(PAR_CHUNK)
+            .zip(self.m2.chunks_mut(PAR_CHUNK))
+            .zip(self.m3.chunks_mut(PAR_CHUNK))
+            .zip(self.m4.chunks_mut(PAR_CHUNK))
+            .zip(sample.chunks(PAR_CHUNK));
+        for_each_item(chunks.collect(), 0, |((((mean, m2), m3), m4), xs)| {
+            for i in 0..xs.len() {
+                let delta = xs[i] - mean[i];
+                let delta_n = delta / n;
+                let delta_n2 = delta_n * delta_n;
+                let term1 = delta * delta_n * (n - 1.0);
+                mean[i] += delta_n;
+                m4[i] +=
+                    term1 * delta_n2 * nn_term + 6.0 * delta_n2 * m2[i] - 4.0 * delta_n * m3[i];
+                m3[i] += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * m2[i];
+                m2[i] += term1;
+            }
+        });
     }
 
     /// Per-cell running mean.
@@ -159,16 +160,20 @@ impl FieldMoments {
         let na = self.n as f64;
         let nb = other.n as f64;
         let n = na + nb;
-        self.mean
-            .par_chunks_mut(PAR_CHUNK)
-            .zip(self.m2.par_chunks_mut(PAR_CHUNK))
-            .zip(self.m3.par_chunks_mut(PAR_CHUNK))
-            .zip(self.m4.par_chunks_mut(PAR_CHUNK))
-            .zip(other.mean.par_chunks(PAR_CHUNK))
-            .zip(other.m2.par_chunks(PAR_CHUNK))
-            .zip(other.m3.par_chunks(PAR_CHUNK))
-            .zip(other.m4.par_chunks(PAR_CHUNK))
-            .for_each(|(((((((mean, m2), m3), m4), omean), om2), om3), om4)| {
+        let chunks = self
+            .mean
+            .chunks_mut(PAR_CHUNK)
+            .zip(self.m2.chunks_mut(PAR_CHUNK))
+            .zip(self.m3.chunks_mut(PAR_CHUNK))
+            .zip(self.m4.chunks_mut(PAR_CHUNK))
+            .zip(other.mean.chunks(PAR_CHUNK))
+            .zip(other.m2.chunks(PAR_CHUNK))
+            .zip(other.m3.chunks(PAR_CHUNK))
+            .zip(other.m4.chunks(PAR_CHUNK));
+        for_each_item(
+            chunks.collect(),
+            0,
+            |(((((((mean, m2), m3), m4), omean), om2), om3), om4)| {
                 for i in 0..mean.len() {
                     let delta = omean[i] - mean[i];
                     let delta2 = delta * delta;
@@ -187,7 +192,8 @@ impl FieldMoments {
                     m3[i] = new_m3;
                     m4[i] = new_m4;
                 }
-            });
+            },
+        );
         self.n += other.n;
     }
 
@@ -280,16 +286,17 @@ impl FieldMinMax {
     pub fn update(&mut self, sample: &[f64]) {
         assert_eq!(sample.len(), self.len(), "field sample length mismatch");
         self.n += 1;
-        self.min
-            .par_chunks_mut(PAR_CHUNK)
-            .zip(self.max.par_chunks_mut(PAR_CHUNK))
-            .zip(sample.par_chunks(PAR_CHUNK))
-            .for_each(|((mins, maxs), xs)| {
-                for i in 0..xs.len() {
-                    mins[i] = mins[i].min(xs[i]);
-                    maxs[i] = maxs[i].max(xs[i]);
-                }
-            });
+        let chunks = self
+            .min
+            .chunks_mut(PAR_CHUNK)
+            .zip(self.max.chunks_mut(PAR_CHUNK))
+            .zip(sample.chunks(PAR_CHUNK));
+        for_each_item(chunks.collect(), 0, |((mins, maxs), xs)| {
+            for i in 0..xs.len() {
+                mins[i] = mins[i].min(xs[i]);
+                maxs[i] = maxs[i].max(xs[i]);
+            }
+        });
     }
 
     /// Per-cell minimum (infinite when no samples seen).
@@ -393,14 +400,15 @@ impl FieldThreshold {
         assert_eq!(sample.len(), self.len(), "field sample length mismatch");
         self.n += 1;
         let t = self.threshold;
-        self.exceeded
-            .par_chunks_mut(PAR_CHUNK)
-            .zip(sample.par_chunks(PAR_CHUNK))
-            .for_each(|(counts, xs)| {
-                for i in 0..xs.len() {
-                    counts[i] += (xs[i] > t) as u64;
-                }
-            });
+        let chunks = self
+            .exceeded
+            .chunks_mut(PAR_CHUNK)
+            .zip(sample.chunks(PAR_CHUNK));
+        for_each_item(chunks.collect(), 0, |(counts, xs)| {
+            for i in 0..xs.len() {
+                counts[i] += (xs[i] > t) as u64;
+            }
+        });
     }
 
     /// Merges another accumulator watching the same threshold over the
@@ -504,20 +512,21 @@ impl FieldCovariance {
         assert_eq!(ys.len(), self.len(), "field sample length mismatch (y)");
         self.n += 1;
         let n = self.n as f64;
-        self.mean_x
-            .par_chunks_mut(PAR_CHUNK)
-            .zip(self.mean_y.par_chunks_mut(PAR_CHUNK))
-            .zip(self.c2.par_chunks_mut(PAR_CHUNK))
-            .zip(xs.par_chunks(PAR_CHUNK))
-            .zip(ys.par_chunks(PAR_CHUNK))
-            .for_each(|((((mx, my), c2), x), y)| {
-                for i in 0..x.len() {
-                    let dx = x[i] - mx[i];
-                    mx[i] += dx / n;
-                    my[i] += (y[i] - my[i]) / n;
-                    c2[i] += dx * (y[i] - my[i]);
-                }
-            });
+        let chunks = self
+            .mean_x
+            .chunks_mut(PAR_CHUNK)
+            .zip(self.mean_y.chunks_mut(PAR_CHUNK))
+            .zip(self.c2.chunks_mut(PAR_CHUNK))
+            .zip(xs.chunks(PAR_CHUNK))
+            .zip(ys.chunks(PAR_CHUNK));
+        for_each_item(chunks.collect(), 0, |((((mx, my), c2), x), y)| {
+            for i in 0..x.len() {
+                let dx = x[i] - mx[i];
+                mx[i] += dx / n;
+                my[i] += (y[i] - my[i]) / n;
+                c2[i] += dx * (y[i] - my[i]);
+            }
+        });
     }
 
     /// Per-cell unbiased covariance.

@@ -45,7 +45,7 @@
 //! via the `#[doc(hidden)]` kernel hooks below; the scalar recurrence is
 //! shared, so both paths are bit-identical.
 
-use rayon::prelude::*;
+use melissa_sync::for_each_index;
 
 use crate::field::FieldMinMax;
 use crate::tile::{tile_cells, AlignedVec, DisjointSlices};
@@ -469,7 +469,7 @@ impl FieldQuantiles {
         let n_tiles = cells.div_ceil(tile);
         let state = DisjointSlices::new(&mut self.state);
         let state = &state;
-        (0..n_tiles).into_par_iter().for_each(move |t| {
+        for_each_index(0..n_tiles, 0, move |t| {
             let c0 = t * tile;
             let c1 = (c0 + tile).min(cells);
             // SAFETY: tile cell ranges are pairwise disjoint.
@@ -518,7 +518,7 @@ impl FieldQuantiles {
         let state = DisjointSlices::new(&mut self.state);
         let state = &state;
         let other_state: &[f64] = &other.state;
-        (0..n_tiles).into_par_iter().for_each(move |t| {
+        for_each_index(0..n_tiles, 0, move |t| {
             let c0 = t * tile;
             let c1 = (c0 + tile).min(cells);
             // SAFETY: tile cell ranges are pairwise disjoint.

@@ -125,7 +125,7 @@ impl std::fmt::Debug for AlignedVec {
 /// Shares a mutable slice across parallel tile tasks that each touch a
 /// *disjoint* index range.
 ///
-/// Rayon's zip-of-chunks pattern covers a fixed arity of arrays; a fused
+/// A zip of chunk iterators covers a fixed arity of arrays; a fused
 /// sweep over Sobol' state + moments + min/max + a runtime-variable list
 /// of thresholds does not fit it without building per-tile task lists on
 /// every call (the allocation the tentpole removes).  `DisjointSlices`
@@ -180,7 +180,6 @@ impl<'a, T> DisjointSlices<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
 
     #[test]
     fn aligned_vec_is_cache_line_aligned_and_zeroed() {
@@ -213,7 +212,7 @@ mod tests {
         let mut data = vec![0u64; 4096];
         let shared = DisjointSlices::new(&mut data);
         let shared_ref = &shared;
-        (0..16usize).into_par_iter().for_each(|t| {
+        melissa_sync::for_each_index(0..16, 0, |t| {
             // SAFETY: tiles [256 t, 256 (t+1)) are pairwise disjoint.
             let tile = unsafe { shared_ref.range_mut(t * 256..(t + 1) * 256) };
             for (i, x) in tile.iter_mut().enumerate() {

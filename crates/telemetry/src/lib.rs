@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use melissa_sync::Mutex;
 
 /// Events kept in the live ring (the scrape window; the full journal
 /// lives in the `StudyReport`).

@@ -39,7 +39,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use melissa_sync::Mutex;
 
 use crate::codec::{read_frame, write_frame, Wire};
 use crate::heartbeat::LivenessTracker;

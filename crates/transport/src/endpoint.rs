@@ -7,9 +7,10 @@
 //! simulations produce, buffers fill, sends block, and the simulations are
 //! suspended — up to doubling their execution time.
 //!
-//! [`channel`] returns a bounded MPMC queue whose sender buffers
-//! asynchronously until the HWM is reached and then blocks, while recording
-//! how long it spent blocked ([`LinkStats`]) so experiments can measure
+//! [`channel`] returns a bounded MPSC queue — any number of
+//! [`HwmSender`] clones, one [`ChannelReceiver`] — whose senders buffer
+//! asynchronously until the HWM is reached and then block, while recording
+//! how long they spent blocked ([`LinkStats`]) so experiments can measure
 //! backpressure exactly as the paper does.  A run of frames — a group's
 //! timestep — goes in with one [`HwmSender::send_batch`] and comes out
 //! with one [`ChannelReceiver::recv_batch`]: the same frames, the same
@@ -20,13 +21,22 @@
 //! backend's link type *and* the bounded-queue building block the TCP
 //! backend feeds from its writer/reader threads, which is what keeps the
 //! HWM contract and its telemetry identical across backends.
+//!
+//! The queue is a `VecDeque` under one lock with two condvars (not-empty,
+//! not-full).  Every notify is **waiter-counted**: a condvar is signalled
+//! only when somebody sleeps on it, so a send to a busy receiver costs no
+//! `futex` call.  Disconnection follows the handles: sends fail once the
+//! receiver is gone; the receiver drains the queue, then fails once every
+//! sender is gone.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Blocked, SendManyError};
+use melissa_sync::{Condvar, Mutex};
 
 use crate::api::{
     BoxSender, Disconnected, FlushError, Receiver, RecvTimeoutError, SendBatchError,
@@ -36,7 +46,8 @@ use crate::api::{
 /// A framed payload (already encoded message bytes).
 pub type Frame = bytes::Bytes;
 
-/// Counters shared by all clones of one sender.
+/// Counters shared by all clones of one sender: independent `Relaxed`
+/// atomics (see the table of orderings in `melissa_sync`'s crate doc).
 #[derive(Debug, Default)]
 pub struct LinkStats {
     /// Total frames sent.
@@ -108,20 +119,69 @@ impl LinkStats {
     }
 }
 
-/// The queue's deadline-send failure as the link's, frame included.
-fn unsent(e: crossbeam::channel::SendTimeoutError<Frame>) -> SendTimeoutError {
-    match e {
-        crossbeam::channel::SendTimeoutError::Timeout(f) => SendTimeoutError::Timeout(f),
-        crossbeam::channel::SendTimeoutError::Disconnected(f) => SendTimeoutError::Disconnected(f),
+/// The queue one link's senders and its receiver share.
+pub(crate) struct Queue {
+    pub(crate) state: Mutex<QueueState>,
+    /// The receiver sleeps here while the queue is empty.
+    not_empty: Condvar,
+    /// Senders sleep here while it is at the HWM.
+    not_full: Condvar,
+}
+
+pub(crate) struct QueueState {
+    frames: VecDeque<Frame>,
+    hwm: usize,
+    /// Live [`HwmSender`]s; at 0 the receiver sees a disconnect.
+    senders: usize,
+    receiver_gone: bool,
+    /// Whether the receiver sleeps on `not_empty`, and how many senders
+    /// sleep on `not_full` — kept under the lock, so nobody to wake means
+    /// no notify.
+    pub(crate) recv_waiting: bool,
+    pub(crate) send_waiting: usize,
+}
+
+impl std::fmt::Debug for Queue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Queue")
     }
+}
+
+/// How many of one call's frames found the buffer at the HWM, and how long
+/// they waited for room (what [`LinkStats`] adds up).
+#[derive(Default)]
+struct Blocked {
+    sends: u64,
+    nanos: u64,
 }
 
 /// Sending half of an HWM-buffered link (the in-process backend's
 /// [`Sender`], and the bounded-queue stage of every TCP link).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HwmSender {
-    inner: crossbeam::channel::Sender<Frame>,
+    pub(crate) queue: Arc<Queue>,
     stats: Arc<LinkStats>,
+}
+
+impl Clone for HwmSender {
+    fn clone(&self) -> Self {
+        self.queue.state.lock().senders += 1;
+        HwmSender {
+            queue: Arc::clone(&self.queue),
+            stats: Arc::clone(&self.stats),
+        }
+    }
+}
+
+impl Drop for HwmSender {
+    fn drop(&mut self) {
+        let mut state = self.queue.state.lock();
+        state.senders -= 1;
+        if state.senders == 0 {
+            // Wake the receiver so it observes the disconnect.
+            self.queue.not_empty.notify_all();
+        }
+    }
 }
 
 impl HwmSender {
@@ -138,15 +198,32 @@ impl HwmSender {
         self.send_one(frame, Some(timeout))
     }
 
-    /// A batch of one (see [`send_batch`](Self::send_batch)), without the
-    /// queue around it.
+    /// A batch of one (see [`send_batch`](Self::send_batch)), counted.
     fn send_one(&self, frame: Frame, timeout: Option<Duration>) -> Result<(), SendTimeoutError> {
         let len = frame.len() as u64;
         let mut blocked = Blocked::default();
-        let res = self.inner.send_one(frame, timeout, &mut blocked);
+        let res = self.push_one(frame, timeout, &mut blocked);
         let (messages, bytes) = if res.is_ok() { (1, len) } else { (0, 0) };
         self.account(messages, bytes, blocked);
-        res.map_err(unsent)
+        res
+    }
+
+    /// Buffers one frame, uncounted; on `Err` the frame comes back.
+    fn push_one(
+        &self,
+        frame: Frame,
+        timeout: Option<Duration>,
+        blocked: &mut Blocked,
+    ) -> Result<(), SendTimeoutError> {
+        let mut pending = Some(frame);
+        self.send_from(&mut pending, &mut || None, timeout, blocked)
+            .map_err(|e| {
+                let frame = pending.take().expect("an unsent frame comes back");
+                match e {
+                    SendBatchError::Timeout => SendTimeoutError::Timeout(frame),
+                    SendBatchError::Disconnected => SendTimeoutError::Disconnected(frame),
+                }
+            })
     }
 
     /// Hands over a whole batch in order: one queue lock for every stretch
@@ -167,13 +244,99 @@ impl HwmSender {
         };
         let (n, bytes) = queued(frames);
         let mut blocked = Blocked::default();
-        let res = self.inner.send_many(frames, timeout, &mut blocked);
+        let mut pending = None;
+        let res = self.send_from(
+            &mut pending,
+            &mut || frames.pop_front(),
+            timeout,
+            &mut blocked,
+        );
+        if let Some(unsent) = pending {
+            frames.push_front(unsent);
+        }
         let (n_left, bytes_left) = queued(frames);
         self.account(n - n_left, bytes - bytes_left, blocked);
-        res.map_err(|e| match e {
-            SendManyError::Timeout => SendBatchError::Timeout,
-            SendManyError::Disconnected => SendBatchError::Disconnected,
-        })
+        res
+    }
+
+    /// The one send path.  Buffers `pending` and then every frame `more`
+    /// yields, in order: as many as fit per lock acquisition, waiting for
+    /// room whenever the buffer is at the HWM.  Each frame that finds it
+    /// full counts once in `blocked` and may wait up to `timeout` (`None`:
+    /// for ever).  On `Err` the frame that could not be buffered is back in
+    /// `pending`, and `more` has not been asked for the ones after it.
+    ///
+    /// A sleeping receiver is woken at most once per stretch that fits
+    /// (once per call when nothing blocks), and not at all when it is
+    /// awake.
+    fn send_from(
+        &self,
+        pending: &mut Option<Frame>,
+        more: &mut dyn FnMut() -> Option<Frame>,
+        timeout: Option<Duration>,
+        blocked: &mut Blocked,
+    ) -> Result<(), SendBatchError> {
+        let queue = &*self.queue;
+        let mut g = queue.state.lock();
+        let mut pushed = false;
+        let outcome = 'batch: loop {
+            let Some(frame) = pending.take().or_else(&mut *more) else {
+                break Ok(());
+            };
+            if g.receiver_gone {
+                *pending = Some(frame);
+                break Err(SendBatchError::Disconnected);
+            }
+            if g.frames.len() < g.hwm {
+                g.frames.push_back(frame);
+                pushed = true;
+                continue;
+            }
+            // Full: this frame waits its turn.  What is already buffered
+            // must be visible to a sleeping receiver first.
+            *pending = Some(frame);
+            if std::mem::take(&mut pushed) && g.recv_waiting {
+                wake_one(&queue.not_empty);
+            }
+            blocked.sends += 1;
+            let wait_started = Instant::now();
+            let deadline = timeout.map(|t| wait_started + t);
+            g.send_waiting += 1;
+            let waited = loop {
+                g = match deadline {
+                    None => queue.not_full.wait(g),
+                    Some(deadline) => {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        if left.is_zero() {
+                            break Err(SendBatchError::Timeout);
+                        }
+                        queue.not_full.wait_timeout(g, left)
+                    }
+                };
+                if g.receiver_gone {
+                    break Err(SendBatchError::Disconnected);
+                }
+                if g.frames.len() < g.hwm {
+                    break Ok(());
+                }
+            };
+            g.send_waiting -= 1;
+            blocked.nanos += wait_started.elapsed().as_nanos() as u64;
+            if let Err(e) = waited {
+                break 'batch Err(e);
+            }
+        };
+        let wake_receiver = pushed && g.recv_waiting;
+        // Room left over belongs to the next waiting sender.
+        let wake_sender = g.send_waiting > 0 && g.frames.len() < g.hwm && !g.receiver_gone;
+        drop(g);
+        if wake_receiver {
+            wake_one(&queue.not_empty);
+        }
+        if wake_sender {
+            wake_one(&queue.not_full);
+        }
+        outcome
     }
 
     fn account(&self, messages: u64, bytes: u64, blocked: Blocked) {
@@ -199,7 +362,7 @@ impl HwmSender {
         frame: Frame,
         timeout: Duration,
     ) -> Result<(), SendTimeoutError> {
-        self.inner.send_timeout(frame, timeout).map_err(unsent)
+        self.push_one(frame, Some(timeout), &mut Blocked::default())
     }
 
     /// Shared statistics handle.
@@ -209,7 +372,7 @@ impl HwmSender {
 
     /// Frames currently buffered (approximate).
     pub fn queued(&self) -> usize {
-        self.inner.len()
+        self.queue.state.lock().frames.len()
     }
 }
 
@@ -249,32 +412,45 @@ impl Sender for HwmSender {
     }
 }
 
-/// Receiving half of an HWM-buffered link.
-#[derive(Debug, Clone)]
+/// Receiving half of an HWM-buffered link: one per link, used from one
+/// thread at a time.
+#[derive(Debug)]
 pub struct ChannelReceiver {
-    inner: crossbeam::channel::Receiver<Frame>,
+    pub(crate) queue: Arc<Queue>,
+    /// Not `Sync`: at most one thread ever sleeps on `not_empty`, so a
+    /// frame left behind never waits for a second sleeper.
+    _one_thread: PhantomData<Cell<()>>,
+}
+
+impl Drop for ChannelReceiver {
+    fn drop(&mut self) {
+        self.queue.state.lock().receiver_gone = true;
+        // Wake senders so they observe the disconnect.
+        self.queue.not_full.notify_all();
+    }
 }
 
 impl ChannelReceiver {
     /// Blocks until a frame arrives or every sender is gone.
     pub fn recv(&self) -> Result<Frame, Disconnected> {
-        self.inner.recv().map_err(|_| Disconnected)
+        self.recv_one(None).map_err(|_| Disconnected)
     }
 
     /// Blocks until a frame arrives, disconnect, or the timeout elapses.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Frame, RecvTimeoutError> {
-        self.inner.recv_timeout(timeout).map_err(|e| match e {
-            crossbeam::channel::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
-            crossbeam::channel::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
-        })
+        self.recv_one(Some(timeout))
     }
 
     /// Pops without blocking.
     pub fn try_recv(&self) -> Result<Frame, TryRecvError> {
-        self.inner.try_recv().map_err(|e| match e {
-            crossbeam::channel::TryRecvError::Empty => TryRecvError::Empty,
-            crossbeam::channel::TryRecvError::Disconnected => TryRecvError::Disconnected,
+        self.recv_one(Some(Duration::ZERO)).map_err(|e| match e {
+            RecvTimeoutError::Timeout => TryRecvError::Empty,
+            RecvTimeoutError::Disconnected => TryRecvError::Disconnected,
         })
+    }
+
+    fn recv_one(&self, timeout: Option<Duration>) -> Result<Frame, RecvTimeoutError> {
+        self.take(timeout, |frames| frames.pop_front().expect("non-empty"))
     }
 
     /// Waits up to `timeout` (`None`: for ever) for a frame, then appends
@@ -286,24 +462,69 @@ impl ChannelReceiver {
         max: usize,
         timeout: Option<Duration>,
     ) -> Result<usize, RecvTimeoutError> {
-        self.inner
-            .recv_many(into, max, timeout)
-            .map_err(|e| match e {
-                crossbeam::channel::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
-                crossbeam::channel::RecvTimeoutError::Disconnected => {
-                    RecvTimeoutError::Disconnected
+        if max == 0 {
+            return Ok(0);
+        }
+        self.take(timeout, |frames| {
+            let n = max.min(frames.len());
+            into.extend(frames.drain(..n));
+            n
+        })
+    }
+
+    /// The one receive path.  Waits up to `timeout` (`None`: for ever) for
+    /// the buffer to hold something, then lets `take` remove what it wants
+    /// from the front under that one lock acquisition.  Queued frames
+    /// drain before a disconnect is reported.  Senders waiting for room
+    /// are woken only if there are any.
+    fn take<R>(
+        &self,
+        timeout: Option<Duration>,
+        take: impl FnOnce(&mut VecDeque<Frame>) -> R,
+    ) -> Result<R, RecvTimeoutError> {
+        let queue = &*self.queue;
+        let mut g = queue.state.lock();
+        if g.frames.is_empty() {
+            let deadline = timeout.map(|t| Instant::now() + t);
+            g.recv_waiting = true;
+            let waited = loop {
+                if g.senders == 0 {
+                    break Err(RecvTimeoutError::Disconnected);
                 }
-            })
+                g = match deadline {
+                    None => queue.not_empty.wait(g),
+                    Some(deadline) => {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        if left.is_zero() {
+                            break Err(RecvTimeoutError::Timeout);
+                        }
+                        queue.not_empty.wait_timeout(g, left)
+                    }
+                };
+                if !g.frames.is_empty() {
+                    break Ok(());
+                }
+            };
+            g.recv_waiting = false;
+            waited?;
+        }
+        let taken = take(&mut g.frames);
+        let wake_sender = g.send_waiting > 0 && g.frames.len() < g.hwm;
+        drop(g);
+        if wake_sender {
+            wake_one(&queue.not_full);
+        }
+        Ok(taken)
     }
 
     /// Frames currently buffered (approximate).
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.queue.state.lock().frames.len()
     }
 
     /// True when nothing is buffered (approximate).
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.len() == 0
     }
 }
 
@@ -341,14 +562,35 @@ impl Receiver for ChannelReceiver {
 /// tests; ZeroMQ's HWM is likewise ≥ 1).
 pub fn channel(hwm: usize) -> (HwmSender, ChannelReceiver) {
     assert!(hwm > 0, "HWM must be at least 1");
-    let (tx, rx) = bounded(hwm);
+    let queue = Arc::new(Queue {
+        state: Mutex::new(QueueState {
+            frames: VecDeque::with_capacity(hwm),
+            hwm,
+            senders: 1,
+            receiver_gone: false,
+            recv_waiting: false,
+            send_waiting: 0,
+        }),
+        not_empty: Condvar::new(),
+        not_full: Condvar::new(),
+    });
     (
         HwmSender {
-            inner: tx,
+            queue: Arc::clone(&queue),
             stats: Arc::new(LinkStats::default()),
         },
-        ChannelReceiver { inner: rx },
+        ChannelReceiver {
+            queue,
+            _one_thread: PhantomData,
+        },
     )
+}
+
+/// The one place a sleeper is woken (the queue tests count the calls).
+fn wake_one(sleepers: &Condvar) {
+    #[cfg(test)]
+    crate::channel::tests::WAKES.with(|n| n.set(n.get() + 1));
+    sleepers.notify_one();
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::api::{BoxSender, Disconnected, FlushError, SendBatchError, SendTimeoutError, Sender};
-use parking_lot::Mutex;
+use melissa_sync::Mutex;
 
 use crate::endpoint::{Frame, LinkStats};
 

@@ -19,7 +19,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use melissa_sync::Mutex;
 
 /// Tracks the last sign of life of a set of peers and reports timeouts.
 #[derive(Debug)]

@@ -91,6 +91,8 @@
 //! crate only moves opaque frames.
 
 pub mod api;
+/// The HWM queue's tests, named after [`endpoint::channel`].
+mod channel;
 pub mod codec;
 pub mod compress;
 pub mod directory;

@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use melissa_sync::Mutex;
 
 use crate::api::{BoxReceiver, BoxSender, ConnectError, LinkStatsSnapshot, Sender as _, Transport};
 use crate::endpoint::{channel, HwmSender, LinkStats};

@@ -103,7 +103,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use melissa_sync::Mutex;
 
 use crate::api::{
     BoxReceiver, BoxSender, ConnectError, Disconnected, FlushError, LinkStatsSnapshot,
@@ -409,7 +409,7 @@ pub struct TcpTransport {
     inner: Arc<TcpInner>,
     accept_handle: Mutex<Option<JoinHandle<()>>>,
     /// Dropping this stops the lease-renewal heartbeat.
-    _lease_stop: Option<crossbeam::channel::Sender<()>>,
+    _lease_stop: Option<std::sync::mpsc::Sender<()>>,
 }
 
 impl std::fmt::Debug for TcpTransport {
@@ -469,12 +469,12 @@ impl TcpTransport {
         // remote directory — and, because renewals re-publish the
         // name→address pairs, repopulates a restarted directory.
         let lease_stop = if inner.directory.remote_addr().is_some() {
-            let (stop_tx, stop_rx) = crossbeam::channel::bounded::<()>(1);
+            let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
             let dir = Arc::clone(&inner.directory);
             let period = config.lease_renew;
             std::thread::spawn(move || loop {
                 match stop_rx.recv_timeout(period) {
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
                         let _ = dir.renew();
                     }
                     _ => return,

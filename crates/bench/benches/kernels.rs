@@ -415,6 +415,15 @@ fn bench_solver_step(c: &mut Criterion) {
             )
         });
     });
+    // The pre-run every study starts with, serial on one core; a row's
+    // elements are the mesh's cells (the sweep count is fixed per mesh).
+    for (name, cfg) in [
+        ("prerun_default", UseCaseConfig::default()),
+        ("prerun_tiny", UseCaseConfig::tiny()),
+    ] {
+        g.throughput(Throughput::Elements(cfg.mesh().n_cells() as u64));
+        g.bench_function(name, |b| b.iter(|| black_box(&cfg).prerun()));
+    }
     g.finish();
 }
 

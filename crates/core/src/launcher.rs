@@ -211,7 +211,11 @@ pub(crate) struct StudyContext {
     pub coord: Coordination,
     pub p: usize,
     pub n_cells: usize,
+    /// The study clock's origin, taken before anything else the study
+    /// does, the pre-run included.
     pub started: Instant,
+    /// Time the shared pre-run took (part of the study's wall time).
+    pub prerun_time: Duration,
     /// Supervisor slots this study runs: the `n_shards` launch-time
     /// shards, plus one joiner slot per scripted scale-out target beyond
     /// them ([`FaultPlan::n_supervisors`]).
@@ -229,6 +233,7 @@ impl StudyContext {
     /// daemon injects its shared transport and dispatcher, the study
     /// scope and the cancel switch here).
     pub(crate) fn new_in(config: StudyConfig, faults: FaultPlan, rt: StudyRuntime) -> Self {
+        let started = Instant::now();
         let transport = rt.transport.unwrap_or_else(|| {
             make_transport_with(config.transport.clone(), config.wire_compression)
         });
@@ -236,6 +241,7 @@ impl StudyContext {
         let design = PickFreeze::generate(config.n_groups, &space, config.seed);
         let p = space.dim();
         let flow = Arc::new(config.solver.prerun());
+        let prerun_time = started.elapsed();
         let n_cells = config.solver.mesh().n_cells();
         let runner: Arc<dyn Dispatcher> = rt
             .runner
@@ -246,7 +252,6 @@ impl StudyContext {
         let coord = Coordination::new(n_slots, routing);
         let wakers = Arc::clone(&coord.wakers);
         rt.cancel.on_kill(move || wakers.wake_all());
-        let started = Instant::now();
         // One telemetry hub per supervisor slot, all on the shared study
         // clock so cross-shard event timestamps are comparable.
         let telemetry = if config.telemetry {
@@ -269,6 +274,7 @@ impl StudyContext {
             p,
             n_cells,
             started,
+            prerun_time,
             n_slots,
             telemetry,
         }
@@ -347,6 +353,7 @@ pub fn run_study(
         ctx.n_cells,
         run.states,
     );
+    report.prerun_time = ctx.prerun_time;
     report.wall_time = ctx.started.elapsed();
     Ok(StudyOutput { results, report })
 }

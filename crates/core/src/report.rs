@@ -41,6 +41,9 @@ pub struct StudyReport {
     /// Wall-clock duration of the study, from launch to assembled
     /// results (the study-end reduction included).
     pub wall_time: Duration,
+    /// Part of [`wall_time`](Self::wall_time) spent in the steady-flow
+    /// pre-run, which every study runs serially before its first group.
+    pub prerun_time: Duration,
     /// Part of [`wall_time`](Self::wall_time) spent reducing the shards'
     /// worker states into one state set; zero for a single-server study,
     /// which has nothing to reduce.
@@ -125,6 +128,7 @@ impl StudyReport {
             shards_joined: 0,
             routing_epoch: 0,
             wall_time: Duration::ZERO,
+            prerun_time: Duration::ZERO,
             reduce_time: Duration::ZERO,
             data_messages: 0,
             data_bytes: 0,
@@ -184,6 +188,11 @@ impl std::fmt::Display for StudyReport {
             f,
             "wall time         : {:.2} s",
             self.wall_time.as_secs_f64()
+        )?;
+        writeln!(
+            f,
+            "flow pre-run      : {:.3} s",
+            self.prerun_time.as_secs_f64()
         )?;
         if self.n_shards > 1 {
             writeln!(
@@ -307,6 +316,7 @@ mod tests {
         assert!(text.contains("q01=0.0371"), "text: {text}");
         assert!(text.contains("q50=0.0188"), "text: {text}");
         assert!(text.contains("transport         : tcp (1234 frames"));
+        assert!(text.contains("flow pre-run      : 0.000 s"), "text: {text}");
     }
 
     #[test]

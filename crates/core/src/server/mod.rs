@@ -767,12 +767,9 @@ fn worker_loop(
                         shared.set_worker_ci(state.worker_id(), w);
                     }
                     if state.tracks_quantiles() {
-                        shared
-                            .set_worker_quantile_step(state.worker_id(), state.max_quantile_step());
-                        shared.set_worker_quantile_steps(
-                            state.worker_id(),
-                            state.quantile_step_widths(),
-                        );
+                        let (step, widths) = state.quantile_steps();
+                        shared.set_worker_quantile_step(state.worker_id(), step);
+                        shared.set_worker_quantile_steps(state.worker_id(), widths);
                     }
                     // After the signals, so the pushed report carries
                     // them.

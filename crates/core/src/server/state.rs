@@ -26,6 +26,7 @@ use std::collections::{HashMap, HashSet};
 
 use melissa_mesh::CellRange;
 use melissa_sobol::{FusedSlabUpdate, UbiquitousSobol};
+use melissa_stats::quantiles::rm_step_scale;
 use melissa_stats::{FieldMinMax, FieldMoments, FieldQuantiles, FieldThreshold};
 
 use crate::protocol::{DataHeader, DataView};
@@ -616,39 +617,41 @@ impl WorkerState {
             .fold(0.0, f64::max)
     }
 
-    /// Widest possible next Robbins–Monro quantile step over all
-    /// timesteps/cells — the order-statistics convergence signal reported
-    /// alongside the Sobol' CI width.  Timesteps with no samples yet are
-    /// skipped (mirroring how the CI sweep masks no-data cells), so the
-    /// signal is `0` when quantiles are unconfigured or entirely cold.
-    pub fn max_quantile_step(&self) -> f64 {
-        self.quantiles
-            .iter()
-            .zip(&self.minmax)
-            .filter(|(q, _)| q.count() > 0)
-            .map(|(q, envelope)| q.max_step_width(envelope))
-            .fold(0.0, f64::max)
-    }
-
-    /// Per-probability quantile-convergence signals: element `i` is the
-    /// widest possible next Robbins–Monro step of target probability
-    /// `quantile_probs[i]` over all timesteps/cells (the extreme
-    /// percentiles converge last — see
-    /// [`FieldQuantiles::step_widths`]).  Empty when order statistics are
-    /// disabled; timesteps with no samples yet are skipped like in
-    /// [`max_quantile_step`](Self::max_quantile_step).
-    pub fn quantile_step_widths(&self) -> Vec<f64> {
-        let m = self.quantiles.first().map(|q| q.probs().len()).unwrap_or(0);
-        let mut out = vec![0.0; m];
+    /// Quantile-convergence signals, from one pass over each timestep's
+    /// envelope: the widest possible next Robbins–Monro step over all
+    /// timesteps/cells (reported alongside the Sobol' CI width), and per
+    /// tracked probability `quantile_probs[i]` that step times
+    /// `max(α, 1−α)` (the extreme percentiles converge last — see
+    /// [`FieldQuantiles::step_widths`]).  Timesteps with no samples yet
+    /// are skipped, mirroring how the CI sweep masks no-data cells, so the
+    /// step is `0` when quantiles are unconfigured or entirely cold; the
+    /// widths are empty when order statistics are disabled.
+    ///
+    /// Bit for bit the fold of [`FieldQuantiles::max_step_width`] and
+    /// [`FieldQuantiles::step_widths`] over the timesteps: rounding is
+    /// monotone, so `max_c fl(r_c·s) = fl(max_c r_c · s)`, and the widest
+    /// range is scaled once instead of every cell's.
+    pub fn quantile_steps(&self) -> (f64, Vec<f64>) {
+        let probs = self.quantiles.first().map_or(&[][..], |q| q.probs());
+        let mut max_step: f64 = 0.0;
+        let mut widths = vec![0.0; probs.len()];
         for (q, envelope) in self.quantiles.iter().zip(&self.minmax) {
             if q.count() == 0 {
                 continue;
             }
-            for (o, w) in out.iter_mut().zip(q.step_widths(envelope)) {
-                *o = f64::max(*o, w);
+            let max_range = envelope
+                .min()
+                .iter()
+                .zip(envelope.max())
+                .map(|(&lo, &hi)| hi - lo)
+                .fold(0.0, f64::max);
+            let step = max_range * rm_step_scale(q.count() + 1, q.gamma());
+            max_step = max_step.max(step);
+            for (w, &p) in widths.iter_mut().zip(probs) {
+                *w = f64::max(*w, step * p.max(1.0 - p));
             }
         }
-        out
+        (max_step, widths)
     }
 
     /// Merges another worker's statistics over the **same slab** into this
@@ -1029,7 +1032,7 @@ mod tests {
         }
         assert_eq!(st.quantiles(0).unwrap(), &direct);
         assert_eq!(st.quantiles(0).unwrap().count(), 12);
-        assert!(st.max_quantile_step().is_finite());
+        assert!(st.quantile_steps().0.is_finite());
     }
 
     #[test]
@@ -1038,12 +1041,64 @@ mod tests {
         send_full_ts(&mut st, 1, 0, 1.0);
         assert!(!st.tracks_quantiles());
         assert!(st.quantiles(0).is_none());
-        assert_eq!(st.max_quantile_step(), 0.0);
+        assert_eq!(st.quantile_steps(), (0.0, Vec::new()));
         // ensure_quantiles retrofits cold state (restore under a
         // configuration that turned order statistics on).
         st.ensure_quantiles(&[0.5]);
         assert!(st.tracks_quantiles());
         assert_eq!(st.quantiles(0).unwrap().count(), 0);
+    }
+
+    /// The two envelope passes `quantile_steps` replaced: the per-timestep
+    /// `max_step_width` and `step_widths`, folded over the warm timesteps.
+    fn two_pass_quantile_steps(st: &WorkerState) -> (f64, Vec<f64>) {
+        let m = st.quantiles(0).map_or(0, |q| q.probs().len());
+        let (mut max_step, mut widths) = (0.0f64, vec![0.0; m]);
+        for ts in 0..st.n_timesteps() {
+            let Some(q) = st.quantiles(ts).filter(|q| q.count() > 0) else {
+                continue;
+            };
+            max_step = max_step.max(q.max_step_width(st.minmax(ts)));
+            for (w, s) in widths.iter_mut().zip(q.step_widths(st.minmax(ts))) {
+                *w = f64::max(*w, s);
+            }
+        }
+        (max_step, widths)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// One pass per timestep gives the two-pass signals bit for bit,
+        /// on states with cold timesteps and on entirely cold ones
+        /// (`warm == 0`).
+        #[test]
+        fn quantile_steps_equal_the_two_pass_signals(
+            values in proptest::strategies::collection::vec(-1e3f64..1e3, 1..24),
+            warm in 0u8..8,
+            groups in 1u64..5,
+            spread in 0usize..3,
+        ) {
+            let probs = [[0.5].as_slice(), &[0.01, 0.5, 0.99], &[0.3, 0.75]][spread];
+            let mut st = WorkerState::with_stats(0, slab(), P, TS, &[], probs);
+            let mut next = values.iter().cycle();
+            for g in 0..groups {
+                for ts in (0..TS as u32).filter(|ts| warm >> ts & 1 == 1) {
+                    for role in 0..(P + 2) as u16 {
+                        let vals: Vec<f64> = (0..4).map(|_| *next.next().unwrap()).collect();
+                        st.on_data(g, role, ts, 10, &vals);
+                    }
+                }
+            }
+            let (step, widths) = st.quantile_steps();
+            let (want_step, want_widths) = two_pass_quantile_steps(&st);
+            proptest::prop_assert_eq!(step.to_bits(), want_step.to_bits());
+            let bits = |v: &[f64]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&widths), bits(&want_widths));
+            if warm == 0 {
+                proptest::prop_assert_eq!((step, widths), (0.0, vec![0.0; probs.len()]));
+            }
+        }
     }
 
     #[test]

@@ -517,6 +517,7 @@ pub(crate) fn run_sharded_study(
     // threads interleaved.
     report.events.sort_by_key(|e| e.order_key());
     report.origin = ctx.started;
+    report.prerun_time = ctx.prerun_time;
     report.routing_epoch = ctx.coord.routing.epoch();
 
     // Reduce over the state *lineages* in slot order: each slot's final

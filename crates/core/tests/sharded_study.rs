@@ -70,11 +70,14 @@ fn sharded_study_reduces_to_single_server_statistics() {
     // matches the single server exactly.
     assert_eq!(sharded.report.data_messages, single.report.data_messages);
     assert_eq!(sharded.report.data_bytes, single.report.data_bytes);
-    // The wall clock covers the study-end reduction (it used to be
-    // stamped before it); a single server has nothing to reduce.
-    assert!(sharded.report.reduce_time > std::time::Duration::ZERO);
-    assert!(sharded.report.reduce_time <= sharded.report.wall_time);
-    assert_eq!(single.report.reduce_time, std::time::Duration::ZERO);
+    // The wall clock covers the pre-run and the study-end reduction; a
+    // single server has nothing to reduce.
+    assert!(sharded.report.reduce_time > Duration::ZERO);
+    assert_eq!(single.report.reduce_time, Duration::ZERO);
+    for report in [&single.report, &sharded.report] {
+        assert!(report.prerun_time > Duration::ZERO);
+        assert!(report.prerun_time + report.reduce_time <= report.wall_time);
+    }
 
     // Order-exact families: bit-identical to the single server.
     assert_eq!(

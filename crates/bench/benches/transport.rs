@@ -28,13 +28,11 @@ use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use melissa::server::checkpoint::{read_checkpoint, write_checkpoint};
 use melissa::server::state::WorkerState;
-use melissa::{GroupRouter, RoutingTable};
 use melissa_mesh::SlabPartition;
 use melissa_transport::compress::{compress_into, decoded_len, decompress_into, PlaneScratch};
 use melissa_transport::{
-    compress_payload, decompress_payload, make_transport, make_transport_with, Directory,
-    DirectoryClient, DirectoryServer, TcpTransport, TcpTransportConfig, Transport, TransportKind,
-    WireCompression,
+    compress_payload, decompress_payload, make_transport, make_transport_with, DirectoryClient,
+    DirectoryServer, TcpTransport, TcpTransportConfig, Transport, TransportKind, WireCompression,
 };
 
 const BURST: usize = 32;
@@ -266,10 +264,6 @@ fn bench_reconnect(c: &mut Criterion) {
 
 /// The live-rebalancing primitives, measured in isolation:
 ///
-/// * `fence` — raise a routing epoch (override map + epoch bump), publish
-///   the fenced table through a live directory server, and fetch it back
-///   from a peer: the full epoch-propagation path every migration pays
-///   once per fence.
 /// * `migrate_group` — the per-group drain-and-move state machine: one
 ///   in-flight frame lands, the source worker bans the group (flush
 ///   barrier: drop partial assemblies, freeze the completion floor), the
@@ -280,22 +274,6 @@ fn bench_reconnect(c: &mut Criterion) {
 fn bench_rebalance(c: &mut Criterion) {
     let mut g = c.benchmark_group("transport_rebalance");
     g.sample_size(7);
-
-    let server =
-        DirectoryServer::bind("127.0.0.1:0", Duration::from_secs(60)).expect("directory listener");
-    let client = DirectoryClient::connect(&server.local_addr().to_string()).expect("client");
-    let base = GroupRouter::new(4, 0x6d65_6c69_7373_6121);
-    let routing = RoutingTable::new(base);
-    let moves: Vec<(u64, usize)> = (0..4u64).map(|gid| (gid, 4)).collect();
-    g.bench_function("fence", |b| {
-        b.iter(|| {
-            routing.fence(&moves);
-            routing.publish(&client).expect("publish");
-            RoutingTable::fetch(&client, base)
-                .expect("fetch")
-                .expect("a fence was published")
-        })
-    });
 
     const N_CELLS: usize = 4096;
     let partition = SlabPartition::new(N_CELLS, 1);

@@ -93,7 +93,7 @@ pub fn tube_frames(seed: u64, timesteps: usize, every: usize) -> Vec<Bytes> {
                     };
                     let mut frame =
                         BytesMut::with_capacity(DataHeader::ENCODED_LEN + 8 * range.len);
-                    header.encode_frame(&mut frame, &values, |v| v);
+                    header.encode_frame(&mut frame, &values);
                     frames.push(frame.freeze());
                 }
             }

@@ -18,11 +18,13 @@
 //! queue hand-off and at most one wake-up of the receiving side per
 //! timestep and worker.
 //!
+//! [`Sender::send_batch`]: melissa_transport::Sender::send_batch
+//!
 //! The client speaks only the backend-agnostic [`Transport`] /
 //! [`melissa_transport::Sender`] trait surface, so a group connects the
-//! same way whether the deployment runs in-process or over TCP.  Every
-//! data link is wrapped in a [`FaultySender`], composing scripted link
-//! faults (drops, delays, kills) with whichever backend is active.
+//! same way whether the deployment runs in-process or over TCP.  The
+//! group's [`KillSwitch`] is checked before every hand-off and every
+//! flush, so a killed group stops sending at the next worker's batch.
 //!
 //! Stage 1 of the transfer (gathering each rank's chunk from the `p + 2`
 //! simulations onto the main simulation) is performed by the caller, who
@@ -35,7 +37,7 @@ use std::time::Duration;
 use bytes::BytesMut;
 use melissa_mesh::{CellRange, SlabPartition};
 use melissa_transport::directory::names;
-use melissa_transport::{FaultPolicy, FaultySender, Frame, KillSwitch, Sender, Transport};
+use melissa_transport::{BoxSender, Frame, KillSwitch, Transport};
 
 use crate::protocol::{DataHeader, Message};
 
@@ -138,7 +140,7 @@ pub struct GroupClient {
     group_id: u64,
     instance: u32,
     partition: SlabPartition,
-    senders: Vec<FaultySender>,
+    senders: Vec<BoxSender>,
     /// Per server worker, what [`send_timestep`](Self::send_timestep) has
     /// encoded since the last [`end_timestep`](Self::end_timestep).
     staged: Vec<Staged>,
@@ -146,7 +148,6 @@ pub struct GroupClient {
     batch: VecDeque<Frame>,
     send_timeout: Duration,
     kill: KillSwitch,
-    truncate_bits: Option<u8>,
     /// Messages sent so far.
     pub messages_sent: u64,
     /// Payload bytes sent so far.
@@ -167,7 +168,6 @@ impl GroupClient {
     /// single-server deployment, or a shard prefix (`"shard<k>"`) in a
     /// sharded study, where the group-hash router decides which shard
     /// ingests this group.
-    #[allow(clippy::too_many_arguments)]
     pub fn connect(
         transport: &dyn Transport,
         scope: &str,
@@ -176,7 +176,6 @@ impl GroupClient {
         reply_hwm: usize,
         timeout: Duration,
         kill: KillSwitch,
-        fault: FaultPolicy,
     ) -> Result<GroupClient, ClientError> {
         let reply_name = names::group_reply_in(scope, group_id, instance);
         let reply_rx = transport.bind(&reply_name, reply_hwm.max(1));
@@ -208,13 +207,10 @@ impl GroupClient {
         };
 
         let partition = SlabPartition::new(n_cells as usize, n_workers as usize);
-        let mut senders = Vec::with_capacity(n_workers as usize);
-        for w in 0..n_workers as usize {
-            let tx = transport
-                .connect(&names::server_worker_in(scope, w))
-                .map_err(connect_failure)?;
-            senders.push(FaultySender::new(tx, fault.clone(), kill.clone()));
-        }
+        let senders = (0..n_workers as usize)
+            .map(|w| transport.connect(&names::server_worker_in(scope, w)))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(connect_failure)?;
         Ok(GroupClient {
             group_id,
             instance,
@@ -224,46 +220,9 @@ impl GroupClient {
             batch: VecDeque::new(),
             send_timeout: timeout,
             kill,
-            truncate_bits: None,
             messages_sent: 0,
             bytes_sent: 0,
         })
-    }
-
-    /// *Initialise* through an epoch-fenced routing table: resolves the
-    /// group's current owner shard as a pure function of `(table, group)`
-    /// and delegates to [`connect`](Self::connect) with that scope.  A
-    /// simulation restarted after a rebalance reconnects to wherever the
-    /// latest fence routed its group.
-    #[allow(clippy::too_many_arguments)]
-    pub fn connect_routed(
-        transport: &dyn Transport,
-        routing: &crate::shard::RoutingTable,
-        group_id: u64,
-        instance: u32,
-        reply_hwm: usize,
-        timeout: Duration,
-        kill: KillSwitch,
-        fault: FaultPolicy,
-    ) -> Result<GroupClient, ClientError> {
-        let scope = routing.scope_of(group_id);
-        Self::connect(
-            transport, &scope, group_id, instance, reply_hwm, timeout, kill, fault,
-        )
-    }
-
-    /// Applies the study's wire-compression mode to this client:
-    /// [`Truncate`](melissa_transport::WireCompression::Truncate) rounds
-    /// every outgoing field value to its top `mantissa_bits` mantissa
-    /// bits *before* encoding (the reduced-precision transfer with the
-    /// documented `2^-(mantissa_bits+1)` relative error bound — see
-    /// `melissa_transport::compress`); the lossless modes are handled
-    /// entirely inside the transport and are a no-op here.
-    pub fn set_wire_compression(&mut self, compression: melissa_transport::WireCompression) {
-        self.truncate_bits = match compression {
-            melissa_transport::WireCompression::Truncate { mantissa_bits } => Some(mantissa_bits),
-            _ => None,
-        };
     }
 
     /// The group id this client serves.
@@ -305,12 +264,7 @@ impl GroupClient {
                     start: sub.start as u64,
                 };
                 let staged = &mut self.staged[worker];
-                match self.truncate_bits {
-                    Some(bits) => header.encode_frame(&mut staged.block, values, |v| {
-                        melissa_transport::truncate_f64(v, bits)
-                    }),
-                    None => header.encode_frame(&mut staged.block, values, |v| v),
-                }
+                header.encode_frame(&mut staged.block, values);
                 staged.ends.push(staged.block.len());
             }
         }
@@ -323,6 +277,9 @@ impl GroupClient {
         for (staged, sender) in self.staged.iter_mut().zip(&self.senders) {
             if staged.ends.is_empty() {
                 continue;
+            }
+            if self.kill.is_killed() {
+                return Err(ClientError::Killed);
             }
             // The next timestep's block will be as long as this one.
             let next = BytesMut::with_capacity(staged.block.len());
@@ -391,7 +348,6 @@ mod tests {
             8,
             Duration::from_millis(50),
             KillSwitch::new(),
-            FaultPolicy::default(),
         )
         .unwrap_err();
         assert!(matches!(err, ClientError::ServerUnavailable));
@@ -401,7 +357,7 @@ mod tests {
     fn handshake_timeout_when_server_main_is_silent() {
         let transport = ChannelTransport::new();
         // Bind server/main but never answer.
-        let _main_rx = transport.bind(&names::server_main(), 8);
+        let _main_rx = transport.bind(&names::server_main_in(""), 8);
         let err = GroupClient::connect(
             &transport,
             "",
@@ -410,7 +366,6 @@ mod tests {
             8,
             Duration::from_millis(50),
             KillSwitch::new(),
-            FaultPolicy::default(),
         )
         .unwrap_err();
         assert!(matches!(err, ClientError::HandshakeTimeout));
@@ -419,7 +374,7 @@ mod tests {
     #[test]
     fn malformed_handshake_reply_is_bad_handshake_not_timeout() {
         let transport = ChannelTransport::new();
-        let main_rx = transport.bind(&names::server_main(), 8);
+        let main_rx = transport.bind(&names::server_main_in(""), 8);
         // A fake server main that answers the handshake with garbage.
         let t2 = transport.clone();
         let fake_server = std::thread::spawn(move || {
@@ -431,7 +386,7 @@ mod tests {
                 other => panic!("unexpected request {other:?}"),
             };
             let reply_tx = t2
-                .connect(&names::group_reply(group_id, instance))
+                .connect(&names::group_reply_in("", group_id, instance))
                 .expect("reply endpoint");
             reply_tx
                 .send(bytes::Bytes::from_static(&[255, 1, 2, 3]))
@@ -445,7 +400,6 @@ mod tests {
             8,
             Duration::from_secs(5),
             KillSwitch::new(),
-            FaultPolicy::default(),
         )
         .unwrap_err();
         fake_server.join().unwrap();
@@ -458,7 +412,7 @@ mod tests {
     #[test]
     fn wrong_message_type_in_handshake_is_bad_handshake() {
         let transport = ChannelTransport::new();
-        let main_rx = transport.bind(&names::server_main(), 8);
+        let main_rx = transport.bind(&names::server_main_in(""), 8);
         let t2 = transport.clone();
         let fake_server = std::thread::spawn(move || {
             let req = main_rx
@@ -469,7 +423,7 @@ mod tests {
                 other => panic!("unexpected request {other:?}"),
             };
             let reply_tx = t2
-                .connect(&names::group_reply(group_id, instance))
+                .connect(&names::group_reply_in("", group_id, instance))
                 .expect("reply endpoint");
             // A decodable message of the wrong kind.
             reply_tx.send(Message::ServerReady.encode()).unwrap();
@@ -482,7 +436,6 @@ mod tests {
             8,
             Duration::from_secs(5),
             KillSwitch::new(),
-            FaultPolicy::default(),
         )
         .unwrap_err();
         fake_server.join().unwrap();

@@ -1,5 +1,13 @@
 //! Study configuration: everything the launcher needs to run a complete
 //! in transit sensitivity analysis.
+//!
+//! Every field is one a deployment sets.  Limits nobody tunes are
+//! constants beside the code that enforces them: the group retry cap
+//! ([`MAX_GROUP_RETRIES`](crate::launcher::MAX_GROUP_RETRIES), the
+//! paper's Section 4.2.2) and the deadline of one migration step
+//! ([`MIGRATION_TIMEOUT`](crate::launcher::MIGRATION_TIMEOUT)).  Link
+//! faults (drops, delays) are not a study setting: a test that needs them
+//! wraps a link in `melissa_transport::FaultySender` itself.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -74,9 +82,6 @@ pub struct StudyConfig {
     pub checkpoint_interval: Duration,
     /// Directory for checkpoint files.
     pub checkpoint_dir: PathBuf,
-    /// Give up restarting a group after this many attempts
-    /// (paper Section 4.2.2).
-    pub max_group_retries: u32,
     /// Optional convergence control: cancel remaining groups once the
     /// widest 95 % CI over all tracked indices drops below this
     /// (paper Sections 3.4 / 4.1.5).  `None` disables early stopping.
@@ -96,23 +101,12 @@ pub struct StudyConfig {
     /// Hard wall limit on the whole study (safety net for tests; a real
     /// deployment would use the batch system's walltime).
     pub wall_limit: Duration,
-    /// Deadline for one live-migration step (epoch fence, flush-barrier
-    /// acknowledgements from every source worker, floor adoption on the
-    /// target) before the supervisor declares the rebalance failed
-    /// ([`crate::shard`]'s routing-epoch protocol).
-    pub migration_timeout: Duration,
     /// Wire compression of the data links (TCP backends only; the
     /// in-process backend moves frames by reference and ignores it).
     /// [`Transpose`](melissa_transport::WireCompression::Transpose) is
-    /// lossless — a compressed seeded study is bit-identical to an
-    /// uncompressed one — while
-    /// [`Truncate`](melissa_transport::WireCompression::Truncate) is the
-    /// opt-in reduced-precision transfer and is rejected for order-exact
-    /// acceptance runs (`max_concurrent_groups == 1`).
+    /// lossless: a compressed seeded study is bit-identical to an
+    /// uncompressed one.
     pub wire_compression: melissa_transport::WireCompression,
-    /// Link-level fault policy applied to all group data links (message
-    /// drops / delays for fault experiments).
-    pub link_fault: melissa_transport::FaultPolicy,
     /// Thresholds for per-cell exceedance-probability statistics (the
     /// paper's "other iterative statistics", Section 4.1).
     pub thresholds: Vec<f64>,
@@ -146,14 +140,11 @@ melissa_transport::wire_struct!(StudyConfig {
     server_timeout,
     checkpoint_interval,
     checkpoint_dir,
-    max_group_retries,
     target_ci_width,
     ci_variance_floor,
     target_quantile_step,
     wall_limit,
-    migration_timeout,
     wire_compression,
-    link_fault,
     thresholds,
     quantile_probs,
     telemetry,
@@ -176,14 +167,11 @@ impl Default for StudyConfig {
             server_timeout: Duration::from_secs(10),
             checkpoint_interval: Duration::from_secs(60),
             checkpoint_dir: std::env::temp_dir().join("melissa-checkpoints"),
-            max_group_retries: 3,
             target_ci_width: None,
             ci_variance_floor: 1e-12,
             target_quantile_step: None,
             wall_limit: Duration::from_secs(600),
-            migration_timeout: Duration::from_secs(30),
             wire_compression: melissa_transport::WireCompression::Off,
-            link_fault: melissa_transport::FaultPolicy::default(),
             thresholds: vec![0.5],
             quantile_probs: melissa_stats::quantiles::PAPER_PROBS.to_vec(),
             telemetry: true,
@@ -251,23 +239,6 @@ impl StudyConfig {
                 return Err(format!("quantile probability {q} outside (0, 1)"));
             }
         }
-        if let melissa_transport::WireCompression::Truncate { mantissa_bits } =
-            self.wire_compression
-        {
-            if !(1..=52).contains(&mantissa_bits) {
-                return Err(format!(
-                    "truncate mantissa_bits {mantissa_bits} outside 1..=52"
-                ));
-            }
-            if self.max_concurrent_groups == 1 {
-                return Err(
-                    "reduced-precision transfer (Truncate) is rejected for order-exact \
-                     acceptance runs (max_concurrent_groups == 1): their contract is \
-                     bit-identical statistics across transports"
-                        .into(),
-                );
-            }
-        }
         if let Some(step) = self.target_quantile_step {
             if step.is_nan() || step <= 0.0 {
                 return Err(format!("target_quantile_step {step} must be positive"));
@@ -322,22 +293,6 @@ mod tests {
 
         let mut c = StudyConfig::tiny();
         c.target_quantile_step = Some(0.0);
-        assert!(c.validate().is_err());
-
-        // Lossy transfer is incompatible with order-exact runs; lossless
-        // compression is fine there.
-        let mut c = StudyConfig::tiny();
-        c.max_concurrent_groups = 1;
-        c.wire_compression = melissa_transport::WireCompression::Truncate { mantissa_bits: 20 };
-        assert!(c.validate().is_err());
-        c.wire_compression = melissa_transport::WireCompression::Transpose;
-        c.validate().unwrap();
-        c.max_concurrent_groups = 2;
-        c.wire_compression = melissa_transport::WireCompression::Truncate { mantissa_bits: 20 };
-        c.validate().unwrap();
-        c.wire_compression = melissa_transport::WireCompression::Truncate { mantissa_bits: 0 };
-        assert!(c.validate().is_err());
-        c.wire_compression = melissa_transport::WireCompression::Truncate { mantissa_bits: 53 };
         assert!(c.validate().is_err());
 
         let mut c = StudyConfig::tiny();

@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use melissa_solver::decomposed::DecomposedSimulation;
 use melissa_solver::{FrozenFlow, InjectionParams, UseCaseConfig};
-use melissa_transport::{FaultPolicy, KillSwitch, Transport};
+use melissa_transport::{KillSwitch, Transport};
 
 use crate::client::{ClientError, GroupClient};
 use crate::fault::GroupFault;
@@ -47,13 +47,6 @@ pub struct GroupContext {
     pub timeout: Duration,
     /// Scripted fault for this instance, if any.
     pub fault: Option<GroupFault>,
-    /// Link-level fault policy (message drops/delays).
-    pub link_fault: FaultPolicy,
-    /// Study wire-compression mode: `Truncate` makes this group round
-    /// outgoing field values before encoding (the client-side half of
-    /// the reduced-precision transfer); the lossless modes live entirely
-    /// inside the transport.
-    pub wire_compression: melissa_transport::WireCompression,
 }
 
 /// Outcome of one group job run.
@@ -84,9 +77,7 @@ pub fn run_group(ctx: GroupContext, kill: &KillSwitch) -> GroupOutcome {
     // server (paper Section 4.2.2, second failure case).
     if matches!(ctx.fault, Some(GroupFault::Zombie)) {
         // Stay "running" until killed by the launcher.
-        while !kill.is_killed() {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        kill.wait(Duration::MAX);
         return GroupOutcome::Died {
             after_timestep: None,
         };
@@ -100,7 +91,6 @@ pub fn run_group(ctx: GroupContext, kill: &KillSwitch) -> GroupOutcome {
         64,
         ctx.timeout,
         kill.clone(),
-        ctx.link_fault.clone(),
     ) {
         Ok(c) => c,
         Err(e) => {
@@ -109,7 +99,6 @@ pub fn run_group(ctx: GroupContext, kill: &KillSwitch) -> GroupOutcome {
             }
         }
     };
-    client.set_wire_compression(ctx.wire_compression);
 
     // The p + 2 simulations of the group, run in lockstep.
     let mut sims: Vec<DecomposedSimulation> = ctx
@@ -138,8 +127,10 @@ pub fn run_group(ctx: GroupContext, kill: &KillSwitch) -> GroupOutcome {
             pause,
         }) = ctx.fault
         {
-            if ts >= from_timestep {
-                std::thread::sleep(pause);
+            if ts >= from_timestep && kill.wait(pause) {
+                return GroupOutcome::Died {
+                    after_timestep: ts.checked_sub(1),
+                };
             }
         }
 
@@ -221,8 +212,6 @@ mod tests {
             transport: melissa_transport::make_transport(Default::default()),
             timeout: Duration::from_millis(100),
             fault: Some(GroupFault::Zombie),
-            link_fault: FaultPolicy::default(),
-            wire_compression: melissa_transport::WireCompression::Off,
         };
         let kill = KillSwitch::new();
         let k2 = kill.clone();
@@ -232,6 +221,76 @@ mod tests {
         kill.kill();
         assert_eq!(
             h.join().unwrap(),
+            GroupOutcome::Died {
+                after_timestep: None
+            }
+        );
+    }
+
+    /// A killed straggler ends at once, not at the end of its pause: the
+    /// supervisor that restarts it joins the job right after the kill.
+    #[test]
+    fn a_stalled_group_killed_mid_stall_ends_at_once() {
+        use crate::protocol::Message;
+        use melissa_transport::directory::names;
+
+        let cfg = UseCaseConfig::tiny();
+        let n_cells = cfg.mesh().n_cells() as u64;
+        let flow = Arc::new(cfg.prerun());
+        let design = PickFreeze::generate(1, &InjectionParams::parameter_space(), 1);
+        let transport = melissa_transport::make_transport(Default::default());
+        // A server stand-in: one worker endpoint and a handshake answer.
+        let main_rx = transport.bind(&names::server_main_in(""), 8);
+        let _worker_rx = transport.bind(&names::server_worker_in("", 0), 64);
+        let t2 = Arc::clone(&transport);
+        let server = std::thread::spawn(move || {
+            let request = main_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            let Ok(Message::ConnectRequest { group_id, instance }) = Message::decode(&request)
+            else {
+                panic!("expected a connect request");
+            };
+            let reply = Message::ConnectReply {
+                n_workers: 1,
+                n_cells,
+                p: 6,
+                n_timesteps: 1,
+            };
+            t2.connect(&names::group_reply_in("", group_id, instance))
+                .unwrap()
+                .send(reply.encode())
+                .unwrap();
+        });
+        let ctx = GroupContext {
+            scope: String::new(),
+            group_id: 0,
+            instance: 0,
+            rows: design.group(0).rows().to_vec(),
+            solver: cfg,
+            flow,
+            ranks: 2,
+            transport,
+            timeout: Duration::from_secs(5),
+            fault: Some(GroupFault::Stall {
+                from_timestep: 0,
+                pause: Duration::from_secs(30),
+            }),
+        };
+        let kill = KillSwitch::new();
+        let k2 = kill.clone();
+        let job = std::thread::spawn(move || run_group(ctx, &k2));
+        server.join().unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!job.is_finished(), "the straggler must be stalled");
+        let killed = std::time::Instant::now();
+        kill.kill();
+        let outcome = job.join().unwrap();
+        assert!(
+            killed.elapsed() < Duration::from_secs(1),
+            "joined {:?} after the kill",
+            killed.elapsed()
+        );
+        assert_eq!(
+            outcome,
             GroupOutcome::Died {
                 after_timestep: None
             }
@@ -254,8 +313,6 @@ mod tests {
             transport: melissa_transport::make_transport(Default::default()),
             timeout: Duration::from_millis(50),
             fault: None,
-            link_fault: FaultPolicy::default(),
-            wire_compression: melissa_transport::WireCompression::Off,
         };
         let kill = KillSwitch::new();
         assert!(matches!(

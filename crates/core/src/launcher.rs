@@ -13,17 +13,17 @@
 //! * **server faults** — heartbeat loss triggers a full recovery: kill
 //!   everything, restart the server from its last checkpoint, resubmit all
 //!   unfinished groups (discard-on-replay makes over-submission safe);
-//! * **retry caps** — a group failing more than `max_group_retries` times
+//! * **retry caps** — a group failing more than [`MAX_GROUP_RETRIES`] times
 //!   is abandoned (never replaced by a redrawn row, which would bias the
 //!   statistics — paper Section 4.2.2);
 //! * **convergence loopback** — optional early stop once the widest
 //!   confidence interval falls below the target (Section 4.1.5).
 //!
 //! The supervision machinery is factored per *shard*: [`run_study`] runs
-//! one supervisor over one server instance for the classic single-server
-//! study, while the sharded runner ([`crate::shard`]) runs one supervisor
-//! per server instance, all sharing the batch runner (the global node
-//! budget), the study clock and the convergence coordination.  Each
+//! one supervisor per server instance ([`crate::shard`]), all sharing the
+//! batch runner (the global node budget), the study clock and the
+//! convergence coordination.  The classic single-server study is the
+//! one-shard study, under the flat endpoint names.  Each
 //! supervisor owns its shard's failover completely — including the
 //! checkpoint-restore server recovery — so a shard failure never stalls
 //! the other shards.
@@ -53,9 +53,19 @@ use crate::server::checkpoint::read_checkpoint;
 use crate::server::state::WorkerState;
 use crate::server::{instant_after, Server, ServerConfig, ServerShared};
 use crate::shard::{GroupRouter, RoutingTable};
-use crate::study::{StudyOutput, StudyResults};
+use crate::study::StudyOutput;
 use melissa_mesh::SlabPartition;
 use melissa_scheduler::{Dispatcher, JobRunner};
+
+/// A group that fails more often than this is abandoned, never replaced
+/// by a redrawn row (paper Section 4.2.2).
+pub const MAX_GROUP_RETRIES: u32 = 3;
+
+/// Deadline for one live-migration step (epoch fence, flush-barrier
+/// acknowledgements from every source worker, floor adoption on the
+/// target) before the supervisor declares the rebalance failed
+/// ([`crate::shard`]'s routing-epoch protocol).
+pub const MIGRATION_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The execution environment a study runs in.
 ///
@@ -280,23 +290,36 @@ impl StudyContext {
         }
     }
 
+    /// The endpoint scope of supervisor slot `slot`: a one-shard study
+    /// keeps the flat names under the outer scope (`server/<w>`), a
+    /// sharded one gives every slot its own prefix (`shard<k>/server/<w>`).
+    /// Checkpoint paths follow the scope ([`server_config`](Self::server_config)).
+    pub(crate) fn slot_scope(&self, slot: usize) -> String {
+        if self.config.n_shards == 1 {
+            self.outer.clone()
+        } else {
+            names::scoped(&self.outer, &names::shard_scope(slot))
+        }
+    }
+
     /// Slot `slot`'s telemetry hub (`None` when telemetry is disabled).
     pub(crate) fn telemetry(&self, slot: usize) -> Option<&Arc<Telemetry>> {
         self.telemetry.get(slot)
     }
 
-    /// The server configuration of the shard in slot `slot` scoped by
-    /// `scope` (the empty scope is the single-server deployment and keeps
-    /// the flat checkpoint directory; shards checkpoint into per-shard
-    /// subdirectories so worker files never collide).
-    pub(crate) fn server_config(&self, slot: usize, scope: &str) -> ServerConfig {
+    /// The server configuration of the shard in slot `slot`, under its
+    /// [`slot_scope`](Self::slot_scope) (the empty scope keeps the flat
+    /// checkpoint directory; any other checkpoints into its own
+    /// subdirectory so worker files never collide).
+    pub(crate) fn server_config(&self, slot: usize) -> ServerConfig {
+        let scope = self.slot_scope(slot);
         let checkpoint_dir = if scope.is_empty() {
             self.config.checkpoint_dir.clone()
         } else {
-            self.config.checkpoint_dir.join(scope)
+            self.config.checkpoint_dir.join(&scope)
         };
         ServerConfig {
-            scope: scope.to_string(),
+            scope,
             n_workers: self.config.server_workers,
             n_cells: self.n_cells,
             p: self.p,
@@ -338,38 +361,21 @@ pub fn run_study(
 ) -> Result<StudyOutput, String> {
     config.validate()?;
     faults.validate(config.n_shards)?;
-    if config.n_shards > 1 {
-        return crate::shard::run_sharded_study(config, faults, rt);
-    }
-    let ctx = StudyContext::new_in(config, faults, rt);
-    let groups: Vec<u64> = (0..ctx.config.n_groups as u64).collect();
-    let scope = ctx.outer.clone();
-    let run = supervise_shard(&ctx, 0, &scope, &groups)?;
-
-    let mut report = run.report;
-    let results = StudyResults::from_worker_states(
-        ctx.p,
-        ctx.config.solver.n_timesteps,
-        ctx.n_cells,
-        run.states,
-    );
-    report.prerun_time = ctx.prerun_time;
-    report.wall_time = ctx.started.elapsed();
-    Ok(StudyOutput { results, report })
+    crate::shard::run_shards(config, faults, rt)
 }
 
 /// Supervises one server instance (shard) over its group subset to
 /// completion: submission, failure handling, checkpoint-restore failover
 /// and the convergence loopback.  This is the single-server launcher loop
-/// of the paper, parameterised by endpoint scope so `N` of them can run
-/// against one transport.
+/// of the paper, under slot `shard`'s endpoint scope
+/// ([`StudyContext::slot_scope`]) so `N` of them can run against one
+/// transport.
 pub(crate) fn supervise_shard(
     ctx: &StudyContext,
     shard: usize,
-    scope: &str,
     groups: &[u64],
 ) -> Result<ShardRun, String> {
-    ShardSupervisor::start(ctx, shard, scope, groups)?.run()
+    ShardSupervisor::start(ctx, shard, groups)?.run()
 }
 
 /// What ended a supervisor's wait on its inbox (the `reason` label of
@@ -500,18 +506,12 @@ impl<'a> ShardSupervisor<'a> {
     /// Starts the shard's server, waits for readiness and submits every
     /// group of the shard once, in increasing id order (the runner's
     /// FIFO turns that into a deterministic start order).
-    fn start(
-        ctx: &'a StudyContext,
-        shard: usize,
-        scope: &str,
-        groups: &[u64],
-    ) -> Result<Self, String> {
+    fn start(ctx: &'a StudyContext, shard: usize, groups: &[u64]) -> Result<Self, String> {
         let config = &ctx.config;
-        let launcher_rx = ctx.transport.bind(&names::launcher_in(scope), 1024);
-        let launcher_tx = ctx
-            .transport
-            .connect(&names::launcher_in(scope))
-            .expect("just bound");
+        let server_config = ctx.server_config(shard);
+        let launcher = names::launcher_in(&server_config.scope);
+        let launcher_rx = ctx.transport.bind(&launcher, 1024);
+        let launcher_tx = ctx.transport.connect(&launcher).expect("just bound");
         *ctx.coord.wakers.0[shard].lock() = Some(launcher_tx.clone());
 
         let mut report = StudyReport::new(config.n_groups);
@@ -529,7 +529,6 @@ impl<'a> ShardSupervisor<'a> {
         }
 
         let tele = ctx.telemetry(shard);
-        let server_config = ctx.server_config(shard, scope);
         let server = Server::start(
             server_config.clone(),
             Arc::clone(&ctx.transport),
@@ -638,19 +637,10 @@ impl<'a> ShardSupervisor<'a> {
     fn launch(&mut self, g: u64, instance: u32) {
         let ctx = self.ctx;
         let config = &ctx.config;
-        // Sharded studies route through the epoch-fenced table *at submit
-        // time*, so a group resubmitted after a fence connects to its new
-        // owner; the single-server study keeps its (possibly
-        // study-scoped) flat scope.  The routing table speaks bare shard
-        // scopes, so a daemon-hosted sharded study nests them under its
-        // outer study scope here.
-        let job_scope = if config.n_shards > 1 {
-            names::scoped(&ctx.outer, &ctx.coord.routing.scope_of(g))
-        } else {
-            self.server_config.scope.clone()
-        };
+        // Groups route through the epoch-fenced table *at submit time*, so
+        // a group resubmitted after a fence connects to its new owner.
         let job = GroupContext {
-            scope: job_scope,
+            scope: ctx.slot_scope(ctx.coord.routing.shard_of(g)),
             group_id: g,
             instance,
             rows: ctx.design.group(g as usize).rows().to_vec(),
@@ -660,8 +650,6 @@ impl<'a> ShardSupervisor<'a> {
             transport: Arc::clone(&ctx.transport),
             timeout: config.group_timeout,
             fault: ctx.faults.group_fault(g, instance),
-            link_fault: config.link_fault.clone(),
-            wire_compression: config.wire_compression,
         };
         let outcomes = Arc::clone(&self.outcomes);
         let started_at = Arc::new(OnceLock::new());
@@ -728,12 +716,11 @@ impl<'a> ShardSupervisor<'a> {
         }
         self.stop_job(g);
         let instance = self.next_instance(g);
-        let max_retries = self.ctx.config.max_group_retries;
-        if instance > max_retries {
+        if instance > MAX_GROUP_RETRIES {
             self.abandoned.insert(g);
             self.log_ev(EventKind::GroupAbandoned {
                 group: g,
-                retries: max_retries,
+                retries: MAX_GROUP_RETRIES,
             });
             return;
         }
@@ -919,7 +906,7 @@ impl<'a> ShardSupervisor<'a> {
         server.adopt_floors(g, floors);
         server
             .shared()
-            .await_acks(self.ctx.config.migration_timeout, || {
+            .await_acks(MIGRATION_TIMEOUT, || {
                 server.take_adopt_acks(g).then_some(())
             })
             .ok_or_else(|| format!("shard {shard}: floor adoption for group {g} timed out"))
@@ -1044,9 +1031,7 @@ impl<'a> ShardSupervisor<'a> {
         // ahead of the group's `MigrateOut` and reports its final floor.
         let floors = server
             .shared()
-            .await_acks(self.ctx.config.migration_timeout, || {
-                server.take_migrate_floors(g)
-            })
+            .await_acks(MIGRATION_TIMEOUT, || server.take_migrate_floors(g))
             .ok_or_else(|| {
                 format!("shard {shard}: migration flush barrier for group {g} timed out")
             })?;
@@ -1531,7 +1516,7 @@ mod tests {
             let handles: Vec<_> = (0..2)
                 .map(|k| {
                     let (ctx, groups) = (&ctx, &groups[k]);
-                    s.spawn(move || supervise_shard(ctx, k, &names::shard_scope(k), groups))
+                    s.spawn(move || supervise_shard(ctx, k, groups))
                 })
                 .collect();
             handles
@@ -1585,7 +1570,7 @@ mod tests {
             let n_groups = config.n_groups as u64;
             let ctx = StudyContext::new_in(config, FaultPlan::none(), StudyRuntime::default());
             let groups: Vec<u64> = (0..n_groups).collect();
-            let run = supervise_shard(&ctx, 0, "", &groups).expect("study");
+            let run = supervise_shard(&ctx, 0, &groups).expect("study");
             let periods = (ctx.started.elapsed().as_millis() / 50) as u64 + 1;
             std::fs::remove_dir_all(&ctx.config.checkpoint_dir).ok();
             assert_eq!(run.report.groups_finished as u64, n_groups, "{kind}");
@@ -1619,7 +1604,6 @@ mod tests {
     fn bootstrap_directory_serves_a_reachable_store() {
         let (server, addr) = bootstrap_directory().expect("directory bootstrap");
         let client = melissa_transport::DirectoryClient::connect(&addr).expect("dial directory");
-        use melissa_transport::Directory as _;
         client.publish("server/0", "127.0.0.1:1234").unwrap();
         assert_eq!(
             client.resolve("server/0").unwrap(),

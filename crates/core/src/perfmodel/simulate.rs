@@ -80,41 +80,34 @@ pub fn simulate_study(
     kind: OutputKind,
     server_nodes: u32,
 ) -> StudyTraces {
-    let cluster = Cluster::new(
-        params.machine_nodes as usize,
-        params.cores_per_node as usize,
-    );
-    let availability = Availability::Ramp {
-        initial: params.avail_initial_nodes as usize,
-        nodes_per_second: params.avail_nodes_per_s,
-    };
-    let mut batch = BatchSim::new(cluster, availability, params.submission_throttle as usize);
-    let mut queue: EventQueue<Event> = EventQueue::new();
-
     let server_cores = if kind == OutputKind::Melissa {
         server_nodes * params.cores_per_node
     } else {
         0
     };
+    // The server is up before the groups, so its allocation is modelled
+    // by shrinking the machine; the launcher then submits every group job
+    // at t = 0.
+    let group_nodes = if kind == OutputKind::Melissa {
+        assert!(
+            server_nodes <= params.machine_nodes,
+            "the server needs more nodes than the machine has"
+        );
+        params.machine_nodes - server_nodes
+    } else {
+        params.machine_nodes
+    };
+    let availability = Availability::Ramp {
+        initial: params.avail_initial_nodes as usize,
+        nodes_per_second: params.avail_nodes_per_s,
+    };
+    let mut batch = BatchSim::new(
+        Cluster::new(group_nodes as usize, params.cores_per_node as usize),
+        availability,
+        params.submission_throttle as usize,
+    );
+    let mut queue: EventQueue<Event> = EventQueue::new();
 
-    // Submit the server first (it must be up before the groups), then all
-    // group jobs at t = 0 — the launcher's behaviour.
-    if kind == OutputKind::Melissa {
-        let mut reserved = Cluster::new(
-            params.machine_nodes as usize,
-            params.cores_per_node as usize,
-        );
-        assert!(reserved.try_alloc(server_nodes as usize));
-        // Model the server allocation by shrinking the machine.
-        batch = BatchSim::new(
-            Cluster::new(
-                (params.machine_nodes - server_nodes) as usize,
-                params.cores_per_node as usize,
-            ),
-            availability,
-            params.submission_throttle as usize,
-        );
-    }
     for g in 0..params.groups as u64 {
         batch.submit(
             0.0,

@@ -11,8 +11,8 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use melissa_transport::codec::{
-    copy_words_from_le, get_u16, get_u32, get_u64, get_u8, put_f64_slice_map, words_from_le, Wire,
-    WireError, WireResult,
+    copy_words_from_le, get_u16, get_u32, get_u64, get_u8, words_from_le, Wire, WireError,
+    WireResult,
 };
 
 /// One Melissa protocol message.
@@ -170,19 +170,20 @@ impl DataHeader {
     /// the value count.
     pub const ENCODED_LEN: usize = 1 + 8 + 4 + 2 + 4 + 8 + 8;
 
-    /// Appends the frame of [`Message::Data`] with this header and `map`
-    /// of each of `values` to `buf` — the bytes [`Message::encode`]
-    /// produces for it, written in one pass over the caller's slice, so
-    /// a sender can lay a whole timestep's frames end to end in one
-    /// block without an owned copy of any chunk.
-    pub fn encode_frame(&self, buf: &mut BytesMut, values: &[f64], map: impl Fn(f64) -> f64) {
+    /// Appends the frame of [`Message::Data`] with this header and
+    /// `values` to `buf` — the bytes [`Message::encode`] produces for it,
+    /// written in one pass over the caller's slice, so a sender can lay a
+    /// whole timestep's frames end to end in one block without an owned
+    /// copy of any chunk.
+    pub fn encode_frame(&self, buf: &mut BytesMut, values: &[f64]) {
         buf.put_u8(DATA);
         buf.put_u64_le(self.group_id);
         buf.put_u32_le(self.instance);
         buf.put_u16_le(self.role);
         buf.put_u32_le(self.timestep);
         buf.put_u64_le(self.start);
-        put_f64_slice_map(buf, values, map);
+        values.len().put(buf);
+        f64::put_seq(values, buf);
     }
 }
 
@@ -313,7 +314,7 @@ fn put_data(msg: &Message, buf: &mut BytesMut) {
             timestep: *timestep,
             start: *start,
         };
-        header.encode_frame(buf, values, |v| v);
+        header.encode_frame(buf, values);
     }
 }
 
@@ -525,9 +526,7 @@ mod tests {
                 timestep: 4,
                 start: 100 * i as u64,
             };
-            // Rounding on the way out equals rounding first.
-            let round = |v: f64| melissa_transport::truncate_f64(v, 20);
-            header.encode_frame(&mut block, chunk, round);
+            header.encode_frame(&mut block, chunk);
             ends.push(block.len());
             want.push(
                 Message::Data {
@@ -536,7 +535,7 @@ mod tests {
                     role: i as u16,
                     timestep: 4,
                     start: 100 * i as u64,
-                    values: chunk.iter().map(|&v| round(v)).collect(),
+                    values: chunk.to_vec(),
                 }
                 .encode(),
             );

@@ -63,8 +63,6 @@ use crate::report::StudyReport;
 use crate::server::state::WorkerState;
 use crate::study::{StudyOutput, StudyResults};
 use melissa_sync::Mutex;
-use melissa_transport::directory::names;
-use melissa_transport::{Directory, DirectoryError};
 
 /// Deterministic group-to-shard router: `shard = hash(seed, group) % N`
 /// with a SplitMix64 finaliser, so the assignment is uniform, a pure
@@ -138,10 +136,9 @@ struct RoutingState {
 /// bumps the epoch; override targets may exceed the base shard count
 /// (elastic scale-out — the slot joins the study as a fresh shard).
 ///
-/// The table serialises to a one-line string ([`RoutingTable::encode`])
-/// published in the deployment [`Directory`] under
-/// [`names::routing_table`], which is how out-of-process resolvers learn
-/// post-fence routing.
+/// The table lives in the launcher process and is read at every submit:
+/// a group job learns its owner's scope from the supervisor that starts
+/// it, so no resolver outside the launcher ever needs the table.
 #[derive(Debug)]
 pub struct RoutingTable {
     base: GroupRouter,
@@ -178,12 +175,6 @@ impl RoutingTable {
             .unwrap_or_else(|| self.base.shard_of(group_id))
     }
 
-    /// The endpoint scope of `group_id`'s current owner
-    /// ([`names::shard_scope`]).
-    pub fn scope_of(&self, group_id: u64) -> String {
-        names::shard_scope(self.shard_of(group_id))
-    }
-
     /// Fences a new epoch: atomically re-routes every `(group, slot)`
     /// pair and returns the new epoch.  A group fenced back to its base
     /// shard keeps an explicit override — routing history is monotone in
@@ -195,70 +186,6 @@ impl RoutingTable {
         }
         inner.epoch += 1;
         inner.epoch
-    }
-
-    /// The `(epoch, sorted overrides)` snapshot backing
-    /// [`encode`](Self::encode).
-    pub fn snapshot(&self) -> (u64, Vec<(u64, usize)>) {
-        let inner = self.inner.lock();
-        let mut overrides: Vec<(u64, usize)> =
-            inner.overrides.iter().map(|(&g, &s)| (g, s)).collect();
-        overrides.sort_unstable();
-        (inner.epoch, overrides)
-    }
-
-    /// One-line wire form: `"<epoch>;<group>:<slot>,…"` with overrides in
-    /// group order (deterministic, so republished tables compare equal).
-    pub fn encode(&self) -> String {
-        let (epoch, overrides) = self.snapshot();
-        let body: Vec<String> = overrides.iter().map(|(g, s)| format!("{g}:{s}")).collect();
-        format!("{epoch};{}", body.join(","))
-    }
-
-    /// Rebuilds a table from [`encode`](Self::encode)'s wire form over
-    /// the given base router.
-    pub fn decode(base: GroupRouter, text: &str) -> Result<Self, String> {
-        let (epoch_part, body) = text
-            .split_once(';')
-            .ok_or_else(|| format!("routing table missing epoch separator: {text:?}"))?;
-        let epoch: u64 = epoch_part
-            .parse()
-            .map_err(|_| format!("bad routing epoch: {epoch_part:?}"))?;
-        let mut overrides = HashMap::new();
-        for pair in body.split(',').filter(|p| !p.is_empty()) {
-            let (g, s) = pair
-                .split_once(':')
-                .ok_or_else(|| format!("bad routing override: {pair:?}"))?;
-            let g: u64 = g.parse().map_err(|_| format!("bad group id: {g:?}"))?;
-            let s: usize = s.parse().map_err(|_| format!("bad shard slot: {s:?}"))?;
-            overrides.insert(g, s);
-        }
-        Ok(Self {
-            base,
-            inner: Mutex::new(RoutingState { epoch, overrides }),
-        })
-    }
-
-    /// Publishes the current table in the deployment directory under
-    /// [`names::routing_table`] (called after every fence so
-    /// out-of-process resolvers see post-fence routing).
-    pub fn publish(&self, dir: &dyn Directory) -> Result<(), DirectoryError> {
-        dir.publish(&names::routing_table(), &self.encode())
-    }
-
-    /// Fetches the table published under [`names::routing_table`], if
-    /// any (`None` means no fence has been published: epoch-0 base
-    /// routing applies).
-    pub fn fetch(
-        dir: &dyn Directory,
-        base: GroupRouter,
-    ) -> Result<Option<RoutingTable>, DirectoryError> {
-        match dir.resolve(&names::routing_table())? {
-            None => Ok(None),
-            Some(text) => Self::decode(base, &text)
-                .map(Some)
-                .map_err(|detail| DirectoryError::Protocol { detail }),
-        }
     }
 }
 
@@ -367,18 +294,19 @@ pub fn reduce_worker_states(shards: &[Vec<WorkerState>]) -> Vec<WorkerState> {
     reduce_owned_states(shards.to_vec())
 }
 
-/// Runs a sharded study: `N` supervised server instances over disjoint
-/// group subsets, reduced into one result set at the end.
+/// Runs a study as `N ≥ 1` supervised server instances over disjoint
+/// group subsets, reduced into one result set at the end.  The classic
+/// single-server study is `N = 1`, under the flat endpoint names
+/// ([`StudyContext::slot_scope`]).
 ///
-/// Called by [`crate::launcher::run_study`] whenever
-/// `config.n_shards > 1`; use [`crate::study::Study::run`] rather than
-/// calling this directly.
-pub(crate) fn run_sharded_study(
+/// Called by [`crate::launcher::run_study`], which validates the
+/// configuration; use [`crate::study::Study::run`] rather than calling
+/// this directly.
+pub(crate) fn run_shards(
     config: StudyConfig,
     faults: FaultPlan,
     rt: StudyRuntime,
 ) -> Result<StudyOutput, String> {
-    faults.validate(config.n_shards)?;
     let router = GroupRouter::from_config(&config);
     let n_shards = config.n_shards;
     let n_groups = config.n_groups;
@@ -403,12 +331,7 @@ pub(crate) fn run_sharded_study(
                 } else {
                     Vec::new()
                 };
-                scope.spawn(move || {
-                    // Shard scopes nest under the study's outer scope
-                    // (empty outer keeps the legacy `shard<k>` names).
-                    let scope_name = names::scoped(&ctx.outer, &names::shard_scope(k));
-                    supervise_shard(ctx, k, &scope_name, &groups)
-                })
+                scope.spawn(move || supervise_shard(ctx, k, &groups))
             })
             .collect();
         for (k, h) in handles.into_iter().enumerate() {
@@ -525,11 +448,16 @@ pub(crate) fn run_sharded_study(
     // adopted checkpoint snapshot, returned at the dead slot so the fold
     // order is stable under any migration schedule); slots that never
     // integrated anything drop out without disturbing the canonical
-    // order.
-    let states: Vec<Vec<WorkerState>> = states.into_iter().filter(|s| !s.is_empty()).collect();
-    let reduce_started = std::time::Instant::now();
-    let reduced = reduce_owned_states(states);
-    report.reduce_time = reduce_started.elapsed();
+    // order.  A single lineage is the result as it stands.
+    let mut states: Vec<Vec<WorkerState>> = states.into_iter().filter(|s| !s.is_empty()).collect();
+    let reduced = if states.len() == 1 {
+        states.pop().expect("one lineage")
+    } else {
+        let reduce_started = std::time::Instant::now();
+        let reduced = reduce_owned_states(states);
+        report.reduce_time = reduce_started.elapsed();
+        reduced
+    };
     let results = StudyResults::from_worker_states(ctx.p, solver_timesteps, ctx.n_cells, reduced);
     report.wall_time = ctx.started.elapsed();
     Ok(StudyOutput { results, report })
@@ -678,7 +606,6 @@ mod tests {
         let away = (base.shard_of(g) + 1) % 4;
         assert_eq!(table.fence(&[(g, away)]), 1);
         assert_eq!(table.shard_of(g), away);
-        assert_eq!(table.scope_of(g), names::shard_scope(away));
         // Scale-out: overrides may exceed the base shard count.
         assert_eq!(table.fence(&[(g, 6)]), 2);
         assert_eq!(table.shard_of(g), 6);
@@ -686,37 +613,7 @@ mod tests {
         let home = base.shard_of(g);
         assert_eq!(table.fence(&[(g, home)]), 3);
         assert_eq!(table.shard_of(g), home);
-        let (epoch, overrides) = table.snapshot();
-        assert_eq!(epoch, 3);
-        assert_eq!(overrides, vec![(g, home)]);
-    }
-
-    #[test]
-    fn routing_table_round_trips_through_the_directory() {
-        use melissa_transport::{Directory as _, LocalDirectory};
-        let base = GroupRouter::new(3, 99);
-        let table = RoutingTable::new(base);
-        table.fence(&[(2, 1), (5, 4)]);
-        table.fence(&[(2, 0)]);
-
-        let dir = LocalDirectory::new();
-        assert!(RoutingTable::fetch(&dir, base).unwrap().is_none());
-        table.publish(&dir).unwrap();
-        assert_eq!(
-            dir.resolve(&names::routing_table()).unwrap().as_deref(),
-            Some(table.encode().as_str())
-        );
-        let fetched = RoutingTable::fetch(&dir, base).unwrap().expect("published");
-        assert_eq!(fetched.epoch(), 2);
-        for g in 0..16u64 {
-            assert_eq!(
-                fetched.shard_of(g),
-                table.shard_of(g),
-                "resolvers must agree as a pure function of (config, epoch)"
-            );
-        }
-        assert!(RoutingTable::decode(base, "not-a-table").is_err());
-        assert!(RoutingTable::decode(base, "3;5:x").is_err());
+        assert_eq!(table.epoch(), 3);
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn field(group: u64, role: usize, ts: usize) -> Vec<f64> {
 
 fn data_frame(header: DataHeader, values: &[f64]) -> Bytes {
     let mut buf = bytes::BytesMut::new();
-    header.encode_frame(&mut buf, values, |v| v);
+    header.encode_frame(&mut buf, values);
     buf.freeze()
 }
 
@@ -142,12 +142,12 @@ fn hostile_frames() -> Vec<Bytes> {
 fn a_live_worker_refuses_hostile_frames_and_keeps_ingesting() {
     for kind in [TransportKind::InProcess, TransportKind::Tcp] {
         let transport: Arc<dyn Transport> = make_transport(kind.clone());
-        let _launcher_rx = transport.bind(&names::launcher(), 64);
-        let launcher_tx = transport.connect(&names::launcher()).unwrap();
+        let _launcher_rx = transport.bind(&names::launcher_in(""), 64);
+        let launcher_tx = transport.connect(&names::launcher_in("")).unwrap();
         let telemetry = Telemetry::new(0);
         let config = server_config(Arc::clone(&telemetry));
         let server = Server::start(config, Arc::clone(&transport), launcher_tx);
-        let tx = transport.connect(&names::server_worker(0)).unwrap();
+        let tx = transport.connect(&names::server_worker_in("", 0)).unwrap();
 
         // One group's frames, with the whole hostile set before, between
         // and after them.

@@ -282,7 +282,7 @@ fn wall_limit_failure_leaves_no_server_behind() {
     assert!(err.contains("exceeded wall limit"), "error: {err}");
 
     let data_tx = transport
-        .connect(&names::server_worker(0))
+        .connect(&names::server_worker_in("", 0))
         .expect("endpoint names outlive their study");
     assert_eq!(
         data_tx.send(Message::Stop.encode()),

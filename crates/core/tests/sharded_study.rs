@@ -139,6 +139,36 @@ fn sharded_study_reduces_to_single_server_statistics() {
     }
 }
 
+/// The single-server study is the one-shard study, under the flat
+/// endpoint names: its data links are `server/<w>`, never `shard0/…`.
+#[test]
+fn a_one_shard_study_streams_to_the_flat_endpoint_names() {
+    let config = shard_config(1, "flat");
+    let n_workers = config.server_workers;
+    std::fs::remove_dir_all(&config.checkpoint_dir).ok();
+    let dir = config.checkpoint_dir.clone();
+    let transport = melissa_transport::make_transport(Default::default());
+    let out = Study::new(config)
+        .run_on(std::sync::Arc::clone(&transport))
+        .expect("study failed");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.report.groups_finished, 6);
+    let stats = transport.link_stats();
+    let names: Vec<&str> = stats.iter().map(|(name, _)| name.as_str()).collect();
+    assert!(
+        names.iter().all(|name| !name.starts_with("shard")),
+        "scoped names in a one-shard study: {names:?}"
+    );
+    for w in 0..n_workers {
+        let name = format!("server/{w}");
+        let (_, link) = stats
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("no link to {name} in {names:?}"));
+        assert!(link.messages > 0, "{name} carried nothing");
+    }
+}
+
 #[test]
 fn killed_shard_restores_from_checkpoint_bit_identically() {
     let n_shards = 3;

@@ -83,7 +83,7 @@ fn tube_frames() -> Vec<Bytes> {
                         start: range.start as u64,
                     };
                     let mut frame = BytesMut::new();
-                    header.encode_frame(&mut frame, &values, |v| v);
+                    header.encode_frame(&mut frame, &values);
                     frames.push(frame.freeze());
                 }
             }

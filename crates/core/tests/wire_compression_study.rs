@@ -74,33 +74,3 @@ fn compressed_studies_are_bit_identical_to_uncompressed_over_both_backends() {
         inproc_zip.report.link_bytes
     );
 }
-
-#[test]
-fn truncated_study_completes_and_stays_close_to_lossless() {
-    // Reduced-precision transfer is only admitted on non-order-exact
-    // runs; 40 mantissa bits keep a 2^-41 relative bound per value.
-    let mut lossless = seeded_config(TransportKind::Tcp, WireCompression::Off, "trunc-ref");
-    lossless.max_concurrent_groups = 2;
-    let mut truncated = seeded_config(
-        TransportKind::Tcp,
-        WireCompression::Truncate { mantissa_bits: 40 },
-        "trunc",
-    );
-    truncated.max_concurrent_groups = 2;
-
-    let reference = Study::new(lossless).run().expect("lossless study");
-    let rounded = Study::new(truncated).run().expect("truncated study");
-    assert_eq!(rounded.report.groups_finished, 3);
-    assert_eq!(reference.report.data_messages, rounded.report.data_messages);
-
-    let last = reference.results.n_timesteps() - 1;
-    let a = reference.results.mean_field(last);
-    let b = rounded.results.mean_field(last);
-    for (x, y) in a.iter().zip(&b) {
-        let scale = x.abs().max(1.0);
-        assert!(
-            ((x - y) / scale).abs() < 1e-9,
-            "truncated mean drifted: {x} vs {y}"
-        );
-    }
-}

@@ -247,7 +247,6 @@ melissa_transport::wire_enum!(DaemonReply {
 #[cfg(test)]
 mod tests {
     use std::path::PathBuf;
-    use std::time::Duration;
 
     use melissa_transport::{TransportKind, WireCompression};
 
@@ -266,12 +265,10 @@ mod tests {
         c.seed = 0xdead_beef;
         c.target_ci_width = Some(0.05);
         c.target_quantile_step = None;
-        c.link_fault.drop_probability = 0.125;
-        c.link_fault.delay = Duration::from_micros(250);
         c.thresholds = vec![0.25, 0.75];
         c.checkpoint_dir = PathBuf::from("/tmp/melissa-daemon-test");
         c.telemetry = false;
-        c.wire_compression = WireCompression::Truncate { mantissa_bits: 24 };
+        c.wire_compression = WireCompression::Transpose;
         c
     }
 
@@ -293,17 +290,10 @@ mod tests {
         assert_eq!(back.server_timeout, c.server_timeout);
         assert_eq!(back.checkpoint_interval, c.checkpoint_interval);
         assert_eq!(back.checkpoint_dir, c.checkpoint_dir);
-        assert_eq!(back.max_group_retries, c.max_group_retries);
         assert_eq!(back.target_ci_width, c.target_ci_width);
         assert_eq!(back.ci_variance_floor, c.ci_variance_floor);
         assert_eq!(back.target_quantile_step, c.target_quantile_step);
         assert_eq!(back.wall_limit, c.wall_limit);
-        assert_eq!(back.migration_timeout, c.migration_timeout);
-        assert_eq!(
-            back.link_fault.drop_probability,
-            c.link_fault.drop_probability
-        );
-        assert_eq!(back.link_fault.delay, c.link_fault.delay);
         assert_eq!(back.thresholds, c.thresholds);
         assert_eq!(back.quantile_probs, c.quantile_probs);
         assert_eq!(back.telemetry, c.telemetry);

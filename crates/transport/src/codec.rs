@@ -138,14 +138,13 @@ le_word!(u64);
 /// appends instead of one per element.
 const BULK_WORDS: usize = 512;
 
-/// Appends `map` of each of `values` as little-endian words,
-/// [`BULK_WORDS`] at a time (byte-identical to one `put_*_le` per
-/// element, on any sink).
-fn put_words<B: BufMut, T: LeWord>(buf: &mut B, values: &[T], map: impl Fn(T) -> T) {
+/// Appends `values` as little-endian words, [`BULK_WORDS`] at a time
+/// (byte-identical to one `put_*_le` per element).
+fn put_words<T: LeWord>(buf: &mut BytesMut, values: &[T]) {
     let mut staged = [[0u8; 8]; BULK_WORDS];
     for chunk in values.chunks(BULK_WORDS) {
         for (s, v) in staged.iter_mut().zip(chunk) {
-            *s = map(*v).to_le();
+            *s = v.to_le();
         }
         buf.put_slice(staged[..chunk.len()].as_flattened());
     }
@@ -194,15 +193,6 @@ pub fn words_from_le<T: LeWord>(src: &[u8]) -> Vec<T> {
     let (words, rest) = src.as_chunks::<8>();
     assert!(rest.is_empty(), "length mismatch");
     words.iter().map(|w| T::from_le(*w)).collect()
-}
-
-/// Writes `map` of each of `values` as a `u64`-length-prefixed `f64`
-/// slice — the `Vec<f64>` layout — in the one pass that encodes them,
-/// for a writer that rounds or scales on the way out without a scratch
-/// copy of the field.
-pub fn put_f64_slice_map<B: BufMut>(buf: &mut B, values: &[f64], map: impl Fn(f64) -> f64) {
-    buf.put_u64_le(values.len() as u64);
-    put_words(buf, values, map);
 }
 
 /// Reads a `u64` count of records of at least `record_bytes` each and
@@ -398,7 +388,7 @@ macro_rules! wire_word {
             }
 
             fn put_seq(items: &[Self], buf: &mut BytesMut) {
-                put_words(buf, items, |v| v);
+                put_words(buf, items);
             }
 
             fn get_seq(buf: &mut &[u8], n: usize) -> WireResult<Vec<Self>> {
@@ -668,19 +658,9 @@ mod tests {
         ));
     }
 
-    /// A sink that never holds more than three contiguous bytes.
-    #[derive(Default)]
-    struct Fragmented(Vec<Vec<u8>>);
-
-    impl BufMut for Fragmented {
-        fn put_slice(&mut self, src: &[u8]) {
-            self.0.extend(src.chunks(3).map(<[u8]>::to_vec));
-        }
-    }
-
     /// The bulk writers emit exactly the bytes of one `put_*_le` per
-    /// element — bit patterns a float copy could disturb included — on a
-    /// contiguous and on a fragmented sink, across the staging boundary.
+    /// element — bit patterns a float copy could disturb included —
+    /// across the staging boundary.
     #[test]
     fn bulk_slice_writers_match_the_per_element_form() {
         let specials = [
@@ -714,9 +694,6 @@ mod tests {
             }
             assert_eq!(&floats.to_frame()[..], &want_f[..], "f64 × {len}");
             assert_eq!(&words.to_frame()[..], &want_u[..], "u64 × {len}");
-            let mut frag_f = Fragmented::default();
-            put_f64_slice_map(&mut frag_f, &floats, |v| v);
-            assert_eq!(frag_f.0.concat(), &want_f[..], "fragmented f64 × {len}");
             // The fixed-offset forms and their decoders agree bit for bit.
             let mut fixed = vec![0u8; len * 8];
             copy_words_to_le(&mut fixed, &floats);
@@ -727,11 +704,6 @@ mod tests {
             let mut in_place = vec![0.0f64; len];
             copy_words_from_le(&mut in_place, &fixed);
             assert_eq!(bits(&in_place), bits(&floats));
-            // The mapping writer is the plain one applied to mapped values.
-            let halved: Vec<f64> = floats.iter().map(|v| v * 0.5).collect();
-            let mut mapped = BytesMut::new();
-            put_f64_slice_map(&mut mapped, &floats, |v| v * 0.5);
-            assert_eq!(mapped.freeze(), halved.to_frame(), "mapped f64 × {len}");
             copy_words_to_le(&mut fixed, &words);
             assert_eq!(fixed, &want_u[8..]);
             assert_eq!(words_from_le::<u64>(&fixed), words);

@@ -1,5 +1,5 @@
-//! Bandwidth-lean payload codec: lossless f64-oriented compression and
-//! opt-in reduced-precision transfer for the TCP wire path.
+//! Bandwidth-lean payload codec: lossless f64-oriented compression for
+//! the TCP wire path.
 //!
 //! In transit processing moves the analysis to the data, but the solver
 //! fields still cross the interconnect once.  Smooth solver fields (the
@@ -92,28 +92,6 @@
 //! containers computed with it.
 //!
 //! [`TcpTransport::wire_io`]: crate::tcp::TcpTransport::wire_io
-//!
-//! # Reduced-precision transfer (`Truncate`) — error bound
-//!
-//! [`WireCompression::Truncate`] is the *opt-in lossy* third layer: the
-//! group client rounds every field value to the top `mantissa_bits` bits
-//! of the 52-bit IEEE-754 mantissa **before** encoding (round to
-//! nearest, carry into the exponent allowed), which the lossless stages
-//! above then compress dramatically.  The documented bound, verified by
-//! the tests in this module: for every finite normal `v`,
-//!
-//! ```text
-//! |truncate_f64(v, m) − v| ≤ 2^−(m+1) · |v|      (relative error)
-//! ```
-//!
-//! because keeping `m` mantissa bits quantises the significand in
-//! `[1, 2)` to steps of `2^−m` and rounding to nearest halves the step.
-//! NaN (any payload), `±inf` and `±0.0` are preserved exactly.
-//! Subnormals degrade to an *absolute* bound of `2^(−1074 + 52 − m)`
-//! (the quantisation is absolute once the exponent bottoms out).
-//! Truncation is rejected by study-config validation for order-exact
-//! acceptance runs (`max_concurrent_groups == 1`), whose contract is
-//! bit-identical statistics across transports.
 
 use crate::codec::{WireError, WireResult};
 
@@ -131,47 +109,28 @@ pub enum WireCompression {
     /// byte-plane transpose + zero-run coding, raw fallback when a
     /// payload does not shrink.  Bit-identical doubles on ingest.
     Transpose,
-    /// Reduced-precision transfer: the *client* rounds every field value
-    /// to the top `mantissa_bits` mantissa bits before encoding (see the
-    /// module docs for the `2^−(mantissa_bits+1)` relative error bound),
-    /// and the wire additionally applies the lossless [`Transpose`]
-    /// stages.  Opt-in; rejected for order-exact acceptance runs.
-    ///
-    /// [`Transpose`]: WireCompression::Transpose
-    Truncate {
-        /// Mantissa bits kept (1–52; 52 is a lossless no-op).
-        mantissa_bits: u8,
-    },
 }
 
 impl WireCompression {
-    /// True when the transport should run the lossless wire codec
-    /// (`Truncate` rides the same lossless stages over pre-rounded
-    /// values).
+    /// True when the transport should run the lossless wire codec.
     pub fn wire_codec_enabled(&self) -> bool {
         !matches!(self, WireCompression::Off)
     }
 
-    /// True when values are altered in transfer (only `Truncate`).
-    pub fn is_lossy(&self) -> bool {
-        matches!(self, WireCompression::Truncate { .. })
-    }
-
-    /// Handshake wire encoding: `(mode, mantissa_bits)`.
+    /// Handshake wire encoding: `(mode, 0)`.  The second byte is a
+    /// reserved zero, kept so the handshake bytes do not change.
     pub fn to_wire(self) -> (u8, u8) {
         match self {
             WireCompression::Off => (0, 0),
             WireCompression::Transpose => (1, 0),
-            WireCompression::Truncate { mantissa_bits } => (2, mantissa_bits),
         }
     }
 
     /// Decodes the handshake pair; unknown modes fall back to `Off`
     /// (forward compatibility: an unknown proposal is simply declined).
-    pub fn from_wire(mode: u8, mantissa_bits: u8) -> Self {
+    pub fn from_wire(mode: u8, _reserved: u8) -> Self {
         match mode {
             1 => WireCompression::Transpose,
-            2 if (1..=52).contains(&mantissa_bits) => WireCompression::Truncate { mantissa_bits },
             _ => WireCompression::Off,
         }
     }
@@ -181,7 +140,6 @@ impl WireCompression {
         match self {
             WireCompression::Off => "off".into(),
             WireCompression::Transpose => "transpose".into(),
-            WireCompression::Truncate { mantissa_bits } => format!("truncate{mantissa_bits}"),
         }
     }
 }
@@ -719,35 +677,6 @@ pub fn decompress_payload(image: &[u8]) -> WireResult<Vec<u8>> {
     Ok(out)
 }
 
-/// Rounds `v` to the top `mantissa_bits` bits of its 52-bit mantissa
-/// (round to nearest on the dropped bits, carry into the exponent
-/// allowed — a value may round up into the next binade, or to `±inf`
-/// at the very top of the range, which is correct nearest-rounding).
-///
-/// Relative error for finite normal values: `≤ 2^−(mantissa_bits+1)`
-/// (see the module docs for the derivation and the subnormal caveat).
-/// NaN (payload preserved), `±inf` and `±0.0` pass through unchanged.
-/// `mantissa_bits ≥ 52` is the identity.
-pub fn truncate_f64(v: f64, mantissa_bits: u8) -> f64 {
-    if mantissa_bits >= 52 || !v.is_finite() {
-        return v;
-    }
-    let drop = 52 - mantissa_bits as u32;
-    let half = 1u64 << (drop - 1);
-    let mask = !((1u64 << drop) - 1);
-    // Adding half-ULP-of-kept-precision then masking rounds to nearest;
-    // a mantissa overflow carries into the exponent, which is exactly
-    // the next-binade (or infinity) rounding IEEE-754 prescribes.
-    f64::from_bits(v.to_bits().wrapping_add(half) & mask)
-}
-
-/// Rounds a whole field in place (the group client's pre-encode hook).
-pub fn truncate_values(values: &mut [f64], mantissa_bits: u8) {
-    for v in values.iter_mut() {
-        *v = truncate_f64(*v, mantissa_bits);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1269,79 +1198,14 @@ mod tests {
     }
 
     #[test]
-    fn truncate_error_bound_holds() {
-        for m in [1u8, 8, 16, 24, 32, 44, 51] {
-            let bound = 2.0f64.powi(-(m as i32) - 1);
-            for &v in &[
-                1.0,
-                -1.0,
-                1.5,
-                303.7,
-                -1e-8,
-                1e17,
-                std::f64::consts::PI,
-                -std::f64::consts::E * 1e100,
-            ] {
-                let t = truncate_f64(v, m);
-                let rel = ((t - v) / v).abs();
-                assert!(
-                    rel <= bound,
-                    "m={m}: |{t} − {v}|/|{v}| = {rel:e} exceeds 2^−(m+1) = {bound:e}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn truncate_preserves_specials_and_identity_cases() {
-        let nan_payload = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
-        for m in [1u8, 20, 52, 60] {
-            assert!(truncate_f64(f64::NAN, m).is_nan());
-            assert_eq!(
-                truncate_f64(nan_payload, m).to_bits(),
-                nan_payload.to_bits(),
-                "NaN payload preserved"
-            );
-            assert_eq!(truncate_f64(f64::INFINITY, m), f64::INFINITY);
-            assert_eq!(truncate_f64(f64::NEG_INFINITY, m), f64::NEG_INFINITY);
-            assert_eq!(truncate_f64(0.0, m).to_bits(), 0.0f64.to_bits());
-            assert_eq!(truncate_f64(-0.0, m).to_bits(), (-0.0f64).to_bits());
-        }
-        // m ≥ 52 is the identity on everything.
-        assert_eq!(truncate_f64(std::f64::consts::PI, 52), std::f64::consts::PI);
-    }
-
-    #[test]
-    fn truncate_rounds_to_nearest() {
-        // 1 + 2^−2 with m = 1: the kept grid is {1.0, 1.5, 2.0}; 1.25 is
-        // a tie rounded away from zero by the add-half carry.
-        assert_eq!(truncate_f64(1.25, 1), 1.5);
-        assert_eq!(truncate_f64(1.2, 1), 1.0);
-        assert_eq!(truncate_f64(1.3, 1), 1.5);
-        // Carry into the exponent: just-below-2 rounds up to 2.
-        assert_eq!(truncate_f64(1.999999, 8), 2.0);
-    }
-
-    #[test]
     fn wire_mode_roundtrips() {
-        for mode in [
-            WireCompression::Off,
-            WireCompression::Transpose,
-            WireCompression::Truncate { mantissa_bits: 20 },
-        ] {
+        for mode in [WireCompression::Off, WireCompression::Transpose] {
             let (m, b) = mode.to_wire();
             assert_eq!(WireCompression::from_wire(m, b), mode);
         }
         // Unknown or malformed proposals are declined, not errors.
         assert_eq!(WireCompression::from_wire(9, 0), WireCompression::Off);
-        assert_eq!(WireCompression::from_wire(2, 0), WireCompression::Off);
-        assert_eq!(WireCompression::from_wire(2, 53), WireCompression::Off);
-        assert_eq!(
-            WireCompression::Truncate { mantissa_bits: 20 }.label(),
-            "truncate20"
-        );
-        assert!(WireCompression::Truncate { mantissa_bits: 20 }.is_lossy());
-        assert!(!WireCompression::Transpose.is_lossy());
+        assert_eq!(WireCompression::from_wire(2, 24), WireCompression::Off);
         assert!(WireCompression::Transpose.wire_codec_enabled());
         assert!(!WireCompression::Off.wire_codec_enabled());
     }
@@ -1385,23 +1249,6 @@ mod tests {
                 payload.extend_from_slice(&v.to_le_bytes());
             }
             roundtrip(&payload);
-        }
-
-        #[test]
-        fn truncate_bound_holds_for_arbitrary_normals(
-            v in prop::num::f64::NORMAL,
-            m in 1u8..53,
-        ) {
-            let t = truncate_f64(v, m);
-            let bound = 2.0f64.powi(-(m as i32) - 1);
-            // t can carry up to ±inf only from the very top binade, where
-            // the bound still holds measured toward the rounded boundary;
-            // for every representable result the relative bound is exact.
-            if t.is_finite() {
-                prop_assert!(((t - v) / v).abs() <= bound);
-            } else {
-                prop_assert!(v.abs() >= f64::MAX * (1.0 - bound));
-            }
         }
 
         #[test]

@@ -8,23 +8,21 @@
 //! **directory service**, a small TCP key→`host:port` store owned by the
 //! launcher.
 //!
-//! * [`Directory`] is the resolution trait every [`crate::tcp::TcpTransport`]
-//!   consults: `publish(name, addr)` when an endpoint binds,
-//!   `resolve(name)` when a peer connects, `renew()` as the liveness
-//!   lease heartbeat.
-//! * [`LocalDirectory`] is the in-process implementation: a plain map
-//!   with no leases (a process cannot outlive itself), used by
-//!   single-node TCP transports so their behaviour — and the statistics
-//!   of any study run over them — is bit-identically unchanged.
 //! * [`DirectoryServer`] hosts the store over TCP: one length-prefixed
 //!   request/reply protocol, with a [`LivenessTracker`] lease per name —
 //!   an entry whose owner stopped renewing expires and resolves as
 //!   *not found*, so crashed nodes cannot poison the name space.
-//! * [`DirectoryClient`] is the remote handle ([`Directory`] over a
-//!   persistent TCP connection): it remembers everything it published and
+//! * [`DirectoryClient`] is the handle a multi-node
+//!   [`crate::tcp::TcpTransport`] consults over one persistent TCP
+//!   connection: `publish(name, addr)` when an endpoint binds,
+//!   `resolve(name)` when a peer connects, `renew()` as the liveness
+//!   lease heartbeat.  It remembers everything it published and
 //!   re-publishes on every renewal, so a restarted directory server
 //!   recovers its table from the next heartbeat round without any node
 //!   noticing.
+//!
+//! A single-node TCP transport has no directory: it answers `connect`
+//! from its own endpoint table.
 //!
 //! The directory address is seeded through the environment
 //! ([`DIRECTORY_ENV`], `MELISSA_DIRECTORY=host:port`) or the launcher
@@ -130,79 +128,6 @@ impl std::fmt::Display for DirectoryError {
 }
 
 impl std::error::Error for DirectoryError {}
-
-/// Name-resolution service of one deployment.
-///
-/// Implementations are shared behind `Arc<dyn Directory>` by every
-/// transport of a node and must be usable from any thread.
-pub trait Directory: std::fmt::Debug + Send + Sync {
-    /// Publishes (or refreshes) `name → addr`, taking (or renewing) its
-    /// liveness lease.
-    fn publish(&self, name: &str, addr: &str) -> Result<(), DirectoryError>;
-
-    /// Resolves a name to the advertised `host:port` of the node that
-    /// published it; `None` when the name is unknown or its lease lapsed.
-    fn resolve(&self, name: &str) -> Result<Option<String>, DirectoryError>;
-
-    /// Withdraws a name (subsequent resolves fail).
-    fn unpublish(&self, name: &str) -> Result<(), DirectoryError>;
-
-    /// Renews the liveness lease of every name published through this
-    /// handle, by **re-publishing** name→address pairs — which is what
-    /// lets a restarted (state-less) directory server rebuild its table
-    /// from the next renewal round.
-    fn renew(&self) -> Result<(), DirectoryError>;
-
-    /// Where names are resolved (for error messages).
-    fn location(&self) -> String;
-
-    /// The remote directory address when resolution crosses the process
-    /// boundary; `None` for in-process resolution.
-    fn remote_addr(&self) -> Option<String> {
-        None
-    }
-}
-
-/// In-process [`Directory`]: a shared map with no leases.  This is the
-/// single-node implementation every `TcpTransport::new()` uses, keeping
-/// single-process deployments bit-identically unchanged.
-#[derive(Debug, Clone, Default)]
-pub struct LocalDirectory {
-    entries: Arc<Mutex<HashMap<String, String>>>,
-}
-
-impl LocalDirectory {
-    /// Creates an empty in-process directory.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Directory for LocalDirectory {
-    fn publish(&self, name: &str, addr: &str) -> Result<(), DirectoryError> {
-        self.entries
-            .lock()
-            .insert(name.to_string(), addr.to_string());
-        Ok(())
-    }
-
-    fn resolve(&self, name: &str) -> Result<Option<String>, DirectoryError> {
-        Ok(self.entries.lock().get(name).cloned())
-    }
-
-    fn unpublish(&self, name: &str) -> Result<(), DirectoryError> {
-        self.entries.lock().remove(name);
-        Ok(())
-    }
-
-    fn renew(&self) -> Result<(), DirectoryError> {
-        Ok(()) // nothing expires in-process
-    }
-
-    fn location(&self) -> String {
-        "in-process".to_string()
-    }
-}
 
 struct DirState {
     table: Mutex<HashMap<String, String>>,
@@ -386,7 +311,7 @@ fn handle_request(req: DirectoryRequest, state: &DirState) -> DirectoryReply {
     }
 }
 
-/// Remote [`Directory`] handle over one persistent TCP connection,
+/// Remote directory handle over one persistent TCP connection,
 /// reconnecting once per request on a broken wire (self-healing across
 /// directory restarts).
 #[derive(Debug)]
@@ -394,7 +319,7 @@ pub struct DirectoryClient {
     addr: String,
     conn: Mutex<Option<TcpStream>>,
     /// Everything published through this handle, re-published on every
-    /// [`Directory::renew`].
+    /// [`renew`](DirectoryClient::renew).
     published: Mutex<HashMap<String, String>>,
 }
 
@@ -501,8 +426,10 @@ fn unexpected(what: &str) -> DirectoryError {
     }
 }
 
-impl Directory for DirectoryClient {
-    fn publish(&self, name: &str, addr: &str) -> Result<(), DirectoryError> {
+impl DirectoryClient {
+    /// Publishes (or refreshes) `name → addr`, taking (or renewing) its
+    /// liveness lease.
+    pub fn publish(&self, name: &str, addr: &str) -> Result<(), DirectoryError> {
         self.published
             .lock()
             .insert(name.to_string(), addr.to_string());
@@ -513,7 +440,9 @@ impl Directory for DirectoryClient {
         self.apply(&req, "publish")
     }
 
-    fn resolve(&self, name: &str) -> Result<Option<String>, DirectoryError> {
+    /// Resolves a name to the advertised `host:port` of the node that
+    /// published it; `None` when the name is unknown or its lease lapsed.
+    pub fn resolve(&self, name: &str) -> Result<Option<String>, DirectoryError> {
         let req = DirectoryRequest::Resolve {
             name: name.to_string(),
         };
@@ -524,7 +453,8 @@ impl Directory for DirectoryClient {
         }
     }
 
-    fn unpublish(&self, name: &str) -> Result<(), DirectoryError> {
+    /// Withdraws a name (subsequent resolves fail).
+    pub fn unpublish(&self, name: &str) -> Result<(), DirectoryError> {
         self.published.lock().remove(name);
         let req = DirectoryRequest::Unpublish {
             name: name.to_string(),
@@ -532,7 +462,11 @@ impl Directory for DirectoryClient {
         self.apply(&req, "unpublish")
     }
 
-    fn renew(&self) -> Result<(), DirectoryError> {
+    /// Renews the liveness lease of every name published through this
+    /// handle, by **re-publishing** name→address pairs — which is what
+    /// lets a restarted (state-less) directory server rebuild its table
+    /// from the next renewal round.
+    pub fn renew(&self) -> Result<(), DirectoryError> {
         let entries = self
             .published
             .lock()
@@ -540,14 +474,6 @@ impl Directory for DirectoryClient {
             .map(|(n, a)| (n.clone(), a.clone()))
             .collect();
         self.apply(&DirectoryRequest::Renew { entries }, "renew")
-    }
-
-    fn location(&self) -> String {
-        format!("directory {}", self.addr)
-    }
-
-    fn remote_addr(&self) -> Option<String> {
-        Some(self.addr.clone())
     }
 }
 
@@ -561,7 +487,7 @@ impl Directory for DirectoryClient {
 /// The empty scope `""` maps to the unscoped single-server names, which
 /// keeps every pre-sharding deployment (and its wire traffic) unchanged.
 /// The same names key every resolution layer — the in-process channel
-/// map, a single node's TCP listener, and the deployment [`Directory`].
+/// map, a single node's TCP listener, and the deployment directory.
 pub mod names {
     /// The scope prefix of shard `k` in a sharded deployment.
     pub fn shard_scope(k: usize) -> String {
@@ -577,19 +503,9 @@ pub mod names {
         }
     }
 
-    /// The server's connection/handshake endpoint (rank 0).
-    pub fn server_main() -> String {
-        server_main_in("")
-    }
-
     /// The handshake endpoint of the server instance scoped by `scope`.
     pub fn server_main_in(scope: &str) -> String {
         scoped(scope, "server/main")
-    }
-
-    /// A server worker's data endpoint.
-    pub fn server_worker(w: usize) -> String {
-        server_worker_in("", w)
     }
 
     /// Worker `w`'s data endpoint of the server instance scoped by `scope`.
@@ -597,20 +513,10 @@ pub mod names {
         scoped(scope, &format!("server/{w}"))
     }
 
-    /// The launcher's control endpoint (server reports, heartbeats).
-    pub fn launcher() -> String {
-        launcher_in("")
-    }
-
     /// The launcher inbox dedicated to the server instance scoped by
     /// `scope` (per-shard control channels keep shard reports apart).
     pub fn launcher_in(scope: &str) -> String {
         scoped(scope, "launcher")
-    }
-
-    /// A group's reply endpoint for the connection handshake.
-    pub fn group_reply(group_id: u64, instance: u32) -> String {
-        group_reply_in("", group_id, instance)
     }
 
     /// A group's handshake reply endpoint toward the server instance
@@ -623,14 +529,6 @@ pub mod names {
     /// worker states at study end (the multi-node reduction inbox).
     pub fn collect_in(k: usize) -> String {
         format!("collect/shard{k}")
-    }
-
-    /// The study-wide routing-table key: the launcher publishes the
-    /// encoded epoch-fenced group-to-shard override map under this name
-    /// after every fence, so out-of-process clients resolve a group's
-    /// current shard from the directory instead of a stale base hash.
-    pub fn routing_table() -> String {
-        "routing/table".to_string()
     }
 
     /// Shard `k`'s live telemetry scrape endpoint: the server binds it
@@ -702,18 +600,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn local_directory_publish_resolve_unpublish() {
-        let d = LocalDirectory::new();
-        assert_eq!(d.resolve("a").unwrap(), None);
-        d.publish("a", "127.0.0.1:5000").unwrap();
-        assert_eq!(d.resolve("a").unwrap(), Some("127.0.0.1:5000".into()));
-        d.unpublish("a").unwrap();
-        assert_eq!(d.resolve("a").unwrap(), None);
-        assert_eq!(d.location(), "in-process");
-        assert_eq!(d.remote_addr(), None);
-    }
-
-    #[test]
     fn server_round_trip_over_tcp() {
         let server = DirectoryServer::bind("127.0.0.1:0", Duration::from_secs(30)).unwrap();
         let addr = server.local_addr().to_string();
@@ -730,7 +616,7 @@ mod tests {
         );
         client.unpublish("server/0").unwrap();
         assert_eq!(client.resolve("server/0").unwrap(), None);
-        assert_eq!(client.remote_addr(), Some(addr));
+        assert_eq!(client.addr(), addr);
     }
 
     #[test]
@@ -823,9 +709,10 @@ mod tests {
 
     #[test]
     fn canonical_names_are_stable() {
-        assert_eq!(names::server_main(), "server/main");
-        assert_eq!(names::server_worker(3), "server/3");
-        assert_eq!(names::group_reply(7, 2), "group/7/2/reply");
+        assert_eq!(names::server_main_in(""), "server/main");
+        assert_eq!(names::server_worker_in("", 3), "server/3");
+        assert_eq!(names::launcher_in(""), "launcher");
+        assert_eq!(names::group_reply_in("", 7, 2), "group/7/2/reply");
         assert_eq!(names::collect_in(2), "collect/shard2");
     }
 
@@ -840,10 +727,6 @@ mod tests {
             names::group_reply_in(&scope, 7, 2),
             "shard2/group/7/2/reply"
         );
-        assert_eq!(names::server_main_in(""), names::server_main());
-        assert_eq!(names::server_worker_in("", 5), names::server_worker(5));
-        assert_eq!(names::launcher_in(""), names::launcher());
-        assert_eq!(names::group_reply_in("", 1, 0), names::group_reply(1, 0));
     }
 
     #[test]

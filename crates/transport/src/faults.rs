@@ -15,10 +15,10 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::api::{BoxSender, Disconnected, FlushError, SendBatchError, SendTimeoutError, Sender};
-use melissa_sync::Mutex;
+use melissa_sync::{Condvar, Mutex};
 
 use crate::endpoint::{Frame, LinkStats};
 
@@ -30,6 +30,8 @@ struct KillState {
     killed: AtomicBool,
     /// Hooks waiting for the flip; drained (and run) by [`KillSwitch::kill`].
     hooks: Mutex<Vec<KillHook>>,
+    /// Notified, under `hooks`, when the switch flips.
+    flipped: Condvar,
 }
 
 /// Cooperative cancellation token.
@@ -57,10 +59,37 @@ impl KillSwitch {
     pub fn kill(&self) {
         self.state.killed.store(true, Ordering::SeqCst);
         // Run the hooks outside the lock: a hook may register another.
-        let hooks = std::mem::take(&mut *self.state.hooks.lock());
+        let hooks = {
+            let mut hooks = self.state.hooks.lock();
+            self.state.flipped.notify_all();
+            std::mem::take(&mut *hooks)
+        };
         for hook in hooks {
             hook();
         }
+    }
+
+    /// Blocks until the switch flips or `timeout` passes, and says
+    /// whether it flipped.  A killed job that is waiting out a scripted
+    /// pause ends at once instead of at the end of the pause.
+    pub fn wait(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now().checked_add(timeout);
+        let mut hooks = self.state.hooks.lock();
+        // `kill` stores the flag before it takes this lock, so a flag
+        // still clear here means its notification is still to come.
+        while !self.is_killed() {
+            hooks = match deadline {
+                None => self.state.flipped.wait(hooks),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return false;
+                    }
+                    self.state.flipped.wait_timeout(hooks, left)
+                }
+            };
+        }
+        true
     }
 
     /// Whether the switch has been flipped.
@@ -96,11 +125,6 @@ pub struct FaultPolicy {
     /// Extra delay injected before every send (straggler emulation).
     pub delay: Duration,
 }
-
-crate::wire_struct!(FaultPolicy {
-    drop_probability,
-    delay
-});
 
 /// What the fault layer does with one frame.
 enum Verdict {
@@ -466,5 +490,23 @@ mod tests {
         assert_eq!(runs.load(Ordering::SeqCst), 2, "a second kill runs nothing");
         kill.on_kill(hook(&runs));
         assert_eq!(runs.load(Ordering::SeqCst), 3, "late hooks run at once");
+    }
+
+    #[test]
+    fn wait_returns_at_the_flip_or_at_the_timeout() {
+        let kill = KillSwitch::new();
+        assert!(!kill.wait(Duration::ZERO));
+        assert!(!kill.wait(Duration::from_millis(5)));
+        let k2 = kill.clone();
+        let waiter = std::thread::spawn(move || {
+            let started = Instant::now();
+            (k2.wait(Duration::from_secs(30)), started.elapsed())
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        kill.kill();
+        let (flipped, waited) = waiter.join().unwrap();
+        assert!(flipped);
+        assert!(waited < Duration::from_secs(5), "woke after {waited:?}");
+        assert!(kill.wait(Duration::MAX), "a flipped switch returns at once");
     }
 }

@@ -29,7 +29,7 @@
 //! | backend | module | data path | name resolution | use |
 //! |---|---|---|---|---|
 //! | [`ChannelTransport`] | [`registry`] | bounded in-process channels | in-process map | single-process studies, tests, the reference semantics |
-//! | [`TcpTransport`] (single node) | [`tcp`] | real `std::net` loopback sockets, length-prefixed frames, one writer/reader thread per connection | in-process [`LocalDirectory`] | multi-process data path on one machine |
+//! | [`TcpTransport`] (single node) | [`tcp`] | real `std::net` loopback sockets, length-prefixed frames, one writer/reader thread per connection | the node's own endpoint table | multi-process data path on one machine |
 //! | [`TcpTransport`] (node) | [`tcp`] + [`directory`] | same sockets, one listener **per node**, endpoint demux in the handshake, self-healing links | deployment [`DirectoryServer`] (TCP key→`host:port` store with liveness leases) | multi-node deployments: shards, groups and launcher as separate processes on separate machines |
 //!
 //! Every backend runs every link through the same bounded HWM queues
@@ -49,11 +49,12 @@
 //! per-shard launcher control inbox — coexist in **one** name space
 //! without collisions.
 //!
-//! Resolution is a [`Directory`]: in-process for single-node transports,
-//! or the deployment's [`DirectoryServer`] — seeded through the
-//! launcher handshake or the [`DIRECTORY_ENV`] environment variable
-//! (`MELISSA_DIRECTORY=host:port`) — for multi-node ones, where every
-//! `bind` publishes `scoped-name → advertised host:port` under a
+//! Resolution is in-process for single-node transports (the channel
+//! map, or the TCP node's own endpoint table).  Multi-node ones resolve
+//! through the deployment's [`DirectoryServer`] with a
+//! [`DirectoryClient`], seeded through the launcher handshake or the
+//! [`DIRECTORY_ENV`] environment variable (`MELISSA_DIRECTORY=host:port`):
+//! every `bind` publishes `scoped-name → advertised host:port` under a
 //! liveness lease and every `connect` resolves before dialing.
 //!
 //! ## Wire framing and self-healing links (TCP backend)
@@ -77,10 +78,7 @@
 //!   protocol here shares;
 //! * [`compress`] — the bandwidth-lean wire codec: lossless in-frame
 //!   f64 compression (order-2 prediction + byte-plane transpose +
-//!   zero-run coding) applied by the TCP writer and undone on ingest,
-//!   plus the opt-in [`WireCompression::Truncate`] reduced-precision
-//!   transfer with a documented `2^−(mantissa_bits+1)` relative error
-//!   bound;
+//!   zero-run coding) applied by the TCP writer and undone on ingest;
 //! * [`heartbeat`] — timeout-based liveness tracking (fault detection
 //!   and the directory's per-name leases);
 //! * [`faults`] — deterministic fault injection ([`FaultySender`]
@@ -107,12 +105,9 @@ pub use api::{
     LinkStatsSnapshot, Receiver, RecvTimeoutError, SendBatchError, SendTimeoutError, Sender,
     Transport, TransportKind, TryRecvError,
 };
-pub use compress::{
-    compress_payload, decompress_payload, truncate_f64, truncate_values, WireCompression,
-};
+pub use compress::{compress_payload, decompress_payload, WireCompression};
 pub use directory::{
-    directory_from_env, Directory, DirectoryClient, DirectoryError, DirectoryServer,
-    LocalDirectory, DIRECTORY_ENV,
+    directory_from_env, DirectoryClient, DirectoryError, DirectoryServer, DIRECTORY_ENV,
 };
 pub use endpoint::{channel, ChannelReceiver, Frame, HwmSender, LinkStats};
 pub use faults::{FaultPolicy, FaultySender, KillSwitch};

@@ -61,12 +61,12 @@
 //!
 //! One [`TcpTransport`] is one **node**: a single listener serving every
 //! endpoint the node binds, with the endpoint *name* demultiplexed in the
-//! connection handshake.  Name → `host:port` resolution goes through the
-//! node's [`Directory`]:
+//! connection handshake.  Name → `host:port` resolution:
 //!
-//! * [`TcpTransport::new`] (single-node) resolves through an in-process
-//!   [`LocalDirectory`] — every name maps to the node's own loopback
-//!   listener, which is bit-identically the pre-multi-node behaviour;
+//! * [`TcpTransport::new`] (single-node) answers from its own endpoint
+//!   table — a bound name maps to the node's own loopback listener, any
+//!   other name is [`ConnectError::NotFound`], retryable like any
+//!   connect-before-bind;
 //! * a transport built with [`TcpTransportConfig::node`] publishes every
 //!   `bind` as `scoped-name → advertised host:port` to the deployment's
 //!   [`DirectoryServer`](crate::directory::DirectoryServer) under a
@@ -90,9 +90,10 @@
 //! delivers **every frame exactly once**, in order, and the
 //! [`Sender::flush`] delivery barrier holds across the failure — which is
 //! what keeps a seeded study's statistics bit-identical with and without
-//! the fault.  Reconnection is disabled (`reconnect_timeout = 0`) for
-//! single-node transports, whose "connection loss" only ever means the
-//! peer endpoint is gone for good.
+//! the fault.  A node with a directory heals a link for
+//! [`RECONNECT_TIMEOUT`]; a single-node transport does not reconnect,
+//! because its "connection loss" only ever means the peer endpoint is
+//! gone for good.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufReader, IoSlice, Read, Write};
@@ -103,7 +104,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use melissa_sync::Mutex;
+use melissa_sync::{Condvar, Mutex};
 
 use crate::api::{
     BoxReceiver, BoxSender, ConnectError, Disconnected, FlushError, LinkStatsSnapshot,
@@ -111,7 +112,7 @@ use crate::api::{
 };
 use crate::codec::{read_frame, write_frame, Wire};
 use crate::compress::{compress_into, decoded_len, decompress_into, PlaneScratch, WireCompression};
-use crate::directory::{Directory, DirectoryClient, LocalDirectory};
+use crate::directory::DirectoryClient;
 use crate::endpoint::{channel, Frame, HwmSender, LinkStats};
 
 /// Handshake frames (endpoint names) are small.
@@ -198,8 +199,11 @@ const ACK_TAG: u8 = 0xA5;
 const ACK_INTERVAL: u64 = 32;
 /// Reconnect backoff ceiling (the floor is 5 ms, doubling per attempt).
 const RECONNECT_BACKOFF_MAX: Duration = Duration::from_millis(250);
+/// How long a broken established link of a node with a directory keeps
+/// re-resolving, re-dialing and resuming before declaring itself dead.
+pub const RECONNECT_TIMEOUT: Duration = Duration::from_secs(20);
 /// How long a dark link's ingest cursor survives before the resume GC
-/// sweeps it.  Must comfortably exceed any peer's `reconnect_timeout` —
+/// sweeps it.  Must comfortably exceed any peer's [`RECONNECT_TIMEOUT`] —
 /// a client that comes back later than this resumes from cursor 0 and
 /// would re-deliver its unacknowledged tail (its own reconnect deadline
 /// kills the link long before that can happen).
@@ -230,15 +234,12 @@ pub struct TcpTransportConfig {
     /// it when the node binds a wildcard or sits behind another address).
     pub advertise_host: Option<String>,
     /// Deployment directory address (`host:port`); `None` resolves every
-    /// name in-process (single-node semantics).
+    /// name from the node's own endpoint table (single-node semantics: no
+    /// reconnection, a broken link *is* a dead peer).  With a directory,
+    /// links self-heal for [`RECONNECT_TIMEOUT`].
     pub directory: Option<String>,
     /// Liveness-lease renewal period toward a remote directory.
     pub lease_renew: Duration,
-    /// How long a broken established link keeps re-resolving, re-dialing
-    /// and resuming before declaring itself dead.  Zero disables
-    /// reconnection (single-node semantics: a broken link *is* a dead
-    /// peer).
-    pub reconnect_timeout: Duration,
     /// Wire compression this node proposes for its outbound links,
     /// negotiated per link at handshake (the acceptor echoes the mode it
     /// accepts).  Compression happens strictly inside the frame payload:
@@ -258,7 +259,6 @@ impl TcpTransportConfig {
             advertise_host: None,
             directory: None,
             lease_renew: Duration::from_secs(2),
-            reconnect_timeout: Duration::ZERO,
             compression: WireCompression::Off,
         }
     }
@@ -266,14 +266,13 @@ impl TcpTransportConfig {
     /// Multi-node configuration: loopback-bound ephemeral listener (set
     /// [`bind`](Self::bind)/[`advertise_host`](Self::advertise_host) for
     /// a real interface), names published to and resolved through the
-    /// directory at `directory`, links self-heal for 20 s.
+    /// directory at `directory`, links self-heal for [`RECONNECT_TIMEOUT`].
     pub fn node(directory: &str) -> Self {
         Self {
             bind: "127.0.0.1:0".to_string(),
             advertise_host: None,
             directory: Some(directory.to_string()),
             lease_renew: Duration::from_secs(2),
-            reconnect_timeout: Duration::from_secs(20),
             compression: WireCompression::Off,
         }
     }
@@ -381,7 +380,9 @@ struct TcpInner {
     addr: SocketAddr,
     /// `host:port` published to the directory for every bound name.
     advertised: String,
-    directory: Arc<dyn Directory>,
+    /// The deployment directory (`None` on a single node, which resolves
+    /// from `endpoints`).
+    directory: Option<Arc<DirectoryClient>>,
     endpoints: Mutex<HashMap<String, Endpoint>>,
     /// Send-side stats of every link ever connected, for the rollup.
     links: Mutex<Vec<(String, Arc<LinkStats>)>>,
@@ -391,7 +392,6 @@ struct TcpInner {
     /// Links re-established by this node's senders (shared with the
     /// writer threads, which can outlive the transport handle).
     reconnects: Arc<AtomicU64>,
-    reconnect_timeout: Duration,
     /// Wire compression proposed for every outbound link of this node.
     compression: WireCompression,
     /// Socket-call counters (shared with writer and serving threads).
@@ -417,15 +417,17 @@ impl std::fmt::Debug for TcpTransport {
         f.debug_struct("TcpTransport")
             .field("addr", &self.inner.addr)
             .field("advertised", &self.inner.advertised)
-            .field("directory", &self.inner.directory.location())
+            .field(
+                "directory",
+                &self.inner.directory.as_ref().map(|d| d.addr()),
+            )
             .finish()
     }
 }
 
 impl TcpTransport {
-    /// Binds a single-node loopback listener with in-process name
-    /// resolution and starts the accept thread (the pre-multi-node
-    /// behaviour, bit-identical).
+    /// Binds a single-node loopback listener that resolves names from its
+    /// own endpoint table, and starts the accept thread.
     pub fn new() -> std::io::Result<TcpTransport> {
         Self::with_config(TcpTransportConfig::local())
     }
@@ -444,11 +446,11 @@ impl TcpTransport {
             },
         };
         let advertised = format!("{advertise_host}:{}", addr.port());
-        let directory: Arc<dyn Directory> = match &config.directory {
-            Some(dir) => Arc::new(DirectoryClient::connect(dir).map_err(|e| {
+        let directory = match &config.directory {
+            Some(dir) => Some(Arc::new(DirectoryClient::connect(dir).map_err(|e| {
                 std::io::Error::new(std::io::ErrorKind::ConnectionRefused, e.to_string())
-            })?),
-            None => Arc::new(LocalDirectory::new()),
+            })?)),
+            None => None,
         };
         let inner = Arc::new(TcpInner {
             addr,
@@ -458,7 +460,6 @@ impl TcpTransport {
             links: Mutex::new(Vec::new()),
             serving: Mutex::new(Vec::new()),
             reconnects: Arc::new(AtomicU64::new(0)),
-            reconnect_timeout: config.reconnect_timeout,
             compression: config.compression,
             wire_io: Arc::default(),
             shutdown: AtomicBool::new(false),
@@ -468,9 +469,8 @@ impl TcpTransport {
         // The lease heartbeat keeps every published name alive in the
         // remote directory — and, because renewals re-publish the
         // name→address pairs, repopulates a restarted directory.
-        let lease_stop = if inner.directory.remote_addr().is_some() {
+        let lease_stop = inner.directory.clone().map(|dir| {
             let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
-            let dir = Arc::clone(&inner.directory);
             let period = config.lease_renew;
             std::thread::spawn(move || loop {
                 match stop_rx.recv_timeout(period) {
@@ -480,10 +480,8 @@ impl TcpTransport {
                     _ => return,
                 }
             });
-            Some(stop_tx)
-        } else {
-            None
-        };
+            stop_tx
+        });
         Ok(TcpTransport {
             inner,
             accept_handle: Mutex::new(Some(accept_handle)),
@@ -596,7 +594,9 @@ impl Transport for TcpTransport {
         // Publish scoped-name → this node.  Best effort: the lease
         // heartbeat re-publishes on every renewal, so a transient
         // directory outage only delays visibility.
-        let _ = self.inner.directory.publish(name, &self.inner.advertised);
+        if let Some(directory) = &self.inner.directory {
+            let _ = directory.publish(name, &self.inner.advertised);
+        }
         Box::new(rx)
     }
 
@@ -606,27 +606,32 @@ impl Transport for TcpTransport {
                 detail: "transport is shut down".into(),
             });
         }
-        let addr = match self.inner.directory.resolve(name) {
-            Ok(Some(addr)) => addr,
-            Ok(None) => {
-                return Err(match self.inner.directory.remote_addr() {
-                    // A remote directory that does not know the name: the
-                    // caller dialled a name nobody published (mis-scoped
-                    // endpoint, or the owner's lease lapsed).
-                    Some(directory) => ConnectError::NameNotFound {
-                        name: name.to_string(),
-                        directory,
-                    },
-                    None => ConnectError::NotFound {
-                        name: name.to_string(),
-                    },
-                });
-            }
-            Err(e) => {
-                return Err(ConnectError::Io {
-                    detail: format!("resolving '{name}': {e}"),
+        let addr = match &self.inner.directory {
+            // A single node: a name it has bound is its own listener; any
+            // other is not bound yet (connect-before-bind, retryable).
+            None if self.inner.endpoints.lock().contains_key(name) => self.inner.advertised.clone(),
+            None => {
+                return Err(ConnectError::NotFound {
+                    name: name.to_string(),
                 })
             }
+            Some(directory) => match directory.resolve(name) {
+                Ok(Some(addr)) => addr,
+                // A directory that does not know the name: the caller
+                // dialled a name nobody published (mis-scoped endpoint,
+                // or the owner's lease lapsed).
+                Ok(None) => {
+                    return Err(ConnectError::NameNotFound {
+                        name: name.to_string(),
+                        directory: directory.addr().to_string(),
+                    })
+                }
+                Err(e) => {
+                    return Err(ConnectError::Io {
+                        detail: format!("resolving '{name}': {e}"),
+                    })
+                }
+            },
         };
         let link_id = next_link_id();
         let proposed = self.inner.compression;
@@ -656,8 +661,7 @@ impl Transport for TcpTransport {
         let core = Arc::new(LinkCore {
             name: name.to_string(),
             link_id,
-            directory: Arc::clone(&self.inner.directory),
-            reconnect_timeout: self.inner.reconnect_timeout,
+            directory: self.inner.directory.clone(),
             reconnects: Arc::clone(&self.inner.reconnects),
             compression: proposed,
             wire_io: Arc::clone(&self.inner.wire_io),
@@ -672,7 +676,9 @@ impl Transport for TcpTransport {
 
     fn unbind(&self, name: &str) {
         self.inner.endpoints.lock().remove(name);
-        let _ = self.inner.directory.unpublish(name);
+        if let Some(directory) = &self.inner.directory {
+            let _ = directory.unpublish(name);
+        }
     }
 
     fn bound_names(&self) -> Vec<String> {
@@ -703,7 +709,7 @@ impl Transport for TcpTransport {
     }
 
     fn backend_name(&self) -> &'static str {
-        if self.inner.directory.remote_addr().is_some() {
+        if self.inner.directory.is_some() {
             "tcp-node"
         } else {
             "tcp"
@@ -723,8 +729,9 @@ impl Transport for TcpTransport {
 struct LinkCore {
     name: String,
     link_id: u64,
-    directory: Arc<dyn Directory>,
-    reconnect_timeout: Duration,
+    /// Where the link re-resolves its name; `None` (a single node)
+    /// disables reconnection.
+    directory: Option<Arc<DirectoryClient>>,
     /// The owning transport's reconnect counter.
     reconnects: Arc<AtomicU64>,
     /// Compression this link proposes on every (re-)handshake.
@@ -739,9 +746,9 @@ struct LinkCore {
 struct LinkShared {
     /// Serialises flush-epoch assignment with marker enqueueing, so epoch
     /// order equals queue order even with concurrent flushers.
-    enqueue: std::sync::Mutex<u64>,
-    progress: std::sync::Mutex<ProgressState>,
-    cv: std::sync::Condvar,
+    enqueue: Mutex<u64>,
+    progress: Mutex<ProgressState>,
+    cv: Condvar,
 }
 
 #[derive(Debug, Default)]
@@ -765,7 +772,7 @@ struct ProgressState {
 impl LinkShared {
     /// Receiver acked its cursor: prune satisfied flush barriers.
     fn absorb_ack(&self, count: u64) {
-        let mut p = self.progress.lock().unwrap();
+        let mut p = self.progress.lock();
         p.acked = p.acked.max(count);
         while let Some(&(epoch, target)) = p.pending_flush.front() {
             if target <= p.acked {
@@ -780,7 +787,7 @@ impl LinkShared {
 
     /// Writer side: a flush marker with `target` data frames before it.
     fn push_pending(&self, epoch: u64, target: u64) {
-        let mut p = self.progress.lock().unwrap();
+        let mut p = self.progress.lock();
         if target <= p.acked {
             p.flush_done = p.flush_done.max(epoch);
         } else {
@@ -790,16 +797,16 @@ impl LinkShared {
     }
 
     fn has_pending(&self) -> bool {
-        !self.progress.lock().unwrap().pending_flush.is_empty()
+        !self.progress.lock().pending_flush.is_empty()
     }
 
     fn acked(&self) -> u64 {
-        self.progress.lock().unwrap().acked
+        self.progress.lock().acked
     }
 
     /// Registers a new connection generation and clears the broken flag.
     fn new_conn(&self) -> u64 {
-        let mut p = self.progress.lock().unwrap();
+        let mut p = self.progress.lock();
         p.conn_gen += 1;
         p.broken = false;
         p.conn_gen
@@ -807,7 +814,7 @@ impl LinkShared {
 
     /// Ack-reader side: connection `gen` died.
     fn mark_broken(&self, gen: u64) {
-        let mut p = self.progress.lock().unwrap();
+        let mut p = self.progress.lock();
         if p.conn_gen == gen {
             p.broken = true;
         }
@@ -815,12 +822,12 @@ impl LinkShared {
     }
 
     fn is_broken(&self) -> bool {
-        self.progress.lock().unwrap().broken
+        self.progress.lock().broken
     }
 
     /// Writer side: the link is dead for good; fail all waiting flushes.
     fn mark_dead(&self) {
-        self.progress.lock().unwrap().dead = true;
+        self.progress.lock().dead = true;
         self.cv.notify_all();
     }
 }
@@ -860,7 +867,7 @@ impl Sender for TcpSender {
     fn flush(&self, timeout: Duration) -> Result<(), FlushError> {
         let deadline = Instant::now() + timeout;
         let epoch = {
-            let mut next = self.shared.enqueue.lock().unwrap();
+            let mut next = self.shared.enqueue.lock();
             // The marker is uncounted (telemetry stays data-only) but
             // HWM-blocking: a flush on a full link waits its turn — up to
             // the same deadline the ack wait honours, so `flush(timeout)`
@@ -874,7 +881,7 @@ impl Sender for TcpSender {
             *next += 1;
             *next
         };
-        let mut progress = self.shared.progress.lock().unwrap();
+        let mut progress = self.shared.progress.lock();
         loop {
             if progress.flush_done >= epoch {
                 return Ok(());
@@ -886,8 +893,7 @@ impl Sender for TcpSender {
             if left.is_zero() {
                 return Err(FlushError::Timeout);
             }
-            let (guard, _) = self.shared.cv.wait_timeout(progress, left).unwrap();
-            progress = guard;
+            progress = self.shared.cv.wait_timeout(progress, left);
         }
     }
 
@@ -1379,7 +1385,10 @@ fn writer_loop(
     // reconnection disabled there is nothing to heal and the writer
     // blocks for free (breakage still surfaces at the next write or
     // flush, the single-node contract).
-    let idle_wait = (!core.reconnect_timeout.is_zero()).then_some(Duration::from_millis(25));
+    let idle_wait = core
+        .directory
+        .is_some()
+        .then_some(Duration::from_millis(25));
 
     'link: loop {
         // Drop frames the receiver has acknowledged.
@@ -1490,8 +1499,8 @@ fn writer_loop(
 /// cursor), retransmit exactly the unacknowledged tail **in its original
 /// wire encoding** (a compressed frame is re-sent byte-identical, once),
 /// re-arm any outstanding flush barrier.  Exponential backoff from 5 ms
-/// up to [`RECONNECT_BACKOFF_MAX`], bounded overall by the transport's
-/// `reconnect_timeout` (zero = reconnection disabled).
+/// up to [`RECONNECT_BACKOFF_MAX`], bounded overall by
+/// [`RECONNECT_TIMEOUT`] (a link without a directory does not reconnect).
 fn reconnect(
     conn: &mut Conn,
     unacked: &mut VecDeque<(u64, WireImage)>,
@@ -1501,14 +1510,13 @@ fn reconnect(
     compression: &mut WireCompression,
 ) -> bool {
     conn.kill();
-    if core.reconnect_timeout.is_zero() {
+    let Some(directory) = &core.directory else {
         return false;
-    }
-    let deadline = Instant::now() + core.reconnect_timeout;
+    };
+    let deadline = Instant::now() + RECONNECT_TIMEOUT;
     let mut backoff = Duration::from_millis(5);
     loop {
-        let attempt = core
-            .directory
+        let attempt = directory
             .resolve(&core.name)
             .ok()
             .flatten()
@@ -1835,6 +1843,30 @@ mod tests {
         let t = TcpTransport::new().unwrap();
         assert!(matches!(
             t.connect("nobody"),
+            Err(ConnectError::NotFound { .. })
+        ));
+    }
+
+    /// A single node answers `connect` from its own endpoint table: the
+    /// same `NotFound` before a bind and after an unbind, which
+    /// `connect_retry` keeps retrying until the bind lands.
+    #[test]
+    fn single_node_connect_before_bind_is_a_retryable_not_found() {
+        let t = TcpTransport::new().unwrap();
+        assert_eq!(t.backend_name(), "tcp");
+        assert!(matches!(
+            t.connect_retry("early", Duration::from_millis(20)),
+            Err(ConnectError::NotFound { name }) if name == "early"
+        ));
+        let rx = t.bind("early", 4);
+        t.connect("early")
+            .expect("bound names resolve")
+            .send(frame(b"hi"))
+            .unwrap();
+        assert_eq!(&rx.recv_timeout(Duration::from_secs(5)).unwrap()[..], b"hi");
+        t.unbind("early");
+        assert!(matches!(
+            t.connect("early"),
             Err(ConnectError::NotFound { .. })
         ));
     }

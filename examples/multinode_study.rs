@@ -214,8 +214,6 @@ fn group_process() {
         transport,
         timeout: config.group_timeout,
         fault: None,
-        link_fault: config.link_fault.clone(),
-        wire_compression: config.wire_compression,
     };
     match run_group(ctx, &KillSwitch::new()) {
         GroupOutcome::Completed { messages, bytes } => {

@@ -31,8 +31,8 @@ use melissa_transport::codec::{read_frame, write_frame, Wire, WireError};
 use melissa_transport::directory::{DirectoryReply, DirectoryRequest};
 use melissa_transport::tcp::{Hello, HelloReply};
 use melissa_transport::{
-    Directory, DirectoryClient, DirectoryServer, FaultPolicy, TcpTransport, TcpTransportConfig,
-    Transport, TransportKind, WireCompression,
+    DirectoryClient, DirectoryServer, TcpTransport, TcpTransportConfig, Transport, TransportKind,
+    WireCompression,
 };
 
 #[path = "../crates/core/tests/common/mod.rs"]
@@ -281,12 +281,10 @@ fn exotic_config() -> StudyConfig {
     c.seed = 0xdead_beef;
     c.target_ci_width = Some(0.05);
     c.target_quantile_step = None;
-    c.link_fault.drop_probability = 0.125;
-    c.link_fault.delay = Duration::from_micros(250);
     c.thresholds = vec![0.25, 0.75];
     c.checkpoint_dir = PathBuf::from("/tmp/melissa-daemon-test");
     c.telemetry = false;
-    c.wire_compression = WireCompression::Truncate { mantissa_bits: 24 };
+    c.wire_compression = WireCompression::Transpose;
     c
 }
 
@@ -403,14 +401,6 @@ fn daemon_rpc_keeps_the_wire_contract() {
     let configs = configs();
     let solvers: Vec<UseCaseConfig> = configs.iter().map(|c| c.solver.clone()).collect();
     assert_wire_contract(&solvers);
-    let faults = vec![
-        FaultPolicy::default(),
-        FaultPolicy {
-            drop_probability: NAN,
-            delay: Duration::from_nanos(u64::MAX),
-        },
-    ];
-    assert_wire_contract(&faults);
     let kinds = vec![
         TransportKind::InProcess,
         TransportKind::Tcp,
@@ -424,17 +414,11 @@ fn daemon_rpc_keeps_the_wire_contract() {
         TransportKind::TcpNode { .. },
     );
     assert_wire_contract(&kinds);
-    let compressions = [
-        WireCompression::Off,
-        WireCompression::Transpose,
-        WireCompression::Truncate { mantissa_bits: 1 },
-        WireCompression::Truncate { mantissa_bits: 52 },
-    ];
+    let compressions = [WireCompression::Off, WireCompression::Transpose];
     covers!(
         compressions,
         WireCompression::Off,
         WireCompression::Transpose,
-        WireCompression::Truncate { .. },
     );
     assert_wire_contract(&compressions);
     covers!(
@@ -713,7 +697,7 @@ fn directory_and_handshake_keep_the_wire_contract() {
     assert_wire_contract(&replies);
     assert_wire_contract(&[golden_hello(), {
         let mut h = golden_hello();
-        h.compression = WireCompression::Truncate { mantissa_bits: 24 };
+        h.compression = WireCompression::Off;
         h
     }]);
     let replies = vec![golden_reply(), HelloReply::NotFound];

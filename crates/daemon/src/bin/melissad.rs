@@ -8,7 +8,6 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use melissa_daemon::{Daemon, DaemonConfig};
 use melissa_transport::{make_transport, Transport, TransportKind};
@@ -68,26 +67,7 @@ fn main() {
         config.max_active_studies,
         config.queue_cap
     );
-    let daemon = Daemon::start(transport, config);
-
-    // Park until a client's `shutdown` RPC makes the control loop exit.
-    // The daemon handle's own kill switch stays untouched, so `stop`
-    // just joins the already-finished loop.
-    loop {
-        std::thread::sleep(Duration::from_millis(200));
-        if daemon_finished(&daemon) {
-            break;
-        }
-    }
-    daemon.stop();
+    // Serve until a client's `shutdown` RPC makes the control loop exit.
+    Daemon::start(transport, config).join();
     println!("melissad: control loop exited, bye");
-}
-
-/// The control loop unbinds its endpoints on exit, so a failed connect
-/// to the control endpoint means the daemon is done.
-fn daemon_finished(daemon: &Daemon) -> bool {
-    daemon
-        .transport()
-        .connect(&melissa_transport::directory::names::daemon_ctl())
-        .is_err()
 }

@@ -152,6 +152,12 @@ impl DaemonClient {
     /// [`StudyResults`] the standalone launcher returns — worker states
     /// travel in the bit-exact checkpoint codec, so every statistics
     /// field matches a same-seed standalone run to the last bit.
+    ///
+    /// The daemon does not keep them in memory: a study writes them once,
+    /// before it is `Done`, to one results file per server worker under
+    /// `<checkpoint_dir>/study<id>/`, and every call reads those files
+    /// again.  A file that is gone or unreadable comes back as a
+    /// [`ClientError::BadHandshake`] naming its path.
     pub fn results(&self, study: u64) -> Result<StudyResults, ClientError> {
         match self.request(DaemonOp::Results { study })? {
             DaemonReply::Results {

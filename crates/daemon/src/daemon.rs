@@ -37,11 +37,13 @@
 //! [`names::daemon_telemetry`]: melissa_transport::directory::names::daemon_telemetry
 
 use std::collections::{HashMap, VecDeque};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use melissa::server::checkpoint::pack_state;
+use melissa::server::state::WorkerState;
 use melissa::{Study, StudyConfig, StudyRuntime};
 use melissa_scheduler::FairRunner;
 use melissa_sync::Mutex;
@@ -87,14 +89,54 @@ impl Default for DaemonConfig {
     }
 }
 
-/// A finished study's stored outcome.
+/// A finished study's stored outcome: the shape of its statistics and
+/// where they are on disk, never the statistics themselves.
 struct Finished {
     p: u64,
     n_timesteps: u64,
     n_cells: u64,
     groups_finished: u64,
-    workers: Vec<Vec<u8>>,
+    /// One results file per server worker, in worker order.
+    results: Vec<PathBuf>,
     error: Option<String>,
+}
+
+impl Finished {
+    fn failed(error: String) -> Self {
+        Self {
+            p: 0,
+            n_timesteps: 0,
+            n_cells: 0,
+            groups_finished: 0,
+            results: Vec::new(),
+            error: Some(error),
+        }
+    }
+}
+
+/// File name of worker `w`'s final statistics in a study's results
+/// directory — beside, never over, its `melissa_worker_<w>.ckpt`.
+fn results_file(dir: &Path, worker_id: usize) -> PathBuf {
+    dir.join(format!("melissa_results_{worker_id}.v4"))
+}
+
+/// Writes each reduced worker state of a finished study once, packed in
+/// the v4 layout the `Results` reply carries, and returns the paths.  One
+/// plain write per worker, packed and written one at a time, so never more
+/// than one packed state is in memory.  No fsync: only this process reads
+/// the files back, through a record that dies with it.
+fn write_results(dir: &Path, workers: &[WorkerState]) -> Result<Vec<PathBuf>, String> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| format!("creating results directory {}: {e}", dir.display()))?;
+    workers
+        .iter()
+        .map(|state| {
+            let path = results_file(dir, state.worker_id());
+            std::fs::write(&path, pack_state(state))
+                .map_err(|e| format!("writing results file {}: {e}", path.display()))?;
+            Ok(path)
+        })
+        .collect()
 }
 
 /// One hosted study's shared record.
@@ -118,7 +160,15 @@ impl StudyRecord {
 }
 
 /// A running daemon instance.  Dropping (or [`stop`](Daemon::stop)ping)
-/// cancels every hosted study and joins the control loop.
+/// cancels every hosted study and joins the control loop;
+/// [`join`](Daemon::join) waits for a client's `shutdown` RPC instead.
+///
+/// The daemon's memory is bounded by the studies it is running: a study
+/// writes its final statistics to results files in its own scope
+/// directory, `<checkpoint_dir>/study<id>/`, before it is reported
+/// `Done`, and its endpoints are released when it ends.  What stays per
+/// finished study is a small record — state, tenant, shape, the paths —
+/// for `status` and `results`.
 pub struct Daemon {
     transport: Arc<dyn Transport>,
     ctl: Option<JoinHandle<()>>,
@@ -142,14 +192,17 @@ impl Daemon {
         }
     }
 
-    /// The transport the daemon serves on.
-    pub fn transport(&self) -> &Arc<dyn Transport> {
-        &self.transport
-    }
-
     /// Cancels every hosted study and joins the control loop.
     pub fn stop(mut self) {
         self.shutdown();
+    }
+
+    /// Blocks until the control loop exits — once a client's `shutdown`
+    /// RPC has been served and every hosted study has ended.
+    pub fn join(mut self) {
+        if let Some(ctl) = self.ctl.take() {
+            let _ = ctl.join();
+        }
     }
 
     fn shutdown(&mut self) {
@@ -372,8 +425,10 @@ impl DaemonState {
             return;
         };
         let _ = handle.join();
-        // The study's report is filled; its endpoints and per-name link
-        // history can go (totals stay, under `retired/…`).
+        // Its statistics are on disk and its threads are gone: unbind
+        // whatever the study left bound and fold its link history into
+        // the `retired/…` totals, so nothing of it stays in memory but
+        // its record.
         self.transport.retire_scope(&names::study_scope(study));
         let rec = &self.registry[&study];
         self.admission
@@ -448,13 +503,26 @@ impl DaemonState {
         let state = rec.state();
         let finished = rec.finished.lock();
         match (state, finished.as_ref()) {
-            (StudyState::Done, Some(f)) => DaemonReply::Results {
-                p: f.p,
-                n_timesteps: f.n_timesteps,
-                n_cells: f.n_cells,
-                groups_finished: f.groups_finished,
-                workers: f.workers.clone(),
-            },
+            (StudyState::Done, Some(f)) => {
+                let workers = f.results.iter().map(|path| {
+                    std::fs::read(path).map_err(|e| DaemonReply::Error {
+                        detail: format!(
+                            "study {study}: reading results file {}: {e}",
+                            path.display()
+                        ),
+                    })
+                });
+                match workers.collect() {
+                    Ok(workers) => DaemonReply::Results {
+                        p: f.p,
+                        n_timesteps: f.n_timesteps,
+                        n_cells: f.n_cells,
+                        groups_finished: f.groups_finished,
+                        workers,
+                    },
+                    Err(error) => error,
+                }
+            }
             (StudyState::Failed, Some(f)) => DaemonReply::Error {
                 detail: format!(
                     "study {study} failed: {}",
@@ -488,6 +556,7 @@ impl DaemonState {
             let fair = self.fair.clone();
             let transport = Arc::clone(&self.transport);
             let ctl_tx = self.ctl_tx.clone();
+            let results_dir = config.checkpoint_dir.join(names::study_scope(id));
             let handle = std::thread::Builder::new()
                 .name(format!("melissad-study{id}"))
                 .spawn(move || {
@@ -499,35 +568,34 @@ impl DaemonState {
                     };
                     let outcome = Study::new(config).run_in(runtime);
                     fair.close_stream(stream.id());
-                    match outcome {
-                        Ok(out) => {
-                            *rec.finished.lock() = Some(Finished {
-                                p: out.results.dim() as u64,
-                                n_timesteps: out.results.n_timesteps() as u64,
-                                n_cells: out.results.n_cells() as u64,
-                                groups_finished: out.report.groups_finished as u64,
-                                workers: out.results.workers().iter().map(pack_state).collect(),
-                                error: None,
-                            });
-                            *rec.state.lock() = StudyState::Done;
+                    // The statistics leave memory here, before `Done` is
+                    // published: the record keeps where they went.
+                    let outcome = outcome.and_then(|out| {
+                        let results = write_results(&results_dir, out.results.workers())?;
+                        Ok(Finished {
+                            p: out.results.dim() as u64,
+                            n_timesteps: out.results.n_timesteps() as u64,
+                            n_cells: out.results.n_cells() as u64,
+                            groups_finished: out.report.groups_finished as u64,
+                            results,
+                            error: None,
+                        })
+                    });
+                    let state = match outcome {
+                        Ok(finished) => {
+                            *rec.finished.lock() = Some(finished);
+                            StudyState::Done
                         }
                         Err(e) => {
-                            let state = if rec.cancel.is_killed() {
+                            *rec.finished.lock() = Some(Finished::failed(e));
+                            if rec.cancel.is_killed() {
                                 StudyState::Cancelled
                             } else {
                                 StudyState::Failed
-                            };
-                            *rec.finished.lock() = Some(Finished {
-                                p: 0,
-                                n_timesteps: 0,
-                                n_cells: 0,
-                                groups_finished: 0,
-                                workers: Vec::new(),
-                                error: Some(e),
-                            });
-                            *rec.state.lock() = state;
+                            }
                         }
-                    }
+                    };
+                    *rec.state.lock() = state;
                     let _ = ctl_tx.send(ControlFrame::study_ended(rec.id));
                 })
                 .expect("spawn study supervisor");

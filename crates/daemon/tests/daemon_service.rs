@@ -3,18 +3,25 @@
 //! standalone run, even with two tenants' studies interleaved on one
 //! shared pool), the typed quota-rejection path, and the cancel path.
 
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use melissa::client::ClientError;
-use melissa::protocol::Message;
 use melissa::{Study, StudyConfig, StudyResults};
 use melissa_daemon::{Daemon, DaemonClient, DaemonConfig, StudyState, TenantQuota};
 use melissa_telemetry::ScrapeFormat;
 use melissa_transport::directory::names;
-use melissa_transport::{
-    make_transport, Disconnected, LinkStatsSnapshot, Transport, TransportKind,
-};
+use melissa_transport::{make_transport, LinkStatsSnapshot, Transport, TransportKind};
+
+/// `VmRSS` is one figure per process, and the harness runs this file's
+/// tests on threads of one: the test that reads it holds this for
+/// writing, every other test holds it for reading.
+static RSS_WINDOW: RwLock<()> = RwLock::new(());
+
+fn shared_process() -> RwLockReadGuard<'static, ()> {
+    RSS_WINDOW.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn seeded_config(seed: u64, tag: &str) -> StudyConfig {
     let mut config = StudyConfig::tiny();
@@ -26,6 +33,22 @@ fn seeded_config(seed: u64, tag: &str) -> StudyConfig {
         std::env::temp_dir().join(format!("melissa-daemon-it-{tag}-{}", std::process::id()));
     config.wall_limit = Duration::from_secs(300);
     config
+}
+
+/// The results files a hosted study wrote under its scope directory.
+fn results_files(checkpoint_dir: &Path, study: u64) -> Vec<PathBuf> {
+    let dir = checkpoint_dir.join(names::study_scope(study));
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| {
+            path.file_name()
+                .and_then(|name| name.to_str())
+                .is_some_and(|name| name.starts_with("melissa_results_"))
+        })
+        .collect();
+    files.sort();
+    files
 }
 
 fn assert_results_bit_identical(daemon: &StudyResults, standalone: &StudyResults) {
@@ -40,6 +63,7 @@ fn assert_results_bit_identical(daemon: &StudyResults, standalone: &StudyResults
 /// one shared pool, each bit-identical to its same-seed standalone run.
 #[test]
 fn interleaved_tenant_studies_match_standalone_bit_for_bit() {
+    let _process = shared_process();
     let transport = make_transport(TransportKind::InProcess);
     let daemon = Daemon::start(
         Arc::clone(&transport),
@@ -53,6 +77,7 @@ fn interleaved_tenant_studies_match_standalone_bit_for_bit() {
 
     let acme_cfg = seeded_config(2017, "acme");
     let globex_cfg = seeded_config(4242, "globex");
+    let scratch = [&acme_cfg, &globex_cfg].map(|cfg| cfg.checkpoint_dir.clone());
 
     let acme = client
         .submit("acme", 0, acme_cfg.clone())
@@ -73,6 +98,12 @@ fn interleaved_tenant_studies_match_standalone_bit_for_bit() {
 
     let acme_results = client.results(acme).expect("acme results");
     let globex_results = client.results(globex).expect("globex results");
+    // The statistics live in the study's results files, read anew on
+    // every call: a second call returns the same bits.
+    let again = client.results(acme).expect("acme results again");
+    assert_eq!(acme_results.first_bit_mismatch(&again), None, "second call");
+    let files = results_files(&acme_cfg.checkpoint_dir, acme);
+    assert_eq!(files.len(), acme_cfg.server_workers, "files: {files:?}");
 
     let mut acme_ref_cfg = acme_cfg;
     acme_ref_cfg.checkpoint_dir = acme_ref_cfg.checkpoint_dir.join("standalone");
@@ -84,13 +115,28 @@ fn interleaved_tenant_studies_match_standalone_bit_for_bit() {
     assert_results_bit_identical(&acme_results, &acme_ref.results);
     assert_results_bit_identical(&globex_results, &globex_ref.results);
 
+    // A results file removed after `Done` is a typed error naming it.
+    std::fs::remove_file(&files[1]).expect("remove a results file");
+    match client.results(acme) {
+        Err(ClientError::BadHandshake { detail }) => assert!(
+            detail.contains(&files[1].display().to_string()),
+            "detail: {detail}"
+        ),
+        Err(other) => panic!("expected a missing-file error, got {other:?}"),
+        Ok(_) => panic!("a study missing a results file must not return results"),
+    }
+
     daemon.stop();
+    for dir in scratch {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }
 
 /// A daemon on real TCP loopback sockets serves the same bits as the
 /// standalone in-process run.
 #[test]
 fn daemon_study_over_tcp_matches_standalone() {
+    let _process = shared_process();
     let transport = make_transport(TransportKind::Tcp);
     let daemon = Daemon::start(Arc::clone(&transport), DaemonConfig::default());
     let client = DaemonClient::new(Arc::clone(&transport), Duration::from_secs(10));
@@ -113,6 +159,7 @@ fn daemon_study_over_tcp_matches_standalone() {
 /// end to end, and releasing the quota readmits the tenant.
 #[test]
 fn quota_rejections_are_typed_and_released_on_completion() {
+    let _process = shared_process();
     let transport = make_transport(TransportKind::InProcess);
     let daemon = Daemon::start(
         Arc::clone(&transport),
@@ -174,6 +221,7 @@ fn quota_rejections_are_typed_and_released_on_completion() {
 /// `results` fail loud.
 #[test]
 fn cancel_stops_a_running_study() {
+    let _process = shared_process();
     let transport = make_transport(TransportKind::InProcess);
     let daemon = Daemon::start(Arc::clone(&transport), DaemonConfig::default());
     let client = DaemonClient::new(Arc::clone(&transport), Duration::from_secs(10));
@@ -215,12 +263,31 @@ fn cancel_stops_a_running_study() {
     daemon.stop();
 }
 
-/// A tenant's study that fails mid-run (here: its wall limit) fails
-/// *cleanly*: it reaches `Failed` with the supervisor's error, its jobs
-/// and server threads are gone, the pool is whole again — and the other
-/// tenant's concurrent study never notices.
+/// `Daemon::join` blocks until a client's `shutdown` RPC has ended the
+/// control loop, the way `melissad` serves.
+#[test]
+fn join_returns_once_a_client_asks_for_shutdown() {
+    let _process = shared_process();
+    let transport = make_transport(TransportKind::InProcess);
+    let daemon = Daemon::start(Arc::clone(&transport), DaemonConfig::default());
+    let client = DaemonClient::new(Arc::clone(&transport), Duration::from_secs(10));
+    let asker = std::thread::spawn(move || client.shutdown());
+    daemon.join();
+    asker
+        .join()
+        .expect("client thread")
+        .expect("shutdown acknowledged");
+    assert!(transport.connect(&names::daemon_ctl()).is_err());
+}
+
+/// A tenant's study that fails — mid-run (here: its wall limit), or at
+/// its end because its results directory cannot be created — fails
+/// *cleanly*: it reaches `Failed` with the error, its jobs, server
+/// threads and endpoints are gone, the pool is whole again — and the
+/// other tenant's concurrent study, and the next one, never notice.
 #[test]
 fn failed_study_frees_its_resources_and_spares_its_neighbour() {
+    let _process = shared_process();
     let transport = make_transport(TransportKind::InProcess);
     let daemon = Daemon::start(
         Arc::clone(&transport),
@@ -236,9 +303,17 @@ fn failed_study_frees_its_resources_and_spares_its_neighbour() {
     doomed_cfg.n_groups = 16;
     doomed_cfg.wall_limit = Duration::from_millis(5);
     let healthy_cfg = seeded_config(32, "healthy");
+    // A regular file where the checkpoint directory should be: the study
+    // runs, and then cannot create its results directory under it.
+    let mut unwritable_cfg = seeded_config(33, "unwritable");
+    std::fs::write(&unwritable_cfg.checkpoint_dir, b"not a directory").expect("scratch file");
+    unwritable_cfg.n_groups = 1;
     let doomed = client.submit("acme", 0, doomed_cfg).expect("admitted");
     let healthy = client
         .submit("globex", 0, healthy_cfg.clone())
+        .expect("admitted");
+    let unwritable = client
+        .submit("initech", 0, unwritable_cfg.clone())
         .expect("admitted");
 
     let status = client
@@ -254,39 +329,65 @@ fn failed_study_frees_its_resources_and_spares_its_neighbour() {
     }
 
     let status = client
+        .wait(unwritable, Duration::from_secs(240))
+        .expect("unwritable");
+    assert_eq!(status.state, StudyState::Failed);
+    let results_dir = unwritable_cfg
+        .checkpoint_dir
+        .join(names::study_scope(unwritable));
+    match client.results(unwritable) {
+        Err(ClientError::BadHandshake { detail }) => assert!(
+            detail.contains(&results_dir.display().to_string()),
+            "detail: {detail}"
+        ),
+        Err(other) => panic!("expected the results-directory failure, got {other:?}"),
+        Ok(_) => panic!("a study without results files must not return results"),
+    }
+
+    let status = client
         .wait(healthy, Duration::from_secs(240))
         .expect("healthy");
     assert_eq!(status.state, StudyState::Done);
     let results = client.results(healthy).expect("healthy results");
-    let mut reference_cfg = healthy_cfg;
+    let mut reference_cfg = healthy_cfg.clone();
     reference_cfg.checkpoint_dir = reference_cfg.checkpoint_dir.join("standalone");
     let reference = Study::new(reference_cfg).run().expect("standalone");
     assert_results_bit_identical(&results, &reference.results);
 
-    // Nothing of the failed study is left running: the pool is whole, and
-    // its server threads took their receivers with them.
+    // Nothing of the failed studies is left: the pool is whole, and
+    // their scopes hold no endpoint.
     let json = client.scrape_daemon(ScrapeFormat::Json).expect("json");
     assert!(
         json.contains("\"pool_units\":4,\"free_units\":4"),
         "json: {json}"
     );
-    let scope = names::study_scope(doomed);
-    let data_tx = transport
-        .connect(&names::server_worker_in(&scope, 0))
-        .expect("endpoint names outlive their study");
-    assert_eq!(
-        data_tx.send(Message::Stop.encode()),
-        Err(Disconnected),
-        "the failed study's server is still receiving"
-    );
+    for study in [doomed, unwritable] {
+        let scope = format!("{}/", names::study_scope(study));
+        let left: Vec<String> = transport
+            .bound_names()
+            .into_iter()
+            .filter(|name| name.starts_with(&scope))
+            .collect();
+        assert!(left.is_empty(), "study {study} left {left:?} bound");
+    }
+
+    // The next study on the same daemon completes.
+    let mut next_cfg = healthy_cfg;
+    next_cfg.n_groups = 1;
+    let next = client.submit("initech", 0, next_cfg).expect("admitted");
+    let status = client.wait(next, Duration::from_secs(240)).expect("next");
+    assert_eq!(status.state, StudyState::Done);
+    client.results(next).expect("next results");
 
     daemon.stop();
+    std::fs::remove_file(&unwritable_cfg.checkpoint_dir).ok();
 }
 
 /// The daemon-level telemetry endpoint aggregates queue depths,
 /// per-tenant usage and admission decisions over the scrape protocol.
 #[test]
 fn daemon_telemetry_snapshot_aggregates_tenants_and_admissions() {
+    let _process = shared_process();
     let transport = make_transport(TransportKind::InProcess);
     let daemon = Daemon::start(
         Arc::clone(&transport),
@@ -333,6 +434,7 @@ fn daemon_telemetry_snapshot_aggregates_tenants_and_admissions() {
 /// retry loop: the next tenant's RPCs are served at once.
 #[test]
 fn vanished_waiter_does_not_stall_other_tenants() {
+    let _process = shared_process();
     let transport = make_transport(TransportKind::InProcess);
     let daemon = Daemon::start(
         Arc::clone(&transport),
@@ -377,12 +479,33 @@ fn vanished_waiter_does_not_stall_other_tenants() {
     daemon.stop();
 }
 
+/// This process's resident set, in bytes (Linux only).
+#[cfg(target_os = "linux")]
+fn vm_rss_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let kib = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmRSS:"))
+        .and_then(|rest| {
+            rest.trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse::<u64>()
+                .ok()
+        })
+        .expect("a VmRSS line");
+    kib * 1024
+}
+
 /// Hosting the n-th identical study costs what hosting the second did:
 /// one `Wait` frame per `DaemonClient::wait` (not a `status` poll per
-/// tick), the same data-link traffic as the standalone run, and a link
-/// rollup that stopped growing after the first study was reaped.
+/// tick), the same data-link traffic as the standalone run, a link
+/// rollup and an endpoint table that stopped growing after the first
+/// study was reaped, and — its statistics being on disk — no resident
+/// memory in proportion to them.
 #[test]
 fn identical_hosted_studies_cost_the_same_frames_and_leave_the_same_ledger() {
+    let _alone = RSS_WINDOW.write().unwrap_or_else(PoisonError::into_inner);
     fn rollup(transport: &Arc<dyn Transport>) -> (usize, u64, LinkStatsSnapshot) {
         let stats = transport.link_stats();
         let mut data = LinkStatsSnapshot::default();
@@ -414,13 +537,25 @@ fn identical_hosted_studies_cost_the_same_frames_and_leave_the_same_ledger() {
     let client = DaemonClient::new(Arc::clone(&transport), Duration::from_secs(10));
 
     let mut ledger_sizes = Vec::new();
+    let mut bound_sizes = Vec::new();
+    let mut rss = Vec::new();
+    let mut results_bytes = Vec::new();
     for _ in 0..10 {
         let (_, ctl_before, data_before) = rollup(&transport);
         let id = client.submit("acme", 0, config.clone()).expect("admitted");
         let status = client.wait(id, Duration::from_secs(240)).expect("finish");
         assert_eq!(status.state, StudyState::Done);
+        #[cfg(target_os = "linux")]
+        rss.push(vm_rss_bytes());
         let (ledger_size, ctl_after, data_after) = rollup(&transport);
         ledger_sizes.push(ledger_size);
+        bound_sizes.push(transport.bound_names().len());
+        results_bytes.push(
+            results_files(&config.checkpoint_dir, id)
+                .iter()
+                .map(|path| std::fs::metadata(path).expect("results file").len())
+                .sum::<u64>(),
+        );
         assert_eq!(
             ctl_after - ctl_before,
             3,
@@ -441,6 +576,18 @@ fn identical_hosted_studies_cost_the_same_frames_and_leave_the_same_ledger() {
         );
     }
     assert_eq!(ledger_sizes[9], ledger_sizes[1], "sizes: {ledger_sizes:?}");
+    assert_eq!(bound_sizes[9], bound_sizes[1], "bound: {bound_sizes:?}");
+    // Studies 3..=10 packed this many bytes of statistics; a daemon that
+    // kept them would have grown by about as much.
+    let kept: u64 = results_bytes[2..].iter().sum();
+    assert!(kept > 0, "results bytes: {results_bytes:?}");
+    if let (Some(second), Some(tenth)) = (rss.get(1), rss.get(9)) {
+        let growth = tenth.saturating_sub(*second);
+        assert!(
+            2 * growth < kept,
+            "RSS grew {growth} B over 8 studies holding {kept} B of results (rss: {rss:?})"
+        );
+    }
 
     let json = client.scrape_daemon(ScrapeFormat::Json).expect("json");
     assert!(
@@ -450,4 +597,5 @@ fn identical_hosted_studies_cost_the_same_frames_and_leave_the_same_ledger() {
         "json: {json}"
     );
     daemon.stop();
+    std::fs::remove_dir_all(&config.checkpoint_dir).ok();
 }

@@ -414,14 +414,15 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
     }
 
     /// Retires a whole endpoint scope once nothing binds or sends under
-    /// `scope/` any more (a hosted study that ended): a backend that
-    /// keeps per-name history for [`link_stats`](Self::link_stats) from
-    /// then on reports everything named `scope/<rest>` summed under
-    /// `retired/<rest>`, so a long-lived service's rollup is bounded by
-    /// the shape of its studies instead of growing with their number,
-    /// while its totals still count every frame once.  The default keeps
-    /// every name (right for a transport that lives as long as one
-    /// study).
+    /// `scope/` any more (a hosted study that ended): every endpoint
+    /// still bound under `scope/` is unbound, and a backend that keeps
+    /// per-name history for [`link_stats`](Self::link_stats) from then on
+    /// reports what was counted under `scope/<rest>` summed into
+    /// `retired/<rest>`.  A long-lived service's endpoint table and rollup
+    /// are so bounded by the shape of its studies instead of growing with
+    /// their number, while its totals still count every frame once.  The
+    /// default keeps every name (right for a transport that lives as long
+    /// as one study).
     fn retire_scope(&self, _scope: &str) {}
 
     /// Connect-before-bind rendezvous: polls [`Transport::connect`] with a

@@ -576,6 +576,13 @@ pub mod names {
     /// folds the link statistics of scopes that are gone.
     pub(crate) const RETIRED_SCOPE: &str = "retired";
 
+    /// `retired/<rest>` for a name `scope/<rest>`; `None` for a name
+    /// outside `scope`.
+    pub(crate) fn retired(scope: &str, name: &str) -> Option<String> {
+        let rest = name.strip_prefix(scope)?.strip_prefix('/')?;
+        Some(scoped(RETIRED_SCOPE, rest))
+    }
+
     /// Whether `name` is a one-shot reply endpoint — a group's handshake
     /// reply, a control or scrape RPC's reply: bound for one frame, and
     /// read by no statistics rollup.

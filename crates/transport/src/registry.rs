@@ -17,7 +17,7 @@
 //! sender clone of one endpoint shares one bounded HWM queue and one
 //! [`LinkStats`] counter set.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use melissa_sync::Mutex;
@@ -26,9 +26,10 @@ use crate::api::{BoxReceiver, BoxSender, ConnectError, LinkStatsSnapshot, Sender
 use crate::endpoint::{channel, HwmSender, LinkStats};
 
 /// What the ledger keeps of one endpoint name's past generations (the
-/// endpoints a rebind replaced or an unbind removed).
+/// endpoints a rebind replaced or an unbind removed, the links of a
+/// retired scope).  Shared by both backends.
 #[derive(Debug, Default)]
-struct Retired {
+pub(crate) struct Retired {
     /// Sum of the generations no sender holds any more: their counters
     /// can no longer move.
     folded: LinkStatsSnapshot,
@@ -37,7 +38,7 @@ struct Retired {
 }
 
 impl Retired {
-    fn push(&mut self, stats: Arc<LinkStats>) {
+    pub(crate) fn push(&mut self, stats: Arc<LinkStats>) {
         self.draining.push(stats);
         // The ledger's is the last handle once every sender clone of a
         // generation is gone.
@@ -51,7 +52,16 @@ impl Retired {
         });
     }
 
-    fn snapshot(&self) -> LinkStatsSnapshot {
+    /// Takes over `other`'s generations (a retired scope's entry joining
+    /// the `retired/…` one).
+    fn merge(&mut self, other: Retired) {
+        self.folded.absorb(&other.folded);
+        for stats in other.draining {
+            self.push(stats);
+        }
+    }
+
+    pub(crate) fn snapshot(&self) -> LinkStatsSnapshot {
         let mut sum = self.folded;
         for stats in &self.draining {
             sum.absorb(&LinkStatsSnapshot::of(stats));
@@ -70,12 +80,10 @@ pub struct ChannelTransport {
     /// pre-restart traffic — the same every-frame-once accounting the
     /// TCP backend gets from its per-connection link registry.  One-shot
     /// reply endpoints are not kept: no rollup reads them, and a
-    /// long-lived service binds one per request.
+    /// long-lived service binds one per request.  A scope given to
+    /// [`Transport::retire_scope`] leaves its entries here under
+    /// `retired/…`.
     retired: Arc<Mutex<BTreeMap<String, Retired>>>,
-    /// Scopes given to [`Transport::retire_scope`]: their endpoints and
-    /// ledger entries stay as they are (what a scope left bound stays
-    /// connectable), and the rollup counts them under `retired/…`.
-    retired_scopes: Arc<Mutex<HashSet<String>>>,
 }
 
 impl ChannelTransport {
@@ -143,34 +151,55 @@ impl Transport for ChannelTransport {
     /// One snapshot per endpoint name: all sender clones of an endpoint
     /// share one [`LinkStats`], so the live
     /// snapshot plus the retired generations (pre-rebind/unbind) is the
-    /// complete every-frame-once rollup.  Names under a retired scope
-    /// count under `retired/…`.
+    /// complete every-frame-once rollup.
     fn link_stats(&self) -> Vec<(String, LinkStatsSnapshot)> {
-        let retired_scopes = self.retired_scopes.lock();
-        let key = |name: &str| match name.split_once('/') {
-            Some((scope, rest)) if retired_scopes.contains(scope) => {
-                names::scoped(names::RETIRED_SCOPE, rest)
-            }
-            _ => name.to_string(),
-        };
         let mut rollup: BTreeMap<String, LinkStatsSnapshot> = BTreeMap::new();
         for (name, tx) in self.endpoints.lock().iter() {
             rollup
-                .entry(key(name))
+                .entry(name.clone())
                 .or_default()
                 .absorb(&LinkStatsSnapshot::of(tx.stats()));
         }
         for (name, retired) in self.retired.lock().iter() {
             rollup
-                .entry(key(name))
+                .entry(name.clone())
                 .or_default()
                 .absorb(&retired.snapshot());
         }
         rollup.into_iter().collect()
     }
 
+    /// Unbinds every endpoint under `scope/` (its queue goes once the
+    /// last sender does) and moves the scope's ledger entries, and the
+    /// stats of what it unbound, under `retired/…`.
     fn retire_scope(&self, scope: &str) {
-        self.retired_scopes.lock().insert(scope.to_string());
+        let mut unbound = Vec::new();
+        self.endpoints
+            .lock()
+            .retain(|name, tx| match names::retired(scope, name) {
+                Some(key) => {
+                    if !names::is_reply(name) {
+                        unbound.push((key, Arc::clone(tx.stats())));
+                    }
+                    false
+                }
+                None => true,
+            });
+        let mut ledger = self.retired.lock();
+        let mut moved = Vec::new();
+        ledger.retain(|name, entry| match names::retired(scope, name) {
+            Some(key) => {
+                moved.push((key, std::mem::take(entry)));
+                false
+            }
+            None => true,
+        });
+        for (key, entry) in moved {
+            ledger.entry(key).or_default().merge(entry);
+        }
+        for (key, stats) in unbound {
+            ledger.entry(key).or_default().push(stats);
+        }
     }
 
     fn backend_name(&self) -> &'static str {
@@ -336,16 +365,23 @@ mod tests {
             }
             let _main = t.bind(&names::server_main_in(&scope), 4);
             t.retire_scope(&scope);
-            sizes.push(t.link_stats().len());
+            sizes.push((t.link_stats().len(), t.bound_names().len()));
         }
-        assert_eq!(sizes, vec![2; 4], "bounded by a study's shape");
+        assert_eq!(sizes, vec![(2, 0); 4], "bounded by a study's shape");
         let stats: HashMap<String, LinkStatsSnapshot> = t.link_stats().into_iter().collect();
         assert_eq!(stats["retired/server/0"].messages, 8);
         assert_eq!(stats["retired/server/0"].bytes, 24);
         assert!(
-            t.connect(&names::server_worker_in("study1", 0)).is_ok(),
-            "what a scope left bound stays connectable"
+            t.connect(&names::server_worker_in("study1", 0)).is_err(),
+            "a retired scope's endpoints are unbound"
         );
+        let ledger = t.retired.lock();
+        assert_eq!(ledger.len(), 2, "ledger: {:?}", ledger.keys());
+        assert!(
+            ledger["retired/server/0"].draining.is_empty(),
+            "dead links fold"
+        );
+        drop(ledger);
         // A scope that merely shares the prefix's letters is not touched.
         let _rx = t.bind("study10/server/0", 4);
         t.retire_scope("study1");

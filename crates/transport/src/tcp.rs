@@ -112,8 +112,9 @@ use crate::api::{
 };
 use crate::codec::{read_frame, write_frame, Wire};
 use crate::compress::{compress_into, decoded_len, decompress_into, PlaneScratch, WireCompression};
-use crate::directory::DirectoryClient;
+use crate::directory::{names, DirectoryClient};
 use crate::endpoint::{channel, Frame, HwmSender, LinkStats};
+use crate::registry::Retired;
 
 /// Handshake frames (endpoint names) are small.
 const MAX_HANDSHAKE_FRAME: usize = 64 * 1024;
@@ -386,6 +387,8 @@ struct TcpInner {
     endpoints: Mutex<HashMap<String, Endpoint>>,
     /// Send-side stats of every link ever connected, for the rollup.
     links: Mutex<Vec<(String, Arc<LinkStats>)>>,
+    /// Links of retired scopes, under `retired/…`.
+    retired: Mutex<BTreeMap<String, Retired>>,
     /// Live serving-side connections (endpoint name, token, stream) —
     /// the handle [`TcpTransport::sever_connections`] cuts.
     serving: Mutex<Vec<(String, u64, TcpStream)>>,
@@ -458,6 +461,7 @@ impl TcpTransport {
             directory,
             endpoints: Mutex::new(HashMap::new()),
             links: Mutex::new(Vec::new()),
+            retired: Mutex::new(BTreeMap::new()),
             serving: Mutex::new(Vec::new()),
             reconnects: Arc::new(AtomicU64::new(0)),
             compression: config.compression,
@@ -705,7 +709,46 @@ impl Transport for TcpTransport {
                 .or_default()
                 .absorb(&LinkStatsSnapshot::of(stats));
         }
+        for (name, retired) in self.inner.retired.lock().iter() {
+            rollup
+                .entry(name.clone())
+                .or_default()
+                .absorb(&retired.snapshot());
+        }
         rollup.into_iter().collect()
+    }
+
+    /// Unbinds (and unpublishes) every endpoint under `scope/`, and moves
+    /// the stats of this node's links into it under `retired/…`.
+    fn retire_scope(&self, scope: &str) {
+        let mut unbound = Vec::new();
+        self.inner.endpoints.lock().retain(|name, _| {
+            let keep = names::retired(scope, name).is_none();
+            if !keep {
+                unbound.push(name.clone());
+            }
+            keep
+        });
+        if let Some(directory) = &self.inner.directory {
+            for name in &unbound {
+                let _ = directory.unpublish(name);
+            }
+        }
+        let mut moved = Vec::new();
+        self.inner
+            .links
+            .lock()
+            .retain(|(name, stats)| match names::retired(scope, name) {
+                Some(key) => {
+                    moved.push((key, Arc::clone(stats)));
+                    false
+                }
+                None => true,
+            });
+        let mut ledger = self.inner.retired.lock();
+        for (key, stats) in moved {
+            ledger.entry(key).or_default().push(stats);
+        }
     }
 
     fn backend_name(&self) -> &'static str {
@@ -2050,6 +2093,32 @@ mod tests {
         assert_eq!(stats[0].0, "data");
         assert_eq!(stats[0].1.messages, 2);
         assert_eq!(stats[0].1.bytes, 5);
+    }
+
+    #[test]
+    fn retiring_a_scope_unbinds_it_and_keeps_its_totals() {
+        let t = TcpTransport::new().unwrap();
+        for study in 1..=3u64 {
+            let scope = names::study_scope(study);
+            let name = names::server_worker_in(&scope, 0);
+            let rx = t.bind(&name, 4);
+            let _main = t.bind(&names::server_main_in(&scope), 4);
+            let tx = t.connect(&name).unwrap();
+            tx.send(frame(b"abc")).unwrap();
+            rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            drop((tx, rx));
+            t.retire_scope(&scope);
+            assert!(matches!(
+                t.connect(&name),
+                Err(ConnectError::NotFound { .. })
+            ));
+        }
+        assert!(t.bound_names().is_empty(), "{:?}", t.bound_names());
+        let stats = t.link_stats();
+        assert_eq!(stats.len(), 1, "{stats:?}");
+        assert_eq!(stats[0].0, "retired/server/0");
+        assert_eq!((stats[0].1.messages, stats[0].1.bytes), (3, 9));
+        assert!(t.inner.links.lock().is_empty());
     }
 
     #[test]

@@ -294,7 +294,7 @@ melissa_transport::wire_enum!(Message {
     12 => JobEnded { group_id, instance },
     13 => Wake,
     14 => ReportNow,
-} else (put_data, get_data));
+} else (put_data, get_data, data_len));
 
 /// Writes the one variant the declaration leaves out, `Data`.
 fn put_data(msg: &Message, buf: &mut BytesMut) {
@@ -315,6 +315,14 @@ fn put_data(msg: &Message, buf: &mut BytesMut) {
             start: *start,
         };
         header.encode_frame(buf, values);
+    }
+}
+
+/// The length of the frame [`put_data`] writes.
+fn data_len(msg: &Message) -> usize {
+    match msg {
+        Message::Data { values, .. } => DataHeader::ENCODED_LEN + 8 * values.len(),
+        _ => 0,
     }
 }
 
@@ -342,24 +350,9 @@ fn get_data(buf: &mut &[u8]) -> WireResult<Message> {
 }
 
 impl Message {
-    /// Encodes the message to a frame.
+    /// Encodes the message to a frame of exactly its length.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_size_hint());
-        self.put(&mut buf);
-        buf.freeze()
-    }
-
-    /// Rough encoded size (for buffer pre-allocation).
-    fn encoded_size_hint(&self) -> usize {
-        match self {
-            Message::Data { values, .. } => 40 + values.len() * 8,
-            Message::ServerReport {
-                finished_groups,
-                running_groups,
-                ..
-            } => 32 + (finished_groups.len() + running_groups.len()) * 8,
-            _ => 64,
-        }
+        self.to_frame()
     }
 
     /// Decodes a frame: exactly one message, nothing trailing.

@@ -22,6 +22,19 @@
 //! bit-identical.  The in-process study-end reduction owns its states and
 //! does not use it.
 //!
+//! Who holds which copy:
+//!
+//! * [`pack_state`] builds one whole-state image in memory: what a
+//!   re-homed or out-of-process shard ships, and what
+//!   [`write_checkpoint`] writes.
+//! * [`write_state`] writes the same bytes with no image: one bulk array
+//!   at a time through a staging buffer the size of the largest one.  A
+//!   daemon-hosted study's results files are written this way.
+//! * [`unpack_state`] reads a borrowed byte slice and allocates only the
+//!   state it restores, so a caller that already holds the bytes (a
+//!   results file read into a reply frame, the frame on the client side)
+//!   needs no second copy to unpack them.
+//!
 //! ## Format version
 //!
 //! The format is **v4**: per group, the exact timestep segments this
@@ -132,10 +145,12 @@ impl Part<'_> {
     }
 }
 
-/// The packed layout as a list of `(timestep, part)`: the writer walks
-/// the format once, appending scalars to `head` and queueing each bulk
-/// array under the timestep it belongs to; [`finish`](Self::finish) then
-/// sizes the buffer exactly and fills the timesteps in parallel.
+/// The packed layout as a list of `(timestep, part)`: [`plan`] walks the
+/// format once, appending scalars to `head` and queueing each bulk array
+/// under the timestep it belongs to, each right after the scalars ahead
+/// of it.  Either output follows: [`into_vec`](Self::into_vec) sizes one
+/// buffer exactly and fills the timesteps in parallel,
+/// [`write_to`](Self::write_to) streams the parts in file order.
 #[derive(Default)]
 struct Plan<'a> {
     parts: Vec<(usize, Part<'a>)>,
@@ -149,13 +164,20 @@ impl<'a> Plan<'a> {
         self.parts.push((ts, part));
     }
 
-    fn finish(mut self) -> Vec<u8> {
+    /// The parts in file order, the scalars after the last array included
+    /// — still in pairs of (scalars, what follows them).
+    fn finish(mut self) -> Vec<(usize, Part<'a>)> {
         self.bulk(usize::MAX, Part::Scalars(Vec::new()));
-        let total: usize = self.parts.iter().map(|(_, part)| part.len()).sum();
+        self.parts
+    }
+
+    fn into_vec(self) -> Vec<u8> {
+        let parts = self.finish();
+        let total: usize = parts.iter().map(|(_, part)| part.len()).sum();
         let mut out = vec![0u8; total];
         let mut rest = out.as_mut_slice();
-        let mut fills: Vec<(usize, &mut [u8], Part<'a>)> = Vec::with_capacity(self.parts.len());
-        for (ts, part) in self.parts {
+        let mut fills: Vec<(usize, &mut [u8], Part<'a>)> = Vec::with_capacity(parts.len());
+        for (ts, part) in parts {
             let (slot, tail) = rest.split_at_mut(part.len());
             rest = tail;
             fills.push((ts, slot, part));
@@ -166,18 +188,63 @@ impl<'a> Plan<'a> {
         melissa_sync::for_each_item(fills, min_len, |(_, slot, part)| part.write(slot));
         out
     }
+
+    /// Writes the layout to `w` in file order through one staging buffer
+    /// the size of the largest bulk array with the scalars ahead of it:
+    /// each such pair is laid out in the buffer behind the ones before
+    /// it, and the buffer goes out in one `write_all` when the next pair
+    /// would not fit.
+    fn write_to(self, w: &mut impl Write) -> io::Result<u64> {
+        let parts = self.finish();
+        let pair_len = |pair: &[(usize, Part<'_>)]| pair.iter().map(|(_, p)| p.len()).sum();
+        let capacity = parts.chunks(2).map(pair_len).max().unwrap_or(0);
+        let mut staged = Vec::with_capacity(capacity);
+        let mut written = 0;
+        for pair in parts.chunks(2) {
+            let len = pair_len(pair);
+            if staged.len() + len > capacity {
+                w.write_all(&staged)?;
+                written += staged.len() as u64;
+                staged.clear();
+            }
+            let at = staged.len();
+            staged.resize(at + len, 0);
+            let mut rest = &mut staged[at..];
+            for (_, part) in pair {
+                let (slot, tail) = rest.split_at_mut(part.len());
+                part.write(slot);
+                rest = tail;
+            }
+        }
+        w.write_all(&staged)?;
+        Ok(written + staged.len() as u64)
+    }
 }
 
 /// Packs `state` into the v4 checkpoint byte layout.
 ///
 /// This is the serialisation shared by the on-disk checkpoint files,
-/// dead-shard re-homing, out-of-process shards and the daemon's `results`
-/// RPC.  The output is a deterministic function of the state
-/// (bookkeeping maps are written in sorted order), and
-/// `pack_state ∘ unpack_state` is bit-identical (asserted by
-/// `v4_roundtrip_is_bit_identical`).  The buffer is allocated once at its
-/// final size and the tiled state is written straight into it.
+/// dead-shard re-homing and out-of-process shards.  The output is a
+/// deterministic function of the state (bookkeeping maps are written in
+/// sorted order), and `pack_state ∘ unpack_state` is bit-identical
+/// (asserted by `v4_roundtrip_is_bit_identical`).  The buffer is
+/// allocated once at its final size and the tiled state is written
+/// straight into it.
 pub fn pack_state(state: &WorkerState) -> Vec<u8> {
+    plan(state).into_vec()
+}
+
+/// Writes the bytes of [`pack_state`] to `w` without a whole-state image:
+/// one bulk array at a time (a timestep's Sobol' state, moment or
+/// quantile array, with the scalars ahead of it) goes through one staging
+/// buffer the size of the largest of them.  Returns the byte count.  The
+/// daemon writes a finished study's results files this way.
+pub fn write_state(state: &WorkerState, w: &mut impl Write) -> io::Result<u64> {
+    plan(state).write_to(w)
+}
+
+/// The v4 layout of `state`, for [`pack_state`] and [`write_state`].
+fn plan(state: &WorkerState) -> Plan<'_> {
     let (sobol, moments, minmax, thresholds, quantiles, last_completed, finished, integrated) =
         state.checkpoint_parts();
     let mut plan = Plan::default();
@@ -268,7 +335,7 @@ pub fn pack_state(state: &WorkerState) -> Vec<u8> {
             plan.head.put_i64_le(hi);
         }
     }
-    plan.finish()
+    plan
 }
 
 /// Writes `state` to `dir`, returning the byte count (the paper reports

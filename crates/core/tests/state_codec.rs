@@ -10,7 +10,7 @@
 //! * the in-place reduction equals the historical pack → unpack → merge
 //!   reduction (kept here as the reference) byte for byte.
 
-use melissa::server::checkpoint::{pack_state, unpack_state, CheckpointError};
+use melissa::server::checkpoint::{pack_state, unpack_state, write_state, CheckpointError};
 use melissa::server::state::WorkerState;
 use melissa::shard::{reduce_owned_states, reduce_worker_states};
 use melissa_mesh::CellRange;
@@ -84,6 +84,52 @@ fn v4_bytes_match_the_parent_commits_golden_digest() {
     // And the pinned bytes still restore to a state that re-packs to them.
     let back = unpack_state(&bytes, 1).expect("golden bytes restore");
     assert_eq!(pack_state(&back), bytes);
+}
+
+/// Records what each `write` call was handed.
+#[derive(Default)]
+struct Writes {
+    bytes: Vec<u8>,
+    largest: usize,
+    calls: usize,
+}
+
+impl std::io::Write for Writes {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.bytes.extend_from_slice(buf);
+        self.largest = self.largest.max(buf.len());
+        self.calls += 1;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The streaming writer lays down exactly the bytes of `pack_state`: the
+/// pinned digest again, from a sink that receives them in pieces no
+/// larger than one timestep's Sobol' state and the scalars ahead of it.
+#[test]
+fn streamed_bytes_match_pack_state_and_the_golden_digest() {
+    let state = golden_state();
+    let mut sink = Writes::default();
+    let written = write_state(&state, &mut sink).expect("the sink takes every write");
+    let streamed = sink.bytes;
+    assert_eq!(written, streamed.len() as u64);
+    assert_eq!(streamed, pack_state(&state));
+    let sobol_part = 8 * (4 * state.dim() + 4) * state.slab().len;
+    assert!(
+        sink.largest <= sobol_part + 64 && sink.calls > 1,
+        "{} writes, the largest {} B, a Sobol' part {sobol_part} B",
+        sink.calls,
+        sink.largest
+    );
+    assert_eq!(
+        (streamed.len(), fnv1a64(&streamed)),
+        (GOLDEN_LEN, GOLDEN_FNV1A64),
+        "the streamed v4 layout moved"
+    );
 }
 
 /// `pack_state(&golden_state())` at commit 449bbdf (PR 11), the parent of

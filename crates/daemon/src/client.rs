@@ -105,7 +105,7 @@ impl DaemonClient {
             let frame = rx
                 .recv_timeout(reply_timeout)
                 .map_err(|_| ClientError::HandshakeTimeout)?;
-            DaemonReply::from_frame(&frame).map_err(|e| ClientError::BadHandshake {
+            DaemonReply::from_shared(&frame).map_err(|e| ClientError::BadHandshake {
                 detail: format!("daemon reply: {e}"),
             })
         })();
@@ -158,6 +158,14 @@ impl DaemonClient {
     /// `<checkpoint_dir>/study<id>/`, and every call reads those files
     /// again.  A file that is gone or unreadable comes back as a
     /// [`ClientError::BadHandshake`] naming its path.
+    ///
+    /// Who holds which copy: the daemon reads the files straight into one
+    /// reply frame of exactly its size; on an in-process transport that
+    /// frame is the one this call receives, over TCP the frame the link
+    /// read.  Each worker is unpacked from its window of that frame, with
+    /// no copy of its bytes, and the frame is freed once the last worker
+    /// is unpacked — at the peak, one packed image of the results and the
+    /// unpacked states.
     pub fn results(&self, study: u64) -> Result<StudyResults, ClientError> {
         match self.request(DaemonOp::Results { study })? {
             DaemonReply::Results {
@@ -168,10 +176,10 @@ impl DaemonClient {
                 ..
             } => {
                 let states = workers
-                    .iter()
+                    .into_iter()
                     .enumerate()
                     .map(|(i, blob)| {
-                        unpack_state(blob, i).map_err(|e| ClientError::BadHandshake {
+                        unpack_state(&blob, i).map_err(|e| ClientError::BadHandshake {
                             detail: format!("worker state {i}: {e}"),
                         })
                     })

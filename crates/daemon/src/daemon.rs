@@ -37,18 +37,20 @@
 //! [`names::daemon_telemetry`]: melissa_transport::directory::names::daemon_telemetry
 
 use std::collections::{HashMap, VecDeque};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use melissa::server::checkpoint::pack_state;
+use bytes::BufMut;
+use melissa::server::checkpoint::write_state;
 use melissa::server::state::WorkerState;
 use melissa::{Study, StudyConfig, StudyRuntime};
 use melissa_scheduler::FairRunner;
 use melissa_sync::Mutex;
 use melissa_telemetry::ScrapeRequest;
-use melissa_transport::codec::Wire;
+use melissa_transport::codec::{Bytes, BytesMut, Wire};
 use melissa_transport::directory::names;
 use melissa_transport::{BoxReceiver, BoxSender, KillSwitch, Transport};
 
@@ -120,11 +122,12 @@ fn results_file(dir: &Path, worker_id: usize) -> PathBuf {
     dir.join(format!("melissa_results_{worker_id}.v4"))
 }
 
-/// Writes each reduced worker state of a finished study once, packed in
-/// the v4 layout the `Results` reply carries, and returns the paths.  One
-/// plain write per worker, packed and written one at a time, so never more
-/// than one packed state is in memory.  No fsync: only this process reads
-/// the files back, through a record that dies with it.
+/// Writes each reduced worker state of a finished study once, in the v4
+/// layout the `Results` reply carries, and returns the paths.  Each state
+/// is streamed into its file ([`write_state`]): no packed image of it is
+/// ever in memory, only a staging buffer the size of one timestep's
+/// largest array.  No fsync: only this process reads the files back,
+/// through a record that dies with it.
 fn write_results(dir: &Path, workers: &[WorkerState]) -> Result<Vec<PathBuf>, String> {
     std::fs::create_dir_all(dir)
         .map_err(|e| format!("creating results directory {}: {e}", dir.display()))?;
@@ -132,11 +135,48 @@ fn write_results(dir: &Path, workers: &[WorkerState]) -> Result<Vec<PathBuf>, St
         .iter()
         .map(|state| {
             let path = results_file(dir, state.worker_id());
-            std::fs::write(&path, pack_state(state))
+            std::fs::File::create(&path)
+                .and_then(|mut file| write_state(state, &mut file))
                 .map_err(|e| format!("writing results file {}: {e}", path.display()))?;
             Ok(path)
         })
         .collect()
+}
+
+/// The frame of `reply` — a `Results` reply with no workers yet — with
+/// the files at `paths` as its workers, allocated once at its exact size
+/// and each file read straight into it.  The declared reply ends in its
+/// workers' `u64` count; the frame is the bytes ahead of that count, the
+/// real count, then per file its length and its bytes: the `Vec<Bytes>`
+/// layout of the `workers` field.
+fn results_frame(reply: &DaemonReply, paths: &[PathBuf]) -> Result<Bytes, String> {
+    let reading =
+        |path: &Path, e: std::io::Error| format!("reading results file {}: {e}", path.display());
+    let files = paths
+        .iter()
+        .map(|path| {
+            let file = std::fs::File::open(path).map_err(|e| reading(path, e))?;
+            let len = file.metadata().map_err(|e| reading(path, e))?.len() as usize;
+            Ok((path, file, len))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let count = files.len();
+    let head = reply.to_frame();
+    let head = &head[..head.len() - count.wire_len()];
+    let images: usize = files.iter().map(|(.., len)| len.wire_len() + len).sum();
+    let total = head.len() + count.wire_len() + images;
+    let mut frame = BytesMut::with_capacity(total);
+    frame.put_slice(head);
+    count.put(&mut frame);
+    for (path, mut file, len) in files {
+        len.put(&mut frame);
+        let at = frame.len();
+        frame.resize(at + len, 0);
+        file.read_exact(&mut frame[at..])
+            .map_err(|e| reading(path, e))?;
+    }
+    debug_assert_eq!(frame.len(), total);
+    Ok(frame.freeze())
 }
 
 /// One hosted study's shared record.
@@ -327,7 +367,7 @@ impl DaemonState {
             Ok(ControlFrame::Request(req)) => {
                 self.wakeups.request += 1;
                 if let Some(reply) = self.handle_request(&req) {
-                    self.send_reply(&req.reply_to, &reply);
+                    self.send_reply(&req.reply_to, reply);
                 }
             }
             Ok(ControlFrame::StudyEnded { study }) => {
@@ -345,9 +385,10 @@ impl DaemonState {
         self.promote_queued();
     }
 
-    /// The reply to send now, or `None` for a `Wait` that has to wait.
-    fn handle_request(&mut self, req: &DaemonRequest) -> Option<DaemonReply> {
-        Some(match &req.op {
+    /// The reply frame to send now, or `None` for a `Wait` that has to
+    /// wait.
+    fn handle_request(&mut self, req: &DaemonRequest) -> Option<Bytes> {
+        let reply = match &req.op {
             DaemonOp::Submit {
                 tenant,
                 priority,
@@ -371,12 +412,13 @@ impl DaemonState {
                 self.status_reply(*study)
             }
             DaemonOp::Cancel { study } => self.handle_cancel(*study),
-            DaemonOp::Results { study } => self.handle_results(*study),
+            DaemonOp::Results { study } => return Some(self.handle_results(*study)),
             DaemonOp::Shutdown => {
                 self.begin_shutdown();
                 DaemonReply::ShuttingDown
             }
-        })
+        };
+        Some(reply.to_frame())
     }
 
     fn status_reply(&self, study: u64) -> DaemonReply {
@@ -401,9 +443,9 @@ impl DaemonState {
 
     /// Tells everyone waiting on `study` how it ended.
     fn answer_waiters(&mut self, study: u64) {
-        let reply = self.status_reply(study);
+        let reply = self.status_reply(study).to_frame();
         for reply_to in self.waiters.remove(&study).unwrap_or_default() {
-            self.send_reply(&reply_to, &reply);
+            self.send_reply(&reply_to, reply.clone());
         }
     }
 
@@ -494,47 +536,43 @@ impl DaemonState {
         DaemonReply::Cancelled { study }
     }
 
-    fn handle_results(&mut self, study: u64) -> DaemonReply {
-        let Some(rec) = self.registry.get(&study) else {
-            return DaemonReply::Error {
-                detail: format!("study {study} not found"),
-            };
-        };
+    /// The `Results` reply frame (or an `Error` reply's).  The shape and
+    /// the paths are taken under the record's lock, the files are read
+    /// after it is released.
+    fn handle_results(&self, study: u64) -> Bytes {
+        self.results_of(study)
+            .and_then(|(reply, paths)| {
+                results_frame(&reply, &paths).map_err(|e| format!("study {study}: {e}"))
+            })
+            .unwrap_or_else(|detail| DaemonReply::Error { detail }.to_frame())
+    }
+
+    /// A finished study's `Results` reply without its workers, and where
+    /// they are on disk; or why it has none.
+    fn results_of(&self, study: u64) -> Result<(DaemonReply, Vec<PathBuf>), String> {
+        let rec = self
+            .registry
+            .get(&study)
+            .ok_or_else(|| format!("study {study} not found"))?;
         let state = rec.state();
         let finished = rec.finished.lock();
         match (state, finished.as_ref()) {
             (StudyState::Done, Some(f)) => {
-                let workers = f.results.iter().map(|path| {
-                    std::fs::read(path).map_err(|e| DaemonReply::Error {
-                        detail: format!(
-                            "study {study}: reading results file {}: {e}",
-                            path.display()
-                        ),
-                    })
-                });
-                match workers.collect() {
-                    Ok(workers) => DaemonReply::Results {
-                        p: f.p,
-                        n_timesteps: f.n_timesteps,
-                        n_cells: f.n_cells,
-                        groups_finished: f.groups_finished,
-                        workers,
-                    },
-                    Err(error) => error,
-                }
+                let reply = DaemonReply::Results {
+                    p: f.p,
+                    n_timesteps: f.n_timesteps,
+                    n_cells: f.n_cells,
+                    groups_finished: f.groups_finished,
+                    workers: Vec::new(),
+                };
+                Ok((reply, f.results.clone()))
             }
-            (StudyState::Failed, Some(f)) => DaemonReply::Error {
-                detail: format!(
-                    "study {study} failed: {}",
-                    f.error.as_deref().unwrap_or("unknown error")
-                ),
-            },
-            (StudyState::Cancelled, _) => DaemonReply::Error {
-                detail: format!("study {study} was cancelled"),
-            },
-            _ => DaemonReply::Error {
-                detail: format!("study {study} is {state}; results not ready"),
-            },
+            (StudyState::Failed, Some(f)) => Err(format!(
+                "study {study} failed: {}",
+                f.error.as_deref().unwrap_or("unknown error")
+            )),
+            (StudyState::Cancelled, _) => Err(format!("study {study} was cancelled")),
+            _ => Err(format!("study {study} is {state}; results not ready")),
         }
     }
 
@@ -634,13 +672,13 @@ impl DaemonState {
         }
     }
 
-    fn send_reply(&self, reply_to: &str, reply: &DaemonReply) {
+    fn send_reply(&self, reply_to: &str, reply: Bytes) {
         // The client binds its reply endpoint before it sends, so the
         // endpoint is either there or the client is gone (a waiter whose
         // deadline passed): never wait for it on this thread, which
         // serves every tenant.
         if let Ok(tx) = self.transport.connect(reply_to) {
-            let _ = tx.send(reply.to_frame());
+            let _ = tx.send(reply);
         }
     }
 

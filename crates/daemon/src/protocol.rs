@@ -221,8 +221,10 @@ pub enum DaemonReply {
         n_cells: u64,
         /// Groups fully integrated.
         groups_finished: u64,
-        /// One packed `WorkerState` per server worker, slab order.
-        workers: Vec<Vec<u8>>,
+        /// One packed `WorkerState` per server worker, slab order —
+        /// windows of the received frame when decoded with
+        /// [`Wire::from_shared`].
+        workers: Vec<Bytes>,
     },
     /// The request could not be served (unknown study, results not
     /// ready, study failed).
@@ -351,7 +353,7 @@ mod tests {
                 n_timesteps: 4,
                 n_cells: 64,
                 groups_finished: 8,
-                workers: vec![vec![1, 2, 3], vec![], vec![0xff; 17]],
+                workers: vec![vec![1, 2, 3].into(), Bytes::new(), vec![0xff; 17].into()],
             },
             DaemonReply::Error {
                 detail: "study 42 not found".into(),

@@ -24,6 +24,7 @@
 //! | `(A, B)`, `(A, B, C)`, `Box<T>` | field by field |
 //! | [`WireCompression`] | its handshake pair ([`WireCompression::to_wire`]) |
 //! | `Vec<T>` | `u64` count, then the elements; `u8`, `u64` and `f64` elements as one bulk copy |
+//! | [`Bytes`] | as `Vec<u8>` |
 //! | `wire_struct!` | its fields in declaration order, after an optional `u32` schema |
 //! | `wire_enum!` | one tag byte, then the variant's fields |
 //!
@@ -33,7 +34,14 @@
 //! make its decoder allocate in proportion to its own length.
 //! [`Wire::from_frame`] decodes a whole frame, trailing bytes refused;
 //! every failure is a [`WireError`] naming the field that broke.
+//!
+//! **A frame is allocated once.**  [`Wire::to_frame`] sizes its buffer by
+//! [`Wire::wire_len`] before it writes, and [`Wire::from_shared`] decodes
+//! the [`Bytes`] fields of a frame the caller owns as windows of it, so a
+//! large byte field is neither regrown on the way out nor copied on the
+//! way in.
 
+use std::cell::RefCell;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -279,6 +287,9 @@ pub trait Wire: Sized {
     /// Appends the value.
     fn put(&self, buf: &mut BytesMut);
 
+    /// The number of bytes [`put`](Self::put) appends.
+    fn wire_len(&self) -> usize;
+
     /// Reads one value off the front of `buf`.
     fn get(buf: &mut &[u8]) -> WireResult<Self>;
 
@@ -296,10 +307,12 @@ pub trait Wire: Sized {
         (0..n).map(|_| Self::get(buf)).collect()
     }
 
-    /// The value as one frame.
+    /// The value as one frame, allocated once at its exact size.
     fn to_frame(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let len = self.wire_len();
+        let mut buf = BytesMut::with_capacity(len);
         self.put(&mut buf);
+        debug_assert_eq!(buf.len(), len, "wire_len disagrees with put");
         buf.freeze()
     }
 
@@ -313,6 +326,48 @@ pub trait Wire: Sized {
         }
         Ok(value)
     }
+
+    /// Decodes a whole frame as [`from_frame`](Self::from_frame) does,
+    /// but every [`Bytes`] field comes out as a window of `frame` — no
+    /// copy, and the frame's one allocation lives as long as the last
+    /// window does.
+    fn from_shared(frame: &Bytes) -> WireResult<Self> {
+        let _shared = SharedFrame::enter(frame);
+        Self::from_frame(frame)
+    }
+}
+
+thread_local! {
+    /// The frame a [`Wire::from_shared`] on this thread is decoding.
+    static SHARED: RefCell<Option<Bytes>> = const { RefCell::new(None) };
+}
+
+/// Holds [`SHARED`] for one decode, and gives back what it held before
+/// (the frame of an enclosing decode) when dropped.
+struct SharedFrame(Option<Bytes>);
+
+impl SharedFrame {
+    fn enter(frame: &Bytes) -> Self {
+        Self(SHARED.replace(Some(frame.clone())))
+    }
+}
+
+impl Drop for SharedFrame {
+    fn drop(&mut self) {
+        SHARED.set(self.0.take());
+    }
+}
+
+/// `bytes` as a window of the frame being decoded when they lie inside
+/// it, otherwise as a copy.
+fn window(bytes: &[u8]) -> Bytes {
+    SHARED
+        .with_borrow(|frame| {
+            let frame = frame.as_ref()?;
+            let at = (bytes.as_ptr() as usize).checked_sub(frame.as_ptr() as usize)?;
+            (at + bytes.len() <= frame.len()).then(|| frame.slice(at..at + bytes.len()))
+        })
+        .unwrap_or_else(|| Bytes::copy_from_slice(bytes))
 }
 
 /// Reads one field of a declared message, naming it in an error no field
@@ -342,6 +397,10 @@ macro_rules! wire_int {
                 buf.$put(*self);
             }
 
+            fn wire_len(&self) -> usize {
+                size_of::<$ty>()
+            }
+
             fn get(buf: &mut &[u8]) -> WireResult<Self> {
                 $get(buf, "")
             }
@@ -359,6 +418,10 @@ impl Wire for u8 {
 
     fn put(&self, buf: &mut BytesMut) {
         buf.put_u8(*self);
+    }
+
+    fn wire_len(&self) -> usize {
+        1
     }
 
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
@@ -381,6 +444,10 @@ macro_rules! wire_word {
 
             fn put(&self, buf: &mut BytesMut) {
                 buf.put_slice(&LeWord::to_le(*self));
+            }
+
+            fn wire_len(&self) -> usize {
+                8
             }
 
             fn get(buf: &mut &[u8]) -> WireResult<Self> {
@@ -409,6 +476,10 @@ impl Wire for String {
         buf.put_slice(self.as_bytes());
     }
 
+    fn wire_len(&self) -> usize {
+        4 + self.len()
+    }
+
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
         let len = u32::get(buf)? as usize;
         String::from_utf8(take(buf, len)?.to_vec()).map_err(|_| WireError::Invalid { what: "" })
@@ -425,6 +496,11 @@ macro_rules! wire_via {
             fn put(&self, buf: &mut BytesMut) {
                 let to: fn(&$ty) -> $via = $to;
                 to(self).put(buf);
+            }
+
+            fn wire_len(&self) -> usize {
+                let to: fn(&$ty) -> $via = $to;
+                to(self).wire_len()
             }
 
             fn get(buf: &mut &[u8]) -> WireResult<Self> {
@@ -456,6 +532,10 @@ impl<T: Wire> Wire for Option<T> {
         }
     }
 
+    fn wire_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::wire_len)
+    }
+
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
         match bool::get(buf)? {
             true => T::get(buf).map(Some),
@@ -471,6 +551,10 @@ impl<T: Wire> Wire for Box<T> {
         (**self).put(buf);
     }
 
+    fn wire_len(&self) -> usize {
+        (**self).wire_len()
+    }
+
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
         T::get(buf).map(Box::new)
     }
@@ -483,6 +567,10 @@ macro_rules! wire_tuple {
 
             fn put(&self, buf: &mut BytesMut) {
                 $(self.$i.put(buf);)+
+            }
+
+            fn wire_len(&self) -> usize {
+                0 $(+ self.$i.wire_len())+
             }
 
             fn get(buf: &mut &[u8]) -> WireResult<Self> {
@@ -503,9 +591,33 @@ impl<T: Wire> Wire for Vec<T> {
         T::put_seq(self, buf);
     }
 
+    fn wire_len(&self) -> usize {
+        8 + self.iter().map(T::wire_len).sum::<usize>()
+    }
+
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
         let n = get_count(buf, T::MIN_LEN.max(1), "")?;
         T::get_seq(buf, n)
+    }
+}
+
+/// Laid out as `Vec<u8>`.  [`Wire::from_shared`] decodes it as a window
+/// of the frame, [`Wire::from_frame`] as a copy.
+impl Wire for Bytes {
+    const MIN_LEN: usize = 8;
+
+    fn put(&self, buf: &mut BytesMut) {
+        self.len().put(buf);
+        buf.put_slice(self);
+    }
+
+    fn wire_len(&self) -> usize {
+        8 + self.len()
+    }
+
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        let n = get_count(buf, 1, "")?;
+        take(buf, n).map(window)
     }
 }
 
@@ -527,6 +639,11 @@ macro_rules! wire_struct {
             fn put(&self, buf: &mut $crate::codec::BytesMut) {
                 $($crate::codec::Wire::put(&($schema as u32), buf);)?
                 $($crate::codec::Wire::put(&self.$field, buf);)*
+            }
+
+            fn wire_len(&self) -> usize {
+                0 $(+ { let _: u32 = $schema; 4 })?
+                    $(+ $crate::codec::Wire::wire_len(&self.$field))*
             }
 
             fn get(buf: &mut &[u8]) -> $crate::codec::WireResult<Self> {
@@ -551,9 +668,9 @@ macro_rules! wire_struct {
 /// Declares an enum's [`Wire`] layout as one tag byte per variant and the
 /// variant's field list:
 /// `wire_enum!(Reply { 1 => Found { addr }, 2 => NotFound })`.  An unknown
-/// tag is [`WireError::Invalid`].  A trailing `else (put, get)` hands the
-/// variants the list leaves out to two functions of the caller's: `put`
-/// gets the value, `get` the bytes from the tag on.
+/// tag is [`WireError::Invalid`].  A trailing `else (put, get, len)` hands
+/// the variants the list leaves out to three functions of the caller's:
+/// `put` and `len` get the value, `get` the bytes from the tag on.
 #[macro_export]
 macro_rules! wire_enum {
     (@other $ty:ident, $buf:ident, $frame:ident) => {
@@ -567,7 +684,7 @@ macro_rules! wire_enum {
     }};
     ($ty:ident {
         $($tag:literal => $var:ident $({ $($field:ident),* $(,)? })?),* $(,)?
-    } $(else ($put_other:path, $get_other:path))?) => {
+    } $(else ($put_other:path, $get_other:path, $len_other:path))?) => {
         impl $crate::codec::Wire for $ty {
             const MIN_LEN: usize = 1;
 
@@ -578,6 +695,15 @@ macro_rules! wire_enum {
                         $($($crate::codec::Wire::put($field, buf);)*)?
                     })*
                     $(other => $put_other(other, buf),)?
+                }
+            }
+
+            fn wire_len(&self) -> usize {
+                match self {
+                    $($ty::$var $({ $($field),* })? => {
+                        1 $($(+ $crate::codec::Wire::wire_len($field))*)?
+                    })*
+                    $(other => $len_other(other),)?
                 }
             }
 
@@ -797,6 +923,37 @@ mod tests {
                 what: "unknown Shape tag"
             })
         );
+    }
+
+    /// A `Bytes` field is laid out as `Vec<u8>`; a shared decode hands
+    /// out windows of the caller's frame, a plain one copies, and a
+    /// shared decode nested in another restores the outer frame.
+    #[test]
+    fn byte_fields_decode_as_windows_of_a_shared_frame() {
+        let blobs: Vec<Bytes> = vec![vec![1, 2, 3].into(), Bytes::new(), vec![9; 40].into()];
+        let frame = blobs.to_frame();
+        let as_vecs: Vec<Vec<u8>> = blobs.iter().map(|b| b.to_vec()).collect();
+        assert_eq!(frame, as_vecs.to_frame());
+        assert_eq!(blobs.wire_len(), frame.len());
+        let inside = |b: &Bytes| {
+            let at = b.as_ptr() as usize;
+            at >= frame.as_ptr() as usize && at + b.len() <= frame.as_ptr() as usize + frame.len()
+        };
+        let shared = Vec::<Bytes>::from_shared(&frame).unwrap();
+        assert_eq!(shared, blobs);
+        assert!(inside(&shared[0]) && inside(&shared[2]));
+        let copied = Vec::<Bytes>::from_frame(&frame).unwrap();
+        assert_eq!(copied, blobs);
+        assert!(!inside(&copied[0]) && !inside(&copied[2]));
+        let outer = {
+            let _outer = SharedFrame::enter(&frame);
+            let inner = Bytes::from(vec![4, 0, 0, 0, 0, 0, 0, 0, 5, 6, 7, 8]);
+            let nested = Bytes::from_shared(&inner).unwrap();
+            assert_eq!(nested.as_ptr(), inner[8..].as_ptr());
+            Vec::<Bytes>::from_frame(&frame).unwrap()
+        };
+        assert!(inside(&outer[2]));
+        assert!(SHARED.with_borrow(Option::is_none));
     }
 
     #[test]

@@ -583,6 +583,17 @@ pub mod names {
         Some(scoped(RETIRED_SCOPE, rest))
     }
 
+    /// The ledger entry a link to `name` is folded into once it is gone:
+    /// the name itself, except that one-shot reply endpoints — a name per
+    /// RPC — share one `retired/reply` total.
+    pub(crate) fn settled(name: &str) -> String {
+        if is_reply(name) {
+            scoped(RETIRED_SCOPE, "reply")
+        } else {
+            name.to_string()
+        }
+    }
+
     /// Whether `name` is a one-shot reply endpoint — a group's handshake
     /// reply, a control or scrape RPC's reply: bound for one frame, and
     /// read by no statistics rollup.

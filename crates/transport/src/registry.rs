@@ -54,7 +54,7 @@ impl Retired {
 
     /// Takes over `other`'s generations (a retired scope's entry joining
     /// the `retired/…` one).
-    fn merge(&mut self, other: Retired) {
+    pub(crate) fn merge(&mut self, other: Retired) {
         self.folded.absorb(&other.folded);
         for stats in other.draining {
             self.push(stats);

@@ -385,9 +385,12 @@ struct TcpInner {
     /// from `endpoints`).
     directory: Option<Arc<DirectoryClient>>,
     endpoints: Mutex<HashMap<String, Endpoint>>,
-    /// Send-side stats of every link ever connected, for the rollup.
+    /// Send-side stats of the links whose sender or writer still lives,
+    /// for the rollup.  Locked before `retired` where both are held.
     links: Mutex<Vec<(String, Arc<LinkStats>)>>,
-    /// Links of retired scopes, under `retired/…`.
+    /// Stats of the links that are gone, folded once: per endpoint name
+    /// ([`names::settled`]: one-shot reply links share `retired/reply`),
+    /// and a retired scope's under `retired/…`.
     retired: Mutex<BTreeMap<String, Retired>>,
     /// Live serving-side connections (endpoint name, token, stream) —
     /// the handle [`TcpTransport::sever_connections`] cuts.
@@ -400,6 +403,23 @@ struct TcpInner {
     /// Socket-call counters (shared with writer and serving threads).
     wire_io: Arc<WireIo>,
     shutdown: AtomicBool,
+}
+
+impl TcpInner {
+    /// Lists a new link, and folds every listed link whose sender and
+    /// writer are both gone into the ledger, so the list holds live links
+    /// only — a long-lived node dials two links per control RPC (the
+    /// request and its reply) — and the rollup's totals stay the same.
+    fn list_link(&self, name: &str, stats: Arc<LinkStats>) {
+        let mut links = self.links.lock();
+        let mut ledger = self.retired.lock();
+        // The list's handle is the last once both are gone.
+        let gone = |(_, stats): &mut (String, Arc<LinkStats>)| Arc::strong_count(stats) == 1;
+        for (name, stats) in links.extract_if(.., gone) {
+            ledger.entry(names::settled(&name)).or_default().push(stats);
+        }
+        links.push((name.to_string(), stats));
+    }
 }
 
 /// Real-socket [`Transport`]: one listener per node, endpoint demux in
@@ -657,10 +677,7 @@ impl Transport for TcpTransport {
         // This link has a wire: from here on its snapshots report actual
         // socket bytes, not the payload fallback.
         tx.stats().mark_wire_tracked();
-        self.inner
-            .links
-            .lock()
-            .push((name.to_string(), Arc::clone(tx.stats())));
+        self.inner.list_link(name, Arc::clone(tx.stats()));
         let shared = Arc::new(LinkShared::default());
         let core = Arc::new(LinkCore {
             name: name.to_string(),
@@ -703,7 +720,10 @@ impl Transport for TcpTransport {
             .keys()
             .map(|name| (name.clone(), LinkStatsSnapshot::default()))
             .collect();
-        for (name, stats) in self.inner.links.lock().iter() {
+        // Both locks at once: a link folded between the two reads would
+        // count twice or not at all.
+        let links = self.inner.links.lock();
+        for (name, stats) in links.iter() {
             rollup
                 .entry(name.clone())
                 .or_default()
@@ -734,20 +754,24 @@ impl Transport for TcpTransport {
                 let _ = directory.unpublish(name);
             }
         }
-        let mut moved = Vec::new();
-        self.inner
-            .links
-            .lock()
-            .retain(|(name, stats)| match names::retired(scope, name) {
-                Some(key) => {
-                    moved.push((key, Arc::clone(stats)));
-                    false
-                }
-                None => true,
-            });
+        let mut links = self.inner.links.lock();
         let mut ledger = self.inner.retired.lock();
-        for (key, stats) in moved {
-            ledger.entry(key).or_default().push(stats);
+        let mut moved = Vec::new();
+        ledger.retain(|name, entry| match names::retired(scope, name) {
+            Some(key) => {
+                moved.push((key, std::mem::take(entry)));
+                false
+            }
+            None => true,
+        });
+        for (key, entry) in moved {
+            ledger.entry(key).or_default().merge(entry);
+        }
+        for (name, stats) in std::mem::take(&mut *links) {
+            match names::retired(scope, &name) {
+                Some(key) => ledger.entry(key).or_default().push(stats),
+                None => links.push((name, stats)),
+            }
         }
     }
 
@@ -2093,6 +2117,60 @@ mod tests {
         assert_eq!(stats[0].0, "data");
         assert_eq!(stats[0].1.messages, 2);
         assert_eq!(stats[0].1.bytes, 5);
+    }
+
+    /// A long-lived node serving control RPCs — each one a dialled
+    /// request and a dialled reply, the daemon's pattern — keeps a link
+    /// list and a rollup the size of what is live, with every frame still
+    /// counted once.
+    #[test]
+    fn links_of_finished_rpcs_fold_into_a_bounded_ledger() {
+        const RPCS: u64 = 500;
+        const LIVE: usize = 64;
+        let t = Arc::new(TcpTransport::new().unwrap());
+        let ctl = t.bind("ctl/daemon", 8);
+        let server = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                while let Ok(request) = ctl.recv() {
+                    let reply_to = String::from_utf8(request.to_vec()).unwrap();
+                    if reply_to.is_empty() {
+                        break;
+                    }
+                    t.connect(&reply_to).unwrap().send(frame(b"ok")).unwrap();
+                }
+            })
+        };
+        let mut most_links = 0;
+        let mut most_rollup = 0;
+        for i in 0..RPCS {
+            let reply_to = format!("ctl/reply/1/{i}");
+            let rx = t.bind(&reply_to, 8);
+            let tx = t.connect("ctl/daemon").unwrap();
+            tx.send(Bytes::copy_from_slice(reply_to.as_bytes()))
+                .unwrap();
+            assert_eq!(&rx.recv_timeout(Duration::from_secs(5)).unwrap()[..], b"ok");
+            drop(tx);
+            t.unbind(&reply_to);
+            most_links = most_links.max(t.inner.links.lock().len());
+            most_rollup = most_rollup.max(t.link_stats().len());
+        }
+        t.connect("ctl/daemon").unwrap().send(frame(b"")).unwrap();
+        server.join().unwrap();
+        assert!(most_links <= LIVE, "{most_links} links listed");
+        assert!(most_rollup <= LIVE + 2, "{most_rollup} rollup entries");
+        let stats = t.link_stats();
+        let total = |name: &str| {
+            let found = stats.iter().find(|(n, _)| n == name);
+            found.map_or(0, |(_, s)| s.messages)
+        };
+        let replies: u64 = stats
+            .iter()
+            .filter(|(name, _)| names::is_reply(name) || name == "retired/reply")
+            .map(|(_, s)| s.messages)
+            .sum();
+        assert_eq!(total("ctl/daemon"), RPCS + 1, "{stats:?}");
+        assert_eq!(replies, RPCS, "{stats:?}");
     }
 
     #[test]

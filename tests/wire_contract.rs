@@ -6,8 +6,10 @@
 //!   included), trailing bytes refused, every strict prefix an error,
 //!   every single-bit flip and 10 000 arbitrary inputs decoded or refused
 //!   without a panic — and no allocation of 16 MiB or more, whatever a
-//!   count in the bytes claims.  [`covers!`] makes the samples name every
-//!   enum variant: a variant it does not list fails to compile.
+//!   count in the bytes claims.  `wire_len` is the frame's length, and a
+//!   decode that shares the frame gives the value a copying one does.
+//!   [`covers!`] makes the samples name every enum variant: a variant it
+//!   does not list fails to compile.
 //! * [`Message`] frames and the TCP hello/reply are pinned to the bytes
 //!   the hand-written codecs wrote before they became declarations.
 //! * The five decoders that once sized a `Vec` from a count off the wire
@@ -27,7 +29,7 @@ use melissa_telemetry::{
     CodecScrape, EventKind, HistogramSnapshot, LinkScrape, MetricsSnapshot, Registry, ScrapeFormat,
     ScrapeReply, ScrapeRequest, ScrapeSnapshot, StudyEvent,
 };
-use melissa_transport::codec::{read_frame, write_frame, Wire, WireError};
+use melissa_transport::codec::{read_frame, write_frame, Bytes, Wire, WireError};
 use melissa_transport::directory::{DirectoryReply, DirectoryRequest};
 use melissa_transport::tcp::{Hello, HelloReply};
 use melissa_transport::{
@@ -91,6 +93,9 @@ fn assert_wire_contract<T: Wire + Debug>(samples: &[T]) {
         let back = T::from_frame(frame).unwrap_or_else(|e| panic!("{sample:?}: {e}"));
         assert_eq!(back.to_frame(), *frame, "{sample:?} re-encodes differently");
         assert_eq!(format!("{back:?}"), format!("{sample:?}"));
+        assert_eq!(sample.wire_len(), frame.len(), "wire_len of {sample:?}");
+        let shared = T::from_shared(frame).unwrap_or_else(|e| panic!("{sample:?}: {e}"));
+        assert_eq!(shared.to_frame(), *frame, "{sample:?} shared decode");
         let mut long = frame.to_vec();
         long.push(0);
         assert!(T::from_frame(&long).is_err(), "{sample:?} + 1 byte decoded");
@@ -363,7 +368,7 @@ fn daemon_replies() -> Vec<DaemonReply> {
             n_timesteps: 4,
             n_cells: 64,
             groups_finished: 8,
-            workers: vec![vec![1, 2, 3], vec![], vec![0xff; 17]],
+            workers: vec![vec![1, 2, 3].into(), Bytes::new(), vec![0xff; 17].into()],
         },
         DaemonReply::Error {
             detail: "study 42 not found".into(),

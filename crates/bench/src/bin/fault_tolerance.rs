@@ -9,9 +9,9 @@
 
 use std::time::Duration;
 
-use melissa::perfmodel::faults::{evaluate, FaultModelConfig};
-use melissa::perfmodel::FullScaleParams;
 use melissa::{FaultPlan, GroupFault, Study, StudyConfig};
+use melissa_bench::curie::faults::{evaluate, FaultModelConfig};
+use melissa_bench::curie::FullScaleParams;
 use melissa_bench::{row, table_header};
 
 fn main() {

@@ -1,17 +1,21 @@
 //! Figure 6 (a–d): the two full-scale sensitivity analyses on "Curie".
 //!
 //! Replays the paper's Study 1 (Melissa Server on 15 nodes) and Study 2
-//! (32 nodes) through the calibrated discrete-event model, printing the
-//! trace shapes and writing the CSV series the paper plots:
+//! (32 nodes) through the calibrated [`curie`](melissa_bench::curie)
+//! replay, printing the trace shapes and writing the CSV series the paper
+//! plots:
 //!
 //! * Fig. 6a/6c — number of running simulation groups and cores vs time;
 //! * Fig. 6b/6d — average execution time per group vs time, against the
 //!   *classical* (file-writing) and *no output* reference levels.
 //!
+//! The replay's inputs are the paper's own Curie numbers: what it prints
+//! shows the paper's ratios, not this code's speed.
+//!
 //! `--sweep-servers` additionally sweeps the server node count to locate
 //! the backpressure knee (the generalisation of the 15-vs-32 ablation).
 
-use melissa::perfmodel::{simulate_study, FullScaleParams, OutputKind};
+use melissa_bench::curie::{simulate_study, FullScaleParams, OutputKind};
 use melissa_bench::{experiments_dir, row, table_header};
 
 fn main() {

@@ -1,7 +1,8 @@
 //! Section 5.3 scalar results: the quantitative claims of the paper's
-//! performance evaluation, paper-vs-model.
+//! performance evaluation, paper vs. the [`curie`](melissa_bench::curie)
+//! replay of its calibrated Curie numbers (not a measurement of this code).
 
-use melissa::perfmodel::{simulate_study, FullScaleParams, OutputKind};
+use melissa_bench::curie::{simulate_study, FullScaleParams, OutputKind};
 use melissa_bench::{row, table_header};
 
 fn main() {

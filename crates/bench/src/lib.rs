@@ -16,6 +16,12 @@
 //! Run them with `cargo run -p melissa-bench --release --bin <name>`.
 //! Each prints a paper-vs-measured table; CSV series are written under
 //! `target/experiments/`.
+//!
+//! `fig6`, `table_scalars` and the cost-model half of `fault_tolerance`
+//! print the [`curie`] replay: the paper's Curie runs rebuilt from its own
+//! calibrated numbers, not a measurement of this workspace.
+
+pub mod curie;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::VecDeque;

@@ -7,7 +7,7 @@
 //! replay was first written against; they must never be regenerated from
 //! the code under test.
 
-use melissa::perfmodel::{simulate_study, FullScaleParams, OutputKind, StudyTraces};
+use melissa_bench::curie::{simulate_study, FullScaleParams, OutputKind, StudyTraces};
 
 /// FNV-1a, 64-bit.
 fn fnv1a64(digest: u64, bytes: &[u8]) -> u64 {

@@ -21,10 +21,7 @@
 //! * [`shard`] — the elasticity layer above one server: `N` complete
 //!   server instances behind a seeded group-hash router, merged by a
 //!   deterministic reduction at study end, with per-shard failover;
-//! * [`study`] — the one-call high-level API;
-//! * [`perfmodel`] — a calibrated discrete-event model of the paper's
-//!   full-scale Curie runs, regenerating Figures 6a–6d and the Section
-//!   5.3/5.4 scalar results.
+//! * [`study`] — the one-call high-level API.
 //!
 //! A repository-level tour of these layers — the data-flow diagram of the
 //! paper mapped to module paths and the bit-exactness invariant each
@@ -74,7 +71,6 @@ pub mod config;
 pub mod fault;
 pub mod group;
 pub mod launcher;
-pub mod perfmodel;
 pub mod protocol;
 pub mod report;
 pub mod server;

@@ -201,18 +201,6 @@ impl WorkerState {
         Self::with_stats(worker_id, slab, p, n_timesteps, &[], &[])
     }
 
-    /// Creates an empty state additionally tracking threshold-exceedance
-    /// probabilities for each value in `thresholds`.
-    pub fn with_thresholds(
-        worker_id: usize,
-        slab: CellRange,
-        p: usize,
-        n_timesteps: usize,
-        thresholds: &[f64],
-    ) -> Self {
-        Self::with_stats(worker_id, slab, p, n_timesteps, thresholds, &[])
-    }
-
     /// Creates an empty state tracking threshold-exceedance probabilities
     /// and Robbins–Monro quantile estimates for each target probability in
     /// `quantile_probs` (empty disables order statistics).

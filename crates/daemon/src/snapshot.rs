@@ -15,6 +15,7 @@
 //! [`ScrapeSnapshot`]: melissa_telemetry::ScrapeSnapshot
 
 use bytes::{BufMut, BytesMut};
+use melissa_telemetry::scrape::json_escape;
 use melissa_telemetry::ScrapeFormat;
 use melissa_transport::codec::Wire;
 use melissa_transport::Frame;
@@ -100,22 +101,6 @@ pub struct DaemonSnapshot {
     pub tenants: Vec<TenantSnapshot>,
     /// Per-study lifecycle rows.
     pub studies: Vec<StudySnapshot>,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl DaemonSnapshot {

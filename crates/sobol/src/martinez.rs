@@ -114,11 +114,6 @@ impl IterativeSobol {
         (0..self.p).map(|k| self.first_order(k)).collect()
     }
 
-    /// All total-order indices.
-    pub fn total_order_all(&self) -> Vec<f64> {
-        (0..self.p).map(|k| self.total_order(k)).collect()
-    }
-
     /// `1 − Σ_k S_k`: the share of output variance attributed to parameter
     /// interactions (paper Section 5.5, item 4).
     pub fn interaction_share(&self) -> f64 {
@@ -158,11 +153,6 @@ impl IterativeSobol {
     /// Estimated output variance (from the pooled `Y^A` sample).
     pub fn output_variance(&self) -> f64 {
         self.mom_a.sample_variance()
-    }
-
-    /// Estimated output mean (from the `Y^A` sample).
-    pub fn output_mean(&self) -> f64 {
-        self.mom_a.mean()
     }
 }
 

@@ -104,16 +104,6 @@ impl OnlineCovariance {
         }
     }
 
-    /// Population covariance `C2 / n`; `0.0` when empty.
-    #[inline]
-    pub fn population_covariance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.c2 / self.n as f64
-        }
-    }
-
     /// Unnormalised co-moment `Σ(x−μx)(y−μy)`.
     #[inline]
     pub fn c2(&self) -> f64 {

@@ -135,12 +135,6 @@ impl OnlineMoments {
         }
     }
 
-    /// Sample standard deviation.
-    #[inline]
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Skewness `√n · M3 / M2^{3/2}`; `0.0` when undefined.
     pub fn skewness(&self) -> f64 {
         if self.n < 2 || self.m2 <= 0.0 {

@@ -549,11 +549,6 @@ impl FieldQuantiles {
         (0..self.cells).map(|c| self.rec(c)[idx]).collect()
     }
 
-    /// All quantile estimates of one cell, in `probs()` order.
-    pub fn cell_quantiles(&self, cell: usize) -> Vec<f64> {
-        self.rec(cell).to_vec()
-    }
-
     /// Convergence signal: the widest possible next Robbins–Monro step
     /// over all cells, `max_cells (range · (n+1)^{−γ})`, with the range
     /// read from the caller's envelope — the analogue of the Sobol' CI

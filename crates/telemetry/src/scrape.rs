@@ -458,7 +458,8 @@ impl ScrapeReply {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::new();
     for c in s.chars() {
         match c {

@@ -41,6 +41,7 @@ use melissa_sync::Mutex;
 
 use crate::codec::{read_frame, write_frame, Wire};
 use crate::heartbeat::LivenessTracker;
+use crate::tcp::spawn_accept_loop;
 
 /// Environment variable seeding the deployment's directory address
 /// (`host:port`), exported by the launcher to every child process.
@@ -207,24 +208,8 @@ impl DirectoryServer {
             shutdown: AtomicBool::new(false),
             addr,
         });
-        let accept_state = Arc::clone(&state);
-        let accept_handle = std::thread::spawn(move || loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if accept_state.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let conn_state = Arc::clone(&accept_state);
-                    std::thread::spawn(move || serve_directory_client(stream, conn_state));
-                }
-                Err(_) => {
-                    if accept_state.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-        });
+        let accept_handle =
+            spawn_accept_loop(listener, &state, |s| &s.shutdown, serve_directory_client);
         Ok(DirectoryServer {
             state,
             accept_handle: Mutex::new(Some(accept_handle)),

@@ -191,11 +191,6 @@ impl FaultySender {
         Verdict::Forward
     }
 
-    /// The kill switch governing this sender.
-    pub fn kill_switch(&self) -> &KillSwitch {
-        &self.kill
-    }
-
     /// The wrapped sender (for stats).
     pub fn inner(&self) -> &dyn Sender {
         self.inner.as_ref()

@@ -488,8 +488,7 @@ impl TcpTransport {
             wire_io: Arc::default(),
             shutdown: AtomicBool::new(false),
         });
-        let accept_inner = Arc::clone(&inner);
-        let accept_handle = std::thread::spawn(move || accept_loop(listener, accept_inner));
+        let accept_handle = spawn_accept_loop(listener, &inner, |i| &i.shutdown, serve_connection);
         // The lease heartbeat keeps every published name alive in the
         // remote directory — and, because renewals re-publish the
         // name→address pairs, repopulates a restarted directory.
@@ -516,11 +515,6 @@ impl TcpTransport {
     /// The listener's socket address.
     pub fn local_addr(&self) -> SocketAddr {
         self.inner.addr
-    }
-
-    /// The `host:port` this node publishes to the directory.
-    pub fn advertised_addr(&self) -> &str {
-        &self.inner.advertised
     }
 
     /// Links this node's senders re-established after a connection loss.
@@ -977,26 +971,30 @@ impl Sender for TcpSender {
     }
 }
 
-/// Accepts connections until shutdown; one serving thread per connection.
-fn accept_loop(listener: TcpListener, inner: Arc<TcpInner>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let conn_inner = Arc::clone(&inner);
-                std::thread::spawn(move || serve_connection(stream, conn_inner));
-            }
-            Err(_) => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Transient accept failure (e.g. EMFILE): keep listening.
-                std::thread::sleep(Duration::from_millis(5));
-            }
+/// Starts the thread that accepts connections on `listener` until
+/// `shutdown(state)` is set, serving each on a thread of its own.  The
+/// transport's listener and the directory's both run it.
+pub(crate) fn spawn_accept_loop<S: Send + Sync + 'static>(
+    listener: TcpListener,
+    state: &Arc<S>,
+    shutdown: fn(&S) -> &AtomicBool,
+    serve: fn(TcpStream, Arc<S>),
+) -> JoinHandle<()> {
+    let state = Arc::clone(state);
+    std::thread::spawn(move || loop {
+        let accepted = listener.accept();
+        if shutdown(&state).load(Ordering::SeqCst) {
+            return;
         }
-    }
+        match accepted {
+            Ok((stream, _)) => {
+                let conn_state = Arc::clone(&state);
+                std::thread::spawn(move || serve(stream, conn_state));
+            }
+            // Transient accept failure (e.g. EMFILE): keep listening.
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        }
+    })
 }
 
 /// Per-connection acceptor: handshake (endpoint demux + resume cursor),

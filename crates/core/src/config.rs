@@ -219,6 +219,7 @@ impl StudyConfig {
         if self.n_shards == 0 {
             return Err("study needs at least one shard".into());
         }
+        self.solver.validate()?;
         if self.server_workers > self.solver.mesh().n_cells() {
             return Err("more server workers than mesh cells".into());
         }
@@ -298,6 +299,15 @@ mod tests {
         let mut c = StudyConfig::tiny();
         c.target_quantile_step = Some(0.05);
         c.quantile_probs.clear();
+        assert!(c.validate().is_err());
+
+        // Tube columns block every row: the pre-run could carry no flow.
+        let mut c = StudyConfig::tiny();
+        (c.solver.nx, c.solver.ny, c.solver.nz) = (8, 4, 1);
+        assert!(c.validate().unwrap_err().contains("no fluid path"));
+
+        let mut c = StudyConfig::tiny();
+        c.solver.nx = 0;
         assert!(c.validate().is_err());
     }
 

@@ -460,9 +460,9 @@ struct ShardSupervisor<'a> {
     /// This shard's accounting, kept current as the study runs: the
     /// latest convergence signals (`final_*`, `early_stopped`) as the
     /// server reports them, and the server counters (`data_messages`,
-    /// `data_bytes`, `replays_discarded`, `checkpoints_written`) summed
-    /// each time a server instance ends, so a crashed server's share
-    /// survives into the final report.
+    /// `data_bytes`, `replays_discarded`, `checkpoints_written`,
+    /// `checkpoints_failed`) summed each time a server instance ends, so
+    /// a crashed server's share survives into the final report.
     report: StudyReport,
     /// `frames_rejected` of the server instances that have ended; the
     /// running instance's count rides its reports on top of this.
@@ -734,6 +734,7 @@ impl<'a> ShardSupervisor<'a> {
         self.report.data_bytes += shared.bytes_received.load(Ordering::Relaxed);
         self.report.replays_discarded += shared.replays_discarded.load(Ordering::Relaxed);
         self.report.checkpoints_written += shared.checkpoints_written.load(Ordering::Relaxed);
+        self.report.checkpoints_failed += shared.checkpoints_failed.load(Ordering::Relaxed);
         self.rejected_by_ended_servers += shared.frames_rejected.load(Ordering::Relaxed);
         self.report.frames_rejected = self.rejected_by_ended_servers;
     }

@@ -79,6 +79,8 @@ pub struct StudyReport {
     pub blocked_time: Duration,
     /// Worker checkpoint files written.
     pub checkpoints_written: u64,
+    /// Worker checkpoint writes that failed.
+    pub checkpoints_failed: u64,
     /// Whether convergence control stopped the study early.
     pub early_stopped: bool,
     /// Final convergence signal (max 95 % CI width).
@@ -141,6 +143,7 @@ impl StudyReport {
             blocked_sends: 0,
             blocked_time: Duration::ZERO,
             checkpoints_written: 0,
+            checkpoints_failed: 0,
             early_stopped: false,
             final_max_ci: f64::INFINITY,
             final_max_quantile_step: 0.0,
@@ -243,7 +246,11 @@ impl std::fmt::Display for StudyReport {
                 self.routing_epoch, self.groups_migrated, self.shards_rehomed, self.shards_joined
             )?;
         }
-        writeln!(f, "checkpoints       : {}", self.checkpoints_written)?;
+        writeln!(
+            f,
+            "checkpoints       : {} ({} failed)",
+            self.checkpoints_written, self.checkpoints_failed
+        )?;
         if self.final_max_quantile_step > 0.0 && self.final_max_quantile_step.is_finite() {
             writeln!(
                 f,

@@ -134,6 +134,9 @@ pub struct ServerShared {
     pub frames_rejected: AtomicU64,
     /// Checkpoint writes performed (all workers).
     pub checkpoints_written: AtomicU64,
+    /// Checkpoint writes that failed (all workers); the worker keeps
+    /// ingesting, and the last good checkpoint stays the restore point.
+    pub checkpoints_failed: AtomicU64,
     /// Workers that fell back to cold statistics because their checkpoint
     /// was missing or unreadable (restore diagnostics).
     pub restores_failed: AtomicU64,
@@ -174,6 +177,7 @@ impl ServerShared {
             replays_discarded: AtomicU64::new(0),
             frames_rejected: AtomicU64::new(0),
             checkpoints_written: AtomicU64::new(0),
+            checkpoints_failed: AtomicU64::new(0),
             restores_failed: AtomicU64::new(0),
             migrate_acks: Mutex::new(HashMap::new()),
             adopt_acks: Mutex::new(HashMap::new()),
@@ -707,6 +711,7 @@ fn worker_loop(
     let registry = cfg.telemetry.as_ref().map(|t| t.registry());
     let ingest_hist = registry.map(|r| r.histogram("ingest_sweep_nanos"));
     let ckpt_hist = registry.map(|r| r.histogram("checkpoint_write_nanos"));
+    let ckpt_failures = registry.map(|r| r.counter("checkpoint_failures_total"));
     let rejected_total = registry.map(|r| r.counter("frames_rejected_total"));
     let mut ingest_tick = 0u64;
     // A group that just finished on every worker is news the launcher
@@ -816,6 +821,11 @@ fn worker_loop(
                         shared.checkpoints_written.fetch_add(1, Ordering::Relaxed);
                         if let Some(h) = &ckpt_hist {
                             h.record(write_started.elapsed().as_nanos() as u64);
+                        }
+                    } else {
+                        shared.checkpoints_failed.fetch_add(1, Ordering::Relaxed);
+                        if let Some(c) = &ckpt_failures {
+                            c.add(1);
                         }
                     }
                 }

@@ -380,6 +380,7 @@ pub(crate) fn run_shards(
         report.replays_discarded += r.replays_discarded;
         report.frames_rejected += r.frames_rejected;
         report.checkpoints_written += r.checkpoints_written;
+        report.checkpoints_failed += r.checkpoints_failed;
         report.link_messages += r.link_messages;
         report.link_bytes += r.link_bytes;
         report.link_wire_bytes += r.link_wire_bytes;

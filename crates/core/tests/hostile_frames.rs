@@ -3,7 +3,8 @@
 //! range, a value count that does not match the frame's length, every
 //! prefix of a valid frame, plain noise — between the frames of a real
 //! group, and must refuse each one, count it, and integrate the group
-//! exactly as if the hostile frames had never arrived.
+//! exactly as if the hostile frames had never arrived.  A checkpoint the
+//! worker cannot write is counted the same way.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -136,6 +137,52 @@ fn hostile_frames() -> Vec<Bytes> {
     .encode();
     hostile.push(checkpoint.slice(..checkpoint.len() - 2));
     hostile
+}
+
+/// A checkpoint that cannot be written is counted, in the server's
+/// shared counters and in the scrape, and the worker goes on ingesting.
+/// The checkpoint directory's parent is a regular file, so the write
+/// fails even for a user who may write anywhere.
+#[test]
+fn a_failed_checkpoint_is_counted_and_ingest_goes_on() {
+    let transport: Arc<dyn Transport> = make_transport(TransportKind::InProcess);
+    let _launcher_rx = transport.bind(&names::launcher_in(""), 64);
+    let launcher_tx = transport.connect(&names::launcher_in("")).unwrap();
+    let telemetry = Telemetry::new(0);
+    let server = Server::start(
+        server_config(Arc::clone(&telemetry)),
+        Arc::clone(&transport),
+        launcher_tx,
+    );
+    let file = std::env::temp_dir().join(format!("melissa-ckpt-file-{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").unwrap();
+    server.checkpoint_now(&file.join("checkpoints"));
+    let tx = transport.connect(&names::server_worker_in("", 0)).unwrap();
+    for ts in 0..N_TIMESTEPS {
+        for role in 0..P + 2 {
+            let header = DataHeader {
+                group_id: 1,
+                instance: 0,
+                role: role as u16,
+                timestep: ts as u32,
+                start: 0,
+            };
+            tx.send(data_frame(header, &field(1, role, ts))).unwrap();
+        }
+    }
+    tx.flush(Duration::from_secs(20)).unwrap();
+    let shared = Arc::clone(server.shared());
+    server.stop();
+    std::fs::remove_file(&file).ok();
+    let count = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(count(&shared.checkpoints_failed), 1);
+    assert_eq!(count(&shared.checkpoints_written), 0);
+    let scraped = telemetry.registry().snapshot().counters;
+    assert!(
+        scraped.contains(&("checkpoint_failures_total".to_string(), 1)),
+        "{scraped:?}"
+    );
+    assert_eq!(shared.finished_groups(), vec![1]);
 }
 
 #[test]

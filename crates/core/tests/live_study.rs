@@ -265,6 +265,37 @@ fn server_crash_recovers_from_checkpoint_with_exact_statistics() {
     std::fs::remove_dir_all(&config.checkpoint_dir).ok();
 }
 
+/// A geometry the pre-run cannot carry flow through is an error from
+/// `Study::run`, not a panic: here tube columns block all four rows.
+#[test]
+fn blocked_geometry_is_an_error_not_a_panic() {
+    let mut config = StudyConfig::tiny();
+    (config.solver.nx, config.solver.ny, config.solver.nz) = (8, 4, 1);
+    let err = Study::new(config).run().err().expect("no flow can cross");
+    assert!(err.contains("no fluid path"), "error: {err}");
+}
+
+/// A checkpoint that cannot be written is counted, and the study goes on
+/// to the same end.  The checkpoint directory's parent is a regular file,
+/// so the write fails even for a user who may write anywhere.
+#[test]
+fn failed_checkpoints_are_counted_in_the_report() {
+    let file = std::env::temp_dir().join(format!("melissa-it-ckpt-file-{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").expect("scratch file");
+    let mut config = StudyConfig::tiny();
+    config.n_groups = 2;
+    config.checkpoint_dir = file.join("checkpoints");
+    config.checkpoint_interval = Duration::from_millis(1);
+    let output = Study::new(config).run();
+    std::fs::remove_file(&file).ok();
+    let report = output
+        .expect("a failed checkpoint does not fail the study")
+        .report;
+    assert_eq!(report.groups_finished, 2);
+    assert_eq!(report.checkpoints_written, 0);
+    assert!(report.checkpoints_failed > 0, "{report}");
+}
+
 /// Every error exit of the supervisor tears the study down: after a
 /// wall-limit failure nothing is left receiving on the caller's transport.
 #[test]

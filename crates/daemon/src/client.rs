@@ -115,7 +115,9 @@ impl DaemonClient {
 
     /// Submits a study under `tenant` at intra-tenant `priority`
     /// (0 = highest) and returns the daemon-assigned study id.  An
-    /// admission rejection returns [`ClientError::QuotaExceeded`].
+    /// admission rejection returns [`ClientError::QuotaExceeded`]; a
+    /// config that `StudyConfig::validate` refuses is not admitted and
+    /// returns [`ClientError::BadHandshake`] with the reason.
     pub fn submit(
         &self,
         tenant: &str,

@@ -484,6 +484,11 @@ impl DaemonState {
                 detail: "daemon is shutting down".to_string(),
             };
         }
+        if let Err(e) = config.validate() {
+            return DaemonReply::Error {
+                detail: format!("invalid study config: {e}"),
+            };
+        }
         let units = config.max_concurrent_groups;
         let would_queue = self.running.len() >= self.config.max_active_studies;
         if let Err(resource) = self

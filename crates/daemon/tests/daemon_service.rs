@@ -418,6 +418,28 @@ fn failed_study_frees_its_resources_and_spares_its_neighbour() {
     std::fs::remove_file(&unwritable_cfg.checkpoint_dir).ok();
 }
 
+/// A config `StudyConfig::validate` refuses never becomes a study: the
+/// submit returns the reason, and the daemon goes on answering.  Here the
+/// tubes block every row of the mesh, so the pre-run could carry no flow.
+#[test]
+fn submit_refuses_a_config_that_does_not_validate() {
+    let _process = shared_process();
+    let transport = make_transport(TransportKind::InProcess);
+    let daemon = Daemon::start(Arc::clone(&transport), DaemonConfig::default());
+    let client = DaemonClient::new(Arc::clone(&transport), Duration::from_secs(10));
+    let mut blocked = seeded_config(41, "blocked");
+    (blocked.solver.nx, blocked.solver.ny, blocked.solver.nz) = (8, 4, 1);
+    match client.submit("acme", 0, blocked) {
+        Err(ClientError::BadHandshake { detail }) => {
+            assert!(detail.contains("no fluid path"), "detail: {detail}")
+        }
+        other => panic!("expected the validation error, got {other:?}"),
+    }
+    let json = client.scrape_daemon(ScrapeFormat::Json).expect("json");
+    assert!(json.contains("\"free_units\":"), "json: {json}");
+    daemon.stop();
+}
+
 /// The daemon-level telemetry endpoint aggregates queue depths,
 /// per-tenant usage and admission decisions over the scrape protocol.
 #[test]

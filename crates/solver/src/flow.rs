@@ -17,42 +17,55 @@
 //! so its speed is part of every study's wall time.  A lexicographic
 //! Gauss–Seidel sweep is latency-bound: each update starts from its x−
 //! neighbour, which the update just before it wrote.  The sweep here does
-//! the *same* updates in an order that keeps `BAND` (8) of them in flight:
+//! the *same* updates wavefront by wavefront, four cells per vector:
 //!
-//! * Each fluid cell's update is built once per solve as a record: its
-//!   stencil terms as `(coefficient, index)` pairs in the order x−, x+,
-//!   y−, y+, z−, z+, and `den` summed in that order.  The inlet and
-//!   outlet ghosts are two extra `phi` slots that hold `φ_in` and
-//!   `φ_out`.  A cell with no coupled face (`den == 0`) gets no record.
-//! * Records run plane by plane.  Within a plane they come in bands of
-//!   `BAND` lines, and step `s` of the band starting at line `j0` visits
-//!   the cells `(s − t, j0 + t)` for `t < BAND`.
+//! * `φ` lives in a skewed layout (`Wavefront`).  Cell `(i, j, k)` sits
+//!   at `(k + 1)·P + (i + j + 1)·S + j + 1`, with `S = ny + 4` and
+//!   `P = (nx + ny + 1)·S`: each plane's anti-diagonal `i + j` is one
+//!   contiguous run, and ghost slots pad every side.  So the six
+//!   neighbours of a run of cells are six runs at fixed offsets: x∓ at
+//!   `∓S`, y∓ at `∓(S + 1)` and z∓ at `∓P`.  The inlet and outlet ghosts
+//!   (`i = −1` and `i = nx`) hold `φ_in` and `φ_out`.
+//! * Per cell the layout holds one presence byte and `den`.  Bit `t` of
+//!   the byte says whether term `t` of x−, x+, y−, y+, z−, z+ is coupled;
+//!   bit 6 says whether the cell is updated at all (fluid, `den != 0`).
+//!   A ghost slot's byte is 0.  `den` is the sum of the present terms'
+//!   coefficients, in that order.
+//! * The sweep visits the wavefronts `i + j + k` in increasing order, and
+//!   a wavefront as one diagonal of each plane.  An AVX2 kernel, chosen at
+//!   run time, updates four cells of a diagonal per step.  A diagonal's
+//!   last step may reach past its last cell: `S` leaves three ghost slots
+//!   past a row's last cell, which are never updated.  A scalar loop with
+//!   the same arithmetic is the whole kernel on hosts without AVX2.
 //!
 //! Why `φ`, the convergence test and the sweep count are bit-identical
 //! to the lexicographic loop:
 //!
-//! * *Same neighbour values.*  Cell `(i, j, k)` runs at step `i + t`,
-//!   where `t = j − j0`.  Its x− neighbour ran at the step before, its y−
-//!   neighbour at the step before or in an earlier band, and its z−
-//!   neighbour in an earlier plane: all three are new, as in the
-//!   lexicographic loop.  Its x+ and y+ neighbours run at a later step or
-//!   in a later band, and its z+ neighbour in a later plane: all three are
-//!   still old, as there.  The cells of one step are diagonal to each
-//!   other, so no update of a step reads another of the same step.
-//! * *Same arithmetic.*  `num` starts at `0.0` and adds the terms in the
-//!   reference order; `den` is summed in that order too.  An absent
-//!   neighbour adds nothing.  The records are not padded to six terms
-//!   with zero coefficients: that would add `0·φ` terms the reference
-//!   never computes, and `+0.0` is not an additive identity for `−0.0`
-//!   (`−0.0 + 0.0 = +0.0`), nor is `0·∞` zero.  Exactness would then rest
-//!   on an argument about the values instead of on doing the same
-//!   operations.  The outlet term, which the reference does add
-//!   (`a·φ_out = +0.0`), is a real term here too.
+//! * *Same neighbour values.*  Cell `(i, j, k)` is on wavefront
+//!   `i + j + k`.  Its x−, y− and z− neighbours are on the wavefront
+//!   before: all three are new, as in the lexicographic loop.  Its x+, y+
+//!   and z+ neighbours are on the wavefront after: all three are still
+//!   old, as there.  No two cells of a wavefront are neighbours, so the
+//!   cells of one wavefront are independent of each other.
+//! * *Same arithmetic.*  `num` starts at `0.0` and adds the present terms
+//!   in the reference order; `den` is summed in that order too.  A term
+//!   absent from all four lanes is not computed, one present in all four
+//!   is added as it is.  Where the lanes differ, an absent term is
+//!   skipped by a lane select: the kernel puts `−0.0` in that lane instead
+//!   of the product, and `x + (−0.0)` is `x` bit for bit for every `x`
+//!   (`±0.0`, ∞ and NaN included), so the lane's `num` is what skipping
+//!   the term leaves.  A `0·φ` term is never added: `+0.0` is not an
+//!   additive identity for `−0.0` (`−0.0 + 0.0 = +0.0`), nor is `0·∞`
+//!   zero.  The outlet term, which the reference does add
+//!   (`a·φ_out = +0.0`), is a present term here too.  The kernel
+//!   multiplies, adds and divides separately (no fused multiply-add), so
+//!   each lane rounds as the scalar code does, and a cell that is not
+//!   updated keeps its value by a lane select as well.
 //! * *Same convergence test.*  `max_delta` and `max_phi` are maxima, and
 //!   `f64::max` does not depend on the order of its operands (it skips
-//!   NaN on either side, and `abs` leaves no `−0.0` to tie with `+0.0`).
-//!   So the maxima, their ratio, and therefore the sweep count are the
-//!   same.
+//!   NaN on either side, and `abs` leaves no `−0.0` to tie with `+0.0`);
+//!   the vector maximum skips a NaN update the same way.  So the maxima,
+//!   their ratio, and therefore the sweep count are the same.
 
 use melissa_mesh::StructuredMesh;
 
@@ -103,12 +116,14 @@ impl FrozenFlow {
     /// velocity, to relative SOR tolerance `tol`.
     ///
     /// # Panics
-    /// Panics if the inlet column contains no fluid cells.
+    /// Panics if no fluid path joins the inlet to the outlet, which
+    /// [`UseCaseConfig::validate`](crate::UseCaseConfig::validate) reports
+    /// as an error first.
     pub fn solve(mesh: &StructuredMesh, bundle: &TubeBundle, u_inlet: f64, tol: f64) -> Self {
         let (nx, ny, nz) = mesh.dims();
         let solid = bundle.solid_mask(mesh);
         let (ax, ay, az) = couplings(mesh);
-        let (phi, iters) = relax(mesh, &solid, tol, MAX_ITERS);
+        let (phi, iters) = relax(mesh, &solid, tol, MAX_ITERS, avx2_available());
         let (phi_in, phi_out) = (PHI_IN, PHI_OUT);
 
         // Differentiate into face fluxes.
@@ -194,6 +209,10 @@ impl FrozenFlow {
             .flat_map(|k| (0..ny).map(move |j| (j, k)))
             .map(|(j, k)| flow.flux_x[flow.fx(0, j, k)])
             .sum();
+        // Unreachable from a validated config: `UseCaseConfig::validate`
+        // admits only meshes whose fluid joins the inlet to the outlet, and
+        // tolerances that leave φ near the converged potential, which falls
+        // from φ_in along that path, so the inlet carries flow in.
         assert!(inlet_flux > 0.0, "inlet is fully blocked");
         let (_, ly, lz) = mesh.extents();
         let target = u_inlet * ly * lz;
@@ -257,11 +276,6 @@ const PHI_OUT: f64 = 0.0;
 const OMEGA: f64 = 1.85;
 /// Sweeps after which the solve stops even short of its tolerance.
 const MAX_ITERS: usize = 200_000;
-/// Lines per band: the independent updates one step of the schedule
-/// offers the CPU.  Chosen by measurement on the default mesh: 1 (the
-/// lexicographic order) takes ≈ 2.4× as long as 8, 4 takes ≈ 1.8×, and
-/// 12 or 16 are no faster.
-const BAND: usize = 8;
 
 /// Face coupling coefficients `a = A / d` along x, y and z.
 fn couplings(mesh: &StructuredMesh) -> (f64, f64, f64) {
@@ -269,134 +283,320 @@ fn couplings(mesh: &StructuredMesh) -> (f64, f64, f64) {
     (dy * dz / dx, dx * dz / dy, dx * dy / dz)
 }
 
-/// One fluid cell's SOR update, fixed once per solve:
-/// `phi[cell] ← (1 − ω)·phi[cell] + ω·(Σ coef·phi[idx]) / den` over its
-/// first `len` terms, which come in the order x−, x+, y−, y+, z−, z+.
-/// `phi` carries the inlet and outlet ghosts in two slots past the cells.
-#[derive(Clone, Copy)]
-struct Update {
-    cell: u32,
-    len: u32,
-    den: f64,
-    coef: [f64; 6],
-    idx: [u32; 6],
+/// Stencil terms per cell, in the reference order x−, x+, y−, y+, z−, z+.
+const TERMS: usize = 6;
+/// Presence bit of a cell the sweep updates: fluid, with `den != 0`.
+const UPDATED: u8 = 1 << TERMS;
+
+/// The skewed layout of the module docs: where each cell's `φ` lives, and
+/// per cell its presence byte and `den`, at the same index.
+struct Wavefront {
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    /// Slots between consecutive diagonals of a plane (`S`).
+    stride: usize,
+    /// Slots between consecutive planes (`P`).
+    plane: usize,
+    /// Every plane's diagonals in sweep order, wavefront by wavefront, as
+    /// `(first slot, cells)`.
+    diagonals: Vec<(usize, usize)>,
+    /// Offset of each term's neighbour from its cell.
+    offsets: [isize; TERMS],
+    /// Coefficient of each term.
+    coef: [f64; TERMS],
+    /// Presence bits: bit `t < TERMS` for term `t`, and [`UPDATED`].
+    terms: Vec<u8>,
+    /// `den` of each updated cell, and 1.0 elsewhere so that no vector
+    /// lane divides by zero.
+    den: Vec<f64>,
 }
 
-impl Update {
-    /// The update of fluid cell `(i, j, k)`; `None` when no face couples
-    /// it (an isolated fluid cell keeps its initial value).
-    fn of(mesh: &StructuredMesh, solid: &[bool], i: usize, j: usize, k: usize) -> Option<Self> {
+impl Wavefront {
+    /// The layout of `mesh`, with each fluid cell's terms.
+    fn new(mesh: &StructuredMesh, solid: &[bool]) -> Self {
         let (nx, ny, nz) = mesh.dims();
         let (ax, ay, az) = couplings(mesh);
-        let (inlet, outlet) = (mesh.n_cells(), mesh.n_cells() + 1);
-        let mut u = Update {
-            cell: mesh.cell_id(i, j, k) as u32,
-            len: 0,
-            den: 0.0,
-            coef: [0.0; 6],
-            idx: [0; 6],
+        let stride = ny + 4;
+        let plane = (nx + ny + 1) * stride;
+        let len = (nz + 2) * plane;
+        let (s, p) = (stride as isize, plane as isize);
+        let mut w = Self {
+            nx,
+            ny,
+            nz,
+            stride,
+            plane,
+            diagonals: Vec::with_capacity(nz * (nx + ny - 1)),
+            offsets: [-s, s, -(s + 1), s + 1, -p, p],
+            coef: [ax, ax, ay, ay, az, az],
+            terms: vec![0; len],
+            den: vec![1.0; len],
         };
-        let mut couple = |coef: f64, n: usize| {
-            if n >= inlet || !solid[n] {
-                u.coef[u.len as usize] = coef;
-                u.idx[u.len as usize] = n as u32;
-                u.len += 1;
-                u.den += coef;
+        // Wavefront `i + j + k = f` is diagonal `i + j = f − k` of each
+        // plane `k` that has one.
+        for f in 0..nx + ny + nz - 2 {
+            for k in (0..nz).filter(|&k| k <= f && f - k < nx + ny - 1) {
+                let d = f - k;
+                let (first, last) = (d.saturating_sub(nx - 1), d.min(ny - 1));
+                let run = (w.slot(d - first, first, k), last + 1 - first);
+                w.diagonals.push(run);
             }
-        };
-        // x− neighbour or inlet ghost, then x+ neighbour or outlet ghost.
-        couple(
-            ax,
-            if i == 0 {
-                inlet
-            } else {
-                mesh.cell_id(i - 1, j, k)
-            },
-        );
-        couple(
-            ax,
-            if i == nx - 1 {
-                outlet
-            } else {
-                mesh.cell_id(i + 1, j, k)
-            },
-        );
-        // y and z walls are zero-flux: their faces are simply absent.
-        if j > 0 {
-            couple(ay, mesh.cell_id(i, j - 1, k));
         }
-        if j < ny - 1 {
-            couple(ay, mesh.cell_id(i, j + 1, k));
-        }
-        if k > 0 {
-            couple(az, mesh.cell_id(i, j, k - 1));
-        }
-        if k < nz - 1 {
-            couple(az, mesh.cell_id(i, j, k + 1));
-        }
-        (u.den != 0.0).then_some(u)
-    }
-}
-
-/// Every fluid cell's update in band-staggered order: plane by plane, in
-/// bands of [`BAND`] lines, step `s` of a band starting at line `j0`
-/// visits the cells `(s − t, j0 + t)` for `t < BAND`.
-fn schedule(mesh: &StructuredMesh, solid: &[bool]) -> Vec<Update> {
-    let (nx, ny, nz) = mesh.dims();
-    let mut updates = Vec::with_capacity(solid.iter().filter(|&&s| !s).count());
-    for k in 0..nz {
-        for j0 in (0..ny).step_by(BAND) {
-            let lines = BAND.min(ny - j0);
-            for s in 0..nx + lines - 1 {
-                for t in 0..lines.min(s + 1) {
-                    let (i, j) = (s - t, j0 + t);
-                    if i < nx && !solid[mesh.cell_id(i, j, k)] {
-                        updates.extend(Update::of(mesh, solid, i, j, k));
+        let fluid = |i, j, k| !solid[mesh.cell_id(i, j, k)];
+        for k in 0..nz {
+            for j in 0..ny {
+                for i in (0..nx).filter(|&i| fluid(i, j, k)) {
+                    // The inlet and outlet ghosts always couple; the y and
+                    // z walls are zero-flux, so their faces are absent.
+                    let present = [
+                        i == 0 || fluid(i - 1, j, k),
+                        i == nx - 1 || fluid(i + 1, j, k),
+                        j > 0 && fluid(i, j - 1, k),
+                        j + 1 < ny && fluid(i, j + 1, k),
+                        k > 0 && fluid(i, j, k - 1),
+                        k + 1 < nz && fluid(i, j, k + 1),
+                    ];
+                    let (mut bits, mut den) = (UPDATED, 0.0);
+                    for t in (0..TERMS).filter(|&t| present[t]) {
+                        bits |= 1 << t;
+                        den += w.coef[t];
+                    }
+                    // An isolated fluid cell keeps its initial value.
+                    if den != 0.0 {
+                        let c = w.slot(i, j, k);
+                        (w.terms[c], w.den[c]) = (bits, den);
                     }
                 }
             }
         }
+        w
     }
-    updates
+
+    /// Index of cell `(i, j, k)`.
+    fn slot(&self, i: usize, j: usize, k: usize) -> usize {
+        (k + 1) * self.plane + (i + j + 1) * self.stride + j + 1
+    }
+
+    /// The starting potential: every cell at 0.5, the inlet ghosts at
+    /// `φ_in` and the outlet ghosts at `φ_out`.
+    fn initial_potential(&self) -> Vec<f64> {
+        let mut phi = vec![0.5; self.terms.len()];
+        for k in 0..self.nz {
+            for j in 0..self.ny {
+                phi[self.slot(0, j, k) - self.stride] = PHI_IN;
+                phi[self.slot(self.nx - 1, j, k) + self.stride] = PHI_OUT;
+            }
+        }
+        phi
+    }
+
+    /// `phi` per cell, in mesh order.
+    fn potential(&self, mesh: &StructuredMesh, phi: &[f64]) -> Vec<f64> {
+        let mut cells = vec![0.0; mesh.n_cells()];
+        for k in 0..self.nz {
+            for j in 0..self.ny {
+                for i in 0..self.nx {
+                    cells[mesh.cell_id(i, j, k)] = phi[self.slot(i, j, k)];
+                }
+            }
+        }
+        cells
+    }
+
+    /// One SOR sweep of `phi`: `(max_delta, max_phi)` over the updated
+    /// cells.
+    fn sweep(&self, phi: &mut [f64], vector: bool) -> (f64, f64) {
+        if vector {
+            assert!(avx2_available(), "no AVX2 on this host");
+            // SAFETY: AVX2 support just checked.
+            #[cfg(target_arch = "x86_64")]
+            return unsafe { self.sweep_avx2(phi) };
+        }
+        let mut maxima = (0.0, 1e-30);
+        for &(first, cells) in &self.diagonals {
+            for c in first..first + cells {
+                self.update(phi, c, &mut maxima);
+            }
+        }
+        maxima
+    }
+
+    /// The update of the cell at `c`, in the reference arithmetic, folded
+    /// into the sweep's `(max_delta, max_phi)`.
+    fn update(&self, phi: &mut [f64], c: usize, maxima: &mut (f64, f64)) {
+        let bits = self.terms[c];
+        if bits & UPDATED == 0 {
+            return;
+        }
+        let mut num = 0.0;
+        for t in (0..TERMS).filter(|t| bits & (1 << t) != 0) {
+            num += self.coef[t] * phi[c.wrapping_add_signed(self.offsets[t])];
+        }
+        let new = (1.0 - OMEGA) * phi[c] + OMEGA * num / self.den[c];
+        maxima.0 = maxima.0.max((new - phi[c]).abs());
+        maxima.1 = maxima.1.max(new.abs());
+        phi[c] = new;
+    }
+
+    /// [`sweep`](Self::sweep) four cells of a diagonal at a time, each lane
+    /// in the arithmetic of [`update`](Self::update).  A diagonal's last
+    /// vector may reach past its last cell, onto ghost slots of the same
+    /// row, whose presence byte is 0: they are never updated.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available ([`avx2_available`]).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sweep_avx2(&self, phi: &mut [f64]) -> (f64, f64) {
+        use std::arch::x86_64::*;
+        assert_eq!(phi.len(), self.terms.len());
+        let coef = self.coef.map(|a| _mm256_set1_pd(a));
+        // Shifting a lane's presence byte left by `63 − t` puts bit `t` in
+        // the sign bit, which is all a blend reads.
+        let shift: [__m256i; TERMS + 1] =
+            std::array::from_fn(|t| _mm256_set1_epi64x(63 - t as i64));
+        let keep = _mm256_set1_pd(1.0 - OMEGA);
+        let omega = _mm256_set1_pd(OMEGA);
+        let skip = _mm256_set1_pd(-0.0);
+        let magnitude = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));
+        let (mut deltas, mut sizes) = (_mm256_setzero_pd(), _mm256_set1_pd(1e-30));
+        for &(first, cells) in &self.diagonals {
+            let base = phi.as_mut_ptr();
+            for c in (first..first + cells).step_by(4) {
+                // SAFETY: lane 0 is a cell, and lanes past the diagonal's
+                // last cell are ghost slots of its row (`S = ny + 4` leaves
+                // three past `j = ny − 1`).  A term's offset moves a lane to
+                // the row or the plane on either side, which ghost rows and
+                // planes pad: every access is inside `phi`, `terms` and
+                // `den`, which have one length.
+                unsafe {
+                    let word = self.terms.as_ptr().add(c).cast::<u32>().read_unaligned();
+                    // Whether `bit` is set in some lane, and in every lane.
+                    let set = |bit: u8| {
+                        let m = 0x0101_0101 * u32::from(bit);
+                        (word & m != 0, word & m == m)
+                    };
+                    let (some_updated, all_updated) = set(UPDATED);
+                    if !some_updated {
+                        continue;
+                    }
+                    let bits = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(word as i32));
+                    let lanes = |t: usize| _mm256_castsi256_pd(_mm256_sllv_epi64(bits, shift[t]));
+                    let mut num = _mm256_setzero_pd();
+                    for (t, (&a, &offset)) in coef.iter().zip(&self.offsets).enumerate() {
+                        let (some, all) = set(1 << t);
+                        if some {
+                            let n = _mm256_loadu_pd(base.offset(c as isize + offset));
+                            let mut term = _mm256_mul_pd(a, n);
+                            if !all {
+                                term = _mm256_blendv_pd(skip, term, lanes(t));
+                            }
+                            num = _mm256_add_pd(num, term);
+                        }
+                    }
+                    let old = _mm256_loadu_pd(base.add(c));
+                    let den = _mm256_loadu_pd(self.den.as_ptr().add(c));
+                    let relaxed = _mm256_div_pd(_mm256_mul_pd(omega, num), den);
+                    let mut new = _mm256_add_pd(_mm256_mul_pd(keep, old), relaxed);
+                    let mut size = _mm256_and_pd(new, magnitude);
+                    if !all_updated {
+                        new = _mm256_blendv_pd(old, new, lanes(TERMS));
+                        size = _mm256_blendv_pd(_mm256_setzero_pd(), size, lanes(TERMS));
+                    }
+                    let delta = _mm256_and_pd(_mm256_sub_pd(new, old), magnitude);
+                    // `max_pd(x, acc)` keeps `acc` when `x` is NaN.
+                    deltas = _mm256_max_pd(delta, deltas);
+                    sizes = _mm256_max_pd(size, sizes);
+                    _mm256_storeu_pd(base.add(c), new);
+                }
+            }
+        }
+        let (mut delta_lanes, mut size_lanes) = ([0.0; 4], [0.0; 4]);
+        // SAFETY: each array holds four f64.
+        unsafe {
+            _mm256_storeu_pd(delta_lanes.as_mut_ptr(), deltas);
+            _mm256_storeu_pd(size_lanes.as_mut_ptr(), sizes);
+        }
+        (
+            delta_lanes.into_iter().fold(0.0, f64::max),
+            size_lanes.into_iter().fold(1e-30, f64::max),
+        )
+    }
+}
+
+/// True when the AVX2 sweep is usable.
+fn avx2_available() -> bool {
+    // std caches the cpuid result; this is one relaxed atomic load.
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// SOR sweeps of the masked Laplace problem until the largest update,
 /// relative to the largest `|φ|`, falls below `tol` (or `max_iters`
-/// sweeps): the potential per cell (solid cells at their initial 0.5) and
-/// the number of sweeps.
-fn relax(mesh: &StructuredMesh, solid: &[bool], tol: f64, max_iters: usize) -> (Vec<f64>, usize) {
-    let n = mesh.n_cells();
-    assert!(
-        n + 2 <= u32::MAX as usize,
-        "mesh too large for u32 cell ids"
-    );
-    let updates = schedule(mesh, solid);
-    let mut phi = vec![0.5; n + 2];
-    phi[n] = PHI_IN;
-    phi[n + 1] = PHI_OUT;
+/// sweeps), on the AVX2 kernel when `vector` and on the scalar one
+/// otherwise: the potential per cell (solid cells at their initial 0.5)
+/// and the number of sweeps.
+fn relax(
+    mesh: &StructuredMesh,
+    solid: &[bool],
+    tol: f64,
+    max_iters: usize,
+    vector: bool,
+) -> (Vec<f64>, usize) {
+    let wavefront = Wavefront::new(mesh, solid);
+    let mut phi = wavefront.initial_potential();
     let mut iters = 0;
     loop {
-        let mut max_delta: f64 = 0.0;
-        let mut max_phi: f64 = 1e-30;
-        for u in &updates {
-            let len = u.len as usize;
-            let mut num = 0.0;
-            for (&a, &m) in u.coef[..len].iter().zip(&u.idx[..len]) {
-                num += a * phi[m as usize];
-            }
-            let c = u.cell as usize;
-            let new = (1.0 - OMEGA) * phi[c] + OMEGA * num / u.den;
-            max_delta = max_delta.max((new - phi[c]).abs());
-            max_phi = max_phi.max(new.abs());
-            phi[c] = new;
-        }
+        let (max_delta, max_phi) = wavefront.sweep(&mut phi, vector);
         iters += 1;
         if max_delta / max_phi < tol || iters >= max_iters {
             break;
         }
     }
-    phi.truncate(n);
-    (phi, iters)
+    (wavefront.potential(mesh, &phi), iters)
+}
+
+/// Whether fluid cells join the inlet column (`i = 0`) to the outlet
+/// column (`i = nx − 1`) through shared faces: a flood fill from the
+/// inlet's fluid cells.
+pub(crate) fn inlet_reaches_outlet(mesh: &StructuredMesh, solid: &[bool]) -> bool {
+    let (nx, ny, nz) = mesh.dims();
+    // Solid cells count as visited: the fill never enters them.
+    let mut seen = solid.to_vec();
+    let mut stack = Vec::new();
+    for k in 0..nz {
+        for j in 0..ny {
+            let c = mesh.cell_id(0, j, k);
+            if !seen[c] {
+                seen[c] = true;
+                stack.push((0, j, k));
+            }
+        }
+    }
+    while let Some((i, j, k)) = stack.pop() {
+        if i == nx - 1 {
+            return true;
+        }
+        let faces = [
+            (i > 0).then(|| (i - 1, j, k)),
+            (i + 1 < nx).then_some((i + 1, j, k)),
+            (j > 0).then(|| (i, j - 1, k)),
+            (j + 1 < ny).then_some((i, j + 1, k)),
+            (k > 0).then(|| (i, j, k - 1)),
+            (k + 1 < nz).then_some((i, j, k + 1)),
+        ];
+        for (a, b, c) in faces.into_iter().flatten() {
+            let n = mesh.cell_id(a, b, c);
+            if !seen[n] {
+                seen[n] = true;
+                stack.push((a, b, c));
+            }
+        }
+    }
+    false
 }
 
 #[cfg(test)]
@@ -405,8 +605,8 @@ mod tests {
     use crate::UseCaseConfig;
     use proptest::prelude::*;
 
-    /// The lexicographic SOR loop the band-staggered schedule replaced,
-    /// verbatim: the oracle the schedule must match bit for bit.
+    /// The lexicographic SOR loop, verbatim: the oracle both wavefront
+    /// kernels must match bit for bit.
     fn relax_lexicographic(
         mesh: &StructuredMesh,
         solid: &[bool],
@@ -504,15 +704,26 @@ mod tests {
         (phi, iters)
     }
 
-    /// Runs the schedule and the oracle on one mask and compares the
+    /// The kernels this host can run: the scalar one, and the AVX2 one
+    /// where the host has AVX2.
+    fn kernels() -> Vec<(&'static str, bool)> {
+        let mut kernels = vec![("scalar", false)];
+        if avx2_available() {
+            kernels.push(("avx2", true));
+        }
+        kernels
+    }
+
+    /// Runs one kernel and the oracle on one mask and compares the
     /// potential bit for bit and the sweep count exactly.
     fn same_as_oracle(
         mesh: &StructuredMesh,
         solid: &[bool],
         tol: f64,
         max_iters: usize,
+        vector: bool,
     ) -> Result<usize, String> {
-        let (phi, iters) = relax(mesh, solid, tol, max_iters);
+        let (phi, iters) = relax(mesh, solid, tol, max_iters, vector);
         let (want, want_iters) = relax_lexicographic(mesh, solid, tol, max_iters);
         if iters != want_iters {
             return Err(format!("{iters} sweeps, oracle {want_iters}"));
@@ -538,9 +749,11 @@ mod tests {
         ] {
             let mesh = cfg.mesh();
             let solid = cfg.bundle().solid_mask(&mesh);
-            let iters = same_as_oracle(&mesh, &solid, cfg.prerun_tol, MAX_ITERS)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(iters, sweeps, "{name}");
+            for (kernel, vector) in kernels() {
+                let iters = same_as_oracle(&mesh, &solid, cfg.prerun_tol, MAX_ITERS, vector)
+                    .unwrap_or_else(|e| panic!("{name}, {kernel}: {e}"));
+                assert_eq!(iters, sweeps, "{name}, {kernel}");
+            }
             assert_eq!(cfg.prerun().prerun_iterations, sweeps, "{name}");
         }
     }
@@ -592,23 +805,35 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The band-staggered schedule is the lexicographic loop, bit for
-        /// bit: narrow meshes (`ny < BAND`), ragged last bands, solid
-        /// lines and uncoupled fluid cells included.
+        /// Each wavefront kernel is the lexicographic loop, bit for bit:
+        /// solid lines, uncoupled fluid cells, single-column (`nx == 1`)
+        /// and single-row (`ny == 1`) meshes, and meshes whose every
+        /// diagonal is shorter than one vector (`ny < 4`) included.
         #[test]
         fn schedule_matches_the_lexicographic_oracle(
             dims in (1usize..40, 1usize..40, 1usize..5),
+            shape in 0usize..4,
             seed in 0u64..u64::MAX,
             density in 0.0f64..0.6,
             lines in 0usize..3,
             tight in 0usize..2,
         ) {
-            let (nx, ny, nz) = dims;
+            let (nx, ny, nz) = match shape {
+                1 => (1, dims.1, dims.2),
+                2 => (dims.0, 1, dims.2),
+                3 => (dims.0, 1 + dims.1 % 3, dims.2),
+                _ => dims,
+            };
             let mesh = StructuredMesh::new(nx, ny, nz, 2.0, 1.0, 0.25);
             let solid = random_mask(&mesh, seed, density, lines);
             let tol = [1e-6, 1e-9][tight];
-            let checked = same_as_oracle(&mesh, &solid, tol, 2_000);
-            prop_assert!(checked.is_ok(), "{}x{}x{} tol {}: {:?}", nx, ny, nz, tol, checked);
+            for (kernel, vector) in kernels() {
+                let checked = same_as_oracle(&mesh, &solid, tol, 2_000, vector);
+                prop_assert!(
+                    checked.is_ok(),
+                    "{} {}x{}x{} tol {}: {:?}", kernel, nx, ny, nz, tol, checked
+                );
+            }
         }
     }
 

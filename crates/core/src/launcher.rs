@@ -29,6 +29,7 @@
 //! the other shards.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -659,7 +660,12 @@ impl<'a> ShardSupervisor<'a> {
             1,
             Box::new(move |kill| {
                 let _ = started.set(Instant::now());
-                let outcome = run_group(job, kill);
+                // A panicking group is a failed instance: it is retried,
+                // then abandoned, like one whose server link failed.
+                let outcome = catch_unwind(AssertUnwindSafe(|| run_group(job, kill)))
+                    .unwrap_or_else(|payload| GroupOutcome::Aborted {
+                        reason: format!("group job panicked: {}", panic_message(&*payload)),
+                    });
                 outcomes.lock().insert((g, instance), outcome);
                 // A wake-up, not the record: the outcome above is what
                 // the supervisor settles on, so a frame lost to a full
@@ -1186,8 +1192,6 @@ impl<'a> ShardSupervisor<'a> {
                         detail: format!("{outcome:?}"),
                     });
                 }
-                // Ended without recording anything (the job panicked).
-                None if job.handle.is_finished() => settled.push(g),
                 // Zombie: "running" past the bound, yet the server has
                 // never heard from it.
                 None if self.is_silent(g)
@@ -1448,6 +1452,18 @@ pub fn bootstrap_directory() -> Result<(melissa_transport::DirectoryServer, Stri
         .map_err(|e| format!("binding the study directory: {e}"))?;
     let addr = server.local_addr().to_string();
     Ok((server, addr))
+}
+
+/// The message a panic was raised with (`panic!` with or without
+/// arguments), or a placeholder for any other payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    match payload.downcast_ref::<String>() {
+        Some(message) => message,
+        None => payload
+            .downcast_ref::<&str>()
+            .copied()
+            .unwrap_or("(no message)"),
+    }
 }
 
 /// Waits for a `ServerReady` on the launcher inbox.

@@ -59,9 +59,6 @@ use super::state::WorkerState;
 const MAGIC: u32 = 0x4d4c5341; // "MLSA"
 /// The checkpoint format version.
 const VERSION: u32 = 4;
-/// Packed states below this size are copied on the calling thread: the
-/// copy is over before worker threads would have started.
-const PAR_MIN: usize = 1 << 20;
 
 /// Checkpoint read failure.
 #[derive(Debug)]
@@ -145,47 +142,40 @@ impl Part<'_> {
     }
 }
 
-/// The packed layout as a list of `(timestep, part)`: [`plan`] walks the
-/// format once, appending scalars to `head` and queueing each bulk array
-/// under the timestep it belongs to, each right after the scalars ahead
-/// of it.  Either output follows: [`into_vec`](Self::into_vec) sizes one
-/// buffer exactly and fills the timesteps in parallel,
-/// [`write_to`](Self::write_to) streams the parts in file order.
+/// The packed layout as a list of parts: [`plan`] walks the format once,
+/// appending scalars to `head` and queueing each bulk array right after
+/// the scalars ahead of it.  Either output follows:
+/// [`into_vec`](Self::into_vec) sizes one buffer exactly and fills it in
+/// file order, [`write_to`](Self::write_to) streams the parts.
 #[derive(Default)]
 struct Plan<'a> {
-    parts: Vec<(usize, Part<'a>)>,
+    parts: Vec<Part<'a>>,
     head: Vec<u8>,
 }
 
 impl<'a> Plan<'a> {
-    fn bulk(&mut self, ts: usize, part: Part<'a>) {
+    fn bulk(&mut self, part: Part<'a>) {
         let head = std::mem::take(&mut self.head);
-        self.parts.push((ts, Part::Scalars(head)));
-        self.parts.push((ts, part));
+        self.parts.push(Part::Scalars(head));
+        self.parts.push(part);
     }
 
     /// The parts in file order, the scalars after the last array included
     /// — still in pairs of (scalars, what follows them).
-    fn finish(mut self) -> Vec<(usize, Part<'a>)> {
-        self.bulk(usize::MAX, Part::Scalars(Vec::new()));
+    fn finish(mut self) -> Vec<Part<'a>> {
+        self.bulk(Part::Scalars(Vec::new()));
         self.parts
     }
 
     fn into_vec(self) -> Vec<u8> {
         let parts = self.finish();
-        let total: usize = parts.iter().map(|(_, part)| part.len()).sum();
-        let mut out = vec![0u8; total];
+        let mut out = vec![0u8; parts.iter().map(Part::len).sum()];
         let mut rest = out.as_mut_slice();
-        let mut fills: Vec<(usize, &mut [u8], Part<'a>)> = Vec::with_capacity(parts.len());
-        for (ts, part) in parts {
+        for part in &parts {
             let (slot, tail) = rest.split_at_mut(part.len());
+            part.write(slot);
             rest = tail;
-            fills.push((ts, slot, part));
         }
-        // Grouped by timestep, equal spans of the list carry equal bytes.
-        fills.sort_by_key(|&(ts, ..)| ts);
-        let min_len = if total < PAR_MIN { usize::MAX } else { 1 };
-        melissa_sync::for_each_item(fills, min_len, |(_, slot, part)| part.write(slot));
         out
     }
 
@@ -196,7 +186,7 @@ impl<'a> Plan<'a> {
     /// would not fit.
     fn write_to(self, w: &mut impl Write) -> io::Result<u64> {
         let parts = self.finish();
-        let pair_len = |pair: &[(usize, Part<'_>)]| pair.iter().map(|(_, p)| p.len()).sum();
+        let pair_len = |pair: &[Part<'_>]| pair.iter().map(Part::len).sum();
         let capacity = parts.chunks(2).map(pair_len).max().unwrap_or(0);
         let mut staged = Vec::with_capacity(capacity);
         let mut written = 0;
@@ -210,7 +200,7 @@ impl<'a> Plan<'a> {
             let at = staged.len();
             staged.resize(at + len, 0);
             let mut rest = &mut staged[at..];
-            for (_, part) in pair {
+            for part in pair {
                 let (slot, tail) = rest.split_at_mut(part.len());
                 part.write(slot);
                 rest = tail;
@@ -257,37 +247,37 @@ fn plan(state: &WorkerState) -> Plan<'_> {
     plan.head.put_u32_le(state.n_timesteps() as u32);
     // The tiled Sobol' state packs into the legacy role-major layout,
     // keeping the file format stable.
-    for (ts, s) in sobol.iter().enumerate() {
+    for s in sobol {
         let part = Part::Sobol(s);
         plan.head.put_u64_le(s.n_groups());
         plan.head.put_u64_le(part.len() as u64 / 8);
-        plan.bulk(ts, part);
+        plan.bulk(part);
     }
-    for (ts, m) in moments.iter().enumerate() {
+    for m in moments {
         let (n, mean, m2, m3, m4) = m.raw_state();
         plan.head.put_u64_le(n);
         plan.head.put_u64_le(mean.len() as u64);
         for arr in [mean, m2, m3, m4] {
-            plan.bulk(ts, Part::F64(arr));
+            plan.bulk(Part::F64(arr));
         }
     }
-    for (ts, mm) in minmax.iter().enumerate() {
+    for mm in minmax {
         let (n, mn, mx) = mm.raw_state();
         plan.head.put_u64_le(n);
         plan.head.put_u64_le(mn.len() as u64);
         for arr in [mn, mx] {
-            plan.bulk(ts, Part::F64(arr));
+            plan.bulk(Part::F64(arr));
         }
     }
     let n_thresholds = thresholds.first().map_or(0, |v| v.len());
     plan.head.put_u64_le(n_thresholds as u64);
     for ti in 0..n_thresholds {
-        for (ts, per_ts) in thresholds.iter().enumerate() {
+        for per_ts in thresholds {
             let (threshold, n, exceeded) = per_ts[ti].raw_state();
             plan.head.put_f64_le(threshold);
             plan.head.put_u64_le(n);
             plan.head.put_u64_le(exceeded.len() as u64);
-            plan.bulk(ts, Part::U64(exceeded));
+            plan.bulk(Part::U64(exceeded));
         }
     }
     // Quantile section.  Probabilities and the step exponent
@@ -300,11 +290,11 @@ fn plan(state: &WorkerState) -> Plan<'_> {
         for p in first.probs() {
             plan.head.put_f64_le(*p);
         }
-        for (ts, q) in quantiles.iter().enumerate() {
+        for q in quantiles {
             let (n, _, _, records) = q.raw_state();
             plan.head.put_u64_le(n);
             plan.head.put_u64_le(records.len() as u64);
-            plan.bulk(ts, Part::F64(records));
+            plan.bulk(Part::F64(records));
         }
     }
     // Sorted by group id so checkpoint bytes are a deterministic function

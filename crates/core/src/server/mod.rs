@@ -23,7 +23,7 @@
 //! and — when [`ServerConfig::quantile_probs`] is non-empty — per-cell
 //! Robbins–Monro quantile estimates (`melissa_stats::quantiles`, the
 //! order-statistics family of the quantile follow-up paper
-//! arXiv:1905.04180), all folded in by one fused tile-parallel sweep per
+//! arXiv:1905.04180), all folded in by one fused tiled sweep per
 //! completed assembly.  Alongside the Sobol' CI width, workers report the
 //! widest possible next quantile step as the order-statistics convergence
 //! signal.

@@ -4,7 +4,7 @@
 //! iterative ubiquitous Sobol' state plus plain field moments over the
 //! `Y^A`/`Y^B` samples.  Incoming `Data` chunks are assembled per
 //! `(group, timestep)` until all `p + 2` roles cover the slab, at which
-//! point **one fused tile-parallel sweep**
+//! point **one fused tiled sweep** on the worker thread
 //! ([`melissa_sobol::FusedSlabUpdate`]) folds the assembly into the
 //! Sobol' state, field moments, min/max envelope, every configured
 //! threshold accumulator and the Robbins–Monro quantile estimates at

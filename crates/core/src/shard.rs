@@ -36,11 +36,9 @@
 //! The pairwise merge of Sobol'/moment accumulators is mathematically
 //! exact but **not bit-associative** (floating-point Pébay formulas), so
 //! the reduction applies the pairwise merges in a *canonical order* — the
-//! left fold over shards in shard-index order — parallelising over the
-//! independent per-worker chains (and inside each merge over the
-//! statistics tiles) instead of over tree levels.  Result: the reduced
-//! statistics are a pure function of the per-shard states, independent of
-//! thread scheduling, and bit-identical to the sequential left fold
+//! left fold over shards in shard-index order, one per-worker chain after
+//! the other.  Result: the reduced statistics are a pure function of the
+//! per-shard states and equal to the sequential left fold
 //! (property-tested).  A shape-varying binary tree would be faster by at
 //! most a factor `log₂N / (N−1)` on the shard axis but would make the
 //! study result depend on `N`'s factorisation — rejected.
@@ -237,9 +235,8 @@ impl NodeMap {
 /// (at study end they belong to abandoned groups whose partial data was
 /// never integrated anywhere), pooled buffers and ban set, then lineage
 /// `k + 1` is folded into the accumulated lineages `0..=k` with one
-/// [`WorkerState::merge`] per worker — the `W` merges of a fold run in
-/// parallel, each itself tile-parallel — and is freed as soon as it is
-/// merged.  Every per-worker chain therefore folds in shard-index order
+/// [`WorkerState::merge`] per worker, on the calling thread, and is
+/// freed as soon as it is merged.  Every per-worker chain therefore folds in shard-index order
 /// (see the module docs for why the combine order is canonical), and the
 /// reduction holds no copy of any state.
 ///
@@ -279,11 +276,10 @@ pub fn reduce_owned_states(shards: Vec<Vec<WorkerState>>) -> Vec<WorkerState> {
     let mut acc = lineages.next().expect("checked non-empty above");
     acc.iter_mut().for_each(WorkerState::discard_in_flight);
     for lineage in lineages {
-        let pairs: Vec<_> = acc.iter_mut().zip(lineage).collect();
-        melissa_sync::for_each_item(pairs, 0, |(acc, mut next)| {
+        for (acc, mut next) in acc.iter_mut().zip(lineage) {
             next.discard_in_flight();
             acc.merge(&next);
-        });
+        }
     }
     acc
 }
@@ -468,6 +464,7 @@ pub(crate) fn run_shards(
 mod tests {
     use super::*;
     use melissa_mesh::CellRange;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn router_is_deterministic_and_total() {
@@ -638,5 +635,49 @@ mod tests {
             state_with_groups(1, CellRange { start: 4, len: 4 }, &[1]),
         ];
         reduce_worker_states(&[a, b]);
+    }
+
+    /// A group job that panics is a failed instance: it is retried up to
+    /// the cap, then abandoned, with the panic message in its events, and
+    /// the study ends long before its wall limit.  (`Study::run` refuses
+    /// this config; the shards are driven directly to get the panic.)
+    #[test]
+    fn a_panicking_group_job_is_retried_then_abandoned() {
+        use crate::launcher::MAX_GROUP_RETRIES;
+        use melissa_telemetry::EventKind;
+        let mut config = StudyConfig::tiny();
+        config.n_groups = 2;
+        config.solver.total_time = 0.0;
+        config.wall_limit = Duration::from_secs(8);
+        config.checkpoint_dir =
+            std::env::temp_dir().join(format!("melissa-ut-panicking-{}", std::process::id()));
+        let began = Instant::now();
+        let run = run_shards(config.clone(), FaultPlan::none(), StudyRuntime::default());
+        let elapsed = began.elapsed();
+        std::fs::remove_dir_all(&config.checkpoint_dir).ok();
+        let report = run
+            .expect("the study ends with its groups abandoned")
+            .report;
+        assert!(elapsed < Duration::from_secs(4), "took {elapsed:?}");
+        assert_eq!(report.groups_finished, 0);
+        assert_eq!(report.groups_abandoned, vec![0, 1]);
+        for g in 0..2 {
+            let died: Vec<&String> = report
+                .events
+                .iter()
+                .filter_map(|e| match &e.kind {
+                    EventKind::GroupDied { group, detail, .. } if *group == g => Some(detail),
+                    _ => None,
+                })
+                .collect();
+            // The first run (instance 0) and every retry.
+            assert_eq!(died.len(), 1 + MAX_GROUP_RETRIES as usize, "group {g}");
+            for detail in died {
+                assert!(
+                    detail.contains("panicked") && detail.contains("total_time > 0.0"),
+                    "{detail}"
+                );
+            }
+        }
     }
 }

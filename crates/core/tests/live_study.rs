@@ -266,13 +266,34 @@ fn server_crash_recovers_from_checkpoint_with_exact_statistics() {
 }
 
 /// A geometry the pre-run cannot carry flow through is an error from
-/// `Study::run`, not a panic: here tube columns block all four rows.
+/// `Study::run`, not a panic: here tube columns block all four rows.  So
+/// is a run with no output timestep or no positive, finite horizon, and
+/// it is refused at once, not at the study's wall limit.
 #[test]
 fn blocked_geometry_is_an_error_not_a_panic() {
     let mut config = StudyConfig::tiny();
     (config.solver.nx, config.solver.ny, config.solver.nz) = (8, 4, 1);
     let err = Study::new(config).run().err().expect("no flow can cross");
     assert!(err.contains("no fluid path"), "error: {err}");
+
+    let mut no_output = StudyConfig::tiny();
+    no_output.solver.n_timesteps = 0;
+    let timeless = [0.0, -1.0, f64::NAN].map(|total_time| {
+        let mut config = StudyConfig::tiny();
+        config.solver.total_time = total_time;
+        config
+    });
+    for mut config in timeless.into_iter().chain([no_output]) {
+        config.n_groups = 2;
+        config.wall_limit = Duration::from_secs(8);
+        let began = std::time::Instant::now();
+        let err = Study::new(config).run().err().expect("refused");
+        assert!(
+            err.contains("total_time") || err.contains("n_timesteps"),
+            "error: {err}"
+        );
+        assert!(began.elapsed() < Duration::from_secs(1), "{err}");
+    }
 }
 
 /// A checkpoint that cannot be written is counted, and the study goes on

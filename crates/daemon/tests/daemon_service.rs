@@ -435,6 +435,23 @@ fn submit_refuses_a_config_that_does_not_validate() {
         }
         other => panic!("expected the validation error, got {other:?}"),
     }
+    let mut no_output = seeded_config(42, "no-output");
+    no_output.solver.n_timesteps = 0;
+    let mut refused = vec![no_output];
+    for (k, total_time) in [0.0, -1.0, f64::NAN].into_iter().enumerate() {
+        let mut timeless = seeded_config(43 + k as u64, "timeless");
+        timeless.solver.total_time = total_time;
+        refused.push(timeless);
+    }
+    for config in refused {
+        match client.submit("acme", 0, config) {
+            Err(ClientError::BadHandshake { detail }) => assert!(
+                detail.contains("total_time") || detail.contains("n_timesteps"),
+                "detail: {detail}"
+            ),
+            other => panic!("expected the validation error, got {other:?}"),
+        }
+    }
     let json = client.scrape_daemon(ScrapeFormat::Json).expect("json");
     assert!(json.contains("\"free_units\":"), "json: {json}");
     daemon.stop();

@@ -5,11 +5,11 @@
 //! ubiquitous Sobol' state (all roles), and the field moments, min/max
 //! envelope, threshold-exceedance counters and Robbins–Monro quantile
 //! estimates (the i.i.d. `Y^A`/`Y^B` samples only, paper Section 4.1).
-//! Doing that as independent parallel sweeps re-reads the fields and re-pays
-//! the parallel dispatch per statistic; [`FusedSlabUpdate`] folds
-//! everything in **one** tile-parallel pass: each tile task updates its
-//! slice of every accumulator while the incoming field stripe is hot in
-//! L1.
+//! Doing that as independent sweeps re-reads the fields once per
+//! statistic; [`FusedSlabUpdate`] folds everything in **one** pass over
+//! L1-sized tiles: each tile updates its slice of every accumulator while
+//! the incoming field stripe is hot in L1.  The pass runs on the calling
+//! thread (the server worker that owns the slab).
 //!
 //! The fused path is arithmetic-for-arithmetic identical to calling
 //! [`UbiquitousSobol::update_group`] followed by the individual
@@ -18,12 +18,8 @@
 //! order per cell — so results are bit-compatible with the unfused
 //! reference path (property-tested in `melissa`'s `proptest_server.rs`).
 
-use melissa_sync::for_each_index;
-
 use melissa_stats::quantiles::{rm_step_scale, update_tile_quantiles_pair};
-use melissa_stats::{
-    tile_cells, DisjointSlices, FieldMinMax, FieldMoments, FieldQuantiles, FieldThreshold,
-};
+use melissa_stats::{tile_cells, FieldMinMax, FieldMoments, FieldQuantiles, FieldThreshold};
 
 use crate::ubiquitous::{update_tile_records, UbiquitousSobol};
 
@@ -72,7 +68,7 @@ impl<'a> FusedSlabUpdate<'a> {
     }
 
     /// Folds one completed group's `p + 2` role fields into every bound
-    /// accumulator in a single tile-parallel sweep.
+    /// accumulator in a single tiled sweep.
     ///
     /// # Panics
     /// Panics if the number of fields is not `p + 2` or any field length
@@ -85,45 +81,27 @@ impl<'a> FusedSlabUpdate<'a> {
             assert_eq!(f.len(), cells, "field length mismatch");
         }
 
-        // Bump all sample counts up front; tile tasks then only touch
-        // per-cell storage.  Sobol' sees one group; the auxiliary
+        // Bump all sample counts up front; the tile loop then only
+        // touches per-cell storage.  Sobol' sees one group; the auxiliary
         // statistics see the two i.i.d. samples Y^A and Y^B.
         let (n_group, stride, sobol_state) = self.sobol.fused_parts_mut();
         let (n0, m_mean, m_m2, m_m3, m_m4) = self.moments.fused_parts_mut(2);
         let (mn, mx) = self.minmax.fused_parts_mut(2);
         // Quantile records fold Y^A at count n0 + 1 and Y^B at n0 + 2 —
         // exactly as two consecutive `FieldQuantiles::update` calls would.
-        let quant = self.quantiles.map(|q| {
+        let mut quant = self.quantiles.map(|q| {
             let (qn0, gamma, qstride, probs, qstate) = q.fused_parts_mut(2);
             let scale_a = rm_step_scale(qn0 + 1, gamma);
             let scale_b = rm_step_scale(qn0 + 2, gamma);
-            (
-                qn0 == 0,
-                scale_a,
-                scale_b,
-                qstride,
-                probs,
-                DisjointSlices::new(qstate),
-            )
+            (qn0 == 0, scale_a, scale_b, qstride, probs, qstate)
         });
-        // Threshold list length is runtime-configured; two pointers per
+        // Threshold list length is runtime-configured; one entry per
         // threshold is the only per-call heap use on the fused path.
-        let thr: Vec<(f64, DisjointSlices<'_, u64>)> = self
+        let mut thr: Vec<(f64, &mut [u64])> = self
             .thresholds
             .iter_mut()
-            .map(|t| {
-                let (threshold, exceeded) = t.fused_parts_mut(2);
-                (threshold, DisjointSlices::new(exceeded))
-            })
+            .map(|t| t.fused_parts_mut(2))
             .collect();
-
-        let sobol_state = DisjointSlices::new(sobol_state);
-        let m_mean = DisjointSlices::new(m_mean);
-        let m_m2 = DisjointSlices::new(m_m2);
-        let m_m3 = DisjointSlices::new(m_m3);
-        let m_m4 = DisjointSlices::new(m_m4);
-        let mn = DisjointSlices::new(mn);
-        let mx = DisjointSlices::new(mx);
 
         // Welford/Pébay terms for the two auxiliary samples: the first
         // sample lands at count n0 + 1, the second at n0 + 2 — exactly as
@@ -140,35 +118,24 @@ impl<'a> FusedSlabUpdate<'a> {
         // record — not to the Sobol' stride alone.  Sizing by Sobol' only
         // overflows the L1 budget once quantiles are enabled and turns
         // the whole sweep L2-bound.
-        let fused_doubles_per_cell = stride
-            + 4
-            + 2
-            + thr.len()
-            + quant
-                .as_ref()
-                .map_or(0, |(_, _, _, qstride, _, _)| *qstride);
+        let quant_doubles = quant
+            .as_ref()
+            .map_or(0, |(_, _, _, qstride, _, _)| *qstride);
+        let fused_doubles_per_cell = stride + 4 + 2 + thr.len() + quant_doubles;
         let tile = tile_cells(fused_doubles_per_cell);
-        let n_tiles = cells.div_ceil(tile);
-        let sobol_ref = &sobol_state;
-        let thr_ref = &thr;
-        let quant_ref = &quant;
-        let (m_mean, m_m2, m_m3, m_m4, mn, mx) = (&m_mean, &m_m2, &m_m3, &m_m4, &mn, &mx);
-        for_each_index(0..n_tiles, 0, move |t| {
-            let c0 = t * tile;
+        for c0 in (0..cells).step_by(tile) {
             let c1 = (c0 + tile).min(cells);
-            // SAFETY (all range_mut calls below): tile cell ranges are
-            // pairwise disjoint across tasks.
-            let recs = unsafe { sobol_ref.range_mut(c0 * stride..c1 * stride) };
+            let recs = &mut sobol_state[c0 * stride..c1 * stride];
             update_tile_records(recs, fields, c0, p, stride, n_group);
 
             let wa = &fields[0][c0..c1];
             let wb = &fields[1][c0..c1];
-            let mean = unsafe { m_mean.range_mut(c0..c1) };
-            let m2 = unsafe { m_m2.range_mut(c0..c1) };
-            let m3 = unsafe { m_m3.range_mut(c0..c1) };
-            let m4 = unsafe { m_m4.range_mut(c0..c1) };
-            let mins = unsafe { mn.range_mut(c0..c1) };
-            let maxs = unsafe { mx.range_mut(c0..c1) };
+            let mean = &mut m_mean[c0..c1];
+            let m2 = &mut m_m2[c0..c1];
+            let m3 = &mut m_m3[c0..c1];
+            let m4 = &mut m_m4[c0..c1];
+            let mins = &mut mn[c0..c1];
+            let maxs = &mut mx[c0..c1];
             for i in 0..wa.len() {
                 moment_step(
                     &mut mean[i],
@@ -189,7 +156,7 @@ impl<'a> FusedSlabUpdate<'a> {
                     nn_term2,
                 );
             }
-            match quant_ref {
+            match &mut quant {
                 None => {
                     for i in 0..wa.len() {
                         mins[i] = mins[i].min(wa[i]).min(wb[i]);
@@ -201,19 +168,19 @@ impl<'a> FusedSlabUpdate<'a> {
                 // with Y^A but not yet Y^B (the sequential reference
                 // order); the final envelope values are identical.
                 Some((first, scale_a, scale_b, qstride, probs, qstate)) => {
-                    let qrecs = unsafe { qstate.range_mut(c0 * qstride..c1 * qstride) };
+                    let qrecs = &mut qstate[c0 * *qstride..c1 * *qstride];
                     update_tile_quantiles_pair(
                         qrecs, wa, wb, mins, maxs, probs, *first, *scale_a, *scale_b,
                     );
                 }
             }
-            for (threshold, exceeded) in thr_ref {
-                let counts = unsafe { exceeded.range_mut(c0..c1) };
+            for (threshold, exceeded) in &mut thr {
+                let counts = &mut exceeded[c0..c1];
                 for i in 0..wa.len() {
                     counts[i] += (wa[i] > *threshold) as u64 + (wb[i] > *threshold) as u64;
                 }
             }
-        });
+        }
     }
 }
 
@@ -242,6 +209,7 @@ fn moment_step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use melissa_stats::quantiles::PAPER_PROBS;
     use melissa_stats::FieldQuantiles;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -249,8 +217,12 @@ mod tests {
     const P: usize = 3;
 
     fn random_fields(cells: usize, seed: u64) -> Vec<Vec<f64>> {
+        random_fields_p(P, cells, seed)
+    }
+
+    fn random_fields_p(p: usize, cells: usize, seed: u64) -> Vec<Vec<f64>> {
         let mut rng = StdRng::seed_from_u64(seed);
-        (0..P + 2)
+        (0..p + 2)
             .map(|_| (0..cells).map(|_| rng.gen::<f64>() * 8.0 - 3.0).collect())
             .collect()
     }
@@ -260,57 +232,63 @@ mod tests {
     /// + quantiles.
     #[test]
     fn fused_is_bit_identical_to_reference_path() {
-        // 300 cells spans multiple tiles at p = 3 (stride 16 → 128/tile).
-        let cells = 300;
-        let groups: Vec<Vec<Vec<f64>>> = (0..7).map(|g| random_fields(cells, 100 + g)).collect();
-        let probs = [0.05, 0.5, 0.95];
+        // 300 cells at p = 3 span several tiles; a tube worker's slab
+        // (p = 6, 4 096 cells, the paper's seven probabilities, threshold
+        // 0.5); and one cell more, so the last tile is partial.
+        let small = (P, 300, &[0.05, 0.5, 0.95][..], &[0.0, 2.5][..]);
+        let tube = (6, 4096, &PAPER_PROBS[..], &[0.5][..]);
+        let ragged = (6, 4097, &PAPER_PROBS[..], &[0.5][..]);
+        for (p, cells, probs, thresholds) in [small, tube, ragged] {
+            let groups: Vec<Vec<Vec<f64>>> =
+                (0..7).map(|g| random_fields_p(p, cells, 100 + g)).collect();
+            let field_thresholds = || -> Vec<FieldThreshold> {
+                thresholds
+                    .iter()
+                    .map(|&t| FieldThreshold::new(cells, t))
+                    .collect()
+            };
 
-        let mut fused_sobol = UbiquitousSobol::new(P, cells);
-        let mut fused_moments = FieldMoments::new(cells);
-        let mut fused_minmax = FieldMinMax::new(cells);
-        let mut fused_thresholds = vec![
-            FieldThreshold::new(cells, 0.0),
-            FieldThreshold::new(cells, 2.5),
-        ];
-        let mut fused_quantiles = FieldQuantiles::new(cells, &probs);
+            let mut fused_sobol = UbiquitousSobol::new(p, cells);
+            let mut fused_moments = FieldMoments::new(cells);
+            let mut fused_minmax = FieldMinMax::new(cells);
+            let mut fused_thresholds = field_thresholds();
+            let mut fused_quantiles = FieldQuantiles::new(cells, probs);
 
-        let mut ref_sobol = UbiquitousSobol::new(P, cells);
-        let mut ref_moments = FieldMoments::new(cells);
-        let mut ref_minmax = FieldMinMax::new(cells);
-        let mut ref_thresholds = vec![
-            FieldThreshold::new(cells, 0.0),
-            FieldThreshold::new(cells, 2.5),
-        ];
-        let mut ref_quantiles = FieldQuantiles::new(cells, &probs);
+            let mut ref_sobol = UbiquitousSobol::new(p, cells);
+            let mut ref_moments = FieldMoments::new(cells);
+            let mut ref_minmax = FieldMinMax::new(cells);
+            let mut ref_thresholds = field_thresholds();
+            let mut ref_quantiles = FieldQuantiles::new(cells, probs);
 
-        for g in &groups {
-            let refs: Vec<&[f64]> = g.iter().map(|f| f.as_slice()).collect();
-            FusedSlabUpdate::new(
-                &mut fused_sobol,
-                &mut fused_moments,
-                &mut fused_minmax,
-                &mut fused_thresholds,
-                Some(&mut fused_quantiles),
-            )
-            .apply(&refs);
+            for g in &groups {
+                let refs: Vec<&[f64]> = g.iter().map(|f| f.as_slice()).collect();
+                FusedSlabUpdate::new(
+                    &mut fused_sobol,
+                    &mut fused_moments,
+                    &mut fused_minmax,
+                    &mut fused_thresholds,
+                    Some(&mut fused_quantiles),
+                )
+                .apply(&refs);
 
-            ref_sobol.update_group(&refs);
-            for sample in refs.iter().take(2) {
-                ref_moments.update(sample);
-                ref_minmax.update(sample);
-                for t in ref_thresholds.iter_mut() {
-                    t.update(sample);
+                ref_sobol.update_group(&refs);
+                for sample in refs.iter().take(2) {
+                    ref_moments.update(sample);
+                    ref_minmax.update(sample);
+                    for t in ref_thresholds.iter_mut() {
+                        t.update(sample);
+                    }
+                    // Quantiles borrow the (already updated) envelope.
+                    ref_quantiles.update(sample, &ref_minmax);
                 }
-                // Quantiles borrow the (already updated) envelope.
-                ref_quantiles.update(sample, &ref_minmax);
             }
-        }
 
-        assert_eq!(fused_sobol, ref_sobol);
-        assert_eq!(fused_moments, ref_moments);
-        assert_eq!(fused_minmax, ref_minmax);
-        assert_eq!(fused_thresholds, ref_thresholds);
-        assert_eq!(fused_quantiles, ref_quantiles);
+            assert_eq!(fused_sobol, ref_sobol, "p {p}, {cells} cells");
+            assert_eq!(fused_moments, ref_moments, "p {p}, {cells} cells");
+            assert_eq!(fused_minmax, ref_minmax, "p {p}, {cells} cells");
+            assert_eq!(fused_thresholds, ref_thresholds, "p {p}, {cells} cells");
+            assert_eq!(fused_quantiles, ref_quantiles, "p {p}, {cells} cells");
+        }
     }
 
     #[test]

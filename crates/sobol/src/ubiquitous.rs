@@ -34,14 +34,11 @@
 //! per cell in the first place.
 //!
 //! [`update_group`](UbiquitousSobol::update_group) and
-//! [`merge`](UbiquitousSobol::merge) are tile-parallel and allocation-free
-//! in steady state: the sweep hands disjoint tile ranges to the span pool
-//! through [`melissa_stats::DisjointSlices`], with no per-call task-list
-//! scaffolding.
+//! [`merge`](UbiquitousSobol::merge) walk the tiles in order on the
+//! calling thread (on the server, the worker that owns the slab) and
+//! allocate nothing.
 
-use melissa_sync::for_each_index;
-
-use melissa_stats::{tile_cells, AlignedVec, DisjointSlices};
+use melissa_stats::{tile_cells, AlignedVec};
 
 use crate::confidence::{first_order_interval, total_order_interval, ConfidenceInterval};
 
@@ -114,14 +111,14 @@ impl UbiquitousSobol {
         4 + 4 * p
     }
 
-    /// Cells per cache tile used by the parallel sweeps.
+    /// Cells per cache tile used by the sweeps.
     pub fn cells_per_tile(&self) -> usize {
         self.tile
     }
 
     /// Folds in the `p + 2` result fields of one completed group.
     ///
-    /// One tile-parallel sweep, allocation-free in steady state.
+    /// One tiled sweep, allocation-free.
     ///
     /// # Panics
     /// Panics if the number of fields is not `p + 2` or any field length
@@ -133,21 +130,14 @@ impl UbiquitousSobol {
         }
         self.n += 1;
         let n = self.n as f64;
-        let (p, stride, tile, cells) = (self.p, self.stride, self.tile, self.cells);
-        let n_tiles = cells.div_ceil(tile);
-        let state = DisjointSlices::new(&mut self.state);
-        let state = &state;
-        for_each_index(0..n_tiles, 0, move |t| {
-            let c0 = t * tile;
-            let c1 = (c0 + tile).min(cells);
-            // SAFETY: tile cell ranges are pairwise disjoint.
-            let recs = unsafe { state.range_mut(c0 * stride..c1 * stride) };
-            update_tile_records(recs, fields, c0, p, stride, n);
-        });
+        let (p, stride, tile) = (self.p, self.stride, self.tile);
+        for (t, recs) in self.state.chunks_mut(tile * stride).enumerate() {
+            update_tile_records(recs, fields, t * tile, p, stride, n);
+        }
     }
 
     /// Merges another accumulator covering the *same cells* (pairwise
-    /// Chan/Pébay formulas), tile-parallel.  Used by reduction trees and
+    /// Chan/Pébay formulas), record by record.  Used by reduction trees and
     /// restart tests.
     ///
     /// # Panics
@@ -167,37 +157,27 @@ impl UbiquitousSobol {
         let n = na + nb;
         let ratio = na * nb / n;
         let scale_b = nb / n;
-        let (p, stride, tile, cells) = (self.p, self.stride, self.tile, self.cells);
-        let n_tiles = cells.div_ceil(tile);
-        let state = DisjointSlices::new(&mut self.state);
-        let state = &state;
-        let other_state: &[f64] = &other.state;
-        for_each_index(0..n_tiles, 0, move |t| {
-            let c0 = t * tile;
-            let c1 = (c0 + tile).min(cells);
-            // SAFETY: tile cell ranges are pairwise disjoint.
-            let recs = unsafe { state.range_mut(c0 * stride..c1 * stride) };
-            let others = &other_state[c0 * stride..c1 * stride];
-            for (ra, rb) in recs
-                .chunks_exact_mut(stride)
-                .zip(others.chunks_exact(stride))
-            {
-                let da = rb[MEAN_A] - ra[MEAN_A];
-                let db = rb[MEAN_B] - ra[MEAN_B];
-                ra[M2_A] += rb[M2_A] + da * da * ratio;
-                ra[M2_B] += rb[M2_B] + db * db * ratio;
-                for k in 0..p {
-                    let q = PARAM_BLOCK + 4 * k;
-                    let dc = rb[q] - ra[q];
-                    ra[q + 1] += rb[q + 1] + dc * dc * ratio;
-                    ra[q + 2] += rb[q + 2] + db * dc * ratio;
-                    ra[q + 3] += rb[q + 3] + da * dc * ratio;
-                    ra[q] += dc * scale_b;
-                }
-                ra[MEAN_A] += da * scale_b;
-                ra[MEAN_B] += db * scale_b;
+        let (p, stride) = (self.p, self.stride);
+        for (ra, rb) in self
+            .state
+            .chunks_exact_mut(stride)
+            .zip(other.state.chunks_exact(stride))
+        {
+            let da = rb[MEAN_A] - ra[MEAN_A];
+            let db = rb[MEAN_B] - ra[MEAN_B];
+            ra[M2_A] += rb[M2_A] + da * da * ratio;
+            ra[M2_B] += rb[M2_B] + db * db * ratio;
+            for k in 0..p {
+                let q = PARAM_BLOCK + 4 * k;
+                let dc = rb[q] - ra[q];
+                ra[q + 1] += rb[q + 1] + dc * dc * ratio;
+                ra[q + 2] += rb[q + 2] + db * dc * ratio;
+                ra[q + 3] += rb[q + 3] + da * dc * ratio;
+                ra[q] += dc * scale_b;
             }
-        });
+            ra[MEAN_A] += da * scale_b;
+            ra[MEAN_B] += db * scale_b;
+        }
         self.n += other.n;
     }
 

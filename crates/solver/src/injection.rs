@@ -85,6 +85,7 @@ impl InletProfile {
     /// Creates the profile for a channel of height `ly` and a simulation
     /// horizon of `total_time`.
     pub fn new(params: InjectionParams, ly: f64, total_time: f64) -> Self {
+        // Unreachable from a study: `UseCaseConfig::validate` holds `ly` and `total_time` positive.
         assert!(ly > 0.0 && total_time > 0.0);
         Self {
             params,

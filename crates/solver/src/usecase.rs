@@ -104,7 +104,10 @@ impl UseCaseConfig {
     /// column to the outlet column through shared faces, and a tolerance
     /// in `(0, 1e-6]`.  Without such a path, or with a looser tolerance,
     /// the inlet may carry no net flow in, and [`prerun`](Self::prerun)
-    /// cannot scale its fluxes to `u_inlet`.
+    /// cannot scale its fluxes to `u_inlet`.  A run also needs at least
+    /// one output timestep and a positive, finite `total_time`: without
+    /// them no group produces a result (or the inlet profile refuses the
+    /// horizon), and the study could only end at its wall limit.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.prerun_tol > 0.0 && self.prerun_tol <= MAX_PRERUN_TOL) {
             return Err(format!(
@@ -115,6 +118,15 @@ impl UseCaseConfig {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         if nx == 0 || ny == 0 || nz == 0 {
             return Err(format!("mesh {nx}x{ny}x{nz} has an empty axis"));
+        }
+        if self.n_timesteps == 0 {
+            return Err("n_timesteps is 0: a run needs at least one output timestep".into());
+        }
+        if !(self.total_time.is_finite() && self.total_time > 0.0) {
+            return Err(format!(
+                "total_time {} is not positive and finite",
+                self.total_time
+            ));
         }
         for (axis, l) in [("lx", self.lx), ("ly", self.ly), ("lz", self.lz)] {
             if !(l.is_finite() && l > 0.0) {
@@ -178,6 +190,16 @@ mod tests {
         let mut flat = UseCaseConfig::tiny();
         flat.lz = f64::NAN;
         assert!(flat.validate().is_err());
+        let mut no_output = UseCaseConfig::tiny();
+        no_output.n_timesteps = 0;
+        assert!(no_output.validate().is_err());
+        for total_time in [0.0, -1.0, f64::NAN] {
+            let timeless = UseCaseConfig {
+                total_time,
+                ..UseCaseConfig::tiny()
+            };
+            assert!(timeless.validate().is_err(), "total_time {total_time}");
+        }
         for tol in [0.0, 1e-3, f64::NAN] {
             let loose = UseCaseConfig {
                 prerun_tol: tol,

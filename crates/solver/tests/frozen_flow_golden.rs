@@ -3,9 +3,9 @@
 //! Every study starts from `UseCaseConfig::prerun()`, and every frame a
 //! study sends is computed on its fluxes, so a pre-run change that is not
 //! bit-identical changes every statistic downstream.  These constants
-//! were captured from the lexicographic SOR loop the band-staggered
-//! schedule replaced; they must never be regenerated from the code under
-//! test.
+//! were captured from the lexicographic SOR loop, kept as the
+//! `relax_lexicographic` test oracle in `flow.rs`; they must never be
+//! regenerated from the code under test.
 
 use melissa_solver::{FrozenFlow, UseCaseConfig};
 

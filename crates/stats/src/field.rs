@@ -6,7 +6,7 @@
 //! layout (`Vec<f64>` per moment — few enough arrays per type that each
 //! sweep stays prefetcher-friendly, unlike the `4 + 4p`-array Sobol' state,
 //! which lives in the cell-contiguous tiled layout of `melissa-sobol`) and
-//! update all cells of an incoming field in one parallel sweep.
+//! update all cells of an incoming field in one sweep on the calling thread.
 //!
 //! On the server's hot path these accumulators are not updated through
 //! their own `update` sweeps at all: the fused ingest kernel
@@ -15,13 +15,7 @@
 //! accessors below.  The scalar recurrences are shared, so both paths are
 //! bit-identical.
 
-use melissa_sync::for_each_item;
-
 use crate::{MinMax, OnlineMoments, ThresholdExceedance};
-
-/// Minimum chunk size for parallel field sweeps; below this the parallel
-/// dispatch overhead dominates the arithmetic.
-const PAR_CHUNK: usize = 4096;
 
 /// Per-cell mean and 2nd–4th central moments over a field sample stream.
 ///
@@ -71,26 +65,23 @@ impl FieldMoments {
         self.n += 1;
         let n = self.n as f64;
         let nn_term = n * n - 3.0 * n + 3.0;
-        let chunks = self
+        let cells = self
             .mean
-            .chunks_mut(PAR_CHUNK)
-            .zip(self.m2.chunks_mut(PAR_CHUNK))
-            .zip(self.m3.chunks_mut(PAR_CHUNK))
-            .zip(self.m4.chunks_mut(PAR_CHUNK))
-            .zip(sample.chunks(PAR_CHUNK));
-        for_each_item(chunks.collect(), 0, |((((mean, m2), m3), m4), xs)| {
-            for i in 0..xs.len() {
-                let delta = xs[i] - mean[i];
-                let delta_n = delta / n;
-                let delta_n2 = delta_n * delta_n;
-                let term1 = delta * delta_n * (n - 1.0);
-                mean[i] += delta_n;
-                m4[i] +=
-                    term1 * delta_n2 * nn_term + 6.0 * delta_n2 * m2[i] - 4.0 * delta_n * m3[i];
-                m3[i] += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * m2[i];
-                m2[i] += term1;
-            }
-        });
+            .iter_mut()
+            .zip(&mut self.m2)
+            .zip(&mut self.m3)
+            .zip(&mut self.m4)
+            .zip(sample);
+        for ((((mean, m2), m3), m4), &x) in cells {
+            let delta = x - *mean;
+            let delta_n = delta / n;
+            let delta_n2 = delta_n * delta_n;
+            let term1 = delta * delta_n * (n - 1.0);
+            *mean += delta_n;
+            *m4 += term1 * delta_n2 * nn_term + 6.0 * delta_n2 * *m2 - 4.0 * delta_n * *m3;
+            *m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * *m2;
+            *m2 += term1;
+        }
     }
 
     /// Per-cell running mean.
@@ -160,40 +151,34 @@ impl FieldMoments {
         let na = self.n as f64;
         let nb = other.n as f64;
         let n = na + nb;
-        let chunks = self
+        let cells = self
             .mean
-            .chunks_mut(PAR_CHUNK)
-            .zip(self.m2.chunks_mut(PAR_CHUNK))
-            .zip(self.m3.chunks_mut(PAR_CHUNK))
-            .zip(self.m4.chunks_mut(PAR_CHUNK))
-            .zip(other.mean.chunks(PAR_CHUNK))
-            .zip(other.m2.chunks(PAR_CHUNK))
-            .zip(other.m3.chunks(PAR_CHUNK))
-            .zip(other.m4.chunks(PAR_CHUNK));
-        for_each_item(
-            chunks.collect(),
-            0,
-            |(((((((mean, m2), m3), m4), omean), om2), om3), om4)| {
-                for i in 0..mean.len() {
-                    let delta = omean[i] - mean[i];
-                    let delta2 = delta * delta;
-                    let new_m4 = m4[i]
-                        + om4[i]
-                        + delta2 * delta2 * na * nb * (na * na - na * nb + nb * nb) / (n * n * n)
-                        + 6.0 * delta2 * (na * na * om2[i] + nb * nb * m2[i]) / (n * n)
-                        + 4.0 * delta * (na * om3[i] - nb * m3[i]) / n;
-                    let new_m3 = m3[i]
-                        + om3[i]
-                        + delta2 * delta * na * nb * (na - nb) / (n * n)
-                        + 3.0 * delta * (na * om2[i] - nb * m2[i]) / n;
-                    let new_m2 = m2[i] + om2[i] + delta2 * na * nb / n;
-                    mean[i] += delta * nb / n;
-                    m2[i] = new_m2;
-                    m3[i] = new_m3;
-                    m4[i] = new_m4;
-                }
-            },
-        );
+            .iter_mut()
+            .zip(&mut self.m2)
+            .zip(&mut self.m3)
+            .zip(&mut self.m4)
+            .zip(&other.mean)
+            .zip(&other.m2)
+            .zip(&other.m3)
+            .zip(&other.m4);
+        for (((((((mean, m2), m3), m4), &omean), &om2), &om3), &om4) in cells {
+            let delta = omean - *mean;
+            let delta2 = delta * delta;
+            let new_m4 = *m4
+                + om4
+                + delta2 * delta2 * na * nb * (na * na - na * nb + nb * nb) / (n * n * n)
+                + 6.0 * delta2 * (na * na * om2 + nb * nb * *m2) / (n * n)
+                + 4.0 * delta * (na * om3 - nb * *m3) / n;
+            let new_m3 = *m3
+                + om3
+                + delta2 * delta * na * nb * (na - nb) / (n * n)
+                + 3.0 * delta * (na * om2 - nb * *m2) / n;
+            let new_m2 = *m2 + om2 + delta2 * na * nb / n;
+            *mean += delta * nb / n;
+            *m2 = new_m2;
+            *m3 = new_m3;
+            *m4 = new_m4;
+        }
         self.n += other.n;
     }
 
@@ -286,17 +271,10 @@ impl FieldMinMax {
     pub fn update(&mut self, sample: &[f64]) {
         assert_eq!(sample.len(), self.len(), "field sample length mismatch");
         self.n += 1;
-        let chunks = self
-            .min
-            .chunks_mut(PAR_CHUNK)
-            .zip(self.max.chunks_mut(PAR_CHUNK))
-            .zip(sample.chunks(PAR_CHUNK));
-        for_each_item(chunks.collect(), 0, |((mins, maxs), xs)| {
-            for i in 0..xs.len() {
-                mins[i] = mins[i].min(xs[i]);
-                maxs[i] = maxs[i].max(xs[i]);
-            }
-        });
+        for ((lo, hi), &x) in self.min.iter_mut().zip(&mut self.max).zip(sample) {
+            *lo = lo.min(x);
+            *hi = hi.max(x);
+        }
     }
 
     /// Per-cell minimum (infinite when no samples seen).
@@ -400,15 +378,9 @@ impl FieldThreshold {
         assert_eq!(sample.len(), self.len(), "field sample length mismatch");
         self.n += 1;
         let t = self.threshold;
-        let chunks = self
-            .exceeded
-            .chunks_mut(PAR_CHUNK)
-            .zip(sample.chunks(PAR_CHUNK));
-        for_each_item(chunks.collect(), 0, |(counts, xs)| {
-            for i in 0..xs.len() {
-                counts[i] += (xs[i] > t) as u64;
-            }
-        });
+        for (count, &x) in self.exceeded.iter_mut().zip(sample) {
+            *count += (x > t) as u64;
+        }
     }
 
     /// Merges another accumulator watching the same threshold over the
@@ -512,21 +484,19 @@ impl FieldCovariance {
         assert_eq!(ys.len(), self.len(), "field sample length mismatch (y)");
         self.n += 1;
         let n = self.n as f64;
-        let chunks = self
+        let cells = self
             .mean_x
-            .chunks_mut(PAR_CHUNK)
-            .zip(self.mean_y.chunks_mut(PAR_CHUNK))
-            .zip(self.c2.chunks_mut(PAR_CHUNK))
-            .zip(xs.chunks(PAR_CHUNK))
-            .zip(ys.chunks(PAR_CHUNK));
-        for_each_item(chunks.collect(), 0, |((((mx, my), c2), x), y)| {
-            for i in 0..x.len() {
-                let dx = x[i] - mx[i];
-                mx[i] += dx / n;
-                my[i] += (y[i] - my[i]) / n;
-                c2[i] += dx * (y[i] - my[i]);
-            }
-        });
+            .iter_mut()
+            .zip(&mut self.mean_y)
+            .zip(&mut self.c2)
+            .zip(xs)
+            .zip(ys);
+        for ((((mx, my), c2), &x), &y) in cells {
+            let dx = x - *mx;
+            *mx += dx / n;
+            *my += (y - *my) / n;
+            *c2 += dx * (y - *my);
+        }
     }
 
     /// Per-cell unbiased covariance.

@@ -30,7 +30,7 @@
 //! | [`threshold`] | threshold-exceedance probability ([`ThresholdExceedance`]) |
 //! | [`quantiles`] | Robbins–Monro per-cell quantile estimation ([`FieldQuantiles`]) |
 //! | [`field`] | vectorised per-cell statistics over mesh-sized fields |
-//! | [`tile`] | cache-blocked tile storage and disjoint parallel sweeps |
+//! | [`tile`] | cache-blocked tile storage (aligned records, L1-sized tiles) |
 //! | [`batch`] | two-pass reference implementations used for validation |
 //! | [`checkpoint_format`] | field tables of the v4 checkpoint wire format every accumulator's `raw_state` round-trips through (documentation only) |
 //!
@@ -64,7 +64,7 @@ pub use minmax::MinMax;
 pub use moments::OnlineMoments;
 pub use quantiles::FieldQuantiles;
 pub use threshold::ThresholdExceedance;
-pub use tile::{tile_cells, AlignedVec, DisjointSlices};
+pub use tile::{tile_cells, AlignedVec};
 
 /// Statistics that Melissa Server can be configured to compute on each
 /// field (paper Section 4.1: beside Sobol' indices, the server computes

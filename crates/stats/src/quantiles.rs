@@ -45,10 +45,8 @@
 //! via the `#[doc(hidden)]` kernel hooks below; the scalar recurrence is
 //! shared, so both paths are bit-identical.
 
-use melissa_sync::for_each_index;
-
 use crate::field::FieldMinMax;
-use crate::tile::{tile_cells, AlignedVec, DisjointSlices};
+use crate::tile::{tile_cells, AlignedVec};
 
 /// The seven target probabilities of the follow-up paper's EDF study
 /// (1 %, 5 %, 25 %, 50 %, 75 %, 95 %, 99 %): percentile maps plus an
@@ -440,7 +438,7 @@ impl FieldQuantiles {
         self.stride
     }
 
-    /// Folds in one field sample (one value per cell), tile-parallel.
+    /// Folds in one field sample (one value per cell), tile by tile.
     ///
     /// `envelope` must track the running min/max of the **same sample
     /// stream** and must already include `sample` (i.e. call
@@ -464,30 +462,24 @@ impl FieldQuantiles {
         );
         let first = self.n == 1;
         let scale = rm_step_scale(self.n, self.gamma);
-        let (probs, stride, tile, cells) = (&self.probs[..], self.stride, self.tile, self.cells);
+        let (probs, stride, tile) = (&self.probs[..], self.stride, self.tile);
         let (mins, maxs) = (envelope.min(), envelope.max());
-        let n_tiles = cells.div_ceil(tile);
-        let state = DisjointSlices::new(&mut self.state);
-        let state = &state;
-        for_each_index(0..n_tiles, 0, move |t| {
-            let c0 = t * tile;
-            let c1 = (c0 + tile).min(cells);
-            // SAFETY: tile cell ranges are pairwise disjoint.
-            let recs = unsafe { state.range_mut(c0 * stride..c1 * stride) };
+        for (t, recs) in self.state.chunks_mut(tile * stride).enumerate() {
+            let cells = t * tile..t * tile + recs.len() / stride;
             update_tile_quantiles(
                 recs,
-                &sample[c0..c1],
-                &mins[c0..c1],
-                &maxs[c0..c1],
+                &sample[cells.clone()],
+                &mins[cells.clone()],
+                &maxs[cells],
                 probs,
                 first,
                 scale,
             );
-        });
+        }
     }
 
     /// Merges another accumulator covering the same cells and
-    /// probabilities, tile-parallel.
+    /// probabilities.
     ///
     /// Robbins–Monro iterates carry no sufficient statistic, so the merge
     /// is the count-weighted mean of the two estimates (counts add
@@ -513,21 +505,9 @@ impl FieldQuantiles {
             return;
         }
         let wb = other.n as f64 / (self.n + other.n) as f64;
-        let (stride, tile, cells) = (self.stride, self.tile, self.cells);
-        let n_tiles = cells.div_ceil(tile);
-        let state = DisjointSlices::new(&mut self.state);
-        let state = &state;
-        let other_state: &[f64] = &other.state;
-        for_each_index(0..n_tiles, 0, move |t| {
-            let c0 = t * tile;
-            let c1 = (c0 + tile).min(cells);
-            // SAFETY: tile cell ranges are pairwise disjoint.
-            let recs = unsafe { state.range_mut(c0 * stride..c1 * stride) };
-            let others = &other_state[c0 * stride..c1 * stride];
-            for (qa, &qb) in recs.iter_mut().zip(others) {
-                *qa += (qb - *qa) * wb;
-            }
-        });
+        for (qa, &qb) in self.state.iter_mut().zip(other.state.iter()) {
+            *qa += (qb - *qa) * wb;
+        }
         self.n += other.n;
     }
 

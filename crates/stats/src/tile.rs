@@ -8,16 +8,18 @@
 //! packed record per cell, cells consecutive, in 64-byte-aligned storage,
 //! and sweep the state tile by tile where one tile's records fit in L1/L2.
 //!
-//! This module provides the three building blocks shared by
+//! This module provides the two building blocks shared by
 //! `melissa-stats` and `melissa-sobol`:
 //!
 //! * [`AlignedVec`] — a fixed-capacity `f64` buffer with 64-byte (cache
 //!   line) base alignment;
 //! * [`tile_cells`] — the tile size heuristic (records per tile sized to
-//!   the L1 budget);
-//! * [`DisjointSlices`] — the unsafe-but-sound escape hatch letting one
-//!   parallel sweep hand *disjoint* tile ranges of several independent
-//!   arrays to worker tasks without per-call task-list allocations.
+//!   the L1 budget).
+//!
+//! Tiles are the L1 blocking, not a unit of parallelism: a sweep walks
+//! them in order on the thread that calls it, borrowing each tile's
+//! slices of the state arrays in turn.  The server's parallelism is one
+//! worker thread per slab of the mesh.
 
 use std::alloc::{self, Layout};
 use std::ops::{Deref, DerefMut};
@@ -122,61 +124,6 @@ impl std::fmt::Debug for AlignedVec {
     }
 }
 
-/// Shares a mutable slice across parallel tile tasks that each touch a
-/// *disjoint* index range.
-///
-/// A zip of chunk iterators covers a fixed arity of arrays; a fused
-/// sweep over Sobol' state + moments + min/max + a runtime-variable list
-/// of thresholds does not fit it without building per-tile task lists on
-/// every call (the allocation the tentpole removes).  `DisjointSlices`
-/// instead erases the borrow for the duration of one sweep; callers
-/// uphold disjointness by construction (tile ranges never overlap).
-pub struct DisjointSlices<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _life: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: access is partitioned by disjoint ranges (caller contract of
-// `range_mut`), so concurrent tasks never alias.
-unsafe impl<T: Send> Send for DisjointSlices<'_, T> {}
-unsafe impl<T: Send> Sync for DisjointSlices<'_, T> {}
-
-impl<'a, T> DisjointSlices<'a, T> {
-    /// Wraps `slice` for the duration of one parallel sweep.
-    pub fn new(slice: &'a mut [T]) -> Self {
-        Self {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _life: std::marker::PhantomData,
-        }
-    }
-
-    /// Total length of the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Mutable view of `range`.
-    ///
-    /// # Safety
-    /// Concurrent callers must pass pairwise-disjoint ranges, and every
-    /// range must lie inside the wrapped slice (checked by assertion).
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn range_mut(&self, range: std::ops::Range<usize>) -> &mut [T] {
-        assert!(
-            range.start <= range.end && range.end <= self.len,
-            "tile range out of bounds"
-        );
-        std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.end - range.start)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,30 +152,5 @@ mod tests {
         // Tiny strides clamp high, huge strides clamp low.
         assert_eq!(tile_cells(1), 1024);
         assert_eq!(tile_cells(4096), 32);
-    }
-
-    #[test]
-    fn disjoint_slices_parallel_tiles_write_without_overlap() {
-        let mut data = vec![0u64; 4096];
-        let shared = DisjointSlices::new(&mut data);
-        let shared_ref = &shared;
-        melissa_sync::for_each_index(0..16, 0, |t| {
-            // SAFETY: tiles [256 t, 256 (t+1)) are pairwise disjoint.
-            let tile = unsafe { shared_ref.range_mut(t * 256..(t + 1) * 256) };
-            for (i, x) in tile.iter_mut().enumerate() {
-                *x = (t * 256 + i) as u64;
-            }
-        });
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i as u64));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn disjoint_slices_bounds_are_checked() {
-        let mut data = vec![0u8; 4];
-        let s = DisjointSlices::new(&mut data);
-        unsafe {
-            let _ = s.range_mut(2..9);
-        }
     }
 }

@@ -1,11 +1,30 @@
 //! Criterion micro-benchmarks of the hot kernels: iterative statistics
 //! updates (the server's per-message work), Sobol' field updates, the
 //! wire codec and the solver step.
+//!
+//! A row builds its inputs in its own closure, or forces a `LazyCell` it
+//! shares with the rows beside it, so a run filtered to some rows builds
+//! only what those rows read.
+
+use std::cell::LazyCell;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use melissa_sobol::UbiquitousSobol;
 use melissa_stats::quantiles::PAPER_PROBS;
 use melissa_stats::{FieldMoments, FieldQuantiles, OnlineCovariance, OnlineMoments};
+
+/// One field sample of `cells` values.
+fn sine(cells: usize) -> Vec<f64> {
+    (0..cells).map(|i| (i as f64).sin()).collect()
+}
+
+/// The `p + 2` fields of one group's timestep, role `r` shifted by
+/// `r * shift` cells.
+fn group_fields(p: usize, cells: usize, shift: usize) -> Vec<Vec<f64>> {
+    (0..p + 2)
+        .map(|r| (0..cells).map(|i| ((i + r * shift) as f64).cos()).collect())
+        .collect()
+}
 
 fn bench_scalar_updates(c: &mut Criterion) {
     let mut g = c.benchmark_group("scalar_updates");
@@ -32,9 +51,9 @@ fn bench_scalar_updates(c: &mut Criterion) {
 fn bench_field_updates(c: &mut Criterion) {
     let mut g = c.benchmark_group("field_updates");
     for cells in [1024usize, 16_384, 131_072] {
-        let sample: Vec<f64> = (0..cells).map(|i| (i as f64).sin()).collect();
         g.throughput(Throughput::Elements(cells as u64));
         g.bench_with_input(BenchmarkId::new("field_moments", cells), &cells, |b, _| {
+            let sample = sine(cells);
             let mut acc = FieldMoments::new(cells);
             b.iter(|| acc.update(black_box(&sample)));
         });
@@ -50,12 +69,12 @@ fn bench_quantile_updates(c: &mut Criterion) {
     use melissa_stats::FieldMinMax;
     let mut g = c.benchmark_group("quantile_update");
     for cells in [16_384usize, 131_072] {
-        let sample: Vec<f64> = (0..cells).map(|i| (i as f64).sin()).collect();
         g.throughput(Throughput::Elements(cells as u64));
         g.bench_with_input(
             BenchmarkId::new("field_quantiles_q7", cells),
             &cells,
             |b, _| {
+                let sample = sine(cells);
                 let mut acc = FieldQuantiles::new(cells, &PAPER_PROBS);
                 let mut env = FieldMinMax::new(cells);
                 b.iter(|| {
@@ -74,13 +93,11 @@ fn bench_sobol_updates(c: &mut Criterion) {
     // 131 072 cells ≈ one server process's slab share of the paper's
     // 9.6 M-cell mesh at ~73 processes — the headline working-set size.
     for cells in [1024usize, 16_384, 131_072] {
-        let fields: Vec<Vec<f64>> = (0..p + 2)
-            .map(|r| (0..cells).map(|i| ((i + r * 31) as f64).cos()).collect())
-            .collect();
-        let refs: Vec<&[f64]> = fields.iter().map(|f| f.as_slice()).collect();
         // Throughput: one group update touches (p + 2) × cells values.
         g.throughput(Throughput::Elements(((p + 2) * cells) as u64));
         g.bench_with_input(BenchmarkId::new("ubiquitous_p6", cells), &cells, |b, _| {
+            let fields = group_fields(p, cells, 31);
+            let refs: Vec<&[f64]> = fields.iter().map(|f| f.as_slice()).collect();
             let mut acc = UbiquitousSobol::new(p, cells);
             b.iter(|| acc.update_group(black_box(&refs)));
         });
@@ -92,16 +109,16 @@ fn bench_sobol_merge(c: &mut Criterion) {
     let mut g = c.benchmark_group("sobol_merge");
     let p = 6;
     for cells in [16_384usize, 131_072] {
-        let fields: Vec<Vec<f64>> = (0..p + 2)
-            .map(|r| (0..cells).map(|i| ((i + r * 17) as f64).sin()).collect())
-            .collect();
-        let refs: Vec<&[f64]> = fields.iter().map(|f| f.as_slice()).collect();
-        let mut other = UbiquitousSobol::new(p, cells);
-        for _ in 0..3 {
-            other.update_group(&refs);
-        }
         g.throughput(Throughput::Elements(cells as u64));
         g.bench_with_input(BenchmarkId::new("ubiquitous_p6", cells), &cells, |b, _| {
+            let fields: Vec<Vec<f64>> = (0..p + 2)
+                .map(|r| (0..cells).map(|i| ((i + r * 17) as f64).sin()).collect())
+                .collect();
+            let refs: Vec<&[f64]> = fields.iter().map(|f| f.as_slice()).collect();
+            let mut other = UbiquitousSobol::new(p, cells);
+            for _ in 0..3 {
+                other.update_group(&refs);
+            }
             let mut acc = UbiquitousSobol::new(p, cells);
             acc.update_group(&refs);
             b.iter(|| acc.merge(black_box(&other)));
@@ -128,13 +145,12 @@ fn bench_worker_ingest(c: &mut Criterion) {
     // throughput (asserted against BENCH_kernels.json).
     let variants: [(&str, &[f64]); 2] = [("on_data_p6", &[]), ("on_data_p6_q7", &PAPER_PROBS)];
     for cells in [16_384usize, 131_072] {
-        let fields: Vec<Vec<f64>> = (0..p + 2)
-            .map(|r| (0..cells).map(|i| ((i + r * 13) as f64).cos()).collect())
-            .collect();
+        let fields = LazyCell::new(|| group_fields(p, cells, 13));
         let chunk_len = cells / chunks;
         g.throughput(Throughput::Elements(((p + 2) * cells) as u64));
         for (name, quantile_probs) in variants {
             g.bench_with_input(BenchmarkId::new(name, cells), &cells, |b, _| {
+                let fields = &*fields;
                 let mut st = WorkerState::with_stats(
                     0,
                     CellRange {
@@ -193,12 +209,10 @@ fn bench_fused_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("fused_sweep");
     let p = 6;
     for cells in [288usize, 4096] {
-        let fields: Vec<Vec<f64>> = (0..p + 2)
-            .map(|r| (0..cells).map(|i| ((i + r * 13) as f64).cos()).collect())
-            .collect();
-        let refs: Vec<&[f64]> = fields.iter().map(|f| f.as_slice()).collect();
         g.throughput(Throughput::Elements(cells as u64));
         g.bench_with_input(BenchmarkId::new("p6_q7", cells), &cells, |b, _| {
+            let fields = group_fields(p, cells, 13);
+            let refs: Vec<&[f64]> = fields.iter().map(|f| f.as_slice()).collect();
             let mut sobol = UbiquitousSobol::new(p, cells);
             let mut moments = FieldMoments::new(cells);
             let mut minmax = FieldMinMax::new(cells);
@@ -219,26 +233,27 @@ fn bench_fused_sweep(c: &mut Criterion) {
 
     const CELLS: usize = 4096;
     const TIMESTEPS: usize = 100;
-    let fields: Vec<Vec<f64>> = (0..p + 2)
-        .map(|r| (0..CELLS).map(|i| ((i + r * 13) as f64).cos()).collect())
-        .collect();
-    let refs: Vec<&[f64]> = fields.iter().map(|f| f.as_slice()).collect();
-    let mut study: Vec<_> = (0..TIMESTEPS)
-        .map(|_| {
-            (
-                UbiquitousSobol::new(p, CELLS),
-                FieldMoments::new(CELLS),
-                FieldMinMax::new(CELLS),
-                [FieldThreshold::new(CELLS, 0.5)],
-                FieldQuantiles::new(CELLS, &PAPER_PROBS),
-            )
-        })
-        .collect();
+    let fields = LazyCell::new(|| group_fields(p, CELLS, 13));
+    let mut study = LazyCell::new(|| {
+        (0..TIMESTEPS)
+            .map(|_| {
+                (
+                    UbiquitousSobol::new(p, CELLS),
+                    FieldMoments::new(CELLS),
+                    FieldMinMax::new(CELLS),
+                    [FieldThreshold::new(CELLS, 0.5)],
+                    FieldQuantiles::new(CELLS, &PAPER_PROBS),
+                )
+            })
+            .collect::<Vec<_>>()
+    });
     for (id, groups_per_pass) in [("p6_q7_cold", 1), ("p6_q7_k2", 2)] {
         g.throughput(Throughput::Elements(
             (groups_per_pass * TIMESTEPS * CELLS) as u64,
         ));
         g.bench_function(id, |b| {
+            let refs: Vec<&[f64]> = fields.iter().map(|f| f.as_slice()).collect();
+            let study = LazyCell::force_mut(&mut study);
             b.iter(|| {
                 for (sobol, moments, minmax, thresholds, quantiles) in study.iter_mut() {
                     for _ in 0..groups_per_pass {
@@ -261,8 +276,9 @@ fn bench_state_traffic(c: &mut Criterion) {
     const WORDS: usize = 336 / 8;
     let mut g = c.benchmark_group("state_rmw");
     g.throughput(Throughput::Elements(CELL_TIMESTEPS as u64));
-    let mut state = vec![1.0f64; CELL_TIMESTEPS * WORDS];
+    let mut state = LazyCell::new(|| vec![1.0f64; CELL_TIMESTEPS * WORDS]);
     g.bench_function("336B", |b| {
+        let state = LazyCell::force_mut(&mut state);
         b.iter(|| {
             for word in state.iter_mut() {
                 *word += 1.0;
@@ -270,10 +286,11 @@ fn bench_state_traffic(c: &mut Criterion) {
             black_box(&state);
         })
     });
-    let mut copy = vec![0.0f64; state.len()];
     g.bench_function("memcpy_336B", |b| {
+        let state = &*state;
+        let mut copy = vec![0.0f64; state.len()];
         b.iter(|| {
-            copy.copy_from_slice(black_box(&state));
+            copy.copy_from_slice(black_box(state));
             black_box(&copy);
         })
     });
@@ -312,14 +329,14 @@ fn bench_shard_reduce(c: &mut Criterion) {
     let mut g = c.benchmark_group("shard_reduce");
     let (cells, n_ts) = (16_384usize, 4usize);
     for n_shards in [4usize, 8] {
-        let shards: Vec<Vec<WorkerState>> = (0..n_shards)
-            .map(|k| vec![filled_worker_state(k, cells, n_ts)])
-            .collect();
         g.throughput(Throughput::Elements((n_shards * cells * n_ts) as u64));
         g.bench_with_input(
             BenchmarkId::new("reduce_16k_cells_4ts", n_shards),
             &n_shards,
             |b, _| {
+                let shards: Vec<Vec<WorkerState>> = (0..n_shards)
+                    .map(|k| vec![filled_worker_state(k, cells, n_ts)])
+                    .collect();
                 // The borrowing adaptor, so every iteration sees the same
                 // input: one clone of the shard states, then the in-place
                 // fold the study runs on the states it owns.
@@ -334,21 +351,29 @@ fn bench_shard_reduce(c: &mut Criterion) {
 /// files, re-homing, remote shards, the daemon's `results` RPC), on the
 /// `shard_reduce` state and on the 137 MB worker of the `tube_*`
 /// study_bench workloads (half of an 8 192-cell mesh, 100 timesteps).
+/// A row's throughput is its state's packed size, stated up front so the
+/// state is built only for a selected row, and checked when it is.
 fn bench_state_codec(c: &mut Criterion) {
     use melissa::server::checkpoint::{pack_state, unpack_state};
 
     let mut g = c.benchmark_group("state_codec");
-    for (name, cells, n_ts) in [
-        ("16k_cells_4ts", 16_384usize, 4usize),
-        ("tube_worker_4k_cells_100ts", 4_096, 100),
+    for (name, cells, n_ts, packed_len) in [
+        ("16k_cells_4ts", 16_384usize, 4usize, 22_020_648usize),
+        ("tube_worker_4k_cells_100ts", 4_096, 100, 137_634_600),
     ] {
-        let state = filled_worker_state(0, cells, n_ts);
-        let packed = pack_state(&state);
-        g.throughput(Throughput::Bytes(packed.len() as u64));
-        g.bench_with_input(BenchmarkId::new("pack", name), &state, |b, state| {
+        let state = LazyCell::new(|| filled_worker_state(0, cells, n_ts));
+        let packed = LazyCell::new(|| {
+            let packed = pack_state(&state);
+            assert_eq!(packed.len(), packed_len, "{name}: packed size");
+            packed
+        });
+        g.throughput(Throughput::Bytes(packed_len as u64));
+        g.bench_function(BenchmarkId::new("pack", name), |b| {
+            let state = &*state;
             b.iter(|| black_box(pack_state(black_box(state))));
         });
-        g.bench_with_input(BenchmarkId::new("unpack", name), &packed, |b, packed| {
+        g.bench_function(BenchmarkId::new("unpack", name), |b| {
+            let packed = &*packed;
             b.iter(|| black_box(unpack_state(black_box(packed), 0).unwrap()));
         });
     }
@@ -385,7 +410,7 @@ fn bench_solver_step(c: &mut Criterion) {
     use melissa_solver::UseCaseConfig;
     let cfg = UseCaseConfig::default();
     let mesh = cfg.mesh();
-    let flow = cfg.prerun();
+    let flow = LazyCell::new(|| cfg.prerun());
     let params = InjectionParams {
         conc_upper: 1.0,
         conc_lower: 1.0,
@@ -395,17 +420,18 @@ fn bench_solver_step(c: &mut Criterion) {
         dur_lower: 1.0,
     };
     let inlet = InletProfile::new(params, cfg.ly, cfg.total_time);
-    let dt = flow.stable_dt(&mesh, cfg.diffusivity);
     let c0 = mesh.zero_field();
     let mut out = mesh.zero_field();
 
     let mut g = c.benchmark_group("solver");
     g.throughput(Throughput::Elements(mesh.n_cells() as u64));
     g.bench_function("transport_step_8k_cells", |b| {
+        let flow = &*flow;
+        let dt = flow.stable_dt(&mesh, cfg.diffusivity);
         b.iter(|| {
             step_full(
                 &mesh,
-                &flow,
+                flow,
                 &inlet,
                 cfg.diffusivity,
                 dt,

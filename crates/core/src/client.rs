@@ -109,19 +109,21 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// Maps a transport connect failure: a directory miss keeps its identity
-/// (the mis-scoped name and where it was looked up), an admission
-/// rejection keeps the tenant and the exhausted resource; everything
-/// else is the generic retryable "server unavailable".
-fn connect_failure(e: melissa_transport::ConnectError) -> ClientError {
-    match e {
-        melissa_transport::ConnectError::NameNotFound { name, directory } => {
-            ClientError::NameNotFound { name, directory }
+/// A transport connect failure: a directory miss keeps its identity (the
+/// mis-scoped name and where it was looked up), an admission rejection
+/// keeps the tenant and the exhausted resource; everything else is the
+/// generic retryable "server unavailable".
+impl From<melissa_transport::ConnectError> for ClientError {
+    fn from(e: melissa_transport::ConnectError) -> Self {
+        match e {
+            melissa_transport::ConnectError::NameNotFound { name, directory } => {
+                ClientError::NameNotFound { name, directory }
+            }
+            melissa_transport::ConnectError::QuotaExceeded { tenant, resource } => {
+                ClientError::QuotaExceeded { tenant, resource }
+            }
+            _ => ClientError::ServerUnavailable,
         }
-        melissa_transport::ConnectError::QuotaExceeded { tenant, resource } => {
-            ClientError::QuotaExceeded { tenant, resource }
-        }
-        _ => ClientError::ServerUnavailable,
     }
 }
 
@@ -181,7 +183,7 @@ impl GroupClient {
         let reply_rx = transport.bind(&reply_name, reply_hwm.max(1));
         let main_tx = transport
             .connect_retry(&names::server_main_in(scope), timeout)
-            .map_err(connect_failure)?;
+            .map_err(ClientError::from)?;
         main_tx
             .send(Message::ConnectRequest { group_id, instance }.encode())
             .map_err(|_| ClientError::ServerUnavailable)?;
@@ -210,7 +212,7 @@ impl GroupClient {
         let senders = (0..n_workers as usize)
             .map(|w| transport.connect(&names::server_worker_in(scope, w)))
             .collect::<Result<Vec<_>, _>>()
-            .map_err(connect_failure)?;
+            .map_err(ClientError::from)?;
         Ok(GroupClient {
             group_id,
             instance,

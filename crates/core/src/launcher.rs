@@ -37,9 +37,9 @@ use std::time::{Duration, Instant};
 use melissa_sobol::design::PickFreeze;
 use melissa_solver::injection::InjectionParams;
 use melissa_solver::FrozenFlow;
-use melissa_sync::Mutex;
 use melissa_telemetry::{Counter, EventKind, Gauge, Histogram, Telemetry};
 use melissa_transport::directory::names;
+use melissa_transport::sync::Mutex;
 use melissa_transport::{
     make_transport_with, BoxReceiver, BoxSender, KillSwitch, LoadMonitor, Receiver,
     RecvTimeoutError, Transport,

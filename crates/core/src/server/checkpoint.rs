@@ -25,15 +25,16 @@
 //! Who holds which copy:
 //!
 //! * [`pack_state`] builds one whole-state image in memory: what a
-//!   re-homed or out-of-process shard ships, and what
-//!   [`write_checkpoint`] writes.
+//!   re-homed or out-of-process shard ships.
 //! * [`write_state`] writes the same bytes with no image: one bulk array
-//!   at a time through a staging buffer the size of the largest one.  A
-//!   daemon-hosted study's results files are written this way.
+//!   at a time through a staging buffer the size of the largest one.
+//!   [`write_checkpoint`] and a daemon-hosted study's results files are
+//!   written this way.
 //! * [`unpack_state`] reads a borrowed byte slice and allocates only the
 //!   state it restores, so a caller that already holds the bytes (a
-//!   results file read into a reply frame, the frame on the client side)
-//!   needs no second copy to unpack them.
+//!   checkpoint read into one buffer of its file's size, a results file
+//!   read into a reply frame, the frame on the client side) needs no
+//!   second copy to unpack them.
 //!
 //! ## Format version
 //!
@@ -188,26 +189,26 @@ impl<'a> Plan<'a> {
         let parts = self.finish();
         let pair_len = |pair: &[Part<'_>]| pair.iter().map(Part::len).sum();
         let capacity = parts.chunks(2).map(pair_len).max().unwrap_or(0);
-        let mut staged = Vec::with_capacity(capacity);
-        let mut written = 0;
+        // Zeroed once; every pair then overwrites the bytes it stages.
+        let mut staged = vec![0u8; capacity];
+        let (mut filled, mut written) = (0, 0);
         for pair in parts.chunks(2) {
             let len = pair_len(pair);
-            if staged.len() + len > capacity {
-                w.write_all(&staged)?;
-                written += staged.len() as u64;
-                staged.clear();
+            if filled + len > capacity {
+                w.write_all(&staged[..filled])?;
+                written += filled as u64;
+                filled = 0;
             }
-            let at = staged.len();
-            staged.resize(at + len, 0);
-            let mut rest = &mut staged[at..];
+            let mut rest = &mut staged[filled..filled + len];
             for part in pair {
                 let (slot, tail) = rest.split_at_mut(part.len());
                 part.write(slot);
                 rest = tail;
             }
+            filled += len;
         }
-        w.write_all(&staged)?;
-        Ok(written + staged.len() as u64)
+        w.write_all(&staged[..filled])?;
+        Ok(written + filled as u64)
     }
 }
 
@@ -227,8 +228,9 @@ pub fn pack_state(state: &WorkerState) -> Vec<u8> {
 /// Writes the bytes of [`pack_state`] to `w` without a whole-state image:
 /// one bulk array at a time (a timestep's Sobol' state, moment or
 /// quantile array, with the scalars ahead of it) goes through one staging
-/// buffer the size of the largest of them.  Returns the byte count.  The
-/// daemon writes a finished study's results files this way.
+/// buffer the size of the largest of them.  Returns the byte count.
+/// Checkpoint saves ([`write_checkpoint`]) and the daemon's results files
+/// are written this way.
 pub fn write_state(state: &WorkerState, w: &mut impl Write) -> io::Result<u64> {
     plan(state).write_to(w)
 }
@@ -329,17 +331,19 @@ fn plan(state: &WorkerState) -> Plan<'_> {
 }
 
 /// Writes `state` to `dir`, returning the byte count (the paper reports
-/// 959 MB per process for the full-scale study).
+/// 959 MB per process for the full-scale study).  The bytes of
+/// [`pack_state`] are streamed into a `.ckpt.tmp` file ([`write_state`]:
+/// no image of the state is built), synced, and renamed over the last
+/// checkpoint.
 pub fn write_checkpoint(dir: &Path, state: &WorkerState) -> Result<u64, CheckpointError> {
     std::fs::create_dir_all(dir)?;
-    let buf = pack_state(state);
     let path = checkpoint_file(dir, state.worker_id());
     let tmp = path.with_extension("ckpt.tmp");
     let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(&buf)?;
+    let written = write_state(state, &mut f)?;
     f.sync_all()?;
     std::fs::rename(&tmp, &path)?;
-    Ok(buf.len() as u64)
+    Ok(written)
 }
 
 /// Unpacks a checkpoint byte buffer produced by [`pack_state`] into a
@@ -487,9 +491,11 @@ pub fn unpack_state(bytes: &[u8], worker_id: usize) -> Result<WorkerState, Check
 
 /// Reads worker `worker_id`'s checkpoint from `dir`.
 pub fn read_checkpoint(dir: &Path, worker_id: usize) -> Result<WorkerState, CheckpointError> {
-    let path = checkpoint_file(dir, worker_id);
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
+    let mut file = std::fs::File::open(checkpoint_file(dir, worker_id))?;
+    let len = usize::try_from(file.metadata()?.len())
+        .map_err(|_| CheckpointError::Corrupt("file size"))?;
+    let mut bytes = vec![0u8; len];
+    file.read_exact(&mut bytes)?;
     unpack_state(&bytes, worker_id)
 }
 

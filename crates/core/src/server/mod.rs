@@ -39,10 +39,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use melissa_mesh::SlabPartition;
-use melissa_sync::{Condvar, Mutex};
 use melissa_telemetry::{CodecScrape, LinkScrape, ScrapeRequest, ScrapeSnapshot, Telemetry};
 use melissa_transport::codec::Wire;
 use melissa_transport::directory::names;
+use melissa_transport::sync::{Condvar, Mutex};
 use melissa_transport::{
     BoxReceiver, BoxSender, KillSwitch, LinkStatsSnapshot, LivenessTracker, RecvTimeoutError,
     Transport,

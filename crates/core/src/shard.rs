@@ -60,7 +60,7 @@ use crate::launcher::{supervise_shard, StudyContext, StudyRuntime};
 use crate::report::StudyReport;
 use crate::server::state::WorkerState;
 use crate::study::{StudyOutput, StudyResults};
-use melissa_sync::Mutex;
+use melissa_transport::sync::Mutex;
 
 /// Deterministic group-to-shard router: `shard = hash(seed, group) % N`
 /// with a SplitMix64 finaliser, so the assignment is uniform, a pure

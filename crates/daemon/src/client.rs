@@ -1,10 +1,10 @@
 //! The tenant-side client for the daemon control plane.
 //!
 //! [`DaemonClient`] drives the lifecycle RPCs — `submit`, `status`,
-//! `wait`, `cancel`, `results` — over the study transport itself: each
-//! call binds a throwaway reply endpoint, sends one [`DaemonRequest`]
-//! frame to [`names::daemon_ctl`], and waits for the single reply
-//! (`wait`'s is held back by the daemon until the study ends).  Errors are
+//! `wait`, `cancel`, `results` — and the daemon scrape over the study
+//! transport itself: each call is one [`round_trip`] of a
+//! [`DaemonRequest`] to [`names::daemon_ctl`] (`wait`'s reply is held
+//! back by the daemon until the study ends).  Errors are
 //! the typed [`ClientError`] the rest of the framework uses; an
 //! admission rejection surfaces as
 //! [`ClientError::QuotaExceeded`] with the exhausted resource name, end
@@ -17,21 +17,18 @@
 //!
 //! [`names::daemon_ctl`]: melissa_transport::directory::names::daemon_ctl
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use melissa::client::ClientError;
 use melissa::server::checkpoint::unpack_state;
 use melissa::{StudyConfig, StudyResults};
-use melissa_telemetry::{scrape_endpoint_reply, ScrapeFormat, ScrapeReply};
+use melissa_telemetry::{ScrapeFormat, ScrapeReply};
 use melissa_transport::codec::Wire;
 use melissa_transport::directory::names;
-use melissa_transport::{ConnectError, Transport};
+use melissa_transport::{round_trip, Frame, RoundTripError, Transport};
 
 use crate::protocol::{DaemonOp, DaemonReply, DaemonRequest, StudyState};
-
-static REPLY_NONCE: AtomicU64 = AtomicU64::new(0);
 
 /// A study's lifecycle view, as returned by
 /// [`status`](DaemonClient::status).
@@ -55,18 +52,6 @@ pub struct DaemonClient {
     timeout: Duration,
 }
 
-fn connect_failure(e: ConnectError) -> ClientError {
-    match e {
-        ConnectError::NameNotFound { name, directory } => {
-            ClientError::NameNotFound { name, directory }
-        }
-        ConnectError::QuotaExceeded { tenant, resource } => {
-            ClientError::QuotaExceeded { tenant, resource }
-        }
-        ConnectError::NotFound { .. } | ConnectError::Io { .. } => ClientError::ServerUnavailable,
-    }
-}
-
 impl DaemonClient {
     /// Creates a client speaking to the daemon bound on `transport`.
     /// `timeout` bounds every request round trip.
@@ -85,32 +70,33 @@ impl DaemonClient {
         op: DaemonOp,
         reply_timeout: Duration,
     ) -> Result<DaemonReply, ClientError> {
-        let reply_to = format!(
-            "ctl/reply/{}/{}",
-            std::process::id(),
-            REPLY_NONCE.fetch_add(1, Ordering::Relaxed)
-        );
-        let rx = self.transport.bind(&reply_to, 8);
-        let result = (|| {
-            let tx = self
-                .transport
-                .connect_retry(&names::daemon_ctl(), self.timeout)
-                .map_err(connect_failure)?;
-            let request = DaemonRequest {
-                reply_to: reply_to.clone(),
+        let frame = self.round_trip(op, reply_timeout)?;
+        DaemonReply::from_shared(&frame).map_err(|e| ClientError::BadHandshake {
+            detail: format!("daemon reply: {e}"),
+        })
+    }
+
+    /// Sends `op` to the control endpoint and returns the raw reply frame.
+    fn round_trip(&self, op: DaemonOp, reply_timeout: Duration) -> Result<Frame, ClientError> {
+        let request = |reply_to: &str| {
+            DaemonRequest {
+                reply_to: reply_to.to_string(),
                 op,
-            };
-            tx.send(request.to_frame())
-                .map_err(|_| ClientError::SendFailed)?;
-            let frame = rx
-                .recv_timeout(reply_timeout)
-                .map_err(|_| ClientError::HandshakeTimeout)?;
-            DaemonReply::from_shared(&frame).map_err(|e| ClientError::BadHandshake {
-                detail: format!("daemon reply: {e}"),
-            })
-        })();
-        self.transport.unbind(&reply_to);
-        result
+            }
+            .to_frame()
+        };
+        round_trip(
+            self.transport.as_ref(),
+            &names::daemon_ctl(),
+            request,
+            self.timeout,
+            reply_timeout,
+        )
+        .map_err(|e| match e {
+            RoundTripError::Connect(e) => ClientError::from(e),
+            RoundTripError::Send(_) => ClientError::SendFailed,
+            RoundTripError::Reply(_) => ClientError::HandshakeTimeout,
+        })
     }
 
     /// Submits a study under `tenant` at intra-tenant `priority`
@@ -218,14 +204,14 @@ impl DaemonClient {
     }
 
     /// Scrapes the daemon-level aggregate snapshot (queue depths,
-    /// per-tenant usage, admission decisions) as rendered text.
+    /// per-tenant usage, admission decisions) as rendered text: a
+    /// [`DaemonOp::Scrape`] on the control endpoint, answered with a
+    /// scrape reply frame.
     pub fn scrape_daemon(&self, format: ScrapeFormat) -> Result<String, String> {
-        match scrape_endpoint_reply(
-            &self.transport,
-            &names::daemon_telemetry(),
-            format,
-            self.timeout,
-        )? {
+        let frame = self
+            .round_trip(DaemonOp::Scrape { format }, self.timeout)
+            .map_err(|e| format!("daemon scrape: {e}"))?;
+        match ScrapeReply::decode(&frame).map_err(|e| format!("daemon scrape reply: {e}"))? {
             ScrapeReply::Text(t) => Ok(t),
             ScrapeReply::Snapshot(_) => Err("daemon snapshot should render as text".to_string()),
         }

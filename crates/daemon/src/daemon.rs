@@ -1,15 +1,12 @@
 //! The multi-tenant study daemon: a persistent service hosting many
 //! concurrent studies over one shared node pool.
 //!
-//! [`Daemon::start`] binds two endpoints on the caller's transport:
-//!
-//! * [`names::daemon_ctl`] — the control plane.  Clients submit
-//!   serialized [`StudyConfig`]s with a tenant id and priority and drive
-//!   the study lifecycle (`status`, `cancel`, `results`) through
-//!   [`crate::protocol`] request/reply frames.
-//! * [`names::daemon_telemetry`] — the daemon-level aggregate snapshot
-//!   ([`crate::snapshot::DaemonSnapshot`]), served over the standard
-//!   scrape protocol.
+//! [`Daemon::start`] binds one endpoint on the caller's transport,
+//! [`names::daemon_ctl`].  Clients submit serialized [`StudyConfig`]s
+//! with a tenant id and priority, drive the study lifecycle (`status`,
+//! `wait`, `cancel`, `results`) and scrape the daemon-level aggregate
+//! snapshot ([`crate::snapshot::DaemonSnapshot`], a `Scrape` request)
+//! through [`crate::protocol`] request/reply frames.
 //!
 //! Each admitted study runs under the unchanged launcher supervision
 //! machinery inside its own endpoint scope (`study<id>/…`, so routing,
@@ -25,19 +22,19 @@
 //!
 //!
 //! The control loop is event-driven: it blocks on the control inbox and
-//! nothing else.  Clients post requests there; a hosted study's thread
-//! posts `StudyEnded` as its last act; a forwarder thread re-posts
-//! whatever arrives on the telemetry endpoint; [`Daemon::stop`] posts
-//! `Shutdown`.  Every frame is handled to completion — a study's end
-//! reaps its thread, releases its admission reservation, *then* answers
-//! the clients waiting on it, then promotes the queue — so a client that
-//! learns a study is done can rely on its quota being back.
+//! nothing else.  Clients post requests and scrapes there; a hosted
+//! study's thread posts `StudyEnded` as its last act, even when the study
+//! panicked; [`Daemon::stop`] posts `Shutdown`.  Every frame is handled
+//! to completion — a study's end reaps its thread, releases its admission
+//! reservation, *then* answers the clients waiting on it, then promotes
+//! the queue — so a client that learns a study is done can rely on its
+//! quota being back.
 //!
 //! [`names::daemon_ctl`]: melissa_transport::directory::names::daemon_ctl
-//! [`names::daemon_telemetry`]: melissa_transport::directory::names::daemon_telemetry
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -46,12 +43,11 @@ use std::time::Instant;
 use bytes::BufMut;
 use melissa::server::checkpoint::write_state;
 use melissa::server::state::WorkerState;
-use melissa::{Study, StudyConfig, StudyRuntime};
+use melissa::{Study, StudyConfig, StudyOutput, StudyRuntime};
 use melissa_scheduler::FairRunner;
-use melissa_sync::Mutex;
-use melissa_telemetry::ScrapeRequest;
 use melissa_transport::codec::{Bytes, BytesMut, Wire};
 use melissa_transport::directory::names;
+use melissa_transport::sync::Mutex;
 use melissa_transport::{BoxReceiver, BoxSender, KillSwitch, Transport};
 
 use crate::admission::{AdmissionController, TenantQuota};
@@ -179,6 +175,70 @@ fn results_frame(reply: &DaemonReply, paths: &[PathBuf]) -> Result<Bytes, String
     Ok(frame.freeze())
 }
 
+/// A hosted study's thread around the study itself (`run`): closes the
+/// study's pool stream, writes its results, publishes its terminal state
+/// and posts `StudyEnded`, the frame the control loop reaps it on.
+///
+/// A panic on the way — in the study, or in closing a stream it left jobs
+/// on — ends the study `Failed` with the panic's message instead of
+/// ending the thread: the study still ends, so its admission reservation
+/// and its scope are released as any failed study's are.
+fn host_study(
+    rec: &StudyRecord,
+    fair: &FairRunner,
+    stream: u64,
+    results_dir: &Path,
+    ctl_tx: &BoxSender,
+    run: impl FnOnce() -> Result<StudyOutput, String>,
+) {
+    let outcome = unpanicked(run);
+    let outcome = unpanicked(|| {
+        fair.close_stream(stream);
+        // The statistics leave memory here, before `Done` is published:
+        // the record keeps where they went.
+        let out = outcome?;
+        Ok(Finished {
+            p: out.results.dim() as u64,
+            n_timesteps: out.results.n_timesteps() as u64,
+            n_cells: out.results.n_cells() as u64,
+            groups_finished: out.report.groups_finished as u64,
+            results: write_results(results_dir, out.results.workers())?,
+            error: None,
+        })
+    });
+    let state = match outcome {
+        Ok(finished) => {
+            *rec.finished.lock() = Some(finished);
+            StudyState::Done
+        }
+        Err(e) => {
+            *rec.finished.lock() = Some(Finished::failed(e));
+            if rec.cancel.is_killed() {
+                StudyState::Cancelled
+            } else {
+                StudyState::Failed
+            }
+        }
+    };
+    *rec.state.lock() = state;
+    let _ = ctl_tx.send(ControlFrame::study_ended(rec.id));
+}
+
+/// `f`'s result, or a panic in it as an error carrying its message.
+fn unpanicked<T>(f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let message = match (
+            payload.downcast_ref::<&str>(),
+            payload.downcast_ref::<String>(),
+        ) {
+            (Some(text), _) => text,
+            (_, Some(text)) => text.as_str(),
+            _ => "a panic without a message",
+        };
+        Err(format!("study thread panicked: {message}"))
+    })
+}
+
 /// One hosted study's shared record.
 struct StudyRecord {
     id: u64,
@@ -215,16 +275,14 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Starts the daemon on `transport`: binds the control and telemetry
-    /// endpoints (both are up when this returns) and spawns the control
-    /// loop.
+    /// Starts the daemon on `transport`: binds the control endpoint (it is
+    /// up when this returns) and spawns the control loop.
     pub fn start(transport: Arc<dyn Transport>, config: DaemonConfig) -> Self {
         let ctl_rx = transport.bind(&names::daemon_ctl(), 64);
-        let tele_rx = transport.bind(&names::daemon_telemetry(), 64);
         let loop_transport = Arc::clone(&transport);
         let ctl = std::thread::Builder::new()
             .name("melissad-ctl".into())
-            .spawn(move || control_loop(loop_transport, config, ctl_rx, tele_rx))
+            .spawn(move || control_loop(loop_transport, config, ctl_rx))
             .expect("spawn daemon control loop");
         Self {
             transport,
@@ -288,34 +346,10 @@ struct DaemonState {
     shutting_down: bool,
 }
 
-fn control_loop(
-    transport: Arc<dyn Transport>,
-    config: DaemonConfig,
-    ctl_rx: BoxReceiver,
-    tele_rx: BoxReceiver,
-) {
+fn control_loop(transport: Arc<dyn Transport>, config: DaemonConfig, ctl_rx: BoxReceiver) {
     let ctl_tx = transport
         .connect(&names::daemon_ctl())
         .expect("bound by Daemon::start");
-
-    // `Receiver` has no select: a forwarder blocks on the telemetry
-    // endpoint and re-posts what arrives onto the control inbox, so a
-    // scrape is answered when it arrives and the loop below has one
-    // thing to wait for.
-    let forwarding_over = KillSwitch::new();
-    let forwarder = {
-        let (over, ctl_tx) = (forwarding_over.clone(), ctl_tx.clone());
-        std::thread::Builder::new()
-            .name("melissad-tele".into())
-            .spawn(move || {
-                while let Ok(frame) = tele_rx.recv() {
-                    if over.is_killed() || ctl_tx.send(ControlFrame::scrape(&frame)).is_err() {
-                        break;
-                    }
-                }
-            })
-            .expect("spawn daemon telemetry forwarder")
-    };
 
     let fair = FairRunner::new(config.pool_units);
     for (tenant, weight) in &config.weights {
@@ -349,15 +383,7 @@ fn control_loop(
         }
     }
 
-    // Unblock the forwarder with one last frame (it forwards nothing once
-    // the switch is flipped), then take both endpoints down.
-    forwarding_over.kill();
-    if let Ok(tx) = transport.connect(&names::daemon_telemetry()) {
-        let _ = tx.send(bytes::Bytes::new());
-    }
-    let _ = forwarder.join();
     transport.unbind(&names::daemon_ctl());
-    transport.unbind(&names::daemon_telemetry());
 }
 
 impl DaemonState {
@@ -365,7 +391,10 @@ impl DaemonState {
     fn handle_frame(&mut self, frame: &[u8]) {
         match ControlFrame::decode(frame) {
             Ok(ControlFrame::Request(req)) => {
-                self.wakeups.request += 1;
+                match req.op {
+                    DaemonOp::Scrape { .. } => self.wakeups.scrape += 1,
+                    _ => self.wakeups.request += 1,
+                }
                 if let Some(reply) = self.handle_request(&req) {
                     self.send_reply(&req.reply_to, reply);
                 }
@@ -373,10 +402,6 @@ impl DaemonState {
             Ok(ControlFrame::StudyEnded { study }) => {
                 self.wakeups.study_ended += 1;
                 self.handle_study_ended(study);
-            }
-            Ok(ControlFrame::Scrape(request)) => {
-                self.wakeups.scrape += 1;
-                self.handle_scrape_frame(&request);
             }
             Err(_) => return, // not a control frame; drop it
         }
@@ -413,6 +438,7 @@ impl DaemonState {
             }
             DaemonOp::Cancel { study } => self.handle_cancel(*study),
             DaemonOp::Results { study } => return Some(self.handle_results(*study)),
+            DaemonOp::Scrape { format } => return Some(self.snapshot().encode_reply(*format)),
             DaemonOp::Shutdown => {
                 self.begin_shutdown();
                 DaemonReply::ShuttingDown
@@ -603,43 +629,15 @@ impl DaemonState {
             let handle = std::thread::Builder::new()
                 .name(format!("melissad-study{id}"))
                 .spawn(move || {
+                    let stream_id = stream.id();
                     let runtime = StudyRuntime {
                         transport: Some(transport),
-                        runner: Some(Arc::new(stream.clone())),
+                        runner: Some(Arc::new(stream)),
                         scope: names::study_scope(rec.id),
                         cancel: rec.cancel.clone(),
                     };
-                    let outcome = Study::new(config).run_in(runtime);
-                    fair.close_stream(stream.id());
-                    // The statistics leave memory here, before `Done` is
-                    // published: the record keeps where they went.
-                    let outcome = outcome.and_then(|out| {
-                        let results = write_results(&results_dir, out.results.workers())?;
-                        Ok(Finished {
-                            p: out.results.dim() as u64,
-                            n_timesteps: out.results.n_timesteps() as u64,
-                            n_cells: out.results.n_cells() as u64,
-                            groups_finished: out.report.groups_finished as u64,
-                            results,
-                            error: None,
-                        })
-                    });
-                    let state = match outcome {
-                        Ok(finished) => {
-                            *rec.finished.lock() = Some(finished);
-                            StudyState::Done
-                        }
-                        Err(e) => {
-                            *rec.finished.lock() = Some(Finished::failed(e));
-                            if rec.cancel.is_killed() {
-                                StudyState::Cancelled
-                            } else {
-                                StudyState::Failed
-                            }
-                        }
-                    };
-                    *rec.state.lock() = state;
-                    let _ = ctl_tx.send(ControlFrame::study_ended(rec.id));
+                    let run = || Study::new(config).run_in(runtime);
+                    host_study(&rec, &fair, stream_id, &results_dir, &ctl_tx, run);
                 })
                 .expect("spawn study supervisor");
             self.running.insert(id, handle);
@@ -664,16 +662,6 @@ impl DaemonState {
             if rec.state() == StudyState::Running {
                 rec.cancel.kill();
             }
-        }
-    }
-
-    fn handle_scrape_frame(&mut self, frame: &[u8]) {
-        let Ok(req) = ScrapeRequest::from_frame(frame) else {
-            return;
-        };
-        let reply = self.snapshot().encode_reply(req.format);
-        if let Ok(tx) = self.transport.connect(&req.reply_to) {
-            let _ = tx.send(reply);
         }
     }
 
@@ -751,5 +739,56 @@ impl DaemonState {
             tenants,
             studies,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use melissa_scheduler::Dispatcher;
+    use melissa_transport::ChannelTransport;
+
+    use super::*;
+
+    #[test]
+    fn a_panicking_study_ends_failed_closes_its_stream_and_posts_its_end() {
+        let transport = ChannelTransport::new();
+        let inbox = transport.bind(&names::daemon_ctl(), 4);
+        let ctl_tx = transport.connect(&names::daemon_ctl()).unwrap();
+        let fair = FairRunner::new(1);
+        let stream = fair.open_stream("acme", 0, 1);
+        let rec = StudyRecord {
+            id: 7,
+            tenant: "acme".into(),
+            priority: 0,
+            n_groups: 1,
+            units: 1,
+            state: Mutex::new(StudyState::Running),
+            cancel: KillSwitch::new(),
+            config: Mutex::new(None),
+            finished: Mutex::new(None),
+        };
+        let results_dir = Path::new("never-written");
+        host_study(&rec, &fair, stream.id(), results_dir, &ctl_tx, || {
+            panic!("the pre-run diverged")
+        });
+
+        assert_eq!(rec.state(), StudyState::Failed);
+        let error = rec.finished.lock().as_ref().and_then(|f| f.error.clone());
+        assert_eq!(
+            error.as_deref(),
+            Some("study thread panicked: the pre-run diverged")
+        );
+        let submitted = catch_unwind(AssertUnwindSafe(|| {
+            stream.submit_boxed(1, Box::new(|_| {}));
+        }));
+        assert!(submitted.is_err(), "a closed stream takes no job");
+        let frame = inbox.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(matches!(
+            ControlFrame::decode(&frame),
+            Ok(ControlFrame::StudyEnded { study: 7 })
+        ));
+        assert!(!results_dir.exists());
     }
 }

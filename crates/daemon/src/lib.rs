@@ -17,7 +17,8 @@
 //!   into the shared deficit-round-robin
 //!   [`FairRunner`](melissa_scheduler::FairRunner) pool;
 //! * [`snapshot`] — the daemon-level telemetry aggregate (queue depths,
-//!   per-tenant usage, admission decisions), scrapeable like any shard;
+//!   per-tenant usage, admission decisions), scraped on the control
+//!   endpoint in the shard scrape's formats;
 //! * [`client`] — the tenant-side [`DaemonClient`], with admission
 //!   rejections typed end to end as
 //!   [`ClientError::QuotaExceeded`](melissa::client::ClientError).

@@ -5,16 +5,18 @@
 //! each one a field list, with the layout of every field type fixed by
 //! the codec (no serde in this reproduction).  A client binds a throwaway
 //! reply endpoint, sends a [`DaemonRequest`] naming it to
-//! [`names::daemon_ctl`], and waits for one [`DaemonReply`] frame — the
-//! same request/reply shape as the telemetry scrape protocol, so the
-//! control plane works unchanged over every backend (in-process, TCP,
-//! multi-node TCP).
+//! [`names::daemon_ctl`], and waits for one [`DaemonReply`] frame (a
+//! scrape reply frame for [`DaemonOp::Scrape`]) — one
+//! [`round_trip`], as a telemetry scrape is, so the control plane works
+//! unchanged over every backend (in-process, TCP, multi-node TCP).
 //!
 //! [`names::daemon_ctl`]: melissa_transport::directory::names::daemon_ctl
+//! [`round_trip`]: melissa_transport::round_trip
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use melissa::StudyConfig;
-use melissa_transport::codec::{Wire, WireError, WireResult};
+use melissa_telemetry::ScrapeFormat;
+use melissa_transport::codec::{Wire, WireResult};
 
 /// Lifecycle state of a submitted study, as reported by `status`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,6 +102,15 @@ pub enum DaemonOp {
         /// The study id returned at submission.
         study: u64,
     },
+    /// Ask for the daemon-level aggregate snapshot.  The reply is a
+    /// scrape reply frame ([`DaemonSnapshot::encode_reply`]), not a
+    /// [`DaemonReply`].
+    ///
+    /// [`DaemonSnapshot::encode_reply`]: crate::DaemonSnapshot::encode_reply
+    Scrape {
+        /// The rendering asked for.
+        format: ScrapeFormat,
+    },
 }
 
 /// One control-plane request frame: where to reply, and what to do.
@@ -118,12 +129,13 @@ melissa_transport::wire_enum!(DaemonOp {
     4 => Results { study },
     5 => Shutdown,
     6 => Wait { study },
+    7 => Scrape { format },
 });
 
 melissa_transport::wire_struct!(DaemonRequest { reply_to, op });
 
 /// What the daemon's control loop can find on its inbox: a client's
-/// request, or one of the frames the daemon's own threads post there so
+/// request, or the frame a study thread posts there as its last act, so
 /// that the loop has a single thing to block on.
 pub(crate) enum ControlFrame {
     /// A client request.
@@ -134,41 +146,24 @@ pub(crate) enum ControlFrame {
         /// The study that ended.
         study: u64,
     },
-    /// A frame that arrived on the daemon telemetry endpoint.
-    Scrape(Vec<u8>),
 }
 
-/// Leads an internal control frame.  A request leads with the `u32`
-/// length of its reply endpoint's name, which no frame is long enough to
-/// make this large.
-const INTERNAL: u32 = u32::MAX;
+/// Leads a `StudyEnded` frame.  A request leads with the `u32` length of
+/// its reply endpoint's name, which no frame is long enough to make this
+/// large.
+const STUDY_ENDED: u32 = u32::MAX;
 
 impl ControlFrame {
     /// The frame announcing that `study`'s thread is exiting.
     pub(crate) fn study_ended(study: u64) -> Bytes {
-        (INTERNAL, 1u8, study).to_frame()
-    }
-
-    /// Wraps a frame received on the telemetry endpoint for the control
-    /// inbox.
-    pub(crate) fn scrape(request: &[u8]) -> Bytes {
-        let mut buf = BytesMut::new();
-        (INTERNAL, 2u8).put(&mut buf);
-        buf.put_slice(request);
-        buf.freeze()
+        (STUDY_ENDED, study).to_frame()
     }
 
     /// Decodes whatever arrived on the control inbox.
     pub(crate) fn decode(frame: &[u8]) -> WireResult<Self> {
-        let Some(mut internal) = frame.strip_prefix(&INTERNAL.to_le_bytes()) else {
-            return DaemonRequest::from_frame(frame).map(ControlFrame::Request);
-        };
-        match u8::get(&mut internal)? {
-            1 => u64::from_frame(internal).map(|study| ControlFrame::StudyEnded { study }),
-            2 => Ok(ControlFrame::Scrape(internal.to_vec())),
-            _ => Err(WireError::Invalid {
-                what: "unknown internal frame",
-            }),
+        match frame.strip_prefix(&STUDY_ENDED.to_le_bytes()) {
+            Some(study) => u64::from_frame(study).map(|study| ControlFrame::StudyEnded { study }),
+            None => DaemonRequest::from_frame(frame).map(ControlFrame::Request),
         }
     }
 }
@@ -250,6 +245,7 @@ melissa_transport::wire_enum!(DaemonReply {
 mod tests {
     use std::path::PathBuf;
 
+    use melissa_transport::codec::WireError;
     use melissa_transport::{TransportKind, WireCompression};
 
     use super::*;
@@ -322,6 +318,9 @@ mod tests {
             DaemonOp::Results { study: 11 },
             DaemonOp::Shutdown,
             DaemonOp::Wait { study: 13 },
+            DaemonOp::Scrape {
+                format: ScrapeFormat::Prometheus,
+            },
         ];
         for op in ops {
             let req = DaemonRequest {
@@ -382,10 +381,6 @@ mod tests {
         assert!(matches!(
             ControlFrame::decode(&ControlFrame::study_ended(9)),
             Ok(ControlFrame::StudyEnded { study: 9 })
-        ));
-        assert!(matches!(
-            ControlFrame::decode(&ControlFrame::scrape(b"req")),
-            Ok(ControlFrame::Scrape(inner)) if inner == b"req"
         ));
         let truncated = &ControlFrame::study_ended(9)[..8];
         assert!(ControlFrame::decode(truncated).is_err());

@@ -1,17 +1,16 @@
-//! The daemon-level observability snapshot served on
-//! [`names::daemon_telemetry`]: queue depths, per-tenant usage and
-//! admission decisions aggregated across every hosted study.
+//! The daemon-level observability snapshot: queue depths, per-tenant
+//! usage and admission decisions aggregated across every hosted study.
 //!
-//! The endpoint speaks the ordinary telemetry scrape protocol
-//! ([`melissa_telemetry::ScrapeRequest`] in, one reply frame out), so
-//! any scraper that can read a shard endpoint can read the daemon
-//! aggregate.  The snapshot is a daemon-shaped document rather than a
-//! shard [`ScrapeSnapshot`], so it is always served as rendered text:
-//! JSON for [`ScrapeFormat::Binary`]/[`ScrapeFormat::Json`] requests, a
+//! It is asked for on the control endpoint, as a
+//! [`DaemonOp::Scrape`](crate::DaemonOp::Scrape) request, and answered
+//! with the reply frame of the ordinary telemetry scrape protocol, so it
+//! decodes as any shard scrape does.  The snapshot is a daemon-shaped
+//! document rather than a shard [`ScrapeSnapshot`], so it is always
+//! served as rendered text: JSON for
+//! [`ScrapeFormat::Binary`]/[`ScrapeFormat::Json`] requests, a
 //! Prometheus exposition for [`ScrapeFormat::Prometheus`] — both decode
 //! on the client as [`melissa_telemetry::ScrapeReply::Text`].
 //!
-//! [`names::daemon_telemetry`]: melissa_transport::directory::names::daemon_telemetry
 //! [`ScrapeSnapshot`]: melissa_telemetry::ScrapeSnapshot
 
 use bytes::{BufMut, BytesMut};
@@ -72,7 +71,7 @@ pub struct CtlWakeups {
     pub request: u64,
     /// Hosted studies that announced their end.
     pub study_ended: u64,
-    /// Scrapes of the daemon telemetry endpoint.
+    /// Scrapes of the daemon aggregate (`Scrape` requests).
     pub scrape: u64,
 }
 

@@ -4,6 +4,7 @@
 //! shared pool), the typed quota-rejection path, and the cancel path.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
@@ -16,7 +17,10 @@ use melissa_daemon::{
 use melissa_telemetry::ScrapeFormat;
 use melissa_transport::codec::{Bytes, Wire};
 use melissa_transport::directory::names;
-use melissa_transport::{make_transport, LinkStatsSnapshot, Transport, TransportKind};
+use melissa_transport::{
+    make_transport, round_trip, BoxReceiver, BoxSender, ChannelTransport, ConnectError,
+    LinkStatsSnapshot, Transport, TransportKind,
+};
 
 /// `VmRSS` is one figure per process, and the harness runs this file's
 /// tests on threads of one: the test that reads it holds this for
@@ -58,19 +62,23 @@ fn results_files(checkpoint_dir: &Path, study: u64) -> Vec<PathBuf> {
 /// The `Results` reply frame exactly as the daemon sends it, fetched with
 /// a bare request instead of through `DaemonClient`.
 fn results_reply_frame(transport: &Arc<dyn Transport>, study: u64) -> Bytes {
-    let reply_to = format!("ctl/reply/raw/{study}");
-    let rx = transport.bind(&reply_to, 1);
-    let request = DaemonRequest {
-        reply_to: reply_to.clone(),
-        op: DaemonOp::Results { study },
+    let request = |reply_to: &str| {
+        let op = DaemonOp::Results { study };
+        DaemonRequest {
+            reply_to: reply_to.into(),
+            op,
+        }
+        .to_frame()
     };
-    let ctl = transport
-        .connect(&names::daemon_ctl())
-        .expect("daemon bound");
-    ctl.send(request.to_frame()).expect("request sent");
-    let frame = rx.recv_timeout(Duration::from_secs(10)).expect("a reply");
-    transport.unbind(&reply_to);
-    frame
+    let timeout = Duration::from_secs(10);
+    round_trip(
+        transport.as_ref(),
+        &names::daemon_ctl(),
+        request,
+        timeout,
+        timeout,
+    )
+    .expect("a reply")
 }
 
 fn assert_results_bit_identical(daemon: &StudyResults, standalone: &StudyResults) {
@@ -501,6 +509,101 @@ fn daemon_telemetry_snapshot_aggregates_tenants_and_admissions() {
     let status = client.wait(id, Duration::from_secs(240)).expect("finish");
     assert_eq!(status.state, StudyState::Done);
     daemon.stop();
+}
+
+/// The in-process transport, except that it names its backend
+/// differently from its second call on.  Each of a two-shard study's
+/// supervisors stamps the name on its report, and the study thread's
+/// merge of the two asserts they agree: a panic on a hosted study's own
+/// thread that no config can cause.
+#[derive(Debug)]
+struct TwoFacedTransport {
+    inner: ChannelTransport,
+    named: AtomicU64,
+}
+
+impl Transport for TwoFacedTransport {
+    fn bind(&self, name: &str, hwm: usize) -> BoxReceiver {
+        self.inner.bind(name, hwm)
+    }
+
+    fn connect(&self, name: &str) -> Result<BoxSender, ConnectError> {
+        self.inner.connect(name)
+    }
+
+    fn unbind(&self, name: &str) {
+        self.inner.unbind(name)
+    }
+
+    fn bound_names(&self) -> Vec<String> {
+        self.inner.bound_names()
+    }
+
+    fn link_stats(&self) -> Vec<(String, LinkStatsSnapshot)> {
+        self.inner.link_stats()
+    }
+
+    fn retire_scope(&self, scope: &str) {
+        self.inner.retire_scope(scope)
+    }
+
+    fn backend_name(&self) -> &'static str {
+        match self.named.fetch_add(1, Ordering::Relaxed) {
+            0 => "in-process",
+            _ => "in-process, again",
+        }
+    }
+}
+
+/// A hosted study whose own thread panics ends `Failed` with the panic's
+/// message, and gives back what it held — its pool units, its admission
+/// reservation, its scope's endpoints — so the daemon stops at once.
+#[test]
+fn a_study_whose_thread_panics_fails_and_the_daemon_still_stops() {
+    let _process = shared_process();
+    let transport: Arc<dyn Transport> = Arc::new(TwoFacedTransport {
+        inner: ChannelTransport::new(),
+        named: AtomicU64::new(0),
+    });
+    let daemon = Daemon::start(Arc::clone(&transport), DaemonConfig::default());
+    let client = DaemonClient::new(Arc::clone(&transport), Duration::from_secs(10));
+    let mut config = seeded_config(61, "two-faced");
+    (config.n_shards, config.telemetry) = (2, false);
+    let id = client.submit("acme", 0, config.clone()).expect("admitted");
+
+    let status = client.wait(id, Duration::from_secs(60)).expect("ended");
+    assert_eq!(status.state, StudyState::Failed);
+    let Err(ClientError::BadHandshake { detail }) = client.results(id) else {
+        panic!("a failed study's results are its error");
+    };
+    assert!(
+        detail.contains("study thread panicked: assertion")
+            && detail.contains("shards disagree on the transport backend"),
+        "detail: {detail}"
+    );
+    let json = client.scrape_daemon(ScrapeFormat::Json).expect("json");
+    for whole in [
+        "\"pool_units\":8,\"free_units\":8",
+        "\"studies\":0,\"groups_reserved\":0",
+    ] {
+        assert!(json.contains(whole), "json: {json}");
+    }
+    let scope = format!("{}/", names::study_scope(id));
+    let bound = transport.bound_names();
+    assert!(
+        !bound.iter().any(|name| name.starts_with(&scope)),
+        "{bound:?}"
+    );
+
+    let (stopped, on_stop) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        daemon.stop();
+        stopped.send(())
+    });
+    on_stop
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the daemon stops");
+    std::fs::remove_dir_all(&config.checkpoint_dir).ok();
 }
 
 /// A client that stopped waiting (its deadline passed, its reply endpoint

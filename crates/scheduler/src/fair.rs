@@ -38,7 +38,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 
-use melissa_sync::{Condvar, Mutex};
+use melissa_transport::sync::{Condvar, Mutex};
 use melissa_transport::KillSwitch;
 
 use crate::runtime::{Dispatcher, JobHandle, JobState};

@@ -24,7 +24,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use melissa_sync::{Condvar, Mutex};
+use melissa_transport::sync::{Condvar, Mutex};
 use melissa_transport::KillSwitch;
 
 use crate::fair::{FairRunner, StreamHandle};
@@ -170,7 +170,7 @@ impl JobRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use melissa_sync::Mutex;
+    use melissa_transport::sync::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use melissa_scheduler::fair::FairRunner;
 use melissa_scheduler::runtime::JobHandle;
-use melissa_sync::Mutex;
+use melissa_transport::sync::Mutex;
 use melissa_transport::KillSwitch;
 use proptest::prelude::*;
 

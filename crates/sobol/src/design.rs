@@ -9,8 +9,8 @@
 //!
 //! The rows of `(A, B)` are i.i.d., so it is statistically valid to extend a
 //! design with freshly drawn rows ([`PickFreeze::extend_rows`]) when
-//! convergence is not reached (paper Section 3.4), or to *replace* a failing
-//! group with a brand new row ([`PickFreeze::redraw_row`], Section 4.2.1).
+//! convergence is not reached (paper Section 3.4).  A failed group is
+//! restarted with its own row, never a redrawn one (Section 4.2.2).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -207,15 +207,6 @@ impl PickFreeze {
         }
         (start..self.n_rows()).collect()
     }
-
-    /// Replaces row `i` with a freshly drawn couple (used when a group fails
-    /// permanently and discard-on-replay is disabled, paper Section 4.2.1).
-    pub fn redraw_row(&mut self, i: usize, space: &ParameterSpace, seed: u64) {
-        assert_eq!(space.dim(), self.p, "parameter space dimension changed");
-        let mut rng = StdRng::seed_from_u64(seed);
-        self.a[i] = space.sample_row(&mut rng);
-        self.b[i] = space.sample_row(&mut rng);
-    }
 }
 
 #[cfg(test)]
@@ -297,16 +288,5 @@ mod tests {
             assert_eq!(d.row_a(i), before.row_a(i));
             assert_eq!(d.row_b(i), before.row_b(i));
         }
-    }
-
-    #[test]
-    fn redraw_row_changes_only_that_row() {
-        let s = space3();
-        let mut d = PickFreeze::generate(3, &s, 7);
-        let before = d.clone();
-        d.redraw_row(1, &s, 1234);
-        assert_eq!(d.row_a(0), before.row_a(0));
-        assert_eq!(d.row_a(2), before.row_a(2));
-        assert_ne!(d.row_a(1), before.row_a(1));
     }
 }

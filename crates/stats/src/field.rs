@@ -440,106 +440,9 @@ impl FieldThreshold {
     }
 }
 
-/// Per-cell covariance of two synchronised field streams.
-///
-/// Used by the iterative Sobol' field state: each parameter `k` needs the
-/// per-cell co-moments of `(Y^B, Y^{C^k})` and `(Y^A, Y^{C^k})`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FieldCovariance {
-    n: u64,
-    mean_x: Vec<f64>,
-    mean_y: Vec<f64>,
-    c2: Vec<f64>,
-}
-
-impl FieldCovariance {
-    /// Creates accumulators for `len` cells.
-    pub fn new(len: usize) -> Self {
-        Self {
-            n: 0,
-            mean_x: vec![0.0; len],
-            mean_y: vec![0.0; len],
-            c2: vec![0.0; len],
-        }
-    }
-
-    /// Number of cells tracked.
-    pub fn len(&self) -> usize {
-        self.c2.len()
-    }
-
-    /// True when tracking zero cells.
-    pub fn is_empty(&self) -> bool {
-        self.c2.is_empty()
-    }
-
-    /// Number of paired samples folded in.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Folds in one paired field sample.
-    pub fn update(&mut self, xs: &[f64], ys: &[f64]) {
-        assert_eq!(xs.len(), self.len(), "field sample length mismatch (x)");
-        assert_eq!(ys.len(), self.len(), "field sample length mismatch (y)");
-        self.n += 1;
-        let n = self.n as f64;
-        let cells = self
-            .mean_x
-            .iter_mut()
-            .zip(&mut self.mean_y)
-            .zip(&mut self.c2)
-            .zip(xs)
-            .zip(ys);
-        for ((((mx, my), c2), &x), &y) in cells {
-            let dx = x - *mx;
-            *mx += dx / n;
-            *my += (y - *my) / n;
-            *c2 += dx * (y - *my);
-        }
-    }
-
-    /// Per-cell unbiased covariance.
-    pub fn sample_covariance(&self) -> Vec<f64> {
-        if self.n < 2 {
-            return vec![0.0; self.len()];
-        }
-        let denom = self.n as f64 - 1.0;
-        self.c2.iter().map(|c| c / denom).collect()
-    }
-
-    /// Per-cell unnormalised co-moments.
-    pub fn c2(&self) -> &[f64] {
-        &self.c2
-    }
-
-    /// Raw state `(n, mean_x, mean_y, c2)` for checkpointing.
-    pub fn raw_state(&self) -> (u64, &[f64], &[f64], &[f64]) {
-        (self.n, &self.mean_x, &self.mean_y, &self.c2)
-    }
-
-    /// Rebuilds from checkpointed raw state.
-    ///
-    /// # Panics
-    /// Panics if the arrays have different lengths.
-    pub fn from_raw_state(n: u64, mean_x: Vec<f64>, mean_y: Vec<f64>, c2: Vec<f64>) -> Self {
-        assert!(
-            mean_x.len() == mean_y.len() && mean_y.len() == c2.len(),
-            "inconsistent covariance array lengths"
-        );
-        Self {
-            n,
-            mean_x,
-            mean_y,
-            c2,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OnlineCovariance;
 
     fn sample_fields(cells: usize, samples: usize) -> Vec<Vec<f64>> {
         (0..samples)
@@ -619,27 +522,6 @@ mod tests {
         let p = t.probability();
         assert!((p[0] - 1.0 / 3.0).abs() < 1e-15);
         assert!((p[1] - 2.0 / 3.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn field_covariance_matches_scalar() {
-        let xs = sample_fields(20, 15);
-        let ys: Vec<Vec<f64>> = xs
-            .iter()
-            .map(|f| f.iter().map(|v| v * 2.0 + 1.0).collect())
-            .collect();
-        let mut fc = FieldCovariance::new(20);
-        let mut scalar = vec![OnlineCovariance::new(); 20];
-        for (x, y) in xs.iter().zip(&ys) {
-            fc.update(x, y);
-            for (acc, (&a, &b)) in scalar.iter_mut().zip(x.iter().zip(y)) {
-                acc.update(a, b);
-            }
-        }
-        let cov = fc.sample_covariance();
-        for c in 0..20 {
-            assert!((cov[c] - scalar[c].sample_covariance()).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -59,49 +59,9 @@ pub mod threshold;
 pub mod tile;
 
 pub use covariance::OnlineCovariance;
-pub use field::{FieldCovariance, FieldMinMax, FieldMoments, FieldThreshold};
+pub use field::{FieldMinMax, FieldMoments, FieldThreshold};
 pub use minmax::MinMax;
 pub use moments::OnlineMoments;
 pub use quantiles::FieldQuantiles;
 pub use threshold::ThresholdExceedance;
 pub use tile::{tile_cells, AlignedVec};
-
-/// Statistics that Melissa Server can be configured to compute on each
-/// field (paper Section 4.1: beside Sobol' indices, the server computes
-/// other iterative statistics on the `Y^A`/`Y^B` samples).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StatKind {
-    /// Running mean.
-    Mean,
-    /// Unbiased sample variance.
-    Variance,
-    /// Skewness (third standardised moment).
-    Skewness,
-    /// Excess kurtosis (fourth standardised moment minus 3).
-    Kurtosis,
-    /// Running minimum.
-    Min,
-    /// Running maximum.
-    Max,
-    /// Probability of exceeding a threshold.
-    ThresholdExceedance,
-    /// Robbins–Monro quantile / order-statistics estimates
-    /// (arXiv:1905.04180; [`FieldQuantiles`]).
-    Quantiles,
-    /// First-order and total Sobol' indices (handled by `melissa-sobol`).
-    Sobol,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stat_kind_is_hashable_and_comparable() {
-        use std::collections::HashSet;
-        let set: HashSet<StatKind> = [StatKind::Mean, StatKind::Variance, StatKind::Mean]
-            .into_iter()
-            .collect();
-        assert_eq!(set.len(), 2);
-    }
-}

@@ -36,9 +36,8 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry, N_BUCKETS,
 };
 pub use scrape::{
-    scrape, scrape_endpoint_reply, scrape_in, scrape_reply, scrape_reply_in, scrape_text,
-    scrape_text_in, CodecScrape, LinkScrape, ScrapeFormat, ScrapeReply, ScrapeRequest,
-    ScrapeSnapshot, SCRAPE_SCHEMA,
+    scrape, scrape_reply_in, scrape_text, CodecScrape, LinkScrape, ScrapeFormat, ScrapeReply,
+    ScrapeRequest, ScrapeSnapshot, SCRAPE_SCHEMA,
 };
 
 use std::collections::VecDeque;
@@ -46,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use melissa_sync::Mutex;
+use melissa_transport::sync::Mutex;
 
 /// Events kept in the live ring (the scrape window; the full journal
 /// lives in the `StudyReport`).

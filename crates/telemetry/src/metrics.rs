@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use melissa_sync::RwLock;
+use melissa_transport::sync::RwLock;
 
 /// Number of histogram buckets: one zero bucket plus one per power of
 /// two, covering the full `u64` range.

@@ -6,15 +6,15 @@
 //! endpoints and answers [`ScrapeRequest`]s with a [`ScrapeSnapshot`] in
 //! one of three formats: the fixed binary codec (machine consumers), JSON,
 //! or a Prometheus-style text exposition.  Scrapers are ordinary transport
-//! clients — they bind a throwaway reply endpoint, send a request naming
-//! it, and wait — so scraping works over every backend (in-process, TCP,
-//! multi-node TCP via the directory) with no extra listener or HTTP stack.
+//! clients — one [`round_trip`]: a throwaway reply endpoint, a request
+//! naming it, one reply — so scraping works over every backend
+//! (in-process, TCP, multi-node TCP via the directory) with no extra
+//! listener or HTTP stack.
 //!
 //! Serving is strictly read-only over atomic snapshots taken *outside* the
 //! ingest path, so a scraped study computes bit-identical statistics to an
 //! unscraped one (asserted by the `telemetry_study` integration test).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -22,7 +22,7 @@ use bytes::{BufMut, BytesMut};
 use melissa_transport::codec::{Wire, WireError, WireResult};
 use melissa_transport::directory::names;
 use melissa_transport::tcp::WireIoSnapshot;
-use melissa_transport::{Frame, LinkStatsSnapshot, Transport};
+use melissa_transport::{round_trip, Frame, LinkStatsSnapshot, Transport};
 
 use crate::events::StudyEvent;
 use crate::metrics::MetricsSnapshot;
@@ -521,52 +521,14 @@ fn prom_label(value: &str) -> String {
     value.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-static REPLY_NONCE: AtomicU64 = AtomicU64::new(0);
-
-/// Scrapes an arbitrary endpoint speaking the scrape protocol and
-/// returns the raw reply.
-///
-/// Binds a throwaway reply endpoint, sends a [`ScrapeRequest`], waits up
-/// to `timeout` for the reply, and unbinds.  Works over every backend;
-/// fails with a human-readable error when nothing is serving (not bound
-/// yet, study finished, or telemetry disabled).  This is the primitive
-/// under every convenience scraper: per-shard endpoints, per-study
-/// scoped ones, and the daemon-level aggregate all answer the same
-/// request frame.
-pub fn scrape_endpoint_reply(
-    transport: &Arc<dyn Transport>,
-    endpoint: &str,
-    format: ScrapeFormat,
-    timeout: Duration,
-) -> Result<ScrapeReply, String> {
-    let reply_to = format!(
-        "telemetry/reply/{}/{}",
-        std::process::id(),
-        REPLY_NONCE.fetch_add(1, Ordering::Relaxed)
-    );
-    let rx = transport.bind(&reply_to, 8);
-    let result = (|| {
-        let tx = transport
-            .connect_retry(endpoint, timeout)
-            .map_err(|e| format!("telemetry endpoint '{endpoint}': {e}"))?;
-        let request = ScrapeRequest {
-            reply_to: reply_to.clone(),
-            format,
-        };
-        tx.send(request.to_frame())
-            .map_err(|e| format!("scrape request to '{endpoint}': {e}"))?;
-        let frame = rx
-            .recv_timeout(timeout)
-            .map_err(|e| format!("scrape reply from '{endpoint}': {e:?}"))?;
-        ScrapeReply::decode(&frame).map_err(|e| format!("scrape reply decode: {e}"))
-    })();
-    transport.unbind(&reply_to);
-    result
-}
-
 /// Scrapes shard `shard`'s telemetry endpoint inside server scope
 /// `scope` (`""` for a standalone study, `"study<id>"` under the
 /// multi-tenant daemon) and returns the reply.
+///
+/// One [`round_trip`]: a [`ScrapeRequest`] out, one reply frame back
+/// within `timeout`.  Works over every backend; fails with a
+/// human-readable error when nothing is serving (not bound yet, study
+/// finished, or telemetry disabled).
 pub fn scrape_reply_in(
     transport: &Arc<dyn Transport>,
     scope: &str,
@@ -574,69 +536,44 @@ pub fn scrape_reply_in(
     format: ScrapeFormat,
     timeout: Duration,
 ) -> Result<ScrapeReply, String> {
-    scrape_endpoint_reply(
-        transport,
-        &names::telemetry_in(scope, shard),
-        format,
-        timeout,
-    )
+    let endpoint = names::telemetry_in(scope, shard);
+    let request = |reply_to: &str| {
+        ScrapeRequest {
+            reply_to: reply_to.to_string(),
+            format,
+        }
+        .to_frame()
+    };
+    let frame = round_trip(transport.as_ref(), &endpoint, request, timeout, timeout)
+        .map_err(|e| format!("scrape of '{endpoint}': {e}"))?;
+    ScrapeReply::decode(&frame).map_err(|e| format!("scrape reply decode: {e}"))
 }
 
-/// Scrapes an unscoped (standalone-study) shard endpoint.
-pub fn scrape_reply(
-    transport: &Arc<dyn Transport>,
-    shard: usize,
-    format: ScrapeFormat,
-    timeout: Duration,
-) -> Result<ScrapeReply, String> {
-    scrape_reply_in(transport, "", shard, format, timeout)
-}
-
-/// Scrapes a structured snapshot (binary format) from a scoped shard.
-pub fn scrape_in(
-    transport: &Arc<dyn Transport>,
-    scope: &str,
-    shard: usize,
-    timeout: Duration,
-) -> Result<ScrapeSnapshot, String> {
-    match scrape_reply_in(transport, scope, shard, ScrapeFormat::Binary, timeout)? {
-        ScrapeReply::Snapshot(s) => Ok(*s),
-        ScrapeReply::Text(_) => Err("expected a binary snapshot, got text".to_string()),
-    }
-}
-
-/// Scrapes a structured snapshot (binary format).
+/// Scrapes a structured snapshot (binary format) from a standalone
+/// study's shard.
 pub fn scrape(
     transport: &Arc<dyn Transport>,
     shard: usize,
     timeout: Duration,
 ) -> Result<ScrapeSnapshot, String> {
-    scrape_in(transport, "", shard, timeout)
-}
-
-/// Scrapes a rendered text snapshot (JSON or Prometheus) from a scoped
-/// shard.
-pub fn scrape_text_in(
-    transport: &Arc<dyn Transport>,
-    scope: &str,
-    shard: usize,
-    format: ScrapeFormat,
-    timeout: Duration,
-) -> Result<String, String> {
-    match scrape_reply_in(transport, scope, shard, format, timeout)? {
-        ScrapeReply::Text(t) => Ok(t),
-        ScrapeReply::Snapshot(_) => Err("expected text, got a binary snapshot".to_string()),
+    match scrape_reply_in(transport, "", shard, ScrapeFormat::Binary, timeout)? {
+        ScrapeReply::Snapshot(s) => Ok(*s),
+        ScrapeReply::Text(_) => Err("expected a binary snapshot, got text".to_string()),
     }
 }
 
-/// Scrapes a rendered text snapshot (JSON or Prometheus).
+/// Scrapes a rendered text snapshot (JSON or Prometheus) from a
+/// standalone study's shard.
 pub fn scrape_text(
     transport: &Arc<dyn Transport>,
     shard: usize,
     format: ScrapeFormat,
     timeout: Duration,
 ) -> Result<String, String> {
-    scrape_text_in(transport, "", shard, format, timeout)
+    match scrape_reply_in(transport, "", shard, format, timeout)? {
+        ScrapeReply::Text(t) => Ok(t),
+        ScrapeReply::Snapshot(_) => Err("expected text, got a binary snapshot".to_string()),
+    }
 }
 
 #[cfg(test)]

@@ -28,6 +28,7 @@
 //! configuration time.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -449,6 +450,64 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
     }
 }
 
+/// Why a [`round_trip`] came back without a reply.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RoundTripError {
+    /// The service endpoint was not reachable within the timeout.
+    Connect(ConnectError),
+    /// The service endpoint went away before it took the request.
+    Send(Disconnected),
+    /// No reply arrived within the reply timeout.
+    Reply(RecvTimeoutError),
+}
+
+impl std::fmt::Display for RoundTripError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RoundTripError::Connect(e) => write!(f, "connecting: {e}"),
+            RoundTripError::Send(e) => write!(f, "sending the request: {e}"),
+            RoundTripError::Reply(e) => write!(f, "waiting for the reply: {e:?}"),
+        }
+    }
+}
+
+impl std::error::Error for RoundTripError {}
+
+static REPLY_NONCE: AtomicU64 = AtomicU64::new(0);
+
+/// One request/reply exchange with the service bound at `endpoint`, the
+/// shape of every control and scrape RPC: binds a one-shot reply
+/// endpoint (`reply/<pid>/<nonce>`, a name no rollup keeps an entry
+/// for), connects to
+/// `endpoint` for up to `timeout` ([`Transport::connect_retry`]), sends
+/// the frame `request` builds around the reply endpoint's name, and waits
+/// up to `reply_timeout` for one frame.  The reply endpoint is unbound on
+/// every way out.
+pub fn round_trip(
+    transport: &dyn Transport,
+    endpoint: &str,
+    request: impl FnOnce(&str) -> Frame,
+    timeout: Duration,
+    reply_timeout: Duration,
+) -> Result<Frame, RoundTripError> {
+    let reply_to = format!(
+        "reply/{}/{}",
+        std::process::id(),
+        REPLY_NONCE.fetch_add(1, Ordering::Relaxed)
+    );
+    let rx = transport.bind(&reply_to, 8);
+    let result = transport
+        .connect_retry(endpoint, timeout)
+        .map_err(RoundTripError::Connect)
+        .and_then(|tx| tx.send(request(&reply_to)).map_err(RoundTripError::Send))
+        .and_then(|()| {
+            rx.recv_timeout(reply_timeout)
+                .map_err(RoundTripError::Reply)
+        });
+    transport.unbind(&reply_to);
+    result
+}
+
 /// Backend selection for a study deployment.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TransportKind {
@@ -565,8 +624,9 @@ pub fn make_transport_with(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::directory::names;
 
     #[test]
     fn snapshot_absorb_accumulates() {
@@ -620,5 +680,40 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ConnectError::NotFound { .. }));
         assert!(started.elapsed() >= Duration::from_millis(50));
+    }
+
+    /// One [`round_trip`] of each outcome on `t` — answered (the request
+    /// builder posts the reply ahead of the request), unanswered, and
+    /// unreached (nothing bound at `"absent"`) — each leaving no reply
+    /// endpoint bound.  The first two send their request to `"svc"`.
+    pub(crate) fn round_trip_each_outcome(t: &dyn Transport) {
+        let _svc = t.bind("svc", 8);
+        let ask = |endpoint: &str, answered: bool| {
+            let request = |reply_to: &str| {
+                if answered {
+                    t.connect(reply_to)
+                        .unwrap()
+                        .send(Frame::from_static(b"ok"))
+                        .unwrap();
+                }
+                Frame::copy_from_slice(reply_to.as_bytes())
+            };
+            let timeout = Duration::from_millis(5);
+            let reply = round_trip(t, endpoint, request, timeout, timeout);
+            let left = t
+                .bound_names()
+                .into_iter()
+                .find(|name| names::is_reply(name));
+            assert_eq!(left, None, "{endpoint}: reply endpoint left bound");
+            reply
+        };
+        assert_eq!(ask("svc", true), Ok(Frame::from_static(b"ok")));
+        let unanswered = Err(RoundTripError::Reply(RecvTimeoutError::Timeout));
+        assert_eq!(ask("svc", false), unanswered);
+        let unreached = ask("absent", true).unwrap_err();
+        assert!(matches!(
+            unreached,
+            RoundTripError::Connect(ConnectError::NotFound { .. })
+        ));
     }
 }

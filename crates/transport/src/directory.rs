@@ -37,10 +37,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use melissa_sync::Mutex;
-
 use crate::codec::{read_frame, write_frame, Wire};
 use crate::heartbeat::LivenessTracker;
+use crate::sync::Mutex;
 use crate::tcp::spawn_accept_loop;
 
 /// Environment variable seeding the deployment's directory address
@@ -590,12 +589,6 @@ pub mod names {
     pub fn daemon_ctl() -> String {
         "ctl/daemon".to_string()
     }
-
-    /// The daemon-level telemetry endpoint: queue depths, per-tenant
-    /// usage and admission counters, aggregated across all studies.
-    pub fn daemon_telemetry() -> String {
-        "telemetry/daemon".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -761,6 +754,5 @@ mod tests {
             names::telemetry_in(&names::study_scope(2), 0)
         );
         assert_eq!(names::daemon_ctl(), "ctl/daemon");
-        assert_eq!(names::daemon_telemetry(), "telemetry/daemon");
     }
 }

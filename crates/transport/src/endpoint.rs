@@ -36,18 +36,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use melissa_sync::{Condvar, Mutex};
-
 use crate::api::{
     BoxSender, Disconnected, FlushError, Receiver, RecvTimeoutError, SendBatchError,
     SendTimeoutError, Sender, TryRecvError,
 };
+use crate::sync::{Condvar, Mutex};
 
 /// A framed payload (already encoded message bytes).
 pub type Frame = bytes::Bytes;
 
 /// Counters shared by all clones of one sender: independent `Relaxed`
-/// atomics (see the table of orderings in `melissa_sync`'s crate doc).
+/// atomics (see the table of orderings in [`crate::sync`]).
 #[derive(Debug, Default)]
 pub struct LinkStats {
     /// Total frames sent.

@@ -18,9 +18,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::api::{BoxSender, Disconnected, FlushError, SendBatchError, SendTimeoutError, Sender};
-use melissa_sync::{Condvar, Mutex};
-
 use crate::endpoint::{Frame, LinkStats};
+use crate::sync::{Condvar, Mutex};
 
 /// A callback registered with [`KillSwitch::on_kill`].
 type KillHook = Box<dyn FnOnce() + Send>;

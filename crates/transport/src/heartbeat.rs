@@ -19,7 +19,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use melissa_sync::Mutex;
+use crate::sync::Mutex;
 
 /// Tracks the last sign of life of a set of peers and reports timeouts.
 #[derive(Debug)]

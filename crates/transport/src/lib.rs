@@ -15,7 +15,9 @@
 //!   [`BoxReceiver`], `connect(name)` → [`BoxSender`], plus
 //!   [`connect_retry`](Transport::connect_retry) (connect-before-bind),
 //!   rebind-on-restart and the per-endpoint
-//!   [`link_stats`](Transport::link_stats) backpressure rollup;
+//!   [`link_stats`](Transport::link_stats) backpressure rollup, and
+//!   [`round_trip`], the one request/reply exchange every control and
+//!   scrape RPC is;
 //! * [`Sender`] — the high-water-mark contract: buffer asynchronously
 //!   below the HWM, block at the HWM with [`LinkStats`] time accounting
 //!   (the paper's Fig. 6 telemetry), deadline sends, clean
@@ -83,7 +85,11 @@
 //!   and the directory's per-name leases);
 //! * [`faults`] — deterministic fault injection ([`FaultySender`]
 //!   implements [`Sender`], so kills, drops and stragglers compose with
-//!   any backend, including the directory-resolved self-healing path).
+//!   any backend, including the directory-resolved self-healing path);
+//! * [`sync`] — the poison-free [`Mutex`](sync::Mutex),
+//!   [`RwLock`](sync::RwLock) and [`Condvar`](sync::Condvar) every crate
+//!   of the workspace locks with (same-thread re-locks panic in debug
+//!   builds).
 //!
 //! The protocol messages themselves live in the `melissa` core crate; this
 //! crate only moves opaque frames.
@@ -98,12 +104,13 @@ pub mod endpoint;
 pub mod faults;
 pub mod heartbeat;
 pub mod registry;
+pub mod sync;
 pub mod tcp;
 
 pub use api::{
-    make_transport, make_transport_with, BoxReceiver, BoxSender, ConnectError, Disconnected,
-    LinkStatsSnapshot, Receiver, RecvTimeoutError, SendBatchError, SendTimeoutError, Sender,
-    Transport, TransportKind, TryRecvError,
+    make_transport, make_transport_with, round_trip, BoxReceiver, BoxSender, ConnectError,
+    Disconnected, LinkStatsSnapshot, Receiver, RecvTimeoutError, RoundTripError, SendBatchError,
+    SendTimeoutError, Sender, Transport, TransportKind, TryRecvError,
 };
 pub use compress::{compress_payload, decompress_payload, WireCompression};
 pub use directory::{
@@ -114,3 +121,157 @@ pub use faults::{FaultPolicy, FaultySender, KillSwitch};
 pub use heartbeat::{LivenessTracker, LoadMonitor};
 pub use registry::ChannelTransport;
 pub use tcp::{TcpTransport, TcpTransportConfig};
+
+/// The lock tests of [`sync`].
+#[cfg(test)]
+mod tests {
+    use std::panic::AssertUnwindSafe;
+    use std::sync::Arc;
+    use std::thread;
+    use std::time::Duration;
+
+    use crate::sync::*;
+
+    #[test]
+    fn lock_returns_guard_directly() {
+        let m = Mutex::new(5);
+        *m.lock() += 1;
+        assert_eq!(*m.lock(), 6);
+    }
+
+    #[test]
+    fn rwlock_read_write_guards() {
+        let l = RwLock::new(1);
+        {
+            let a = l.read();
+            let b = l.read();
+            assert_eq!(*a + *b, 2);
+        }
+        *l.write() += 4;
+        assert_eq!(*l.read(), 5);
+    }
+
+    #[test]
+    fn condvar_wait_for_times_out() {
+        let m = Mutex::new(false);
+        let cv = Condvar::new();
+        let g = cv.wait_timeout(m.lock(), Duration::from_millis(10));
+        assert!(!*g, "nobody notified");
+    }
+
+    #[test]
+    fn condvar_notifies_across_threads() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let p2 = Arc::clone(&pair);
+        let t = thread::spawn(move || {
+            let (m, cv) = &*p2;
+            let mut done = m.lock();
+            while !*done {
+                done = cv.wait(done);
+            }
+        });
+        thread::sleep(Duration::from_millis(10));
+        let (m, cv) = &*pair;
+        *m.lock() = true;
+        cv.notify_all();
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn a_poisoned_lock_stays_usable() {
+        let m = Arc::new(Mutex::new(1));
+        let m2 = Arc::clone(&m);
+        let _ = thread::spawn(move || {
+            let _g = m2.lock();
+            panic!("holder failure under test");
+        })
+        .join();
+        *m.lock() += 1;
+        assert_eq!(*m.lock(), 2);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_same_thread_relock_panics_naming_both_call_sites() {
+        fn message(payload: Box<dyn std::any::Any + Send>) -> String {
+            payload
+                .downcast::<String>()
+                .map(|s| *s)
+                .expect("a formatted panic message")
+        }
+        let m = Mutex::new(0);
+        let (first, again) = (line!() + 2, line!() + 3);
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _held = m.lock();
+            let _again = m.lock();
+        }))
+        .expect_err("a re-lock panics");
+        let msg = message(err);
+        for line in [first, again] {
+            assert!(msg.contains(&format!("{}:{line}:", file!())), "{msg}");
+        }
+        // The unwind released the first hold: the lock is usable again.
+        assert_eq!(*m.lock(), 0);
+
+        let l = RwLock::new(0);
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _held = l.write();
+            let _again = l.write();
+        }))
+        .expect_err("a write re-lock panics");
+        assert!(message(err).contains("taken again at"));
+    }
+
+    #[test]
+    fn lock_then_drop_then_lock_on_one_thread_does_not_panic() {
+        let m = Mutex::new(0);
+        for _ in 0..3 {
+            let mut g = m.lock();
+            *g += 1;
+            drop(g);
+        }
+        *m.lock() += 1;
+        let l = RwLock::new(0);
+        *l.write() += 1;
+        *l.write() += 1;
+        assert_eq!((*m.lock(), *l.read()), (4, 2));
+    }
+
+    #[test]
+    fn a_guard_held_across_a_notified_wait_does_not_panic() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let other = Mutex::new(0);
+        let held_across = other.lock();
+        let (m, cv) = &*pair;
+        let mut ready = m.lock();
+        let notifier = {
+            let pair = Arc::clone(&pair);
+            thread::spawn(move || {
+                let (m, cv) = &*pair;
+                *m.lock() = true;
+                cv.notify_one();
+            })
+        };
+        while !*ready {
+            ready = cv.wait(ready);
+        }
+        drop(ready);
+        drop(held_across);
+        notifier.join().unwrap();
+        // Both locks were struck off this thread's list on drop.
+        assert!(*m.lock());
+        assert_eq!(*other.lock(), 0);
+    }
+
+    #[test]
+    fn a_lock_at_the_start_of_a_locked_value_is_not_a_relock() {
+        struct Outer {
+            inner: Mutex<u64>,
+        }
+        let outer = Mutex::new(Outer {
+            inner: Mutex::new(7),
+        });
+        let g = outer.lock();
+        assert_eq!(*g.inner.lock(), 7);
+    }
+}

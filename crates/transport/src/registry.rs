@@ -20,16 +20,16 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use melissa_sync::Mutex;
-
 use crate::api::{BoxReceiver, BoxSender, ConnectError, LinkStatsSnapshot, Sender as _, Transport};
+use crate::directory::names;
 use crate::endpoint::{channel, HwmSender, LinkStats};
+use crate::sync::Mutex;
 
 /// What the ledger keeps of one endpoint name's past generations (the
 /// endpoints a rebind replaced or an unbind removed, the links of a
-/// retired scope).  Shared by both backends.
+/// retired scope).
 #[derive(Debug, Default)]
-pub(crate) struct Retired {
+struct Retired {
     /// Sum of the generations no sender holds any more: their counters
     /// can no longer move.
     folded: LinkStatsSnapshot,
@@ -38,7 +38,7 @@ pub(crate) struct Retired {
 }
 
 impl Retired {
-    pub(crate) fn push(&mut self, stats: Arc<LinkStats>) {
+    fn push(&mut self, stats: Arc<LinkStats>) {
         self.draining.push(stats);
         // The ledger's is the last handle once every sender clone of a
         // generation is gone.
@@ -54,19 +54,79 @@ impl Retired {
 
     /// Takes over `other`'s generations (a retired scope's entry joining
     /// the `retired/…` one).
-    pub(crate) fn merge(&mut self, other: Retired) {
+    fn merge(&mut self, other: Retired) {
         self.folded.absorb(&other.folded);
         for stats in other.draining {
             self.push(stats);
         }
     }
 
-    pub(crate) fn snapshot(&self) -> LinkStatsSnapshot {
+    fn snapshot(&self) -> LinkStatsSnapshot {
         let mut sum = self.folded;
         for stats in &self.draining {
             sum.absorb(&LinkStatsSnapshot::of(stats));
         }
         sum
+    }
+}
+
+/// The link history both backends keep beside their live links: per
+/// endpoint name, what its gone generations or links counted, and a
+/// retired scope's totals under `retired/…`.  Each frame is counted once,
+/// live or here, so a rollup is the live snapshots plus this ledger.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger(BTreeMap<String, Retired>);
+
+impl Ledger {
+    /// Files a gone generation (or link) under `name`.
+    pub(crate) fn push(&mut self, name: String, stats: Arc<LinkStats>) {
+        self.0.entry(name).or_default().push(stats);
+    }
+
+    /// Moves every entry under `scope/` to its `retired/…` name, and
+    /// files there the stats of the scope's links the backend just took
+    /// off its live list (`unbound`, by their own names).  One-shot reply
+    /// links share `retired/reply`.
+    pub(crate) fn retire_scope(
+        &mut self,
+        scope: &str,
+        unbound: impl IntoIterator<Item = (String, Arc<LinkStats>)>,
+    ) {
+        let mut moved = Vec::new();
+        self.0
+            .retain(|name, entry| match names::retired(scope, name) {
+                Some(key) => {
+                    moved.push((key, std::mem::take(entry)));
+                    false
+                }
+                None => true,
+            });
+        for (key, entry) in moved {
+            self.0.entry(key).or_default().merge(entry);
+        }
+        for (name, stats) in unbound {
+            if let Some(key) = names::retired(scope, &name) {
+                self.push(names::settled(&key), stats);
+            }
+        }
+    }
+
+    /// The per-name rollup of the `live` snapshots plus this ledger.
+    pub(crate) fn rollup(
+        &self,
+        live: impl IntoIterator<Item = (String, LinkStatsSnapshot)>,
+    ) -> Vec<(String, LinkStatsSnapshot)> {
+        let mut rollup: BTreeMap<String, LinkStatsSnapshot> = BTreeMap::new();
+        for (name, stats) in live {
+            rollup.entry(name).or_default().absorb(&stats);
+        }
+        for (name, retired) in &self.0 {
+            rollup
+                .entry(name.clone())
+                .or_default()
+                .absorb(&retired.snapshot());
+        }
+        rollup.into_iter().collect()
     }
 }
 
@@ -80,10 +140,8 @@ pub struct ChannelTransport {
     /// pre-restart traffic — the same every-frame-once accounting the
     /// TCP backend gets from its per-connection link registry.  One-shot
     /// reply endpoints are not kept: no rollup reads them, and a
-    /// long-lived service binds one per request.  A scope given to
-    /// [`Transport::retire_scope`] leaves its entries here under
-    /// `retired/…`.
-    retired: Arc<Mutex<BTreeMap<String, Retired>>>,
+    /// long-lived service binds one per request.
+    retired: Arc<Mutex<Ledger>>,
 }
 
 impl ChannelTransport {
@@ -99,11 +157,7 @@ impl ChannelTransport {
         }
         let stats = Arc::clone(old.stats());
         drop(old);
-        self.retired
-            .lock()
-            .entry(name.to_string())
-            .or_default()
-            .push(stats);
+        self.retired.lock().push(name.to_string(), stats);
     }
 }
 
@@ -153,20 +207,11 @@ impl Transport for ChannelTransport {
     /// snapshot plus the retired generations (pre-rebind/unbind) is the
     /// complete every-frame-once rollup.
     fn link_stats(&self) -> Vec<(String, LinkStatsSnapshot)> {
-        let mut rollup: BTreeMap<String, LinkStatsSnapshot> = BTreeMap::new();
-        for (name, tx) in self.endpoints.lock().iter() {
-            rollup
-                .entry(name.clone())
-                .or_default()
-                .absorb(&LinkStatsSnapshot::of(tx.stats()));
-        }
-        for (name, retired) in self.retired.lock().iter() {
-            rollup
-                .entry(name.clone())
-                .or_default()
-                .absorb(&retired.snapshot());
-        }
-        rollup.into_iter().collect()
+        let endpoints = self.endpoints.lock();
+        let live = endpoints
+            .iter()
+            .map(|(name, tx)| (name.clone(), LinkStatsSnapshot::of(tx.stats())));
+        self.retired.lock().rollup(live)
     }
 
     /// Unbinds every endpoint under `scope/` (its queue goes once the
@@ -174,44 +219,20 @@ impl Transport for ChannelTransport {
     /// stats of what it unbound, under `retired/…`.
     fn retire_scope(&self, scope: &str) {
         let mut unbound = Vec::new();
-        self.endpoints
-            .lock()
-            .retain(|name, tx| match names::retired(scope, name) {
-                Some(key) => {
-                    if !names::is_reply(name) {
-                        unbound.push((key, Arc::clone(tx.stats())));
-                    }
-                    false
-                }
-                None => true,
-            });
-        let mut ledger = self.retired.lock();
-        let mut moved = Vec::new();
-        ledger.retain(|name, entry| match names::retired(scope, name) {
-            Some(key) => {
-                moved.push((key, std::mem::take(entry)));
-                false
+        self.endpoints.lock().retain(|name, tx| {
+            let keep = names::retired(scope, name).is_none();
+            if !keep && !names::is_reply(name) {
+                unbound.push((name.clone(), Arc::clone(tx.stats())));
             }
-            None => true,
+            keep
         });
-        for (key, entry) in moved {
-            ledger.entry(key).or_default().merge(entry);
-        }
-        for (key, stats) in unbound {
-            ledger.entry(key).or_default().push(stats);
-        }
+        self.retired.lock().retire_scope(scope, unbound);
     }
 
     fn backend_name(&self) -> &'static str {
         "in-process"
     }
 }
-
-// The canonical endpoint-name scheme lives in `crate::directory::names`
-// (re-exported here for one release as `names` used to live in this
-// module): naming belongs to the resolution layer, which since the
-// multi-node refactor is the directory service, not this backend.
-pub use crate::directory::names;
 
 #[cfg(test)]
 mod tests {
@@ -332,7 +353,16 @@ mod tests {
             let _rx = t.bind(&names::group_reply_in("study1", i, 0), 2);
             t.unbind(&names::group_reply_in("study1", i, 0));
         }
-        assert!(t.link_stats().is_empty());
+        // Answered, unanswered and unreached round trips.
+        for _ in 0..3 {
+            crate::api::tests::round_trip_each_outcome(&t);
+        }
+        let stats = t.link_stats();
+        let rollup: Vec<_> = stats
+            .iter()
+            .map(|(name, s)| (&name[..], s.messages))
+            .collect();
+        assert_eq!(rollup, [("svc", 6)], "only the service's requests count");
     }
 
     #[test]
@@ -346,7 +376,7 @@ mod tests {
         let stats = t.link_stats();
         assert_eq!(stats.len(), 1);
         assert_eq!((stats[0].1.messages, stats[0].1.bytes), (50, 100));
-        let ledger = t.retired.lock();
+        let ledger = &t.retired.lock().0;
         assert_eq!(ledger.len(), 1);
         assert!(ledger["data"].draining.len() <= 1, "dead generations fold");
     }
@@ -375,13 +405,14 @@ mod tests {
             t.connect(&names::server_worker_in("study1", 0)).is_err(),
             "a retired scope's endpoints are unbound"
         );
-        let ledger = t.retired.lock();
-        assert_eq!(ledger.len(), 2, "ledger: {:?}", ledger.keys());
-        assert!(
-            ledger["retired/server/0"].draining.is_empty(),
-            "dead links fold"
-        );
-        drop(ledger);
+        {
+            let ledger = &t.retired.lock().0;
+            assert_eq!(ledger.len(), 2, "ledger: {:?}", ledger.keys());
+            assert!(
+                ledger["retired/server/0"].draining.is_empty(),
+                "dead links fold"
+            );
+        }
         // A scope that merely shares the prefix's letters is not touched.
         let _rx = t.bind("study10/server/0", 4);
         t.retire_scope("study1");

@@ -1,10 +1,10 @@
-//! # melissa-sync — the locks of the workspace
+//! The locks of the workspace.
 //!
-//! [`Mutex`], [`RwLock`] and [`Condvar`] over `std::sync`, with no
-//! dependency of their own: `lock`/`read`/`write` return the guard, and a
-//! lock whose holder panicked stays usable (what these locks guard is
-//! bookkeeping that is consistent between statements).  A wait takes the
-//! guard and gives it back, as std's does.  In debug builds
+//! [`Mutex`], [`RwLock`] and [`Condvar`] over `std::sync`:
+//! `lock`/`read`/`write` return the guard, and a lock whose holder
+//! panicked stays usable (what these locks guard is bookkeeping that is
+//! consistent between statements).  A wait takes the guard and gives it
+//! back, as std's does.  In debug builds
 //! [`Mutex::lock`] and [`RwLock::write`] remember, per thread, which locks
 //! the thread holds and where it took them: taking one again on the same
 //! thread — a deadlock in a release build — panics and names both call
@@ -17,7 +17,7 @@
 //!
 //! | atomic | operations | ordering | why that is enough |
 //! |---|---|---|---|
-//! | `melissa_transport::LinkStats` counters | `fetch_add` per send; `load` for a snapshot | `Relaxed` | independent monotone counters read as a racy snapshot; no other memory is published through them (the HWM queue itself keeps every count under its lock) |
+//! | [`LinkStats`](crate::LinkStats) counters | `fetch_add` per send; `load` for a snapshot | `Relaxed` | independent monotone counters read as a racy snapshot; no other memory is published through them (the HWM queue itself keeps every count under its lock) |
 
 use std::ops::{Deref, DerefMut};
 use std::sync::{self as std_sync, PoisonError};
@@ -223,156 +223,5 @@ impl Held {
     #[inline(always)]
     fn take<L>(_lock: &L) -> Held {
         Held
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::panic::AssertUnwindSafe;
-    use std::sync::Arc;
-    use std::thread;
-
-    #[test]
-    fn lock_returns_guard_directly() {
-        let m = Mutex::new(5);
-        *m.lock() += 1;
-        assert_eq!(*m.lock(), 6);
-    }
-
-    #[test]
-    fn rwlock_read_write_guards() {
-        let l = RwLock::new(1);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(*a + *b, 2);
-        }
-        *l.write() += 4;
-        assert_eq!(*l.read(), 5);
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(false);
-        let cv = Condvar::new();
-        let g = cv.wait_timeout(m.lock(), Duration::from_millis(10));
-        assert!(!*g, "nobody notified");
-    }
-
-    #[test]
-    fn condvar_notifies_across_threads() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let t = thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut done = m.lock();
-            while !*done {
-                done = cv.wait(done);
-            }
-        });
-        thread::sleep(Duration::from_millis(10));
-        let (m, cv) = &*pair;
-        *m.lock() = true;
-        cv.notify_all();
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn a_poisoned_lock_stays_usable() {
-        let m = Arc::new(Mutex::new(1));
-        let m2 = Arc::clone(&m);
-        let _ = thread::spawn(move || {
-            let _g = m2.lock();
-            panic!("holder failure under test");
-        })
-        .join();
-        *m.lock() += 1;
-        assert_eq!(*m.lock(), 2);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    fn a_same_thread_relock_panics_naming_both_call_sites() {
-        fn message(payload: Box<dyn std::any::Any + Send>) -> String {
-            payload
-                .downcast::<String>()
-                .map(|s| *s)
-                .expect("a formatted panic message")
-        }
-        let m = Mutex::new(0);
-        let (first, again) = (line!() + 2, line!() + 3);
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _held = m.lock();
-            let _again = m.lock();
-        }))
-        .expect_err("a re-lock panics");
-        let msg = message(err);
-        for line in [first, again] {
-            assert!(msg.contains(&format!("{}:{line}:", file!())), "{msg}");
-        }
-        // The unwind released the first hold: the lock is usable again.
-        assert_eq!(*m.lock(), 0);
-
-        let l = RwLock::new(0);
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _held = l.write();
-            let _again = l.write();
-        }))
-        .expect_err("a write re-lock panics");
-        assert!(message(err).contains("taken again at"));
-    }
-
-    #[test]
-    fn lock_then_drop_then_lock_on_one_thread_does_not_panic() {
-        let m = Mutex::new(0);
-        for _ in 0..3 {
-            let mut g = m.lock();
-            *g += 1;
-            drop(g);
-        }
-        *m.lock() += 1;
-        let l = RwLock::new(0);
-        *l.write() += 1;
-        *l.write() += 1;
-        assert_eq!((*m.lock(), *l.read()), (4, 2));
-    }
-
-    #[test]
-    fn a_guard_held_across_a_notified_wait_does_not_panic() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let other = Mutex::new(0);
-        let held_across = other.lock();
-        let (m, cv) = &*pair;
-        let mut ready = m.lock();
-        let notifier = {
-            let pair = Arc::clone(&pair);
-            thread::spawn(move || {
-                let (m, cv) = &*pair;
-                *m.lock() = true;
-                cv.notify_one();
-            })
-        };
-        while !*ready {
-            ready = cv.wait(ready);
-        }
-        drop(ready);
-        drop(held_across);
-        notifier.join().unwrap();
-        // Both locks were struck off this thread's list on drop.
-        assert!(*m.lock());
-        assert_eq!(*other.lock(), 0);
-    }
-
-    #[test]
-    fn a_lock_at_the_start_of_a_locked_value_is_not_a_relock() {
-        struct Outer {
-            inner: Mutex<u64>,
-        }
-        let outer = Mutex::new(Outer {
-            inner: Mutex::new(7),
-        });
-        let g = outer.lock();
-        assert_eq!(*g.inner.lock(), 7);
     }
 }

@@ -95,7 +95,7 @@
 //! because its "connection loss" only ever means the peer endpoint is
 //! gone for good.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -104,7 +104,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use melissa_sync::{Condvar, Mutex};
 
 use crate::api::{
     BoxReceiver, BoxSender, ConnectError, Disconnected, FlushError, LinkStatsSnapshot,
@@ -114,7 +113,8 @@ use crate::codec::{read_frame, write_frame, Wire};
 use crate::compress::{compress_into, decoded_len, decompress_into, PlaneScratch, WireCompression};
 use crate::directory::{names, DirectoryClient};
 use crate::endpoint::{channel, Frame, HwmSender, LinkStats};
-use crate::registry::Retired;
+use crate::registry::Ledger;
+use crate::sync::{Condvar, Mutex};
 
 /// Handshake frames (endpoint names) are small.
 const MAX_HANDSHAKE_FRAME: usize = 64 * 1024;
@@ -391,7 +391,7 @@ struct TcpInner {
     /// Stats of the links that are gone, folded once: per endpoint name
     /// ([`names::settled`]: one-shot reply links share `retired/reply`),
     /// and a retired scope's under `retired/…`.
-    retired: Mutex<BTreeMap<String, Retired>>,
+    retired: Mutex<Ledger>,
     /// Live serving-side connections (endpoint name, token, stream) —
     /// the handle [`TcpTransport::sever_connections`] cuts.
     serving: Mutex<Vec<(String, u64, TcpStream)>>,
@@ -416,7 +416,7 @@ impl TcpInner {
         // The list's handle is the last once both are gone.
         let gone = |(_, stats): &mut (String, Arc<LinkStats>)| Arc::strong_count(stats) == 1;
         for (name, stats) in links.extract_if(.., gone) {
-            ledger.entry(names::settled(&name)).or_default().push(stats);
+            ledger.push(names::settled(&name), stats);
         }
         links.push((name.to_string(), stats));
     }
@@ -481,7 +481,7 @@ impl TcpTransport {
             directory,
             endpoints: Mutex::new(HashMap::new()),
             links: Mutex::new(Vec::new()),
-            retired: Mutex::new(BTreeMap::new()),
+            retired: Mutex::new(Ledger::default()),
             serving: Mutex::new(Vec::new()),
             reconnects: Arc::new(AtomicU64::new(0)),
             compression: config.compression,
@@ -707,7 +707,7 @@ impl Transport for TcpTransport {
     /// sees the links *it* opened — in a multi-node deployment each node
     /// reports its own outbound telemetry, summed by the launcher.
     fn link_stats(&self) -> Vec<(String, LinkStatsSnapshot)> {
-        let mut rollup: BTreeMap<String, LinkStatsSnapshot> = self
+        let bound: Vec<(String, LinkStatsSnapshot)> = self
             .inner
             .endpoints
             .lock()
@@ -717,23 +717,18 @@ impl Transport for TcpTransport {
         // Both locks at once: a link folded between the two reads would
         // count twice or not at all.
         let links = self.inner.links.lock();
-        for (name, stats) in links.iter() {
-            rollup
-                .entry(name.clone())
-                .or_default()
-                .absorb(&LinkStatsSnapshot::of(stats));
-        }
-        for (name, retired) in self.inner.retired.lock().iter() {
-            rollup
-                .entry(name.clone())
-                .or_default()
-                .absorb(&retired.snapshot());
-        }
-        rollup.into_iter().collect()
+        let live = links
+            .iter()
+            .map(|(name, stats)| (name.clone(), LinkStatsSnapshot::of(stats)));
+        self.inner
+            .retired
+            .lock()
+            .rollup(bound.into_iter().chain(live))
     }
 
     /// Unbinds (and unpublishes) every endpoint under `scope/`, and moves
-    /// the stats of this node's links into it under `retired/…`.
+    /// the stats of this node's links into it, and a zero entry for each
+    /// name it unbinds, under `retired/…`.
     fn retire_scope(&self, scope: &str) {
         let mut unbound = Vec::new();
         self.inner.endpoints.lock().retain(|name, _| {
@@ -748,25 +743,15 @@ impl Transport for TcpTransport {
                 let _ = directory.unpublish(name);
             }
         }
+        // An unbound name keeps its rollup entry under `retired/…`, links
+        // or not, as it had one while bound.
+        let unbound = unbound.into_iter().map(|name| (name, Arc::default()));
         let mut links = self.inner.links.lock();
-        let mut ledger = self.inner.retired.lock();
-        let mut moved = Vec::new();
-        ledger.retain(|name, entry| match names::retired(scope, name) {
-            Some(key) => {
-                moved.push((key, std::mem::take(entry)));
-                false
-            }
-            None => true,
-        });
-        for (key, entry) in moved {
-            ledger.entry(key).or_default().merge(entry);
-        }
-        for (name, stats) in std::mem::take(&mut *links) {
-            match names::retired(scope, &name) {
-                Some(key) => ledger.entry(key).or_default().push(stats),
-                None => links.push((name, stats)),
-            }
-        }
+        let in_scope = links.extract_if(.., |(name, _)| names::retired(scope, name).is_some());
+        self.inner
+            .retired
+            .lock()
+            .retire_scope(scope, unbound.chain(in_scope));
     }
 
     fn backend_name(&self) -> &'static str {
@@ -1854,6 +1839,7 @@ fn corrupt_frame(why: impl std::fmt::Display) -> std::io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::round_trip;
 
     fn frame(text: &'static [u8]) -> Frame {
         Bytes::from_static(text)
@@ -2120,7 +2106,8 @@ mod tests {
     /// A long-lived node serving control RPCs — each one a dialled
     /// request and a dialled reply, the daemon's pattern — keeps a link
     /// list and a rollup the size of what is live, with every frame still
-    /// counted once.
+    /// counted once; unanswered and unreached round trips leave no reply
+    /// endpoint behind either.
     #[test]
     fn links_of_finished_rpcs_fold_into_a_bounded_ledger() {
         const RPCS: u64 = 500;
@@ -2141,17 +2128,16 @@ mod tests {
         };
         let mut most_links = 0;
         let mut most_rollup = 0;
-        for i in 0..RPCS {
-            let reply_to = format!("ctl/reply/1/{i}");
-            let rx = t.bind(&reply_to, 8);
-            let tx = t.connect("ctl/daemon").unwrap();
-            tx.send(Bytes::copy_from_slice(reply_to.as_bytes()))
-                .unwrap();
-            assert_eq!(&rx.recv_timeout(Duration::from_secs(5)).unwrap()[..], b"ok");
-            drop(tx);
-            t.unbind(&reply_to);
+        let request = |reply_to: &str| Bytes::copy_from_slice(reply_to.as_bytes());
+        let timeout = Duration::from_secs(5);
+        for _ in 0..RPCS {
+            let reply = round_trip(t.as_ref(), "ctl/daemon", request, timeout, timeout);
+            assert_eq!(&reply.unwrap()[..], b"ok");
             most_links = most_links.max(t.inner.links.lock().len());
             most_rollup = most_rollup.max(t.link_stats().len());
+        }
+        for _ in 0..5 {
+            crate::api::tests::round_trip_each_outcome(t.as_ref());
         }
         t.connect("ctl/daemon").unwrap().send(frame(b"")).unwrap();
         server.join().unwrap();
@@ -2168,7 +2154,7 @@ mod tests {
             .map(|(_, s)| s.messages)
             .sum();
         assert_eq!(total("ctl/daemon"), RPCS + 1, "{stats:?}");
-        assert_eq!(replies, RPCS, "{stats:?}");
+        assert_eq!((replies, total("svc")), (RPCS + 5, 10), "{stats:?}");
     }
 
     #[test]
@@ -2191,9 +2177,15 @@ mod tests {
         }
         assert!(t.bound_names().is_empty(), "{:?}", t.bound_names());
         let stats = t.link_stats();
-        assert_eq!(stats.len(), 1, "{stats:?}");
-        assert_eq!(stats[0].0, "retired/server/0");
-        assert_eq!((stats[0].1.messages, stats[0].1.bytes), (3, 9));
+        let rollup: Vec<_> = stats
+            .iter()
+            .map(|(name, s)| (&name[..], s.messages, s.bytes))
+            .collect();
+        // The never-dialled `main` endpoints keep a zero entry, as bound.
+        assert_eq!(
+            rollup,
+            [("retired/server/0", 3, 9), ("retired/server/main", 0, 0)]
+        );
         assert!(t.inner.links.lock().is_empty());
     }
 

@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use melissa_transport::{
-    ChannelTransport, ConnectError, FaultPolicy, FaultySender, KillSwitch, LinkStatsSnapshot,
-    RecvTimeoutError, Sender, TcpTransport, Transport,
+    BoxReceiver, ChannelTransport, ConnectError, FaultPolicy, FaultySender, KillSwitch,
+    LinkStatsSnapshot, RecvTimeoutError, Sender, TcpTransport, Transport,
 };
 use proptest::prelude::*;
 
@@ -308,6 +308,56 @@ fn rebind_after_crash_recovers_on_both_backends() {
         assert_eq!(
             &rx2.recv_timeout(RECV_DEADLINE).unwrap()[..],
             b"gen2",
+            "{label}"
+        );
+    }
+}
+
+/// Retiring a scope leaves the same rollup on both backends: the scope's
+/// names gone, their every frame under `retired/…` — a restarted
+/// endpoint's two generations summed, a link still held counting on —
+/// and the names outside the scope untouched.
+#[test]
+fn retiring_a_scope_leaves_the_same_link_stats_on_both_backends() {
+    for (label, t) in backends() {
+        let send = |tx: &dyn Sender, rx: &BoxReceiver, payload: &[u8]| {
+            tx.send(Bytes::copy_from_slice(payload)).unwrap();
+            assert_eq!(&rx.recv_timeout(RECV_DEADLINE).unwrap()[..], payload);
+        };
+        let ctl = t.bind("ctl", 4);
+        send(&*t.connect("ctl").unwrap(), &ctl, b"outside");
+        for generation in [&b"first"[..], b"second!"] {
+            let rx = t.bind("study1/server/0", 4);
+            let tx = t.connect("study1/server/0").unwrap();
+            send(&*tx, &rx, generation);
+            send(&*tx, &rx, generation);
+        }
+        let held_rx = t.bind("study1/server/1", 4);
+        let held = t.connect("study1/server/1").unwrap();
+        send(&*held, &held_rx, b"before");
+        let (_main, _other) = (
+            t.bind("study1/server/main", 4),
+            t.bind("study10/server/0", 4),
+        );
+
+        t.retire_scope("study1");
+        send(&*held, &held_rx, b"after the retirement");
+        assert_eq!(t.bound_names(), ["ctl", "study10/server/0"], "{label}");
+        let rollup: Vec<_> = t
+            .link_stats()
+            .into_iter()
+            .map(|(n, s)| (n, s.messages, s.bytes))
+            .collect();
+        let expected = [
+            ("ctl", 1, 7),
+            ("retired/server/0", 4, 24),
+            ("retired/server/1", 2, 26),
+            ("retired/server/main", 0, 0),
+            ("study10/server/0", 0, 0),
+        ];
+        assert_eq!(
+            rollup,
+            expected.map(|(n, m, b)| (n.to_string(), m, b)),
             "{label}"
         );
     }

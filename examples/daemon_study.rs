@@ -115,7 +115,10 @@ fn run_backend(kind: TransportKind, name: &str) {
         std::thread::sleep(Duration::from_millis(25));
     }
     println!("live scrapes landed: {study_hits} per-study, {daemon_hits} daemon-aggregate");
-    assert!(daemon_hits > 0, "daemon telemetry endpoint never answered");
+    assert!(
+        daemon_hits > 0,
+        "the daemon never answered an aggregate scrape"
+    );
 
     let acme_hosted = client.results(acme).expect("acme results");
     let globex_hosted = client.results(globex).expect("globex results");

@@ -19,8 +19,8 @@
 //! instead: the study is submitted over the control plane, the per-shard
 //! rows come from the study's scoped `study<id>/telemetry/shard<k>`
 //! endpoints, and each render is followed by the daemon-level aggregate
-//! (queue depth, per-tenant usage, admission counters) from
-//! `telemetry/daemon`.
+//! (queue depth, per-tenant usage, admission counters), scraped on the
+//! daemon's control endpoint.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -238,7 +238,7 @@ fn run_daemon_top() {
     assert!(hits > 0, "no per-study scrape ever landed: {last_miss}");
     assert!(
         aggregate_hits > 0,
-        "the daemon telemetry endpoint never answered"
+        "the daemon never answered an aggregate scrape"
     );
     let results = client.results(id).expect("results");
     assert_eq!(

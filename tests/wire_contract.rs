@@ -309,6 +309,12 @@ fn configs() -> Vec<StudyConfig> {
     vec![exotic_config(), StudyConfig::default(), odd]
 }
 
+const FORMATS: [ScrapeFormat; 3] = [
+    ScrapeFormat::Binary,
+    ScrapeFormat::Json,
+    ScrapeFormat::Prometheus,
+];
+
 fn daemon_ops() -> Vec<DaemonOp> {
     let mut ops: Vec<DaemonOp> = configs()
         .into_iter()
@@ -325,6 +331,7 @@ fn daemon_ops() -> Vec<DaemonOp> {
         DaemonOp::Shutdown,
         DaemonOp::Wait { study: u64::MAX },
     ]);
+    ops.extend(FORMATS.map(|format| DaemonOp::Scrape { format }));
     covers!(
         ops,
         DaemonOp::Submit { .. },
@@ -333,6 +340,7 @@ fn daemon_ops() -> Vec<DaemonOp> {
         DaemonOp::Results { .. },
         DaemonOp::Shutdown,
         DaemonOp::Wait { .. },
+        DaemonOp::Scrape { .. },
     );
     ops
 }
@@ -622,19 +630,14 @@ fn telemetry_formats_keep_the_wire_contract() {
     );
     assert_wire_contract(&[HistogramSnapshot::empty()]);
     assert_wire_contract(&[metrics, MetricsSnapshot::default()]);
-    let formats = [
-        ScrapeFormat::Binary,
-        ScrapeFormat::Json,
-        ScrapeFormat::Prometheus,
-    ];
     covers!(
-        formats,
+        FORMATS,
         ScrapeFormat::Binary,
         ScrapeFormat::Json,
         ScrapeFormat::Prometheus,
     );
-    assert_wire_contract(&formats);
-    let requests: Vec<ScrapeRequest> = formats
+    assert_wire_contract(&FORMATS);
+    let requests: Vec<ScrapeRequest> = FORMATS
         .iter()
         .map(|&format| ScrapeRequest {
             reply_to: "telemetry/reply/1/2".into(),

@@ -181,17 +181,19 @@ impl GroupClient {
     ) -> Result<GroupClient, ClientError> {
         let reply_name = names::group_reply_in(scope, group_id, instance);
         let reply_rx = transport.bind(&reply_name, reply_hwm.max(1));
-        let main_tx = transport
-            .connect_retry(&names::server_main_in(scope), timeout)
-            .map_err(ClientError::from)?;
-        main_tx
-            .send(Message::ConnectRequest { group_id, instance }.encode())
-            .map_err(|_| ClientError::ServerUnavailable)?;
-
-        let reply = reply_rx
-            .recv_timeout(timeout)
-            .map_err(|_| ClientError::HandshakeTimeout)?;
+        let handshake = || -> Result<_, ClientError> {
+            let main_tx = transport.connect_retry(&names::server_main_in(scope), timeout)?;
+            main_tx
+                .send(Message::ConnectRequest { group_id, instance }.encode())
+                .map_err(|_| ClientError::ServerUnavailable)?;
+            reply_rx
+                .recv_timeout(timeout)
+                .map_err(|_| ClientError::HandshakeTimeout)
+        };
+        // The reply endpoint goes whichever way the handshake ends.
+        let reply = handshake();
         transport.unbind(&reply_name);
+        let reply = reply?;
         let (n_workers, n_cells) = match Message::decode(&reply) {
             Ok(Message::ConnectReply {
                 n_workers, n_cells, ..
@@ -339,20 +341,27 @@ mod tests {
     // integration tests; here we cover the failure modes that need no
     // server.
 
+    /// A failed connect fails fast and takes its reply endpoint with it,
+    /// on both backends.
     #[test]
     fn connect_without_server_fails_fast() {
-        let transport = ChannelTransport::new();
-        let err = GroupClient::connect(
-            &transport,
-            "",
-            1,
-            0,
-            8,
-            Duration::from_millis(50),
-            KillSwitch::new(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, ClientError::ServerUnavailable));
+        use melissa_transport::{make_transport, TransportKind};
+        for kind in [TransportKind::InProcess, TransportKind::Tcp] {
+            let transport = make_transport(kind);
+            let before = transport.bound_names();
+            let err = GroupClient::connect(
+                transport.as_ref(),
+                "shard3",
+                1,
+                0,
+                8,
+                Duration::from_millis(50),
+                KillSwitch::new(),
+            )
+            .unwrap_err();
+            assert!(matches!(err, ClientError::ServerUnavailable));
+            assert_eq!(transport.bound_names(), before);
+        }
     }
 
     #[test]
@@ -360,6 +369,7 @@ mod tests {
         let transport = ChannelTransport::new();
         // Bind server/main but never answer.
         let _main_rx = transport.bind(&names::server_main_in(""), 8);
+        let before = transport.bound_names();
         let err = GroupClient::connect(
             &transport,
             "",
@@ -371,6 +381,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ClientError::HandshakeTimeout));
+        assert_eq!(transport.bound_names(), before);
     }
 
     #[test]

@@ -232,8 +232,12 @@ impl StudyConfig {
         if self.max_concurrent_groups == 0 {
             return Err("need at least one concurrent group".into());
         }
-        if self.hwm == 0 {
-            return Err("HWM must be at least 1".into());
+        // A TCP link's handshake carries the HWM as a `u32`.
+        if self.hwm == 0 || self.hwm > u32::MAX as usize {
+            return Err(format!("HWM {} outside 1..={}", self.hwm, u32::MAX));
+        }
+        if self.checkpoint_interval.is_zero() {
+            return Err("checkpoint_interval must be positive".into());
         }
         for &q in &self.quantile_probs {
             if !(q > 0.0 && q < 1.0) {
@@ -280,9 +284,18 @@ mod tests {
         c.ranks_per_simulation = 10_000;
         assert!(c.validate().is_err());
 
+        for hwm in [0, u32::MAX as usize + 1, usize::MAX] {
+            let mut c = StudyConfig::tiny();
+            c.hwm = hwm;
+            assert!(c.validate().unwrap_err().contains("HWM"), "hwm {hwm}");
+        }
         let mut c = StudyConfig::tiny();
-        c.hwm = 0;
-        assert!(c.validate().is_err());
+        c.hwm = u32::MAX as usize;
+        c.validate().unwrap();
+
+        let mut c = StudyConfig::tiny();
+        c.checkpoint_interval = Duration::ZERO;
+        assert!(c.validate().unwrap_err().contains("checkpoint_interval"));
 
         let mut c = StudyConfig::tiny();
         c.quantile_probs = vec![0.5, 1.0];

@@ -41,7 +41,7 @@ use melissa_telemetry::{Counter, EventKind, Gauge, Histogram, Telemetry};
 use melissa_transport::directory::names;
 use melissa_transport::sync::Mutex;
 use melissa_transport::{
-    make_transport_with, BoxReceiver, BoxSender, KillSwitch, LoadMonitor, Receiver,
+    instant_after, make_transport_with, BoxReceiver, BoxSender, KillSwitch, LoadMonitor, Receiver,
     RecvTimeoutError, Transport,
 };
 
@@ -52,7 +52,7 @@ use crate::protocol::Message;
 use crate::report::StudyReport;
 use crate::server::checkpoint::read_checkpoint;
 use crate::server::state::WorkerState;
-use crate::server::{instant_after, Server, ServerConfig, ServerShared};
+use crate::server::{Server, ServerConfig, ServerShared};
 use crate::shard::{GroupRouter, RoutingTable};
 use crate::study::StudyOutput;
 use melissa_mesh::SlabPartition;
@@ -1096,7 +1096,7 @@ impl<'a> ShardSupervisor<'a> {
         let finished = finished as u64;
         if !k.permanent {
             self.log_ev(EventKind::ServerKillInjected { finished });
-            self.server().kill.kill();
+            self.server().crash();
             return None;
         }
         let to = k
@@ -1114,7 +1114,7 @@ impl<'a> ShardSupervisor<'a> {
     /// group-hash routing re-routes exactly this shard's unfinished
     /// groups back to it).  Returns whether a recovery ran.
     fn recover_server(&mut self) -> Result<bool, String> {
-        if !self.server().kill.is_killed() && self.server_seen.elapsed() <= self.server_timeout() {
+        if !self.server().crashed() && self.server_seen.elapsed() <= self.server_timeout() {
             return Ok(false);
         }
         self.report.server_restarts += 1;
@@ -1468,7 +1468,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 /// Waits for a `ServerReady` on the launcher inbox.
 fn wait_for_ready(rx: &dyn Receiver, timeout: Duration) -> Result<(), String> {
-    let deadline = Instant::now() + timeout;
+    let deadline = instant_after(Instant::now(), timeout);
     loop {
         match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
             Ok(frame) if matches!(Message::decode(&frame), Ok(Message::ServerReady)) => {

@@ -44,8 +44,8 @@ use melissa_transport::codec::Wire;
 use melissa_transport::directory::names;
 use melissa_transport::sync::{Condvar, Mutex};
 use melissa_transport::{
-    BoxReceiver, BoxSender, KillSwitch, LinkStatsSnapshot, LivenessTracker, RecvTimeoutError,
-    Transport,
+    instant_after, BoxReceiver, BoxSender, KillSwitch, LinkStatsSnapshot, LivenessTracker,
+    RecvTimeoutError, Transport,
 };
 
 use crate::protocol::{DataView, Message};
@@ -327,9 +327,9 @@ impl ServerShared {
 
 /// A running Melissa Server instance.
 pub struct Server {
-    /// Flipping this simulates a server crash (all threads stop without
-    /// finalising; in-memory statistics are lost).
-    pub kill: KillSwitch,
+    /// Flipped by [`crash`](Self::crash): every thread stops without
+    /// finalising, and in-memory statistics are lost.
+    kill: KillSwitch,
     shared: Arc<ServerShared>,
     transport: Arc<dyn Transport>,
     scope: String,
@@ -601,10 +601,28 @@ impl Server {
             .collect()
     }
 
+    /// Simulates a server crash: flips the kill switch, then wakes the
+    /// main loop and every worker with a frame.  Each loop looks at the
+    /// switch right after every wake, so nothing is integrated, reported
+    /// or checkpointed after this returns.  A wake that finds an inbox
+    /// full is dropped: that loop has frames to wake on already.
+    pub fn crash(&self) {
+        self.kill.kill();
+        let wake = Message::ReportNow.encode();
+        for s in self.worker_senders.iter().chain([&self.main_sender]) {
+            let _ = s.send_timeout(wake.clone(), Duration::ZERO);
+        }
+    }
+
+    /// Whether [`crash`](Self::crash) was called.
+    pub fn crashed(&self) -> bool {
+        self.kill.is_killed()
+    }
+
     /// Abandons a crashed server: joins threads and **discards** their
     /// in-memory statistics (they died; only checkpoints survive).
     pub fn abandon(self) {
-        self.kill.kill();
+        self.crash();
         let _ = self.main_handle.join();
         for h in self.worker_handles {
             let _ = h.join();
@@ -725,10 +743,12 @@ fn worker_loop(
     // refreshed (a batch holds frames of a handful of groups).
     let mut seen: Vec<u64> = Vec::new();
     loop {
+        // Waits for frames only: a crash wakes the worker with one.
+        let received = rx.recv_batch(&mut inbox, INGEST_BATCH, Duration::MAX);
         if kill.is_killed() {
             return state; // crash: caller discards the state
         }
-        match rx.recv_batch(&mut inbox, INGEST_BATCH, Duration::from_millis(20)) {
+        match received {
             Ok(_) => {}
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => return state,
@@ -860,13 +880,6 @@ fn worker_loop(
     }
 }
 
-/// `t + d`, saturating: a configured duration too long for the clock (a
-/// limit set to "never") means a deadline a year away, not a panic.
-pub(crate) fn instant_after(t: Instant, d: Duration) -> Instant {
-    t.checked_add(d)
-        .unwrap_or_else(|| t + Duration::from_secs(365 * 24 * 3600))
-}
-
 /// Main thread: connection handshakes, heartbeats, reports, group-timeout
 /// detection, periodic checkpoints.
 #[allow(clippy::too_many_arguments)]
@@ -891,21 +904,22 @@ fn main_loop(
     let load = melissa_transport::LoadMonitor::new();
     // `Receiver` has no select, so this loop cannot block on the main
     // inbox and the scrape inbox at once: the cap on its wait exists
-    // solely to serve `scrape_rx` (and to see the kill switch) within
-    // 10 ms.  Everything else wakes it exactly when due — frames on the
-    // main inbox, and the report and checkpoint deadlines below.
+    // solely to serve `scrape_rx` within 10 ms.  Everything else wakes it
+    // exactly when due — frames on the main inbox (a crash sends one),
+    // and the report and checkpoint deadlines below.
     let poll = Duration::from_millis(10);
     let _ = launcher_tx.send(Message::ServerReady.encode());
     loop {
-        if kill.is_killed() {
-            return;
-        }
         let wait_started = Instant::now();
         let wait = poll
             .min(next_report.saturating_duration_since(wait_started))
             .min(next_checkpoint.saturating_duration_since(wait_started));
         let mut report_now = false;
-        match main_rx.recv_timeout(wait) {
+        let received = main_rx.recv_timeout(wait);
+        if kill.is_killed() {
+            return;
+        }
+        match received {
             Ok(frame) => match Message::decode(&frame) {
                 Ok(Message::ConnectRequest { group_id, instance }) => {
                     let reply = Message::ConnectReply {

@@ -13,10 +13,8 @@
 //!
 //! [`ScrapeSnapshot`]: melissa_telemetry::ScrapeSnapshot
 
-use bytes::{BufMut, BytesMut};
-use melissa_telemetry::scrape::json_escape;
-use melissa_telemetry::ScrapeFormat;
-use melissa_transport::codec::Wire;
+use melissa_telemetry::exposition::{json, prometheus};
+use melissa_telemetry::{reply_frame, ScrapeFormat};
 use melissa_transport::Frame;
 
 use crate::admission::AdmissionStats;
@@ -102,166 +100,131 @@ pub struct DaemonSnapshot {
     pub studies: Vec<StudySnapshot>,
 }
 
+/// How one per-tenant Prometheus family reads its value.
+type TenantField = fn(&TenantSnapshot) -> u64;
+
 impl DaemonSnapshot {
     /// Renders the snapshot as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str(&format!(
-            "{{\"uptime_nanos\":{},\"pool_units\":{},\"free_units\":{},\
-             \"active_studies\":{},\"max_active_studies\":{},\
-             \"queue_depth\":{},\"queue_cap\":{},",
-            self.uptime_nanos,
-            self.pool_units,
-            self.free_units,
-            self.active_studies,
-            self.max_active_studies,
-            self.queue_depth,
-            self.queue_cap,
-        ));
-        out.push_str(&format!(
-            "\"admission\":{{\"admitted\":{},\"rejected_queue\":{},\
-             \"rejected_studies\":{},\"rejected_groups\":{},\"rejected_units\":{}}},",
-            self.admission.admitted,
-            self.admission.rejected_queue,
-            self.admission.rejected_studies,
-            self.admission.rejected_groups,
-            self.admission.rejected_units,
-        ));
-        out.push_str(&format!(
-            "\"daemon_ctl_wakeups_total\":{{\"request\":{},\"study_ended\":{},\"scrape\":{}}},",
-            self.ctl_wakeups.request, self.ctl_wakeups.study_ended, self.ctl_wakeups.scrape,
-        ));
-        out.push_str("\"tenants\":[");
-        for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"tenant\":\"{}\",\"weight\":{},\"queued_jobs\":{},\
-                 \"running_jobs\":{},\"running_units\":{},\"dispatched_jobs\":{},\
-                 \"studies\":{},\"groups_reserved\":{},\"units_reserved\":{}}}",
-                json_escape(&t.tenant),
-                t.weight,
-                t.queued_jobs,
-                t.running_jobs,
-                t.running_units,
-                t.dispatched_jobs,
-                t.studies,
-                t.groups_reserved,
-                t.units_reserved,
-            ));
-        }
-        out.push_str("],\"studies\":[");
-        for (i, s) in self.studies.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"id\":{},\"tenant\":\"{}\",\"priority\":{},\
-                 \"state\":\"{}\",\"n_groups\":{}}}",
-                s.id,
-                json_escape(&s.tenant),
-                s.priority,
-                s.state,
-                s.n_groups,
-            ));
-        }
-        out.push_str("]}");
-        out
+        let (a, w) = (&self.admission, &self.ctl_wakeups);
+        let tenant = |t: &TenantSnapshot| {
+            json::object([
+                ("tenant", json::string(&t.tenant)),
+                ("weight", t.weight.to_string()),
+                ("queued_jobs", t.queued_jobs.to_string()),
+                ("running_jobs", t.running_jobs.to_string()),
+                ("running_units", t.running_units.to_string()),
+                ("dispatched_jobs", t.dispatched_jobs.to_string()),
+                ("studies", t.studies.to_string()),
+                ("groups_reserved", t.groups_reserved.to_string()),
+                ("units_reserved", t.units_reserved.to_string()),
+            ])
+        };
+        let study = |s: &StudySnapshot| {
+            json::object([
+                ("id", s.id.to_string()),
+                ("tenant", json::string(&s.tenant)),
+                ("priority", s.priority.to_string()),
+                ("state", json::string(&s.state.to_string())),
+                ("n_groups", s.n_groups.to_string()),
+            ])
+        };
+        json::object([
+            ("uptime_nanos", self.uptime_nanos.to_string()),
+            ("pool_units", self.pool_units.to_string()),
+            ("free_units", self.free_units.to_string()),
+            ("active_studies", self.active_studies.to_string()),
+            ("max_active_studies", self.max_active_studies.to_string()),
+            ("queue_depth", self.queue_depth.to_string()),
+            ("queue_cap", self.queue_cap.to_string()),
+            (
+                "admission",
+                json::object([
+                    ("admitted", a.admitted.to_string()),
+                    ("rejected_queue", a.rejected_queue.to_string()),
+                    ("rejected_studies", a.rejected_studies.to_string()),
+                    ("rejected_groups", a.rejected_groups.to_string()),
+                    ("rejected_units", a.rejected_units.to_string()),
+                ]),
+            ),
+            (
+                "daemon_ctl_wakeups_total",
+                json::object([
+                    ("request", w.request.to_string()),
+                    ("study_ended", w.study_ended.to_string()),
+                    ("scrape", w.scrape.to_string()),
+                ]),
+            ),
+            ("tenants", json::array(self.tenants.iter().map(tenant))),
+            ("studies", json::array(self.studies.iter().map(study))),
+        ])
     }
 
     /// Renders the snapshot as a Prometheus-style text exposition
     /// (`melissad_`-prefixed families, `tenant` labels).
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        let gauge = |out: &mut String, name: &str, v: u64| {
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-        };
-        gauge(
-            &mut out,
-            "melissad_uptime_seconds",
-            self.uptime_nanos / 1_000_000_000,
-        );
-        gauge(&mut out, "melissad_pool_units", self.pool_units as u64);
-        gauge(&mut out, "melissad_free_units", self.free_units as u64);
-        gauge(
-            &mut out,
-            "melissad_active_studies",
-            self.active_studies as u64,
-        );
-        gauge(&mut out, "melissad_queue_depth", self.queue_depth as u64);
-        out.push_str("# TYPE melissad_admissions_total counter\n");
-        out.push_str(&format!(
-            "melissad_admissions_total{{decision=\"admitted\"}} {}\n",
-            self.admission.admitted
-        ));
-        for (resource, v) in [
-            ("queue", self.admission.rejected_queue),
-            ("studies", self.admission.rejected_studies),
-            ("groups", self.admission.rejected_groups),
-            ("units", self.admission.rejected_units),
+        let mut p = prometheus::Writer::new("melissad_", Vec::new());
+        let uptime = self.uptime_nanos / 1_000_000_000;
+        p.single("uptime_seconds", "gauge", uptime);
+        p.single("pool_units", "gauge", self.pool_units);
+        p.single("free_units", "gauge", self.free_units);
+        p.single("active_studies", "gauge", self.active_studies);
+        p.single("queue_depth", "gauge", self.queue_depth);
+        let a = &self.admission;
+        let family = "admissions_total";
+        p.family(family, "counter");
+        p.series(family, &[("decision", "admitted")], a.admitted);
+        for (r, v) in [
+            ("queue", a.rejected_queue),
+            ("studies", a.rejected_studies),
+            ("groups", a.rejected_groups),
+            ("units", a.rejected_units),
         ] {
-            out.push_str(&format!(
-                "melissad_admissions_total{{decision=\"rejected\",resource=\"{resource}\"}} {v}\n"
-            ));
+            p.series(family, &[("decision", "rejected"), ("resource", r)], v);
         }
-        out.push_str("# TYPE melissad_daemon_ctl_wakeups_total counter\n");
+        let family = "daemon_ctl_wakeups_total";
+        p.family(family, "counter");
         for (reason, v) in [
             ("request", self.ctl_wakeups.request),
             ("study_ended", self.ctl_wakeups.study_ended),
             ("scrape", self.ctl_wakeups.scrape),
         ] {
-            out.push_str(&format!(
-                "melissad_daemon_ctl_wakeups_total{{reason=\"{reason}\"}} {v}\n"
-            ));
+            p.series(family, &[("reason", reason)], v);
         }
-        for (family, pick) in [
-            ("melissad_tenant_queued_jobs", 0usize),
-            ("melissad_tenant_running_jobs", 1),
-            ("melissad_tenant_running_units", 2),
-            ("melissad_tenant_studies", 3),
-        ] {
-            out.push_str(&format!("# TYPE {family} gauge\n"));
+        let tenant_families: [(&str, &str, TenantField); 5] = [
+            ("tenant_queued_jobs", "gauge", |t| t.queued_jobs),
+            ("tenant_running_jobs", "gauge", |t| t.running_jobs as u64),
+            ("tenant_running_units", "gauge", |t| t.running_units as u64),
+            ("tenant_studies", "gauge", |t| t.studies as u64),
+            ("tenant_dispatched_jobs_total", "counter", |t| {
+                t.dispatched_jobs
+            }),
+        ];
+        for (family, kind, value) in tenant_families {
+            p.family(family, kind);
             for t in &self.tenants {
-                let v = match pick {
-                    0 => t.queued_jobs,
-                    1 => t.running_jobs as u64,
-                    2 => t.running_units as u64,
-                    _ => t.studies as u64,
-                };
-                out.push_str(&format!("{family}{{tenant=\"{}\"}} {v}\n", t.tenant));
+                p.series(family, &[("tenant", t.tenant.as_str())], value(t));
             }
         }
-        out.push_str("# TYPE melissad_tenant_dispatched_jobs_total counter\n");
-        for t in &self.tenants {
-            out.push_str(&format!(
-                "melissad_tenant_dispatched_jobs_total{{tenant=\"{}\"}} {}\n",
-                t.tenant, t.dispatched_jobs
-            ));
-        }
-        out.push_str("# TYPE melissad_study_state gauge\n");
+        p.family("study_state", "gauge");
         for s in &self.studies {
-            out.push_str(&format!(
-                "melissad_study_state{{study=\"{}\",tenant=\"{}\",state=\"{}\"}} 1\n",
-                s.id, s.tenant, s.state
-            ));
+            let (id, state) = (s.id.to_string(), s.state.to_string());
+            let labels = [("study", &*id), ("tenant", &*s.tenant), ("state", &*state)];
+            p.series("study_state", &labels, 1);
         }
-        out
+        p.finish()
     }
 
-    /// Renders the reply frame for a scrape request: one format byte,
-    /// then the text body.  Binary requests are served JSON (the daemon
-    /// aggregate has no fixed binary form), so every reply decodes as
-    /// [`melissa_telemetry::ScrapeReply::Text`].
+    /// Renders the reply frame for a scrape request.  Binary requests are
+    /// served JSON (the daemon aggregate has no fixed binary form), so
+    /// every reply decodes as [`melissa_telemetry::ScrapeReply::Text`].
     pub fn encode_reply(&self, format: ScrapeFormat) -> Frame {
-        let (format, body) = match format {
-            ScrapeFormat::Binary | ScrapeFormat::Json => (ScrapeFormat::Json, self.to_json()),
-            ScrapeFormat::Prometheus => (ScrapeFormat::Prometheus, self.to_prometheus()),
-        };
-        let mut buf = BytesMut::new();
-        format.put(&mut buf);
-        buf.put_slice(body.as_bytes());
-        buf.freeze()
+        match format {
+            ScrapeFormat::Binary | ScrapeFormat::Json => {
+                reply_frame(ScrapeFormat::Json, self.to_json().as_bytes())
+            }
+            ScrapeFormat::Prometheus => reply_frame(format, self.to_prometheus().as_bytes()),
+        }
     }
 }
 

@@ -451,10 +451,19 @@ fn submit_refuses_a_config_that_does_not_validate() {
         timeless.solver.total_time = total_time;
         refused.push(timeless);
     }
+    // An HWM wider than the TCP handshake's u32, and a checkpoint
+    // interval of zero (a study that would never finish).
+    let mut wide = seeded_config(46, "wide-hwm");
+    wide.hwm = usize::MAX;
+    let mut no_interval = seeded_config(47, "no-interval");
+    no_interval.checkpoint_interval = Duration::ZERO;
+    refused.extend([wide, no_interval]);
     for config in refused {
         match client.submit("acme", 0, config) {
             Err(ClientError::BadHandshake { detail }) => assert!(
-                detail.contains("total_time") || detail.contains("n_timesteps"),
+                ["total_time", "n_timesteps", "HWM", "checkpoint_interval"]
+                    .iter()
+                    .any(|what| detail.contains(what)),
                 "detail: {detail}"
             ),
             other => panic!("expected the validation error, got {other:?}"),
@@ -462,7 +471,26 @@ fn submit_refuses_a_config_that_does_not_validate() {
     }
     let json = client.scrape_daemon(ScrapeFormat::Json).expect("json");
     assert!(json.contains("\"free_units\":"), "json: {json}");
+    assert!(json.contains("\"admitted\":0"), "json: {json}");
     daemon.stop();
+}
+
+/// The widest HWM that validates is a bound, not an allocation: a tiny
+/// study with it runs to `Done` on both backends.
+#[test]
+fn the_widest_valid_hwm_runs_to_done_on_both_backends() {
+    let _process = shared_process();
+    for kind in [TransportKind::InProcess, TransportKind::Tcp] {
+        let transport = make_transport(kind);
+        let daemon = Daemon::start(Arc::clone(&transport), DaemonConfig::default());
+        let client = DaemonClient::new(Arc::clone(&transport), Duration::from_secs(10));
+        let mut config = seeded_config(48, "widest-hwm");
+        config.hwm = u32::MAX as usize;
+        let id = client.submit("acme", 0, config).expect("admitted");
+        let status = client.wait(id, Duration::from_secs(240)).expect("finish");
+        assert_eq!(status.state, StudyState::Done, "{status:?}");
+        daemon.stop();
+    }
 }
 
 /// The daemon-level telemetry endpoint aggregates queue depths,
@@ -509,6 +537,132 @@ fn daemon_telemetry_snapshot_aggregates_tenants_and_admissions() {
     let status = client.wait(id, Duration::from_secs(240)).expect("finish");
     assert_eq!(status.state, StudyState::Done);
     daemon.stop();
+}
+
+/// A tenant name is client-chosen text.  In the Prometheus scrape its
+/// quote, backslash and newline are escaped, so each tenant family holds
+/// one series for it and it cannot end a series early to forge another;
+/// the JSON scrape stays one well-formed document.
+#[test]
+fn a_hostile_tenant_name_cannot_forge_series() {
+    let _process = shared_process();
+    let transport = make_transport(TransportKind::InProcess);
+    let daemon = Daemon::start(Arc::clone(&transport), DaemonConfig::default());
+    let client = DaemonClient::new(Arc::clone(&transport), Duration::from_secs(10));
+    let hostile = "x\"} 1\nmelissad_pool_units 0\n# \\";
+    let id = client
+        .submit(hostile, 0, seeded_config(51, "hostile"))
+        .expect("admitted");
+
+    let prom = client
+        .scrape_daemon(ScrapeFormat::Prometheus)
+        .expect("prometheus");
+    let escaped = r#"x\"} 1\nmelissad_pool_units 0\n# \\"#;
+    for family in [
+        "melissad_tenant_queued_jobs",
+        "melissad_tenant_running_jobs",
+        "melissad_tenant_running_units",
+        "melissad_tenant_studies",
+        "melissad_tenant_dispatched_jobs_total",
+    ] {
+        let series: Vec<&str> = prom
+            .lines()
+            .filter(|l| l.starts_with(&format!("{family}{{")))
+            .collect();
+        let expected = format!("{family}{{tenant=\"{escaped}\"}} ");
+        assert!(
+            series.len() == 1 && series[0].starts_with(&expected),
+            "{family}: {series:?} in:\n{prom}"
+        );
+    }
+    let state = format!("melissad_study_state{{study=\"{id}\",tenant=\"{escaped}\",state=");
+    assert_eq!(prom.lines().filter(|l| l.starts_with(&state)).count(), 1);
+    // Every line is a TYPE line or one `melissad_` series with a numeric
+    // value, and the forged family holds only the daemon's own series.
+    for line in prom.lines() {
+        let series = line.starts_with("melissad_")
+            && line
+                .rsplit_once(' ')
+                .is_some_and(|(_, v)| v.parse::<f64>().is_ok());
+        assert!(
+            line.starts_with("# TYPE melissad_") || series,
+            "line {line:?} in:\n{prom}"
+        );
+    }
+    let pool = prom
+        .lines()
+        .filter(|l| l.starts_with("melissad_pool_units"));
+    assert_eq!(pool.count(), 1, "prom: {prom}");
+
+    let json = client.scrape_daemon(ScrapeFormat::Json).expect("json");
+    assert!(is_json(&json), "json: {json}");
+    assert!(!is_json("{\"tenant\":\"x\ny\"}") && !is_json(r#"{"a":1,}"#));
+    assert!(json.contains(r#""tenant":"x\"} 1\nmelissad_pool_units 0\n# \\""#));
+    let status = client.wait(id, Duration::from_secs(240)).expect("finish");
+    assert_eq!(status.state, StudyState::Done);
+    daemon.stop();
+}
+
+/// Whether `text` is one JSON value written compactly, as the scrape
+/// writes it (no whitespace between tokens): objects, arrays, strings,
+/// numbers and `null`.
+fn is_json(text: &str) -> bool {
+    fn eat(b: &[u8], i: &mut usize, c: u8) -> bool {
+        let hit = b.get(*i) == Some(&c);
+        *i += usize::from(hit);
+        hit
+    }
+    fn string(b: &[u8], i: &mut usize) -> bool {
+        if !eat(b, i, b'"') {
+            return false;
+        }
+        while let Some(&c) = b.get(*i) {
+            *i += 1;
+            match c {
+                b'"' => return true,
+                b'\\' if b.get(*i).is_some_and(|e| b"\"\\/bfnrtu".contains(e)) => *i += 1,
+                c if c < 0x20 || c == b'\\' => return false,
+                _ => {}
+            }
+        }
+        false
+    }
+    fn value(b: &[u8], i: &mut usize) -> bool {
+        let close = match b.get(*i) {
+            Some(b'{') => b'}',
+            Some(b'[') => b']',
+            Some(b'"') => return string(b, i),
+            _ => {
+                let start = *i;
+                while b
+                    .get(*i)
+                    .is_some_and(|c| c.is_ascii_alphanumeric() || b"+-.".contains(c))
+                {
+                    *i += 1;
+                }
+                let token = std::str::from_utf8(&b[start..*i]).unwrap_or("");
+                return token == "null" || token.parse::<f64>().is_ok();
+            }
+        };
+        *i += 1;
+        if eat(b, i, close) {
+            return true;
+        }
+        loop {
+            let key = close != b'}' || (string(b, i) && eat(b, i, b':'));
+            if !key || !value(b, i) {
+                return false;
+            }
+            if eat(b, i, close) {
+                return true;
+            }
+            if !eat(b, i, b',') {
+                return false;
+            }
+        }
+    }
+    let mut i = 0;
+    value(text.as_bytes(), &mut i) && i == text.len()
 }
 
 /// The in-process transport, except that it names its backend

@@ -13,7 +13,9 @@
 //! * [`mod@scrape`] — a live snapshot protocol served on each shard's
 //!   `telemetry/shard<k>` endpoint over the study's own transport, in
 //!   binary, JSON, or Prometheus-style text (see `examples/melissa_top.rs`
-//!   for a polling renderer).
+//!   for a polling renderer).  Both text formats, for shard and daemon
+//!   snapshots alike, are written by [`exposition`], which owns every
+//!   escaping rule.
 //!
 //! A [`Telemetry`] value ties the three together for one shard: the
 //! shared registry, the shard's study clock origin, the routing epoch
@@ -28,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod events;
+pub mod exposition;
 pub mod metrics;
 pub mod scrape;
 
@@ -36,8 +39,8 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry, N_BUCKETS,
 };
 pub use scrape::{
-    scrape, scrape_reply_in, scrape_text, CodecScrape, LinkScrape, ScrapeFormat, ScrapeReply,
-    ScrapeRequest, ScrapeSnapshot, SCRAPE_SCHEMA,
+    reply_frame, scrape, scrape_reply_in, scrape_text, CodecScrape, LinkScrape, ScrapeFormat,
+    ScrapeReply, ScrapeRequest, ScrapeSnapshot, SCRAPE_SCHEMA,
 };
 
 use std::collections::VecDeque;

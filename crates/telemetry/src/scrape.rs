@@ -25,7 +25,9 @@ use melissa_transport::tcp::WireIoSnapshot;
 use melissa_transport::{round_trip, Frame, LinkStatsSnapshot, Transport};
 
 use crate::events::StudyEvent;
-use crate::metrics::MetricsSnapshot;
+use crate::exposition::json;
+use crate::exposition::prometheus::{self, float};
+use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 
 /// Snapshot wire format a scraper can ask for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -195,241 +197,162 @@ melissa_transport::wire_struct!(
 );
 
 impl ScrapeSnapshot {
-    /// Renders the snapshot as a JSON object (written out by hand: no
-    /// serde in this reproduction).  Non-finite floats render as `null`.
+    /// Renders the snapshot as a JSON object.  Non-finite floats render
+    /// as `null`.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        push_kv_u64(&mut out, "shard", self.shard as u64);
-        push_kv_str(&mut out, "backend", &self.backend);
-        push_kv_u64(&mut out, "uptime_nanos", self.uptime_nanos);
-        push_kv_u64(&mut out, "groups_finished", self.groups_finished);
-        push_kv_u64(&mut out, "groups_running", self.groups_running);
-        push_kv_f64(&mut out, "max_ci_width", self.max_ci_width);
-        push_kv_f64(&mut out, "max_quantile_step", self.max_quantile_step);
-        push_kv_u64(&mut out, "routing_epoch", self.routing_epoch);
-        push_kv_u64(&mut out, "reconnects", self.reconnects);
         let codec = &self.wire_codec;
-        out.push_str(&format!(
-            "\"wire_codec\":{{\"encode_nanos\":{},\"decode_nanos\":{},\"bytes_in\":{},\
-             \"bytes_out\":{},\"raw_frames\":{}}},",
-            codec.encode_nanos,
-            codec.decode_nanos,
-            codec.bytes_in,
-            codec.bytes_out,
-            codec.raw_frames
-        ));
-
-        out.push_str("\"links\":[");
-        for (i, l) in self.links.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            push_kv_str(&mut out, "endpoint", &l.endpoint);
-            push_kv_u64(&mut out, "messages", l.messages);
-            push_kv_u64(&mut out, "bytes", l.bytes);
-            push_kv_u64(&mut out, "wire_bytes", l.wire_bytes);
-            push_kv_u64(&mut out, "blocked_sends", l.blocked_sends);
-            out.push_str(&format!("\"blocked_nanos\":{}", l.blocked_nanos));
-            out.push('}');
-        }
-        out.push_str("],");
-
-        out.push_str("\"counters\":{");
-        for (i, (name, v)) in self.metrics.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_string(name), v));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.metrics.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_string(name), v));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.metrics.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"sum\":{},\"mean\":{}}}",
-                json_string(name),
-                h.count(),
-                h.sum,
-                json_f64(h.mean())
-            ));
-        }
-        out.push_str("},\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"seq\":{},\"at_nanos\":{},\"shard\":{},\"text\":{}}}",
-                e.seq,
-                e.at_nanos,
-                e.shard,
-                json_string(&e.kind.render())
-            ));
-        }
-        out.push_str("]}");
-        out
+        let link = |l: &LinkScrape| {
+            json::object([
+                ("endpoint", json::string(&l.endpoint)),
+                ("messages", l.messages.to_string()),
+                ("bytes", l.bytes.to_string()),
+                ("wire_bytes", l.wire_bytes.to_string()),
+                ("blocked_sends", l.blocked_sends.to_string()),
+                ("blocked_nanos", l.blocked_nanos.to_string()),
+            ])
+        };
+        let histogram = |h: &HistogramSnapshot| {
+            json::object([
+                ("count", h.count().to_string()),
+                ("sum", h.sum.to_string()),
+                ("mean", json::number(h.mean())),
+            ])
+        };
+        let event = |e: &StudyEvent| {
+            json::object([
+                ("seq", e.seq.to_string()),
+                ("at_nanos", e.at_nanos.to_string()),
+                ("shard", e.shard.to_string()),
+                ("text", json::string(&e.kind.render())),
+            ])
+        };
+        let m = &self.metrics;
+        let values = |pairs: &[(String, u64)]| {
+            json::object(pairs.iter().map(|(k, v)| (k.as_str(), v.to_string())))
+        };
+        let histograms = m.histograms.iter().map(|(k, h)| (k.as_str(), histogram(h)));
+        json::object([
+            ("shard", self.shard.to_string()),
+            ("backend", json::string(&self.backend)),
+            ("uptime_nanos", self.uptime_nanos.to_string()),
+            ("groups_finished", self.groups_finished.to_string()),
+            ("groups_running", self.groups_running.to_string()),
+            ("max_ci_width", json::number(self.max_ci_width)),
+            ("max_quantile_step", json::number(self.max_quantile_step)),
+            ("routing_epoch", self.routing_epoch.to_string()),
+            ("reconnects", self.reconnects.to_string()),
+            (
+                "wire_codec",
+                json::object([
+                    ("encode_nanos", codec.encode_nanos.to_string()),
+                    ("decode_nanos", codec.decode_nanos.to_string()),
+                    ("bytes_in", codec.bytes_in.to_string()),
+                    ("bytes_out", codec.bytes_out.to_string()),
+                    ("raw_frames", codec.raw_frames.to_string()),
+                ]),
+            ),
+            ("links", json::array(self.links.iter().map(link))),
+            ("counters", values(&m.counters)),
+            ("gauges", values(&m.gauges)),
+            ("histograms", json::object(histograms)),
+            ("events", json::array(self.events.iter().map(event))),
+        ])
     }
 
     /// Renders the snapshot as a Prometheus-style text exposition
     /// (`melissa_`-prefixed families, `shard` label, cumulative `le`
     /// histogram buckets).
     pub fn to_prometheus(&self) -> String {
-        let shard = self.shard;
-        let mut out = String::new();
-        let gauge = |out: &mut String, name: &str, value: String| {
-            out.push_str(&format!("# TYPE {name} gauge\n"));
-            out.push_str(&format!("{name}{{shard=\"{shard}\"}} {value}\n"));
-        };
-        gauge(
-            &mut out,
-            "melissa_uptime_seconds",
-            format!("{:.3}", self.uptime_nanos as f64 / 1e9),
-        );
-        gauge(
-            &mut out,
-            "melissa_groups_finished",
-            self.groups_finished.to_string(),
-        );
-        gauge(
-            &mut out,
-            "melissa_groups_running",
-            self.groups_running.to_string(),
-        );
-        gauge(
-            &mut out,
-            "melissa_max_ci_width",
-            prom_f64(self.max_ci_width),
-        );
-        gauge(
-            &mut out,
-            "melissa_max_quantile_step",
-            prom_f64(self.max_quantile_step),
-        );
-        gauge(
-            &mut out,
-            "melissa_routing_epoch",
-            self.routing_epoch.to_string(),
-        );
-        out.push_str("# TYPE melissa_transport_reconnects_total counter\n");
-        out.push_str(&format!(
-            "melissa_transport_reconnects_total{{shard=\"{shard}\"}} {}\n",
-            self.reconnects
-        ));
+        let mut p = prometheus::Writer::new("melissa_", vec![("shard", self.shard.to_string())]);
+        let uptime = format!("{:.3}", self.uptime_nanos as f64 / 1e9);
+        p.single("uptime_seconds", "gauge", uptime);
+        p.single("groups_finished", "gauge", self.groups_finished);
+        p.single("groups_running", "gauge", self.groups_running);
+        p.single("max_ci_width", "gauge", float(self.max_ci_width));
+        p.single("max_quantile_step", "gauge", float(self.max_quantile_step));
+        p.single("routing_epoch", "gauge", self.routing_epoch);
+        p.single("transport_reconnects_total", "counter", self.reconnects);
         let codec = &self.wire_codec;
-        out.push_str("# TYPE melissa_wire_codec_seconds_total counter\n");
+        p.family("wire_codec_seconds_total", "counter");
         for (dir, nanos) in [
             ("encode", codec.encode_nanos),
             ("decode", codec.decode_nanos),
         ] {
-            out.push_str(&format!(
-                "melissa_wire_codec_seconds_total{{shard=\"{shard}\",dir=\"{dir}\"}} {:.6}\n",
-                nanos as f64 / 1e9
-            ));
+            let seconds = format!("{:.6}", nanos as f64 / 1e9);
+            p.series("wire_codec_seconds_total", &[("dir", dir)], seconds);
         }
-        out.push_str("# TYPE melissa_wire_codec_bytes_total counter\n");
+        p.family("wire_codec_bytes_total", "counter");
         for (dir, bytes) in [("in", codec.bytes_in), ("out", codec.bytes_out)] {
-            out.push_str(&format!(
-                "melissa_wire_codec_bytes_total{{shard=\"{shard}\",dir=\"{dir}\"}} {bytes}\n"
-            ));
+            p.series("wire_codec_bytes_total", &[("dir", dir)], bytes);
         }
-        out.push_str("# TYPE melissa_wire_codec_raw_frames_total counter\n");
-        out.push_str(&format!(
-            "melissa_wire_codec_raw_frames_total{{shard=\"{shard}\"}} {}\n",
-            codec.raw_frames
-        ));
-
-        for family in [
-            ("melissa_link_messages_total", "messages"),
-            ("melissa_link_bytes_total", "bytes"),
-            ("melissa_link_wire_bytes_total", "wire_bytes"),
-            ("melissa_link_blocked_sends_total", "blocked_sends"),
-            ("melissa_link_blocked_nanos_total", "blocked_nanos"),
-        ] {
-            out.push_str(&format!("# TYPE {} counter\n", family.0));
+        p.single("wire_codec_raw_frames_total", "counter", codec.raw_frames);
+        let link_families: [(&str, LinkField); 5] = [
+            ("link_messages_total", |l| l.messages),
+            ("link_bytes_total", |l| l.bytes),
+            ("link_wire_bytes_total", |l| l.wire_bytes),
+            ("link_blocked_sends_total", |l| l.blocked_sends),
+            ("link_blocked_nanos_total", |l| l.blocked_nanos),
+        ];
+        for (family, value) in link_families {
+            p.family(family, "counter");
             for l in &self.links {
-                let v = match family.1 {
-                    "messages" => l.messages,
-                    "bytes" => l.bytes,
-                    "wire_bytes" => l.wire_bytes,
-                    "blocked_sends" => l.blocked_sends,
-                    _ => l.blocked_nanos,
-                };
-                out.push_str(&format!(
-                    "{}{{shard=\"{shard}\",endpoint=\"{}\"}} {v}\n",
-                    family.0,
-                    prom_label(&l.endpoint)
-                ));
+                p.series(family, &[("endpoint", l.endpoint.as_str())], value(l));
             }
         }
-
         // A counter registered as `family{label="value"}` is one series
         // of `family`; the name-sorted snapshot keeps a family's series
         // adjacent, so its TYPE line prints once.
-        let mut family = String::new();
         for (name, v) in &self.metrics.counters {
-            let (base, labels) = match name.split_once('{') {
-                Some((base, labels)) => (base, labels.trim_end_matches('}')),
-                None => (name.as_str(), ""),
-            };
-            let m = format!("melissa_{}", prom_name(base));
-            if m != family {
-                out.push_str(&format!("# TYPE {m} counter\n"));
-                family.clone_from(&m);
-            }
-            let sep = if labels.is_empty() { "" } else { "," };
-            out.push_str(&format!("{m}{{shard=\"{shard}\"{sep}{labels}}} {v}\n"));
+            let (base, labels) = split_labels(name);
+            p.family(base, "counter");
+            p.series(base, &labels, v);
         }
         for (name, v) in &self.metrics.gauges {
-            let m = format!("melissa_{}", prom_name(name));
-            out.push_str(&format!("# TYPE {m} gauge\n"));
-            out.push_str(&format!("{m}{{shard=\"{shard}\"}} {v}\n"));
+            p.single(name, "gauge", v);
         }
         for (name, h) in &self.metrics.histograms {
-            let m = format!("melissa_{}", prom_name(name));
-            out.push_str(&format!("# TYPE {m} histogram\n"));
-            let mut cumulative = 0u64;
-            for (i, b) in h.buckets.iter().enumerate() {
-                if *b == 0 && i + 1 < h.buckets.len() {
-                    continue; // keep the exposition sparse; +Inf always prints
-                }
-                cumulative = cumulative.wrapping_add(*b);
-                let le = if i + 1 == h.buckets.len() {
-                    "+Inf".to_string()
-                } else {
-                    crate::metrics::HistogramSnapshot::bucket_upper_bound(i).to_string()
-                };
-                out.push_str(&format!(
-                    "{m}_bucket{{shard=\"{shard}\",le=\"{le}\"}} {cumulative}\n"
-                ));
-            }
-            out.push_str(&format!("{m}_sum{{shard=\"{shard}\"}} {}\n", h.sum));
-            out.push_str(&format!("{m}_count{{shard=\"{shard}\"}} {}\n", h.count()));
+            p.histogram(name, h);
         }
-        out
+        p.finish()
     }
 
     /// Renders the snapshot in the requested format as reply-frame bytes
     /// (one format byte, then the body).
     pub fn encode_reply(&self, format: ScrapeFormat) -> Frame {
-        let mut buf = BytesMut::new();
-        format.put(&mut buf);
         match format {
-            ScrapeFormat::Binary => self.put(&mut buf),
-            ScrapeFormat::Json => buf.put_slice(self.to_json().as_bytes()),
-            ScrapeFormat::Prometheus => buf.put_slice(self.to_prometheus().as_bytes()),
+            ScrapeFormat::Binary => reply_frame(format, &self.to_frame()),
+            ScrapeFormat::Json => reply_frame(format, self.to_json().as_bytes()),
+            ScrapeFormat::Prometheus => reply_frame(format, self.to_prometheus().as_bytes()),
         }
-        buf.freeze()
     }
+}
+
+/// How one per-link Prometheus family reads its counter.
+type LinkField = fn(&LinkScrape) -> u64;
+
+/// A registered metric name `base{key="value",…}` as its base and its
+/// label pairs: a labelled counter is one series of the family `base`.
+fn split_labels(name: &str) -> (&str, Vec<(&str, &str)>) {
+    let Some((base, labels)) = name.split_once('{') else {
+        return (name, Vec::new());
+    };
+    let pairs = labels
+        .trim_end_matches('}')
+        .split("\",")
+        .filter_map(|pair| {
+            let (key, value) = pair.split_once("=\"")?;
+            Some((key, value.strip_suffix('"').unwrap_or(value)))
+        });
+    (base, pairs.collect())
+}
+
+/// A scrape reply frame: the format byte, then `body` (a binary
+/// snapshot, or JSON or Prometheus text).  [`ScrapeReply::decode`] reads it.
+pub fn reply_frame(format: ScrapeFormat, body: &[u8]) -> Frame {
+    let mut buf = BytesMut::new();
+    format.put(&mut buf);
+    buf.put_slice(body);
+    buf.freeze()
 }
 
 /// A decoded scrape reply: binary snapshots parse, text formats pass
@@ -456,69 +379,6 @@ impl ScrapeReply {
                 }),
         }
     }
-}
-
-/// Escapes `s` for use inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::new();
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_string(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn push_kv_u64(out: &mut String, key: &str, v: u64) {
-    out.push_str(&format!("\"{key}\":{v},"));
-}
-
-fn push_kv_str(out: &mut String, key: &str, v: &str) {
-    out.push_str(&format!("\"{key}\":{},", json_string(v)));
-}
-
-fn push_kv_f64(out: &mut String, key: &str, v: f64) {
-    out.push_str(&format!("\"{key}\":{},", json_f64(v)));
-}
-
-fn prom_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else if v.is_nan() {
-        "NaN".to_string()
-    } else if v > 0.0 {
-        "+Inf".to_string()
-    } else {
-        "-Inf".to_string()
-    }
-}
-
-fn prom_name(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
-}
-
-fn prom_label(value: &str) -> String {
-    value.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Scrapes shard `shard`'s telemetry endpoint inside server scope

@@ -135,20 +135,31 @@ proptest! {
 /// A snapshot taken while writer threads hammer the histogram must be
 /// self-consistent: derived count ≡ Σ buckets *by construction*, and both
 /// count and sum must be monotonically non-decreasing across snapshots.
+/// Each writer holds back its last records until the reader has taken a
+/// snapshot holding the histogram, so at least one snapshot overlaps the
+/// ingest however the threads are scheduled.
 #[test]
 fn snapshot_under_concurrent_ingest_is_self_consistent() {
     let reg = Arc::new(Registry::new());
     let stop = Arc::new(AtomicBool::new(false));
+    let seen = Arc::new(AtomicBool::new(false));
     let n_writers = 4;
     let per_writer = 50_000u64;
+    let held_back = 1_000u64;
 
     let writers: Vec<_> = (0..n_writers)
         .map(|w| {
             let reg = Arc::clone(&reg);
+            let seen = Arc::clone(&seen);
             std::thread::spawn(move || {
                 let h = reg.histogram("lat");
                 let c = reg.counter("frames");
                 for i in 0..per_writer {
+                    if i == per_writer - held_back {
+                        while !seen.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                    }
                     h.record((w as u64).wrapping_mul(1_000_003).wrapping_add(i) % 4096);
                     c.inc();
                 }
@@ -159,6 +170,7 @@ fn snapshot_under_concurrent_ingest_is_self_consistent() {
     let reader = {
         let reg = Arc::clone(&reg);
         let stop = Arc::clone(&stop);
+        let seen = Arc::clone(&seen);
         std::thread::spawn(move || {
             let mut last_count = 0u64;
             let mut last_sum = 0u64;
@@ -174,6 +186,7 @@ fn snapshot_under_concurrent_ingest_is_self_consistent() {
                     last_count = count;
                     last_sum = h.sum;
                     observed += 1;
+                    seen.store(true, Ordering::Release);
                 }
             }
             observed

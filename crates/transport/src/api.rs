@@ -231,6 +231,14 @@ impl LinkStatsSnapshot {
     }
 }
 
+/// `t + d`, saturating: a duration too long for the clock (a wait "until
+/// a frame", a limit set to "never") means a deadline a year away, not a
+/// panic.
+pub fn instant_after(t: Instant, d: Duration) -> Instant {
+    t.checked_add(d)
+        .unwrap_or_else(|| t + Duration::from_secs(365 * 24 * 3600))
+}
+
 /// Sending half of one HWM-buffered link (ZeroMQ blocking-send semantics).
 pub trait Sender: std::fmt::Debug + Send + Sync {
     /// Sends a frame, buffering asynchronously below the high-water mark
@@ -431,7 +439,7 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
     /// This is what makes simulation groups independent jobs — they can be
     /// scheduled before (or while) the server binds its endpoints.
     fn connect_retry(&self, name: &str, timeout: Duration) -> Result<BoxSender, ConnectError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = instant_after(Instant::now(), timeout);
         let mut backoff = Duration::from_millis(1);
         loop {
             match self.connect(name) {

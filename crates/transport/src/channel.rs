@@ -86,6 +86,33 @@ pub(crate) mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(frame(7)));
     }
 
+    /// "Until a frame" is a wait of `Duration::MAX`: it must neither
+    /// overflow the deadline nor give up before a frame sent later.
+    #[test]
+    fn an_unbounded_wait_returns_a_frame_sent_later() {
+        // Until the receiver sleeps, or its thread is gone (a deadline
+        // that overflowed panics there and fails the join below).
+        fn sleeping<T>(tx: &HwmSender, t: &thread::JoinHandle<T>) {
+            while !t.is_finished() && !tx.queue.state.lock().recv_waiting {
+                thread::yield_now();
+            }
+        }
+        let (tx, rx) = channel(1);
+        let t = thread::spawn(move || rx.recv_timeout(Duration::MAX));
+        sleeping(&tx, &t);
+        let _ = tx.send(frame(5));
+        assert_eq!(t.join().unwrap(), Ok(frame(5)));
+        let (tx, rx) = channel(1);
+        let t = thread::spawn(move || {
+            let mut into = Vec::new();
+            rx.recv_batch(&mut into, 4, Some(Duration::MAX))
+                .map(|_| into.len())
+        });
+        sleeping(&tx, &t);
+        let _ = tx.send(frame(6));
+        assert_eq!(t.join().unwrap(), Ok(1));
+    }
+
     #[test]
     fn disconnects_propagate_both_ways() {
         let (tx, rx) = channel(1);

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::api::{
-    BoxSender, Disconnected, FlushError, Receiver, RecvTimeoutError, SendBatchError,
+    instant_after, BoxSender, Disconnected, FlushError, Receiver, RecvTimeoutError, SendBatchError,
     SendTimeoutError, Sender, TryRecvError,
 };
 use crate::sync::{Condvar, Mutex};
@@ -299,7 +299,7 @@ impl HwmSender {
             }
             blocked.sends += 1;
             let wait_started = Instant::now();
-            let deadline = timeout.map(|t| wait_started + t);
+            let deadline = timeout.map(|t| instant_after(wait_started, t));
             g.send_waiting += 1;
             let waited = loop {
                 g = match deadline {
@@ -484,7 +484,7 @@ impl ChannelReceiver {
         let queue = &*self.queue;
         let mut g = queue.state.lock();
         if g.frames.is_empty() {
-            let deadline = timeout.map(|t| Instant::now() + t);
+            let deadline = timeout.map(|t| instant_after(Instant::now(), t));
             g.recv_waiting = true;
             let waited = loop {
                 if g.senders == 0 {
@@ -563,7 +563,9 @@ pub fn channel(hwm: usize) -> (HwmSender, ChannelReceiver) {
     assert!(hwm > 0, "HWM must be at least 1");
     let queue = Arc::new(Queue {
         state: Mutex::new(QueueState {
-            frames: VecDeque::with_capacity(hwm),
+            // Grown on demand: an HWM bounds the queue, it is not a size
+            // to allocate on every bind.
+            frames: VecDeque::new(),
             hwm,
             senders: 1,
             receiver_gone: false,

@@ -108,9 +108,9 @@ pub mod sync;
 pub mod tcp;
 
 pub use api::{
-    make_transport, make_transport_with, round_trip, BoxReceiver, BoxSender, ConnectError,
-    Disconnected, LinkStatsSnapshot, Receiver, RecvTimeoutError, RoundTripError, SendBatchError,
-    SendTimeoutError, Sender, Transport, TransportKind, TryRecvError,
+    instant_after, make_transport, make_transport_with, round_trip, BoxReceiver, BoxSender,
+    ConnectError, Disconnected, LinkStatsSnapshot, Receiver, RecvTimeoutError, RoundTripError,
+    SendBatchError, SendTimeoutError, Sender, Transport, TransportKind, TryRecvError,
 };
 pub use compress::{compress_payload, decompress_payload, WireCompression};
 pub use directory::{

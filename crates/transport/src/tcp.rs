@@ -106,8 +106,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use crate::api::{
-    BoxReceiver, BoxSender, ConnectError, Disconnected, FlushError, LinkStatsSnapshot,
-    RecvTimeoutError, SendBatchError, SendTimeoutError, Sender, Transport,
+    instant_after, BoxReceiver, BoxSender, ConnectError, Disconnected, FlushError,
+    LinkStatsSnapshot, RecvTimeoutError, SendBatchError, SendTimeoutError, Sender, Transport,
 };
 use crate::codec::{read_frame, write_frame, Wire};
 use crate::compress::{compress_into, decoded_len, decompress_into, PlaneScratch, WireCompression};
@@ -605,7 +605,7 @@ impl Transport for TcpTransport {
             name.to_string(),
             Endpoint {
                 ingest,
-                hwm: hwm as u32,
+                hwm: u32::try_from(hwm).unwrap_or(u32::MAX),
                 resume: Mutex::new(HashMap::new()),
             },
         );
@@ -911,7 +911,7 @@ impl Sender for TcpSender {
     /// retransmits the unacknowledged tail and re-arms the barrier — so
     /// the flush ordering contract holds across link failures.
     fn flush(&self, timeout: Duration) -> Result<(), FlushError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = instant_after(Instant::now(), timeout);
         let epoch = {
             let mut next = self.shared.enqueue.lock();
             // The marker is uncounted (telemetry stays data-only) but

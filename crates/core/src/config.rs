@@ -236,6 +236,16 @@ impl StudyConfig {
         if self.hwm == 0 || self.hwm > u32::MAX as usize {
             return Err(format!("HWM {} outside 1..={}", self.hwm, u32::MAX));
         }
+        // A silence bound under the heartbeat period declares a live
+        // server dead on every pass: the study restarts it until the wall
+        // limit.
+        let heartbeat = crate::launcher::REPORT_INTERVAL;
+        if self.server_timeout <= heartbeat {
+            return Err(format!(
+                "server_timeout {:?} must exceed the {heartbeat:?} heartbeat period",
+                self.server_timeout
+            ));
+        }
         if self.checkpoint_interval.is_zero() {
             return Err("checkpoint_interval must be positive".into());
         }
@@ -292,6 +302,15 @@ mod tests {
         let mut c = StudyConfig::tiny();
         c.hwm = u32::MAX as usize;
         c.validate().unwrap();
+
+        for ms in [0, 6, 50] {
+            let mut c = StudyConfig::tiny();
+            c.server_timeout = Duration::from_millis(ms);
+            assert!(
+                c.validate().unwrap_err().contains("server_timeout"),
+                "{ms} ms"
+            );
+        }
 
         let mut c = StudyConfig::tiny();
         c.checkpoint_interval = Duration::ZERO;

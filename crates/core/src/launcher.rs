@@ -26,41 +26,47 @@
 //! one-shard study, under the flat endpoint names.  Each
 //! supervisor owns its shard's failover completely — including the
 //! checkpoint-restore server recovery — so a shard failure never stalls
-//! the other shards.
+//! the other shards.  A supervisor is a pure decision core
+//! (`supervisor.rs`, which reads no clock) and the driver here, which
+//! carries out its actions.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use melissa_sobol::design::PickFreeze;
 use melissa_solver::injection::InjectionParams;
 use melissa_solver::FrozenFlow;
-use melissa_telemetry::{Counter, EventKind, Gauge, Histogram, Telemetry};
+use melissa_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use melissa_transport::directory::names;
 use melissa_transport::sync::Mutex;
 use melissa_transport::{
-    instant_after, make_transport_with, BoxReceiver, BoxSender, KillSwitch, LoadMonitor, Receiver,
-    RecvTimeoutError, Transport,
+    instant_after, make_transport_with, BoxReceiver, BoxSender, KillSwitch, LinkStatsSnapshot,
+    Receiver, RecvTimeoutError, Transport,
 };
 
 use crate::config::StudyConfig;
-use crate::fault::{FaultPlan, Migration, MigrationMoves, ShardKill};
+use crate::fault::FaultPlan;
 use crate::group::{run_group, GroupContext, GroupOutcome};
 use crate::protocol::Message;
 use crate::report::StudyReport;
 use crate::server::checkpoint::read_checkpoint;
 use crate::server::state::WorkerState;
-use crate::server::{Server, ServerConfig, ServerShared};
+use crate::server::{Server, ServerConfig, ServerCounters};
 use crate::shard::{GroupRouter, RoutingTable};
 use crate::study::StudyOutput;
+use crate::supervisor::{Action, Event, Handoff, SupervisorState};
 use melissa_mesh::SlabPartition;
-use melissa_scheduler::{Dispatcher, JobRunner};
+use melissa_scheduler::{Dispatcher, JobHandle, JobRunner};
 
 /// A group that fails more often than this is abandoned, never replaced
 /// by a redrawn row (paper Section 4.2.2).
 pub const MAX_GROUP_RETRIES: u32 = 3;
+
+/// The server's heartbeat and report period.
+pub(crate) const REPORT_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Deadline for one live-migration step (epoch fence, flush-barrier
 /// acknowledgements from every source worker, floor adoption on the
@@ -97,16 +103,6 @@ pub struct StudyRuntime {
     pub cancel: KillSwitch,
 }
 
-/// Tracking entry for one active group job.
-struct ActiveJob {
-    handle: melissa_scheduler::JobHandle,
-    instance: u32,
-    /// Stamped by the job itself when the dispatcher starts it; empty for
-    /// the whole queued wait, so a job waiting its turn on a busy shared
-    /// pool never looks like a zombie.
-    started_at: Arc<OnceLock<Instant>>,
-}
-
 /// Per-slot senders into the supervisors' launcher inboxes, for the
 /// payload-free [`Message::Wake`]: whoever changes something a supervisor
 /// reads from shared memory — its mailbox, the early-stop flag, the
@@ -126,30 +122,6 @@ impl Wakers {
     fn wake_all(&self) {
         (0..self.0.len()).for_each(|slot| self.wake(slot));
     }
-}
-
-/// One group crossing an epoch fence: everything the adopting shard needs
-/// to resume it — per-worker discard floors (the flush-barrier result) and
-/// the instance number the replayed job will run as.
-pub(crate) struct MigratedGroup {
-    pub id: u64,
-    /// One integration floor per server worker, in worker order: the last
-    /// timestep that worker fully integrated before the fence (`-1` if
-    /// none).  The target adopts these as discard-on-replay floors so the
-    /// migrated instance's replay skips exactly what the source kept.
-    pub floors: Vec<i64>,
-    /// Instance number the target submits the replayed group job as.
-    pub next_instance: u32,
-}
-
-/// One fence's handoff from a source supervisor to a target supervisor,
-/// delivered through the [`Coordination`] mailboxes.  An *empty* handoff
-/// (no groups) still counts toward the target's expected-handoff quota so
-/// scripted targets never wait for groups that finished before the fence.
-pub(crate) struct Handoff {
-    pub from: usize,
-    pub epoch: u64,
-    pub groups: Vec<MigratedGroup>,
 }
 
 /// Cross-shard convergence coordination: every shard supervisor publishes
@@ -329,7 +301,7 @@ impl StudyContext {
             group_timeout: self.config.group_timeout,
             checkpoint_interval: self.config.checkpoint_interval,
             checkpoint_dir,
-            report_interval: Duration::from_millis(50),
+            report_interval: REPORT_INTERVAL,
             track_ci: self.config.target_ci_width.is_some(),
             ci_variance_floor: self.config.ci_variance_floor,
             restore: false,
@@ -406,9 +378,8 @@ struct Probes {
     queue_depth: Gauge,
     free_units: Gauge,
     load_factor: Gauge,
-    turnaround: Histogram,
-    drain: Histogram,
-    adopt: Histogram,
+    /// Indexed by [`Span`](crate::supervisor::Span).
+    spans: [Histogram; 3],
     /// Indexed by [`Wakeup`].
     wakeups: [Counter; 4],
 }
@@ -420,9 +391,8 @@ impl Probes {
             queue_depth: r.gauge("runner_queue_depth"),
             free_units: r.gauge("runner_free_units"),
             load_factor: r.gauge("load_factor_milli"),
-            turnaround: r.histogram("group_turnaround_nanos"),
-            drain: r.histogram("migrate_drain_nanos"),
-            adopt: r.histogram("migrate_adopt_nanos"),
+            spans: ["group_turnaround", "migrate_drain", "migrate_adopt"]
+                .map(|span| r.histogram(&format!("{span}_nanos"))),
             wakeups: Wakeup::REASONS.map(|reason| {
                 r.counter(&format!("supervisor_wakeups_total{{reason=\"{reason}\"}}"))
             }),
@@ -430,12 +400,16 @@ impl Probes {
     }
 }
 
-/// The supervision loop of one server instance, as explicit state with
-/// one method per step of [`run`](Self::run).
+/// The driver of one shard's supervision: it owns every effect — the
+/// launcher inbox, the server, the group jobs, the shared coordination,
+/// the telemetry — and leaves every decision to its [`SupervisorState`].
+/// Each pass reads the clock once, turns what changed into [`Event`]s,
+/// carries out the [`Action`]s they yield, and blocks on the inbox until
+/// the state's next deadline.
 ///
-/// Dropping it — after [`finish`](Self::finish), on any `Err` return or
-/// on a panic — kills and joins its group jobs and abandons its server,
-/// so no job or server thread outlives the supervisor.
+/// Dropping it — after the last action, on any `Err` return or on a
+/// panic — kills and joins its group jobs and abandons its server, so no
+/// job or server thread outlives the supervisor.
 struct ShardSupervisor<'a> {
     ctx: &'a StudyContext,
     shard: usize,
@@ -444,53 +418,17 @@ struct ShardSupervisor<'a> {
     server_config: ServerConfig,
     launcher_rx: BoxReceiver,
     launcher_tx: BoxSender,
-    /// The running server instance (`None` only once `finish` took it).
+    /// The running server instance (`None` once it ended).
     server: Option<Server>,
-    /// When the server last gave a sign of life.
-    server_seen: Instant,
-    /// Load-aware supervision (the congestion-collapse fix): the server's
-    /// heartbeats are due every `report_interval`, so how late they
-    /// arrive measures how starved this process is, and both failure
-    /// detectors — the server heartbeat and the zombie check — stretch
-    /// by the observed factor instead of shipping inflated wall-clock
-    /// limits that would slow detection on a healthy host.
-    load: LoadMonitor,
-    last_heartbeat: Instant,
+    /// The link rollup and counters of a server abandoned for good.
+    dead: Option<(LinkStatsSnapshot, ServerCounters)>,
     tele: Option<&'a Arc<Telemetry>>,
     probes: Option<Probes>,
-    /// This shard's accounting, kept current as the study runs: the
-    /// latest convergence signals (`final_*`, `early_stopped`) as the
-    /// server reports them, and the server counters (`data_messages`,
-    /// `data_bytes`, `replays_discarded`, `checkpoints_written`,
-    /// `checkpoints_failed`) summed each time a server instance ends, so
-    /// a crashed server's share survives into the final report.
-    report: StudyReport,
-    /// `frames_rejected` of the server instances that have ended; the
-    /// running instance's count rides its reports on top of this.
-    rejected_by_ended_servers: u64,
-
-    outcomes: Arc<Mutex<HashMap<(u64, u32), GroupOutcome>>>,
-    active: HashMap<u64, ActiveJob>,
-    /// Highest instance number each group has run as.
-    retries: HashMap<u64, u32>,
-    abandoned: HashSet<u64>,
-    /// Live ownership: shrinks when a fence migrates groups away, grows
-    /// when a handoff arrives.
-    my_groups: HashSet<u64>,
-    known_finished: HashSet<u64>,
-    known_running: HashSet<u64>,
-
-    /// Scripted chaos: server kills (transient and permanent) and
-    /// outbound migrations, each a sorted queue consumed by trigger.
-    kills: VecDeque<ShardKill>,
-    migrations: VecDeque<Migration>,
-    /// Inbound handoffs (migrations and re-homings targeting this slot)
-    /// not yet received; ownership is final only at zero.
-    handoffs_awaited: usize,
-    /// Floors adopted from inbound handoffs, remembered so a later
-    /// permanent death hands off at least these floors even if the local
-    /// checkpoint predates the adoption.
-    adopted_floors: HashMap<u64, Vec<i64>>,
+    state: SupervisorState,
+    /// What the group jobs report — their start stamps and outcomes —
+    /// in the order it happened.
+    job_events: Arc<Mutex<Vec<Event>>>,
+    jobs: HashMap<u64, JobHandle>,
 }
 
 impl Drop for ShardSupervisor<'_> {
@@ -504,138 +442,207 @@ impl Drop for ShardSupervisor<'_> {
 }
 
 impl<'a> ShardSupervisor<'a> {
-    /// Starts the shard's server, waits for readiness and submits every
-    /// group of the shard once, in increasing id order (the runner's
-    /// FIFO turns that into a deterministic start order).
+    /// Starts the shard's server and waits for its readiness.
     fn start(ctx: &'a StudyContext, shard: usize, groups: &[u64]) -> Result<Self, String> {
-        let config = &ctx.config;
         let server_config = ctx.server_config(shard);
         let launcher = names::launcher_in(&server_config.scope);
         let launcher_rx = ctx.transport.bind(&launcher, 1024);
         let launcher_tx = ctx.transport.connect(&launcher).expect("just bound");
         *ctx.coord.wakers.0[shard].lock() = Some(launcher_tx.clone());
-
-        let mut report = StudyReport::new(config.n_groups);
-        report.n_shards = config.n_shards;
-        // Stamp journal events against the shared study clock, tagged with
-        // this supervisor's slot, so per-shard journals merge on one axis.
-        report.origin = ctx.started;
-        report.shard = shard as u32;
-        report.final_max_quantile_step = f64::INFINITY;
-        report.quantile_probs = config.quantile_probs.clone();
-        if shard >= config.n_shards {
-            // A joiner slot: no groups at launch, everything arrives by
-            // handoff (elastic scale-out).
-            report.shards_joined = 1;
-        }
-
+        let transport = Arc::clone(&ctx.transport);
+        let server = Server::start(server_config.clone(), transport, launcher_tx.clone());
+        let (config, faults, now) = (&ctx.config, &ctx.faults, Instant::now());
+        let state = SupervisorState::new(config, faults, shard, groups, ctx.started, now);
         let tele = ctx.telemetry(shard);
-        let server = Server::start(
-            server_config.clone(),
-            Arc::clone(&ctx.transport),
-            launcher_tx.clone(),
-        );
-        let mut sup = Self {
+        let sup = Self {
             ctx,
             shard,
             server_config,
             launcher_rx,
             launcher_tx,
             server: Some(server),
-            server_seen: Instant::now(),
-            load: LoadMonitor::new(),
-            last_heartbeat: Instant::now(),
+            dead: None,
             tele,
             probes: tele.map(|t| Probes::new(t)),
-            report,
-            rejected_by_ended_servers: 0,
-            outcomes: Arc::new(Mutex::new(HashMap::new())),
-            active: HashMap::new(),
-            retries: HashMap::new(),
-            abandoned: HashSet::new(),
-            my_groups: groups.iter().copied().collect(),
-            known_finished: HashSet::new(),
-            known_running: HashSet::new(),
-            kills: ctx.faults.kills_for_shard(shard).into(),
-            migrations: ctx.faults.migrations_from(shard).into(),
-            handoffs_awaited: ctx.faults.expected_handoffs(shard),
-            adopted_floors: HashMap::new(),
+            state,
+            job_events: Arc::new(Mutex::new(Vec::new())),
+            jobs: HashMap::new(),
         };
-        wait_for_ready(sup.launcher_rx.as_ref(), config.server_timeout)?;
-        for &g in groups {
-            sup.launch(g, 0);
-        }
-        // A shard with no groups still answers the convergence
-        // coordination (a neutral signal) so the aggregate does not stay
-        // pinned at ∞.
-        if groups.is_empty() {
-            ctx.coord.publish(shard, 0.0, 0.0, 0);
-        }
-        sup.server_seen = Instant::now();
+        wait_for_ready(sup.launcher_rx.as_ref(), ctx.config.server_timeout)?;
         Ok(sup)
     }
 
-    /// The supervision loop: one pass per event until every owned group
-    /// settled and the chaos script played out, the study stopped early,
-    /// or this shard died for good.  Everything that can change what a
-    /// pass decides arrives as a frame on the launcher inbox — a server
-    /// message, a job's [`Message::JobEnded`], a peer's
-    /// [`Message::Wake`] — or is one of the three deadlines
-    /// [`next_deadline`](Self::next_deadline) watches; between events the
+    /// The supervision loop, until an action ends it.  Everything that
+    /// can change a decision arrives as a frame on the launcher inbox — a
+    /// server message, a job's [`Message::JobEnded`], a peer's
+    /// [`Message::Wake`] — or is a deadline; between events the
     /// supervisor sleeps.
     fn run(mut self) -> Result<ShardRun, String> {
+        let finished = self.server().shared().finished_groups();
+        let mut next = Event::ServerUp(None, finished);
         loop {
-            self.check_limits()?;
+            let now = Instant::now();
+            for event in std::iter::once(next).chain(self.observe()) {
+                if let Some(run) = self.drive(event, now)? {
+                    return Ok(run);
+                }
+            }
             self.refresh_probes();
-            self.adopt_handoffs()?;
-            self.fire_migrations()?;
-            if let Some(to) = self.fire_kill() {
-                return Ok(self.finish(Some(to)));
-            }
-            if self.recover_server()? {
-                continue;
-            }
-            self.reconcile_jobs();
-            self.check_convergence();
-            if self.done() {
-                return Ok(self.finish(None));
-            }
-            self.wait_for_event()?;
+            next = self.wait_for_event()?;
         }
+    }
+
+    /// What changed in shared memory: the cancel switch, the mailbox, job
+    /// start stamps and outcomes, the convergence coordination.
+    fn observe(&mut self) -> Vec<Event> {
+        let coord = &self.ctx.coord;
+        let mut events = Vec::new();
+        if self.ctx.cancel.is_killed() {
+            events.push(Event::Cancelled);
+        }
+        let inbound = std::mem::take(&mut *coord.mailboxes[self.shard].lock());
+        events.extend(inbound.into_iter().map(Event::Handoff));
+        events.append(&mut self.job_events.lock());
+        let early_stop = coord.early_stop.load(Ordering::Relaxed);
+        events.push(Event::Signals(coord.aggregate(), early_stop));
+        events
+    }
+
+    /// Steps one event and carries out its actions; a blocking action's
+    /// result is stepped next, at the instant it came back.  Returns the
+    /// shard's run once an action ends it.
+    fn drive(&mut self, event: Event, now: Instant) -> Result<Option<ShardRun>, String> {
+        let (mut next, mut now) = (Some(event), now);
+        while let Some(event) = next.take() {
+            for action in self.state.step(event, now) {
+                match action {
+                    Action::Finish(lineage) => return Ok(Some(self.finish(lineage))),
+                    Action::Fail(error) => return Err(error),
+                    action => next = self.execute(action)?,
+                }
+            }
+            now = Instant::now();
+        }
+        Ok(None)
     }
 
     fn server(&self) -> &Server {
         self.server.as_ref().expect("server runs until finish")
     }
 
-    /// Journals an event through the report and mirrors the stamped copy
-    /// into the shard's live telemetry ring (a no-op when telemetry is
-    /// off).
-    fn log_ev(&mut self, kind: EventKind) {
-        let event = self.report.log(kind);
-        if let Some(t) = self.tele {
-            t.record_event(event);
+    /// Carries out one action; a blocking one returns its result.
+    fn execute(&mut self, action: Action) -> Result<Option<Event>, String> {
+        let coord = &self.ctx.coord;
+        let event = match action {
+            Action::RestartServer => self.restart_server()?,
+            Action::FenceOut(groups) => {
+                let mut fenced = Vec::with_capacity(groups.len());
+                for g in groups {
+                    // The flush barrier: every worker drains the Data
+                    // frames queued ahead of the group's `MigrateOut` and
+                    // reports its final floor.
+                    self.server().migrate_out(g);
+                    let floors = self.acked(
+                        |s| s.take_migrate_floors(g),
+                        || format!("migration flush barrier for group {g}"),
+                    )?;
+                    fenced.push((g, floors));
+                }
+                Event::FencedOut(fenced)
+            }
+            Action::Fence(groups, to) => {
+                let epoch = coord
+                    .routing
+                    .fence(&groups.iter().map(|&g| (g, to)).collect::<Vec<_>>());
+                if let Some(t) = self.tele {
+                    t.set_routing_epoch(epoch);
+                }
+                Event::Fenced(epoch)
+            }
+            Action::ReadLineage => {
+                let server = self.server.take().expect("server runs until finish");
+                self.dead = Some((server.data_link_stats(), server.shared().counters()));
+                server.abandon();
+                let (states, unreadable) = self.checkpoint_lineage();
+                Event::Lineage(states, unreadable)
+            }
+            action => return self.effect(action).map(|()| None),
+        };
+        Ok(Some(event))
+    }
+
+    /// Carries out an action that does not block.
+    fn effect(&mut self, action: Action) -> Result<(), String> {
+        let (coord, shard) = (&self.ctx.coord, self.shard);
+        match action {
+            Action::Submit(g, instance) => self.submit(g, instance),
+            // For a job that recorded its outcome the join only waits for
+            // the dispatcher to take its unit back, so the next step finds
+            // the pool settled.
+            Action::Stop(g) => {
+                if let Some(job) = self.jobs.remove(&g) {
+                    job.kill.kill();
+                    job.join();
+                }
+            }
+            Action::StopAll => self.stop_all_jobs(),
+            Action::CrashServer => self.server().crash(),
+            Action::InstallFloors(groups) => {
+                for (g, floors) in groups {
+                    self.server().adopt_floors(g, &floors);
+                    let adopted = |s: &Server| s.take_adopt_acks(g).then_some(());
+                    self.acked(adopted, || format!("floor adoption for group {g}"))?;
+                }
+            }
+            Action::Checkpoint => self
+                .server()
+                .checkpoint_now(&self.server_config.checkpoint_dir),
+            Action::HandOff(to, epoch, groups) => {
+                let epoch = epoch.unwrap_or_else(|| coord.routing.epoch());
+                let from = shard;
+                coord.mailboxes[to].lock().push(Handoff {
+                    from,
+                    epoch,
+                    groups,
+                });
+                coord.wakers.wake(to);
+            }
+            Action::Publish(ci, qstep, finished) => coord.publish(shard, ci, qstep, finished),
+            // This supervisor saw the crossing; the others learn of it now.
+            Action::RaiseEarlyStop if !coord.early_stop.swap(true, Ordering::Relaxed) => {
+                coord.wakers.wake_all()
+            }
+            Action::Record(span, since) => {
+                if let Some(p) = &self.probes {
+                    p.spans[span as usize].record(since.elapsed().as_nanos() as u64);
+                }
+            }
+            Action::Journal(event) => {
+                if let Some(t) = self.tele {
+                    t.record_event(event);
+                }
+            }
+            _ => {}
         }
+        Ok(())
     }
 
-    /// Publishes this shard's latest convergence signals and progress to
-    /// the cross-shard coordination.
-    fn publish_signals(&self) {
-        self.ctx.coord.publish(
-            self.shard,
-            self.report.final_max_ci,
-            self.report.final_max_quantile_step,
-            self.known_finished.len(),
-        );
-    }
-
-    /// The instance number group `g`'s next job runs as.
-    fn next_instance(&self, g: u64) -> u32 {
-        self.retries.get(&g).copied().unwrap_or(0) + 1
+    /// Waits until `probe` answers (asked again after each acknowledgement
+    /// the server records) or [`MIGRATION_TIMEOUT`] passes.
+    fn acked<T>(
+        &self,
+        mut probe: impl FnMut(&Server) -> Option<T>,
+        what: impl FnOnce() -> String,
+    ) -> Result<T, String> {
+        let server = self.server();
+        let answer = server
+            .shared()
+            .await_acks(MIGRATION_TIMEOUT, || probe(server));
+        answer.ok_or_else(|| format!("shard {}: {} timed out", self.shard, what()))
     }
 
     /// Submits instance `instance` of group `g` and tracks the job.
-    fn launch(&mut self, g: u64, instance: u32) {
+    fn submit(&mut self, g: u64, instance: u32) {
         let ctx = self.ctx;
         let config = &ctx.config;
         // Groups route through the epoch-fenced table *at submit time*, so
@@ -652,21 +659,21 @@ impl<'a> ShardSupervisor<'a> {
             timeout: config.group_timeout,
             fault: ctx.faults.group_fault(g, instance),
         };
-        let outcomes = Arc::clone(&self.outcomes);
-        let started_at = Arc::new(OnceLock::new());
-        let started = Arc::clone(&started_at);
+        let events = Arc::clone(&self.job_events);
         let inbox = self.launcher_tx.clone();
         let handle = ctx.runner.submit_boxed(
             1,
             Box::new(move |kill| {
-                let _ = started.set(Instant::now());
+                events
+                    .lock()
+                    .push(Event::JobStarted(g, instance, Instant::now()));
                 // A panicking group is a failed instance: it is retried,
                 // then abandoned, like one whose server link failed.
                 let outcome = catch_unwind(AssertUnwindSafe(|| run_group(job, kill)))
                     .unwrap_or_else(|payload| GroupOutcome::Aborted {
                         reason: format!("group job panicked: {}", panic_message(&*payload)),
                     });
-                outcomes.lock().insert((g, instance), outcome);
+                events.lock().push(Event::JobEnded(g, instance, outcome));
                 // A wake-up, not the record: the outcome above is what
                 // the supervisor settles on, so a frame lost to a full
                 // inbox costs a delay until the next server message, and
@@ -679,93 +686,17 @@ impl<'a> ShardSupervisor<'a> {
                 let _ = inbox.send_timeout(ended.encode(), Duration::ZERO);
             }),
         );
-        self.active.insert(
-            g,
-            ActiveJob {
-                handle,
-                instance,
-                started_at,
-            },
-        );
-    }
-
-    /// Resubmits group `g` as `instance`, counted as a restart.
-    fn relaunch(&mut self, g: u64, instance: u32) {
-        self.retries.insert(g, instance);
-        self.report.group_restarts += 1;
-        self.launch(g, instance);
-    }
-
-    /// Kills and joins group `g`'s job, if it has one.
-    fn stop_job(&mut self, g: u64) {
-        if let Some(job) = self.active.remove(&g) {
-            job.handle.kill.kill();
-            job.handle.join();
-        }
+        self.jobs.insert(g, handle);
     }
 
     /// Kills every job, then joins them all.
     fn stop_all_jobs(&mut self) {
-        for job in self.active.values() {
-            job.handle.kill.kill();
+        for job in self.jobs.values() {
+            job.kill.kill();
         }
-        for (_, job) in self.active.drain() {
-            job.handle.join();
+        for (_, job) in self.jobs.drain() {
+            job.join();
         }
-    }
-
-    /// Kills (if needed) and resubmits a failed group, honouring the
-    /// retry cap.
-    fn handle_group_failure(&mut self, g: u64) {
-        if self.abandoned.contains(&g) {
-            return;
-        }
-        self.stop_job(g);
-        let instance = self.next_instance(g);
-        if instance > MAX_GROUP_RETRIES {
-            self.abandoned.insert(g);
-            self.log_ev(EventKind::GroupAbandoned {
-                group: g,
-                retries: MAX_GROUP_RETRIES,
-            });
-            return;
-        }
-        self.log_ev(EventKind::GroupRestarted { group: g, instance });
-        self.relaunch(g, instance);
-    }
-
-    /// Folds an ended server instance's counters into the report.
-    fn absorb_counters(&mut self, shared: &ServerShared) {
-        self.report.data_messages += shared.messages_received.load(Ordering::Relaxed);
-        self.report.data_bytes += shared.bytes_received.load(Ordering::Relaxed);
-        self.report.replays_discarded += shared.replays_discarded.load(Ordering::Relaxed);
-        self.report.checkpoints_written += shared.checkpoints_written.load(Ordering::Relaxed);
-        self.report.checkpoints_failed += shared.checkpoints_failed.load(Ordering::Relaxed);
-        self.rejected_by_ended_servers += shared.frames_rejected.load(Ordering::Relaxed);
-        self.report.frames_rejected = self.rejected_by_ended_servers;
-    }
-
-    /// External cancellation (the daemon's `cancel` RPC) and the study
-    /// wall limit.
-    fn check_limits(&self) -> Result<(), String> {
-        let progress = || {
-            format!(
-                "finished {}/{}",
-                self.known_finished.len(),
-                self.my_groups.len()
-            )
-        };
-        if self.ctx.cancel.is_killed() {
-            return Err(format!("study cancelled: {}", progress()));
-        }
-        let wall_limit = self.ctx.config.wall_limit;
-        if self.ctx.started.elapsed() > wall_limit {
-            return Err(format!(
-                "study exceeded wall limit {wall_limit:?}: {}",
-                progress()
-            ));
-        }
-        Ok(())
     }
 
     /// Control-path gauges — how deep the FCFS queue is, how much of the
@@ -774,550 +705,78 @@ impl<'a> ShardSupervisor<'a> {
         if let Some(p) = &self.probes {
             p.queue_depth.set(self.ctx.runner.queued_jobs());
             p.free_units.set(self.ctx.runner.free_units() as u64);
-            p.load_factor.set((self.load.factor() * 1000.0) as u64);
+            p.load_factor
+                .set((self.state.load.factor() * 1000.0) as u64);
         }
     }
 
-    /// How long the server may stay silent before it counts as dead:
-    /// follows the measured scheduling delay (factor 1 on a healthy
-    /// host).
-    fn server_timeout(&self) -> Duration {
-        self.load.scale(self.ctx.config.server_timeout)
-    }
-
-    /// Zombie bound, scaled by the observed scheduling delay: a slow host
-    /// or a queue-starved tenant stretches it, a healthy host keeps 2×
-    /// the nominal timeout.
-    fn zombie_after(&self) -> Duration {
-        self.load.scale(self.ctx.config.group_timeout * 2)
-    }
-
-    /// Whether group `g`'s job is one the server has never heard from
-    /// (the only jobs the zombie bound applies to).
-    fn is_silent(&self, g: u64) -> bool {
-        !self.known_running.contains(&g) && !self.known_finished.contains(&g)
-    }
-
-    /// The earliest instant at which a pass has something to do although
-    /// no frame arrived: the study wall limit, the server's liveness
-    /// expiry, or a started, still silent job's zombie bound.
-    fn next_deadline(&self) -> Instant {
-        let zombie_after = self.zombie_after();
-        let zombies = self
-            .active
-            .iter()
-            .filter(|(&g, _)| self.is_silent(g))
-            .filter_map(|(_, job)| {
-                job.started_at
-                    .get()
-                    .map(|&t| instant_after(t, zombie_after))
-            });
-        zombies
-            .chain([
-                instant_after(self.ctx.started, self.ctx.config.wall_limit),
-                instant_after(self.server_seen, self.server_timeout()),
-            ])
-            .min()
-            .expect("two deadlines always exist")
-    }
-
-    fn count_wakeup(&self, reason: Wakeup) {
-        if let Some(p) = &self.probes {
-            p.wakeups[reason as usize].inc();
-        }
-    }
-
-    /// The last step of a pass: blocks on the launcher inbox until a
-    /// frame arrives or the earliest deadline passes, and handles the
-    /// frame.
-    fn wait_for_event(&mut self) -> Result<(), String> {
+    /// Blocks on the launcher inbox until a frame arrives or the state's
+    /// next deadline passes.
+    fn wait_for_event(&mut self) -> Result<Event, String> {
         // A frame that was not queued yet when the wait began is received
         // when it arrives (give or take this thread's scheduling delay —
         // the very thing the load monitor measures).
         let live = self.launcher_rx.is_empty();
-        // The margin keeps the strict `>` checks of the next pass true.
-        let deadline = instant_after(self.next_deadline(), Duration::from_millis(1));
-        let wait = deadline.saturating_duration_since(Instant::now());
-        let frame = match self.launcher_rx.recv_timeout(wait) {
-            Ok(frame) => frame,
-            Err(RecvTimeoutError::Timeout) => {
-                self.count_wakeup(Wakeup::Deadline);
-                return Ok(());
-            }
+        let deadline = self.state.next_deadline();
+        let received = self
+            .launcher_rx
+            .recv_timeout(deadline.saturating_duration_since(Instant::now()));
+        let (reason, event) = match received.map(|frame| Message::decode(&frame)) {
+            Err(RecvTimeoutError::Timeout) => (Wakeup::Deadline, Event::Deadline),
             Err(RecvTimeoutError::Disconnected) => return Err("launcher inbox closed".into()),
+            Ok(Ok(message)) => {
+                let reason = match message {
+                    Message::JobEnded { .. } => Wakeup::JobEnded,
+                    Message::Wake => Wakeup::Wake,
+                    _ => Wakeup::Message,
+                };
+                (reason, Event::Frame(message, live))
+            }
+            // An undecodable frame tells the state nothing but the time.
+            Ok(Err(_)) => (Wakeup::Message, Event::Deadline),
         };
-        let message = Message::decode(&frame);
-        self.count_wakeup(match message {
-            Ok(Message::JobEnded { .. }) => Wakeup::JobEnded,
-            Ok(Message::Wake) => Wakeup::Wake,
-            _ => Wakeup::Message,
-        });
-        match message {
-            Ok(Message::Heartbeat { .. }) => {
-                let now = Instant::now();
-                if live {
-                    self.load.observe(
-                        self.server_config.report_interval,
-                        now.duration_since(self.last_heartbeat),
-                    );
-                }
-                self.last_heartbeat = now;
-                self.server_seen = now;
-            }
-            Ok(Message::ServerReady) => self.server_seen = Instant::now(),
-            Ok(Message::ServerReport {
-                finished_groups,
-                running_groups,
-                max_ci_width,
-                max_quantile_step,
-                quantile_steps,
-                blocked_sends,
-                blocked_nanos,
-                frames_rejected,
-            }) => {
-                self.server_seen = Instant::now();
-                self.known_finished.extend(finished_groups);
-                self.known_running = running_groups.into_iter().collect();
-                self.report.final_max_ci = max_ci_width;
-                self.report.final_max_quantile_step = max_quantile_step;
-                self.report.final_quantile_steps = quantile_steps;
-                self.publish_signals();
-                // Live backpressure accounting (the Fig. 6 signal): keeps
-                // the report current mid-study and across server crashes;
-                // `finish` overwrites it with the authoritative
-                // end-of-study transport rollup.
-                self.report.blocked_sends = blocked_sends;
-                self.report.blocked_time = Duration::from_nanos(blocked_nanos);
-                self.report.frames_rejected = self.rejected_by_ended_servers + frames_rejected;
-            }
-            Ok(Message::GroupTimeout { group_id })
-                if !self.known_finished.contains(&group_id)
-                    && self.my_groups.contains(&group_id) =>
-            {
-                self.log_ev(EventKind::GroupTimeout { group: group_id });
-                self.handle_group_failure(group_id);
-            }
-            // `JobEnded` and `Wake` carry nothing to handle: what they
-            // announce is in `outcomes`, the mailbox, the flags — the
-            // next pass reads it.
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Installs a group's replay floors on every worker and waits for the
-    /// acknowledgements (the replayed instance must not start before the
-    /// floors are in place).
-    fn install_floors(&self, g: u64, floors: &[i64]) -> Result<(), String> {
-        let (server, shard) = (self.server(), self.shard);
-        server.adopt_floors(g, floors);
-        server
-            .shared()
-            .await_acks(MIGRATION_TIMEOUT, || {
-                server.take_adopt_acks(g).then_some(())
-            })
-            .ok_or_else(|| format!("shard {shard}: floor adoption for group {g} timed out"))
-    }
-
-    /// Step 1: adopts migrated groups from inbound handoffs (floors first
-    /// — the ban lift and discard floors must be in place before the
-    /// replayed instance's first frame — then resubmit).
-    fn adopt_handoffs(&mut self) -> Result<(), String> {
-        let inbound = std::mem::take(&mut *self.ctx.coord.mailboxes[self.shard].lock());
-        for handoff in inbound {
-            self.handoffs_awaited = self.handoffs_awaited.saturating_sub(1);
-            if handoff.groups.is_empty() {
-                continue;
-            }
-            let adopt_started = Instant::now();
-            self.log_ev(EventKind::GroupsAdopted {
-                epoch: handoff.epoch,
-                n_groups: handoff.groups.len() as u64,
-                from: handoff.from as u32,
-            });
-            for mg in handoff.groups {
-                self.install_floors(mg.id, &mg.floors)?;
-                self.my_groups.insert(mg.id);
-                self.adopted_floors.insert(mg.id, mg.floors);
-                self.relaunch(mg.id, mg.next_instance);
-            }
-            // Persist the adoption: a transient crash right after this
-            // point must restore the adopted floors, not resurrect
-            // pre-fence state.
-            self.server()
-                .checkpoint_now(&self.server_config.checkpoint_dir);
-            if let Some(p) = &self.probes {
-                p.adopt.record(adopt_started.elapsed().as_nanos() as u64);
-            }
-        }
-        Ok(())
-    }
-
-    /// Step 2: fires every scripted live migration whose trigger point
-    /// has been reached.
-    fn fire_migrations(&mut self) -> Result<(), String> {
-        while let Some(m) = self
-            .migrations
-            .pop_front_if(|m| self.known_finished.len() >= m.after_finished_groups)
-        {
-            self.migrate(&m)?;
-        }
-        Ok(())
-    }
-
-    /// One drain-and-move under an epoch fence.
-    fn migrate(&mut self, m: &Migration) -> Result<(), String> {
-        let finished_now: HashSet<u64> = self
-            .server()
-            .shared()
-            .finished_groups()
-            .into_iter()
-            .collect();
-        let drain_started = Instant::now();
-        let pool: Vec<u64> = match &m.moves {
-            MigrationMoves::Groups(gs) => gs.clone(),
-            MigrationMoves::AllUnfinished => self.my_groups.iter().copied().collect(),
-        };
-        let mut candidates: Vec<u64> = pool
-            .into_iter()
-            .filter(|g| {
-                self.my_groups.contains(g)
-                    && !finished_now.contains(g)
-                    && !self.abandoned.contains(g)
-            })
-            .collect();
-        candidates.sort_unstable();
-        let mut moved: Vec<MigratedGroup> = Vec::new();
-        for g in candidates {
-            if let Some(floors) = self.fence_out(g)? {
-                moved.push(MigratedGroup {
-                    id: g,
-                    floors,
-                    next_instance: self.next_instance(g),
-                });
-            }
-        }
-        let n_groups = moved.len() as u64;
-        let epoch = self.fence(&moved, m.to);
         if let Some(p) = &self.probes {
-            p.drain.record(drain_started.elapsed().as_nanos() as u64);
+            p.wakeups[reason as usize].inc();
         }
-        self.log_ev(EventKind::MigrationFence {
-            epoch,
-            n_groups,
-            from: self.shard as u32,
-            to: m.to as u32,
-        });
-        // Persist the post-fence floors before anything else can fail: a
-        // transient restore must never resurrect a migrated group's
-        // pre-fence state.
-        self.server()
-            .checkpoint_now(&self.server_config.checkpoint_dir);
-        self.hand_off(m.to, epoch, moved);
-        if self.my_groups.is_empty() {
-            // Drained by scale-in: neutralise the convergence signal so
-            // this slot cannot pin the aggregate.
-            self.ctx
-                .coord
-                .publish(self.shard, 0.0, 0.0, self.known_finished.len());
-        }
-        Ok(())
+        Ok(event)
     }
 
-    /// Stops group `g`'s job and fences the group out of this server.
-    /// Returns the final per-worker floors, or `None` if the group stays
-    /// because it was already finishing.
-    fn fence_out(&mut self, g: u64) -> Result<Option<Vec<i64>>, String> {
-        // Stop the sender first: after the join no new frames for the
-        // group enter the transport, so the flush barrier below fences a
-        // *final* floor.
-        self.stop_job(g);
-        let (server, shard) = (self.server(), self.shard);
-        server.migrate_out(g);
-        // The flush barrier: every worker drains the Data frames queued
-        // ahead of the group's `MigrateOut` and reports its final floor.
-        let floors = server
-            .shared()
-            .await_acks(MIGRATION_TIMEOUT, || server.take_migrate_floors(g))
-            .ok_or_else(|| {
-                format!("shard {shard}: migration flush barrier for group {g} timed out")
-            })?;
-        let last_ts = self.ctx.config.solver.n_timesteps as i64 - 1;
-        if floors.iter().any(|&f| f >= last_ts) {
-            // Finishing filter: some worker already integrated the group's
-            // last timestep — too late to move.  Re-adopt locally (lifts
-            // the ban) and resubmit if any worker still wants data.
-            self.install_floors(g, &floors)?;
-            self.log_ev(EventKind::FinishedDuringFence {
-                group: g,
-                shard: self.shard as u32,
-            });
-            if !self.server().shared().finished_groups().contains(&g) {
-                self.relaunch(g, self.next_instance(g));
-            }
-            return Ok(None);
-        }
-        self.my_groups.remove(&g);
-        self.known_running.remove(&g);
-        Ok(Some(floors))
-    }
-
-    /// Re-routes `groups` to slot `to` under a new routing epoch.
-    fn fence(&mut self, groups: &[MigratedGroup], to: usize) -> u64 {
-        let moves: Vec<(u64, usize)> = groups.iter().map(|mg| (mg.id, to)).collect();
-        let epoch = self.ctx.coord.routing.fence(&moves);
-        if let Some(t) = self.tele {
-            t.set_routing_epoch(epoch);
-        }
-        self.report.groups_migrated += groups.len() as u64;
-        epoch
-    }
-
-    /// Delivers a fence's handoff to the target slot's mailbox and wakes
-    /// the target.
-    fn hand_off(&self, to: usize, epoch: u64, groups: Vec<MigratedGroup>) {
-        self.ctx.coord.mailboxes[to].lock().push(Handoff {
-            from: self.shard,
-            epoch,
-            groups,
-        });
-        self.ctx.coord.wakers.wake(to);
-    }
-
-    /// Step 3: fires at most one scripted server kill per pass — a
-    /// transient kill must crash-restore (step 4) before the next script
-    /// entry, and a permanent one never comes back at all.  Returns the
-    /// re-homing target of a permanent death.
-    fn fire_kill(&mut self) -> Option<usize> {
-        let finished = self.known_finished.len();
-        let k = self
-            .kills
-            .pop_front_if(|k| finished >= k.after_finished_groups)?;
-        let finished = finished as u64;
-        if !k.permanent {
-            self.log_ev(EventKind::ServerKillInjected { finished });
-            self.server().crash();
-            return None;
-        }
-        let to = k
-            .rehome_to
-            .expect("validated: permanent kills name a re-home target");
-        self.log_ev(EventKind::ShardDeathInjected {
-            finished,
-            rehome_to: to as u32,
-        });
-        Some(to)
-    }
-
-    /// Step 4: server fault recovery (per-shard failover: the restored
-    /// instance rebinds the same scoped endpoints, and the stable
-    /// group-hash routing re-routes exactly this shard's unfinished
-    /// groups back to it).  Returns whether a recovery ran.
-    fn recover_server(&mut self) -> Result<bool, String> {
-        if !self.server().crashed() && self.server_seen.elapsed() <= self.server_timeout() {
-            return Ok(false);
-        }
-        self.report.server_restarts += 1;
-        self.log_ev(EventKind::ServerRestarted);
-        // Kill all running jobs (their sends would hang on dead
-        // endpoints), then restart the server from its checkpoint.
-        self.stop_all_jobs();
+    /// Abandons the crashed server, starts one restored from its
+    /// checkpoint under the same scoped endpoints and waits for it.
+    fn restart_server(&mut self) -> Result<Event, String> {
         let dead = self.server.take().expect("server runs until finish");
-        self.absorb_counters(dead.shared());
+        let ended = dead.shared().counters();
         dead.abandon();
         let restore_cfg = ServerConfig {
             restore: true,
             ..self.server_config.clone()
         };
-        self.server = Some(Server::start(
-            restore_cfg,
-            Arc::clone(&self.ctx.transport),
-            self.launcher_tx.clone(),
-        ));
+        let transport = Arc::clone(&self.ctx.transport);
+        let server = Server::start(restore_cfg, transport, self.launcher_tx.clone());
+        self.server = Some(server);
         wait_for_ready(self.launcher_rx.as_ref(), self.ctx.config.server_timeout)?;
-        self.server_seen = Instant::now();
-        // Only the restored checkpoint's bookkeeping counts now: any
-        // group the launcher believed finished but the server lost since
-        // its last checkpoint must be restarted too (paper Section 4.2.3:
-        // "the groups considered as finished by the launcher but not the
-        // server").
-        self.known_finished = self
-            .server()
-            .shared()
-            .finished_groups()
-            .into_iter()
-            .collect();
-        self.known_running.clear();
-        // Resubmit everything not finished; discard-on-replay absorbs any
-        // duplicated timesteps.  Iterates current ownership (not the
-        // launch-time list) in sorted order so restarts after a fence
-        // stay deterministic.
-        let mut mine: Vec<u64> = self.my_groups.iter().copied().collect();
-        mine.sort_unstable();
-        for g in mine {
-            if self.known_finished.contains(&g) || self.abandoned.contains(&g) {
-                continue;
-            }
-            let instance = self.next_instance(g);
-            self.log_ev(EventKind::GroupResubmitted { group: g, instance });
-            self.relaunch(g, instance);
-        }
-        Ok(true)
+        let finished = self.server().shared().finished_groups();
+        Ok(Event::ServerUp(Some(ended), finished))
     }
 
-    /// Step 5: reconciles job states (completed / died / zombie).  A job
-    /// has ended once its outcome is recorded; the join that follows only
-    /// waits for the dispatcher to take its unit back, so the next study
-    /// step (a resubmission, closing the stream) finds the pool settled.
-    fn reconcile_jobs(&mut self) {
-        let zombie_after = self.zombie_after();
-        let mut settled: Vec<u64> = Vec::new();
-        let mut failed: Vec<u64> = Vec::new();
-        let mut failures: Vec<EventKind> = Vec::new();
-        let outcomes = self.outcomes.lock();
-        for (&g, job) in &self.active {
-            let outcome = outcomes.get(&(g, job.instance));
-            match outcome {
-                Some(GroupOutcome::Completed { .. }) => {
-                    if let (Some(p), Some(started)) = (&self.probes, job.started_at.get()) {
-                        p.turnaround.record(started.elapsed().as_nanos() as u64);
-                    }
-                    settled.push(g);
-                }
-                Some(GroupOutcome::Died { .. }) | Some(GroupOutcome::Aborted { .. }) => {
-                    failed.push(g);
-                    failures.push(EventKind::GroupDied {
-                        group: g,
-                        instance: job.instance,
-                        detail: format!("{outcome:?}"),
-                    });
-                }
-                // Zombie: "running" past the bound, yet the server has
-                // never heard from it.
-                None if self.is_silent(g)
-                    && job
-                        .started_at
-                        .get()
-                        .is_some_and(|t| t.elapsed() > zombie_after) =>
-                {
-                    failed.push(g);
-                    failures.push(EventKind::GroupZombie {
-                        group: g,
-                        instance: job.instance,
-                    });
-                }
-                None => {}
-            }
-        }
-        drop(outcomes);
-        for g in settled {
-            if let Some(job) = self.active.remove(&g) {
-                job.handle.join();
-            }
-        }
-        for event in failures {
-            self.log_ev(event);
-        }
-        for g in failed {
-            if self.known_finished.contains(&g) {
-                self.stop_job(g);
-            } else {
-                self.handle_group_failure(g);
-            }
-        }
-    }
-
-    /// Step 6: the convergence loopback.  Stops early once every
-    /// configured *aggregate* signal (max over shards: CI width and/or
-    /// quantile step) converged — with both targets set, the study stops
-    /// on whichever estimate is slowest.  Whichever supervisor observes
-    /// the crossing flips the shared flag; all shards then cancel their
-    /// remaining groups.
-    fn check_convergence(&mut self) {
-        let (config, coord) = (&self.ctx.config, &self.ctx.coord);
-        if config.target_ci_width.is_none() && config.target_quantile_step.is_none() {
-            return;
-        }
-        let (global_ci, global_qstep, finished) = coord.aggregate();
-        let ci_ok = config
-            .target_ci_width
-            .is_none_or(|t| global_ci.is_finite() && global_ci < t);
-        let qstep_ok = config
-            .target_quantile_step
-            .is_none_or(|t| global_qstep.is_finite() && global_qstep < t);
-        if ci_ok && qstep_ok && finished > 0 && !coord.early_stop.swap(true, Ordering::Relaxed) {
-            // This supervisor saw the crossing; the others learn of it now.
-            coord.wakers.wake_all();
-        }
-        if coord.early_stop.load(Ordering::Relaxed) && !self.report.early_stopped {
-            self.report.early_stopped = true;
-            self.log_ev(EventKind::EarlyStop {
-                max_ci: global_ci,
-                max_qstep: global_qstep,
-                cancelled: self.active.len() as u64,
-            });
-            self.stop_all_jobs();
-        }
-    }
-
-    /// Step 7: completion — every owned group settled *and* the chaos
-    /// script fully played out (unfired fences would leave their targets
-    /// waiting on the handoff quota forever), or the study stopped early;
-    /// either way with no job left running.
-    fn done(&self) -> bool {
-        let script_done =
-            self.migrations.is_empty() && self.kills.is_empty() && self.handoffs_awaited == 0;
-        let settled = self
-            .known_finished
-            .iter()
-            .filter(|g| self.my_groups.contains(g))
-            .count()
-            + self.abandoned.len()
-            >= self.my_groups.len();
-        (self.report.early_stopped || (script_done && settled)) && self.active.is_empty()
-    }
-
-    /// The one exit: ends the server, settles this slot's obligations to
-    /// its peers and fills the report.  `rehome_to: None` is the live
-    /// exit — the server stops cleanly and its states are the shard's
-    /// statistics.  `Some(slot)` is the permanent-death exit — the server
-    /// is gone for good, so its last checkpoint *is* its statistics
-    /// lineage, and every group that lineage has not finished re-homes to
-    /// `slot`.
-    fn finish(&mut self, rehome_to: Option<usize>) -> ShardRun {
-        let server = self.server.take().expect("server runs until finish");
-        let link = server.data_link_stats();
-        let shared = Arc::clone(server.shared());
-        let states = match rehome_to {
+    /// The one exit: ends the server (a live one stops cleanly and its
+    /// states are the shard's statistics; a dead one's `lineage` is) and
+    /// fills the report.
+    fn finish(&mut self, lineage: Option<Vec<WorkerState>>) -> ShardRun {
+        let (link, ended, states) = match lineage {
             None => {
-                self.push_owed_handoffs();
+                let server = self.server.take().expect("server runs until finish");
+                let (link, shared) = (server.data_link_stats(), Arc::clone(server.shared()));
                 let states = server.stop();
-                self.report.groups_finished = self.known_finished.len();
-                // Never publish for an empty shard, whose CI signal never
-                // left ∞: overwriting its neutral signal would pin the
-                // aggregate at infinity and permanently disable early stop.  (Judged on *current* ownership: a
-                // shard drained by scale-in published its neutral signal
-                // at the fence, a joiner that adopted groups has real
-                // signals to publish.)
-                if !self.my_groups.is_empty() {
-                    self.publish_signals();
-                }
-                states
+                (link, shared.counters(), states)
             }
-            Some(to) => {
-                self.stop_all_jobs();
-                server.abandon();
-                let lineage = self.checkpoint_lineage();
-                self.rehome(to, &lineage);
-                self.push_owed_handoffs();
-                lineage
+            Some(states) => {
+                let (link, ended) = self.dead.take().expect("the lineage was read");
+                (link, ended, states)
             }
         };
-        self.absorb_counters(&shared);
         let transport = &self.ctx.transport;
-        let report = &mut self.report;
-        report.groups_abandoned = self.abandoned.iter().copied().collect();
-        report.groups_abandoned.sort_unstable();
+        let mut report = self.state.final_report(ended);
         report.transport = transport.backend_name().to_string();
         report.blocked_sends = link.blocked_sends;
         report.blocked_time = link.blocked_time();
@@ -1326,110 +785,33 @@ impl<'a> ShardSupervisor<'a> {
         report.link_wire_bytes = link.wire_bytes;
         report.transport_reconnects = transport.reconnects();
         report.routing_epoch = self.ctx.coord.routing.epoch();
-        ShardRun {
-            states,
-            report: report.clone(),
-        }
-    }
-
-    /// The unfired rest of this slot's script still counts toward its
-    /// targets' handoff quotas; deliver those envelopes empty so no peer
-    /// waits on a fence that will never fire (early stop, permanent
-    /// death).
-    fn push_owed_handoffs(&self) {
-        let migrations = self.migrations.iter().map(|m| m.to);
-        let rehomings = self
-            .kills
-            .iter()
-            .filter(|k| k.permanent)
-            .filter_map(|k| k.rehome_to);
-        for to in migrations.chain(rehomings) {
-            self.hand_off(to, self.ctx.coord.routing.epoch(), Vec::new());
-        }
+        ShardRun { states, report }
     }
 
     /// The dead server's statistics lineage: whatever its last checkpoint
     /// holds.  An unreadable worker hands off cold (floor −1 ⇒ full
     /// replay at the target).
-    fn checkpoint_lineage(&mut self) -> Vec<WorkerState> {
-        let ctx = self.ctx;
-        let config = &ctx.config;
+    fn checkpoint_lineage(&self) -> (Vec<WorkerState>, Vec<(u32, String)>) {
+        let (ctx, config) = (self.ctx, &self.ctx.config);
         let partition = SlabPartition::new(ctx.n_cells, config.server_workers);
-        let mut lineage = Vec::with_capacity(config.server_workers);
-        for w in 0..config.server_workers {
-            match read_checkpoint(&self.server_config.checkpoint_dir, w) {
+        let mut unreadable = Vec::new();
+        let read = |w| read_checkpoint(&self.server_config.checkpoint_dir, w);
+        let lineage = (0..config.server_workers)
+            .map(|w| match read(w) {
                 Ok(mut st) => {
                     st.ensure_quantiles(&config.quantile_probs);
-                    lineage.push(st);
+                    st
                 }
                 Err(e) => {
-                    self.log_ev(EventKind::CheckpointUnreadable {
-                        worker: w as u32,
-                        detail: e.to_string(),
-                    });
-                    lineage.push(WorkerState::with_stats(
-                        w,
-                        partition.worker_range(w),
-                        ctx.p,
-                        config.solver.n_timesteps,
-                        &config.thresholds,
-                        &config.quantile_probs,
-                    ));
+                    unreadable.push((w as u32, e.to_string()));
+                    let (p, n_timesteps) = (ctx.p, config.solver.n_timesteps);
+                    let (thresholds, probs) = (&config.thresholds, &config.quantile_probs);
+                    let slab = partition.worker_range(w);
+                    WorkerState::with_stats(w, slab, p, n_timesteps, thresholds, probs)
                 }
-            }
-        }
-        lineage
-    }
-
-    /// Fences every group the `lineage` has not finished to slot `to`,
-    /// with per-worker floors (checkpointed floor, raised to any floor
-    /// this shard itself adopted earlier).
-    fn rehome(&mut self, to: usize, lineage: &[WorkerState]) {
-        // Only groups finished by *every* worker of the lineage stay; the
-        // rest re-home (a partially finished group replays its tail on
-        // the target, discard floors preventing any double integration).
-        let finished_everywhere = |g: &u64| lineage.iter().all(|s| s.finished_groups().contains(g));
-        let mut moved: Vec<u64> = self
-            .my_groups
-            .iter()
-            .copied()
-            .filter(|g| !self.abandoned.contains(g) && !finished_everywhere(g))
-            .collect();
-        moved.sort_unstable();
-        let handoff_groups: Vec<MigratedGroup> = moved
-            .iter()
-            .map(|&g| MigratedGroup {
-                id: g,
-                floors: lineage
-                    .iter()
-                    .enumerate()
-                    .map(|(w, st)| {
-                        let remembered = self.adopted_floors.get(&g).map_or(-1, |f| f[w]);
-                        st.completed_floor(g).max(remembered)
-                    })
-                    .collect(),
-                next_instance: self.next_instance(g),
             })
             .collect();
-        let epoch = self.fence(&handoff_groups, to);
-        self.report.shards_rehomed = 1;
-        self.log_ev(EventKind::ShardRehomed {
-            epoch,
-            n_groups: handoff_groups.len() as u64,
-            from: self.shard as u32,
-            to: to as u32,
-        });
-        self.hand_off(to, epoch, handoff_groups);
-        self.report.groups_finished = self
-            .my_groups
-            .iter()
-            .filter(|g| finished_everywhere(g))
-            .count();
-        // Neutralise the convergence signal: a dead slot must not pin the
-        // aggregate at its last (stale) value or at ∞.
-        self.ctx
-            .coord
-            .publish(self.shard, 0.0, 0.0, self.report.groups_finished);
+        (lineage, unreadable)
     }
 }
 
@@ -1486,6 +868,8 @@ fn wait_for_ready(rx: &dyn Receiver, timeout: Duration) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::ShardKill;
+    use melissa_telemetry::EventKind;
 
     /// An empty shard publishes a neutral CI once and nothing may
     /// overwrite it: a stray ∞ from a shard that never computes a CI

@@ -76,6 +76,7 @@ pub mod report;
 pub mod server;
 pub mod shard;
 pub mod study;
+mod supervisor;
 
 pub use config::StudyConfig;
 pub use fault::{FaultPlan, GroupFault, Migration, MigrationMoves, ShardKill};

@@ -160,9 +160,14 @@ impl StudyReport {
     /// study clock and this report's shard.  Returns a copy so callers
     /// can mirror the stamped event into a live telemetry ring.
     pub fn log(&mut self, kind: impl Into<EventKind>) -> StudyEvent {
+        self.log_at(kind, Instant::now())
+    }
+
+    /// [`log`](Self::log), stamped at `now` instead of the clock.
+    pub(crate) fn log_at(&mut self, kind: impl Into<EventKind>, now: Instant) -> StudyEvent {
         let event = StudyEvent {
             seq: self.events.len() as u64,
-            at_nanos: self.origin.elapsed().as_nanos() as u64,
+            at_nanos: now.saturating_duration_since(self.origin).as_nanos() as u64,
             shard: self.shard,
             kind: kind.into(),
         };

@@ -155,6 +155,17 @@ pub struct ServerShared {
     n_workers: usize,
 }
 
+/// A server instance's ingest and checkpoint counters at one moment.
+#[derive(Debug, Default)]
+pub(crate) struct ServerCounters {
+    pub messages: u64,
+    pub bytes: u64,
+    pub replays_discarded: u64,
+    pub checkpoints_written: u64,
+    pub checkpoints_failed: u64,
+    pub frames_rejected: u64,
+}
+
 impl ServerShared {
     fn new(n_workers: usize, group_timeout: Duration, quantiles_enabled: bool) -> Self {
         // With order statistics disabled the quantile signal is
@@ -247,6 +258,19 @@ impl ServerShared {
             self.liveness.forget(&group);
         }
         finished
+    }
+
+    /// The ingest and checkpoint counters as they stand.
+    pub(crate) fn counters(&self) -> ServerCounters {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        ServerCounters {
+            messages: load(&self.messages_received),
+            bytes: load(&self.bytes_received),
+            replays_discarded: load(&self.replays_discarded),
+            checkpoints_written: load(&self.checkpoints_written),
+            checkpoints_failed: load(&self.checkpoints_failed),
+            frames_rejected: load(&self.frames_rejected),
+        }
     }
 
     /// Snapshot of fully finished groups.
@@ -753,6 +777,7 @@ fn worker_loop(
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => return state,
         }
+        let now = Instant::now();
         seen.clear();
         let (mut messages, mut bytes, mut rejected) = (0u64, 0u64, 0u64);
         let replays_before = state.replays_discarded;
@@ -782,7 +807,7 @@ fn worker_loop(
                 // discarded them above.
                 if !seen.contains(&group_id) && !state.is_banned(group_id) {
                     seen.push(group_id);
-                    shared.liveness.record(group_id);
+                    shared.liveness.record_at(group_id, now);
                     shared.started.lock().insert(group_id);
                 }
                 if completed && view.header.timestep as usize + 1 == state.n_timesteps() {
@@ -999,7 +1024,7 @@ fn main_loop(
             let _ = launcher_tx.send(report.encode());
         }
         if periodic {
-            for g in shared.liveness.expired() {
+            for g in shared.liveness.expired_at(now) {
                 shared.liveness.forget(&g);
                 let _ = launcher_tx.send(Message::GroupTimeout { group_id: g }.encode());
             }

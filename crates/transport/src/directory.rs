@@ -35,7 +35,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::codec::{read_frame, write_frame, Wire};
 use crate::heartbeat::LivenessTracker;
@@ -143,15 +143,15 @@ impl DirState {
     // publish/renew — which could otherwise strand a live entry with no
     // lease (immortal) or wipe a just-renewed one.
 
-    fn publish(&self, name: String, addr: String) {
+    fn publish(&self, name: String, addr: String, now: Instant) {
         let mut table = self.table.lock();
-        self.lease.record(name.clone());
+        self.lease.record_at(name.clone(), now);
         table.insert(name, addr);
     }
 
-    fn resolve(&self, name: &str) -> Option<String> {
+    fn resolve(&self, name: &str, now: Instant) -> Option<String> {
         let mut table = self.table.lock();
-        if self.lease.is_late(&name.to_string()) {
+        if self.lease.is_late_at(&name.to_string(), now) {
             // Lease lapsed: the owning node is gone; expire the entry so
             // nobody dials a dead address.
             table.remove(name);
@@ -168,11 +168,11 @@ impl DirState {
     }
 
     /// Entries whose lease is still live (unsorted).
-    fn live_entries(&self) -> Vec<(String, String)> {
+    fn live_entries(&self, now: Instant) -> Vec<(String, String)> {
         let table = self.table.lock();
         table
             .iter()
-            .filter(|(name, _)| !self.lease.is_late(name))
+            .filter(|(name, _)| !self.lease.is_late_at(name, now))
             .map(|(n, a)| (n.clone(), a.clone()))
             .collect()
     }
@@ -222,7 +222,7 @@ impl DirectoryServer {
 
     /// Live entries (sorted), for launcher diagnostics and tests.
     pub fn entries(&self) -> Vec<(String, String)> {
-        let mut v = self.state.live_entries();
+        let mut v = self.state.live_entries(Instant::now());
         v.sort();
         v
     }
@@ -270,12 +270,13 @@ fn serve_directory_client(mut stream: TcpStream, state: Arc<DirState>) {
 
 /// Applies one request.
 fn handle_request(req: DirectoryRequest, state: &DirState) -> DirectoryReply {
+    let now = Instant::now();
     match req {
         DirectoryRequest::Publish { name, addr } => {
-            state.publish(name, addr);
+            state.publish(name, addr, now);
             DirectoryReply::Done
         }
-        DirectoryRequest::Resolve { name } => match state.resolve(&name) {
+        DirectoryRequest::Resolve { name } => match state.resolve(&name, now) {
             Some(addr) => DirectoryReply::Found { addr },
             None => DirectoryReply::NotFound,
         },
@@ -285,12 +286,12 @@ fn handle_request(req: DirectoryRequest, state: &DirState) -> DirectoryReply {
         }
         DirectoryRequest::Renew { entries } => {
             for (name, addr) in entries {
-                state.publish(name, addr);
+                state.publish(name, addr, now);
             }
             DirectoryReply::Done
         }
         DirectoryRequest::List => DirectoryReply::Entries {
-            entries: state.live_entries(),
+            entries: state.live_entries(now),
         },
     }
 }

@@ -51,12 +51,7 @@ impl<K: Eq + Hash + Clone> LivenessTracker<K> {
             .store(timeout.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Records a sign of life from `peer` now.
-    pub fn record(&self, peer: K) {
-        self.last_seen.lock().insert(peer, Instant::now());
-    }
-
-    /// Records a sign of life at an explicit instant (deterministic tests).
+    /// Records a sign of life from `peer` at `at`.
     pub fn record_at(&self, peer: K, at: Instant) {
         self.last_seen.lock().insert(peer, at);
     }
@@ -78,11 +73,6 @@ impl<K: Eq + Hash + Clone> LivenessTracker<K> {
             .collect()
     }
 
-    /// Peers currently late (as of now).
-    pub fn expired(&self) -> Vec<K> {
-        self.expired_at(Instant::now())
-    }
-
     /// Whether one tracked peer is late as of `now` (untracked peers are
     /// never late).  This is the per-key lease check the directory
     /// service uses on every resolve.
@@ -91,11 +81,6 @@ impl<K: Eq + Hash + Clone> LivenessTracker<K> {
             .lock()
             .get(peer)
             .is_some_and(|&seen| now.duration_since(seen) > self.timeout())
-    }
-
-    /// Whether one tracked peer is currently late.
-    pub fn is_late(&self, peer: &K) -> bool {
-        self.is_late_at(peer, Instant::now())
     }
 
     /// Number of tracked peers.
@@ -191,37 +176,38 @@ mod tests {
     #[test]
     fn fresh_peers_are_not_expired() {
         let t = LivenessTracker::new(Duration::from_secs(1));
-        t.record(1u64);
-        assert!(t.expired().is_empty());
+        let now = Instant::now();
+        t.record_at(1u64, now);
+        assert!(t.expired_at(now).is_empty());
         assert_eq!(t.tracked(), 1);
     }
 
     #[test]
     fn silent_peers_expire() {
         let t = LivenessTracker::new(Duration::from_millis(100));
-        let past = Instant::now() - Duration::from_millis(500);
-        t.record_at(7u64, past);
-        t.record(8u64);
-        let expired = t.expired();
+        let now = Instant::now();
+        t.record_at(7u64, now - Duration::from_millis(500));
+        t.record_at(8u64, now);
+        let expired = t.expired_at(now);
         assert_eq!(expired, vec![7]);
     }
 
     #[test]
     fn recording_again_resets_the_clock() {
         let t = LivenessTracker::new(Duration::from_millis(100));
-        let past = Instant::now() - Duration::from_millis(500);
-        t.record_at(7u64, past);
-        t.record(7u64);
-        assert!(t.expired().is_empty());
+        let now = Instant::now();
+        t.record_at(7u64, now - Duration::from_millis(500));
+        t.record_at(7u64, now);
+        assert!(t.expired_at(now).is_empty());
     }
 
     #[test]
     fn forgotten_peers_never_expire() {
         let t = LivenessTracker::new(Duration::from_millis(10));
-        let past = Instant::now() - Duration::from_secs(1);
-        t.record_at(3u64, past);
+        let now = Instant::now();
+        t.record_at(3u64, now - Duration::from_secs(1));
         t.forget(&3);
-        assert!(t.expired().is_empty());
+        assert!(t.expired_at(now).is_empty());
         assert!(!t.is_tracked(&3));
     }
 

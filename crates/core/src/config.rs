@@ -116,8 +116,8 @@ pub struct StudyConfig {
     /// statistics.
     pub quantile_probs: Vec<f64>,
     /// Live telemetry: when `true` (default) every shard runs a
-    /// lock-free metrics registry, a typed event journal, and a
-    /// `telemetry/shard<k>` scrape endpoint (see `melissa-telemetry`).
+    /// lock-free metrics registry and a typed event journal, and answers
+    /// scrapes on its `shard<k>/server/main` inbox (see [`crate::scrape`]).
     /// Disabling removes even the residual ingest-path cost (a clock
     /// read and two relaxed atomic adds per sweep).
     pub telemetry: bool,

@@ -23,7 +23,7 @@
 //! one supervisor per server instance ([`crate::shard`]), all sharing the
 //! batch runner (the global node budget), the study clock and the
 //! convergence coordination.  The classic single-server study is the
-//! one-shard study, under the flat endpoint names.  Each
+//! one-shard study, under the same `shard0/…` names.  Each
 //! supervisor owns its shard's failover completely — including the
 //! checkpoint-restore server recovery — so a shard failure never stalls
 //! the other shards.  A supervisor is a pure decision core
@@ -79,7 +79,7 @@ pub const MIGRATION_TIMEOUT: Duration = Duration::from_secs(30);
 /// The defaults are the standalone launcher: a fresh transport built
 /// from [`StudyConfig::transport`], a private [`JobRunner`] (a
 /// one-tenant pool, FIFO) sized to
-/// [`StudyConfig::max_concurrent_groups`], the flat endpoint namespace
+/// [`StudyConfig::max_concurrent_groups`], no outer endpoint scope
 /// and no external cancellation.  A multi-tenant service overrides all
 /// four — the shared transport, a per-study [`Dispatcher`] stream on the
 /// shared node pool (the same runner, many tenants), a `study<id>` scope
@@ -93,9 +93,8 @@ pub struct StudyRuntime {
     /// Group-job dispatcher override (`None` builds a private
     /// [`JobRunner`] with `max_concurrent_groups` units).
     pub runner: Option<Arc<dyn Dispatcher>>,
-    /// Outer endpoint scope: every endpoint the study binds — servers,
-    /// launcher inboxes, telemetry — nests under it (empty keeps the
-    /// classic flat namespace).
+    /// Outer endpoint scope: every shard's endpoints — server inboxes,
+    /// launcher inbox — nest under it (empty: they are `shard<k>/…`).
     pub scope: String,
     /// Cooperative cancellation: once killed, every shard supervisor
     /// stops its jobs and server and the study returns a "cancelled"
@@ -263,16 +262,11 @@ impl StudyContext {
         }
     }
 
-    /// The endpoint scope of supervisor slot `slot`: a one-shard study
-    /// keeps the flat names under the outer scope (`server/<w>`), a
-    /// sharded one gives every slot its own prefix (`shard<k>/server/<w>`).
-    /// Checkpoint paths follow the scope ([`server_config`](Self::server_config)).
+    /// The endpoint scope of supervisor slot `slot`, one-shard studies
+    /// included: `[study<id>/]shard<k>`.  Checkpoint paths follow the
+    /// scope ([`server_config`](Self::server_config)).
     pub(crate) fn slot_scope(&self, slot: usize) -> String {
-        if self.config.n_shards == 1 {
-            self.outer.clone()
-        } else {
-            names::scoped(&self.outer, &names::shard_scope(slot))
-        }
+        names::scoped(&self.outer, &names::shard_scope(slot))
     }
 
     /// Slot `slot`'s telemetry hub (`None` when telemetry is disabled).
@@ -281,17 +275,13 @@ impl StudyContext {
     }
 
     /// The server configuration of the shard in slot `slot`, under its
-    /// [`slot_scope`](Self::slot_scope) (the empty scope keeps the flat
-    /// checkpoint directory; any other checkpoints into its own
-    /// subdirectory so worker files never collide).
+    /// [`slot_scope`](Self::slot_scope), which is also its checkpoint
+    /// subdirectory (`<checkpoint_dir>/[study<id>/]shard<k>/`), so worker
+    /// files never collide.
     pub(crate) fn server_config(&self, slot: usize) -> ServerConfig {
         let scope = self.slot_scope(slot);
-        let checkpoint_dir = if scope.is_empty() {
-            self.config.checkpoint_dir.clone()
-        } else {
-            self.config.checkpoint_dir.join(&scope)
-        };
         ServerConfig {
+            checkpoint_dir: self.config.checkpoint_dir.join(&scope),
             scope,
             n_workers: self.config.server_workers,
             n_cells: self.n_cells,
@@ -300,7 +290,6 @@ impl StudyContext {
             hwm: self.config.hwm,
             group_timeout: self.config.group_timeout,
             checkpoint_interval: self.config.checkpoint_interval,
-            checkpoint_dir,
             report_interval: REPORT_INTERVAL,
             track_ci: self.config.target_ci_width.is_some(),
             ci_variance_floor: self.config.ci_variance_floor,
@@ -999,6 +988,89 @@ mod tests {
                 "{kind}: {messages} message wake-ups over {periods} report periods"
             );
         }
+    }
+
+    /// A supervisor that panics mid-study takes its group jobs down with
+    /// it: unwinding drops its `ShardSupervisor`, whose `Drop` kills and
+    /// joins every job it submitted and abandons its server, so the pool
+    /// is whole when the study returns its error.
+    #[test]
+    fn a_panicking_supervisor_kills_and_joins_its_jobs() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::mpsc;
+
+        /// Runs jobs that hold their unit until killed, and panics on the
+        /// third submission once the first two run.
+        struct PanicsOnThird {
+            inner: JobRunner,
+            submitted: AtomicUsize,
+            started: (mpsc::Sender<()>, Mutex<mpsc::Receiver<()>>),
+            killed: Arc<AtomicUsize>,
+            ended: Arc<AtomicUsize>,
+        }
+        impl Dispatcher for PanicsOnThird {
+            fn submit_boxed(
+                &self,
+                units: usize,
+                _group: Box<dyn FnOnce(&KillSwitch) + Send>,
+            ) -> JobHandle {
+                if self.submitted.fetch_add(1, Ordering::SeqCst) == 2 {
+                    let started = self.started.1.lock();
+                    for _ in 0..2 {
+                        started.recv_timeout(Duration::from_secs(30)).unwrap();
+                    }
+                    panic!("the third submission");
+                }
+                let started = self.started.0.clone();
+                let (killed, ended) = (Arc::clone(&self.killed), Arc::clone(&self.ended));
+                let job = move |kill: &KillSwitch| {
+                    started.send(()).unwrap();
+                    if kill.wait(Duration::from_secs(30)) {
+                        killed.fetch_add(1, Ordering::SeqCst);
+                    }
+                    ended.fetch_add(1, Ordering::SeqCst);
+                };
+                self.inner.submit_boxed(units, Box::new(job))
+            }
+            fn queued_jobs(&self) -> u64 {
+                self.inner.queued_jobs()
+            }
+            fn free_units(&self) -> usize {
+                self.inner.free_units()
+            }
+            fn total_units(&self) -> usize {
+                self.inner.total_units()
+            }
+        }
+
+        let mut config = StudyConfig::tiny();
+        (config.n_groups, config.max_concurrent_groups) = (4, 2);
+        config.checkpoint_dir =
+            std::env::temp_dir().join(format!("melissa-ut-unwind-{}", std::process::id()));
+        let (started_tx, started_rx) = mpsc::channel();
+        let runner = Arc::new(PanicsOnThird {
+            inner: JobRunner::new(2),
+            submitted: AtomicUsize::new(0),
+            started: (started_tx, Mutex::new(started_rx)),
+            killed: Arc::default(),
+            ended: Arc::default(),
+        });
+        let rt = StudyRuntime {
+            runner: Some(Arc::clone(&runner) as Arc<dyn Dispatcher>),
+            ..StudyRuntime::default()
+        };
+        let dir = config.checkpoint_dir.clone();
+        let err = crate::Study::new(config).run_in(rt).err();
+        std::fs::remove_dir_all(&dir).ok();
+        let err = err.expect("the supervisor panicked");
+        assert!(err.contains("shard 0: supervisor panicked"), "{err}");
+        assert_eq!(runner.killed.load(Ordering::SeqCst), 2, "kills seen");
+        assert_eq!(runner.ended.load(Ordering::SeqCst), 2, "jobs joined");
+        assert_eq!(
+            runner.free_units(),
+            runner.total_units(),
+            "the pool is whole"
+        );
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! * [`shard`] — the elasticity layer above one server: `N` complete
 //!   server instances behind a seeded group-hash router, merged by a
 //!   deterministic reduction at study end, with per-shard failover;
-//! * [`study`] — the one-call high-level API.
+//! * [`study`] — the one-call high-level API;
+//! * [`scrape`] — live telemetry snapshots of a running study's shards.
 //!
 //! A repository-level tour of these layers — the data-flow diagram of the
 //! paper mapped to module paths and the bit-exactness invariant each
@@ -73,6 +74,7 @@ pub mod group;
 pub mod launcher;
 pub mod protocol;
 pub mod report;
+pub mod scrape;
 pub mod server;
 pub mod shard;
 pub mod study;

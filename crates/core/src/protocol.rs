@@ -10,6 +10,7 @@
 //! (paper Section 4.2.1).
 
 use bytes::{BufMut, Bytes, BytesMut};
+use melissa_telemetry::ScrapeFormat;
 use melissa_transport::codec::{
     copy_words_from_le, get_u16, get_u32, get_u64, get_u8, words_from_le, Wire, WireError,
     WireResult,
@@ -147,6 +148,15 @@ pub enum Message {
     /// worker — send the launcher a `ServerReport` now rather than at the
     /// next report period.
     ReportNow,
+    /// Scraper → server main: send this shard's telemetry snapshot, in
+    /// `format`, to `reply_to` — a [`round_trip`](melissa_transport::round_trip)
+    /// reply endpoint, or nothing is sent ([`crate::scrape`]).
+    Scrape {
+        /// The scraper's one-shot reply endpoint.
+        reply_to: String,
+        /// Requested snapshot format.
+        format: ScrapeFormat,
+    },
 }
 
 /// Everything a `Data` frame says about its values: whose they are and
@@ -294,6 +304,7 @@ melissa_transport::wire_enum!(Message {
     12 => JobEnded { group_id, instance },
     13 => Wake,
     14 => ReportNow,
+    15 => Scrape { reply_to, format },
 } else (put_data, get_data, data_len));
 
 /// Writes the one variant the declaration leaves out, `Data`.
@@ -426,6 +437,10 @@ mod tests {
         });
         roundtrip(Message::Wake);
         roundtrip(Message::ReportNow);
+        roundtrip(Message::Scrape {
+            reply_to: "reply/1/2".into(),
+            format: ScrapeFormat::Prometheus,
+        });
     }
 
     #[test]

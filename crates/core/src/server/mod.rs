@@ -7,7 +7,8 @@
 //! statistics is a local operation that requires neither communication nor
 //! synchronization between the server processes".  A *main* process
 //! handles dynamic connection requests, periodic heartbeats/reports to the
-//! launcher, group-timeout detection and checkpoint triggers.
+//! launcher, group-timeout detection and checkpoint triggers — and here
+//! also telemetry scrapes, which arrive on the same `server/main` inbox.
 //!
 //! The server consumes only the backend-agnostic [`Transport`] /
 //! [`Sender`](melissa_transport::Sender) /
@@ -39,8 +40,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use melissa_mesh::SlabPartition;
-use melissa_telemetry::{CodecScrape, LinkScrape, ScrapeRequest, ScrapeSnapshot, Telemetry};
-use melissa_transport::codec::Wire;
+use melissa_telemetry::{CodecScrape, LinkScrape, ScrapeSnapshot, Telemetry};
 use melissa_transport::directory::names;
 use melissa_transport::sync::{Condvar, Mutex};
 use melissa_transport::{
@@ -55,11 +55,11 @@ use state::WorkerState;
 /// Server deployment configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Endpoint scope this instance binds under: empty for the classic
-    /// single-server deployment (`"server/main"`, `"server/<w>"`), or a
-    /// shard prefix such as `"shard2"` in a sharded study, giving
-    /// `"shard2/server/main"`, `"shard2/server/<w>"` — so several full
-    /// server instances coexist on one transport.
+    /// Endpoint scope this instance binds under: in a study, its shard's
+    /// `[study<id>/]shard<k>`, giving `"shard2/server/main"`,
+    /// `"shard2/server/<w>"` — so several full server instances coexist
+    /// on one transport (a server started on its own may bind the bare
+    /// names of the empty scope).
     pub scope: String,
     /// Number of worker processes.
     pub n_workers: usize,
@@ -94,10 +94,10 @@ pub struct ServerConfig {
     /// statistics).
     pub quantile_probs: Vec<f64>,
     /// Live telemetry hub of this shard (`None` disables instrumentation
-    /// and the scrape endpoint entirely).  When set, the server times
-    /// ingest sweeps and checkpoint writes/restores into the shared
-    /// registry and serves [`ScrapeRequest`]s on
-    /// [`names::telemetry`]`(shard)`.
+    /// and leaves scrapes unanswered).  When set, the server times ingest
+    /// sweeps and checkpoint writes/restores into the shared registry,
+    /// counts the main thread's wake-ups, and answers
+    /// [`Message::Scrape`] on its `server/main` inbox.
     pub telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -384,16 +384,6 @@ impl Server {
         // Bind everything *before* any thread runs so clients can connect
         // as soon as ServerReady is out.
         let main_rx = transport.bind(&names::server_main_in(&config.scope), config.hwm);
-        // The scrape endpoint binds alongside the data endpoints (and,
-        // like them, rebinds on a checkpoint-restore restart), so a live
-        // scraper can reach the shard for the study's whole lifetime.
-        // `telemetry_in` keeps the legacy flat names for standalone
-        // studies and prefixes the study scope under a multi-tenant
-        // daemon, so concurrent studies' scrape endpoints never collide.
-        let scrape_rx = config
-            .telemetry
-            .as_ref()
-            .map(|t| transport.bind(&names::telemetry_in(&config.scope, t.shard() as usize), 64));
         let worker_rxs: Vec<BoxReceiver> = (0..config.n_workers)
             .map(|w| transport.bind(&names::server_worker_in(&config.scope, w), config.hwm))
             .collect();
@@ -499,16 +489,7 @@ impl Server {
             let transport = Arc::clone(&transport);
             let senders = worker_senders.clone();
             std::thread::spawn(move || {
-                main_loop(
-                    cfg,
-                    transport,
-                    shared,
-                    kill,
-                    launcher_tx,
-                    senders,
-                    main_rx,
-                    scrape_rx,
-                )
+                main_loop(cfg, transport, shared, kill, launcher_tx, senders, main_rx)
             })
         };
 
@@ -535,12 +516,6 @@ impl Server {
     /// it — the paper's Fig. 6 backpressure telemetry).
     pub fn data_link_stats(&self) -> LinkStatsSnapshot {
         data_link_rollup(self.transport.as_ref(), &self.scope, self.n_workers)
-    }
-
-    /// Aggregate blocked-send statistics over the server's data endpoints.
-    pub fn link_stats(&self) -> (u64, Duration) {
-        let s = self.data_link_stats();
-        (s.blocked_sends, s.blocked_time())
     }
 
     /// Fences `group_id` out of this instance: every worker bans the
@@ -905,9 +880,10 @@ fn worker_loop(
     }
 }
 
-/// Main thread: connection handshakes, heartbeats, reports, group-timeout
-/// detection, periodic checkpoints.
-#[allow(clippy::too_many_arguments)]
+/// Main thread: connection handshakes, telemetry scrapes, heartbeats,
+/// reports, group-timeout detection, periodic checkpoints.  It blocks on
+/// its one inbox until a frame arrives — a crash sends one — or the
+/// report or checkpoint deadline passes; nothing else wakes it.
 fn main_loop(
     cfg: ServerConfig,
     transport: Arc<dyn Transport>,
@@ -916,35 +892,29 @@ fn main_loop(
     launcher_tx: BoxSender,
     worker_senders: Vec<BoxSender>,
     main_rx: BoxReceiver,
-    scrape_rx: Option<BoxReceiver>,
 ) {
-    let mut next_report = instant_after(Instant::now(), cfg.report_interval);
-    let mut next_checkpoint = instant_after(Instant::now(), cfg.checkpoint_interval);
-    // Load-aware unfinished-group detection: the loop's own timed waits
-    // probe how starved this process is, and the group-liveness timeout
-    // stretches by the observed factor.  On a healthy host the factor is
-    // 1 and detection latency is exactly `group_timeout`; on an
-    // oversubscribed one a slow group is no longer declared unfinished
-    // just because the whole study is being scheduled late.
+    let mut period_started = Instant::now();
+    let mut next_report = instant_after(period_started, cfg.report_interval);
+    let mut next_checkpoint = instant_after(period_started, cfg.checkpoint_interval);
+    // Load-aware unfinished-group detection: how late the loop wakes for
+    // its report deadline probes how starved this process is, and the
+    // group-liveness timeout stretches by the observed factor.  On a
+    // healthy host the factor is 1 and detection latency is exactly
+    // `group_timeout`; on an oversubscribed one a slow group is no longer
+    // declared unfinished just because the whole study is being
+    // scheduled late.
     let load = melissa_transport::LoadMonitor::new();
-    // `Receiver` has no select, so this loop cannot block on the main
-    // inbox and the scrape inbox at once: the cap on its wait exists
-    // solely to serve `scrape_rx` within 10 ms.  Everything else wakes it
-    // exactly when due — frames on the main inbox (a crash sends one),
-    // and the report and checkpoint deadlines below.
-    let poll = Duration::from_millis(10);
     let _ = launcher_tx.send(Message::ServerReady.encode());
     loop {
-        let wait_started = Instant::now();
-        let wait = poll
-            .min(next_report.saturating_duration_since(wait_started))
-            .min(next_checkpoint.saturating_duration_since(wait_started));
-        let mut report_now = false;
-        let received = main_rx.recv_timeout(wait);
+        let deadline = next_report.min(next_checkpoint);
+        let received = main_rx.recv_timeout(deadline.saturating_duration_since(Instant::now()));
         if kill.is_killed() {
             return;
         }
-        match received {
+        let mut report_now = false;
+        // What woke the loop: the `reason` of `server_main_wakeups_total`,
+        // the twin of the supervisor's `supervisor_wakeups_total`.
+        let reason = match received {
             Ok(frame) => match Message::decode(&frame) {
                 Ok(Message::ConnectRequest { group_id, instance }) => {
                     let reply = Message::ConnectReply {
@@ -958,13 +928,33 @@ fn main_loop(
                     {
                         let _ = tx.send(reply.encode());
                     }
+                    "message"
                 }
-                Ok(Message::ReportNow) => report_now = true,
+                // Strictly read-only against atomic snapshots — the
+                // ingest path never sees a scraper, so scraping cannot
+                // perturb any statistic — and answered only on a round
+                // trip's own reply endpoint.
+                Ok(Message::Scrape { reply_to, format }) => {
+                    if let Some(tele) = &cfg.telemetry {
+                        if names::is_rpc_reply(&reply_to) {
+                            let snap = scrape_snapshot(&cfg, transport.as_ref(), &shared, tele);
+                            if let Ok(tx) = transport.connect(&reply_to) {
+                                let _ = tx.send(snap.encode_reply(format));
+                            }
+                        }
+                    }
+                    "scrape"
+                }
+                Ok(Message::ReportNow) => {
+                    report_now = true;
+                    "message"
+                }
                 Ok(Message::Checkpoint { dir }) => {
                     let msg = Message::Checkpoint { dir }.encode();
                     for s in &worker_senders {
                         let _ = s.send(msg.clone());
                     }
+                    "message"
                 }
                 Ok(Message::Stop) => {
                     let stop = Message::Stop.encode();
@@ -973,30 +963,24 @@ fn main_loop(
                     }
                     return;
                 }
-                _ => {}
+                _ => "message",
             },
-            // Only a full-length wait is a fair probe: one cut short by a
-            // deadline would turn microseconds of lateness into a ratio.
-            Err(RecvTimeoutError::Timeout) if wait == poll => {
-                load.observe(poll, wait_started.elapsed());
+            // The probe: the report period, timed from its start to the
+            // wake-up at its deadline, so the ratio is always over a whole
+            // period however many frames arrived in between.
+            Err(RecvTimeoutError::Timeout) if deadline == next_report => {
+                load.observe(
+                    next_report.saturating_duration_since(period_started),
+                    period_started.elapsed(),
+                );
+                "report"
             }
-            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Timeout) => "checkpoint",
             Err(RecvTimeoutError::Disconnected) => return,
-        }
-
-        // Serve pending telemetry scrapes.  Strictly read-only against
-        // atomic snapshots on the *main* thread — the ingest path never
-        // sees a scraper, so scraping cannot perturb any statistic.
-        if let (Some(rx), Some(tele)) = (&scrape_rx, &cfg.telemetry) {
-            while let Ok(frame) = rx.try_recv() {
-                let Ok(req) = ScrapeRequest::from_frame(&frame) else {
-                    continue; // corrupt request: drop
-                };
-                let snap = scrape_snapshot(&cfg, transport.as_ref(), &shared, tele);
-                if let Ok(tx) = transport.connect(&req.reply_to) {
-                    let _ = tx.send(snap.encode_reply(req.format));
-                }
-            }
+        };
+        if let Some(tele) = &cfg.telemetry {
+            let name = format!("server_main_wakeups_total{{reason=\"{reason}\"}}");
+            tele.registry().counter(&name).inc();
         }
 
         // The periodic heartbeat + report is the liveness protocol (and,
@@ -1005,6 +989,7 @@ fn main_loop(
         let now = Instant::now();
         let periodic = now >= next_report;
         if periodic {
+            period_started = now;
             next_report = instant_after(now, cfg.report_interval);
             shared.liveness.set_timeout(load.scale(cfg.group_timeout));
             let _ = launcher_tx.send(Message::Heartbeat { sender: 0 }.encode());
@@ -1039,6 +1024,56 @@ fn main_loop(
             for s in &worker_senders {
                 let _ = s.send(msg.clone());
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use melissa_transport::{make_transport, TransportKind};
+
+    /// The main thread of a shard nobody talks to wakes for its report
+    /// deadline and nothing else: over 0.5 s at a 50 ms report period it
+    /// counts about ten wake-ups, where a 10 ms poll would count fifty.
+    #[test]
+    fn an_idle_shard_wakes_only_for_its_report_deadline() {
+        for kind in [TransportKind::InProcess, TransportKind::Tcp] {
+            let transport = make_transport(kind.clone());
+            let scope = names::shard_scope(0);
+            let _launcher_rx = transport.bind(&names::launcher_in(&scope), 1024);
+            let launcher_tx = transport.connect(&names::launcher_in(&scope)).unwrap();
+            let tele = Telemetry::new(0);
+            let config = ServerConfig {
+                scope,
+                n_workers: 2,
+                n_cells: 8,
+                p: 1,
+                n_timesteps: 1,
+                hwm: 16,
+                group_timeout: Duration::from_secs(60),
+                checkpoint_interval: Duration::from_secs(3600),
+                checkpoint_dir: PathBuf::from("unused-no-checkpoint-is-written"),
+                report_interval: Duration::from_millis(50),
+                track_ci: false,
+                ci_variance_floor: 1e-12,
+                restore: false,
+                thresholds: Vec::new(),
+                quantile_probs: Vec::new(),
+                telemetry: Some(Arc::clone(&tele)),
+            };
+            let server = Server::start(config, transport, launcher_tx);
+            std::thread::sleep(Duration::from_millis(500));
+            let counters = tele.registry().snapshot().counters;
+            server.stop();
+            let count = |reason: &str| {
+                let name = format!("server_main_wakeups_total{{reason=\"{reason}\"}}");
+                counters.iter().find(|(n, _)| *n == name).map_or(0, |c| c.1)
+            };
+            let reasons = ["message", "scrape", "report", "checkpoint"];
+            let all: u64 = reasons.iter().map(|reason| count(reason)).sum();
+            assert!(count("report") >= 1, "{kind}: {counters:?}");
+            assert!(all <= 13, "{kind}: {all} wake-ups in 0.5 s: {counters:?}");
         }
     }
 }

@@ -292,8 +292,8 @@ pub fn reduce_worker_states(shards: &[Vec<WorkerState>]) -> Vec<WorkerState> {
 
 /// Runs a study as `N ≥ 1` supervised server instances over disjoint
 /// group subsets, reduced into one result set at the end.  The classic
-/// single-server study is `N = 1`, under the flat endpoint names
-/// ([`StudyContext::slot_scope`]).
+/// single-server study is `N = 1`, its endpoints `shard0/…` like any
+/// shard's ([`StudyContext::slot_scope`]).
 ///
 /// Called by [`crate::launcher::run_study`], which validates the
 /// configuration; use [`crate::study::Study::run`] rather than calling

@@ -54,9 +54,8 @@ impl Study {
     /// one from [`StudyConfig::transport`].
     ///
     /// This is how an external observer shares the study's messaging
-    /// fabric: bind a reply endpoint on the same transport and scrape the
-    /// per-shard `telemetry/shard<k>` endpoints mid-run (see
-    /// `melissa_telemetry::scrape`).  The run itself is identical to
+    /// fabric: scrape each shard's `shard<k>/server/main` inbox mid-run
+    /// over the same transport (see [`crate::scrape`]).  The run itself is identical to
     /// [`run`](Self::run) — scraping reads atomic snapshots off the
     /// ingest path, so statistics stay bit-identical.
     pub fn run_on(

@@ -334,7 +334,7 @@ fn wall_limit_failure_leaves_no_server_behind() {
     assert!(err.contains("exceeded wall limit"), "error: {err}");
 
     let data_tx = transport
-        .connect(&names::server_worker_in("", 0))
+        .connect(&names::server_worker_in(&names::shard_scope(0), 0))
         .expect("endpoint names outlive their study");
     assert_eq!(
         data_tx.send(Message::Stop.encode()),

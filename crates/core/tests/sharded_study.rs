@@ -139,11 +139,12 @@ fn sharded_study_reduces_to_single_server_statistics() {
     }
 }
 
-/// The single-server study is the one-shard study, under the flat
-/// endpoint names: its data links are `server/<w>`, never `shard0/…`.
+/// The single-server study is the one-shard study, under the same
+/// naming rule as any shard: its data links are `shard0/server/<w>`,
+/// never a bare `server/<w>`.
 #[test]
-fn a_one_shard_study_streams_to_the_flat_endpoint_names() {
-    let config = shard_config(1, "flat");
+fn a_one_shard_study_streams_to_shard0() {
+    let config = shard_config(1, "one");
     let n_workers = config.server_workers;
     std::fs::remove_dir_all(&config.checkpoint_dir).ok();
     let dir = config.checkpoint_dir.clone();
@@ -156,11 +157,13 @@ fn a_one_shard_study_streams_to_the_flat_endpoint_names() {
     let stats = transport.link_stats();
     let names: Vec<&str> = stats.iter().map(|(name, _)| name.as_str()).collect();
     assert!(
-        names.iter().all(|name| !name.starts_with("shard")),
-        "scoped names in a one-shard study: {names:?}"
+        names
+            .iter()
+            .all(|name| name.starts_with("shard0/") || name.starts_with("retired/")),
+        "unscoped names in a one-shard study: {names:?}"
     );
     for w in 0..n_workers {
-        let name = format!("server/{w}");
+        let name = format!("shard0/server/{w}");
         let (_, link) = stats
             .iter()
             .find(|(n, _)| *n == name)

@@ -12,8 +12,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use melissa::scrape::{scrape, scrape_reply_in, scrape_text};
 use melissa::{Study, StudyConfig, StudyOutput};
-use melissa_telemetry::{scrape, scrape_text, ScrapeFormat};
+use melissa_telemetry::{ScrapeFormat, ScrapeReply};
 use melissa_transport::{make_transport, TransportKind};
 
 fn seeded_config(kind: TransportKind, tag: &str) -> StudyConfig {
@@ -145,4 +146,70 @@ fn report_carries_the_typed_journal_and_epoch() {
     // Satellite surface: epoch and reconnect counters are first-class.
     assert_eq!(output.report.routing_epoch, 0, "clean run never fences");
     assert_eq!(output.report.transport_reconnects, 0);
+}
+
+/// Every shard is one inbox at an address derived from the study scope
+/// and its index: while a 1-shard and a 2-shard study run, each shard
+/// answers a scrape sent to `shard<k>/server/main` as shard `k`, and at
+/// that moment its scope holds exactly `server/main`, `server/<w>` and
+/// `launcher` — besides a connecting group's handshake reply, which the
+/// group binds for one frame — and nothing is bound under `telemetry/`.
+#[test]
+fn every_shard_answers_scrapes_on_its_one_inbox() {
+    for kind in [TransportKind::InProcess, TransportKind::Tcp] {
+        for n_shards in [1, 2] {
+            let mut config = seeded_config(kind.clone(), &format!("inbox-{n_shards}"));
+            config.n_shards = n_shards;
+            config.n_groups = 6;
+            let n_workers = config.server_workers;
+            let dir = config.checkpoint_dir.clone();
+            let transport = make_transport(kind.clone());
+            let study_transport = Arc::clone(&transport);
+            let study = std::thread::spawn(move || Study::new(config).run_on(study_transport));
+            let mut answered = vec![false; n_shards];
+            while !study.is_finished() && answered.contains(&false) {
+                for (k, seen) in answered.iter_mut().enumerate() {
+                    let reply = scrape_reply_in(&transport, "", k, ScrapeFormat::Binary, WAIT);
+                    let Ok(ScrapeReply::Snapshot(snap)) = reply else {
+                        continue;
+                    };
+                    let bound = transport.bound_names();
+                    assert_eq!(snap.shard, k as u32, "{kind}: wrong shard answered");
+                    assert_one_inbox(&bound, &format!("shard{k}"), n_workers);
+                    *seen = true;
+                }
+            }
+            study.join().expect("study thread").expect("study failed");
+            std::fs::remove_dir_all(&dir).ok();
+            assert_eq!(answered, vec![true; n_shards], "{kind}: {n_shards} shards");
+        }
+    }
+}
+
+const WAIT: Duration = Duration::from_millis(500);
+
+/// Asserts that `scope` holds exactly one shard's endpoints in `bound`
+/// (a group's handshake reply aside), and that no name anywhere is a
+/// telemetry endpoint.
+fn assert_one_inbox(bound: &[String], scope: &str, n_workers: usize) {
+    let mut expected: Vec<String> = ["server/main".to_string(), "launcher".to_string()]
+        .into_iter()
+        .chain((0..n_workers).map(|w| format!("server/{w}")))
+        .collect();
+    expected.sort();
+    let prefix = format!("{scope}/");
+    let mut held: Vec<String> = bound
+        .iter()
+        .filter_map(|name| name.strip_prefix(&prefix))
+        .filter(|rest| !rest.starts_with("group/"))
+        .map(str::to_string)
+        .collect();
+    held.sort();
+    assert_eq!(held, expected, "{scope} in {bound:?}");
+    assert!(
+        !bound
+            .iter()
+            .any(|name| name.split('/').any(|part| part == "telemetry")),
+        "a telemetry endpoint in {bound:?}"
+    );
 }

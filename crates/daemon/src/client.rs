@@ -217,16 +217,15 @@ impl DaemonClient {
         }
     }
 
-    /// Scrapes live progress from a hosted study's shard `shard` — the
-    /// study's own per-shard telemetry endpoint inside its
-    /// `study<id>/…` scope.
+    /// Scrapes live progress from a hosted study's shard `shard`: a
+    /// scrape of its `study<id>/shard<k>/server/main` inbox.
     pub fn scrape_study(
         &self,
         study: u64,
         shard: usize,
         format: ScrapeFormat,
     ) -> Result<ScrapeReply, String> {
-        melissa_telemetry::scrape_reply_in(
+        melissa::scrape::scrape_reply_in(
             &self.transport,
             &names::study_scope(study),
             shard,

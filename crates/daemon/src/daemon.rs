@@ -395,6 +395,14 @@ impl DaemonState {
                     DaemonOp::Scrape { .. } => self.wakeups.scrape += 1,
                     _ => self.wakeups.request += 1,
                 }
+                // Only a round trip's own reply endpoint is answered, so no
+                // request can push a frame into another tenant's inbox;
+                // the one exception is `Daemon::shutdown`'s, which wants
+                // no answer.
+                let own_shutdown = req.reply_to.is_empty() && matches!(req.op, DaemonOp::Shutdown);
+                if !names::is_rpc_reply(&req.reply_to) && !own_shutdown {
+                    return;
+                }
                 if let Some(reply) = self.handle_request(&req) {
                     self.send_reply(&req.reply_to, reply);
                 }

@@ -9,12 +9,15 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use melissa::client::ClientError;
+use melissa::protocol::Message;
+use melissa::scrape::scrape_reply_in;
+use melissa::server::{Server, ServerConfig};
 use melissa::{Study, StudyConfig, StudyResults};
 use melissa_daemon::{
     Daemon, DaemonClient, DaemonConfig, DaemonOp, DaemonReply, DaemonRequest, StudyState,
     TenantQuota,
 };
-use melissa_telemetry::ScrapeFormat;
+use melissa_telemetry::{ScrapeFormat, ScrapeReply, Telemetry};
 use melissa_transport::codec::{Bytes, Wire};
 use melissa_transport::directory::names;
 use melissa_transport::{
@@ -958,4 +961,164 @@ fn identical_hosted_studies_cost_the_same_frames_and_leave_the_same_ledger() {
     }
     daemon.stop();
     std::fs::remove_dir_all(&config.checkpoint_dir).ok();
+}
+
+/// A service answers a request only on a round trip's own reply endpoint
+/// (`reply/<pid>/<nonce>`).  On both backends, a `Status`, a `Submit`
+/// and a shard scrape that name a live shard's launcher inbox as their
+/// `reply_to` execute nothing and push nothing into that inbox, while the
+/// same requests sent through `round_trip` are answered.
+#[test]
+fn a_request_whose_reply_to_is_another_inbox_is_dropped() {
+    let _process = shared_process();
+    for kind in [TransportKind::InProcess, TransportKind::Tcp] {
+        let transport = make_transport(kind.clone());
+        let daemon = Daemon::start(Arc::clone(&transport), DaemonConfig::default());
+        let client = DaemonClient::new(Arc::clone(&transport), Duration::from_secs(10));
+        let config = seeded_config(71, "reply-to");
+
+        // A live shard of study 7, whose launcher inbox is the victim.
+        let scope = names::scoped(&names::study_scope(7), &names::shard_scope(0));
+        let victim = names::launcher_in(&scope);
+        let victim_rx = transport.bind(&victim, 64);
+        let server = Server::start(
+            ServerConfig {
+                scope: scope.clone(),
+                n_workers: 1,
+                n_cells: 4,
+                p: 1,
+                n_timesteps: 1,
+                hwm: 16,
+                group_timeout: Duration::from_secs(60),
+                checkpoint_interval: Duration::from_secs(3600),
+                checkpoint_dir: config.checkpoint_dir.clone(),
+                report_interval: Duration::from_secs(3600),
+                track_ci: false,
+                ci_variance_floor: 1e-12,
+                restore: false,
+                thresholds: Vec::new(),
+                quantile_probs: Vec::new(),
+                telemetry: Some(Telemetry::new(0)),
+            },
+            Arc::clone(&transport),
+            transport.connect(&victim).expect("just bound"),
+        );
+        let ready = victim_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("ready");
+        assert_eq!(Message::decode(&ready), Ok(Message::ServerReady), "{kind}");
+        let victim_stats = |transport: &Arc<dyn Transport>| {
+            let stats = transport.link_stats();
+            let found = stats.into_iter().find(|(name, _)| *name == victim);
+            found.map(|(_, s)| (s.messages, s.bytes))
+        };
+        let before = victim_stats(&transport);
+
+        let ctl = transport.connect(&names::daemon_ctl()).expect("ctl");
+        for op in [
+            DaemonOp::Status { study: 1 },
+            DaemonOp::Submit {
+                tenant: "mallory".into(),
+                priority: 0,
+                config: Box::new(config.clone()),
+            },
+        ] {
+            let reply_to = victim.clone();
+            ctl.send(DaemonRequest { reply_to, op }.to_frame())
+                .expect("sent");
+        }
+        let main = transport
+            .connect(&names::server_main_in(&scope))
+            .expect("server/main");
+        let scrape = Message::Scrape {
+            reply_to: victim.clone(),
+            format: ScrapeFormat::Binary,
+        };
+        main.send(scrape.encode()).expect("sent");
+
+        // The same requests through round trips are answered, and the
+        // dropped `Submit` took no study id.
+        assert!(matches!(
+            client.status(1),
+            Err(ClientError::BadHandshake { .. })
+        ));
+        let id = client.submit("acme", 0, config.clone()).expect("admitted");
+        assert_eq!(id, 1, "{kind}: the dropped submission ran");
+        let reply = scrape_reply_in(&transport, "study7", 0, ScrapeFormat::Binary, WAIT);
+        let Ok(ScrapeReply::Snapshot(snap)) = reply else {
+            panic!("{kind}: the shard did not answer a round trip: {reply:?}");
+        };
+        assert_eq!(snap.shard, 0);
+
+        // Nothing reached the victim, not even late.
+        let straggler = victim_rx.recv_timeout(Duration::from_millis(300));
+        assert!(straggler.is_err(), "{kind}: a reply reached {victim}");
+        assert_eq!(victim_stats(&transport), before, "{kind}: {victim}");
+
+        client.cancel(id).expect("cancel");
+        server.stop();
+        daemon.stop();
+        std::fs::remove_dir_all(&config.checkpoint_dir).ok();
+    }
+}
+
+const WAIT: Duration = Duration::from_secs(10);
+
+/// A hosted study's shards are one inbox each, at an address derived
+/// from the study id and the shard index: while a 2-shard study runs,
+/// shard `k` answers a scrape as shard `k`, and its scope
+/// `study<id>/shard<k>` holds exactly `server/main`, `server/<w>` and
+/// `launcher` (a connecting group's one-frame handshake reply aside);
+/// nothing is bound under `telemetry/`.
+#[test]
+fn a_hosted_study_binds_one_inbox_per_shard() {
+    let _process = shared_process();
+    for kind in [TransportKind::InProcess, TransportKind::Tcp] {
+        let transport = make_transport(kind.clone());
+        let daemon = Daemon::start(Arc::clone(&transport), DaemonConfig::default());
+        let client = DaemonClient::new(Arc::clone(&transport), Duration::from_secs(10));
+        let mut config = seeded_config(72, "one-inbox");
+        (config.n_shards, config.n_groups) = (2, 6);
+        let n_workers = config.server_workers;
+        let id = client.submit("acme", 0, config.clone()).expect("admitted");
+        let mut answered = [false; 2];
+        while answered.contains(&false) {
+            let status = client.status(id).expect("status");
+            if status.state.is_terminal() {
+                break;
+            }
+            for (k, seen) in answered.iter_mut().enumerate() {
+                let Ok(ScrapeReply::Snapshot(snap)) =
+                    client.scrape_study(id, k, ScrapeFormat::Binary)
+                else {
+                    continue;
+                };
+                let bound = transport.bound_names();
+                assert_eq!(snap.shard, k as u32, "{kind}: wrong shard answered");
+                let scope = names::scoped(&names::study_scope(id), &names::shard_scope(k));
+                let mut held: Vec<&str> = bound
+                    .iter()
+                    .filter_map(|name| name.strip_prefix(&scope)?.strip_prefix('/'))
+                    .filter(|rest| !rest.starts_with("group/"))
+                    .collect();
+                held.sort();
+                let mut expected = vec!["launcher".to_string(), "server/main".to_string()];
+                expected.extend((0..n_workers).map(|w| format!("server/{w}")));
+                expected.sort();
+                assert_eq!(held, expected, "{kind}: {scope} in {bound:?}");
+                assert!(
+                    !bound
+                        .iter()
+                        .any(|n| n.split('/').any(|part| part == "telemetry")),
+                    "{kind}: a telemetry endpoint in {bound:?}"
+                );
+                *seen = true;
+            }
+        }
+        assert_eq!(answered, [true; 2], "{kind}");
+        let status = client.wait(id, Duration::from_secs(240)).expect("ended");
+        assert_eq!(status.state, StudyState::Done, "{kind}");
+        daemon.stop();
+        std::fs::remove_dir_all(&config.checkpoint_dir).ok();
+    }
 }

@@ -10,10 +10,10 @@
 //!   snapshots merge associatively and bit-exactly across shards.
 //! * [`events`] — the typed, timestamped [`StudyEvent`] journal of
 //!   failures, restarts and fences, with one human-readable render.
-//! * [`mod@scrape`] — a live snapshot protocol served on each shard's
-//!   `telemetry/shard<k>` endpoint over the study's own transport, in
-//!   binary, JSON, or Prometheus-style text (see `examples/melissa_top.rs`
-//!   for a polling renderer).  Both text formats, for shard and daemon
+//! * [`mod@scrape`] — the live snapshot each shard serves on its
+//!   `server/main` inbox over the study's own transport, in binary,
+//!   JSON, or Prometheus-style text (see `examples/melissa_top.rs` for a
+//!   polling renderer).  Both text formats, for shard and daemon
 //!   snapshots alike, are written by [`exposition`], which owns every
 //!   escaping rule.
 //!
@@ -39,8 +39,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry, N_BUCKETS,
 };
 pub use scrape::{
-    reply_frame, scrape, scrape_reply_in, scrape_text, CodecScrape, LinkScrape, ScrapeFormat,
-    ScrapeReply, ScrapeRequest, ScrapeSnapshot, SCRAPE_SCHEMA,
+    reply_frame, CodecScrape, LinkScrape, ScrapeFormat, ScrapeReply, ScrapeSnapshot, SCRAPE_SCHEMA,
 };
 
 use std::collections::VecDeque;

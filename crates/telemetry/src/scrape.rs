@@ -1,28 +1,21 @@
 //! The live scrape protocol: point-in-time observability snapshots served
 //! over the study's own transport.
 //!
-//! Each shard's server binds `telemetry/shard<k>`
-//! ([`melissa_transport::directory::names::telemetry`]) next to its data
-//! endpoints and answers [`ScrapeRequest`]s with a [`ScrapeSnapshot`] in
-//! one of three formats: the fixed binary codec (machine consumers), JSON,
-//! or a Prometheus-style text exposition.  Scrapers are ordinary transport
-//! clients — one [`round_trip`]: a throwaway reply endpoint, a request
-//! naming it, one reply — so scraping works over every backend
-//! (in-process, TCP, multi-node TCP via the directory) with no extra
-//! listener or HTTP stack.
+//! Each shard's server answers a scrape request on its `server/main`
+//! inbox (the request is a `melissa` protocol message, and `melissa`'s
+//! `scrape` module is the client) with a [`ScrapeSnapshot`] in one of
+//! three formats: the fixed binary codec (machine consumers), JSON, or a
+//! Prometheus-style text exposition.  This module holds the snapshot, its
+//! renderings and the reply frame.
 //!
 //! Serving is strictly read-only over atomic snapshots taken *outside* the
 //! ingest path, so a scraped study computes bit-identical statistics to an
 //! unscraped one (asserted by the `telemetry_study` integration test).
 
-use std::sync::Arc;
-use std::time::Duration;
-
 use bytes::{BufMut, BytesMut};
 use melissa_transport::codec::{Wire, WireError, WireResult};
-use melissa_transport::directory::names;
 use melissa_transport::tcp::WireIoSnapshot;
-use melissa_transport::{round_trip, Frame, LinkStatsSnapshot, Transport};
+use melissa_transport::{Frame, LinkStatsSnapshot};
 
 use crate::events::StudyEvent;
 use crate::exposition::json;
@@ -46,17 +39,6 @@ melissa_transport::wire_enum!(ScrapeFormat {
     1 => Json,
     2 => Prometheus,
 });
-
-/// A scraper's request: where to send the reply, and in which format.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScrapeRequest {
-    /// Endpoint the scraper bound for the reply.
-    pub reply_to: String,
-    /// Requested snapshot format.
-    pub format: ScrapeFormat,
-}
-
-melissa_transport::wire_struct!(ScrapeRequest { reply_to, format });
 
 /// One data link's counters inside a snapshot (endpoint-keyed rollup of
 /// [`LinkStatsSnapshot`]).
@@ -381,61 +363,6 @@ impl ScrapeReply {
     }
 }
 
-/// Scrapes shard `shard`'s telemetry endpoint inside server scope
-/// `scope` (`""` for a standalone study, `"study<id>"` under the
-/// multi-tenant daemon) and returns the reply.
-///
-/// One [`round_trip`]: a [`ScrapeRequest`] out, one reply frame back
-/// within `timeout`.  Works over every backend; fails with a
-/// human-readable error when nothing is serving (not bound yet, study
-/// finished, or telemetry disabled).
-pub fn scrape_reply_in(
-    transport: &Arc<dyn Transport>,
-    scope: &str,
-    shard: usize,
-    format: ScrapeFormat,
-    timeout: Duration,
-) -> Result<ScrapeReply, String> {
-    let endpoint = names::telemetry_in(scope, shard);
-    let request = |reply_to: &str| {
-        ScrapeRequest {
-            reply_to: reply_to.to_string(),
-            format,
-        }
-        .to_frame()
-    };
-    let frame = round_trip(transport.as_ref(), &endpoint, request, timeout, timeout)
-        .map_err(|e| format!("scrape of '{endpoint}': {e}"))?;
-    ScrapeReply::decode(&frame).map_err(|e| format!("scrape reply decode: {e}"))
-}
-
-/// Scrapes a structured snapshot (binary format) from a standalone
-/// study's shard.
-pub fn scrape(
-    transport: &Arc<dyn Transport>,
-    shard: usize,
-    timeout: Duration,
-) -> Result<ScrapeSnapshot, String> {
-    match scrape_reply_in(transport, "", shard, ScrapeFormat::Binary, timeout)? {
-        ScrapeReply::Snapshot(s) => Ok(*s),
-        ScrapeReply::Text(_) => Err("expected a binary snapshot, got text".to_string()),
-    }
-}
-
-/// Scrapes a rendered text snapshot (JSON or Prometheus) from a
-/// standalone study's shard.
-pub fn scrape_text(
-    transport: &Arc<dyn Transport>,
-    shard: usize,
-    format: ScrapeFormat,
-    timeout: Duration,
-) -> Result<String, String> {
-    match scrape_reply_in(transport, "", shard, format, timeout)? {
-        ScrapeReply::Text(t) => Ok(t),
-        ScrapeReply::Snapshot(_) => Err("expected text, got a binary snapshot".to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,25 +564,5 @@ mod tests {
         assert!(text.contains("melissa_ingest_sweep_nanos_count{shard=\"1\"} 3"));
         assert!(text.contains("melissa_max_quantile_step{shard=\"1\"} NaN"));
         assert!(text.contains("melissa_transport_reconnects_total{shard=\"1\"} 2"));
-    }
-
-    #[test]
-    fn scrape_round_trips_over_the_in_process_transport() {
-        use melissa_transport::{make_transport, TransportKind};
-        let transport = make_transport(TransportKind::InProcess);
-        let server_rx = transport.bind(&names::telemetry(0), 8);
-        let snap = sample();
-        let t2 = Arc::clone(&transport);
-        let serve = std::thread::spawn(move || {
-            let frame = server_rx.recv().expect("request");
-            let req = ScrapeRequest::from_frame(&frame).expect("decode request");
-            let tx = t2.connect(&req.reply_to).expect("reply connect");
-            tx.send(snap.encode_reply(req.format)).expect("reply send");
-        });
-        let got = scrape(&transport, 0, Duration::from_secs(5)).expect("scrape");
-        serve.join().unwrap();
-        assert_eq!(got.shard, 1);
-        assert_eq!(got.groups_finished, 4);
-        assert_eq!(got.metrics.counters.len(), 1);
     }
 }

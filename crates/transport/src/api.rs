@@ -32,6 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::directory::names;
 use crate::endpoint::{Frame, LinkStats};
 
 /// Error returned when the peer side of a link has hung up.
@@ -498,11 +499,8 @@ pub fn round_trip(
     timeout: Duration,
     reply_timeout: Duration,
 ) -> Result<Frame, RoundTripError> {
-    let reply_to = format!(
-        "reply/{}/{}",
-        std::process::id(),
-        REPLY_NONCE.fetch_add(1, Ordering::Relaxed)
-    );
+    let nonce = REPLY_NONCE.fetch_add(1, Ordering::Relaxed);
+    let reply_to = names::rpc_reply(std::process::id(), nonce);
     let rx = transport.bind(&reply_to, 8);
     let result = transport
         .connect_retry(endpoint, timeout)

@@ -464,17 +464,21 @@ impl DirectoryClient {
 
 /// Canonical endpoint names of a Melissa deployment.
 ///
-/// A single-server deployment uses the unscoped names (`"server/main"`,
-/// `"server/0"`, …).  Sharded multi-server deployments prefix every
-/// endpoint of shard `k` with [`shard_scope`](names::shard_scope)`(k)`, so `N` full server
-/// instances coexist on one name space without collisions:
-/// `"shard0/server/main"`, `"shard0/server/0"`, `"shard1/server/0"`, ….
-/// The empty scope `""` maps to the unscoped single-server names, which
-/// keeps every pre-sharding deployment (and its wire traffic) unchanged.
-/// The same names key every resolution layer — the in-process channel
-/// map, a single node's TCP listener, and the deployment directory.
+/// Every server instance of a study is a shard, one-shard studies
+/// included: shard `k` binds its endpoints under
+/// `[study<id>/]shard<k>/` ([`study_scope`](names::study_scope),
+/// [`shard_scope`](names::shard_scope)), so `N` full server instances —
+/// and many studies' — coexist on one name space without collisions:
+/// `"shard0/server/main"`, `"shard0/server/0"`, `"study3/shard1/launcher"`,
+/// ….  Shard `k` of any study is therefore addressed from the study's
+/// scope and `k` alone; its `server/main` inbox takes handshakes and
+/// telemetry scrapes alike.  The same names key every resolution layer —
+/// the in-process channel map, a single node's TCP listener, and the
+/// deployment directory.
 pub mod names {
-    /// The scope prefix of shard `k` in a sharded deployment.
+    /// The scope prefix of shard `k`, every server instance being one;
+    /// under a daemon it nests in the study's scope
+    /// (`scoped(&study_scope(id), &shard_scope(k))`).
     pub fn shard_scope(k: usize) -> String {
         format!("shard{k}")
     }
@@ -516,45 +520,11 @@ pub mod names {
         format!("collect/shard{k}")
     }
 
-    /// Shard `k`'s live telemetry scrape endpoint: the server binds it
-    /// next to its data endpoints and answers snapshot requests on it
-    /// (see the `melissa-telemetry` crate's scrape protocol).
-    pub fn telemetry(k: usize) -> String {
-        format!("telemetry/shard{k}")
-    }
-
     /// The scope prefix of study `id` under the multi-tenant daemon.
     /// Composes with shard scopes: study 3's shard 1 lives under
     /// `"study3/shard1"`, its endpoints under `"study3/shard1/…"`.
     pub fn study_scope(id: u64) -> String {
         format!("study{id}")
-    }
-
-    /// The study part of a server scope: strips a trailing
-    /// `shard<k>` segment, if any.  `""` and `"shard1"` map to the
-    /// unscoped study `""`; `"study3"` and `"study3/shard1"` map to
-    /// `"study3"` — the key under which that study's non-shard endpoints
-    /// (telemetry) are grouped.
-    pub fn study_part(scope: &str) -> &str {
-        let last = scope.rsplit('/').next().unwrap_or(scope);
-        let is_shard = last
-            .strip_prefix("shard")
-            .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()));
-        if is_shard {
-            scope[..scope.len() - last.len()].trim_end_matches('/')
-        } else {
-            scope
-        }
-    }
-
-    /// Shard `k`'s telemetry scrape endpoint inside the server scope
-    /// `scope` (which may carry a study prefix, a shard suffix, both or
-    /// neither).  Unscoped and shard-only deployments keep the legacy
-    /// [`telemetry`] names; daemon studies get per-study endpoints like
-    /// `"study3/telemetry/shard1"` so concurrent studies on one shared
-    /// transport never collide.
-    pub fn telemetry_in(scope: &str, k: usize) -> String {
-        scoped(study_part(scope), &telemetry(k))
     }
 
     /// Where [`Transport::retire_scope`](crate::Transport::retire_scope)
@@ -584,6 +554,23 @@ pub mod names {
     /// read by no statistics rollup.
     pub(crate) fn is_reply(name: &str) -> bool {
         name.split('/').any(|part| part == "reply")
+    }
+
+    /// The one-shot reply endpoint of [`round_trip`](crate::round_trip)
+    /// number `nonce` in process `pid`: `reply/<pid>/<nonce>`.
+    pub(crate) fn rpc_reply(pid: u32, nonce: u64) -> String {
+        format!("reply/{pid}/{nonce}")
+    }
+
+    /// Whether `name` is the reply endpoint of a
+    /// [`round_trip`](crate::round_trip), `reply/<pid>/<nonce>` — the
+    /// only kind a service sends a reply to, so that no request can make
+    /// it push a frame into another endpoint (a study's launcher inbox, a
+    /// server worker's).  A group's handshake reply is not one.
+    pub fn is_rpc_reply(name: &str) -> bool {
+        let number = |part: &str| !part.is_empty() && part.bytes().all(|b| b.is_ascii_digit());
+        let parts: Vec<&str> = name.split('/').collect();
+        matches!(parts[..], ["reply", pid, nonce] if number(pid) && number(nonce))
     }
 
     /// The multi-tenant daemon's study-submission control endpoint.
@@ -727,33 +714,34 @@ mod tests {
     }
 
     #[test]
-    fn study_scopes_compose_and_keep_legacy_telemetry_names() {
+    fn study_scopes_compose() {
         assert_eq!(names::study_scope(3), "study3");
         assert_eq!(
             names::scoped("study3", &names::shard_scope(1)),
             "study3/shard1"
         );
-
-        // The study part of a server scope strips only a shard suffix.
-        assert_eq!(names::study_part(""), "");
-        assert_eq!(names::study_part("shard1"), "");
-        assert_eq!(names::study_part("study3"), "study3");
-        assert_eq!(names::study_part("study3/shard1"), "study3");
-        assert_eq!(names::study_part("shardy"), "shardy");
-
-        // Telemetry endpoints: legacy names outside the daemon, per-study
-        // names under it — no collision between two studies' shard 0.
-        assert_eq!(names::telemetry_in("", 0), names::telemetry(0));
-        assert_eq!(names::telemetry_in("shard1", 1), names::telemetry(1));
-        assert_eq!(
-            names::telemetry_in("study3/shard1", 1),
-            "study3/telemetry/shard1"
-        );
-        assert_eq!(names::telemetry_in("study3", 0), "study3/telemetry/shard0");
-        assert_ne!(
-            names::telemetry_in(&names::study_scope(1), 0),
-            names::telemetry_in(&names::study_scope(2), 0)
-        );
         assert_eq!(names::daemon_ctl(), "ctl/daemon");
+    }
+
+    #[test]
+    fn only_round_trip_reply_names_are_rpc_replies() {
+        assert_eq!(names::rpc_reply(12, 7), "reply/12/7");
+        assert!(names::is_rpc_reply(&names::rpc_reply(12, 7)));
+        // A group's handshake reply is a reply name, not an RPC's.
+        assert!(names::is_reply("group/7/2/reply"));
+        for name in [
+            "study1/shard0/launcher",
+            "shard0/server/0",
+            "group/7/2/reply",
+            "shard0/group/7/2/reply",
+            "x/reply/1/2",
+            "reply/1/2/x",
+            "reply/1",
+            "reply//2",
+            "reply/1/-2",
+            "",
+        ] {
+            assert!(!names::is_rpc_reply(name), "{name}");
+        }
     }
 }

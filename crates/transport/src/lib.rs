@@ -43,13 +43,13 @@
 //! ## Endpoint naming and name resolution
 //!
 //! Endpoint names are opaque strings with a canonical scheme in
-//! [`directory::names`].  Single-server deployments use the unscoped
-//! names (`"server/main"`, `"server/<w>"`, `"launcher"`); a sharded
-//! multi-server study prefixes every endpoint of shard `k` with
-//! `"shard<k>/"` ([`directory::names::shard_scope`]), so `N` complete
-//! server instances — handshake endpoint, worker data endpoints and a
-//! per-shard launcher control inbox — coexist in **one** name space
-//! without collisions.
+//! [`directory::names`].  Every server instance of a study is a shard,
+//! and every endpoint of shard `k` carries the prefix `"shard<k>/"`
+//! ([`directory::names::shard_scope`]), under `"study<id>/"` when a
+//! daemon hosts the study: `N` complete server instances — the
+//! `server/main` inbox (handshakes and scrapes), worker data endpoints
+//! and a per-shard launcher control inbox — coexist in **one** name
+//! space without collisions, a one-shard study's as `"shard0/…"`.
 //!
 //! Resolution is in-process for single-node transports (the channel
 //! map, or the TCP node's own endpoint table).  Multi-node ones resolve

@@ -1,11 +1,11 @@
-//! `top` for a running Melissa study: polls every shard's live
-//! telemetry endpoint over the study's own transport and renders
-//! per-shard progress while the statistics are being computed.
+//! `top` for a running Melissa study: scrapes every shard's
+//! `shard<k>/server/main` inbox over the study's own transport and
+//! renders per-shard progress while the statistics are being computed.
 //!
 //! The same seeded 2-shard study runs four times — unscraped and
 //! scraped-while-running, over in-process channels and over real TCP
 //! loopback sockets.  The scraper shares the study's transport fabric
-//! and hammers the `telemetry/shard<k>` endpoints the whole time; the
+//! and hammers the shards' `server/main` inboxes the whole time; the
 //! example then asserts the scraped runs' statistics are
 //! **bit-identical** to the unscraped references: live observability
 //! perturbs nothing.
@@ -17,8 +17,8 @@
 //!
 //! With `-- --daemon` the top view points at a multi-tenant daemon
 //! instead: the study is submitted over the control plane, the per-shard
-//! rows come from the study's scoped `study<id>/telemetry/shard<k>`
-//! endpoints, and each render is followed by the daemon-level aggregate
+//! rows come from the study's `study<id>/shard<k>/server/main` inboxes,
+//! and each render is followed by the daemon-level aggregate
 //! (queue depth, per-tenant usage, admission counters), scraped on the
 //! daemon's control endpoint.
 
@@ -26,8 +26,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use melissa_repro::daemon::{Daemon, DaemonClient, DaemonConfig, StudyState};
+use melissa_repro::melissa::scrape::{scrape, scrape_text};
 use melissa_repro::melissa::{Study, StudyConfig, StudyOutput};
-use melissa_repro::telemetry::{scrape, scrape_text, ScrapeFormat, ScrapeReply, ScrapeSnapshot};
+use melissa_repro::telemetry::{ScrapeFormat, ScrapeReply, ScrapeSnapshot};
 use melissa_repro::transport::{make_transport, TransportKind};
 
 const N_SHARDS: usize = 2;

@@ -28,8 +28,8 @@
 //! exactly-once — and the study result is **still bit-identical**.
 //!
 //! Mid-study the orchestrator also **scrapes** every shard's
-//! `telemetry/shard<k>` endpoint through the directory (the
-//! `melissa-telemetry` live-observability path) and prints the snapshot —
+//! `shard<k>/server/main` inbox through the directory (the
+//! `melissa::scrape` live-observability path) and prints the snapshot —
 //! proving the scrape works across OS processes and real sockets without
 //! perturbing the bit-parity assertions that follow.
 //!
@@ -44,6 +44,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use melissa_repro::melissa::group::{run_group, GroupContext, GroupOutcome};
 use melissa_repro::melissa::launcher::bootstrap_directory;
 use melissa_repro::melissa::protocol::Message;
+use melissa_repro::melissa::scrape::scrape;
 use melissa_repro::melissa::server::checkpoint::{pack_state, unpack_state};
 use melissa_repro::melissa::server::state::WorkerState;
 use melissa_repro::melissa::server::{Server, ServerConfig};
@@ -52,7 +53,7 @@ use melissa_repro::melissa::study::StudyResults;
 use melissa_repro::melissa::{Study, StudyConfig};
 use melissa_repro::sobol::design::PickFreeze;
 use melissa_repro::solver::injection::InjectionParams;
-use melissa_repro::telemetry::{scrape, Telemetry};
+use melissa_repro::telemetry::Telemetry;
 use melissa_repro::transport::directory::names;
 use melissa_repro::transport::{
     KillSwitch, Receiver, TcpTransport, TcpTransportConfig, Transport, TransportKind, DIRECTORY_ENV,

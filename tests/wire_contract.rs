@@ -27,7 +27,7 @@ use melissa_daemon::{DaemonOp, DaemonReply, DaemonRequest, StudyState};
 use melissa_solver::UseCaseConfig;
 use melissa_telemetry::{
     CodecScrape, EventKind, HistogramSnapshot, LinkScrape, MetricsSnapshot, Registry, ScrapeFormat,
-    ScrapeReply, ScrapeRequest, ScrapeSnapshot, StudyEvent,
+    ScrapeReply, ScrapeSnapshot, StudyEvent,
 };
 use melissa_transport::codec::{read_frame, write_frame, Bytes, Wire, WireError};
 use melissa_transport::directory::{DirectoryReply, DirectoryRequest};
@@ -139,7 +139,9 @@ fn assert_wire_contract<T: Wire + Debug>(samples: &[T]) {
 // ---------------------------------------------------------------------
 
 /// One `Message` per variant, with the hex `Message::encode` wrote for it
-/// before the declarations replaced the hand-written codec.
+/// before the declarations replaced the hand-written codec; `Scrape`,
+/// which came later, with the hex its field list gives by the same rules
+/// (tag, `u32` length and UTF-8 of `reply_to`, the format byte).
 fn golden_messages() -> Vec<(Message, &'static str)> {
     vec![
         (
@@ -212,6 +214,13 @@ fn golden_messages() -> Vec<(Message, &'static str)> {
         ),
         (Message::Wake, "0d"),
         (Message::ReportNow, "0e"),
+        (
+            Message::Scrape {
+                reply_to: "reply/1/2".into(),
+                format: ScrapeFormat::Prometheus,
+            },
+            "0f090000007265706c792f312f3202",
+        ),
     ]
 }
 
@@ -249,6 +258,10 @@ fn messages_keep_their_bytes_and_the_contract() {
         group_id: 0,
         floor: i64::MIN,
     });
+    samples.extend(FORMATS.iter().map(|&format| Message::Scrape {
+        reply_to: String::new(),
+        format,
+    }));
     covers!(
         samples,
         Message::ConnectRequest { .. },
@@ -265,6 +278,7 @@ fn messages_keep_their_bytes_and_the_contract() {
         Message::JobEnded { .. },
         Message::Wake,
         Message::ReportNow,
+        Message::Scrape { .. },
     );
     assert_wire_contract(&samples);
 }
@@ -637,14 +651,6 @@ fn telemetry_formats_keep_the_wire_contract() {
         ScrapeFormat::Prometheus,
     );
     assert_wire_contract(&FORMATS);
-    let requests: Vec<ScrapeRequest> = FORMATS
-        .iter()
-        .map(|&format| ScrapeRequest {
-            reply_to: "telemetry/reply/1/2".into(),
-            format,
-        })
-        .collect();
-    assert_wire_contract(&requests);
     let snapshots = snapshots();
     assert_wire_contract(&snapshots[0].links);
     assert_wire_contract(&[snapshots[0].wire_codec, CodecScrape::default()]);

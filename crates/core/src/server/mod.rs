@@ -407,7 +407,8 @@ impl Server {
                 let kill = kill.clone();
                 let main_tx = main_sender.clone();
                 let slab = partition.worker_range(w);
-                std::thread::spawn(move || {
+                let worker = std::thread::Builder::new().name(format!("srv-w{w}"));
+                let spawned = worker.spawn(move || {
                     let restore_started = Instant::now();
                     let state = if cfg.restore {
                         match read_checkpoint(&cfg.checkpoint_dir, w) {
@@ -478,7 +479,8 @@ impl Server {
                         }
                     }
                     worker_loop(state, rx, main_tx, shared, kill, cfg)
-                })
+                });
+                spawned.expect("the OS refused a server worker thread")
             })
             .collect();
 
@@ -488,9 +490,12 @@ impl Server {
             let kill = kill.clone();
             let transport = Arc::clone(&transport);
             let senders = worker_senders.clone();
-            std::thread::spawn(move || {
-                main_loop(cfg, transport, shared, kill, launcher_tx, senders, main_rx)
-            })
+            std::thread::Builder::new()
+                .name("srv-main".into())
+                .spawn(move || {
+                    main_loop(cfg, transport, shared, kill, launcher_tx, senders, main_rx)
+                })
+                .expect("the OS refused the server main thread")
         };
 
         Server {

@@ -53,43 +53,59 @@
 //! frames — 8 227 B, in which six or seven of the eight byte planes are
 //! incompressible mantissa noise, not on the smooth analytic fixture that
 //! flatters the codec: `ratio` is 1.20–1.29 on a frame set and 1.24 over a
-//! whole study, `encode` 700–870 MiB/s and `decode` 1 600–1 800 MiB/s on
-//! one core of the reference host (`transport_compress/codec_*/tube8k` in
-//! `BENCH_transport.json`, `wire_probe` with `SHAPE=codec`, and
+//! whole study, `encode` ≈ 1 600 MiB/s and `decode` ≈ 2 900 MiB/s on one
+//! core of the reference host (`transport_compress/codec_*/tube8k` in
+//! `BENCH_transport.json` v7, `wire_probe` with `SHAPE=codec`, and
 //! `compress.*` in a traced `study_bench` run), against 13 GiB/s for a
 //! `memcpy` of the same frames.  That puts the break-even at
-//! ≈ 0.19 × 700 ≈ 135 MiB/s ≈ 1.1 Gb/s: the codec cannot win on a
-//! loopback or a 10 GbE link, and is about even on 1 GbE.  Per link, the
-//! same quantities are counted live ([`TcpTransport::wire_io`], the
-//! scrape's `wire_codec_seconds_total` / `wire_codec_bytes_total`).
+//! ≈ 0.19 × 1 600 ≈ 310 MiB/s ≈ 2.6 Gb/s: the codec cannot win on a
+//! loopback or a 10 GbE link, and should win on 1 GbE.  Per link, the same
+//! quantities are counted live ([`TcpTransport::wire_io`], the scrape's
+//! `wire_codec_seconds_total` / `wire_codec_bytes_total`).
 //!
-//! # How the kernels work: two passes, a word at a time
+//! # How the kernels work: SSE2, sixteen bytes per operation
 //!
-//! **Encode, pass one** predicts and zigzags eight words, transposes them
-//! as an 8 × 8 byte matrix held in eight `u64`s (three rounds of
-//! block swaps) and stores each plane's eight bytes with one word write
-//! into one contiguous buffer of planes; the `n mod 8` tail is scalar.
-//! **Pass two**, per plane, builds a *run map* — a bitmask with one bit per
-//! byte, "is it zero", computed eight bytes per step with an exact SWAR
-//! zero test and a multiply that gathers the eight flags — and from it,
-//! with shifts and ANDs over 64 bytes at a time, the positions where
-//! literal bytes and zero runs of two or more alternate.  The coded size
-//! of the plane and of its byte-delta (one vectorisable subtraction) follow
-//! from their maps alone, exactly, so only the winner is written: token
-//! bytes, and literal runs moved in 32-byte blocks rather than by `memcpy`
-//! calls (the runs are short — a real plane is ≈ 70 tokens per KiB).
-//! **Decode** fills planes from the tokens with the same block moves,
-//! undoes a delta with a SWAR byte prefix sum (even and odd bytes summed in
-//! 16-bit lanes by one multiply each), and gathers eight words per step
-//! back through the same transpose.  All working storage is a
-//! [`PlaneScratch`] the caller owns, and output goes to the caller's
+//! **Encode, pass one** predicts and zigzags two words per operation —
+//! `w(k)`, `w(k−1)` and `w(k−2)` are three unaligned loads of the payload
+//! — and transposes eight residual words, held two to a register, as an
+//! 8 × 8 byte matrix with three rounds of byte and 16-bit unpacks; each
+//! plane receives its eight bytes with one 8-byte store into one
+//! contiguous buffer of planes, and the `n mod 8` tail is scalar.
+//! **Pass two**, per plane, builds two *zero maps* — one bit per byte,
+//! from a compare and a mask move per sixteen bytes: is the byte zero,
+//! and does it equal the byte before?  The second is the zero map of the
+//! plane's byte-delta, read straight off the plane, so the delta is tried
+//! on every plane without being written.  Shifts and ANDs over a map, 64
+//! bytes at a time, find the positions where literal bytes and zero runs
+//! of two or more alternate, and those give the coded size, exactly.  The
+//! verbatim coding is written in the same walk that sizes it whenever the
+//! longest it could be still leaves the image shorter than the payload
+//! (sized first otherwise, so that the raw fallback is decided before
+//! anything is written past that); the delta is materialised and written
+//! only when it wins, which on the seed-7 tube frames it does for none of
+//! 5 120 planes.  Literal runs move in 32-byte blocks rather than by
+//! `memcpy` calls (the runs are short — a real plane has 85–165 runs per
+//! KiB).
+//! **Decode** fills two planes at a time from their tokens with the same
+//! block moves (a token's position depends on the token before, so one
+//! plane decodes at the latency of a load per token and two overlap),
+//! undoes a delta with a byte prefix sum of four shift-and-add rounds per
+//! sixteen bytes, and gathers eight words per step back through the same
+//! transpose; the unzigzag is two words per operation, and the order-2
+//! restore is two running sums, serial and scalar.  All working storage
+//! is a [`PlaneScratch`] the caller owns, and output goes to the caller's
 //! buffer ([`compress_into`], [`decompress_into`]), so a link codes a
 //! burst of frames into one block with no allocation per frame.
 //!
-//! The byte-at-a-time codec these kernels replaced is kept, verbatim, as
-//! the oracle of this module's tests: the container is whatever it writes,
-//! byte for byte, and `tests/wire_codec.rs` pins a digest of real frames'
-//! containers computed with it.
+//! SSE2 is part of every x86_64 CPU, so nothing is detected at run time.
+//! Other targets run the word-at-a-time kernels the SSE2 ones replaced
+//! (module `portable`: a SWAR transpose in three rounds of block swaps, a
+//! SWAR zero test with a multiply that gathers the flags, a SWAR byte
+//! prefix sum); tests compile both and hold them to each other byte for
+//! byte.  The byte-at-a-time codec that came before either is kept,
+//! verbatim, as the oracle of this module's tests: the container is
+//! whatever it writes, byte for byte, and `tests/wire_codec.rs` pins a
+//! digest of real frames' containers computed with it.
 //!
 //! [`TcpTransport::wire_io`]: crate::tcp::TcpTransport::wire_io
 
@@ -150,6 +166,18 @@ impl std::fmt::Display for WireCompression {
     }
 }
 
+/// Moves a run rounded up to whole [`COPY_BLOCK`]s — `to` and `from` are
+/// that long — so that its last block moves bytes past the run's end,
+/// which the next token overwrites.  The first block moves on its own,
+/// so that a short run costs one fixed-size move and not a `memcpy` call.
+#[inline(always)]
+fn move_run(to: &mut [u8], from: &[u8]) {
+    to[..COPY_BLOCK].copy_from_slice(&from[..COPY_BLOCK]);
+    if to.len() > COPY_BLOCK {
+        to[COPY_BLOCK..].copy_from_slice(&from[COPY_BLOCK..]);
+    }
+}
+
 /// Zero-run token space: `0x00..=0x7F` literal runs, `0x80..=0xFF` zero
 /// runs (see module docs).
 const MAX_LITERAL_RUN: usize = 128;
@@ -177,86 +205,383 @@ fn unzigzag(z: u64) -> u64 {
     ((z >> 1) as i64 ^ -((z & 1) as i64)) as u64
 }
 
+/// Predicts and zigzags word `w` from the two before it: the residual
+/// byte planes are made of.
+#[inline(always)]
+fn residual(w: u64, w1: u64, w2: u64) -> u64 {
+    zigzag(w.wrapping_sub(w1.wrapping_mul(2).wrapping_sub(w2)))
+}
+
 /// The codec's working storage, owned by whoever runs it — a link's
 /// writer, an acceptor's reader — so a frame costs no allocation once
 /// the buffers have grown to the link's frame size.
 #[derive(Debug, Default)]
 pub struct PlaneScratch {
     /// The eight byte planes of a payload's residuals, one after the
-    /// other (the encoder pads each with zero bytes to whole 64-byte
-    /// chunks).
+    /// other (the encoder puts [`PLANE_LEAD`] zero bytes in front and pads
+    /// each plane with zero bytes to whole 64-byte chunks).
     planes: Vec<u8>,
-    /// The byte-delta of the plane the encoder is deciding on, and the
+    /// The byte-delta of a plane whose delta the encoder writes, and the
     /// run maps of the plane as it is and of its delta.
     delta: Vec<u8>,
     plain_runs: RunMap,
     delta_runs: RunMap,
 }
 
-/// Transposes an 8 × 8 byte matrix held as eight little-endian words
-/// (row `j` = word `j`, column `p` = its byte `p`) by swapping the
-/// off-diagonal 4 × 4, 2 × 2 and 1 × 1 blocks.  Its own inverse: eight
-/// residual words in, the eight bytes of each plane out, and back.
-#[inline(always)]
-fn transpose8x8(mut x: [u64; 8]) -> [u64; 8] {
-    for i in [0, 1, 2, 3] {
-        let (a, b) = (x[i], x[i + 4]);
-        x[i] = (a & 0x0000_0000_FFFF_FFFF) | (b << 32);
-        x[i + 4] = (a >> 32) | (b & 0xFFFF_FFFF_0000_0000);
-    }
-    for i in [0, 1, 4, 5] {
-        let (a, b) = (x[i], x[i + 2]);
-        x[i] = (a & 0x0000_FFFF_0000_FFFF) | ((b << 16) & 0xFFFF_0000_FFFF_0000);
-        x[i + 2] = ((a >> 16) & 0x0000_FFFF_0000_FFFF) | (b & 0xFFFF_0000_FFFF_0000);
-    }
-    for i in [0, 2, 4, 6] {
-        let (a, b) = (x[i], x[i + 1]);
-        x[i] = (a & 0x00FF_00FF_00FF_00FF) | ((b << 8) & 0xFF00_FF00_FF00_FF00);
-        x[i + 1] = ((a >> 8) & 0x00FF_00FF_00FF_00FF) | (b & 0xFF00_FF00_FF00_FF00);
-    }
-    x
-}
+/// Zero bytes in front of the encoder's first plane: the byte before a
+/// plane, which its delta's zero map compares the plane's first byte
+/// with, is zero for every plane (the others have their padding there).
+/// Sixteen keeps the planes as aligned as the buffer.
+const PLANE_LEAD: usize = 16;
 
-/// Pass one of the encoder: predicts and zigzags `words` (whole
-/// little-endian `u64`s) and scatters the residuals' bytes into eight
-/// planes `stride` apart — eight words at a time through
-/// [`transpose8x8`], so a plane receives eight bytes per store.
-fn split_planes(words: &[u8], planes: &mut [u8], stride: usize) {
-    let (mut w1, mut w2) = (0u64, 0u64); // w(k−1), w(k−2)
-    let mut residual = |chunk: &[u8]| {
-        let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        let z = zigzag(w.wrapping_sub(w1.wrapping_mul(2).wrapping_sub(w2)));
+/// Pass one of the encoder, scalar: predicts and zigzags the words of
+/// `words` from word `from` on and scatters each residual's bytes into
+/// eight planes `stride` apart.  The kernels run it on the `n mod 8`
+/// words behind their last whole block.
+fn split_tail(words: &[u8], planes: &mut [u8], stride: usize, from: usize) {
+    let word = |k: usize| u64::from_le_bytes(words[8 * k..][..8].try_into().expect("8 bytes"));
+    let before = |back: usize| from.checked_sub(back).map_or(0, word);
+    let (mut w1, mut w2) = (before(1), before(2)); // w(k−1), w(k−2)
+    for k in from..words.len() / 8 {
+        let w = word(k);
+        for (p, byte) in residual(w, w1, w2).to_le_bytes().into_iter().enumerate() {
+            planes[p * stride + k] = byte;
+        }
         (w2, w1) = (w1, w);
-        z
-    };
-    let mut blocks = words.chunks_exact(64);
-    let mut at = 0;
-    for block in blocks.by_ref() {
-        let mut z = [0u64; 8];
-        for (z, chunk) in z.iter_mut().zip(block.chunks_exact(8)) {
-            *z = residual(chunk);
-        }
-        for (p, bytes) in transpose8x8(z).into_iter().enumerate() {
-            planes[p * stride + at..][..8].copy_from_slice(&bytes.to_le_bytes());
-        }
-        at += 8;
-    }
-    for chunk in blocks.remainder().chunks_exact(8) {
-        for (p, byte) in residual(chunk).to_le_bytes().into_iter().enumerate() {
-            planes[p * stride + at] = byte;
-        }
-        at += 1;
     }
 }
 
-const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+/// The kernels on SSE2, which every x86_64 CPU has, so there is nothing
+/// to detect: two words, or sixteen plane bytes, per operation.  Each
+/// kernel's `unsafe` is the intrinsics and the unaligned loads and
+/// stores, whose ranges the kernel bounds before it touches memory.
+#[cfg(target_arch = "x86_64")]
+mod sse2 {
+    use super::split_tail;
+    use std::arch::x86_64::*;
 
-/// `0x80` in every byte of the result whose byte in `x` is zero, `0x00`
-/// in the others — exact: no carry crosses a byte.
-#[inline(always)]
-fn zero_bytes(x: u64) -> u64 {
-    !(((x & LOW7) + LOW7) | x | LOW7)
+    /// Transposes the 8 × 8 byte matrix held two rows to a register (row
+    /// `2i` in the low half of `rows[i]`, row `2i + 1` in the high half)
+    /// into its columns, held the same way: byte unpacks interleave rows
+    /// 0, 2 and 1, 3 (and 4, 6 and 5, 7), 16-bit unpacks join those into
+    /// rows 0, 2, 4, 6 and 1, 3, 5, 7, and byte unpacks interleave the two
+    /// into whole columns.  Each round mixes registers the round before
+    /// kept apart, which keeps the compiler from fusing two rounds into a
+    /// byte shuffle SSE2 has no instruction for.  Its own inverse:
+    /// residual words in, plane bytes out, and back.
+    #[inline(always)]
+    fn transpose(rows: [__m128i; 4]) -> [__m128i; 4] {
+        let [a, b, c, d] = rows;
+        // SAFETY: register-only SSE2 operations, part of the x86_64 baseline.
+        unsafe {
+            let (r02, r13) = (_mm_unpacklo_epi8(a, b), _mm_unpackhi_epi8(a, b));
+            let (r46, r57) = (_mm_unpacklo_epi8(c, d), _mm_unpackhi_epi8(c, d));
+            // Bytes 0–3 and 4–7 of the even rows, and of the odd rows.
+            let (even03, even47) = (_mm_unpacklo_epi16(r02, r46), _mm_unpackhi_epi16(r02, r46));
+            let (odd03, odd47) = (_mm_unpacklo_epi16(r13, r57), _mm_unpackhi_epi16(r13, r57));
+            [
+                _mm_unpacklo_epi8(even03, odd03),
+                _mm_unpackhi_epi8(even03, odd03),
+                _mm_unpacklo_epi8(even47, odd47),
+                _mm_unpackhi_epi8(even47, odd47),
+            ]
+        }
+    }
+
+    /// [`super::residual`] of two words at once.
+    #[inline(always)]
+    fn residuals(w: __m128i, w1: __m128i, w2: __m128i) -> __m128i {
+        // SAFETY: register-only SSE2 operations, part of the x86_64 baseline.
+        unsafe {
+            let r = _mm_sub_epi64(_mm_add_epi64(w, w2), _mm_add_epi64(w1, w1));
+            // All ones where the residual is negative: 0 − its sign bit.
+            let sign = _mm_sub_epi64(_mm_setzero_si128(), _mm_srli_epi64::<63>(r));
+            _mm_xor_si128(_mm_slli_epi64::<1>(r), sign)
+        }
+    }
+
+    /// Predicts, zigzags and transposes the eight words at `src` into
+    /// eight planes `stride` apart from `dst`: one 8-byte store per plane.
+    ///
+    /// # Safety
+    ///
+    /// `src − 16 .. src + 64` must be readable (the two words before the
+    /// block are its prediction's history), and `dst + p · stride ..
+    /// + 8` writable for every `p < 8`.
+    #[inline(always)]
+    unsafe fn split_block(src: *const u8, dst: *mut u8, stride: usize) {
+        // SAFETY: SSE2 is part of the x86_64 baseline; the caller vouches
+        // for the ranges.
+        unsafe {
+            let load = |at: usize| _mm_loadu_si128(src.add(at).sub(16).cast());
+            let z = [0, 16, 32, 48].map(|k| residuals(load(k + 16), load(k + 8), load(k)));
+            for (i, columns) in transpose(z).into_iter().enumerate() {
+                _mm_storel_epi64(dst.add(2 * i * stride).cast(), columns);
+                _mm_storeh_pd(
+                    dst.add((2 * i + 1) * stride).cast(),
+                    _mm_castsi128_pd(columns),
+                );
+            }
+        }
+    }
+
+    /// Pass one of the encoder: predicts and zigzags the whole words of
+    /// `words` and scatters their bytes into eight planes `stride` apart,
+    /// eight words at a time through [`split_block`] and the rest through
+    /// [`split_tail`].
+    pub(super) fn split_planes(words: &[u8], planes: &mut [u8], stride: usize) {
+        let n = words.len() / 8;
+        assert!(
+            n <= stride && planes.len() >= 8 * stride,
+            "eight planes of n bytes"
+        );
+        let dst = planes.as_mut_ptr();
+        if n >= 8 {
+            // The first block's history, w(−1) and w(−2), is zero: it is
+            // read from a copy behind sixteen zero bytes.
+            let mut first = [0u8; 16 + 64];
+            first[16..].copy_from_slice(&words[..64]);
+            // SAFETY: `first` is the sixteen bytes before the copy and the
+            // copy; the stores stay in `planes[..8 · stride]` because
+            // `8 ≤ n ≤ stride`.
+            unsafe { split_block(first.as_ptr().add(16), dst, stride) };
+        }
+        for block in 1..n / 8 {
+            // SAFETY: the loads read `words[64 · block − 16 .. 64 · (block
+            // + 1)]`, inside `words` because `64 · (block + 1) ≤ 8n`; the
+            // stores stay in `planes[..8 · stride]` because `8 · block + 8
+            // ≤ n ≤ stride`.
+            unsafe { split_block(words.as_ptr().add(64 * block), dst.add(8 * block), stride) };
+        }
+        split_tail(words, planes, stride, n / 8 * 8);
+    }
+
+    /// The zero maps of the plane behind the first byte of
+    /// `lead_and_plane`, over its whole 64-byte chunks: one bit per byte,
+    /// set in `zeros` where the byte is zero and in `repeats` where it
+    /// equals the byte before — where the plane's byte-delta is zero.
+    pub(super) fn zero_maps(lead_and_plane: &[u8], zeros: &mut Vec<u64>, repeats: &mut Vec<u64>) {
+        let chunks = lead_and_plane.len().saturating_sub(1) / 64;
+        zeros.resize(chunks, 0);
+        repeats.resize(chunks, 0);
+        let from = lead_and_plane.as_ptr();
+        for (chunk, (zeros, repeats)) in zeros.iter_mut().zip(repeats.iter_mut()).enumerate() {
+            let (mut zero, mut repeat) = (0u64, 0u64);
+            for k in 0..4 {
+                let at = 64 * chunk + 16 * k;
+                // SAFETY: SSE2 is part of the x86_64 baseline; the loads
+                // read `lead_and_plane[at .. at + 17]`, inside it because
+                // the loop stops at the last whole chunk behind the lead.
+                let (z, r) = unsafe {
+                    let before = _mm_loadu_si128(from.add(at).cast());
+                    let bytes = _mm_loadu_si128(from.add(at + 1).cast());
+                    (
+                        _mm_movemask_epi8(_mm_cmpeq_epi8(bytes, _mm_setzero_si128())),
+                        _mm_movemask_epi8(_mm_cmpeq_epi8(bytes, before)),
+                    )
+                };
+                zero |= (z as u64) << (16 * k);
+                repeat |= (r as u64) << (16 * k);
+            }
+            (*zeros, *repeats) = (zero, repeat);
+        }
+    }
+
+    /// Undoes the byte-delta filter: a wrapping prefix sum over `plane`,
+    /// sixteen bytes per step in four shift-and-add rounds, plus the last
+    /// byte of the step before in every byte.
+    pub(super) fn prefix_sum_bytes(plane: &mut [u8]) {
+        let mut chunks = plane.chunks_exact_mut(16);
+        // SAFETY: a register-only SSE2 operation, part of the x86_64 baseline.
+        let mut carry = unsafe { _mm_setzero_si128() };
+        for chunk in chunks.by_ref() {
+            // SAFETY: SSE2 is part of the x86_64 baseline; the load and
+            // the store cover `chunk`'s sixteen bytes.
+            unsafe {
+                let mut x = _mm_loadu_si128(chunk.as_ptr().cast());
+                x = _mm_add_epi8(x, _mm_slli_si128::<1>(x));
+                x = _mm_add_epi8(x, _mm_slli_si128::<2>(x));
+                x = _mm_add_epi8(x, _mm_slli_si128::<4>(x));
+                x = _mm_add_epi8(x, _mm_slli_si128::<8>(x));
+                x = _mm_add_epi8(x, carry);
+                _mm_storeu_si128(chunk.as_mut_ptr().cast(), x);
+                // Byte 15 into every byte.
+                carry =
+                    _mm_shuffle_epi32::<0xFF>(_mm_shufflehi_epi16::<0xFF>(_mm_unpackhi_epi8(x, x)));
+            }
+        }
+        // SAFETY: a register-only SSE2 operation, part of the x86_64 baseline.
+        let mut prev = unsafe { _mm_cvtsi128_si32(carry) } as u8;
+        for b in chunks.into_remainder() {
+            prev = prev.wrapping_add(*b);
+            *b = prev;
+        }
+    }
+
+    /// The eight residuals whose zigzagged bytes are the decoder's
+    /// planes' bytes `at .. at + 8` (plane `p` at `planes[p · stride ..]`),
+    /// back through [`transpose`] and unzigzagged.
+    #[inline(always)]
+    pub(super) fn gather_residuals(planes: &[u8], stride: usize, at: usize) -> [u64; 8] {
+        assert!(
+            7 * stride + at + 8 <= planes.len(),
+            "eight rows of eight bytes"
+        );
+        let from = planes.as_ptr();
+        // SAFETY: SSE2 is part of the x86_64 baseline; each load reads
+        // `planes[p · stride + at ..][..8]` for `p < 8`, inside `planes` by
+        // the assertion.  The transmute reinterprets four registers as the
+        // eight little-endian words they hold; every bit pattern is a word.
+        unsafe {
+            let row = |p: usize| _mm_loadl_epi64(from.add(p * stride + at).cast());
+            let rows = [0, 2, 4, 6].map(|p| _mm_unpacklo_epi64(row(p), row(p + 1)));
+            let residuals = transpose(rows).map(|z| {
+                let odd = _mm_and_si128(z, _mm_set1_epi64x(1));
+                _mm_xor_si128(
+                    _mm_srli_epi64::<1>(z),
+                    _mm_sub_epi64(_mm_setzero_si128(), odd),
+                )
+            });
+            std::mem::transmute::<[__m128i; 4], [u64; 8]>(residuals)
+        }
+    }
 }
+
+/// The word-at-a-time kernels the SSE2 ones replaced: what a target
+/// without SSE2 runs, and, in tests, what the SSE2 ones must match.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+mod portable {
+    use super::{residual, split_tail, unzigzag};
+
+    /// Transposes an 8 × 8 byte matrix held as eight little-endian words
+    /// (row `j` = word `j`, column `p` = its byte `p`) by swapping the
+    /// off-diagonal 4 × 4, 2 × 2 and 1 × 1 blocks.  Its own inverse: eight
+    /// residual words in, the eight bytes of each plane out, and back.
+    #[inline(always)]
+    fn transpose8x8(mut x: [u64; 8]) -> [u64; 8] {
+        for i in [0, 1, 2, 3] {
+            let (a, b) = (x[i], x[i + 4]);
+            x[i] = (a & 0x0000_0000_FFFF_FFFF) | (b << 32);
+            x[i + 4] = (a >> 32) | (b & 0xFFFF_FFFF_0000_0000);
+        }
+        for i in [0, 1, 4, 5] {
+            let (a, b) = (x[i], x[i + 2]);
+            x[i] = (a & 0x0000_FFFF_0000_FFFF) | ((b << 16) & 0xFFFF_0000_FFFF_0000);
+            x[i + 2] = ((a >> 16) & 0x0000_FFFF_0000_FFFF) | (b & 0xFFFF_0000_FFFF_0000);
+        }
+        for i in [0, 2, 4, 6] {
+            let (a, b) = (x[i], x[i + 1]);
+            x[i] = (a & 0x00FF_00FF_00FF_00FF) | ((b << 8) & 0xFF00_FF00_FF00_FF00);
+            x[i + 1] = ((a >> 8) & 0x00FF_00FF_00FF_00FF) | (b & 0xFF00_FF00_FF00_FF00);
+        }
+        x
+    }
+
+    /// Pass one of the encoder: predicts and zigzags the whole words of
+    /// `words` and scatters their bytes into eight planes `stride` apart —
+    /// eight words at a time through [`transpose8x8`], so a plane receives
+    /// eight bytes per store — and the rest through [`split_tail`].
+    pub(super) fn split_planes(words: &[u8], planes: &mut [u8], stride: usize) {
+        let (mut w1, mut w2) = (0u64, 0u64); // w(k−1), w(k−2)
+        let mut blocks = words.chunks_exact(64);
+        let mut at = 0;
+        for block in blocks.by_ref() {
+            let mut z = [0u64; 8];
+            for (z, chunk) in z.iter_mut().zip(block.chunks_exact(8)) {
+                let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+                *z = residual(w, w1, w2);
+                (w2, w1) = (w1, w);
+            }
+            for (p, bytes) in transpose8x8(z).into_iter().enumerate() {
+                planes[p * stride + at..][..8].copy_from_slice(&bytes.to_le_bytes());
+            }
+            at += 8;
+        }
+        split_tail(words, planes, stride, at);
+    }
+
+    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+
+    /// One bit per byte of `x`, set where the byte is zero: an exact SWAR
+    /// zero test (no carry crosses a byte) leaves `0x80` in those bytes,
+    /// and a multiply gathers the eight flags — the 64 partial products
+    /// have distinct exponents, so none carries, and the diagonal lands in
+    /// the top byte.
+    #[inline(always)]
+    fn zero_flags(x: u64) -> u64 {
+        let zero_bytes = !(((x & LOW7) + LOW7) | x | LOW7);
+        (zero_bytes >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
+    }
+
+    /// The zero maps of the plane behind the first byte of
+    /// `lead_and_plane`, as the SSE2 kernel of that name makes them, eight
+    /// bytes per step.
+    pub(super) fn zero_maps(lead_and_plane: &[u8], zeros: &mut Vec<u64>, repeats: &mut Vec<u64>) {
+        zeros.clear();
+        repeats.clear();
+        let (lead, plane) = lead_and_plane.split_at(1);
+        let mut before = lead[0];
+        for chunk in plane.chunks_exact(64) {
+            let (mut zero, mut repeat) = (0u64, 0u64);
+            for (k, word) in chunk.chunks_exact(8).enumerate() {
+                let x = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+                let shifted = (x << 8) | before as u64;
+                zero |= zero_flags(x) << (8 * k);
+                repeat |= zero_flags(x ^ shifted) << (8 * k);
+                before = (x >> 56) as u8;
+            }
+            zeros.push(zero);
+            repeats.push(repeat);
+        }
+    }
+
+    /// Undoes the byte-delta filter: a wrapping prefix sum over `plane`,
+    /// eight bytes per step.  Even and odd bytes are summed in separate
+    /// 16-bit lanes — a multiplication by `0x0001_0001_0001_0001` is a
+    /// prefix sum over lanes, and eight bytes cannot overflow one — then
+    /// folded back modulo 256 with the running total of the words before.
+    pub(super) fn prefix_sum_bytes(plane: &mut [u8]) {
+        const LANES: u64 = 0x0001_0001_0001_0001;
+        const EVEN: u64 = 0x00FF_00FF_00FF_00FF;
+        let mut carry = 0u64; // the last byte's sum, in the low 8 bits
+        let mut words = plane.chunks_exact_mut(8);
+        for word in words.by_ref() {
+            let x = u64::from_le_bytes((&*word).try_into().expect("8-byte chunk"));
+            let even = (x & EVEN).wrapping_mul(LANES); // e0, e0+e1, …
+            let odd = ((x >> 8) & EVEN).wrapping_mul(LANES);
+            let before = carry.wrapping_mul(LANES);
+            // Byte 2m sums the even bytes up to m and the odd ones below m;
+            // byte 2m+1 sums both up to m.
+            let at_even = (even + (odd << 16) + before) & EVEN;
+            let at_odd = (even + odd + before) & EVEN;
+            let sums = at_even | (at_odd << 8);
+            word.copy_from_slice(&sums.to_le_bytes());
+            carry = sums >> 56;
+        }
+        let mut prev = carry as u8;
+        for b in words.into_remainder() {
+            prev = prev.wrapping_add(*b);
+            *b = prev;
+        }
+    }
+
+    /// The eight residuals whose zigzagged bytes are the decoder's
+    /// planes' bytes `at .. at + 8`, back through [`transpose8x8`] and
+    /// unzigzagged.
+    #[inline(always)]
+    pub(super) fn gather_residuals(planes: &[u8], stride: usize, at: usize) -> [u64; 8] {
+        transpose8x8(std::array::from_fn(|p| {
+            u64::from_le_bytes(planes[p * stride + at..][..8].try_into().expect("8 bytes"))
+        }))
+        .map(unzigzag)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+use sse2 as kernels;
+
+#[cfg(not(target_arch = "x86_64"))]
+use portable as kernels;
 
 /// Where the runs of one byte plane lie, 64 bytes to a word — the
 /// encoder's second pass.  A byte belongs to a **zero run** when it and a
@@ -266,7 +591,7 @@ fn zero_bytes(x: u64) -> u64 {
 /// map, never the plane's bytes, to find the runs.
 #[derive(Debug, Default)]
 struct RunMap {
-    /// One bit per byte: is it zero?
+    /// One bit per byte: is it zero?  (Filled by [`kernels::zero_maps`].)
     zeros: Vec<u64>,
     /// One bit per byte: does one kind of run end and the other start
     /// here?
@@ -274,43 +599,34 @@ struct RunMap {
 }
 
 impl RunMap {
-    /// Maps the first `n` bytes of `plane`, which is whole 64-byte
-    /// chunks, zero past `n` by at least two bytes — the zeros that make a
-    /// zero on the plane's last byte count as one of a pair.
-    fn map(&mut self, plane: &[u8], n: usize) {
+    /// Finds the runs of a plane of `n` bytes from its zero map, which
+    /// covers at least `n + 2` bytes: the bytes past `n` count as zero, so
+    /// that a zero on the plane's last byte counts as one of a pair.
+    fn find_edges(&mut self, n: usize) {
         let Self { zeros, edges } = self;
-        zeros.clear();
-        zeros.extend(plane.chunks_exact(64).map(|chunk| {
-            let mut bits = 0u64;
-            for (k, word) in chunk.chunks_exact(8).enumerate() {
-                let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
-                // Gathers the eight flags (bit 7 of each byte) into one
-                // byte: the 64 partial products have distinct exponents,
-                // so none carries, and the diagonal lands in the top byte.
-                let flags = (zero_bytes(word) >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56;
-                bits |= flags << (8 * k);
-            }
-            bits
-        }));
         debug_assert!(zeros.len() * 64 >= n + 2);
+        zeros[n / 64] |= !0 << (n % 64);
+        for word in &mut zeros[n / 64 + 1..] {
+            *word = !0;
+        }
         edges.clear();
         let (mut pairs_before, mut runs_before) = (0u64, 0u64);
-        for (w, &z) in zeros.iter().enumerate() {
+        for (w, &z) in zeros[..=n / 64].iter().enumerate() {
             let next = zeros.get(w + 1).copied().unwrap_or(!0);
             let pairs = z & ((z >> 1) | (next << 63)); // zero, and so is the next byte
             let runs = pairs | (pairs << 1) | (pairs_before >> 63);
             edges.push(runs ^ ((runs << 1) | (runs_before >> 63)));
             (pairs_before, runs_before) = (pairs, runs);
         }
-        // Runs end with the plane.
-        edges.truncate(n / 64 + 1);
+        // Runs end with the plane: an edge at `n`, and none past it.
         edges[n / 64] &= (1 << (n % 64)) - 1;
+        edges[n / 64] |= 1 << (n % 64);
     }
 
-    /// Calls `f(is_zero_run, start, end)` for each run of the plane's
-    /// `n` bytes, in order.
+    /// Calls `f(is_zero_run, start, end)` for each run of the plane, in
+    /// order.
     #[inline(always)]
-    fn for_each_run(&self, n: usize, mut f: impl FnMut(bool, usize, usize)) {
+    fn for_each_run(&self, mut f: impl FnMut(bool, usize, usize)) {
         let (mut start, mut zero_run) = (0, false);
         for (w, &word) in self.edges.iter().enumerate() {
             let mut left = word;
@@ -323,9 +639,6 @@ impl RunMap {
                 (start, zero_run) = (end, !zero_run);
             }
         }
-        if n > start {
-            f(zero_run, start, n);
-        }
     }
 
     /// Length of the plane's zero-run coding, exactly, without coding it.
@@ -335,9 +648,9 @@ impl RunMap {
     /// piece that would start on one of the run's lone zeros codes that
     /// zero as a zero run of one instead — one byte either way — and
     /// starts after it.
-    fn coded_len(&self, n: usize) -> usize {
+    fn coded_len(&self) -> usize {
         let mut len = 0;
-        self.for_each_run(n, |zero_run, start, end| {
+        self.for_each_run(|zero_run, start, end| {
             if zero_run {
                 len += (end - start).div_ceil(MAX_ZERO_RUN);
             } else {
@@ -356,8 +669,8 @@ impl RunMap {
     /// Writes the zero-run coding of `plane`, which this maps, to
     /// `out[at..]` and returns where it ends.  Wants [`COPY_BLOCK`] bytes
     /// of slack after the plane and after the coding.
-    fn emit(&self, plane: &[u8], n: usize, out: &mut [u8], mut at: usize) -> usize {
-        self.for_each_run(n, |zero_run, mut start, end| {
+    fn emit(&self, plane: &[u8], out: &mut [u8], mut at: usize) -> usize {
+        self.for_each_run(|zero_run, mut start, end| {
             while start < end {
                 if zero_run || plane[start] == 0 {
                     let run = match zero_run {
@@ -385,6 +698,15 @@ impl RunMap {
         });
         at
     }
+}
+
+/// The longest zero-run coding of a plane of `n` bytes.  A literal run
+/// of `l` bytes codes to at most `l + ⌈l / 128⌉`; a zero run of two or
+/// more saves at least one byte, which pays the token that rounding up
+/// charges the literal run after it; only the first literal run and a
+/// final zero run of one byte go unpaid.
+fn max_coded_len(n: usize) -> usize {
+    n + n.div_ceil(MAX_LITERAL_RUN) + 2
 }
 
 /// Appends the lossless image of `payload` (see the module docs) to
@@ -416,14 +738,12 @@ pub fn compress_into(
         delta_runs,
     } = scratch;
     // What is left in the buffers from an earlier payload is overwritten
-    // or never read, except the padding behind each plane.
-    planes.resize(8 * stride + COPY_BLOCK, 0);
-    delta.resize(stride + COPY_BLOCK, 0);
-    split_planes(&payload[head..], planes, stride);
-    for plane in planes.chunks_exact_mut(stride) {
+    // or never read, except the lead and the padding behind each plane.
+    planes.resize(PLANE_LEAD + 8 * stride + COPY_BLOCK, 0);
+    kernels::split_planes(&payload[head..], &mut planes[PLANE_LEAD..], stride);
+    for plane in planes[PLANE_LEAD..].chunks_exact_mut(stride) {
         plane[n..].fill(0);
     }
-    delta[n..].fill(0);
 
     let base = out.len();
     out.resize(base + payload.len() + COPY_BLOCK, 0);
@@ -435,27 +755,33 @@ pub fn compress_into(
         // A plane is coded verbatim or after a wrapping byte-delta —
         // which turns a slowly-varying plane (the residual bits just
         // above the entropy floor of a smooth field) into zero runs —
-        // whichever is shorter, verbatim on a tie.  Both are sized from
-        // their run maps and only the winner is written; a plane of
-        // nothing but full zero runs cannot be beaten and skips the
-        // delta.
-        let plane = &planes[p * stride..];
-        plain_runs.map(&plane[..stride], n);
-        let (mut len, mut flag, mut source, mut runs) =
-            (plain_runs.coded_len(n), 0, plane, &*plain_runs);
+        // whichever is shorter, verbatim on a tie.  The delta is sized
+        // from its run map, which the plane's bytes give directly, and
+        // written only when it wins; a plane of nothing but full zero
+        // runs cannot be beaten and skips it.  The verbatim coding is
+        // written as it is sized when the longest it can be leaves the
+        // image shorter than the payload; otherwise it is sized first, so
+        // that the raw fallback is decided before anything is written
+        // past that.
+        let plane = PLANE_LEAD + p * stride;
+        kernels::zero_maps(
+            &planes[plane - 1..plane + stride],
+            &mut plain_runs.zeros,
+            &mut delta_runs.zeros,
+        );
+        let plane = &planes[plane..];
+        plain_runs.find_edges(n);
+        let written = at + 5 + max_coded_len(n) <= payload.len();
+        let mut len = match written {
+            true => plain_runs.emit(plane, image, at + 5) - (at + 5),
+            false => plain_runs.coded_len(),
+        };
+        let mut flag = 0;
         if len > n.div_ceil(MAX_ZERO_RUN) {
-            delta[0] = plane[0];
-            for ((d, &b), &before) in delta[1..n]
-                .iter_mut()
-                .zip(&plane[1..n])
-                .zip(&plane[..n - 1])
-            {
-                *d = b.wrapping_sub(before);
-            }
-            delta_runs.map(&delta[..stride], n);
-            let filtered = delta_runs.coded_len(n);
+            delta_runs.find_edges(n);
+            let filtered = delta_runs.coded_len();
             if filtered < len {
-                (len, flag, source, runs) = (filtered, 1, &delta[..], &*delta_runs);
+                (len, flag) = (filtered, 1);
             }
         }
         if at + 5 + len >= payload.len() {
@@ -464,7 +790,17 @@ pub fn compress_into(
         }
         image[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
         image[at + 4] = flag;
-        at = runs.emit(source, n, image, at + 5);
+        if flag == 1 {
+            delta.resize(stride + COPY_BLOCK, 0);
+            delta[0] = plane[0];
+            for ((d, &b), &before) in delta[1..n].iter_mut().zip(&plane[1..n]).zip(plane) {
+                *d = b.wrapping_sub(before);
+            }
+            delta_runs.emit(delta, image, at + 5);
+        } else if !written {
+            plain_runs.emit(plane, image, at + 5);
+        }
+        at += 5 + len;
     }
     out.truncate(base + at);
     Some(at)
@@ -500,87 +836,77 @@ pub fn decoded_len(image: &[u8]) -> WireResult<usize> {
     Ok(orig_len)
 }
 
-/// Decodes one zero-run-coded plane, `coded`, of exactly `n` bytes into
-/// the front of `plane`, which has [`COPY_BLOCK`] bytes of slack behind
-/// them: runs are written in whole blocks, and what a run's last block
-/// writes past its end the next token overwrites.
-fn decode_plane(coded: &[u8], plane: &mut [u8], n: usize) -> WireResult<()> {
-    let (mut pos, mut at) = (0, 0);
-    while at < n {
-        let token = *coded.get(pos).ok_or(WireError::Truncated {
-            what: "compressed plane token",
-        })?;
-        pos += 1;
-        let run = (token & 0x7F) as usize + 1;
-        let zero_run = token >= 0x80;
-        if at + run > n {
-            return Err(WireError::Invalid {
-                what: match zero_run {
-                    true => "zero run overflows plane",
-                    false => "literal run overflows plane",
-                },
-            });
-        }
-        let blocks = run.next_multiple_of(COPY_BLOCK);
-        let to = &mut plane[at..at + blocks];
-        if zero_run {
-            for block in to.chunks_exact_mut(COPY_BLOCK) {
-                block.copy_from_slice(&[0; COPY_BLOCK]);
-            }
-        } else if let Some(from) = coded.get(pos..pos + blocks) {
-            for (to, from) in to
-                .chunks_exact_mut(COPY_BLOCK)
-                .zip(from.chunks_exact(COPY_BLOCK))
-            {
-                to.copy_from_slice(from);
-            }
-            pos += run;
-        } else {
-            // The coding ends within the run's last block.
-            let literals = coded.get(pos..pos + run).ok_or(WireError::Truncated {
-                what: "compressed plane literals",
-            })?;
-            to[..run].copy_from_slice(literals);
-            pos += run;
-        }
-        at += run;
+/// Decodes the token of the zero-run-coded plane `coded` at `pos` into
+/// `plane` at `at`, and returns where the next token and the next byte
+/// are.  `plane` has [`COPY_BLOCK`] bytes of slack behind its `n` bytes:
+/// runs are written in whole blocks, and what a run's last block writes
+/// past its end the next token overwrites.
+#[inline(always)]
+fn decode_token(
+    coded: &[u8],
+    pos: usize,
+    plane: &mut [u8],
+    at: usize,
+    n: usize,
+) -> WireResult<(usize, usize)> {
+    let token = *coded.get(pos).ok_or(WireError::Truncated {
+        what: "compressed plane token",
+    })?;
+    let pos = pos + 1;
+    let run = (token & 0x7F) as usize + 1;
+    let zero_run = token >= 0x80;
+    if at + run > n {
+        return Err(WireError::Invalid {
+            what: match zero_run {
+                true => "zero run overflows plane",
+                false => "literal run overflows plane",
+            },
+        });
     }
-    if pos != coded.len() {
+    let blocks = run.next_multiple_of(COPY_BLOCK);
+    let to = &mut plane[at..at + blocks];
+    if zero_run {
+        to[..COPY_BLOCK].fill(0);
+        if blocks > COPY_BLOCK {
+            to[COPY_BLOCK..].fill(0);
+        }
+        return Ok((pos, at + run));
+    }
+    if let Some(from) = coded.get(pos..pos + blocks) {
+        move_run(to, from);
+    } else {
+        // The coding ends within the run's last block.
+        let literals = coded.get(pos..pos + run).ok_or(WireError::Truncated {
+            what: "compressed plane literals",
+        })?;
+        to[..run].copy_from_slice(literals);
+    }
+    Ok((pos + run, at + run))
+}
+
+/// Decodes the zero-run-coded planes `coded` of `n` bytes each into the
+/// fronts of `planes`, a token of each in turn: a token's position
+/// depends on the token before, so a plane decodes at the latency of a
+/// load per token, and two independent planes overlap.
+fn decode_plane_pair(coded: [&[u8]; 2], planes: [&mut [u8]; 2], n: usize) -> WireResult<()> {
+    let ([a, b], [plane_a, plane_b]) = (coded, planes);
+    let (mut pos_a, mut at_a, mut pos_b, mut at_b) = (0, 0, 0, 0);
+    while at_a < n && at_b < n {
+        (pos_a, at_a) = decode_token(a, pos_a, plane_a, at_a, n)?;
+        (pos_b, at_b) = decode_token(b, pos_b, plane_b, at_b, n)?;
+    }
+    while at_a < n {
+        (pos_a, at_a) = decode_token(a, pos_a, plane_a, at_a, n)?;
+    }
+    while at_b < n {
+        (pos_b, at_b) = decode_token(b, pos_b, plane_b, at_b, n)?;
+    }
+    if pos_a != a.len() || pos_b != b.len() {
         return Err(WireError::Invalid {
             what: "trailing bytes after plane",
         });
     }
     Ok(())
-}
-
-/// Undoes the byte-delta filter: a wrapping prefix sum over `plane`,
-/// eight bytes per step.  Even and odd bytes are summed in separate
-/// 16-bit lanes — a multiplication by `0x0001_0001_0001_0001` is a prefix
-/// sum over lanes, and eight bytes cannot overflow one — then folded
-/// back modulo 256 with the running total of the words before.
-fn prefix_sum_bytes(plane: &mut [u8]) {
-    const LANES: u64 = 0x0001_0001_0001_0001;
-    const EVEN: u64 = 0x00FF_00FF_00FF_00FF;
-    let mut carry = 0u64; // the last byte's sum, in the low 8 bits
-    let mut words = plane.chunks_exact_mut(8);
-    for word in words.by_ref() {
-        let x = u64::from_le_bytes((&*word).try_into().expect("8-byte chunk"));
-        let even = (x & EVEN).wrapping_mul(LANES); // e0, e0+e1, …
-        let odd = ((x >> 8) & EVEN).wrapping_mul(LANES);
-        let before = carry.wrapping_mul(LANES);
-        // Byte 2m sums the even bytes up to m and the odd ones below m;
-        // byte 2m+1 sums both up to m.
-        let at_even = (even + (odd << 16) + before) & EVEN;
-        let at_odd = (even + odd + before) & EVEN;
-        let sums = at_even | (at_odd << 8);
-        word.copy_from_slice(&sums.to_le_bytes());
-        carry = sums >> 56;
-    }
-    let mut prev = carry as u8;
-    for b in words.into_remainder() {
-        prev = prev.wrapping_add(*b);
-        *b = prev;
-    }
 }
 
 /// Inverts [`compress_into`]: restores the exact original payload of
@@ -603,7 +929,7 @@ pub fn decompress_into(image: &[u8], scratch: &mut PlaneScratch, out: &mut [u8])
     // need no clearing.
     let stride = n + COPY_BLOCK;
     scratch.planes.resize(8 * stride, 0);
-    for plane in scratch.planes.chunks_exact_mut(stride) {
+    let mut next_plane = || {
         let &[l0, l1, l2, l3, flag] =
             image[pos..]
                 .first_chunk::<5>()
@@ -624,9 +950,17 @@ pub fn decompress_into(image: &[u8], scratch: &mut PlaneScratch, out: &mut [u8])
                 what: "compressed plane body",
             })?;
         pos += plane_len;
-        decode_plane(coded, plane, n)?;
-        if flag == 1 {
-            prefix_sum_bytes(&mut plane[..n]);
+        Ok((coded, flag == 1))
+    };
+    for pair in scratch.planes.chunks_exact_mut(2 * stride) {
+        let (first, second) = pair.split_at_mut(stride);
+        let (coded_a, delta_a) = next_plane()?;
+        let (coded_b, delta_b) = next_plane()?;
+        decode_plane_pair([coded_a, coded_b], [&mut *first, &mut *second], n)?;
+        for (plane, delta) in [(first, delta_a), (second, delta_b)] {
+            if delta {
+                kernels::prefix_sum_bytes(&mut plane[..n]);
+            }
         }
     }
     if pos != image.len() {
@@ -636,35 +970,28 @@ pub fn decompress_into(image: &[u8], scratch: &mut PlaneScratch, out: &mut [u8])
     }
 
     // Gather the planes back into words — eight at a time through the
-    // transpose — and undo zigzag and prediction.
+    // transpose — and undo zigzag and prediction.  The residual is the
+    // change of the step `d(k) = w(k) − w(k−1)`, so the words are two
+    // running sums, one addition apart each.
     let planes = &scratch.planes[..];
-    let (mut w1, mut w2) = (0u64, 0u64);
-    let mut restore = |z: u64, dst: &mut [u8]| {
-        let w = w1
-            .wrapping_mul(2)
-            .wrapping_sub(w2)
-            .wrapping_add(unzigzag(z));
+    let (mut w, mut d) = (0u64, 0u64);
+    let mut restore = |r: u64, dst: &mut [u8]| {
+        d = d.wrapping_add(r);
+        w = w.wrapping_add(d);
         dst.copy_from_slice(&w.to_le_bytes());
-        (w2, w1) = (w1, w);
     };
     let mut blocks = words_out.chunks_exact_mut(64);
     let mut at = 0;
     for block in blocks.by_ref() {
-        let rows: [u64; 8] = std::array::from_fn(|p| {
-            let row = planes[p * stride + at..][..8].try_into().expect("8 bytes");
-            u64::from_le_bytes(row)
-        });
-        for (z, dst) in transpose8x8(rows)
-            .into_iter()
-            .zip(block.chunks_exact_mut(8))
-        {
-            restore(z, dst);
+        let residuals = kernels::gather_residuals(planes, stride, at);
+        for (r, dst) in residuals.into_iter().zip(block.chunks_exact_mut(8)) {
+            restore(r, dst);
         }
         at += 8;
     }
     for dst in blocks.into_remainder().chunks_exact_mut(8) {
         let z = u64::from_le_bytes(std::array::from_fn(|p| planes[p * stride + at]));
-        restore(z, dst);
+        restore(unzigzag(z), dst);
         at += 1;
     }
     Ok(())
@@ -1257,5 +1584,150 @@ mod tests {
         ) {
             let _ = decompress_payload(&junk);
         }
+
+        #[test]
+        fn the_kernels_agree_on_payloads_of_any_length(
+            seed in 0u64..u64::MAX,
+            n_words in 4usize..1101,
+        ) {
+            let _ = kernels_hold(&mut XorShift(seed | 1), n_words);
+        }
+    }
+
+    /// One plane of `n` bytes of each kind the kernels have an edge for:
+    /// all zero; noise; a staircase, whose byte-delta wins; zero runs that
+    /// cross a 64-byte word; noise ending in a zero run at `n − 1` and at
+    /// `n`; and structured planes.
+    fn edge_planes(rng: &mut XorShift, n: usize) -> [Vec<u8>; 8] {
+        let noise = |rng: &mut XorShift| (0..n).map(|_| rng.nonzero_byte()).collect::<Vec<u8>>();
+        let mut crossing = noise(rng);
+        for zeros in [60..70, 120..140, 250..260] {
+            crossing[zeros.start.min(n)..zeros.end.min(n)].fill(0);
+        }
+        let mut ends_before_last = noise(rng);
+        ends_before_last[n - 4..n - 1].fill(0);
+        let mut ends_at_last = noise(rng);
+        ends_at_last[n - 3..].fill(0);
+        [
+            vec![0; n],
+            (0..n).map(|_| rng.next() as u8).collect(),
+            (0..n).map(|i| 1 + (i / 37) as u8).collect(),
+            crossing,
+            ends_before_last,
+            ends_at_last,
+            structured_plane(rng, n),
+            structured_plane(rng, n),
+        ]
+    }
+
+    /// Runs both kernels of every stage on a payload of `n` words whose
+    /// planes are [`edge_planes`] in an order drawn from `rng`, requires
+    /// the same bytes of them — and the planes the payload was built
+    /// from — then round-trips the payload against the oracle.  Returns
+    /// whether the image coded a plane as a byte-delta.
+    fn kernels_hold(rng: &mut XorShift, n: usize) -> bool {
+        let mut planes = edge_planes(rng, n);
+        for p in (1..8).rev() {
+            planes.swap(p, rng.below(p + 1));
+        }
+        let head: Vec<u8> = (0..n % 8).map(|_| rng.next() as u8).collect();
+        let payload = payload_with_planes(&head, &planes);
+        #[cfg(target_arch = "x86_64")]
+        sse2_matches_portable(&payload[head.len()..], &planes);
+        roundtrip(&payload);
+        // Whether a plane (the staircase) took the delta filter; noisy
+        // structured planes may send the payload raw instead.
+        compress_payload(&payload).is_some_and(|image| {
+            let mut pos = 4 + head.len();
+            (0..8).any(|_| {
+                let len = u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap());
+                pos += 5 + len as usize;
+                image[pos - len as usize - 1] == 1
+            })
+        })
+    }
+
+    /// The SSE2 kernels against the portable ones on the whole words of a
+    /// payload whose residual planes are `planes`.
+    #[cfg(target_arch = "x86_64")]
+    fn sse2_matches_portable(words: &[u8], planes: &[Vec<u8>; 8]) {
+        let n = words.len() / 8;
+        let stride = (n + 2).next_multiple_of(64);
+        // Pass one, into buffers holding junk, as a reused scratch does.
+        let mut split = vec![0xEE; PLANE_LEAD + 8 * stride + COPY_BLOCK];
+        let mut expected = split.clone();
+        sse2::split_planes(words, &mut split[PLANE_LEAD..], stride);
+        portable::split_planes(words, &mut expected[PLANE_LEAD..], stride);
+        assert_eq!(split, expected, "split_planes, n = {n}");
+        for (p, plane) in planes.iter().enumerate() {
+            assert_eq!(
+                &split[PLANE_LEAD + p * stride..][..n],
+                &plane[..],
+                "plane {p}"
+            );
+        }
+        // The zero maps of each plane as the encoder pads it.
+        for plane in split[PLANE_LEAD..].chunks_exact_mut(stride) {
+            plane[n..].fill(0);
+        }
+        let (mut zeros, mut repeats) = (Vec::new(), Vec::new());
+        let (mut want_zeros, mut want_repeats) = (Vec::new(), Vec::new());
+        for p in 0..8 {
+            let lead_and_plane = &split[PLANE_LEAD + p * stride - 1..][..stride + 1];
+            sse2::zero_maps(lead_and_plane, &mut zeros, &mut repeats);
+            portable::zero_maps(lead_and_plane, &mut want_zeros, &mut want_repeats);
+            assert_eq!(
+                (&zeros, &repeats),
+                (&want_zeros, &want_repeats),
+                "zero maps, n = {n}"
+            );
+            for (i, pair) in lead_and_plane.windows(2).enumerate() {
+                let bit = |map: &[u64]| map[i / 64] >> (i % 64) & 1 == 1;
+                assert_eq!(bit(&zeros), pair[1] == 0, "zero bit {i} of plane {p}");
+                assert_eq!(
+                    bit(&repeats),
+                    pair[1] == pair[0],
+                    "repeat bit {i} of plane {p}"
+                );
+            }
+        }
+        // The byte prefix sum, over every length up to a plane and a tail
+        // of each remainder.
+        for (p, plane) in planes.iter().enumerate() {
+            let from = p * 3 % n;
+            let (mut sums, mut want) = (plane[from..].to_vec(), plane[from..].to_vec());
+            sse2::prefix_sum_bytes(&mut sums);
+            portable::prefix_sum_bytes(&mut want);
+            assert_eq!(sums, want, "prefix sum of plane {p} from {from}");
+            let mut total = 0u8;
+            for (&sum, &byte) in sums.iter().zip(&plane[from..]) {
+                total = total.wrapping_add(byte);
+                assert_eq!(sum, total);
+            }
+        }
+        // Pass one backwards, from planes laid out as the decoder lays them.
+        let stride = n + COPY_BLOCK;
+        let mut decoded = vec![0xEE; 8 * stride];
+        for (p, plane) in planes.iter().enumerate() {
+            decoded[p * stride..][..n].copy_from_slice(plane);
+        }
+        for at in (0..n / 8 * 8).step_by(8) {
+            let residuals = sse2::gather_residuals(&decoded, stride, at);
+            assert_eq!(residuals, portable::gather_residuals(&decoded, stride, at));
+            for (k, residual) in residuals.into_iter().enumerate() {
+                let z = u64::from_le_bytes(std::array::from_fn(|p| planes[p][at + k]));
+                assert_eq!(residual, unzigzag(z), "word {}", at + k);
+            }
+        }
+    }
+
+    #[test]
+    fn the_kernels_agree_at_every_word_count_and_tail() {
+        let mut rng = XorShift(0x5E2_2024);
+        let deltas = (4..=1100).filter(|&n| kernels_hold(&mut rng, n)).count();
+        assert!(
+            deltas > 1097 * 3 / 4,
+            "{deltas} of 1 097 images took a delta"
+        );
     }
 }

@@ -207,8 +207,13 @@ impl DirectoryServer {
             shutdown: AtomicBool::new(false),
             addr,
         });
-        let accept_handle =
-            spawn_accept_loop(listener, &state, |s| &s.shutdown, serve_directory_client);
+        let accept_handle = spawn_accept_loop(
+            listener,
+            &state,
+            |s| &s.shutdown,
+            serve_directory_client,
+            ("dir-accept", "dir-rx"),
+        );
         Ok(DirectoryServer {
             state,
             accept_handle: Mutex::new(Some(accept_handle)),

@@ -125,7 +125,6 @@ pub use tcp::{TcpTransport, TcpTransportConfig};
 /// The lock tests of [`sync`].
 #[cfg(test)]
 mod tests {
-    use std::panic::AssertUnwindSafe;
     use std::sync::Arc;
     use std::thread;
     use std::time::Duration;
@@ -193,6 +192,8 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn a_same_thread_relock_panics_naming_both_call_sites() {
+        use std::panic::AssertUnwindSafe;
+
         fn message(payload: Box<dyn std::any::Any + Send>) -> String {
             payload
                 .downcast::<String>()

@@ -488,14 +488,20 @@ impl TcpTransport {
             wire_io: Arc::default(),
             shutdown: AtomicBool::new(false),
         });
-        let accept_handle = spawn_accept_loop(listener, &inner, |i| &i.shutdown, serve_connection);
+        let accept_handle = spawn_accept_loop(
+            listener,
+            &inner,
+            |i| &i.shutdown,
+            serve_connection,
+            ("tcp-accept", "tcp-rx"),
+        );
         // The lease heartbeat keeps every published name alive in the
         // remote directory — and, because renewals re-publish the
         // name→address pairs, repopulates a restarted directory.
         let lease_stop = inner.directory.clone().map(|dir| {
             let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
             let period = config.lease_renew;
-            std::thread::spawn(move || loop {
+            spawn_named("tcp-lease", move || loop {
                 match stop_rx.recv_timeout(period) {
                     Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
                         let _ = dir.renew();
@@ -683,7 +689,7 @@ impl Transport for TcpTransport {
         });
         let writer_shared = Arc::clone(&shared);
         let writer_stats = Arc::clone(tx.stats());
-        std::thread::spawn(move || {
+        spawn_named("tcp-tx", move || {
             writer_loop(stream, rx, writer_shared, core, writer_stats, accepted)
         });
         Ok(Box::new(TcpSender { queue: tx, shared }))
@@ -956,17 +962,32 @@ impl Sender for TcpSender {
     }
 }
 
+/// Starts a thread named `name` — the name `/proc/<pid>/task/*/comm`
+/// shows, so that CPU per role can be read there — and panics, as
+/// `std::thread::spawn` does, if the OS refuses one.
+pub(crate) fn spawn_named<T: Send + 'static>(
+    name: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> JoinHandle<T> {
+    std::thread::Builder::new()
+        .name(name.to_owned())
+        .spawn(f)
+        .expect("the OS refused a thread")
+}
+
 /// Starts the thread that accepts connections on `listener` until
-/// `shutdown(state)` is set, serving each on a thread of its own.  The
-/// transport's listener and the directory's both run it.
+/// `shutdown(state)` is set, serving each on a thread of its own; the
+/// two are named `names.0` and `names.1`.  The transport's listener and
+/// the directory's both run it.
 pub(crate) fn spawn_accept_loop<S: Send + Sync + 'static>(
     listener: TcpListener,
     state: &Arc<S>,
     shutdown: fn(&S) -> &AtomicBool,
     serve: fn(TcpStream, Arc<S>),
+    names: (&'static str, &'static str),
 ) -> JoinHandle<()> {
     let state = Arc::clone(state);
-    std::thread::spawn(move || loop {
+    spawn_named(names.0, move || loop {
         let accepted = listener.accept();
         if shutdown(&state).load(Ordering::SeqCst) {
             return;
@@ -974,7 +995,7 @@ pub(crate) fn spawn_accept_loop<S: Send + Sync + 'static>(
         match accepted {
             Ok((stream, _)) => {
                 let conn_state = Arc::clone(&state);
-                std::thread::spawn(move || serve(stream, conn_state));
+                spawn_named(names.1, move || serve(stream, conn_state));
             }
             // Transient accept failure (e.g. EMFILE): keep listening.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
@@ -1218,7 +1239,7 @@ impl Conn {
         let read_half = stream.try_clone().ok()?;
         let write_half = stream.try_clone().ok()?;
         let reader_shared = Arc::clone(shared);
-        std::thread::spawn(move || ack_reader(read_half, reader_shared, gen));
+        spawn_named("tcp-ack", move || ack_reader(read_half, reader_shared, gen));
         Some(Conn {
             stream,
             out: write_half,

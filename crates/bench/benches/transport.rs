@@ -16,7 +16,9 @@
 //!
 //! plus `transport_compress`: the in-frame f64 wire codec in isolation
 //! and the streamed shape with compression off vs on (payload-byte
-//! throughput, i.e. effective application bandwidth).
+//! throughput, i.e. effective application bandwidth), and
+//! `checkpoint_restore`: one worker's checkpoint written and read back,
+//! what a server crash-restore pays per worker.
 //!
 //! Recorded baselines live in `BENCH_transport.json` at the repo root.
 
@@ -262,45 +264,26 @@ fn bench_reconnect(c: &mut Criterion) {
     g.finish();
 }
 
-/// The live-rebalancing primitives, measured in isolation:
-///
-/// * `migrate_group` — the per-group drain-and-move state machine: one
-///   in-flight frame lands, the source worker bans the group (flush
-///   barrier: drop partial assemblies, freeze the completion floor), the
-///   target worker adopts the floor.
-/// * `rehome_shard` — the dead-shard adoption codec: serialize a worker
-///   state to its checkpoint and read it back as the adopter does when a
-///   permanently killed shard re-homes.
-fn bench_rebalance(c: &mut Criterion) {
-    let mut g = c.benchmark_group("transport_rebalance");
+/// What a crash-restore pays per server worker: checkpoint one
+/// integrated 4096-cell worker state to disk (written, synced, renamed)
+/// and read it back as the restored worker does.
+fn bench_checkpoint_restore(c: &mut Criterion) {
+    let mut g = c.benchmark_group("checkpoint_restore");
     g.sample_size(7);
 
     const N_CELLS: usize = 4096;
     let partition = SlabPartition::new(N_CELLS, 1);
     let slab = partition.worker_range(0);
-    let mk = || WorkerState::with_stats(0, slab, 6, 10, &[0.5], &[]);
-    let (mut source, mut target) = (mk(), mk());
+    let mut state = WorkerState::with_stats(0, slab, 6, 10, &[0.5], &[]);
     let frame = vec![0.25f64; slab.len];
-    g.bench_function("migrate_group", |b| {
-        b.iter(|| {
-            source.on_data(7, 0, 0, slab.start as u64, &frame);
-            let floor = source.ban_group(7);
-            target.adopt_floor(7, floor);
-            floor
-        })
-    });
-
-    // A state with one fully integrated timestep, checkpointed to disk and
-    // read back: what a re-homing adopter pays per worker lineage.
-    let mut dead = mk();
     for role in 0..8u16 {
-        dead.on_data(3, role, 0, slab.start as u64, &frame);
+        state.on_data(3, role, 0, slab.start as u64, &frame);
     }
-    let dir = std::env::temp_dir().join(format!("melissa-bench-rehome-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("melissa-bench-restore-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench checkpoint dir");
-    g.bench_function("rehome_shard", |b| {
+    g.bench_function("write_then_read", |b| {
         b.iter(|| {
-            write_checkpoint(&dir, &dead).expect("write");
+            write_checkpoint(&dir, &state).expect("write");
             read_checkpoint(&dir, 0).expect("read")
         })
     });
@@ -316,6 +299,6 @@ criterion_group!(
     bench_compress,
     bench_directory,
     bench_reconnect,
-    bench_rebalance
+    bench_checkpoint_restore
 );
 criterion_main!(benches);

@@ -4,8 +4,7 @@
 //! Every field is one a deployment sets.  Limits nobody tunes are
 //! constants beside the code that enforces them: the group retry cap
 //! ([`MAX_GROUP_RETRIES`](crate::launcher::MAX_GROUP_RETRIES), the
-//! paper's Section 4.2.2) and the deadline of one migration step
-//! ([`MIGRATION_TIMEOUT`](crate::launcher::MIGRATION_TIMEOUT)).  Link
+//! paper's Section 4.2.2).  Link
 //! faults (drops, delays) are not a study setting: a test that needs them
 //! wraps a link in `melissa_transport::FaultySender` itself.
 

@@ -7,11 +7,10 @@
 //! restarted instance of the same group runs clean — matching the paper's
 //! experiments where a killed group is resubmitted and completes.
 //!
-//! Beyond the per-group faults, the plan scripts shard-level chaos for
-//! the epoch-fenced migration protocol: any number of [`ShardKill`]s
-//! (transient crash-restore or `permanent` death with re-homing to a
-//! peer) and [`Migration`]s (drain-and-move of groups between shards at
-//! a deterministic progress point, including to freshly joined shards).
+//! Server kills are scripted per shard: each one crashes one
+//! shard's server once that shard has integrated a number of its own
+//! groups, and the shard restarts in place from its last checkpoint —
+//! the paper's Section 5.4 recovery.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -38,49 +37,15 @@ pub enum GroupFault {
     },
 }
 
-/// A scripted kill of one shard's server instance.
+/// A scripted kill of one shard's server instance: it crashes and
+/// restarts in place from its latest checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardKill {
+pub(crate) struct ShardKill {
     /// The shard whose server dies.
-    pub shard: usize,
+    shard: usize,
     /// Fires once the shard has fully integrated this many of its own
     /// groups (deterministic progress point).
-    pub after_finished_groups: usize,
-    /// `false`: crash-restore in place from the latest checkpoint (the
-    /// paper's Section 5.4 recovery).  `true`: the shard is gone for good
-    /// — its checkpointed statistics and pending groups re-home to
-    /// [`rehome_to`](Self::rehome_to) under a fenced routing epoch.
-    pub permanent: bool,
-    /// The adopting shard slot of a permanent death.  May exceed the
-    /// configured shard count: the slot then joins the study as a fresh
-    /// shard (elastic scale-out).  Required when `permanent`.
-    pub rehome_to: Option<usize>,
-}
-
-/// A scripted live migration of groups between shard slots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Migration {
-    /// Source shard slot.
-    pub from: usize,
-    /// Target shard slot.  May exceed the configured shard count: the
-    /// slot then joins the study as a fresh shard (elastic scale-out).
-    pub to: usize,
-    /// Fires once the source has fully integrated this many of its own
-    /// groups.
-    pub after_finished_groups: usize,
-    /// Which of the source's groups move.
-    pub moves: MigrationMoves,
-}
-
-/// Group selection of a [`Migration`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MigrationMoves {
-    /// Move exactly these groups (those already finished or not owned by
-    /// the source at fire time are skipped).
-    Groups(Vec<u64>),
-    /// Drain every group the source still owns and has not finished —
-    /// scale-in: the source retires once the move completes.
-    AllUnfinished,
+    after_finished_groups: usize,
 }
 
 /// The complete fault script of a study run.
@@ -88,16 +53,8 @@ pub enum MigrationMoves {
 pub struct FaultPlan {
     /// Faults per (group id, instance).
     group_faults: HashMap<(u64, u32), GroupFault>,
-    /// Kill the server once this many groups have finished (`None` = never).
-    pub kill_server_after_finished_groups: Option<usize>,
-    /// Which shard's server the kill targets in a sharded study (the
-    /// count is that shard's own finished groups).  Defaults to shard 0,
-    /// which is also the only server of an unsharded study.
-    pub kill_server_shard: usize,
-    /// Scripted shard kills (any number; transient or permanent).
-    pub shard_kills: Vec<ShardKill>,
-    /// Scripted live migrations between shard slots.
-    pub migrations: Vec<Migration>,
+    /// Scripted server kills, in the order they were added.
+    shard_kills: Vec<ShardKill>,
 }
 
 impl FaultPlan {
@@ -112,153 +69,41 @@ impl FaultPlan {
         self
     }
 
-    /// Scripts a server kill after `n` groups have been fully integrated.
-    pub fn with_server_kill_after(mut self, n: usize) -> Self {
-        self.kill_server_after_finished_groups = Some(n);
-        self
+    /// Scripts a server kill after `n` groups have been fully integrated
+    /// (on shard 0, the only server of an unsharded study).
+    pub fn with_server_kill_after(self, n: usize) -> Self {
+        self.with_server_kill_after_on_shard(n, 0)
     }
 
     /// Scripts a kill of shard `shard`'s server instance once that shard
-    /// has fully integrated `n` of *its own* groups (sharded studies;
-    /// shard 0 is the only server of an unsharded study).
+    /// has fully integrated `n` of *its own* groups.
     pub fn with_server_kill_after_on_shard(mut self, n: usize, shard: usize) -> Self {
-        self.kill_server_after_finished_groups = Some(n);
-        self.kill_server_shard = shard;
+        self.shard_kills.push(ShardKill {
+            shard,
+            after_finished_groups: n,
+        });
         self
     }
 
-    /// The scripted server kill for shard `shard`: the finished-group
-    /// count after which that shard's server dies, if any.
-    pub fn server_kill_for_shard(&self, shard: usize) -> Option<usize> {
-        self.kill_server_after_finished_groups
-            .filter(|_| self.kill_server_shard == shard)
+    /// The trigger points of every scripted kill of shard `shard`, in
+    /// increasing order.
+    pub(crate) fn kills_for_shard(&self, shard: usize) -> Vec<usize> {
+        let kills = self.shard_kills.iter().filter(|k| k.shard == shard);
+        let mut after: Vec<usize> = kills.map(|k| k.after_finished_groups).collect();
+        after.sort_unstable();
+        after
     }
 
-    /// Scripts a shard kill (transient crash-restore or permanent death
-    /// with re-homing).
-    pub fn with_shard_kill(mut self, kill: ShardKill) -> Self {
-        self.shard_kills.push(kill);
-        self
-    }
-
-    /// Scripts a live migration of groups between shard slots.
-    pub fn with_migration(mut self, migration: Migration) -> Self {
-        self.migrations.push(migration);
-        self
-    }
-
-    /// Every scripted kill of shard `shard`, sorted by trigger point —
-    /// the legacy single-kill slot is folded in as a transient kill so
-    /// both script styles drive one supervisor code path.
-    pub fn kills_for_shard(&self, shard: usize) -> Vec<ShardKill> {
-        let mut kills: Vec<ShardKill> = self
-            .shard_kills
-            .iter()
-            .filter(|k| k.shard == shard)
-            .cloned()
-            .collect();
-        if let Some(n) = self.server_kill_for_shard(shard) {
-            kills.push(ShardKill {
-                shard,
-                after_finished_groups: n,
-                permanent: false,
-                rehome_to: None,
-            });
-        }
-        kills.sort_by_key(|k| k.after_finished_groups);
-        kills
-    }
-
-    /// Every scripted migration out of shard slot `from`, sorted by
-    /// trigger point.
-    pub fn migrations_from(&self, from: usize) -> Vec<Migration> {
-        let mut out: Vec<Migration> = self
-            .migrations
-            .iter()
-            .filter(|m| m.from == from)
-            .cloned()
-            .collect();
-        out.sort_by_key(|m| m.after_finished_groups);
-        out
-    }
-
-    /// Number of group handoffs shard slot `slot` must wait for before
-    /// it can conclude its group list is final: incoming migrations plus
-    /// permanent kills re-homing to it.
-    pub fn expected_handoffs(&self, slot: usize) -> usize {
-        self.migrations.iter().filter(|m| m.to == slot).count()
-            + self
-                .shard_kills
-                .iter()
-                .filter(|k| k.permanent && k.rehome_to == Some(slot))
-                .count()
-    }
-
-    /// Number of supervisor slots the study must spawn: the configured
-    /// shards plus any scale-out slots targeted by a migration or a
-    /// re-homing (slots beyond `n_shards` join the study fresh).
-    pub fn n_supervisors(&self, n_shards: usize) -> usize {
-        let mut n = n_shards.max(1);
-        for m in &self.migrations {
-            n = n.max(m.to + 1);
-        }
-        for k in &self.shard_kills {
-            if let Some(to) = k.rehome_to {
-                n = n.max(to + 1);
-            }
-        }
-        n
-    }
-
-    /// Validates the shard-level script against the configured shard
-    /// count.  Sources must be slots the study spawns (a configured shard
-    /// or a scale-out slot some other fence targets — migrate-back),
-    /// targets must differ from sources, permanent kills must name an
-    /// adopting slot, and
-    /// shard-level chaos requires a sharded study (a single-server study
-    /// has no peer to migrate to or re-home on).
+    /// Refuses a kill of a shard the study does not run: its supervisor
+    /// would never exist, and the kill would silently never fire.
     pub fn validate(&self, n_shards: usize) -> Result<(), String> {
-        if (self.shard_kills.iter().any(|k| k.permanent) || !self.migrations.is_empty())
-            && n_shards < 2
-        {
-            return Err("migrations and permanent shard kills require n_shards >= 2".into());
+        match self.shard_kills.iter().find(|k| k.shard >= n_shards) {
+            Some(k) => Err(format!(
+                "server kill targets shard {} out of range (n_shards = {n_shards})",
+                k.shard
+            )),
+            None => Ok(()),
         }
-        let n_slots = self.n_supervisors(n_shards);
-        for m in &self.migrations {
-            // A source beyond the configured shards is fine as long as the
-            // plan makes that slot live (it is some other fence's target):
-            // that is exactly a migrate-back from a scale-out slot.
-            if m.from >= n_slots {
-                return Err(format!(
-                    "migration source slot {} never joins the study ({n_slots} slots)",
-                    m.from
-                ));
-            }
-            if m.to == m.from {
-                return Err(format!("migration from shard {} to itself", m.from));
-            }
-        }
-        for k in &self.shard_kills {
-            if k.shard >= n_shards {
-                return Err(format!(
-                    "shard kill targets shard {} out of range (n_shards = {n_shards})",
-                    k.shard
-                ));
-            }
-            match (k.permanent, k.rehome_to) {
-                (true, None) => {
-                    return Err(format!(
-                        "permanent kill of shard {} names no re-homing slot",
-                        k.shard
-                    ));
-                }
-                (true, Some(to)) if to == k.shard => {
-                    return Err(format!("shard {} cannot re-home to itself", k.shard));
-                }
-                _ => {}
-            }
-        }
-        Ok(())
     }
 
     /// The fault scripted for a given group instance, if any.
@@ -268,10 +113,7 @@ impl FaultPlan {
 
     /// Whether the plan contains any fault.
     pub fn is_empty(&self) -> bool {
-        self.group_faults.is_empty()
-            && self.kill_server_after_finished_groups.is_none()
-            && self.shard_kills.is_empty()
-            && self.migrations.is_empty()
+        self.group_faults.is_empty() && self.shard_kills.is_empty()
     }
 
     /// Number of scripted group faults.
@@ -307,98 +149,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_kills_merge_legacy_slot_and_sort_by_trigger() {
-        let plan = FaultPlan::none()
-            .with_server_kill_after_on_shard(4, 1)
-            .with_shard_kill(ShardKill {
-                shard: 1,
-                after_finished_groups: 2,
-                permanent: true,
-                rehome_to: Some(0),
-            })
-            .with_shard_kill(ShardKill {
-                shard: 0,
-                after_finished_groups: 1,
-                permanent: false,
-                rehome_to: None,
-            });
-        let kills = plan.kills_for_shard(1);
-        assert_eq!(kills.len(), 2);
-        assert_eq!(kills[0].after_finished_groups, 2);
-        assert!(kills[0].permanent);
-        assert_eq!(kills[1].after_finished_groups, 4);
-        assert!(!kills[1].permanent);
-        assert_eq!(plan.kills_for_shard(0).len(), 1);
-        assert_eq!(plan.expected_handoffs(0), 1);
-        assert!(!plan.is_empty());
-    }
-
-    #[test]
-    fn migrations_filter_and_sort_by_source() {
-        let plan = FaultPlan::none()
-            .with_migration(Migration {
-                from: 2,
-                to: 0,
-                after_finished_groups: 3,
-                moves: MigrationMoves::AllUnfinished,
-            })
-            .with_migration(Migration {
-                from: 2,
-                to: 4,
-                after_finished_groups: 1,
-                moves: MigrationMoves::Groups(vec![5]),
-            });
-        let ms = plan.migrations_from(2);
-        assert_eq!(ms.len(), 2);
-        assert_eq!(ms[0].after_finished_groups, 1);
-        assert_eq!(ms[0].to, 4);
-        assert!(plan.migrations_from(0).is_empty());
-        assert_eq!(plan.expected_handoffs(4), 1);
-        assert_eq!(plan.expected_handoffs(0), 1);
-        // Slot 4 exceeds a 3-shard study: it joins as a fresh shard.
-        assert_eq!(plan.n_supervisors(3), 5);
-        assert!(plan.validate(3).is_ok());
-    }
-
-    #[test]
     fn validate_rejects_inconsistent_scripts() {
-        let no_rehome = FaultPlan::none().with_shard_kill(ShardKill {
-            shard: 0,
-            after_finished_groups: 0,
-            permanent: true,
-            rehome_to: None,
-        });
-        assert!(no_rehome.validate(2).is_err());
-        let self_rehome = FaultPlan::none().with_shard_kill(ShardKill {
-            shard: 0,
-            after_finished_groups: 0,
-            permanent: true,
-            rehome_to: Some(0),
-        });
-        assert!(self_rehome.validate(2).is_err());
-        let self_migration = FaultPlan::none().with_migration(Migration {
-            from: 1,
-            to: 1,
-            after_finished_groups: 0,
-            moves: MigrationMoves::AllUnfinished,
-        });
-        assert!(self_migration.validate(2).is_err());
-        let unsharded = FaultPlan::none().with_migration(Migration {
-            from: 0,
-            to: 1,
-            after_finished_groups: 0,
-            moves: MigrationMoves::AllUnfinished,
-        });
-        assert!(unsharded.validate(1).is_err());
-        assert!(unsharded.validate(2).is_ok());
-        let bad_source = FaultPlan::none().with_migration(Migration {
-            from: 5,
-            to: 0,
-            after_finished_groups: 0,
-            moves: MigrationMoves::AllUnfinished,
-        });
-        assert!(bad_source.validate(2).is_err());
-        // Transient kills remain legal in unsharded studies.
+        // A kill of a shard the study does not run would never fire.
+        let plan = FaultPlan::none().with_server_kill_after_on_shard(1, 5);
+        let err = plan.validate(2).expect_err("shard 5 of 2");
+        assert!(err.contains("shard 5 out of range"), "{err}");
+        assert!(plan.validate(6).is_ok());
+        // Kills remain legal in unsharded studies.
         assert!(FaultPlan::none()
             .with_server_kill_after(1)
             .validate(1)
@@ -406,13 +163,29 @@ mod tests {
     }
 
     #[test]
+    fn shard_kills_merge_legacy_slot_and_sort_by_trigger() {
+        // The unsharded form scripts shard 0; it shares one list with the
+        // per-shard form, and each shard's kills come out sorted by
+        // trigger point whatever the order they were added in.
+        let plan = FaultPlan::none()
+            .with_server_kill_after_on_shard(4, 1)
+            .with_server_kill_after(3)
+            .with_server_kill_after_on_shard(2, 1)
+            .with_server_kill_after_on_shard(1, 0);
+        assert_eq!(plan.kills_for_shard(1), [2, 4]);
+        assert_eq!(plan.kills_for_shard(0), [1, 3]);
+        assert!(plan.kills_for_shard(2).is_empty());
+        assert!(!plan.is_empty());
+    }
+
+    #[test]
     fn server_kill_targets_one_shard() {
         let plan = FaultPlan::none().with_server_kill_after_on_shard(3, 2);
-        assert_eq!(plan.server_kill_for_shard(2), Some(3));
-        assert_eq!(plan.server_kill_for_shard(0), None);
+        assert_eq!(plan.kills_for_shard(2), [3]);
+        assert!(plan.kills_for_shard(0).is_empty());
         // The unsharded default targets shard 0 (the only server).
         let plan = FaultPlan::none().with_server_kill_after(1);
-        assert_eq!(plan.server_kill_for_shard(0), Some(1));
-        assert_eq!(plan.server_kill_for_shard(1), None);
+        assert_eq!(plan.kills_for_shard(0), [1]);
+        assert!(plan.kills_for_shard(1).is_empty());
     }
 }

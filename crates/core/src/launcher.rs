@@ -43,8 +43,8 @@ use melissa_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use melissa_transport::directory::names;
 use melissa_transport::sync::Mutex;
 use melissa_transport::{
-    instant_after, make_transport_with, BoxReceiver, BoxSender, KillSwitch, LinkStatsSnapshot,
-    Receiver, RecvTimeoutError, Transport,
+    instant_after, make_transport_with, BoxReceiver, BoxSender, KillSwitch, Receiver,
+    RecvTimeoutError, Transport,
 };
 
 use crate::config::StudyConfig;
@@ -52,13 +52,9 @@ use crate::fault::FaultPlan;
 use crate::group::{run_group, GroupContext, GroupOutcome};
 use crate::protocol::Message;
 use crate::report::StudyReport;
-use crate::server::checkpoint::read_checkpoint;
-use crate::server::state::WorkerState;
-use crate::server::{Server, ServerConfig, ServerCounters};
-use crate::shard::{GroupRouter, RoutingTable};
+use crate::server::{Server, ServerConfig};
 use crate::study::StudyOutput;
-use crate::supervisor::{Action, Event, Handoff, SupervisorState};
-use melissa_mesh::SlabPartition;
+use crate::supervisor::{Action, Event, SupervisorState};
 use melissa_scheduler::{Dispatcher, JobHandle, JobRunner};
 
 /// A group that fails more often than this is abandoned, never replaced
@@ -67,12 +63,6 @@ pub const MAX_GROUP_RETRIES: u32 = 3;
 
 /// The server's heartbeat and report period.
 pub(crate) const REPORT_INTERVAL: Duration = Duration::from_millis(50);
-
-/// Deadline for one live-migration step (epoch fence, flush-barrier
-/// acknowledgements from every source worker, floor adoption on the
-/// target) before the supervisor declares the rebalance failed
-/// ([`crate::shard`]'s routing-epoch protocol).
-pub const MIGRATION_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The execution environment a study runs in.
 ///
@@ -102,24 +92,22 @@ pub struct StudyRuntime {
     pub cancel: KillSwitch,
 }
 
-/// Per-slot senders into the supervisors' launcher inboxes, for the
+/// Per-shard senders into the supervisors' launcher inboxes, for the
 /// payload-free [`Message::Wake`]: whoever changes something a supervisor
-/// reads from shared memory — its mailbox, the early-stop flag, the
-/// cancel switch — wakes it instead of leaving it to find out on a tick.
-/// A slot is `None` before its supervisor starts (its first pass looks at
+/// reads from shared memory — the early-stop flag, the cancel switch —
+/// wakes it instead of leaving it to find out on a tick.  An entry is
+/// `None` before its supervisor starts (its first pass looks at
 /// everything anyway) and after it ends.
 pub(crate) struct Wakers(Vec<Mutex<Option<BoxSender>>>);
 
 impl Wakers {
-    fn wake(&self, slot: usize) {
-        if let Some(tx) = &*self.0[slot].lock() {
-            // A full inbox already holds plenty of reasons to wake up.
-            let _ = tx.send_timeout(Message::Wake.encode(), Duration::ZERO);
-        }
-    }
-
     fn wake_all(&self) {
-        (0..self.0.len()).for_each(|slot| self.wake(slot));
+        for tx in &self.0 {
+            if let Some(tx) = &*tx.lock() {
+                // A full inbox already holds plenty of reasons to wake up.
+                let _ = tx.send_timeout(Message::Wake.encode(), Duration::ZERO);
+            }
+        }
     }
 }
 
@@ -136,25 +124,15 @@ pub(crate) struct Coordination {
     /// Set once the aggregate signal crosses the target: every shard
     /// cancels its remaining groups.
     early_stop: AtomicBool,
-    /// The epoch-fenced routing table shared by every supervisor and
-    /// client: base group-hash assignment plus fenced per-group overrides
-    /// ([`crate::shard::RoutingTable`]).
-    pub(crate) routing: RoutingTable,
-    /// Per-slot migration mailboxes: a fencing supervisor pushes its
-    /// [`Handoff`] here, wakes the target, and the target drains its own
-    /// mailbox (FIFO in push order).
-    mailboxes: Vec<Mutex<Vec<Handoff>>>,
     wakers: Arc<Wakers>,
 }
 
 impl Coordination {
-    fn new(n_slots: usize, routing: RoutingTable) -> Self {
+    fn new(n_shards: usize) -> Self {
         Self {
-            signals: Mutex::new(vec![(f64::INFINITY, f64::INFINITY, 0); n_slots]),
+            signals: Mutex::new(vec![(f64::INFINITY, f64::INFINITY, 0); n_shards]),
             early_stop: AtomicBool::new(false),
-            routing,
-            mailboxes: (0..n_slots).map(|_| Mutex::new(Vec::new())).collect(),
-            wakers: Arc::new(Wakers((0..n_slots).map(|_| Mutex::new(None)).collect())),
+            wakers: Arc::new(Wakers((0..n_shards).map(|_| Mutex::new(None)).collect())),
         }
     }
 
@@ -198,13 +176,11 @@ pub(crate) struct StudyContext {
     pub started: Instant,
     /// Time the shared pre-run took (part of the study's wall time).
     pub prerun_time: Duration,
-    /// Supervisor slots this study runs: the `n_shards` launch-time
-    /// shards, plus one joiner slot per scripted scale-out target beyond
-    /// them ([`FaultPlan::n_supervisors`]).
-    pub n_slots: usize,
-    /// Per-slot live telemetry (empty when
-    /// [`StudyConfig::telemetry`] is off): shared registry, event ring
-    /// and routing-epoch gauge, all stamped against the study clock.
+    /// Server shards this study runs, one supervisor each.
+    pub n_shards: usize,
+    /// Per-shard live telemetry (empty when
+    /// [`StudyConfig::telemetry`] is off): shared registry and event
+    /// ring, both stamped against the study clock.
     pub telemetry: Vec<Arc<Telemetry>>,
 }
 
@@ -228,16 +204,14 @@ impl StudyContext {
         let runner: Arc<dyn Dispatcher> = rt
             .runner
             .unwrap_or_else(|| Arc::new(JobRunner::new(config.max_concurrent_groups)));
-        let n_slots = faults.n_supervisors(config.n_shards);
-        let routing =
-            RoutingTable::new(GroupRouter::new(config.n_shards.max(1), config.shard_seed));
-        let coord = Coordination::new(n_slots, routing);
+        let n_shards = config.n_shards.max(1);
+        let coord = Coordination::new(n_shards);
         let wakers = Arc::clone(&coord.wakers);
         rt.cancel.on_kill(move || wakers.wake_all());
-        // One telemetry hub per supervisor slot, all on the shared study
-        // clock so cross-shard event timestamps are comparable.
+        // One telemetry hub per shard, all on the shared study clock so
+        // cross-shard event timestamps are comparable.
         let telemetry = if config.telemetry {
-            (0..n_slots)
+            (0..n_shards)
                 .map(|k| Telemetry::with_origin(k as u32, started))
                 .collect()
         } else {
@@ -257,29 +231,23 @@ impl StudyContext {
             n_cells,
             started,
             prerun_time,
-            n_slots,
+            n_shards,
             telemetry,
         }
     }
 
-    /// The endpoint scope of supervisor slot `slot`, one-shard studies
-    /// included: `[study<id>/]shard<k>`.  Checkpoint paths follow the
-    /// scope ([`server_config`](Self::server_config)).
-    pub(crate) fn slot_scope(&self, slot: usize) -> String {
-        names::scoped(&self.outer, &names::shard_scope(slot))
+    /// Shard `shard`'s telemetry hub (`None` when telemetry is disabled).
+    pub(crate) fn telemetry(&self, shard: usize) -> Option<&Arc<Telemetry>> {
+        self.telemetry.get(shard)
     }
 
-    /// Slot `slot`'s telemetry hub (`None` when telemetry is disabled).
-    pub(crate) fn telemetry(&self, slot: usize) -> Option<&Arc<Telemetry>> {
-        self.telemetry.get(slot)
-    }
-
-    /// The server configuration of the shard in slot `slot`, under its
-    /// [`slot_scope`](Self::slot_scope), which is also its checkpoint
-    /// subdirectory (`<checkpoint_dir>/[study<id>/]shard<k>/`), so worker
-    /// files never collide.
-    pub(crate) fn server_config(&self, slot: usize) -> ServerConfig {
-        let scope = self.slot_scope(slot);
+    /// The server configuration of shard `shard`, under its endpoint
+    /// scope `[study<id>/]shard<k>` (one-shard studies included), which
+    /// is also its checkpoint subdirectory
+    /// (`<checkpoint_dir>/[study<id>/]shard<k>/`), so worker files never
+    /// collide.
+    pub(crate) fn server_config(&self, shard: usize) -> ServerConfig {
+        let scope = names::scoped(&self.outer, &names::shard_scope(shard));
         ServerConfig {
             checkpoint_dir: self.config.checkpoint_dir.join(&scope),
             scope,
@@ -296,7 +264,7 @@ impl StudyContext {
             restore: false,
             thresholds: self.config.thresholds.clone(),
             quantile_probs: self.config.quantile_probs.clone(),
-            telemetry: self.telemetry(slot).cloned(),
+            telemetry: self.telemetry(shard).cloned(),
         }
     }
 }
@@ -329,8 +297,8 @@ pub fn run_study(
 /// Supervises one server instance (shard) over its group subset to
 /// completion: submission, failure handling, checkpoint-restore failover
 /// and the convergence loopback.  This is the single-server launcher loop
-/// of the paper, under slot `shard`'s endpoint scope
-/// ([`StudyContext::slot_scope`]) so `N` of them can run against one
+/// of the paper, under shard `shard`'s endpoint scope
+/// ([`StudyContext::server_config`]) so `N` of them can run against one
 /// transport.
 pub(crate) fn supervise_shard(
     ctx: &StudyContext,
@@ -361,14 +329,14 @@ impl Wakeup {
 }
 
 /// A supervisor's handles into its shard's live telemetry: control-path
-/// gauges refreshed every pass, histograms recorded on completion and
-/// migration, wake-ups counted by reason.
+/// gauges refreshed every pass, a histogram recorded on completion,
+/// wake-ups counted by reason.
 struct Probes {
     queue_depth: Gauge,
     free_units: Gauge,
     load_factor: Gauge,
     /// Indexed by [`Span`](crate::supervisor::Span).
-    spans: [Histogram; 3],
+    spans: [Histogram; 1],
     /// Indexed by [`Wakeup`].
     wakeups: [Counter; 4],
 }
@@ -380,8 +348,7 @@ impl Probes {
             queue_depth: r.gauge("runner_queue_depth"),
             free_units: r.gauge("runner_free_units"),
             load_factor: r.gauge("load_factor_milli"),
-            spans: ["group_turnaround", "migrate_drain", "migrate_adopt"]
-                .map(|span| r.histogram(&format!("{span}_nanos"))),
+            spans: ["group_turnaround"].map(|span| r.histogram(&format!("{span}_nanos"))),
             wakeups: Wakeup::REASONS.map(|reason| {
                 r.counter(&format!("supervisor_wakeups_total{{reason=\"{reason}\"}}"))
             }),
@@ -409,8 +376,6 @@ struct ShardSupervisor<'a> {
     launcher_tx: BoxSender,
     /// The running server instance (`None` once it ended).
     server: Option<Server>,
-    /// The link rollup and counters of a server abandoned for good.
-    dead: Option<(LinkStatsSnapshot, ServerCounters)>,
     tele: Option<&'a Arc<Telemetry>>,
     probes: Option<Probes>,
     state: SupervisorState,
@@ -450,7 +415,6 @@ impl<'a> ShardSupervisor<'a> {
             launcher_rx,
             launcher_tx,
             server: Some(server),
-            dead: None,
             tele,
             probes: tele.map(|t| Probes::new(t)),
             state,
@@ -481,16 +445,14 @@ impl<'a> ShardSupervisor<'a> {
         }
     }
 
-    /// What changed in shared memory: the cancel switch, the mailbox, job
-    /// start stamps and outcomes, the convergence coordination.
+    /// What changed in shared memory: the cancel switch, job start stamps
+    /// and outcomes, the convergence coordination.
     fn observe(&mut self) -> Vec<Event> {
         let coord = &self.ctx.coord;
         let mut events = Vec::new();
         if self.ctx.cancel.is_killed() {
             events.push(Event::Cancelled);
         }
-        let inbound = std::mem::take(&mut *coord.mailboxes[self.shard].lock());
-        events.extend(inbound.into_iter().map(Event::Handoff));
         events.append(&mut self.job_events.lock());
         let early_stop = coord.early_stop.load(Ordering::Relaxed);
         events.push(Event::Signals(coord.aggregate(), early_stop));
@@ -505,7 +467,7 @@ impl<'a> ShardSupervisor<'a> {
         while let Some(event) = next.take() {
             for action in self.state.step(event, now) {
                 match action {
-                    Action::Finish(lineage) => return Ok(Some(self.finish(lineage))),
+                    Action::Finish => return Ok(Some(self.finish())),
                     Action::Fail(error) => return Err(error),
                     action => next = self.execute(action)?,
                 }
@@ -519,51 +481,12 @@ impl<'a> ShardSupervisor<'a> {
         self.server.as_ref().expect("server runs until finish")
     }
 
-    /// Carries out one action; a blocking one returns its result.
+    /// Carries out one action; restarting the server returns the
+    /// restored server's [`Event::ServerUp`].
     fn execute(&mut self, action: Action) -> Result<Option<Event>, String> {
-        let coord = &self.ctx.coord;
-        let event = match action {
-            Action::RestartServer => self.restart_server()?,
-            Action::FenceOut(groups) => {
-                let mut fenced = Vec::with_capacity(groups.len());
-                for g in groups {
-                    // The flush barrier: every worker drains the Data
-                    // frames queued ahead of the group's `MigrateOut` and
-                    // reports its final floor.
-                    self.server().migrate_out(g);
-                    let floors = self.acked(
-                        |s| s.take_migrate_floors(g),
-                        || format!("migration flush barrier for group {g}"),
-                    )?;
-                    fenced.push((g, floors));
-                }
-                Event::FencedOut(fenced)
-            }
-            Action::Fence(groups, to) => {
-                let epoch = coord
-                    .routing
-                    .fence(&groups.iter().map(|&g| (g, to)).collect::<Vec<_>>());
-                if let Some(t) = self.tele {
-                    t.set_routing_epoch(epoch);
-                }
-                Event::Fenced(epoch)
-            }
-            Action::ReadLineage => {
-                let server = self.server.take().expect("server runs until finish");
-                self.dead = Some((server.data_link_stats(), server.shared().counters()));
-                server.abandon();
-                let (states, unreadable) = self.checkpoint_lineage();
-                Event::Lineage(states, unreadable)
-            }
-            action => return self.effect(action).map(|()| None),
-        };
-        Ok(Some(event))
-    }
-
-    /// Carries out an action that does not block.
-    fn effect(&mut self, action: Action) -> Result<(), String> {
         let (coord, shard) = (&self.ctx.coord, self.shard);
         match action {
+            Action::RestartServer => return self.restart_server().map(Some),
             Action::Submit(g, instance) => self.submit(g, instance),
             // For a job that recorded its outcome the join only waits for
             // the dispatcher to take its unit back, so the next step finds
@@ -576,26 +499,6 @@ impl<'a> ShardSupervisor<'a> {
             }
             Action::StopAll => self.stop_all_jobs(),
             Action::CrashServer => self.server().crash(),
-            Action::InstallFloors(groups) => {
-                for (g, floors) in groups {
-                    self.server().adopt_floors(g, &floors);
-                    let adopted = |s: &Server| s.take_adopt_acks(g).then_some(());
-                    self.acked(adopted, || format!("floor adoption for group {g}"))?;
-                }
-            }
-            Action::Checkpoint => self
-                .server()
-                .checkpoint_now(&self.server_config.checkpoint_dir),
-            Action::HandOff(to, epoch, groups) => {
-                let epoch = epoch.unwrap_or_else(|| coord.routing.epoch());
-                let from = shard;
-                coord.mailboxes[to].lock().push(Handoff {
-                    from,
-                    epoch,
-                    groups,
-                });
-                coord.wakers.wake(to);
-            }
             Action::Publish(ci, qstep, finished) => coord.publish(shard, ci, qstep, finished),
             // This supervisor saw the crossing; the others learn of it now.
             Action::RaiseEarlyStop if !coord.early_stop.swap(true, Ordering::Relaxed) => {
@@ -613,31 +516,15 @@ impl<'a> ShardSupervisor<'a> {
             }
             _ => {}
         }
-        Ok(())
-    }
-
-    /// Waits until `probe` answers (asked again after each acknowledgement
-    /// the server records) or [`MIGRATION_TIMEOUT`] passes.
-    fn acked<T>(
-        &self,
-        mut probe: impl FnMut(&Server) -> Option<T>,
-        what: impl FnOnce() -> String,
-    ) -> Result<T, String> {
-        let server = self.server();
-        let answer = server
-            .shared()
-            .await_acks(MIGRATION_TIMEOUT, || probe(server));
-        answer.ok_or_else(|| format!("shard {}: {} timed out", self.shard, what()))
+        Ok(None)
     }
 
     /// Submits instance `instance` of group `g` and tracks the job.
     fn submit(&mut self, g: u64, instance: u32) {
         let ctx = self.ctx;
         let config = &ctx.config;
-        // Groups route through the epoch-fenced table *at submit time*, so
-        // a group resubmitted after a fence connects to its new owner.
         let job = GroupContext {
-            scope: ctx.slot_scope(ctx.coord.routing.shard_of(g)),
+            scope: self.server_config.scope.clone(),
             group_id: g,
             instance,
             rows: ctx.design.group(g as usize).rows().to_vec(),
@@ -748,24 +635,14 @@ impl<'a> ShardSupervisor<'a> {
         Ok(Event::ServerUp(Some(ended), finished))
     }
 
-    /// The one exit: ends the server (a live one stops cleanly and its
-    /// states are the shard's statistics; a dead one's `lineage` is) and
-    /// fills the report.
-    fn finish(&mut self, lineage: Option<Vec<WorkerState>>) -> ShardRun {
-        let (link, ended, states) = match lineage {
-            None => {
-                let server = self.server.take().expect("server runs until finish");
-                let (link, shared) = (server.data_link_stats(), Arc::clone(server.shared()));
-                let states = server.stop();
-                (link, shared.counters(), states)
-            }
-            Some(states) => {
-                let (link, ended) = self.dead.take().expect("the lineage was read");
-                (link, ended, states)
-            }
-        };
+    /// The one exit: stops the server cleanly — its states are the
+    /// shard's statistics — and fills the report.
+    fn finish(&mut self) -> ShardRun {
+        let server = self.server.take().expect("server runs until finish");
+        let (link, shared) = (server.data_link_stats(), Arc::clone(server.shared()));
+        let states = server.stop();
         let transport = &self.ctx.transport;
-        let mut report = self.state.final_report(ended);
+        let mut report = self.state.final_report(shared.counters());
         report.transport = transport.backend_name().to_string();
         report.blocked_sends = link.blocked_sends;
         report.blocked_time = link.blocked_time();
@@ -773,34 +650,7 @@ impl<'a> ShardSupervisor<'a> {
         report.link_bytes = link.bytes;
         report.link_wire_bytes = link.wire_bytes;
         report.transport_reconnects = transport.reconnects();
-        report.routing_epoch = self.ctx.coord.routing.epoch();
         ShardRun { states, report }
-    }
-
-    /// The dead server's statistics lineage: whatever its last checkpoint
-    /// holds.  An unreadable worker hands off cold (floor −1 ⇒ full
-    /// replay at the target).
-    fn checkpoint_lineage(&self) -> (Vec<WorkerState>, Vec<(u32, String)>) {
-        let (ctx, config) = (self.ctx, &self.ctx.config);
-        let partition = SlabPartition::new(ctx.n_cells, config.server_workers);
-        let mut unreadable = Vec::new();
-        let read = |w| read_checkpoint(&self.server_config.checkpoint_dir, w);
-        let lineage = (0..config.server_workers)
-            .map(|w| match read(w) {
-                Ok(mut st) => {
-                    st.ensure_quantiles(&config.quantile_probs);
-                    st
-                }
-                Err(e) => {
-                    unreadable.push((w as u32, e.to_string()));
-                    let (p, n_timesteps) = (ctx.p, config.solver.n_timesteps);
-                    let (thresholds, probs) = (&config.thresholds, &config.quantile_probs);
-                    let slab = partition.worker_range(w);
-                    WorkerState::with_stats(w, slab, p, n_timesteps, thresholds, probs)
-                }
-            })
-            .collect();
-        (lineage, unreadable)
     }
 }
 
@@ -857,7 +707,7 @@ fn wait_for_ready(rx: &dyn Receiver, timeout: Duration) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::ShardKill;
+    use crate::shard::GroupRouter;
     use melissa_telemetry::EventKind;
 
     /// An empty shard publishes a neutral CI once and nothing may
@@ -865,7 +715,7 @@ mod tests {
     /// would pin the aggregate and permanently disable early stop.
     #[test]
     fn empty_shard_neutral_signal_keeps_the_aggregate_usable() {
-        let coord = Coordination::new(2, RoutingTable::new(GroupRouter::new(2, 7)));
+        let coord = Coordination::new(2);
         let (ci, qstep, _) = coord.aggregate();
         assert_eq!(ci, f64::INFINITY, "unreported shards gate");
         assert_eq!(qstep, f64::INFINITY, "qstep gates too");
@@ -875,11 +725,11 @@ mod tests {
         assert!(!coord.early_stop.load(Ordering::Relaxed));
     }
 
-    /// Both exits of a supervisor go through `finish`: a shard that dies
-    /// for good and the peer that adopts its groups fill the same report
-    /// fields.
+    /// A shard whose server crash-restores from its checkpoint leaves
+    /// through the same `finish` as a fault-free peer and fills the same
+    /// report fields.
     #[test]
-    fn both_supervisor_exits_fill_the_same_report_fields() {
+    fn crash_restored_and_fault_free_shards_fill_the_same_report_fields() {
         let mut config = StudyConfig::tiny();
         config.n_shards = 2;
         config.n_groups = 4;
@@ -893,13 +743,8 @@ mod tests {
         } else {
             1
         };
-        let adopter = 1 - victim;
-        let faults = FaultPlan::none().with_shard_kill(ShardKill {
-            shard: victim,
-            after_finished_groups: 1,
-            permanent: true,
-            rehome_to: Some(adopter),
-        });
+        let peer = 1 - victim;
+        let faults = FaultPlan::none().with_server_kill_after_on_shard(1, victim);
         let ctx = StudyContext::new_in(config, faults, StudyRuntime::default());
 
         let runs: Vec<ShardRun> = std::thread::scope(|s| {
@@ -920,14 +765,14 @@ mod tests {
         });
         std::fs::remove_dir_all(&ctx.config.checkpoint_dir).ok();
 
-        let (dead, live) = (&runs[victim].report, &runs[adopter].report);
-        assert_eq!((dead.shards_rehomed, live.shards_rehomed), (1, 0));
-        assert!(dead
+        let (restored, clean) = (&runs[victim].report, &runs[peer].report);
+        assert_eq!((restored.server_restarts, clean.server_restarts), (1, 0));
+        assert!(restored
             .events
             .iter()
-            .any(|e| matches!(e.kind, EventKind::ShardRehomed { .. })));
-        assert_eq!(dead.groups_finished + live.groups_finished, 4);
-        for (exit, r) in [("permanent death", dead), ("live", live)] {
+            .any(|e| matches!(e.kind, EventKind::ServerKillInjected { .. })));
+        assert_eq!(restored.groups_finished + clean.groups_finished, 4);
+        for (exit, r) in [("crash-restored", restored), ("fault-free", clean)] {
             assert_eq!(r.transport, "in-process", "{exit}");
             assert!(
                 r.link_messages > 0 && r.link_bytes > 0,
@@ -937,7 +782,6 @@ mod tests {
                 r.link_wire_bytes, r.link_bytes,
                 "{exit}: no wire in process"
             );
-            assert_eq!(r.routing_epoch, 1, "{exit}: one fence was raised");
             assert!(r.data_messages > 0 && r.data_bytes > 0, "{exit}: ingest");
             assert_eq!(r.quantile_probs, ctx.config.quantile_probs, "{exit}");
             assert_eq!(r.transport_reconnects, 0, "{exit}");

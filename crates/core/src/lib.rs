@@ -81,8 +81,8 @@ pub mod study;
 mod supervisor;
 
 pub use config::StudyConfig;
-pub use fault::{FaultPlan, GroupFault, Migration, MigrationMoves, ShardKill};
+pub use fault::{FaultPlan, GroupFault};
 pub use launcher::StudyRuntime;
 pub use report::StudyReport;
-pub use shard::{GroupRouter, NodeMap, RoutingTable};
+pub use shard::{GroupRouter, NodeMap};
 pub use study::{Study, StudyOutput, StudyResults};

@@ -108,27 +108,6 @@ pub enum Message {
     },
     /// Launcher → server: finish cleanly (final checkpoint + stop).
     Stop,
-    /// Launcher → server workers: fence a group away under a new routing
-    /// epoch.  The message is FIFO-ordered behind every in-flight `Data`
-    /// frame on the launcher connection, so by the time a worker handles
-    /// it the worker's discard floor for the group is final — the flush
-    /// barrier of the migration protocol.  The worker bans the group
-    /// (subsequent straggler frames are discarded) and publishes its
-    /// floor through shared memory for the supervisor to hand off.
-    MigrateOut {
-        /// The group leaving this shard.
-        group_id: u64,
-    },
-    /// Launcher → server workers: adopt a migrated group.  Lifts any ban
-    /// and raises the discard-on-replay floor to the source worker's last
-    /// integrated timestep, so the migrated instance's replay from
-    /// timestep 0 resumes integration exactly where the source stopped.
-    AdoptFloor {
-        /// The group arriving on this shard.
-        group_id: u64,
-        /// The source worker's last integrated timestep (`-1` if none).
-        floor: i64,
-    },
     /// Group job → launcher: this instance's job has recorded its outcome
     /// and is about to return its pool unit.  Posted by the job itself,
     /// so the supervisor settles it on arrival instead of finding it on a
@@ -140,8 +119,8 @@ pub enum Message {
         instance: u32,
     },
     /// Anyone → launcher: something the supervisor reads from shared
-    /// memory changed — a handoff landed in its mailbox, the study-wide
-    /// early stop was raised, the study was cancelled.  Carries nothing;
+    /// memory changed — the study-wide early stop was raised, the study
+    /// was cancelled.  Carries nothing;
     /// the supervisor re-examines its state.
     Wake,
     /// Server worker → server main: a group just finished on every
@@ -281,6 +260,8 @@ impl<'a> DataView<'a> {
 /// [`DataView::parse`] own; every other variant is declared below.
 const DATA: u8 = 3;
 
+// Tags 10 and 11 carried the retired live-migration messages: they
+// decode as unknown tags and are never reused.
 melissa_transport::wire_enum!(Message {
     1 => ConnectRequest { group_id, instance },
     2 => ConnectReply { n_workers, n_cells, p, n_timesteps },
@@ -299,8 +280,6 @@ melissa_transport::wire_enum!(Message {
     7 => GroupTimeout { group_id },
     8 => Checkpoint { dir },
     9 => Stop,
-    10 => MigrateOut { group_id },
-    11 => AdoptFloor { group_id, floor },
     12 => JobEnded { group_id, instance },
     13 => Wake,
     14 => ReportNow,
@@ -341,6 +320,11 @@ fn data_len(msg: &Message) -> usize {
 /// [`DataView::parse`] and one bulk copy of its values into the owned
 /// `Vec<f64>` this type carries.
 fn get_data(buf: &mut &[u8]) -> WireResult<Message> {
+    if buf.first() != Some(&DATA) {
+        return Err(WireError::Invalid {
+            what: "unknown Message tag",
+        });
+    }
     let view = DataView::parse(buf)?;
     *buf = &[];
     let DataHeader {
@@ -422,15 +406,6 @@ mod tests {
             dir: "/tmp/ckpt".into(),
         });
         roundtrip(Message::Stop);
-        roundtrip(Message::MigrateOut { group_id: 17 });
-        roundtrip(Message::AdoptFloor {
-            group_id: 17,
-            floor: 41,
-        });
-        roundtrip(Message::AdoptFloor {
-            group_id: 18,
-            floor: -1,
-        });
         roundtrip(Message::JobEnded {
             group_id: 5,
             instance: 2,

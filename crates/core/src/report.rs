@@ -26,18 +26,6 @@ pub struct StudyReport {
     pub group_restarts: u32,
     /// Server restarts performed.
     pub server_restarts: u32,
-    /// Groups live-migrated between shards under an epoch fence (each
-    /// group counted once per move, so a migrate-back counts twice).
-    pub groups_migrated: u64,
-    /// Permanently dead shards whose checkpointed statistics and pending
-    /// groups were adopted by a peer (dead-shard re-homing).
-    pub shards_rehomed: u32,
-    /// Shard slots that joined the study after launch (elastic
-    /// scale-out targets of a migration or a re-homing).
-    pub shards_joined: u32,
-    /// Final routing epoch: 0 for a static study, incremented once per
-    /// fence (migration or re-homing).
-    pub routing_epoch: u64,
     /// Wall-clock duration of the study, from launch to assembled
     /// results (the study-end reduction included).
     pub wall_time: Duration,
@@ -106,7 +94,7 @@ pub struct StudyReport {
     /// from here.  Shards of one study share it, so their journals merge
     /// on a common time axis.
     pub origin: Instant,
-    /// The shard slot this report describes (0 for single-server studies;
+    /// The shard this report describes (0 for single-server studies;
     /// aggregated sharded reports keep 0 and carry per-shard identity on
     /// each event).
     pub shard: u32,
@@ -125,10 +113,6 @@ impl StudyReport {
             groups_abandoned: Vec::new(),
             group_restarts: 0,
             server_restarts: 0,
-            groups_migrated: 0,
-            shards_rehomed: 0,
-            shards_joined: 0,
-            routing_epoch: 0,
             wall_time: Duration::ZERO,
             prerun_time: Duration::ZERO,
             reduce_time: Duration::ZERO,
@@ -244,13 +228,6 @@ impl std::fmt::Display for StudyReport {
         )?;
         writeln!(f, "group restarts    : {}", self.group_restarts)?;
         writeln!(f, "server restarts   : {}", self.server_restarts)?;
-        if self.routing_epoch > 0 {
-            writeln!(
-                f,
-                "rebalancing       : epoch {} ({} groups migrated, {} shards re-homed, {} joined)",
-                self.routing_epoch, self.groups_migrated, self.shards_rehomed, self.shards_joined
-            )?;
-        }
         writeln!(
             f,
             "checkpoints       : {} ({} failed)",
@@ -355,20 +332,6 @@ mod tests {
     fn quantile_line_is_omitted_when_disabled() {
         let r = StudyReport::new(1);
         assert!(!r.to_string().contains("quantile conv"));
-    }
-
-    #[test]
-    fn rebalancing_line_appears_only_after_a_fence() {
-        let mut r = StudyReport::new(4);
-        assert!(!r.to_string().contains("rebalancing"));
-        r.routing_epoch = 2;
-        r.groups_migrated = 3;
-        r.shards_rehomed = 1;
-        let text = r.to_string();
-        assert!(
-            text.contains("rebalancing       : epoch 2 (3 groups migrated, 1 shards re-homed"),
-            "text: {text}"
-        );
     }
 
     #[test]

@@ -11,21 +11,20 @@
 //! magic, version, worker_id, slab, p, n_timesteps, per-timestep packed
 //! Sobol' state, per-timestep packed moments and min/max, the threshold
 //! accumulators, the Robbins–Monro quantile records, the last-completed
-//! map, the finished list and the integrated-interval ledger.  Field-level tables of the
-//! layout (and the determinism rules it obeys) are documented in
-//! `melissa_stats::checkpoint_format`.
+//! map, the finished list and the integrated-interval section.
+//! Field-level tables of the layout (and the determinism rules it obeys)
+//! are documented in `melissa_stats::checkpoint_format`.
 //!
 //! The byte codec is exposed separately from the file I/O
 //! ([`pack_state`] / [`unpack_state`]) for the other places a state leaves
-//! its process: dead-shard re-homing, shards in other processes shipping
-//! states to the reducer, the daemon's `results` RPC.  The round trip is
-//! bit-identical.  The in-process study-end reduction owns its states and
-//! does not use it.
+//! its process: shards in other processes shipping states to the reducer,
+//! the daemon's `results` RPC.  The round trip is bit-identical.  The
+//! in-process study-end reduction owns its states and does not use it.
 //!
 //! Who holds which copy:
 //!
-//! * [`pack_state`] builds one whole-state image in memory: what a
-//!   re-homed or out-of-process shard ships.
+//! * [`pack_state`] builds one whole-state image in memory: what an
+//!   out-of-process shard ships.
 //! * [`write_state`] writes the same bytes with no image: one bulk array
 //!   at a time through a staging buffer the size of the largest one.
 //!   [`write_checkpoint`] and a daemon-hosted study's results files are
@@ -38,10 +37,14 @@
 //!
 //! ## Format version
 //!
-//! The format is **v4**: per group, the exact timestep segments this
-//! worker integrated, so the study-end reduction can prove exactly-once
-//! integration across state lineages.  Any other version is rejected
-//! with a typed [`CheckpointError::UnsupportedVersion`].
+//! The format is **v4**.  Its last section lists, per group, the
+//! timestep segments `(lower_exclusive, last]` this worker integrated.
+//! A worker integrates a group's timesteps in order and groups never
+//! move between shards, so that is always the one segment
+//! `(-1, last_completed]`: the writer derives it from the last-completed
+//! map and the reader refuses any other entry as
+//! [`CheckpointError::Corrupt`].  Any other version is rejected with a
+//! typed [`CheckpointError::UnsupportedVersion`].
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -214,8 +217,8 @@ impl<'a> Plan<'a> {
 
 /// Packs `state` into the v4 checkpoint byte layout.
 ///
-/// This is the serialisation shared by the on-disk checkpoint files,
-/// dead-shard re-homing and out-of-process shards.  The output is a
+/// This is the serialisation shared by the on-disk checkpoint files and
+/// out-of-process shards.  The output is a
 /// deterministic function of the state (bookkeeping maps are written in
 /// sorted order), and `pack_state ∘ unpack_state` is bit-identical
 /// (asserted by `v4_roundtrip_is_bit_identical`).  The buffer is
@@ -237,7 +240,7 @@ pub fn write_state(state: &WorkerState, w: &mut impl Write) -> io::Result<u64> {
 
 /// The v4 layout of `state`, for [`pack_state`] and [`write_state`].
 fn plan(state: &WorkerState) -> Plan<'_> {
-    let (sobol, moments, minmax, thresholds, quantiles, last_completed, finished, integrated) =
+    let (sobol, moments, minmax, thresholds, quantiles, last_completed, finished) =
         state.checkpoint_parts();
     let mut plan = Plan::default();
     plan.head.put_u32_le(MAGIC);
@@ -304,7 +307,7 @@ fn plan(state: &WorkerState) -> Plan<'_> {
     let mut completed: Vec<(u64, i64)> = last_completed.iter().map(|(g, ts)| (*g, *ts)).collect();
     completed.sort_unstable_by_key(|&(g, _)| g);
     plan.head.put_u64_le(completed.len() as u64);
-    for (g, ts) in completed {
+    for &(g, ts) in &completed {
         plan.head.put_u64_le(g);
         plan.head.put_i64_le(ts);
     }
@@ -312,20 +315,14 @@ fn plan(state: &WorkerState) -> Plan<'_> {
     for g in finished {
         plan.head.put_u64_le(*g);
     }
-    // Integrated-interval section, sorted by group id for
-    // determinism: per group the `(lower_exclusive, last]` timestep
-    // segments this worker integrated.
-    let mut intervals: Vec<(u64, &Vec<(i64, i64)>)> =
-        integrated.iter().map(|(g, segs)| (*g, segs)).collect();
-    intervals.sort_unstable_by_key(|&(g, _)| g);
-    plan.head.put_u64_le(intervals.len() as u64);
-    for (g, segs) in intervals {
+    // Integrated-interval section, in the same group order: each group's
+    // one segment `(-1, last_completed]`.
+    plan.head.put_u64_le(completed.len() as u64);
+    for (g, ts) in completed {
         plan.head.put_u64_le(g);
-        plan.head.put_u64_le(segs.len() as u64);
-        for &(lo, hi) in segs {
-            plan.head.put_i64_le(lo);
-            plan.head.put_i64_le(hi);
-        }
+        plan.head.put_u64_le(1);
+        plan.head.put_i64_le(-1);
+        plan.head.put_i64_le(ts);
     }
     plan
 }
@@ -457,20 +454,19 @@ pub fn unpack_state(bytes: &[u8], worker_id: usize) -> Result<WorkerState, Check
     let finished = words_from_le(&buf[..n_finished * 8]);
     buf.advance(n_finished * 8);
 
-    // Integrated-interval section.
-    let mut integrated: HashMap<u64, Vec<(i64, i64)>> = HashMap::new();
-    for _ in 0..get_count(buf, 16, "interval group count")? {
-        let g = get_u64(buf, "interval group header")?;
-        let n_segs = get_count(buf, 16, "interval segments")?;
-        let mut segs = Vec::with_capacity(n_segs);
-        for _ in 0..n_segs {
-            let (lo, hi) = (buf.get_i64_le(), buf.get_i64_le());
-            if lo >= hi {
-                return Err(Corrupt("empty interval segment"));
-            }
-            segs.push((lo, hi));
+    // Integrated-interval section: exactly the segment `(-1, last]` of
+    // every group the last-completed map holds, in increasing group order.
+    if get_count(buf, 32, "interval group count")? != last_completed.len() {
+        return Err(Corrupt("interval group count"));
+    }
+    let mut previous = None;
+    for _ in 0..last_completed.len() {
+        let (g, n_segs) = (buf.get_u64_le(), buf.get_u64_le());
+        let (lo, hi) = (buf.get_i64_le(), buf.get_i64_le());
+        if n_segs != 1 || lo != -1 || last_completed.get(&g) != Some(&hi) || previous >= Some(g) {
+            return Err(Corrupt("interval segment"));
         }
-        integrated.insert(g, segs);
+        previous = Some(g);
     }
 
     Ok(WorkerState::from_checkpoint_parts(
@@ -485,7 +481,6 @@ pub fn unpack_state(bytes: &[u8], worker_id: usize) -> Result<WorkerState, Check
         quantiles,
         last_completed,
         finished,
-        integrated,
     ))
 }
 
@@ -624,40 +619,58 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Multi-segment interval ledgers (a group that migrated away and
-    /// back) survive the v4 round trip bit-identically.
+    /// The interval section is derived: one segment `(-1, last]` per
+    /// group, in group order.  An image whose section says anything else —
+    /// two segments, another lower bound, another last timestep, a group
+    /// twice or out of order — is refused as corrupt.
     #[test]
-    fn v4_roundtrip_preserves_migration_intervals() {
-        let mut st = populated_state();
-        // Group 12 integrated ts 0, migrates out, comes back with the
-        // peer having covered nothing in between at floor 0... emulate a
-        // gap by adopting a higher floor and integrating the final ts.
-        st.ban_group(12);
-        st.adopt_floor(12, 0);
-        for role in 0..4u16 {
-            st.on_data(12, role, 1, 5, &[4.0, 5.0, 6.0]);
+    fn interval_section_other_than_the_last_completed_map_is_corrupt() {
+        let bytes = pack_state(&populated_state());
+        // Groups 11 (last 1) and 12 (last 0): the section is the last
+        // 8 + 2 × 32 bytes.
+        let section = bytes.len() - 8 - 64;
+        assert_eq!(bytes[section..section + 8], 2u64.to_le_bytes());
+        let entry = |i: usize| section + 8 + 32 * i;
+        let word = |at: usize| i64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        assert_eq!((0..2).map(|i| word(entry(i))).collect::<Vec<_>>(), [11, 12]);
+        assert_eq!(
+            (0..2).map(|i| word(entry(i) + 24)).collect::<Vec<_>>(),
+            [1, 0]
+        );
+        let cases: [(&str, &[(usize, i64)]); 6] = [
+            ("two segments", &[(entry(0) + 8, 2)]),
+            ("lower bound 0", &[(entry(0) + 16, 0)]),
+            ("last timestep 0", &[(entry(0) + 24, 0)]),
+            ("group 11 twice", &[(entry(1), 11), (entry(1) + 24, 1)]),
+            ("unknown group", &[(entry(1), 13)]),
+            (
+                "out of order",
+                &[
+                    (entry(0), 12),
+                    (entry(0) + 24, 0),
+                    (entry(1), 11),
+                    (entry(1) + 24, 1),
+                ],
+            ),
+        ];
+        for (what, writes) in cases {
+            let mut hostile = bytes.clone();
+            for &(at, value) in writes {
+                hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            }
+            assert!(
+                matches!(unpack_state(&hostile, 2), Err(CheckpointError::Corrupt(_))),
+                "{what} accepted"
+            );
         }
-        assert_eq!(st.integrated_intervals(12), &[(-1, 1)]);
-        let bytes = pack_state(&st);
-        let back = unpack_state(&bytes, 2).unwrap();
-        assert_eq!(back.integrated_intervals(11), st.integrated_intervals(11));
-        assert_eq!(back.integrated_intervals(12), st.integrated_intervals(12));
-        assert_eq!(pack_state(&back), bytes);
-        // A genuinely gapped ledger also round-trips: craft one by
-        // merging two disjoint lineages with a hole between them.
-        let mut a = WorkerState::new(0, CellRange { start: 0, len: 2 }, 2, 4);
-        for role in 0..4u16 {
-            a.on_data(7, role, 0, 0, &[1.0, 2.0]);
-        }
-        a.adopt_floor(7, 2);
-        for role in 0..4u16 {
-            a.on_data(7, role, 3, 0, &[1.0, 2.0]);
-        }
-        assert_eq!(a.integrated_intervals(7), &[(-1, 0), (2, 3)]);
-        let bytes_a = pack_state(&a);
-        let back_a = unpack_state(&bytes_a, 0).unwrap();
-        assert_eq!(back_a.integrated_intervals(7), &[(-1, 0), (2, 3)]);
-        assert_eq!(pack_state(&back_a), bytes_a);
+        let mut short = bytes.clone();
+        short[section..section + 8].copy_from_slice(&1u64.to_le_bytes());
+        short.truncate(bytes.len() - 32);
+        assert!(matches!(
+            unpack_state(&short, 2),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        assert!(unpack_state(&bytes, 2).is_ok());
     }
 
     #[test]

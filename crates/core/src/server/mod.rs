@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use melissa_mesh::SlabPartition;
 use melissa_telemetry::{CodecScrape, LinkScrape, ScrapeSnapshot, Telemetry};
 use melissa_transport::directory::names;
-use melissa_transport::sync::{Condvar, Mutex};
+use melissa_transport::sync::Mutex;
 use melissa_transport::{
     instant_after, BoxReceiver, BoxSender, KillSwitch, LinkStatsSnapshot, LivenessTracker,
     RecvTimeoutError, Transport,
@@ -140,18 +140,6 @@ pub struct ServerShared {
     /// Workers that fell back to cold statistics because their checkpoint
     /// was missing or unreadable (restore diagnostics).
     pub restores_failed: AtomicU64,
-    /// Flush-barrier acknowledgements of a migrate-out fence: per group,
-    /// the `(worker, replay floor)` pairs reported by workers that banned
-    /// the group.  Complete once every worker answered — the floors are
-    /// then final (a banned worker discards all later frames).
-    migrate_acks: Mutex<HashMap<u64, Vec<(usize, i64)>>>,
-    /// Workers that installed an adopted replay floor per migrated-in
-    /// group.
-    adopt_acks: Mutex<HashMap<u64, HashSet<usize>>>,
-    /// Acknowledgements recorded so far, and where a supervisor waiting
-    /// for a fence or an adoption to complete sleeps until the next one.
-    acks_recorded: Mutex<u64>,
-    ack_recorded: Condvar,
     n_workers: usize,
 }
 
@@ -190,59 +178,7 @@ impl ServerShared {
             checkpoints_written: AtomicU64::new(0),
             checkpoints_failed: AtomicU64::new(0),
             restores_failed: AtomicU64::new(0),
-            migrate_acks: Mutex::new(HashMap::new()),
-            adopt_acks: Mutex::new(HashMap::new()),
-            acks_recorded: Mutex::new(0),
-            ack_recorded: Condvar::new(),
             n_workers,
-        }
-    }
-
-    fn ack_migrate(&self, group: u64, worker: usize, floor: i64) {
-        self.migrate_acks
-            .lock()
-            .entry(group)
-            .or_default()
-            .push((worker, floor));
-        self.ack_was_recorded();
-    }
-
-    fn ack_adopt(&self, group: u64, worker: usize) {
-        self.adopt_acks
-            .lock()
-            .entry(group)
-            .or_default()
-            .insert(worker);
-        self.ack_was_recorded();
-    }
-
-    fn ack_was_recorded(&self) {
-        *self.acks_recorded.lock() += 1;
-        self.ack_recorded.notify_all();
-    }
-
-    /// Blocks until `probe` — a question about the recorded
-    /// acknowledgements, asked again after each new one — has an answer,
-    /// or `timeout` passes (`None`).
-    pub(crate) fn await_acks<T>(
-        &self,
-        timeout: Duration,
-        mut probe: impl FnMut() -> Option<T>,
-    ) -> Option<T> {
-        let deadline = instant_after(Instant::now(), timeout);
-        // An acknowledgement is recorded, then counted under this lock:
-        // one that lands after a probe cannot be counted — and its
-        // notification cannot be sent — before the wait below has begun.
-        let mut recorded = self.acks_recorded.lock();
-        loop {
-            if let Some(answer) = probe() {
-                return Some(answer);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            recorded = self.ack_recorded.wait_timeout(recorded, left);
         }
     }
 
@@ -466,14 +402,6 @@ impl Server {
                             shared.started.lock().insert(g);
                             shared.record_group_finished_on_worker(g);
                         }
-                        // Adopted groups whose migration floor covers this
-                        // worker's whole share count as finished here even
-                        // though the worker never integrated their last
-                        // timestep itself.
-                        for g in state.adopted_full_floor_groups() {
-                            shared.started.lock().insert(g);
-                            shared.record_group_finished_on_worker(g);
-                        }
                         for g in state.running_groups() {
                             shared.started.lock().insert(g);
                         }
@@ -521,66 +449,6 @@ impl Server {
     /// it — the paper's Fig. 6 backpressure telemetry).
     pub fn data_link_stats(&self) -> LinkStatsSnapshot {
         data_link_rollup(self.transport.as_ref(), &self.scope, self.n_workers)
-    }
-
-    /// Fences `group_id` out of this instance: every worker bans the
-    /// group (dropping its in-flight assemblies), reports its replay
-    /// floor and stops counting the group toward liveness.  The fence
-    /// message queues FIFO behind every Data frame already in a worker's
-    /// inbox, so queued frames integrate first; frames arriving *after*
-    /// the ban are discarded — the acknowledged floors are final either
-    /// way.  [`take_migrate_floors`](Self::take_migrate_floors) tells
-    /// when every worker has answered.
-    pub fn migrate_out(&self, group_id: u64) {
-        let msg = Message::MigrateOut { group_id }.encode();
-        for s in &self.worker_senders {
-            let _ = s.send(msg.clone());
-        }
-    }
-
-    /// The per-worker replay floors acknowledged after
-    /// [`migrate_out`](Self::migrate_out): `None` until every worker
-    /// processed the fence; consumes the acknowledgement slot (a later
-    /// migrate-back fences cleanly).
-    pub fn take_migrate_floors(&self, group_id: u64) -> Option<Vec<i64>> {
-        let mut acks = self.shared.migrate_acks.lock();
-        if acks
-            .get(&group_id)
-            .is_some_and(|v| v.len() >= self.n_workers)
-        {
-            let mut v = acks.remove(&group_id).expect("just checked");
-            v.sort_unstable_by_key(|&(w, _)| w);
-            Some(v.into_iter().map(|(_, f)| f).collect())
-        } else {
-            None
-        }
-    }
-
-    /// Installs the per-worker replay floors of a migrated-in group:
-    /// worker `w` adopts `floors[w]`, lifts any ban, and will discard
-    /// replayed frames up to the floor.
-    /// [`take_adopt_acks`](Self::take_adopt_acks) tells when every worker
-    /// has, which must be before the group's replay job is submitted.
-    pub fn adopt_floors(&self, group_id: u64, floors: &[i64]) {
-        assert_eq!(floors.len(), self.n_workers, "one floor per worker");
-        for (s, &floor) in self.worker_senders.iter().zip(floors) {
-            let _ = s.send(Message::AdoptFloor { group_id, floor }.encode());
-        }
-    }
-
-    /// Whether every worker acknowledged the adopted floors of
-    /// `group_id`; consumes the acknowledgement slot on success.
-    pub fn take_adopt_acks(&self, group_id: u64) -> bool {
-        let mut acks = self.shared.adopt_acks.lock();
-        if acks
-            .get(&group_id)
-            .is_some_and(|s| s.len() >= self.n_workers)
-        {
-            acks.remove(&group_id);
-            true
-        } else {
-            false
-        }
     }
 
     /// Requests an immediate checkpoint of all workers.
@@ -670,7 +538,9 @@ fn scrape_snapshot(
         groups_running,
         max_ci_width,
         max_quantile_step,
-        routing_epoch: tele.routing_epoch(),
+        // Groups never move between shards, so the routing never leaves
+        // its first epoch.
+        routing_epoch: 0,
         reconnects: transport.reconnects(),
         wire_codec: CodecScrape::of(&transport.wire_io()),
         links,
@@ -782,10 +652,7 @@ fn worker_loop(
                 }
                 messages += 1;
                 bytes += (view.len() * 8) as u64;
-                // A banned (fenced-out) group's straggler frames must not
-                // resurrect liveness/started bookkeeping — `on_frame`
-                // discarded them above.
-                if !seen.contains(&group_id) && !state.is_banned(group_id) {
+                if !seen.contains(&group_id) {
                     seen.push(group_id);
                     shared.liveness.record_at(group_id, now);
                     shared.started.lock().insert(group_id);
@@ -810,36 +677,6 @@ fn worker_loop(
                 continue;
             }
             match Message::decode(&frame) {
-                Ok(Message::MigrateOut { group_id }) => {
-                    // Flush barrier: every Data frame queued ahead of
-                    // this message has been integrated; the ban makes
-                    // the reported floor final against stragglers on
-                    // any connection.
-                    let floor = state.ban_group(group_id);
-                    shared.liveness.forget(&group_id);
-                    shared.started.lock().remove(&group_id);
-                    seen.retain(|g| *g != group_id);
-                    shared.ack_migrate(group_id, state.worker_id(), floor);
-                }
-                Ok(Message::AdoptFloor { group_id, floor }) => {
-                    state.adopt_floor(group_id, floor);
-                    if floor >= 0
-                        && floor as usize + 1 >= state.n_timesteps()
-                        && !state.finished_groups().contains(&group_id)
-                    {
-                        // The adopted lineage already integrated this
-                        // worker's whole share of the group: count it
-                        // finished here so completion bookkeeping does
-                        // not wait for frames the replay will discard.
-                        // (Skipped when this worker finished the group
-                        // itself — it already counted.)
-                        shared.started.lock().insert(group_id);
-                        if shared.record_group_finished_on_worker(group_id) {
-                            report_now();
-                        }
-                    }
-                    shared.ack_adopt(group_id, state.worker_id());
-                }
                 Ok(Message::Checkpoint { dir }) => {
                     let write_started = Instant::now();
                     if write_checkpoint(std::path::Path::new(&dir), &state).is_ok() {

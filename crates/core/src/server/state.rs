@@ -22,7 +22,7 @@
 //! discard-on-replay policy for messages at or below it, and the
 //! finished/running group lists reported to the launcher.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use melissa_mesh::CellRange;
 use melissa_sobol::{FusedSlabUpdate, UbiquitousSobol};
@@ -169,18 +169,9 @@ pub struct WorkerState {
     /// Recycled assembly buffers (capped at [`ASSEMBLY_POOL_MAX`]).
     pool: Vec<Assembly>,
     /// Last fully integrated timestep per group (discard-on-replay floor).
+    /// A group's timesteps integrate in order, so this worker integrated
+    /// exactly `0..=last_completed` of it.
     last_completed: HashMap<u64, i64>,
-    /// Exactly which timestep ranges this worker integrated per group, as
-    /// half-open segments `(lower_exclusive, last]`.  A group that never
-    /// migrates has the single segment `(-1, last_completed]`; a group that
-    /// migrates away and back accumulates one segment per ownership stint.
-    /// The study-end [`merge`](Self::merge) proves exactly-once integration
-    /// by checking pairwise disjointness of these segments across lineages.
-    integrated: HashMap<u64, Vec<(i64, i64)>>,
-    /// Groups fenced away by an epoch migration: every subsequent frame is
-    /// discarded, which makes the reported floor final even for straggler
-    /// frames still in flight on other connections.
-    banned: HashSet<u64>,
     /// Groups whose final timestep has been integrated.
     finished: Vec<u64>,
     /// Messages received (paper reports ~1000 msg/min per process).
@@ -245,8 +236,6 @@ impl WorkerState {
             assembly: HashMap::new(),
             pool: Vec::new(),
             last_completed: HashMap::new(),
-            integrated: HashMap::new(),
-            banned: HashSet::new(),
             finished: Vec::new(),
             messages_received: 0,
             bytes_received: 0,
@@ -341,8 +330,8 @@ impl WorkerState {
         }
     }
 
-    /// The one ingest path, past validation: accounting, the replay and
-    /// migration discards, then `fill` writes the `n` values at `local0`
+    /// The one ingest path, past validation: accounting, the replay
+    /// discard, then `fill` writes the `n` values at `local0`
     /// of the role's assembly field, and a completed assembly is swept.
     fn ingest(
         &mut self,
@@ -356,14 +345,6 @@ impl WorkerState {
 
         self.messages_received += 1;
         self.bytes_received += (n * 8) as u64;
-
-        // Migration fence: a banned group's frames are discarded no matter
-        // the timestep — the group's pending work belongs to another shard
-        // under the current routing epoch.
-        if self.banned.contains(&group_id) {
-            self.replays_discarded += 1;
-            return false;
-        }
 
         // Discard on replay: any message at or below the last completed
         // timestep of this group is a duplicate from a restarted instance.
@@ -406,14 +387,6 @@ impl WorkerState {
         self.recycle(done);
 
         self.last_completed.insert(group_id, ts as i64);
-        // Record the integration in this worker's interval ledger:
-        // contiguous completions extend the current ownership segment, a
-        // gap (adopted after migration) opens a new one.
-        let segments = self.integrated.entry(group_id).or_default();
-        match segments.last_mut() {
-            Some(seg) if seg.1 == ts as i64 - 1 => seg.1 = ts as i64,
-            _ => segments.push((ts as i64 - 1, ts as i64)),
-        }
         if ts + 1 == self.n_timesteps {
             self.finished.push(group_id);
             // Reclaim any stale partial assemblies of this group (replays).
@@ -456,81 +429,6 @@ impl WorkerState {
     /// Last completed timestep of a group (`None` if nothing integrated).
     pub fn last_completed(&self, group_id: u64) -> Option<i64> {
         self.last_completed.get(&group_id).copied()
-    }
-
-    /// The group's discard floor in handoff form: its last completed
-    /// timestep, or `-1` when nothing was integrated.  This is what a
-    /// re-homing supervisor hands to the adopting shard as the worker's
-    /// migration floor.
-    pub fn completed_floor(&self, group_id: u64) -> i64 {
-        self.last_completed.get(&group_id).copied().unwrap_or(-1)
-    }
-
-    /// Fences a group away from this worker (epoch migration): every
-    /// subsequent frame of the group is discarded and its in-flight
-    /// assemblies are dropped (their timesteps will be replayed on the
-    /// target shard).  Returns the discard floor — the last timestep this
-    /// worker fully integrated (`-1` if none) — which the target must
-    /// adopt before accepting the group's frames.
-    pub fn ban_group(&mut self, group_id: u64) -> i64 {
-        self.banned.insert(group_id);
-        let stale: Vec<(u64, u32)> = self
-            .assembly
-            .keys()
-            .filter(|&&(g, _)| g == group_id)
-            .copied()
-            .collect();
-        for key in stale {
-            if let Some(mut a) = self.assembly.remove(&key) {
-                a.reset();
-                self.recycle(a);
-            }
-        }
-        self.last_completed.get(&group_id).copied().unwrap_or(-1)
-    }
-
-    /// True when the group is fenced away from this worker.
-    pub fn is_banned(&self, group_id: u64) -> bool {
-        self.banned.contains(&group_id)
-    }
-
-    /// Adopts a migrated group: lifts any ban and raises the
-    /// discard-on-replay floor to `floor` (the source worker's last
-    /// integrated timestep), so the migrated instance's replay from
-    /// timestep 0 is discarded up to exactly where the source left off.
-    pub fn adopt_floor(&mut self, group_id: u64, floor: i64) {
-        self.banned.remove(&group_id);
-        if floor >= 0 {
-            let entry = self.last_completed.entry(group_id).or_insert(floor);
-            *entry = (*entry).max(floor);
-        }
-    }
-
-    /// Groups whose adopted migration floor already covers this worker's
-    /// whole share without the worker ever integrating the last timestep
-    /// itself (so they are *not* in [`finished_groups`](Self::finished_groups),
-    /// which stays integration-exact for the reduction's
-    /// double-integration check).  A restored server counts these toward
-    /// completion so a replay that is fully discarded still finishes.
-    pub fn adopted_full_floor_groups(&self) -> Vec<u64> {
-        let last = self.n_timesteps as i64 - 1;
-        let mut v: Vec<u64> = self
-            .last_completed
-            .iter()
-            .filter(|&(g, &f)| f >= last && !self.finished.contains(g))
-            .map(|(&g, _)| g)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// The timestep segments `(lower_exclusive, last]` this worker
-    /// integrated for a group (empty if none).
-    pub fn integrated_intervals(&self, group_id: u64) -> &[(i64, i64)] {
-        self.integrated
-            .get(&group_id)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
     }
 
     /// Number of groups folded into timestep `ts`.
@@ -647,18 +545,14 @@ impl WorkerState {
     /// moments/Sobol', exact for min/max and thresholds, count-weighted
     /// for quantiles) and bookkeeping takes the union.  This is the
     /// reduction step for sharded multi-server deployments where replicas
-    /// of one slab each integrate a subset of the groups.
-    ///
-    /// Migrated groups are legal: two lineages may both have integrated a
-    /// group as long as their timestep segments are disjoint (the epoch
-    /// fence guarantees the source stops exactly where the target's
-    /// adopted floor starts).
+    /// of one slab each integrate a disjoint subset of the groups.
     ///
     /// # Panics
     /// Panics if slab, dimension, timestep count or configured statistics
-    /// differ, if any `(group, timestep)` was integrated by both states
-    /// (overlapping integration segments — double counting would bias
-    /// every estimator), or if `other` still holds in-flight assemblies
+    /// differ, if any group was integrated by both states (even at
+    /// different timesteps: the router gives each group one shard, and
+    /// double counting would bias every estimator), or if `other` still
+    /// holds in-flight assemblies
     /// (their partial chunks are not merged — dropping them would silently
     /// lose data, so the caller must drain or time out assemblies before
     /// reducing).
@@ -680,31 +574,12 @@ impl WorkerState {
             other.thresholds.first().map_or(0, Vec::len),
             "threshold configuration mismatch"
         );
-        // Exactly-once integration across lineages: combine each group's
-        // segment ledgers and require pairwise disjointness.  Adjacent
-        // segments (source stopped where the target's adopted floor began)
-        // coalesce so the merged ledger stays canonical.
-        for (&g, other_segs) in &other.integrated {
-            let segs = self.integrated.entry(g).or_default();
-            segs.extend_from_slice(other_segs);
-            segs.sort_unstable();
-            let mut merged: Vec<(i64, i64)> = Vec::with_capacity(segs.len());
-            for &(lo, hi) in segs.iter() {
-                match merged.last_mut() {
-                    Some(prev) if lo < prev.1 => panic!(
-                        "group {g} integrated by both states: timesteps ({lo}, {hi}] overlap ({}, {}]",
-                        prev.0, prev.1
-                    ),
-                    Some(prev) if lo == prev.1 => prev.1 = hi,
-                    _ => merged.push((lo, hi)),
-                }
-            }
-            *segs = merged;
-        }
-        for g in other.finished.iter() {
+        // Exactly-once integration: the two states' group sets are
+        // disjoint (a finished group is in `last_completed` too).
+        for g in other.last_completed.keys() {
             assert!(
-                !self.finished.contains(g),
-                "group {g} integrated by both states: finished in both lineages"
+                !self.last_completed.contains_key(g),
+                "group {g} integrated by both states"
             );
         }
         for (a, b) in self.sobol.iter_mut().zip(&other.sobol) {
@@ -724,10 +599,7 @@ impl WorkerState {
         for (a, b) in self.quantiles.iter_mut().zip(&other.quantiles) {
             a.merge(b);
         }
-        for (&g, &ts) in &other.last_completed {
-            let entry = self.last_completed.entry(g).or_insert(ts);
-            *entry = (*entry).max(ts);
-        }
+        self.last_completed.extend(&other.last_completed);
         self.finished.extend_from_slice(&other.finished);
         self.messages_received += other.messages_received;
         self.bytes_received += other.bytes_received;
@@ -735,16 +607,15 @@ impl WorkerState {
         self.fused_sweeps += other.fused_sweeps;
     }
 
-    /// Drops what a checkpoint never carries — in-flight assemblies, the
-    /// pooled buffers and the ban set — and frees their memory.  The
-    /// study-end reduction calls this on every lineage: at that point a
+    /// Drops what a checkpoint never carries — in-flight assemblies and
+    /// the pooled buffers — and frees their memory.  The study-end
+    /// reduction calls this on every shard's states: at that point a
     /// pending assembly belongs to an abandoned group whose partial data
     /// was never integrated anywhere, and [`merge`](Self::merge) refuses
     /// states that still hold one.
     pub fn discard_in_flight(&mut self) {
         self.assembly = HashMap::new();
         self.pool = Vec::new();
-        self.banned = HashSet::new();
     }
 
     /// In-flight assembly count (for memory diagnostics).
@@ -769,7 +640,6 @@ impl WorkerState {
         &[FieldQuantiles],
         &HashMap<u64, i64>,
         &[u64],
-        &HashMap<u64, Vec<(i64, i64)>>,
     ) {
         (
             &self.sobol,
@@ -779,7 +649,6 @@ impl WorkerState {
             &self.quantiles,
             &self.last_completed,
             &self.finished,
-            &self.integrated,
         )
     }
 
@@ -800,7 +669,6 @@ impl WorkerState {
         quantiles: Vec<FieldQuantiles>,
         last_completed: HashMap<u64, i64>,
         finished: Vec<u64>,
-        integrated: HashMap<u64, Vec<(i64, i64)>>,
     ) -> Self {
         assert_eq!(sobol.len(), n_timesteps);
         assert_eq!(moments.len(), n_timesteps);
@@ -820,8 +688,6 @@ impl WorkerState {
             assembly: HashMap::new(),
             pool: Vec::new(),
             last_completed,
-            integrated,
-            banned: HashSet::new(),
             finished,
             messages_received: 0,
             bytes_received: 0,
@@ -1149,113 +1015,17 @@ mod tests {
     }
 
     #[test]
-    fn ban_discards_frames_and_drops_in_flight_assemblies() {
-        let mut st = state();
-        send_full_ts(&mut st, 3, 0, 1.0);
-        // Partial assembly for ts 1.
-        st.on_data(3, 0, 1, 10, &[1.0; 4]);
-        assert_eq!(st.pending_assemblies(), 1);
-        let floor = st.ban_group(3);
-        assert_eq!(floor, 0);
-        assert!(st.is_banned(3));
-        assert_eq!(st.pending_assemblies(), 0);
-        // Frames after the ban are discarded, even for future timesteps.
-        let before = st.replays_discarded;
-        assert!(!st.on_data(3, 0, 2, 10, &[9.0; 4]));
-        assert_eq!(st.replays_discarded, before + 1);
-        assert_eq!(st.groups_at(1), 0);
-        // A never-integrated group bans with floor -1.
-        assert_eq!(st.ban_group(42), -1);
-    }
-
-    #[test]
-    fn adopt_floor_discards_replay_up_to_source_progress() {
-        let mut st = state();
-        st.adopt_floor(9, 1);
-        // The migrated instance replays from ts 0: everything at or below
-        // the adopted floor is discarded.
-        for ts in 0..2u32 {
-            for role in 0..(P + 2) as u16 {
-                assert!(!st.on_data(9, role, ts, 10, &[1.0; 4]));
-            }
-        }
-        assert_eq!(st.replays_discarded, 2 * (P + 2) as u64);
-        assert_eq!(st.groups_at(0), 0);
-        // Timestep 2 (above the floor) integrates and finishes the group.
-        assert!(send_full_ts(&mut st, 9, 2, 1.0));
-        assert_eq!(st.finished_groups(), &[9]);
-        assert_eq!(st.integrated_intervals(9), &[(1, 2)]);
-    }
-
-    #[test]
-    fn adopt_floor_lifts_ban_for_migrate_back() {
-        let mut st = state();
-        send_full_ts(&mut st, 4, 0, 1.0);
-        st.ban_group(4);
-        assert!(st.is_banned(4));
-        // The peer integrated ts 1, then the group migrates back.
-        st.adopt_floor(4, 1);
-        assert!(!st.is_banned(4));
-        assert!(send_full_ts(&mut st, 4, 2, 1.0));
-        // Two ownership stints: (−1, 0] and (1, 2].
-        assert_eq!(st.integrated_intervals(4), &[(-1, 0), (1, 2)]);
-    }
-
-    #[test]
-    fn merge_accepts_disjoint_segments_of_a_migrated_group() {
-        let mut src = state();
-        let mut dst = state();
-        // Source integrates ts 0, migrates the group out.
-        send_full_ts(&mut src, 6, 0, 1.0);
-        let floor = src.ban_group(6);
-        dst.adopt_floor(6, floor);
-        for ts in 1..TS as u32 {
-            send_full_ts(&mut dst, 6, ts, 1.0);
-        }
-        assert_eq!(dst.finished_groups(), &[6]);
-        src.merge(&dst);
-        // Coalesced into one canonical segment covering the whole run.
-        assert_eq!(src.integrated_intervals(6), &[(-1, TS as i64 - 1)]);
-        assert_eq!(src.last_completed(6), Some(TS as i64 - 1));
-        assert_eq!(src.finished_groups(), &[6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "integrated by both states")]
+    #[should_panic(expected = "group 8 integrated by both states")]
     fn merge_rejects_overlapping_segments() {
         let mut a = state();
         let mut b = state();
-        // a integrates ts 0..=1, b adopts floor 0 and integrates ts 1..=2:
-        // ts 1 was integrated twice.
+        // a integrates ts 0..=1, b ts 1..=2: the group sets meet, so ts 1
+        // would count twice.
         send_full_ts(&mut a, 8, 0, 1.0);
         send_full_ts(&mut a, 8, 1, 1.0);
-        b.adopt_floor(8, 0);
         send_full_ts(&mut b, 8, 1, 2.0);
         send_full_ts(&mut b, 8, 2, 2.0);
         a.merge(&b);
-    }
-
-    #[test]
-    fn three_lineage_migrate_back_merges_cleanly() {
-        // Group 5 lives on a, migrates to b, migrates back to a, while a
-        // second group stays on b throughout.
-        let mut a = state();
-        let mut b = state();
-        send_full_ts(&mut a, 5, 0, 1.0);
-        let f0 = a.ban_group(5);
-        b.adopt_floor(5, f0);
-        send_full_ts(&mut b, 5, 1, 1.0);
-        let f1 = b.ban_group(5);
-        a.adopt_floor(5, f1);
-        send_full_ts(&mut a, 5, 2, 1.0);
-        for ts in 0..TS as u32 {
-            send_full_ts(&mut b, 11, ts, 3.0);
-        }
-        a.merge(&b);
-        assert_eq!(a.integrated_intervals(5), &[(-1, TS as i64 - 1)]);
-        let mut finished = a.finished_groups().to_vec();
-        finished.sort_unstable();
-        assert_eq!(finished, vec![5, 11]);
     }
 
     #[test]

@@ -60,7 +60,6 @@ use crate::launcher::{supervise_shard, StudyContext, StudyRuntime};
 use crate::report::StudyReport;
 use crate::server::state::WorkerState;
 use crate::study::{StudyOutput, StudyResults};
-use melissa_transport::sync::Mutex;
 
 /// Deterministic group-to-shard router: `shard = hash(seed, group) % N`
 /// with a SplitMix64 finaliser, so the assignment is uniform, a pure
@@ -115,78 +114,6 @@ impl GroupRouter {
     }
 }
 
-/// The versioned routing state behind a [`RoutingTable`] fence.
-#[derive(Debug, Clone, Default)]
-struct RoutingState {
-    epoch: u64,
-    overrides: HashMap<u64, usize>,
-}
-
-/// Epoch-fenced group-to-shard routing: the seeded [`GroupRouter`] hash
-/// is the epoch-0 base assignment, overlaid by a versioned per-group
-/// override map installed by migration fences.
-///
-/// Routing stays a pure function of `(configuration, epoch)`: two
-/// resolvers holding the same base router and the same epoch's override
-/// map answer identically, so supervisors, [`crate::client::GroupClient`]s
-/// and the launcher can never disagree about a group's owner.  A *fence*
-/// ([`RoutingTable::fence`]) atomically installs a batch of overrides and
-/// bumps the epoch; override targets may exceed the base shard count
-/// (elastic scale-out — the slot joins the study as a fresh shard).
-///
-/// The table lives in the launcher process and is read at every submit:
-/// a group job learns its owner's scope from the supervisor that starts
-/// it, so no resolver outside the launcher ever needs the table.
-#[derive(Debug)]
-pub struct RoutingTable {
-    base: GroupRouter,
-    inner: Mutex<RoutingState>,
-}
-
-impl RoutingTable {
-    /// An epoch-0 table: pure base-hash routing, no overrides.
-    pub fn new(base: GroupRouter) -> Self {
-        Self {
-            base,
-            inner: Mutex::new(RoutingState::default()),
-        }
-    }
-
-    /// The epoch-0 base router.
-    pub fn base(&self) -> GroupRouter {
-        self.base
-    }
-
-    /// The current routing epoch (0 = static base assignment).
-    pub fn epoch(&self) -> u64 {
-        self.inner.lock().epoch
-    }
-
-    /// The shard slot that currently owns `group_id`: the override if a
-    /// fence installed one, the base hash otherwise.
-    pub fn shard_of(&self, group_id: u64) -> usize {
-        self.inner
-            .lock()
-            .overrides
-            .get(&group_id)
-            .copied()
-            .unwrap_or_else(|| self.base.shard_of(group_id))
-    }
-
-    /// Fences a new epoch: atomically re-routes every `(group, slot)`
-    /// pair and returns the new epoch.  A group fenced back to its base
-    /// shard keeps an explicit override — routing history is monotone in
-    /// the epoch, never inferred from hash equality.
-    pub fn fence(&self, moves: &[(u64, usize)]) -> u64 {
-        let mut inner = self.inner.lock();
-        for &(g, slot) in moves {
-            inner.overrides.insert(g, slot);
-        }
-        inner.epoch += 1;
-        inner.epoch
-    }
-}
-
 /// Placement of server shards onto physical nodes in a multi-node
 /// deployment: shard `k` runs on node `k mod n_nodes` (round-robin).  A
 /// pure function of the configuration — like [`GroupRouter`] — so the
@@ -231,20 +158,20 @@ impl NodeMap {
 ///
 /// `shards[k][w]` is shard `k`'s worker `w`; every shard must run the
 /// same worker count/slab partition (they all serve the same mesh).  The
-/// states are consumed: each lineage first drops its in-flight assemblies
+/// states are consumed: each shard first drops its in-flight assemblies
 /// (at study end they belong to abandoned groups whose partial data was
-/// never integrated anywhere), pooled buffers and ban set, then lineage
-/// `k + 1` is folded into the accumulated lineages `0..=k` with one
+/// never integrated anywhere) and pooled buffers, then shard `k + 1` is
+/// folded into the accumulated shards `0..=k` with one
 /// [`WorkerState::merge`] per worker, on the calling thread, and is
-/// freed as soon as it is merged.  Every per-worker chain therefore folds in shard-index order
-/// (see the module docs for why the combine order is canonical), and the
-/// reduction holds no copy of any state.
+/// freed as soon as it is merged.  Every per-worker chain therefore
+/// folds in shard-index order (see the module docs for why the combine
+/// order is canonical), and the reduction holds no copy of any state.
 ///
 /// # Panics
 /// Panics if shards disagree on worker count, slab partition or
-/// configured statistics, or if any group was integrated by two shards
-/// (double counting would bias every estimator — the router makes this
-/// impossible in a real study).
+/// configured statistics, or if any group was finished by two shards, on
+/// any workers (double counting would bias every estimator — the router
+/// makes this impossible in a real study).
 pub fn reduce_owned_states(shards: Vec<Vec<WorkerState>>) -> Vec<WorkerState> {
     assert!(!shards.is_empty(), "nothing to reduce");
     let n_workers = shards[0].len();
@@ -252,31 +179,28 @@ pub fn reduce_owned_states(shards: Vec<Vec<WorkerState>>) -> Vec<WorkerState> {
         assert_eq!(s.len(), n_workers, "shard {k} has a different worker count");
     }
 
-    // Safety net of the epoch-fenced migration layer: a group whose last
-    // timestep was integrated by the *same worker* in two different
-    // lineages means a fence failed and every estimator the group feeds
-    // would be double-counted.  Keyed per worker — a re-homed group may
-    // legitimately appear finished on worker 0 of the dead lineage and on
-    // worker 1 of the adopter (each integrated a disjoint share).  (The
-    // per-worker interval ledgers inside `WorkerState::merge` catch
-    // partial overlaps; this check catches whole groups before any merge
-    // runs.)
-    let mut owner: HashMap<(usize, u64), usize> = HashMap::new();
+    // Safety net of the static routing: the router sends each group to
+    // one shard, so a group finished by two shards — on whichever of
+    // their workers — would feed every estimator twice.  (`merge` refuses
+    // any group two states both integrated; this check names the shards
+    // before any merge runs.)
+    let mut owner: HashMap<u64, usize> = HashMap::new();
     for (k, shard) in shards.iter().enumerate() {
-        for state in shard {
-            for &g in state.finished_groups() {
-                if let Some(prev) = owner.insert((state.worker_id(), g), k) {
-                    panic!("group {g} was integrated by two shards ({prev} and {k})");
+        for &g in shard.iter().flat_map(WorkerState::finished_groups) {
+            match owner.insert(g, k) {
+                Some(prev) if prev != k => {
+                    panic!("group {g} was integrated by two shards ({prev} and {k})")
                 }
+                _ => {}
             }
         }
     }
 
-    let mut lineages = shards.into_iter();
-    let mut acc = lineages.next().expect("checked non-empty above");
+    let mut shards = shards.into_iter();
+    let mut acc = shards.next().expect("checked non-empty above");
     acc.iter_mut().for_each(WorkerState::discard_in_flight);
-    for lineage in lineages {
-        for (acc, mut next) in acc.iter_mut().zip(lineage) {
+    for shard in shards {
+        for (acc, mut next) in acc.iter_mut().zip(shard) {
             next.discard_in_flight();
             acc.merge(&next);
         }
@@ -293,7 +217,7 @@ pub fn reduce_worker_states(shards: &[Vec<WorkerState>]) -> Vec<WorkerState> {
 /// Runs a study as `N ≥ 1` supervised server instances over disjoint
 /// group subsets, reduced into one result set at the end.  The classic
 /// single-server study is `N = 1`, its endpoints `shard0/…` like any
-/// shard's ([`StudyContext::slot_scope`]).
+/// shard's ([`StudyContext::server_config`]).
 ///
 /// Called by [`crate::launcher::run_study`], which validates the
 /// configuration; use [`crate::study::Study::run`] rather than calling
@@ -308,25 +232,18 @@ pub(crate) fn run_shards(
     let n_groups = config.n_groups;
     let solver_timesteps = config.solver.n_timesteps;
     let ctx = StudyContext::new_in(config, faults, rt);
-    let n_slots = ctx.n_slots;
 
-    // One supervisor thread per shard *slot*; they share the batch runner
-    // (the global node budget), the study clock, the transport and the
-    // convergence coordination, and are otherwise fully independent —
-    // a shard failover never stalls the other shards.  Slots beyond the
-    // configured shard count join the study fresh (elastic scale-out):
-    // they own no groups until an epoch fence hands them some.
+    // One supervisor thread per shard; they share the batch runner (the
+    // global node budget), the study clock, the transport and the
+    // convergence coordination, and are otherwise fully independent — a
+    // shard failover never stalls the other shards.
     let mut runs: Vec<Option<crate::launcher::ShardRun>> = Vec::new();
     let mut errors: Vec<String> = Vec::new();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_slots)
+        let handles: Vec<_> = (0..ctx.n_shards)
             .map(|k| {
                 let ctx = &ctx;
-                let groups = if k < n_shards {
-                    router.groups_for_shard(k, n_groups)
-                } else {
-                    Vec::new()
-                };
+                let groups = router.groups_for_shard(k, n_groups);
                 scope.spawn(move || supervise_shard(ctx, k, &groups))
             })
             .collect();
@@ -361,16 +278,13 @@ pub(crate) fn run_shards(
     report.n_shards = n_shards;
     report.final_max_ci = 0.0;
     report.final_max_quantile_step = 0.0;
-    let mut states: Vec<Vec<WorkerState>> = Vec::with_capacity(n_slots);
+    let mut states: Vec<Vec<WorkerState>> = Vec::with_capacity(ctx.n_shards);
     for run in runs.into_iter() {
         let r = run.report;
         report.groups_finished += r.groups_finished;
         report.groups_abandoned.extend(&r.groups_abandoned);
         report.group_restarts += r.group_restarts;
         report.server_restarts += r.server_restarts;
-        report.groups_migrated += r.groups_migrated;
-        report.shards_rehomed += r.shards_rehomed;
-        report.shards_joined += r.shards_joined;
         report.data_messages += r.data_messages;
         report.data_bytes += r.data_bytes;
         report.replays_discarded += r.replays_discarded;
@@ -422,7 +336,7 @@ pub(crate) fn run_shards(
             );
         }
         // Every shard stamps events against the shared study clock and
-        // carries its slot on each event, so the journals concatenate and
+        // carries its shard on each event, so the journals concatenate and
         // sort into one chronological study log below.
         report.events.extend(r.events);
         // All shards share one transport, whose reconnect counter is
@@ -438,17 +352,11 @@ pub(crate) fn run_shards(
     report.events.sort_by_key(|e| e.order_key());
     report.origin = ctx.started;
     report.prerun_time = ctx.prerun_time;
-    report.routing_epoch = ctx.coord.routing.epoch();
 
-    // Reduce over the state *lineages* in slot order: each slot's final
-    // states are one lineage (a permanently dead shard's lineage is its
-    // adopted checkpoint snapshot, returned at the dead slot so the fold
-    // order is stable under any migration schedule); slots that never
-    // integrated anything drop out without disturbing the canonical
-    // order.  A single lineage is the result as it stands.
-    let mut states: Vec<Vec<WorkerState>> = states.into_iter().filter(|s| !s.is_empty()).collect();
+    // Reduce over the shards' final states in shard order; a single
+    // shard's states are the result as they stand.
     let reduced = if states.len() == 1 {
-        states.pop().expect("one lineage")
+        states.pop().expect("one shard")
     } else {
         let reduce_started = std::time::Instant::now();
         let reduced = reduce_owned_states(states);
@@ -593,35 +501,34 @@ mod tests {
     }
 
     #[test]
-    fn routing_table_fences_overrides_on_top_of_the_base_hash() {
-        let base = GroupRouter::new(4, 2017);
-        let table = RoutingTable::new(base);
-        assert_eq!(table.epoch(), 0);
-        for g in 0..64u64 {
-            assert_eq!(table.shard_of(g), base.shard_of(g), "epoch 0 is the base");
-        }
-        let g = 7u64;
-        let away = (base.shard_of(g) + 1) % 4;
-        assert_eq!(table.fence(&[(g, away)]), 1);
-        assert_eq!(table.shard_of(g), away);
-        // Scale-out: overrides may exceed the base shard count.
-        assert_eq!(table.fence(&[(g, 6)]), 2);
-        assert_eq!(table.shard_of(g), 6);
-        // Migrate-back keeps an explicit override and a new epoch.
-        let home = base.shard_of(g);
-        assert_eq!(table.fence(&[(g, home)]), 3);
-        assert_eq!(table.shard_of(g), home);
-        assert_eq!(table.epoch(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "integrated by two shards")]
     fn reduce_rejects_a_group_finished_by_two_shards() {
         let slab = CellRange { start: 0, len: 4 };
-        // Group 1 fully integrated by both lineages: the fence safety net
-        // must refuse to merge.
+        // Group 1 fully integrated by both shards: the reduction must
+        // refuse to merge.
         let a = vec![state_with_groups(0, slab, &[0, 1])];
         let b = vec![state_with_groups(0, slab, &[1, 2])];
+        reduce_worker_states(&[a, b]);
+    }
+
+    /// Static routing gives each group one shard: a group finished on
+    /// worker 0 of one shard and on worker 1 of another is a double count
+    /// too, although no single worker saw it twice.
+    #[test]
+    #[should_panic(expected = "group 3 was integrated by two shards (0 and 1)")]
+    fn reduce_rejects_a_group_finished_on_different_workers_of_two_shards() {
+        let slabs = [
+            CellRange { start: 0, len: 4 },
+            CellRange { start: 4, len: 4 },
+        ];
+        let a = vec![
+            state_with_groups(0, slabs[0], &[0, 3]),
+            state_with_groups(1, slabs[1], &[0]),
+        ];
+        let b = vec![
+            state_with_groups(0, slabs[0], &[1]),
+            state_with_groups(1, slabs[1], &[1, 3]),
+        ];
         reduce_worker_states(&[a, b]);
     }
 

@@ -258,8 +258,8 @@ impl StudyResults {
 
     /// [`first_bit_mismatch`](Self::first_bit_mismatch) restricted to the
     /// order-exact families (group counts, min, max, threshold
-    /// exceedance).  This is the contract across a migration fence, which
-    /// changes the order groups fold in: the pairwise-merged accumulators
+    /// exceedance).  This is the contract across shard counts, which
+    /// change the order groups fold in: the pairwise-merged accumulators
     /// then agree to merge rounding only, and the Robbins–Monro quantile
     /// updates are order-dependent by construction.
     pub fn first_order_exact_mismatch(&self, other: &StudyResults) -> Option<String> {

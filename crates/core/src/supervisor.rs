@@ -1,8 +1,8 @@
 //! The shard supervisor's decisions, without I/O (paper Section 4.2).
 //!
 //! [`SupervisorState`] is what one shard supervisor knows — owned,
-//! running, finished and abandoned groups, retries, the chaos script,
-//! awaited handoffs, adopted floors, the report and its journal — and
+//! running, finished and abandoned groups, retries, the scripted server
+//! kills, the report and its journal — and
 //! [`step`](SupervisorState::step) is everything it decides: handed one
 //! [`Event`] and the instant it was seen, it answers with the [`Action`]s
 //! to carry out.  It owns no thread, lock, link or server and never reads
@@ -19,36 +19,12 @@ use melissa_telemetry::{EventKind, StudyEvent};
 use melissa_transport::{instant_after, LoadMonitor};
 
 use crate::config::StudyConfig;
-use crate::fault::{FaultPlan, Migration, MigrationMoves, ShardKill};
+use crate::fault::FaultPlan;
 use crate::group::GroupOutcome;
 use crate::launcher::{MAX_GROUP_RETRIES, REPORT_INTERVAL};
 use crate::protocol::Message;
 use crate::report::StudyReport;
-use crate::server::state::WorkerState;
 use crate::server::ServerCounters;
-
-/// One group crossing an epoch fence: everything the adopting shard needs
-/// to resume it.
-#[derive(Debug, Clone)]
-pub(crate) struct MigratedGroup {
-    pub id: u64,
-    /// Per server worker, the last timestep it fully integrated before
-    /// the fence (`-1` if none): the target adopts these as
-    /// discard-on-replay floors, so the replay skips what the source kept.
-    pub floors: Vec<i64>,
-    /// Instance number the target submits the replayed group job as.
-    pub next_instance: u32,
-}
-
-/// One fence's handoff between supervisors.  An *empty* one still counts
-/// toward the target's expected-handoff quota, so a scripted target never
-/// waits for groups that finished before the fence.
-#[derive(Debug, Clone)]
-pub(crate) struct Handoff {
-    pub from: usize,
-    pub epoch: u64,
-    pub groups: Vec<MigratedGroup>,
-}
 
 /// What a supervisor learns.
 pub(crate) enum Event {
@@ -63,7 +39,6 @@ pub(crate) enum Event {
     /// The dispatcher started job `(group, instance)` at an instant.
     JobStarted(u64, u32, Instant),
     JobEnded(u64, u32, GroupOutcome),
-    Handoff(Handoff),
     /// The cross-shard `(CI width, quantile step, finished groups)` and
     /// the early-stop flag.
     Signals((f64, f64, usize), bool),
@@ -71,21 +46,12 @@ pub(crate) enum Event {
     /// checkpoint with the dead one's counters — and what it holds
     /// finished.
     ServerUp(Option<ServerCounters>, Vec<u64>),
-    /// Each fenced-out group's final per-worker floors.
-    FencedOut(Vec<(u64, Vec<i64>)>),
-    /// The routing epoch a fence raised.
-    Fenced(u64),
-    /// The dead server's checkpointed states (cold for each unreadable
-    /// worker, listed with its error).
-    Lineage(Vec<WorkerState>, Vec<(u32, String)>),
 }
 
 /// A histogram the supervisor feeds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Span {
     Turnaround,
-    Drain,
-    Adopt,
 }
 
 /// What a supervisor does.
@@ -99,18 +65,6 @@ pub(crate) enum Action {
     /// Abandon the server, start one restored from its checkpoint;
     /// answers [`Event::ServerUp`].
     RestartServer,
-    /// Fence groups out through the flush barrier; answers
-    /// [`Event::FencedOut`].
-    FenceOut(Vec<u64>),
-    /// Install replay floors and wait until every worker has them.
-    InstallFloors(Vec<(u64, Vec<i64>)>),
-    /// Re-route groups to a slot under a new routing epoch; answers
-    /// [`Event::Fenced`].
-    Fence(Vec<u64>, usize),
-    Checkpoint,
-    /// Deliver a handoff to a slot and wake it (a `None` epoch is the
-    /// routing table's current one).
-    HandOff(usize, Option<u64>, Vec<MigratedGroup>),
     /// Publish this shard's `(CI width, quantile step, finished groups)`.
     Publish(f64, f64, usize),
     /// Raise the study's early-stop flag and wake every peer.
@@ -119,12 +73,8 @@ pub(crate) enum Action {
     Record(Span, Instant),
     /// Mirror a journal event into the live telemetry ring.
     Journal(StudyEvent),
-    /// Abandon the dead server and read its checkpoints; answers
-    /// [`Event::Lineage`].
-    ReadLineage,
-    /// End the run: the live server's states (`None`) or the dead one's
-    /// lineage are the shard's statistics.
-    Finish(Option<Vec<WorkerState>>),
+    /// End the run: the live server's states are the shard's statistics.
+    Finish,
     Fail(String),
 }
 
@@ -135,20 +85,12 @@ struct Job(u32, Option<Instant>, Option<GroupOutcome>);
 /// What the state waits for.
 enum Pending {
     Restart,
-    /// The flush barriers of a migration to a slot, begun at an instant.
-    FenceOut(usize, Instant),
-    /// The lineage of a dead server re-homing to a slot.
-    Lineage(usize),
-    /// The epoch of a fence moving groups to a slot: a migration begun at
-    /// an instant, or a re-homing with the dead server's lineage.
-    Fence(usize, Vec<MigratedGroup>, Instant, Option<Vec<WorkerState>>),
     /// `Finish` or `Fail` was emitted.
     Over,
 }
 
 /// The decision core of one shard supervisor.
 pub(crate) struct SupervisorState {
-    shard: usize,
     config: StudyConfig,
     /// The study clock's origin; the wall limit counts from it.
     started: Instant,
@@ -171,23 +113,17 @@ pub(crate) struct SupervisorState {
     /// Highest instance number each group has run as.
     retries: HashMap<u64, u32>,
     abandoned: HashSet<u64>,
-    /// Live ownership: shrinks when a fence migrates groups away, grows
-    /// when a handoff arrives.
+    /// The groups the router gave this shard.
     my_groups: HashSet<u64>,
     known_finished: HashSet<u64>,
     known_running: HashSet<u64>,
-    /// The chaos script, each a sorted queue consumed by trigger.
-    kills: VecDeque<ShardKill>,
-    migrations: VecDeque<Migration>,
-    /// Inbound handoffs not yet received; ownership is final only at 0.
-    handoffs_awaited: usize,
-    /// Floors adopted from inbound handoffs: a later permanent death hands
-    /// off at least these even if the checkpoint predates them.
-    adopted_floors: HashMap<u64, Vec<i64>>,
+    /// The scripted server kills' trigger points, a sorted queue
+    /// consumed as each fires.
+    kills: VecDeque<usize>,
 }
 
 impl SupervisorState {
-    /// Slot `shard`, owning `groups`, its server started at `now`;
+    /// Shard `shard`, owning `groups`, its server started at `now`;
     /// nothing is submitted before the first [`Event::ServerUp`].
     pub(crate) fn new(
         config: &StudyConfig,
@@ -199,16 +135,13 @@ impl SupervisorState {
     ) -> Self {
         let mut report = StudyReport::new(config.n_groups);
         report.n_shards = config.n_shards;
-        // Stamped on the shared study clock and tagged with this slot, so
+        // Stamped on the shared study clock and tagged with this shard, so
         // per-shard journals merge on one axis.
         report.origin = started;
         report.shard = shard as u32;
         report.final_max_quantile_step = f64::INFINITY;
         report.quantile_probs = config.quantile_probs.clone();
-        // A joiner slot: everything arrives by handoff.
-        report.shards_joined = u32::from(shard >= config.n_shards);
         Self {
-            shard,
             config: config.clone(),
             started,
             load: LoadMonitor::new(),
@@ -228,9 +161,6 @@ impl SupervisorState {
             known_finished: HashSet::new(),
             known_running: HashSet::new(),
             kills: faults.kills_for_shard(shard).into(),
-            migrations: faults.migrations_from(shard).into(),
-            handoffs_awaited: faults.expected_handoffs(shard),
-            adopted_floors: HashMap::new(),
         }
     }
 
@@ -254,15 +184,11 @@ impl SupervisorState {
                     job.2 = Some(outcome);
                 }
             }
-            Event::Handoff(handoff) => self.adopt(handoff),
             Event::Signals(signals, early_stop) => {
                 self.signals = signals;
                 self.early_stop |= early_stop;
             }
             Event::ServerUp(ended, finished) => self.server_up(ended, finished),
-            Event::FencedOut(fenced) => self.fenced_out(fenced),
-            Event::Fenced(epoch) => self.fenced(epoch),
-            Event::Lineage(lineage, unreadable) => self.rehome(lineage, unreadable),
         }
         self.decide();
         std::mem::take(&mut self.out)
@@ -468,7 +394,7 @@ impl SupervisorState {
     }
 
     /// Every decision that follows from what is known at `now`, in a
-    /// fixed order: the wall limit, the chaos script, server recovery,
+    /// fixed order: the wall limit, the kill script, server recovery,
     /// jobs, convergence, completion.
     fn decide(&mut self) {
         if self.pending.is_some() {
@@ -483,28 +409,11 @@ impl SupervisorState {
             return self.end(Action::Fail(error));
         }
         let finished = self.known_finished.len();
-        if let Some(m) = (self.migrations).pop_front_if(|m| finished >= m.after_finished_groups) {
-            return self.fence_out(m);
-        }
-        // At most one kill per step: a transient kill crash-restores
-        // before the next script entry, a permanent one ends the run.
-        let kill = (self.kills).pop_front_if(|k| finished >= k.after_finished_groups);
-        let crashed = kill.is_some();
-        if let Some(k) = kill {
+        // At most one kill per step: it crash-restores before the next
+        // script entry.
+        let crashed = (self.kills).pop_front_if(|k| finished >= *k).is_some();
+        if crashed {
             let finished = finished as u64;
-            if k.permanent {
-                let to = k
-                    .rehome_to
-                    .expect("validated: permanent kills name a re-home target");
-                let rehome_to = to as u32;
-                self.log(EventKind::ShardDeathInjected {
-                    finished,
-                    rehome_to,
-                });
-                self.stop_all();
-                self.pending = Some(Pending::Lineage(to));
-                return self.emit(Action::ReadLineage);
-            }
             self.log(EventKind::ServerKillInjected { finished });
             self.emit(Action::CrashServer);
         }
@@ -520,15 +429,12 @@ impl SupervisorState {
         self.reconcile_jobs();
         self.check_convergence();
         if self.done() {
-            self.owe_handoffs();
             self.report.groups_finished = finished;
-            // An empty shard's neutral signal must not become ∞ (judged
-            // on current ownership: a drained shard published its neutral
-            // signal at the fence).
+            // An empty shard's neutral signal must not become ∞.
             if !self.my_groups.is_empty() {
                 self.publish_signals();
             }
-            self.end(Action::Finish(None));
+            self.end(Action::Finish);
         }
     }
 
@@ -611,199 +517,14 @@ impl SupervisorState {
         }
     }
 
-    /// Completion: every owned group settled *and* the chaos script
-    /// played out (an unfired fence would leave its target waiting on its
-    /// quota forever), or the study stopped early; with no job running.
+    /// Completion: every owned group settled *and* every scripted kill
+    /// fired, or the study stopped early; with no job running.
     fn done(&self) -> bool {
-        let script_done =
-            self.migrations.is_empty() && self.kills.is_empty() && self.handoffs_awaited == 0;
+        let script_done = self.kills.is_empty();
         let owned_finished = self.known_finished.intersection(&self.my_groups).count();
         let settled = owned_finished + self.abandoned.len() >= self.my_groups.len();
         (self.report.early_stopped || (script_done && settled)) && self.active.is_empty()
     }
-
-    /// The unfired rest of this slot's script still counts toward its
-    /// targets' quotas: deliver those handoffs empty.
-    fn owe_handoffs(&mut self) {
-        let migrations = self.migrations.iter().map(|m| m.to);
-        let rehomings = (self.kills.iter().filter(|k| k.permanent)).filter_map(|k| k.rehome_to);
-        let owed: Vec<usize> = migrations.chain(rehomings).collect();
-        for to in owed {
-            self.emit(Action::HandOff(to, None, Vec::new()));
-        }
-    }
-
-    /// An inbound handoff: floors first — the ban lift and discard floors
-    /// must be in place before the replayed instance's first frame.
-    fn adopt(&mut self, handoff: Handoff) {
-        self.handoffs_awaited = self.handoffs_awaited.saturating_sub(1);
-        if handoff.groups.is_empty() {
-            return;
-        }
-        let (epoch, n_groups, from) = (handoff.epoch, handoff.groups.len() as u64, handoff.from);
-        let from = from as u32;
-        self.log(EventKind::GroupsAdopted {
-            epoch,
-            n_groups,
-            from,
-        });
-        let floors = handoff.groups.iter().map(|mg| (mg.id, mg.floors.clone()));
-        self.emit(Action::InstallFloors(floors.collect()));
-        for mg in handoff.groups {
-            self.my_groups.insert(mg.id);
-            self.adopted_floors.insert(mg.id, mg.floors);
-            self.relaunch(mg.id, mg.next_instance);
-        }
-        // Persist the adoption: a transient crash right after must restore
-        // the adopted floors, not pre-fence state.
-        self.emit(Action::Checkpoint);
-        self.emit(Action::Record(Span::Adopt, self.now));
-    }
-
-    /// A migration: the owned, unfinished, not abandoned groups it names
-    /// leave through the flush barrier, their senders stopped first so
-    /// the barrier fences a *final* floor.
-    fn fence_out(&mut self, m: Migration) {
-        let pool: Vec<u64> = match m.moves {
-            MigrationMoves::Groups(gs) => gs,
-            MigrationMoves::AllUnfinished => self.my_groups.iter().copied().collect(),
-        };
-        let mut candidates: Vec<u64> = (pool.into_iter())
-            .filter(|g| !self.known_finished.contains(g) && !self.abandoned.contains(g))
-            .filter(|g| self.my_groups.contains(g))
-            .collect();
-        candidates.sort_unstable();
-        for &g in &candidates {
-            self.stop_job(g);
-        }
-        self.pending = Some(Pending::FenceOut(m.to, self.now));
-        self.emit(Action::FenceOut(candidates));
-    }
-
-    /// The flush barriers' floors.  A group some worker already fully
-    /// integrated is too late to move: it is re-adopted locally (lifting
-    /// the ban) and resubmitted unless every worker finished it.
-    fn fenced_out(&mut self, fenced: Vec<(u64, Vec<i64>)>) {
-        let Some(Pending::FenceOut(to, started)) = self.pending.take() else {
-            return;
-        };
-        let (last_ts, shard) = (self.config.solver.n_timesteps as i64 - 1, self.shard as u32);
-        let mut moved = Vec::new();
-        for (id, floors) in fenced {
-            let next_instance = self.next_instance(id);
-            if floors.iter().any(|&f| f >= last_ts) {
-                let finished = floors.iter().all(|&f| f >= last_ts);
-                self.emit(Action::InstallFloors(vec![(id, floors)]));
-                self.log(EventKind::FinishedDuringFence { group: id, shard });
-                if !finished {
-                    self.relaunch(id, next_instance);
-                }
-            } else {
-                self.my_groups.remove(&id);
-                self.known_running.remove(&id);
-                moved.push(MigratedGroup {
-                    id,
-                    floors,
-                    next_instance,
-                });
-            }
-        }
-        self.fence(to, moved, started, None);
-    }
-
-    /// Re-routes `groups` to slot `to`; [`Event::Fenced`] resumes at
-    /// [`Self::fenced`].
-    fn fence(
-        &mut self,
-        to: usize,
-        groups: Vec<MigratedGroup>,
-        at: Instant,
-        lineage: Option<Vec<WorkerState>>,
-    ) {
-        self.emit(Action::Fence(groups.iter().map(|mg| mg.id).collect(), to));
-        self.pending = Some(Pending::Fence(to, groups, at, lineage));
-    }
-
-    fn fenced(&mut self, epoch: u64) {
-        let Some(Pending::Fence(to, groups, started, lineage)) = self.pending.take() else {
-            return;
-        };
-        let (n_groups, from, to32) = (groups.len() as u64, self.shard as u32, to as u32);
-        self.report.groups_migrated += n_groups;
-        let Some(lineage) = lineage else {
-            self.emit(Action::Record(Span::Drain, started));
-            self.log(EventKind::MigrationFence {
-                epoch,
-                n_groups,
-                from,
-                to: to32,
-            });
-            // Persist the post-fence floors before anything else can fail:
-            // a transient restore must never resurrect a migrated group's
-            // pre-fence state.
-            self.emit(Action::Checkpoint);
-            self.emit(Action::HandOff(to, Some(epoch), groups));
-            if self.my_groups.is_empty() {
-                // Drained by scale-in: a neutral signal.
-                self.emit(Action::Publish(0.0, 0.0, self.known_finished.len()));
-            }
-            return;
-        };
-        self.report.shards_rehomed = 1;
-        self.log(EventKind::ShardRehomed {
-            epoch,
-            n_groups,
-            from,
-            to: to32,
-        });
-        self.emit(Action::HandOff(to, Some(epoch), groups));
-        let owned = self.my_groups.iter();
-        let finished = owned.filter(|&&g| finished_everywhere(&lineage, g)).count();
-        self.report.groups_finished = finished;
-        // A dead slot must not pin the aggregate at a stale value.
-        self.emit(Action::Publish(0.0, 0.0, finished));
-        self.owe_handoffs();
-        self.end(Action::Finish(Some(lineage)));
-    }
-
-    /// The permanent-death exit: the dead server's last checkpoint *is*
-    /// its statistics lineage, and every group it has not finished on
-    /// every worker re-homes, with per-worker floors (the checkpointed
-    /// floor, raised to any floor this slot adopted).
-    fn rehome(&mut self, lineage: Vec<WorkerState>, unreadable: Vec<(u32, String)>) {
-        let Some(Pending::Lineage(to)) = self.pending.take() else {
-            return;
-        };
-        for (worker, detail) in unreadable {
-            self.log(EventKind::CheckpointUnreadable { worker, detail });
-        }
-        let mut moved: Vec<u64> = (self.my_groups.iter().copied())
-            .filter(|&g| !self.abandoned.contains(&g) && !finished_everywhere(&lineage, g))
-            .collect();
-        moved.sort_unstable();
-        let floor = |g: u64, w: usize, st: &WorkerState| {
-            let adopted = self.adopted_floors.get(&g).map_or(-1, |f| f[w]);
-            st.completed_floor(g).max(adopted)
-        };
-        let groups = (moved.iter())
-            .map(|&id| {
-                let floors = lineage.iter().enumerate().map(|(w, st)| floor(id, w, st));
-                let next_instance = self.next_instance(id);
-                MigratedGroup {
-                    id,
-                    floors: floors.collect(),
-                    next_instance,
-                }
-            })
-            .collect();
-        self.fence(to, groups, self.now, Some(lineage));
-    }
-}
-
-/// Whether every worker of `lineage` finished group `g` (only those stay
-/// with a dead shard; the rest replay their tail on the target).
-fn finished_everywhere(lineage: &[WorkerState], g: u64) -> bool {
-    lineage.iter().all(|s| s.finished_groups().contains(&g))
 }
 
 #[cfg(test)]
@@ -1001,7 +722,7 @@ mod tests {
                             }
                             _ => {}
                         },
-                        Action::Finish(_) => {
+                        Action::Finish => {
                             prop_assert!(self.active.is_empty(), "finished with jobs");
                             let settled =
                                 |g| self.known.contains(&g) || self.abandoned.contains(&g);

@@ -17,6 +17,7 @@ use melissa::shard::{reduce_worker_states, GroupRouter};
 use melissa::{FaultPlan, Study, StudyConfig, StudyOutput};
 use melissa_mesh::CellRange;
 use melissa_telemetry::EventKind;
+use melissa_transport::TransportKind;
 use proptest::prelude::*;
 
 fn shard_config(n_shards: usize, tag: &str) -> StudyConfig {
@@ -188,32 +189,56 @@ fn killed_shard_restores_from_checkpoint_bit_identically() {
 
     let reference = run(shard_config(n_shards, "nofault"), FaultPlan::none());
 
-    let mut config = shard_config(n_shards, "killed");
-    config.checkpoint_interval = Duration::from_millis(150);
-    let faults = FaultPlan::none().with_server_kill_after_on_shard(1, victim);
-    let killed = run(config, faults);
+    // The same kill in process and over TCP loopback: recovery is the
+    // same restart in place on either backend.
+    for kind in [TransportKind::InProcess, TransportKind::Tcp] {
+        let mut config = shard_config(n_shards, &format!("killed-{kind}"));
+        config.transport = kind.clone();
+        config.checkpoint_interval = Duration::from_millis(150);
+        let faults = FaultPlan::none().with_server_kill_after_on_shard(1, victim);
+        let killed = run(config, faults);
 
-    assert!(
-        killed.report.server_restarts >= 1,
-        "the victim shard's server must have been restarted"
-    );
-    assert_eq!(killed.report.groups_finished, 6);
-    assert!(
-        killed
-            .report
-            .events
-            .iter()
-            .any(|e| e.shard as usize == victim
-                && matches!(e.kind, EventKind::ServerKillInjected { .. })),
-        "kill must be logged against the victim shard: {:?}",
-        killed.report.events
-    );
+        assert!(
+            killed.report.server_restarts >= 1,
+            "{kind}: the victim shard's server must have been restarted"
+        );
+        assert_eq!(killed.report.groups_finished, 6, "{kind}");
+        assert!(
+            killed
+                .report
+                .events
+                .iter()
+                .any(|e| e.shard as usize == victim
+                    && matches!(e.kind, EventKind::ServerKillInjected { .. })),
+            "{kind}: kill must be logged against the victim shard: {:?}",
+            killed.report.events
+        );
 
-    // The restored shard replays its unfinished groups in the same order;
-    // discard-on-replay drops what the checkpoint already integrated.
-    // Every statistics family of every shard is bit-identical to the
-    // fault-free run.
-    assert_eq!(reference.results.first_bit_mismatch(&killed.results), None);
+        // The restored shard replays its unfinished groups in the same
+        // order; discard-on-replay drops what the checkpoint already
+        // integrated.  Every statistics family of every shard is
+        // bit-identical to the fault-free run.
+        assert_eq!(
+            reference.results.first_bit_mismatch(&killed.results),
+            None,
+            "{kind}"
+        );
+    }
+}
+
+/// A scripted kill of a shard the study does not run is refused before
+/// anything starts: its supervisor would never exist, so the kill would
+/// never fire and the fault test would pass without one.
+#[test]
+fn a_kill_of_a_shard_the_study_does_not_run_is_refused() {
+    let config = shard_config(2, "no-such-shard");
+    let faults = FaultPlan::none().with_server_kill_after_on_shard(1, 5);
+    let err = Study::new(config)
+        .with_faults(faults)
+        .run()
+        .err()
+        .expect("a kill of shard 5 in a 2-shard study");
+    assert!(err.contains("shard 5 out of range"), "{err}");
 }
 
 // ---------------------------------------------------------------------

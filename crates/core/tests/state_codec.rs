@@ -2,8 +2,7 @@
 //! study-end reduction, from outside the crate:
 //!
 //! * the v4 bytes of a fixed seeded state are pinned by a digest computed
-//!   at the commit before the codec was rewritten, so the layout provably
-//!   did not move;
+//!   by an earlier commit's codec, so the layout provably did not move;
 //! * `unpack_state` is fed truncated, bit-flipped and arbitrary bytes and
 //!   must answer `Err(CheckpointError::…)` — never a panic, an abort or an
 //!   allocation sized by the blob;
@@ -40,8 +39,7 @@ fn feed(st: &mut WorkerState, lcg: &mut Lcg, group: u64, ts: u32) {
 }
 
 /// The pinned state: three ragged tiles at `p = 3`, thresholds, quantiles,
-/// a finished group, a running group, a group that migrated away and back
-/// (two ledger segments), a banned group and an in-flight assembly.
+/// a finished group, a running group and an in-flight assembly.
 fn golden_state() -> WorkerState {
     const TS: u32 = 3;
     let slab = CellRange {
@@ -55,14 +53,7 @@ fn golden_state() -> WorkerState {
     }
     feed(&mut st, &mut lcg, 9, 0);
     feed(&mut st, &mut lcg, 9, 1);
-    // Group 6: integrated ts 0, fenced away, adopted back past ts 1.
-    feed(&mut st, &mut lcg, 6, 0);
-    st.ban_group(6);
-    st.adopt_floor(6, 1);
-    feed(&mut st, &mut lcg, 6, 2);
-    // Group 2 is fenced away for good; group 13 is still assembling.
-    feed(&mut st, &mut lcg, 2, 0);
-    st.ban_group(2);
+    // Group 13 is still assembling.
     st.on_data(13, 0, 0, slab.start as u64, &vec![1.0; slab.len]);
     st
 }
@@ -132,10 +123,13 @@ fn streamed_bytes_match_pack_state_and_the_golden_digest() {
     );
 }
 
-/// `pack_state(&golden_state())` at commit 449bbdf (PR 11), the parent of
-/// the codec rewrite.
-const GOLDEN_LEN: usize = 195_720;
-const GOLDEN_FNV1A64: u64 = 0x5e78_c1b1_7487_ffb1;
+/// `pack_state(&golden_state())` computed by the codec of commit ef3cea6,
+/// which still kept the interval section as an in-memory ledger (this
+/// state's groups never moved, so the ledger held one segment each).
+/// Before the fixture lost its migrated and banned groups, the pin was
+/// `(195_720, 0x5e78_c1b1_7487_ffb1)`, from commit 449bbdf.
+const GOLDEN_LEN: usize = 195_600;
+const GOLDEN_FNV1A64: u64 = 0x1c40_4cf4_06e1_9e1c;
 
 // ---------------------------------------------------------------------
 // Hostile bytes
@@ -161,7 +155,8 @@ fn assert_no_blob_sized_allocation() {
 }
 
 /// A state small enough to attack exhaustively (≈ 1.6 kB packed) that
-/// still has every section: thresholds, quantiles, a two-segment ledger.
+/// still has every section: thresholds, quantiles, a finished and a
+/// running group in the interval section.
 fn tiny_state() -> WorkerState {
     let slab = CellRange { start: 3, len: 5 };
     let mut st = WorkerState::with_stats(0, slab, 2, 3, &[0.5], &[0.25, 0.75]);
@@ -170,9 +165,6 @@ fn tiny_state() -> WorkerState {
         feed(&mut st, &mut lcg, 1, ts);
     }
     feed(&mut st, &mut lcg, 2, 0);
-    st.ban_group(2);
-    st.adopt_floor(2, 1);
-    feed(&mut st, &mut lcg, 2, 2);
     st
 }
 
@@ -269,9 +261,8 @@ fn reference_reduce(shards: &[Vec<WorkerState>]) -> Vec<WorkerState> {
 const TS: u32 = 3;
 
 /// Random lineages: `n_shards × n_workers` states over six groups, each
-/// group either whole on one shard, migrated mid-run from one shard to
-/// another (ban on the source, adopted floor on the target), or abandoned
-/// half-assembled; plus a fenced-away group on shard 0.
+/// group either whole on one shard or abandoned half-assembled; plus an
+/// assembly left in flight on shard 0.
 fn random_lineages(n_shards: usize, n_workers: usize, seed: u64) -> Vec<Vec<WorkerState>> {
     let mut lcg = Lcg(seed);
     let mut pick = |n: usize| (lcg.next() + 10.0) as usize * 7919 % n;
@@ -291,33 +282,20 @@ fn random_lineages(n_shards: usize, n_workers: usize, seed: u64) -> Vec<Vec<Work
     let mut values = Lcg(seed ^ 0xabcd);
     for g in 0..6u64 {
         let home = pick(n_shards);
-        let cut = match pick(3) {
-            0 if n_shards > 1 => pick(TS as usize - 1) as u32 + 1, // migrates before ts `cut`
-            1 => 0,                                                // abandoned
-            _ => TS,                                               // whole on `home`
-        };
-        let away = (home + 1 + pick(n_shards.max(2) - 1)) % n_shards;
-        // False positive: `w` indexes the workers of two different shards.
-        #[allow(clippy::needless_range_loop)]
-        for w in 0..n_workers {
-            for ts in 0..cut {
-                feed(&mut shards[home][w], &mut values, g, ts);
-            }
-            if cut == 0 {
+        let abandoned = pick(3) == 1;
+        for st in &mut shards[home] {
+            if abandoned {
                 // One role of the first timestep only: left in flight.
-                let slab = shards[home][w].slab();
-                shards[home][w].on_data(g, 1, 0, slab.start as u64, &vec![2.0; slab.len]);
-            } else if cut < TS {
-                let floor = shards[home][w].ban_group(g);
-                shards[away][w].adopt_floor(g, floor);
-                for ts in cut..TS {
-                    feed(&mut shards[away][w], &mut values, g, ts);
+                let slab = st.slab();
+                st.on_data(g, 1, 0, slab.start as u64, &vec![2.0; slab.len]);
+            } else {
+                for ts in 0..TS {
+                    feed(st, &mut values, g, ts);
                 }
             }
         }
     }
     for st in &mut shards[0] {
-        st.ban_group(99);
         let slab = st.slab();
         st.on_data(77, 0, 1, slab.start as u64, &vec![3.0; slab.len]);
     }
@@ -336,13 +314,13 @@ proptest! {
         seed in 0u64..1 << 40,
     ) {
         let shards = random_lineages(n_shards, n_workers, seed);
-        prop_assert!(shards[0].iter().all(|st| st.pending_assemblies() > 0 && st.is_banned(99)));
+        prop_assert!(shards[0].iter().all(|st| st.pending_assemblies() > 0));
         let want: Vec<Vec<u8>> = reference_reduce(&shards).iter().map(pack_state).collect();
         let borrowed: Vec<Vec<u8>> = reduce_worker_states(&shards).iter().map(pack_state).collect();
         prop_assert!(borrowed == want, "borrowing reduction differs");
         let reduced = reduce_owned_states(shards);
         prop_assert!(reduced.iter().all(|st| st.pending_assemblies() == 0));
-        prop_assert!(reduced.iter().all(|st| st.pooled_assemblies() == 0 && !st.is_banned(99)));
+        prop_assert!(reduced.iter().all(|st| st.pooled_assemblies() == 0));
         let owned: Vec<Vec<u8>> = reduced.iter().map(pack_state).collect();
         prop_assert!(owned == want, "consuming reduction differs");
     }

@@ -102,7 +102,6 @@ fn assert_outputs_match(reference: &StudyOutput, scraped: &StudyOutput) {
         reference.report.groups_finished,
         scraped.report.groups_finished
     );
-    assert_eq!(reference.report.routing_epoch, scraped.report.routing_epoch);
 
     assert_eq!(
         reference.results.first_bit_mismatch(&scraped.results),
@@ -143,8 +142,7 @@ fn report_carries_the_typed_journal_and_epoch() {
     for event in &output.report.events {
         assert!(text.contains(&event.kind.render()), "report: {text}");
     }
-    // Satellite surface: epoch and reconnect counters are first-class.
-    assert_eq!(output.report.routing_epoch, 0, "clean run never fences");
+    // Satellite surface: the reconnect counter is first-class.
     assert_eq!(output.report.transport_reconnects, 0);
 }
 

@@ -10,7 +10,7 @@
 //!
 //! Each admitted study runs under the unchanged launcher supervision
 //! machinery inside its own endpoint scope (`study<id>/…`, so routing,
-//! checkpoints, telemetry and migration stay isolated per study) and
+//! checkpoints and telemetry stay isolated per study) and
 //! dispatches its groups through a per-study
 //! [`StreamHandle`](melissa_scheduler::StreamHandle) into the
 //! shared deficit-round-robin [`FairRunner`] pool.  The stream cap

@@ -9,8 +9,8 @@
 //! `melissa-sobol` for the Sobol' tiles).  The tables below make that
 //! contract auditable in one place — for the checkpoint files and for
 //! every other place a worker state leaves its process as these bytes:
-//! dead-shard re-homing, a remote shard shipping its states to the
-//! reducer, the daemon's `results` RPC.  (The in-process study-end
+//! a remote shard shipping its states to the reducer, the daemon's
+//! `results` RPC.  (The in-process study-end
 //! reduction owns its states and merges them in place; it produces no
 //! bytes.)
 //!
@@ -127,13 +127,13 @@
 //!
 //! | field | type | meaning |
 //! |---|---|---|
-//! | n_groups | `u64` | groups with an interval ledger, **sorted by group id** |
-//! | per group: group, n_segs | `u64, u64` | the group and its segment count |
-//! | per group: (lo, hi) | `(i64, i64) × n_segs` | timestep segments `(lo, hi]` this worker integrated, `lo < hi` |
+//! | n_groups | `u64` | equal to Section 6's `n_groups`, the same groups **sorted by group id** |
+//! | per group: group, n_segs | `u64, u64` | the group, and `n_segs = 1` |
+//! | per group: (lo, hi) | `(i64, i64)` | `(-1, last_completed)`: the timesteps `(lo, hi]` this worker integrated |
 //!
-//! The study-end reduction uses the ledger to prove every
-//! `(group, timestep)` was integrated exactly once across the state
-//! lineages a migration or re-homing creates.
+//! A worker integrates each group's timesteps in order and a group never
+//! changes shards, so the section is a function of Section 6: the writer
+//! derives it, and the reader refuses any other entry as corrupt.
 //!
 //! ## Version
 //!

@@ -1,4 +1,4 @@
-//! The typed study-event journal: every failure/restart/rebalance event a
+//! The typed study-event journal: every failure/restart event a
 //! supervisor used to log as free text, as a timestamped, shard-scoped,
 //! codec-serializable value.
 //!
@@ -63,53 +63,7 @@ pub enum EventKind {
         /// Finished groups when the kill fired.
         finished: u64,
     },
-    /// A scripted permanent shard death fired.
-    ShardDeathInjected {
-        /// Finished groups when the death fired.
-        finished: u64,
-        /// The slot adopting this shard's groups.
-        rehome_to: u32,
-    },
-    /// An epoch fence migrated groups away from this shard.
-    MigrationFence {
-        /// The new routing epoch.
-        epoch: u64,
-        /// Groups handed off.
-        n_groups: u64,
-        /// The source shard.
-        from: u32,
-        /// The target slot.
-        to: u32,
-    },
-    /// A handoff arrived: this shard adopted migrated groups.
-    GroupsAdopted {
-        /// The fencing epoch.
-        epoch: u64,
-        /// Groups adopted.
-        n_groups: u64,
-        /// The source slot.
-        from: u32,
-    },
-    /// A group finished while its migration fence was draining; it stays.
-    FinishedDuringFence {
-        /// The group that finished.
-        group: u64,
-        /// The shard it stays on.
-        shard: u32,
-    },
-    /// A dead shard's unfinished groups were re-homed to a peer.
-    ShardRehomed {
-        /// The fencing epoch.
-        epoch: u64,
-        /// Groups re-homed.
-        n_groups: u64,
-        /// The dead shard.
-        from: u32,
-        /// The adopting slot.
-        to: u32,
-    },
-    /// A worker checkpoint could not be read during permanent-death
-    /// re-homing; that worker hands off cold.
+    /// A worker checkpoint could not be read; that worker starts cold.
     CheckpointUnreadable {
         /// The worker whose checkpoint was unreadable.
         worker: u32,
@@ -175,40 +129,9 @@ impl EventKind {
             EventKind::ServerKillInjected { finished } => {
                 format!("FAULT INJECTION: killing server after {finished} finished groups")
             }
-            EventKind::ShardDeathInjected {
-                finished,
-                rehome_to,
-            } => format!(
-                "FAULT INJECTION: permanent shard death after {finished} finished groups; \
-                 re-homing to slot {rehome_to}"
-            ),
-            EventKind::MigrationFence {
-                epoch,
-                n_groups,
-                from,
-                to,
-            } => {
-                format!("epoch {epoch}: migrating {n_groups} groups from shard {from} to slot {to}")
+            EventKind::CheckpointUnreadable { worker, detail } => {
+                format!("worker {worker} checkpoint unreadable ({detail}); cold start")
             }
-            EventKind::GroupsAdopted {
-                epoch,
-                n_groups,
-                from,
-            } => format!("epoch {epoch}: adopting {n_groups} groups from slot {from}"),
-            EventKind::FinishedDuringFence { group, shard } => {
-                format!("group {group} finished during the fence; staying on shard {shard}")
-            }
-            EventKind::ShardRehomed {
-                epoch,
-                n_groups,
-                from,
-                to,
-            } => format!(
-                "epoch {epoch}: re-homing {n_groups} groups from dead shard {from} to slot {to}"
-            ),
-            EventKind::CheckpointUnreadable { worker, detail } => format!(
-                "worker {worker} checkpoint unreadable on permanent death ({detail}); cold hand-off"
-            ),
             EventKind::EarlyStop {
                 max_ci,
                 max_qstep,
@@ -222,6 +145,8 @@ impl EventKind {
     }
 }
 
+// Tags 9–13 carried the retired shard-death and migration events; they
+// decode as unknown tags and are never reused.
 melissa_transport::wire_enum!(EventKind {
     1 => GroupTimeout { group },
     2 => GroupRestarted { group, instance },
@@ -231,11 +156,6 @@ melissa_transport::wire_enum!(EventKind {
     6 => GroupResubmitted { group, instance },
     7 => ServerRestarted,
     8 => ServerKillInjected { finished },
-    9 => ShardDeathInjected { finished, rehome_to },
-    10 => MigrationFence { epoch, n_groups, from, to },
-    11 => GroupsAdopted { epoch, n_groups, from },
-    12 => FinishedDuringFence { group, shard },
-    13 => ShardRehomed { epoch, n_groups, from, to },
     14 => CheckpointUnreadable { worker, detail },
     15 => EarlyStop { max_ci, max_qstep, cancelled },
     16 => Info { text },
@@ -250,7 +170,7 @@ pub struct StudyEvent {
     /// Nanoseconds since the study clock's origin (shared by every shard
     /// supervisor, so timestamps are comparable across shards).
     pub at_nanos: u64,
-    /// The shard slot that logged the event.
+    /// The shard that logged the event.
     pub shard: u32,
     /// What happened.
     pub kind: EventKind,
@@ -302,28 +222,6 @@ mod tests {
             },
             EventKind::ServerRestarted,
             EventKind::ServerKillInjected { finished: 4 },
-            EventKind::ShardDeathInjected {
-                finished: 2,
-                rehome_to: 1,
-            },
-            EventKind::MigrationFence {
-                epoch: 1,
-                n_groups: 3,
-                from: 0,
-                to: 2,
-            },
-            EventKind::GroupsAdopted {
-                epoch: 1,
-                n_groups: 3,
-                from: 0,
-            },
-            EventKind::FinishedDuringFence { group: 6, shard: 1 },
-            EventKind::ShardRehomed {
-                epoch: 2,
-                n_groups: 4,
-                from: 1,
-                to: 0,
-            },
             EventKind::CheckpointUnreadable {
                 worker: 2,
                 detail: "io: not found".into(),
@@ -361,18 +259,11 @@ mod tests {
     fn renders_name_what_happened() {
         let kill = EventKind::ServerKillInjected { finished: 4 };
         assert!(kill.render().contains("FAULT INJECTION"));
-        let death = EventKind::ShardDeathInjected {
-            finished: 2,
-            rehome_to: 1,
+        let resubmitted = EventKind::GroupResubmitted {
+            group: 1,
+            instance: 2,
         };
-        assert!(death.render().contains("permanent shard death"));
-        let adopt = EventKind::GroupsAdopted {
-            epoch: 1,
-            n_groups: 3,
-            from: 0,
-        };
-        assert!(adopt.render().contains("adopting"));
-        assert!(adopt.render().contains("groups from slot"));
+        assert!(resubmitted.render().contains("after server restart"));
         let zombie = EventKind::GroupZombie {
             group: 9,
             instance: 0,

@@ -9,7 +9,7 @@
 //!   fixed log2-bucket histograms.  Recording is relaxed atomics only;
 //!   snapshots merge associatively and bit-exactly across shards.
 //! * [`events`] — the typed, timestamped [`StudyEvent`] journal of
-//!   failures, restarts and fences, with one human-readable render.
+//!   failures and restarts, with one human-readable render.
 //! * [`mod@scrape`] — the live snapshot each shard serves on its
 //!   `server/main` inbox over the study's own transport, in binary,
 //!   JSON, or Prometheus-style text (see `examples/melissa_top.rs` for a
@@ -18,8 +18,8 @@
 //!   escaping rule.
 //!
 //! A [`Telemetry`] value ties the three together for one shard: the
-//! shared registry, the shard's study clock origin, the routing epoch
-//! gauge, and a bounded ring of recent events.  It is engineered to be
+//! shared registry, the shard's study clock origin, and a bounded ring
+//! of recent events.  It is engineered to be
 //! ignorable: with telemetry disabled nothing is allocated, and with it
 //! enabled the ingest-path cost is two relaxed atomic adds plus a tick
 //! increment per frame, with the sweep-duration clock reads sampled on a
@@ -43,7 +43,6 @@ pub use scrape::{
 };
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,7 +53,7 @@ use melissa_transport::sync::Mutex;
 const EVENT_RING_CAP: usize = 256;
 
 /// One shard's live telemetry: shared metrics registry, study clock,
-/// routing-epoch gauge, and a bounded ring of recent events.
+/// and a bounded ring of recent events.
 ///
 /// Shared as `Arc<Telemetry>` between the shard supervisor (which stamps
 /// events and protocol timings), the server (which times ingest and
@@ -63,7 +62,6 @@ pub struct Telemetry {
     shard: u32,
     origin: Instant,
     registry: Registry,
-    routing_epoch: AtomicU64,
     events: Mutex<VecDeque<StudyEvent>>,
 }
 
@@ -71,7 +69,6 @@ impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
             .field("shard", &self.shard)
-            .field("routing_epoch", &self.routing_epoch.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -90,7 +87,6 @@ impl Telemetry {
             shard,
             origin,
             registry: Registry::new(),
-            routing_epoch: AtomicU64::new(0),
             events: Mutex::new(VecDeque::with_capacity(EVENT_RING_CAP)),
         })
     }
@@ -113,17 +109,6 @@ impl Telemetry {
     /// The metrics registry.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// Updates the routing-epoch gauge (set by the supervisor after
-    /// every fence).
-    pub fn set_routing_epoch(&self, epoch: u64) {
-        self.routing_epoch.store(epoch, Ordering::Relaxed);
-    }
-
-    /// The last routing epoch the supervisor observed.
-    pub fn routing_epoch(&self) -> u64 {
-        self.routing_epoch.load(Ordering::Relaxed)
     }
 
     /// Appends an event to the live ring (oldest dropped past the cap).
@@ -172,11 +157,8 @@ mod tests {
     }
 
     #[test]
-    fn routing_epoch_and_clock_are_live() {
+    fn the_clock_is_live() {
         let tele = Telemetry::new(0);
-        assert_eq!(tele.routing_epoch(), 0);
-        tele.set_routing_epoch(5);
-        assert_eq!(tele.routing_epoch(), 5);
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(tele.uptime_nanos() > 0);
         assert_eq!(tele.shard(), 0);

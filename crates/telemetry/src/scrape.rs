@@ -131,7 +131,7 @@ pub const SCRAPE_SCHEMA: u32 = 1;
 /// metrics registry and recent events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScrapeSnapshot {
-    /// The serving shard slot.
+    /// The serving shard.
     pub shard: u32,
     /// Transport backend identifier.
     pub backend: String,
@@ -145,7 +145,8 @@ pub struct ScrapeSnapshot {
     pub max_ci_width: f64,
     /// Aggregate max quantile step (NaN until defined).
     pub max_quantile_step: f64,
-    /// Current routing epoch observed by this shard's supervisor.
+    /// Routing epoch: kept in every format for the readers that parse
+    /// it.  Groups never move between shards, so a live shard reports 0.
     pub routing_epoch: u64,
     /// Transport link re-establishments (multi-node self-healing).
     pub reconnects: u64,

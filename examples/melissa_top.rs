@@ -53,7 +53,7 @@ fn config(kind: TransportKind, tag: &str) -> StudyConfig {
 /// One rendered frame of the live view.
 fn render(rows: &[ScrapeSnapshot]) {
     println!(
-        "shard  backend      up(s)   fin  run     frames       bytes        wire  zip  epoch  rcon  events"
+        "shard  backend      up(s)   fin  run     frames       bytes        wire  zip  rcon  events"
     );
     for s in rows {
         let (frames, bytes, wire) = s.links.iter().fold((0u64, 0u64, 0u64), |acc, l| {
@@ -67,7 +67,7 @@ fn render(rows: &[ScrapeSnapshot]) {
             "-".into()
         };
         println!(
-            "{:>5}  {:<11} {:>6.1} {:>5} {:>4} {:>10} {:>11} {:>11} {:>4} {:>6} {:>5} {:>7}",
+            "{:>5}  {:<11} {:>6.1} {:>5} {:>4} {:>10} {:>11} {:>11} {:>4} {:>5} {:>7}",
             s.shard,
             s.backend,
             s.uptime_nanos as f64 / 1e9,
@@ -77,7 +77,6 @@ fn render(rows: &[ScrapeSnapshot]) {
             bytes,
             wire,
             zip,
-            s.routing_epoch,
             s.reconnects,
             s.events.len(),
         );

@@ -197,14 +197,6 @@ fn golden_messages() -> Vec<(Message, &'static str)> {
             "080c0000002f746d702f636b70742fc3a9",
         ),
         (Message::Stop, "09"),
-        (Message::MigrateOut { group_id: 17 }, "0a1100000000000000"),
-        (
-            Message::AdoptFloor {
-                group_id: 18,
-                floor: -1,
-            },
-            "0b1200000000000000ffffffffffffffff",
-        ),
         (
             Message::JobEnded {
                 group_id: 5,
@@ -254,10 +246,6 @@ fn messages_keep_their_bytes_and_the_contract() {
         start: 0,
         values: vec![],
     });
-    samples.push(Message::AdoptFloor {
-        group_id: 0,
-        floor: i64::MIN,
-    });
     samples.extend(FORMATS.iter().map(|&format| Message::Scrape {
         reply_to: String::new(),
         format,
@@ -273,14 +261,44 @@ fn messages_keep_their_bytes_and_the_contract() {
         Message::GroupTimeout { .. },
         Message::Checkpoint { .. },
         Message::Stop,
-        Message::MigrateOut { .. },
-        Message::AdoptFloor { .. },
         Message::JobEnded { .. },
         Message::Wake,
         Message::ReportNow,
         Message::Scrape { .. },
     );
     assert_wire_contract(&samples);
+}
+
+/// The tags of deleted variants decode as unknown tags, never as another
+/// message: `Message` 10 and 11 (the live-migration messages, at the
+/// bytes their goldens pinned) and `EventKind` 9–13 (the shard-death and
+/// migration events, as the codec that had them encoded them).
+#[test]
+fn retired_tags_stay_retired() {
+    for bytes in ["0a1100000000000000", "0b1200000000000000ffffffffffffffff"] {
+        assert_eq!(
+            Message::decode(&unhex(bytes).into()),
+            Err(WireError::Invalid {
+                what: "unknown Message tag"
+            }),
+            "{bytes}"
+        );
+    }
+    for bytes in [
+        "09020000000000000001000000",
+        "0a010000000000000003000000000000000000000002000000",
+        "0b0100000000000000030000000000000000000000",
+        "0c060000000000000001000000",
+        "0d020000000000000004000000000000000100000000000000",
+    ] {
+        assert_eq!(
+            EventKind::from_frame(&unhex(bytes)),
+            Err(WireError::Invalid {
+                what: "unknown EventKind tag"
+            }),
+            "{bytes}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -489,28 +507,6 @@ fn event_kinds() -> Vec<EventKind> {
         },
         EventKind::ServerRestarted,
         EventKind::ServerKillInjected { finished: 4 },
-        EventKind::ShardDeathInjected {
-            finished: 2,
-            rehome_to: 1,
-        },
-        EventKind::MigrationFence {
-            epoch: 1,
-            n_groups: 3,
-            from: 0,
-            to: 2,
-        },
-        EventKind::GroupsAdopted {
-            epoch: 1,
-            n_groups: 3,
-            from: 0,
-        },
-        EventKind::FinishedDuringFence { group: 6, shard: 1 },
-        EventKind::ShardRehomed {
-            epoch: 2,
-            n_groups: 4,
-            from: 1,
-            to: 0,
-        },
         EventKind::CheckpointUnreadable {
             worker: 2,
             detail: "io: not found".into(),
@@ -534,11 +530,6 @@ fn event_kinds() -> Vec<EventKind> {
         EventKind::GroupResubmitted { .. },
         EventKind::ServerRestarted,
         EventKind::ServerKillInjected { .. },
-        EventKind::ShardDeathInjected { .. },
-        EventKind::MigrationFence { .. },
-        EventKind::GroupsAdopted { .. },
-        EventKind::FinishedDuringFence { .. },
-        EventKind::ShardRehomed { .. },
         EventKind::CheckpointUnreadable { .. },
         EventKind::EarlyStop { .. },
         EventKind::Info { .. },

@@ -23,7 +23,6 @@
 //! Recorded baselines live in `BENCH_transport.json` at the repo root.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -235,35 +234,6 @@ fn bench_directory(c: &mut Criterion) {
     g.finish();
 }
 
-/// One full self-healing cycle: sever the established serving-side
-/// connection, then send one frame and wait for it — measuring failure
-/// detection, directory re-resolve, re-dial with backoff, idempotent
-/// re-handshake, and exactly-once resume.
-fn bench_reconnect(c: &mut Criterion) {
-    let mut g = c.benchmark_group("transport_reconnect");
-    g.sample_size(7);
-
-    let directory =
-        DirectoryServer::bind("127.0.0.1:0", Duration::from_secs(60)).expect("directory listener");
-    let addr = directory.local_addr().to_string();
-    let server =
-        Arc::new(TcpTransport::with_config(TcpTransportConfig::node(&addr)).expect("server node"));
-    let client = TcpTransport::with_config(TcpTransportConfig::node(&addr)).expect("client node");
-    let rx = server.bind("bench/heal", 64);
-    let tx = client
-        .connect_retry("bench/heal", Duration::from_secs(5))
-        .expect("connect");
-    let frame = Bytes::from(vec![0u8; 4096]);
-    g.bench_function("sever_resend_recv/4096", |b| {
-        b.iter(|| {
-            server.sever_connections("bench/heal");
-            tx.send(frame.clone()).unwrap();
-            rx.recv().unwrap()
-        })
-    });
-    g.finish();
-}
-
 /// What a crash-restore pays per server worker: checkpoint one
 /// integrated 4096-cell worker state to disk (written, synced, renamed)
 /// and read it back as the restored worker does.
@@ -298,7 +268,6 @@ criterion_group!(
     bench_stream_batch,
     bench_compress,
     bench_directory,
-    bench_reconnect,
     bench_checkpoint_restore
 );
 criterion_main!(benches);

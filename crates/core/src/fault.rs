@@ -15,6 +15,9 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
+use crate::config::StudyConfig;
+use crate::shard::GroupRouter;
+
 /// A scripted group fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GroupFault {
@@ -94,16 +97,30 @@ impl FaultPlan {
         after
     }
 
-    /// Refuses a kill of a shard the study does not run: its supervisor
-    /// would never exist, and the kill would silently never fire.
-    pub fn validate(&self, n_shards: usize) -> Result<(), String> {
-        match self.shard_kills.iter().find(|k| k.shard >= n_shards) {
-            Some(k) => Err(format!(
-                "server kill targets shard {} out of range (n_shards = {n_shards})",
-                k.shard
-            )),
-            None => Ok(()),
+    /// Refuses a kill that can never fire, which would leave its shard
+    /// waiting for it until the wall limit: a kill of a shard the study
+    /// does not run (its supervisor would never exist), or one whose
+    /// trigger exceeds the number of groups the router gives that shard.
+    pub fn validate(&self, config: &StudyConfig) -> Result<(), String> {
+        let n_shards = config.n_shards;
+        let router = GroupRouter::from_config(config);
+        for k in &self.shard_kills {
+            if k.shard >= n_shards {
+                return Err(format!(
+                    "server kill targets shard {} out of range (n_shards = {n_shards})",
+                    k.shard
+                ));
+            }
+            let groups = router.groups_for_shard(k.shard, config.n_groups).len();
+            if k.after_finished_groups > groups {
+                return Err(format!(
+                    "server kill of shard {} after {} finished groups can never fire: \
+                     the shard runs {groups} groups",
+                    k.shard, k.after_finished_groups
+                ));
+            }
         }
+        Ok(())
     }
 
     /// The fault scripted for a given group instance, if any.
@@ -148,18 +165,47 @@ mod tests {
         assert!(!FaultPlan::none().with_server_kill_after(2).is_empty());
     }
 
+    fn sized(n_shards: usize, n_groups: usize) -> StudyConfig {
+        let mut config = StudyConfig::tiny();
+        (config.n_shards, config.n_groups) = (n_shards, n_groups);
+        config
+    }
+
     #[test]
     fn validate_rejects_inconsistent_scripts() {
         // A kill of a shard the study does not run would never fire.
         let plan = FaultPlan::none().with_server_kill_after_on_shard(1, 5);
-        let err = plan.validate(2).expect_err("shard 5 of 2");
+        let err = plan.validate(&sized(2, 8)).expect_err("shard 5 of 2");
         assert!(err.contains("shard 5 out of range"), "{err}");
-        assert!(plan.validate(6).is_ok());
+        assert!(plan.validate(&sized(6, 64)).is_ok());
         // Kills remain legal in unsharded studies.
         assert!(FaultPlan::none()
             .with_server_kill_after(1)
-            .validate(1)
+            .validate(&sized(1, 3))
             .is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_a_kill_past_the_shards_groups() {
+        // Neither shard finishes more groups than the router gives it.
+        let config = sized(2, 5);
+        let router = GroupRouter::from_config(&config);
+        for shard in 0..2 {
+            let groups = router.groups_for_shard(shard, 5).len();
+            let fits = FaultPlan::none().with_server_kill_after_on_shard(groups, shard);
+            assert!(fits.validate(&config).is_ok(), "shard {shard}");
+            let late = FaultPlan::none().with_server_kill_after_on_shard(groups + 1, shard);
+            let err = late.validate(&config).expect_err("can never fire");
+            let want = format!(
+                "server kill of shard {shard} after {} finished groups can never fire: \
+                 the shard runs {groups} groups",
+                groups + 1
+            );
+            assert_eq!(err, want);
+        }
+        // The unsharded form: a 3-group study finishes at most 3.
+        let late = FaultPlan::none().with_server_kill_after(4);
+        assert!(late.validate(&sized(1, 3)).is_err());
     }
 
     #[test]

@@ -290,7 +290,7 @@ pub fn run_study(
     rt: StudyRuntime,
 ) -> Result<StudyOutput, String> {
     config.validate()?;
-    faults.validate(config.n_shards)?;
+    faults.validate(&config)?;
     crate::shard::run_shards(config, faults, rt)
 }
 
@@ -432,7 +432,7 @@ impl<'a> ShardSupervisor<'a> {
     /// supervisor sleeps.
     fn run(mut self) -> Result<ShardRun, String> {
         let finished = self.server().shared().finished_groups();
-        let mut next = Event::ServerUp(None, finished);
+        let mut next = Event::ServerUp(None, finished, Vec::new());
         loop {
             let now = Instant::now();
             for event in std::iter::once(next).chain(self.observe()) {
@@ -631,8 +631,13 @@ impl<'a> ShardSupervisor<'a> {
         let server = Server::start(restore_cfg, transport, self.launcher_tx.clone());
         self.server = Some(server);
         wait_for_ready(self.launcher_rx.as_ref(), self.ctx.config.server_timeout)?;
-        let finished = self.server().shared().finished_groups();
-        Ok(Event::ServerUp(Some(ended), finished))
+        let shared = self.server().shared();
+        let unreadable = std::mem::take(&mut *shared.unreadable_checkpoints.lock());
+        Ok(Event::ServerUp(
+            Some(ended),
+            shared.finished_groups(),
+            unreadable,
+        ))
     }
 
     /// The one exit: stops the server cleanly — its states are the
@@ -649,7 +654,6 @@ impl<'a> ShardSupervisor<'a> {
         report.link_messages = link.messages;
         report.link_bytes = link.bytes;
         report.link_wire_bytes = link.wire_bytes;
-        report.transport_reconnects = transport.reconnects();
         ShardRun { states, report }
     }
 }
@@ -784,7 +788,6 @@ mod tests {
             );
             assert!(r.data_messages > 0 && r.data_bytes > 0, "{exit}: ingest");
             assert_eq!(r.quantile_probs, ctx.config.quantile_probs, "{exit}");
-            assert_eq!(r.transport_reconnects, 0, "{exit}");
         }
     }
 

@@ -86,10 +86,6 @@ pub struct StudyReport {
     /// of each tracked percentile, so a 1 %/99 % study can see which
     /// estimate was slowest.  Empty until every worker reported once.
     pub final_quantile_steps: Vec<f64>,
-    /// Transport links re-established after a connection loss (the
-    /// multi-node self-healing counter; 0 on backends without
-    /// reconnection).
-    pub transport_reconnects: u64,
     /// The study clock origin: every event's `at_nanos` is elapsed time
     /// from here.  Shards of one study share it, so their journals merge
     /// on a common time axis.
@@ -133,7 +129,6 @@ impl StudyReport {
             final_max_quantile_step: 0.0,
             quantile_probs: Vec::new(),
             final_quantile_steps: Vec::new(),
-            transport_reconnects: 0,
             origin: Instant::now(),
             shard: 0,
             events: Vec::new(),
@@ -258,9 +253,6 @@ impl std::fmt::Display for StudyReport {
                 "early stop        : yes (max CI width {:.4})",
                 self.final_max_ci
             )?;
-        }
-        if self.transport_reconnects > 0 {
-            writeln!(f, "link reconnects   : {}", self.transport_reconnects)?;
         }
         if !self.events.is_empty() {
             writeln!(f, "--- failure/restart log ---")?;

@@ -137,9 +137,10 @@ pub struct ServerShared {
     /// Checkpoint writes that failed (all workers); the worker keeps
     /// ingesting, and the last good checkpoint stays the restore point.
     pub checkpoints_failed: AtomicU64,
-    /// Workers that fell back to cold statistics because their checkpoint
-    /// was missing or unreadable (restore diagnostics).
-    pub restores_failed: AtomicU64,
+    /// The workers of a restarted server whose checkpoint exists but
+    /// could not be read, with the reason: they started from cold
+    /// statistics, and their unfinished groups are rebuilt by replay.
+    pub(crate) unreadable_checkpoints: Mutex<Vec<(usize, String)>>,
     n_workers: usize,
 }
 
@@ -177,7 +178,7 @@ impl ServerShared {
             frames_rejected: AtomicU64::new(0),
             checkpoints_written: AtomicU64::new(0),
             checkpoints_failed: AtomicU64::new(0),
-            restores_failed: AtomicU64::new(0),
+            unreadable_checkpoints: Mutex::new(Vec::new()),
             n_workers,
         }
     }
@@ -285,6 +286,41 @@ impl ServerShared {
     }
 }
 
+/// Worker `w`'s state read back from its checkpoint, its bookkeeping
+/// seeding `shared`; `None` — the worker starts from cold statistics —
+/// when there is no checkpoint (a crash before the first one) or it
+/// cannot be read, which `shared` notes with the reason.
+fn restore(cfg: &ServerConfig, shared: &ServerShared, w: usize) -> Option<WorkerState> {
+    let started = Instant::now();
+    let state = match read_checkpoint(&cfg.checkpoint_dir, w) {
+        Ok(mut state) => {
+            // The configured probability vector wins over whatever the
+            // checkpoint tracked.
+            state.ensure_quantiles(&cfg.quantile_probs);
+            for &g in state.finished_groups() {
+                shared.started.lock().insert(g);
+                shared.record_group_finished_on_worker(g);
+            }
+            shared.started.lock().extend(state.running_groups());
+            Some(state)
+        }
+        Err(checkpoint::CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => {
+            shared
+                .unreadable_checkpoints
+                .lock()
+                .push((w, e.to_string()));
+            None
+        }
+    };
+    if let Some(t) = &cfg.telemetry {
+        t.registry()
+            .histogram("checkpoint_restore_nanos")
+            .record(started.elapsed().as_nanos() as u64);
+    }
+    state
+}
+
 /// A running Melissa Server instance.
 pub struct Server {
     /// Flipped by [`crash`](Self::crash): every thread stops without
@@ -334,52 +370,43 @@ impl Server {
             .connect(&names::server_main_in(&config.scope))
             .expect("just bound");
 
+        // A restarted server reads every worker's checkpoint before any
+        // thread runs — one reader per worker — so what it restored, and
+        // which checkpoints it could not read, is known once `start`
+        // returns.
+        let mut restored: Vec<Option<WorkerState>> = if config.restore {
+            std::thread::scope(|s| {
+                let reads: Vec<_> = (0..config.n_workers)
+                    .map(|w| {
+                        let (config, shared) = (&config, &*shared);
+                        let reader = std::thread::Builder::new().name(format!("srv-restore{w}"));
+                        let spawned = reader.spawn_scoped(s, move || restore(config, shared, w));
+                        spawned.expect("the OS refused a checkpoint reader thread")
+                    })
+                    .collect();
+                let joined = reads.into_iter().map(|r| r.join());
+                joined
+                    .map(|r| r.expect("a checkpoint reader panicked"))
+                    .collect()
+            })
+        } else {
+            (0..config.n_workers).map(|_| None).collect()
+        };
+
         let worker_handles: Vec<JoinHandle<WorkerState>> = worker_rxs
             .into_iter()
+            .zip(&mut restored)
             .enumerate()
-            .map(|(w, rx)| {
+            .map(|(w, (rx, restored))| {
                 let cfg = config.clone();
                 let shared = Arc::clone(&shared);
                 let kill = kill.clone();
                 let main_tx = main_sender.clone();
                 let slab = partition.worker_range(w);
+                let restored = restored.take();
                 let worker = std::thread::Builder::new().name(format!("srv-w{w}"));
                 let spawned = worker.spawn(move || {
-                    let restore_started = Instant::now();
-                    let state = if cfg.restore {
-                        match read_checkpoint(&cfg.checkpoint_dir, w) {
-                            Ok(mut st) => {
-                                // The configured probability vector wins
-                                // over whatever the checkpoint tracked.
-                                st.ensure_quantiles(&cfg.quantile_probs);
-                                st
-                            }
-                            Err(e) => {
-                                // Surface the reason (e.g. an unsupported
-                                // format version names found-vs-supported)
-                                // instead of silently discarding history;
-                                // a missing file is the normal crash-
-                                // before-first-checkpoint case.
-                                if !matches!(&e, checkpoint::CheckpointError::Io(io)
-                                    if io.kind() == std::io::ErrorKind::NotFound)
-                                {
-                                    eprintln!(
-                                        "melissa-server worker {w}: checkpoint restore \
-                                         failed ({e}); starting from cold statistics"
-                                    );
-                                }
-                                shared.restores_failed.fetch_add(1, Ordering::Relaxed);
-                                WorkerState::with_stats(
-                                    w,
-                                    slab,
-                                    cfg.p,
-                                    cfg.n_timesteps,
-                                    &cfg.thresholds,
-                                    &cfg.quantile_probs,
-                                )
-                            }
-                        }
-                    } else {
+                    let state = restored.unwrap_or_else(|| {
                         WorkerState::with_stats(
                             w,
                             slab,
@@ -388,24 +415,7 @@ impl Server {
                             &cfg.thresholds,
                             &cfg.quantile_probs,
                         )
-                    };
-                    if cfg.restore {
-                        if let Some(t) = &cfg.telemetry {
-                            t.registry()
-                                .histogram("checkpoint_restore_nanos")
-                                .record(restore_started.elapsed().as_nanos() as u64);
-                        }
-                    }
-                    // Checkpointed bookkeeping seeds the shared lists.
-                    if cfg.restore {
-                        for &g in state.finished_groups() {
-                            shared.started.lock().insert(g);
-                            shared.record_group_finished_on_worker(g);
-                        }
-                        for g in state.running_groups() {
-                            shared.started.lock().insert(g);
-                        }
-                    }
+                    });
                     worker_loop(state, rx, main_tx, shared, kill, cfg)
                 });
                 spawned.expect("the OS refused a server worker thread")
@@ -541,7 +551,8 @@ fn scrape_snapshot(
         // Groups never move between shards, so the routing never leaves
         // its first epoch.
         routing_epoch: 0,
-        reconnects: transport.reconnects(),
+        // Links never reconnect: a broken one fails its group instead.
+        reconnects: 0,
         wire_codec: CodecScrape::of(&transport.wire_io()),
         links,
         metrics,

@@ -339,10 +339,6 @@ pub(crate) fn run_shards(
         // carries its shard on each event, so the journals concatenate and
         // sort into one chronological study log below.
         report.events.extend(r.events);
-        // All shards share one transport, whose reconnect counter is
-        // study-global: take the max, not the sum (summing would count
-        // each reconnect once per shard).
-        report.transport_reconnects = report.transport_reconnects.max(r.transport_reconnects);
         states.push(run.states);
     }
     report.groups_abandoned.sort_unstable();

@@ -43,9 +43,9 @@ pub(crate) enum Event {
     /// the early-stop flag.
     Signals((f64, f64, usize), bool),
     /// A server is ready — the first (`None`), or one restored from its
-    /// checkpoint with the dead one's counters — and what it holds
-    /// finished.
-    ServerUp(Option<ServerCounters>, Vec<u64>),
+    /// checkpoint with the dead one's counters — what it holds finished,
+    /// and the workers whose checkpoint it could not read, with why.
+    ServerUp(Option<ServerCounters>, Vec<u64>, Vec<(usize, String)>),
 }
 
 /// A histogram the supervisor feeds.
@@ -188,7 +188,9 @@ impl SupervisorState {
                 self.signals = signals;
                 self.early_stop |= early_stop;
             }
-            Event::ServerUp(ended, finished) => self.server_up(ended, finished),
+            Event::ServerUp(ended, finished, unreadable) => {
+                self.server_up(ended, finished, unreadable)
+            }
         }
         self.decide();
         std::mem::take(&mut self.out)
@@ -364,11 +366,21 @@ impl SupervisorState {
     /// in increasing id order (the runner's FIFO makes that the start
     /// order).  After a restore only the checkpoint's bookkeeping counts:
     /// a group the launcher believed finished but the server lost is
-    /// resubmitted too (paper Section 4.2.3).
-    fn server_up(&mut self, ended: Option<ServerCounters>, finished: Vec<u64>) {
+    /// resubmitted too (paper Section 4.2.3), and so is every group a
+    /// worker with an unreadable checkpoint lost.
+    fn server_up(
+        &mut self,
+        ended: Option<ServerCounters>,
+        finished: Vec<u64>,
+        unreadable: Vec<(usize, String)>,
+    ) {
         let restart = ended.is_some();
         if let Some(counters) = ended {
             self.absorb(counters);
+        }
+        for (worker, detail) in unreadable {
+            let worker = worker as u32;
+            self.log(EventKind::CheckpointUnreadable { worker, detail });
         }
         (self.pending, self.server_seen) = (None, self.now);
         self.known_finished = finished.into_iter().collect();
@@ -517,13 +529,15 @@ impl SupervisorState {
         }
     }
 
-    /// Completion: every owned group settled *and* every scripted kill
-    /// fired, or the study stopped early; with no job running.
+    /// Completion: every owned group settled, or the study stopped
+    /// early; with no job running.  A scripted kill still pending here
+    /// can never fire: one whose trigger is reached fires first, in
+    /// [`decide`](Self::decide), and once every group is finished or
+    /// abandoned the finished count cannot grow to meet the others.
     fn done(&self) -> bool {
-        let script_done = self.kills.is_empty();
         let owned_finished = self.known_finished.intersection(&self.my_groups).count();
         let settled = owned_finished + self.abandoned.len() >= self.my_groups.len();
-        (self.report.early_stopped || (script_done && settled)) && self.active.is_empty()
+        (self.report.early_stopped || settled) && self.active.is_empty()
     }
 }
 
@@ -550,7 +564,7 @@ mod tests {
         for _ in 0..late {
             s.load.observe(REPORT_INTERVAL, REPORT_INTERVAL * 2);
         }
-        let submitted = s.step(Event::ServerUp(None, Vec::new()), base);
+        let submitted = s.step(Event::ServerUp(None, Vec::new(), Vec::new()), base);
         assert_eq!(submitted.len(), n as usize, "one submission per group");
         (s, base)
     }
@@ -623,7 +637,7 @@ mod tests {
             // Nothing is decided until the restored server is up; then
             // every unfinished group is resubmitted as its next instance.
             assert!(s.step(Event::Deadline, expiry).is_empty());
-            let up = Event::ServerUp(Some(ServerCounters::default()), vec![1]);
+            let up = Event::ServerUp(Some(ServerCounters::default()), vec![1], Vec::new());
             let resubmitted: Vec<(u64, u32)> = s
                 .step(up, expiry)
                 .into_iter()
@@ -659,6 +673,94 @@ mod tests {
                 _ => panic!("late {late}: the wall limit did not end the study"),
             }
         }
+    }
+
+    /// A kill scripted after the shard's third group can never fire once
+    /// one of its three groups is abandoned: the shard ends as soon as
+    /// the other two finish, not at the wall limit.
+    #[test]
+    fn a_kill_that_abandoned_groups_made_unreachable_is_not_waited_for() {
+        let config = StudyConfig::tiny();
+        let faults = FaultPlan::none().with_server_kill_after(3);
+        let (mut s, base) = started(&config, &faults, 3, 0);
+        let report = Message::ServerReport {
+            finished_groups: vec![0, 1],
+            running_groups: Vec::new(),
+            max_ci_width: f64::INFINITY,
+            max_quantile_step: 0.0,
+            quantile_steps: Vec::new(),
+            blocked_sends: 0,
+            blocked_nanos: 0,
+            frames_rejected: 0,
+        };
+        let at = |ms| base + Duration::from_millis(ms);
+        assert!(s.step(Event::Frame(report, false), at(10)).len() == 1);
+        let completed = || GroupOutcome::Completed {
+            messages: 1,
+            bytes: 1,
+        };
+        for g in [0, 1] {
+            s.step(Event::JobEnded(g, 0, completed()), at(20));
+        }
+        // Group 2 dies as every instance it is allowed.
+        let died = || GroupOutcome::Died {
+            after_timestep: None,
+        };
+        for instance in 0..MAX_GROUP_RETRIES {
+            let actions = s.step(Event::JobEnded(2, instance, died()), at(30));
+            assert!(actions.iter().any(|a| matches!(a, Action::Submit(2, _))));
+        }
+        let last = s.step(Event::JobEnded(2, MAX_GROUP_RETRIES, died()), at(40));
+        assert!(journal(&last).contains(&&EventKind::GroupAbandoned {
+            group: 2,
+            retries: MAX_GROUP_RETRIES
+        }));
+        assert!(
+            matches!(last.last(), Some(Action::Finish)),
+            "the shard waits for a kill that cannot fire"
+        );
+        assert!(!journal(&last).contains(&&EventKind::ServerKillInjected { finished: 2 }));
+    }
+
+    /// A restarted server's unreadable checkpoints are journaled, one
+    /// event per worker, before its groups are resubmitted.
+    #[test]
+    fn a_restored_servers_unreadable_checkpoints_are_journaled() {
+        let config = StudyConfig::tiny();
+        let faults = FaultPlan::none().with_server_kill_after(1);
+        let (mut s, base) = started(&config, &faults, 2, 0);
+        let report = Message::ServerReport {
+            finished_groups: vec![0],
+            running_groups: vec![1],
+            max_ci_width: f64::INFINITY,
+            max_quantile_step: 0.0,
+            quantile_steps: Vec::new(),
+            blocked_sends: 0,
+            blocked_nanos: 0,
+            frames_rejected: 0,
+        };
+        let crash = s.step(Event::Frame(report, false), base);
+        assert!(matches!(crash.last(), Some(Action::RestartServer)));
+        let unreadable = vec![(1, "checkpoint truncated".to_string())];
+        let up = Event::ServerUp(Some(ServerCounters::default()), Vec::new(), unreadable);
+        let actions = s.step(up, base);
+        assert_eq!(
+            journal(&actions),
+            [
+                &EventKind::CheckpointUnreadable {
+                    worker: 1,
+                    detail: "checkpoint truncated".into()
+                },
+                &EventKind::GroupResubmitted {
+                    group: 0,
+                    instance: 1
+                },
+                &EventKind::GroupResubmitted {
+                    group: 1,
+                    instance: 1
+                },
+            ]
+        );
     }
 
     /// Plays a state against a model of what it was told, answering its
@@ -702,7 +804,8 @@ mod tests {
                         Action::RestartServer => {
                             self.known = self.reported.iter().copied().collect();
                             let counters = Some(ServerCounters::default());
-                            next = Some(Event::ServerUp(counters, self.reported.clone()));
+                            let reported = self.reported.clone();
+                            next = Some(Event::ServerUp(counters, reported, Vec::new()));
                         }
                         Action::Journal(e) => match e.kind {
                             EventKind::GroupDied { group, .. }
@@ -818,7 +921,7 @@ mod tests {
                 outcomes: Vec::new(),
                 over: None,
             };
-            h.step(Event::ServerUp(None, Vec::new()))?;
+            h.step(Event::ServerUp(None, Vec::new(), Vec::new()))?;
             for (op, g, x) in ops {
                 if h.over.is_some() {
                     break;

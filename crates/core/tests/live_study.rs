@@ -265,6 +265,53 @@ fn server_crash_recovers_from_checkpoint_with_exact_statistics() {
     std::fs::remove_dir_all(&config.checkpoint_dir).ok();
 }
 
+/// A worker whose checkpoint cannot be read when its server restarts
+/// starts from cold statistics: the study's journal names that worker,
+/// every group the server lost is replayed, and the statistics match the
+/// fault-free run.  The corrupt file is in place before the study starts;
+/// no checkpoint is due before the scripted kill, so it is what the
+/// restart reads, while the other workers find no checkpoint at all (the
+/// normal crash-before-first-checkpoint case, which is not journaled).
+#[test]
+fn an_unreadable_checkpoint_is_journaled_and_its_groups_are_rebuilt() {
+    let mut config = StudyConfig::tiny();
+    config.n_groups = 3;
+    config.max_concurrent_groups = 1;
+    config.checkpoint_dir =
+        std::env::temp_dir().join(format!("melissa-it-corrupt-{}", std::process::id()));
+    std::fs::remove_dir_all(&config.checkpoint_dir).ok();
+    let reference = Study::new(config.clone()).run().expect("fault-free study");
+
+    let shard_dir = config.checkpoint_dir.join(names::shard_scope(0));
+    std::fs::create_dir_all(&shard_dir).unwrap();
+    let corrupt = melissa::server::checkpoint::checkpoint_file(&shard_dir, 1);
+    std::fs::write(&corrupt, b"not a checkpoint").unwrap();
+    let output = Study::new(config.clone())
+        .with_faults(FaultPlan::none().with_server_kill_after(1))
+        .run()
+        .expect("study failed");
+    std::fs::remove_dir_all(&config.checkpoint_dir).ok();
+
+    let report = &output.report;
+    assert_eq!(report.server_restarts, 1, "{report}");
+    let unreadable: Vec<u32> = report
+        .events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::CheckpointUnreadable { worker, .. } => Some(*worker),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(unreadable, [1], "{report}");
+    assert_eq!(report.groups_finished, 3);
+    assert_eq!(
+        reference
+            .results
+            .first_order_exact_mismatch(&output.results),
+        None
+    );
+}
+
 /// A geometry the pre-run cannot carry flow through is an error from
 /// `Study::run`, not a panic: here tube columns block all four rows.  So
 /// is a run with no output timestep or no positive, finite horizon, and

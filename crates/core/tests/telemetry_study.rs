@@ -117,7 +117,6 @@ fn scraped_study_is_bit_identical_in_process() {
         .expect("reference study failed");
     let (scraped, n_scrapes) = run_scraped(TransportKind::InProcess, "scr-ip");
     assert!(n_scrapes >= 1, "no scrape ever landed mid-run");
-    assert_eq!(scraped.report.transport_reconnects, 0);
     assert_outputs_match(&reference, &scraped);
 }
 
@@ -142,8 +141,6 @@ fn report_carries_the_typed_journal_and_epoch() {
     for event in &output.report.events {
         assert!(text.contains(&event.kind.render()), "report: {text}");
     }
-    // Satellite surface: the reconnect counter is first-class.
-    assert_eq!(output.report.transport_reconnects, 0);
 }
 
 /// Every shard is one inbox at an address derived from the study scope

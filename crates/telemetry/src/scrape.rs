@@ -148,7 +148,9 @@ pub struct ScrapeSnapshot {
     /// Routing epoch: kept in every format for the readers that parse
     /// it.  Groups never move between shards, so a live shard reports 0.
     pub routing_epoch: u64,
-    /// Transport link re-establishments (multi-node self-healing).
+    /// Link re-establishments: kept in every format for the readers that
+    /// parse it.  A broken link is dead, never re-established, so a live
+    /// shard reports 0.
     pub reconnects: u64,
     /// Wire-codec time and bytes of the serving node's links.
     pub wire_codec: CodecScrape,

@@ -25,7 +25,9 @@
 //! [`crate::tcp::TcpTransport`] (real `std::net` sockets over loopback,
 //! one writer/reader thread per connection feeding the same bounded HWM
 //! queues).  [`TransportKind`] + [`make_transport`] select one at study
-//! configuration time.
+//! configuration time.  Neither re-establishes a link: a TCP link whose
+//! connection is lost is dead, as an in-process link whose receiver was
+//! dropped is, and recovery belongs to the study above.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,9 +40,9 @@ use crate::endpoint::{Frame, LinkStats};
 /// Error returned when the peer side of a link has hung up.
 ///
 /// Channel backend: the receiver was dropped.  TCP backend: the connection
-/// is dead (peer closed, reset, or the local writer thread observed an I/O
-/// error).  A TCP disconnect may surface one send *later* than in-process
-/// (the writer thread discovers the broken socket asynchronously).
+/// is dead (peer closed, reset, or cut, or the local writer thread
+/// observed an I/O error), which fails every send queued on the link at
+/// that moment and every later one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Disconnected;
 
@@ -410,8 +412,9 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
     fn backend_name(&self) -> &'static str;
 
     /// Links this transport's senders re-established after a connection
-    /// loss (the multi-node self-healing counter).  Backends without
-    /// reconnection report `0`.
+    /// loss.  No backend here re-establishes a link — a lost connection
+    /// fails its link — so none overrides this and it reads `0`; the
+    /// method stays for wrappers that forward it.
     fn reconnects(&self) -> u64 {
         0
     }
@@ -528,7 +531,7 @@ pub enum TransportKind {
     /// One node of a **multi-node** TCP deployment: a listener bound on
     /// `host:port`, every bound endpoint published to — and every
     /// connection resolved through — the deployment's directory service
-    /// ([`crate::directory`]), with self-healing links.
+    /// ([`crate::directory`]).
     TcpNode {
         /// Listener bind host (e.g. `"127.0.0.1"`, `"0.0.0.0"`).
         host: String,

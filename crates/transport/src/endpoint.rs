@@ -430,6 +430,12 @@ impl Drop for ChannelReceiver {
 }
 
 impl ChannelReceiver {
+    /// A handle that closes this queue from another thread (see
+    /// [`Closer`]).
+    pub(crate) fn closer(&self) -> Closer {
+        Closer(Arc::clone(&self.queue))
+    }
+
     /// Blocks until a frame arrives or every sender is gone.
     pub fn recv(&self) -> Result<Frame, Disconnected> {
         self.recv_one(None).map_err(|_| Disconnected)
@@ -487,7 +493,7 @@ impl ChannelReceiver {
             let deadline = timeout.map(|t| instant_after(Instant::now(), t));
             g.recv_waiting = true;
             let waited = loop {
-                if g.senders == 0 {
+                if g.senders == 0 || g.receiver_gone {
                     break Err(RecvTimeoutError::Disconnected);
                 }
                 g = match deadline {
@@ -524,6 +530,22 @@ impl ChannelReceiver {
     /// True when nothing is buffered (approximate).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Closes a queue as if its receiver were gone: a send blocked at the HWM
+/// and every later send fail with [`Disconnected`], and the receiver,
+/// once it has taken what is queued, sees a disconnect instead of
+/// waiting.  A TCP link holds one to fail at once when its connection
+/// dies, whether its writer is busy or idle.
+#[derive(Debug)]
+pub(crate) struct Closer(Arc<Queue>);
+
+impl Closer {
+    pub(crate) fn close(&self) {
+        self.0.state.lock().receiver_gone = true;
+        self.0.not_full.notify_all();
+        self.0.not_empty.notify_all();
     }
 }
 

@@ -32,7 +32,7 @@
 //! |---|---|---|---|---|
 //! | [`ChannelTransport`] | [`registry`] | bounded in-process channels | in-process map | single-process studies, tests, the reference semantics |
 //! | [`TcpTransport`] (single node) | [`tcp`] | real `std::net` loopback sockets, length-prefixed frames, one writer/reader thread per connection | the node's own endpoint table | multi-process data path on one machine |
-//! | [`TcpTransport`] (node) | [`tcp`] + [`directory`] | same sockets, one listener **per node**, endpoint demux in the handshake, self-healing links | deployment [`DirectoryServer`] (TCP key→`host:port` store with liveness leases) | multi-node deployments: shards, groups and launcher as separate processes on separate machines |
+//! | [`TcpTransport`] (node) | [`tcp`] + [`directory`] | same sockets, one listener **per node**, endpoint demux in the handshake | deployment [`DirectoryServer`] (TCP key→`host:port` store with liveness leases) | multi-node deployments: shards, groups and launcher as separate processes on separate machines |
 //!
 //! Every backend runs every link through the same bounded HWM queues
 //! ([`endpoint::channel`]), so blocking behaviour and its telemetry are
@@ -59,17 +59,17 @@
 //! every `bind` publishes `scoped-name → advertised host:port` under a
 //! liveness lease and every `connect` resolves before dialing.
 //!
-//! ## Wire framing and self-healing links (TCP backend)
+//! ## Wire framing and broken links (TCP backend)
 //!
 //! Frames cross the socket as a little-endian `u32` length prefix plus
 //! payload; the payload is an opaque, already-[`codec`]-encoded message.
 //! The connection handshake carries the endpoint name (the per-node
-//! listener's demux key), the link id, and returns the endpoint's HWM
-//! plus the link's resume cursor.  Established multi-node links survive
-//! real connection loss: reconnect-with-backoff, idempotent
-//! re-handshake, exactly-once resume, with the [`Sender::flush`]
-//! delivery barrier holding across the failure.  See [`tcp`] for the
-//! full contract.
+//! listener's demux key) and returns the endpoint's HWM.  A link lives
+//! as long as its connection: once the connection is lost, every queued
+//! and later send and any waiting [`Sender::flush`] fail with
+//! [`Disconnected`] at once.  Nothing is resent — recovering a group
+//! whose link died is the study's job (relaunch, and the server discards
+//! what the new instance replays).  See [`tcp`] for the full contract.
 //!
 //! ## Supporting modules
 //!
@@ -85,7 +85,7 @@
 //!   and the directory's per-name leases);
 //! * [`faults`] — deterministic fault injection ([`FaultySender`]
 //!   implements [`Sender`], so kills, drops and stragglers compose with
-//!   any backend, including the directory-resolved self-healing path);
+//!   any backend, including directory-resolved node links);
 //! * [`sync`] — the poison-free [`Mutex`](sync::Mutex),
 //!   [`RwLock`](sync::RwLock) and [`Condvar`](sync::Condvar) every crate
 //!   of the workspace locks with (same-thread re-locks panic in debug

@@ -10,12 +10,12 @@
 //!   `u32` length prefix followed by the payload bytes (the payload itself
 //!   is already a [`codec`](crate::codec)-encoded protocol message).  The
 //!   connection handshake is two declared [`Wire`] messages: the client
-//!   sends a [`Hello`] — endpoint name, 64-bit **link id** and
-//!   **wire-compression proposal** — and the acceptor answers
-//!   [`HelloReply::Accepted`] with the endpoint's high-water mark, the
-//!   link's **resume cursor** (see below) and the compression it
-//!   accepted, or [`HelloReply::NotFound`].  A hello that does not decode
-//!   exactly closes the connection.
+//!   sends a [`Hello`] — endpoint name, a link id that is always 0, and
+//!   the **wire-compression proposal** — and the acceptor answers
+//!   [`HelloReply::Accepted`] with the endpoint's high-water mark, a
+//!   resume cursor that is always 0, and the compression it accepted, or
+//!   [`HelloReply::NotFound`].  A hello that does not decode exactly
+//!   closes the connection.
 //! * **Burst-batched writes** — the writer thread takes every frame
 //!   queued at a wakeup in one go and gathers them into one **vectored**
 //!   write (`writev` over the encoded frames in place, bounded by a 1 MiB
@@ -35,10 +35,8 @@
 //!   frame payload through the lossless [`compress`](crate::compress)
 //!   codec and marks compressed frames with the top length-prefix bit;
 //!   the acceptor restores the original bytes **before** ingest.
-//!   Framing, flush barriers, cursor acks and exactly-once resume are
-//!   oblivious to compression (it lives strictly inside the payload),
-//!   and the retransmit buffer stores wire encodings, so a healed link
-//!   re-sends compressed frames byte-identical, exactly once.
+//!   Framing and flush barriers are oblivious to compression (it lives
+//!   strictly inside the payload).
 //! * **HWM backpressure** — each link runs through *two* bounded HWM
 //!   queues, one per side, mirroring ZeroMQ's "communications only become
 //!   blocking when both buffers are full": the sender buffers into a
@@ -74,26 +72,19 @@
 //!   every `connect` through it — so server shards, simulation groups and
 //!   the launcher can live in different processes on different machines.
 //!
-//! ## Self-healing links (exactly-once resume)
+//! ## A broken link is dead
 //!
-//! Established links survive real connection loss.  Every link carries a
-//! process-unique **link id**; the receiving node keeps, per
-//! `(endpoint, link id)`, an **ingest cursor** — how many data frames of
-//! that link it has pushed into the endpoint's queue — and acknowledges
-//! the cursor on a back channel (every few frames and on every flush
-//! barrier).  The writer thread keeps every unacknowledged
-//! frame; when the socket dies it re-resolves the name through the
-//! directory, re-dials with **bounded exponential backoff**, re-handshakes
-//! idempotently (the reply carries the receiver's cursor), retransmits
-//! exactly the frames the receiver has not ingested, and re-arms any
-//! outstanding flush barrier.  Result: a killed connection mid-study
-//! delivers **every frame exactly once**, in order, and the
-//! [`Sender::flush`] delivery barrier holds across the failure — which is
-//! what keeps a seeded study's statistics bit-identical with and without
-//! the fault.  A node with a directory heals a link for
-//! [`RECONNECT_TIMEOUT`]; a single-node transport does not reconnect,
-//! because its "connection loss" only ever means the peer endpoint is
-//! gone for good.
+//! A link does not outlive its connection.  A write error, or the end of
+//! the acknowledgement back channel (the acceptor closed, the peer
+//! process died, the connection was cut), marks the link dead: sends
+//! blocked at the high-water mark and any waiting [`Sender::flush`] fail
+//! with [`Disconnected`] at once, every later send fails the same way,
+//! and frames still queued are never sent.
+//! What reached the endpoint before the loss is an in-order prefix of
+//! what was sent, with no duplicate.  Nothing is resent: recovery is the
+//! study's, not the link's — the group whose link failed fails, its
+//! supervisor relaunches it, and the server discards the timesteps the
+//! relaunched instance replays (paper Section 4.2).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, IoSlice, Read, Write};
@@ -107,12 +98,12 @@ use bytes::Bytes;
 
 use crate::api::{
     instant_after, BoxReceiver, BoxSender, ConnectError, Disconnected, FlushError,
-    LinkStatsSnapshot, RecvTimeoutError, SendBatchError, SendTimeoutError, Sender, Transport,
+    LinkStatsSnapshot, SendBatchError, SendTimeoutError, Sender, Transport,
 };
 use crate::codec::{read_frame, write_frame, Wire};
 use crate::compress::{compress_into, decoded_len, decompress_into, PlaneScratch, WireCompression};
 use crate::directory::{names, DirectoryClient};
-use crate::endpoint::{channel, Frame, HwmSender, LinkStats};
+use crate::endpoint::{channel, Closer, Frame, HwmSender, LinkStats};
 use crate::registry::Ledger;
 use crate::sync::{Condvar, Mutex};
 
@@ -123,14 +114,14 @@ const MAX_DATA_FRAME: usize = 1 << 30;
 /// Handshake I/O deadline (a wedged peer must not hang connect/accept).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// The first frame on every connection: which endpoint the link feeds,
-/// which link it is (the resume-cursor key) and the compression it
-/// proposes.
+/// The first frame on every connection: which endpoint the link feeds
+/// and the compression it proposes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hello {
     /// The bound endpoint the link feeds.
     pub name: String,
-    /// Process-unique link id.
+    /// Always 0: links do not resume, so nothing keys on it.  The field
+    /// stays so the handshake keeps its bytes.
     pub link_id: u64,
     /// Proposed wire compression.
     pub compression: WireCompression,
@@ -149,7 +140,8 @@ pub enum HelloReply {
     Accepted {
         /// The endpoint's high-water mark.
         hwm: u32,
-        /// Data frames of this link already in the endpoint's queue.
+        /// Always 0: links do not resume.  The field stays so the
+        /// handshake keeps its bytes.
         resume: u64,
         /// The compression the acceptor accepted.
         compression: WireCompression,
@@ -165,7 +157,7 @@ crate::wire_enum!(HelloReply {
 
 /// Wire-level flush barrier: a length prefix of `u32::MAX` (no payload)
 /// asks the acceptor — who has by then pushed every earlier frame into
-/// the ingest queue — to acknowledge its ingest cursor.
+/// the ingest queue — for an acknowledgement.
 const FLUSH_REQUEST: u32 = u32::MAX;
 /// Length-prefix flag bit marking a compressed frame payload (safe:
 /// data-frame lengths are capped at [`MAX_DATA_FRAME`] `= 2^30`, and
@@ -192,23 +184,10 @@ const BURST_BUDGET: usize = 1 << 20;
 const READ_BLOCK: usize = 128 * 1024;
 /// Wire image of a flush barrier (see [`FLUSH_REQUEST`]).
 const FLUSH_WIRE: [u8; 4] = FLUSH_REQUEST.to_le_bytes();
-/// Back-channel cursor acknowledgement: one tag byte plus the cursor as
-/// a little-endian `u64`.
+/// Back-channel acknowledgement of one flush request: one tag byte plus,
+/// as a little-endian `u64`, how many data frames the connection has put
+/// into the ingest queue.
 const ACK_TAG: u8 = 0xA5;
-/// The acceptor volunteers a cursor ack every this many data frames, so
-/// the sender's retransmit buffer stays bounded without per-frame acks.
-const ACK_INTERVAL: u64 = 32;
-/// Reconnect backoff ceiling (the floor is 5 ms, doubling per attempt).
-const RECONNECT_BACKOFF_MAX: Duration = Duration::from_millis(250);
-/// How long a broken established link of a node with a directory keeps
-/// re-resolving, re-dialing and resuming before declaring itself dead.
-pub const RECONNECT_TIMEOUT: Duration = Duration::from_secs(20);
-/// How long a dark link's ingest cursor survives before the resume GC
-/// sweeps it.  Must comfortably exceed any peer's [`RECONNECT_TIMEOUT`] —
-/// a client that comes back later than this resumes from cursor 0 and
-/// would re-deliver its unacknowledged tail (its own reconnect deadline
-/// kills the link long before that can happen).
-const RESUME_RETENTION: Duration = Duration::from_secs(300);
 
 /// In-band queue marker for a flush request: a process-wide singleton
 /// whose clones share one backing allocation, recognised by *pointer
@@ -235,25 +214,22 @@ pub struct TcpTransportConfig {
     /// it when the node binds a wildcard or sits behind another address).
     pub advertise_host: Option<String>,
     /// Deployment directory address (`host:port`); `None` resolves every
-    /// name from the node's own endpoint table (single-node semantics: no
-    /// reconnection, a broken link *is* a dead peer).  With a directory,
-    /// links self-heal for [`RECONNECT_TIMEOUT`].
+    /// name from the node's own endpoint table (single-node semantics).
     pub directory: Option<String>,
     /// Liveness-lease renewal period toward a remote directory.
     pub lease_renew: Duration,
     /// Wire compression this node proposes for its outbound links,
     /// negotiated per link at handshake (the acceptor echoes the mode it
     /// accepts).  Compression happens strictly inside the frame payload:
-    /// length framing, flush barriers, cursor acks and exactly-once
-    /// resume are oblivious to it, and the acceptor decompresses before
-    /// ingest so receivers always see the original payload bytes.
+    /// length framing and flush barriers are oblivious to it, and the
+    /// acceptor decompresses before ingest so receivers always see the
+    /// original payload bytes.
     pub compression: WireCompression,
 }
 
 impl TcpTransportConfig {
     /// Single-node loopback configuration (the [`TcpTransport::new`]
-    /// defaults): ephemeral loopback listener, in-process resolution, no
-    /// reconnection.
+    /// defaults): ephemeral loopback listener, in-process resolution.
     pub fn local() -> Self {
         Self {
             bind: "127.0.0.1:0".to_string(),
@@ -267,7 +243,7 @@ impl TcpTransportConfig {
     /// Multi-node configuration: loopback-bound ephemeral listener (set
     /// [`bind`](Self::bind)/[`advertise_host`](Self::advertise_host) for
     /// a real interface), names published to and resolved through the
-    /// directory at `directory`, links self-heal for [`RECONNECT_TIMEOUT`].
+    /// directory at `directory`.
     pub fn node(directory: &str) -> Self {
         Self {
             bind: "127.0.0.1:0".to_string(),
@@ -285,31 +261,9 @@ impl Default for TcpTransportConfig {
     }
 }
 
-/// Per-link ingest cursor on the receiving node, shared by every
-/// connection generation of one `(endpoint, link id)`.
-#[derive(Debug, Default)]
-struct ResumeSlot {
-    /// Bumped by each (re-)handshake of the link; a serving thread whose
-    /// generation is stale has been *fenced* by a newer connection and
-    /// must stop without ingesting further frames.
-    generation: AtomicU64,
-    /// Data frames of this link pushed into the ingest queue, guarded so
-    /// a re-handshake reads a cursor no in-flight push can outrun (the
-    /// push happens while the lock is held).
-    ingested: Mutex<u64>,
-    /// When the link went dark (its last serving thread exited with no
-    /// successor); `None` while a connection serves it.  Slots dark for
-    /// longer than [`RESUME_RETENTION`] are swept at the endpoint's next
-    /// handshake, so the resume map cannot grow with every link an
-    /// elastic endpoint ever served.
-    retired_at: Mutex<Option<Instant>>,
-}
-
 struct Endpoint {
     ingest: HwmSender,
     hwm: u32,
-    /// Ingest cursors per link id (exactly-once resume).
-    resume: Mutex<HashMap<u64, Arc<ResumeSlot>>>,
 }
 
 /// Socket calls and the data frames they carried, and what the wire
@@ -338,7 +292,7 @@ struct WireIo {
 pub struct WireIoSnapshot {
     /// Gathered writes issued by this node's link writers.
     pub writes: u64,
-    /// Data frames those writes carried (retransmissions included).
+    /// Data frames those writes carried.
     pub frames_written: u64,
     /// Socket reads issued by this node's acceptors.
     pub reads: u64,
@@ -395,9 +349,6 @@ struct TcpInner {
     /// Live serving-side connections (endpoint name, token, stream) —
     /// the handle [`TcpTransport::sever_connections`] cuts.
     serving: Mutex<Vec<(String, u64, TcpStream)>>,
-    /// Links re-established by this node's senders (shared with the
-    /// writer threads, which can outlive the transport handle).
-    reconnects: Arc<AtomicU64>,
     /// Wire compression proposed for every outbound link of this node.
     compression: WireCompression,
     /// Socket-call counters (shared with writer and serving threads).
@@ -483,7 +434,6 @@ impl TcpTransport {
             links: Mutex::new(Vec::new()),
             retired: Mutex::new(Ledger::default()),
             serving: Mutex::new(Vec::new()),
-            reconnects: Arc::new(AtomicU64::new(0)),
             compression: config.compression,
             wire_io: Arc::default(),
             shutdown: AtomicBool::new(false),
@@ -523,11 +473,6 @@ impl TcpTransport {
         self.inner.addr
     }
 
-    /// Links this node's senders re-established after a connection loss.
-    pub fn reconnects(&self) -> u64 {
-        self.inner.reconnects.load(Ordering::Relaxed)
-    }
-
     /// This node's socket-call counters so far.
     pub fn wire_io(&self) -> WireIoSnapshot {
         let io = &self.inner.wire_io;
@@ -546,8 +491,8 @@ impl TcpTransport {
 
     /// Severs every established serving-side connection into `name` —
     /// deterministic link-failure injection (a "network partition" at one
-    /// endpoint) for reconnect tests and the multi-node example.  Returns
-    /// the number of connections cut.
+    /// endpoint) for the link-failure tests: each link cut is dead.
+    /// Returns the number of connections cut.
     pub fn sever_connections(&self, name: &str) -> usize {
         let serving = self.inner.serving.lock();
         let mut n = 0;
@@ -558,15 +503,6 @@ impl TcpTransport {
             }
         }
         n
-    }
-
-    /// Severs every established serving-side connection on this node.
-    pub fn sever_all_connections(&self) -> usize {
-        let serving = self.inner.serving.lock();
-        for (_, _, stream) in serving.iter() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        serving.len()
     }
 }
 
@@ -582,28 +518,6 @@ impl Drop for TcpTransport {
     }
 }
 
-/// Process-unique link id: a time/pid nonce mixed per connection, so
-/// links from different OS processes can never collide on one endpoint's
-/// resume cursors.
-fn next_link_id() -> u64 {
-    fn mix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    static NONCE: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let nonce = *NONCE.get_or_init(|| {
-        let t = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap_or_default()
-            .as_nanos() as u64;
-        mix(t ^ ((std::process::id() as u64) << 32))
-    });
-    mix(nonce.wrapping_add(COUNTER.fetch_add(1, Ordering::Relaxed)))
-}
-
 impl Transport for TcpTransport {
     fn bind(&self, name: &str, hwm: usize) -> BoxReceiver {
         let (ingest, rx) = channel(hwm);
@@ -612,7 +526,6 @@ impl Transport for TcpTransport {
             Endpoint {
                 ingest,
                 hwm: u32::try_from(hwm).unwrap_or(u32::MAX),
-                resume: Mutex::new(HashMap::new()),
             },
         );
         // Publish scoped-name → this node.  Best effort: the lease
@@ -657,10 +570,7 @@ impl Transport for TcpTransport {
                 }
             },
         };
-        let link_id = next_link_id();
-        let proposed = self.inner.compression;
-        let (stream, hwm, _resume, accepted) = match dial_handshake(&addr, name, link_id, proposed)
-        {
+        let (stream, hwm, accepted) = match dial_handshake(&addr, name, self.inner.compression) {
             Ok(ok) => ok,
             Err(DialError::NotFound) => {
                 // Stale directory entry (endpoint unbound or node
@@ -678,19 +588,12 @@ impl Transport for TcpTransport {
         // socket bytes, not the payload fallback.
         tx.stats().mark_wire_tracked();
         self.inner.list_link(name, Arc::clone(tx.stats()));
-        let shared = Arc::new(LinkShared::default());
-        let core = Arc::new(LinkCore {
-            name: name.to_string(),
-            link_id,
-            directory: self.inner.directory.clone(),
-            reconnects: Arc::clone(&self.inner.reconnects),
-            compression: proposed,
-            wire_io: Arc::clone(&self.inner.wire_io),
-        });
+        let shared = Arc::new(LinkShared::new(rx.closer()));
         let writer_shared = Arc::clone(&shared);
         let writer_stats = Arc::clone(tx.stats());
+        let io = Arc::clone(&self.inner.wire_io);
         spawn_named("tcp-tx", move || {
-            writer_loop(stream, rx, writer_shared, core, writer_stats, accepted)
+            writer_loop(stream, rx, writer_shared, io, writer_stats, accepted)
         });
         Ok(Box::new(TcpSender { queue: tx, shared }))
     }
@@ -768,119 +671,55 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn reconnects(&self) -> u64 {
-        TcpTransport::reconnects(self)
-    }
-
     fn wire_io(&self) -> WireIoSnapshot {
         TcpTransport::wire_io(self)
     }
 }
 
-/// Everything a writer thread needs to re-establish its link.
-struct LinkCore {
-    name: String,
-    link_id: u64,
-    /// Where the link re-resolves its name; `None` (a single node)
-    /// disables reconnection.
-    directory: Option<Arc<DirectoryClient>>,
-    /// The owning transport's reconnect counter.
-    reconnects: Arc<AtomicU64>,
-    /// Compression this link proposes on every (re-)handshake.
-    compression: WireCompression,
-    /// The owning transport's socket-call counters.
-    wire_io: Arc<WireIo>,
-}
-
 /// Progress state shared by one link's sender clones, its writer thread
-/// and the per-connection ack readers.
-#[derive(Debug, Default)]
+/// and its ack reader.
+#[derive(Debug)]
 struct LinkShared {
     /// Serialises flush-epoch assignment with marker enqueueing, so epoch
     /// order equals queue order even with concurrent flushers.
     enqueue: Mutex<u64>,
     progress: Mutex<ProgressState>,
     cv: Condvar,
+    /// Closes the link's send queue when the link dies.
+    queue: Closer,
 }
 
 #[derive(Debug, Default)]
 struct ProgressState {
-    /// Receiver-acknowledged ingest cursor (monotonic across reconnects).
-    acked: u64,
-    /// Highest flush epoch whose barrier has been confirmed.
+    /// Flush requests acknowledged so far: the acceptor answers each one,
+    /// in order, so this is the highest flush epoch whose barrier holds.
     flush_done: u64,
-    /// Outstanding flush barriers: `(epoch, data-seq target)`, both
-    /// nondecreasing (markers are dequeued in enqueue order).
-    pending_flush: VecDeque<(u64, u64)>,
-    /// Connection generation (bumped per (re)connect; stale ack readers
-    /// cannot mark a newer connection broken).
-    conn_gen: u64,
-    /// The current connection broke; the writer should heal or die.
-    broken: bool,
-    /// The link is permanently dead.
+    /// The link is dead.
     dead: bool,
 }
 
 impl LinkShared {
-    /// Receiver acked its cursor: prune satisfied flush barriers.
-    fn absorb_ack(&self, count: u64) {
-        let mut p = self.progress.lock();
-        p.acked = p.acked.max(count);
-        while let Some(&(epoch, target)) = p.pending_flush.front() {
-            if target <= p.acked {
-                p.pending_flush.pop_front();
-                p.flush_done = p.flush_done.max(epoch);
-            } else {
-                break;
-            }
+    fn new(queue: Closer) -> Self {
+        Self {
+            enqueue: Mutex::new(0),
+            progress: Mutex::new(ProgressState::default()),
+            cv: Condvar::new(),
+            queue,
         }
+    }
+
+    /// The acceptor answered the next flush request.
+    fn absorb_ack(&self) {
+        self.progress.lock().flush_done += 1;
         self.cv.notify_all();
     }
 
-    /// Writer side: a flush marker with `target` data frames before it.
-    fn push_pending(&self, epoch: u64, target: u64) {
-        let mut p = self.progress.lock();
-        if target <= p.acked {
-            p.flush_done = p.flush_done.max(epoch);
-        } else {
-            p.pending_flush.push_back((epoch, target));
-        }
-        self.cv.notify_all();
-    }
-
-    fn has_pending(&self) -> bool {
-        !self.progress.lock().pending_flush.is_empty()
-    }
-
-    fn acked(&self) -> u64 {
-        self.progress.lock().acked
-    }
-
-    /// Registers a new connection generation and clears the broken flag.
-    fn new_conn(&self) -> u64 {
-        let mut p = self.progress.lock();
-        p.conn_gen += 1;
-        p.broken = false;
-        p.conn_gen
-    }
-
-    /// Ack-reader side: connection `gen` died.
-    fn mark_broken(&self, gen: u64) {
-        let mut p = self.progress.lock();
-        if p.conn_gen == gen {
-            p.broken = true;
-        }
-        self.cv.notify_all();
-    }
-
-    fn is_broken(&self) -> bool {
-        self.progress.lock().broken
-    }
-
-    /// Writer side: the link is dead for good; fail all waiting flushes.
+    /// The link is dead: fail every waiting flush, every send blocked at
+    /// the HWM and every later send.
     fn mark_dead(&self) {
         self.progress.lock().dead = true;
         self.cv.notify_all();
+        self.queue.close();
     }
 }
 
@@ -911,11 +750,10 @@ impl Sender for TcpSender {
     }
 
     /// Rides an in-band marker through the send queue, the socket and the
-    /// acceptor: when the receiver's cursor ack covers every data frame
-    /// sent before this call, they all sit in the endpoint's ingest
-    /// queue.  The barrier survives a connection loss — the healed link
-    /// retransmits the unacknowledged tail and re-arms the barrier — so
-    /// the flush ordering contract holds across link failures.
+    /// acceptor: when the acceptor acknowledges it, every data frame sent
+    /// before this call sits in the endpoint's ingest queue.  A link that
+    /// dies first fails the flush with [`FlushError::Disconnected`] at
+    /// once.
     fn flush(&self, timeout: Duration) -> Result<(), FlushError> {
         let deadline = instant_after(Instant::now(), timeout);
         let epoch = {
@@ -997,17 +835,19 @@ pub(crate) fn spawn_accept_loop<S: Send + Sync + 'static>(
                 let conn_state = Arc::clone(&state);
                 spawn_named(names.1, move || serve(stream, conn_state));
             }
-            // Transient accept failure (e.g. EMFILE): keep listening.
+            // Transient accept failure (e.g. EMFILE, out of descriptors):
+            // keep listening after a short pause.  No event announces that
+            // a descriptor came free, so there is nothing to wait on, and
+            // retrying at once would spin on the same error.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     })
 }
 
-/// Per-connection acceptor: handshake (endpoint demux + resume cursor),
-/// then pump frames into the bound endpoint's ingest queue — advancing
-/// and periodically acknowledging the link's cursor — until EOF, I/O
-/// error, endpoint drop, or a newer connection of the same link fences
-/// this one.
+/// Per-connection acceptor: handshake (endpoint demux), then pump
+/// frames into the bound endpoint's ingest queue — acknowledging each
+/// flush request once every frame before it is in — until EOF, I/O error
+/// or endpoint drop.
 fn serve_connection(mut stream: TcpStream, inner: Arc<TcpInner>) {
     static SERVE_TOKEN: AtomicU64 = AtomicU64::new(0);
 
@@ -1022,64 +862,27 @@ fn serve_connection(mut stream: TcpStream, inner: Arc<TcpInner>) {
     // compressed frames are self-describing via the length-prefix flag
     // bit — so the acceptor accepts whatever was proposed and echoes it.
     let Ok(Hello {
-        name,
-        link_id,
-        compression,
+        name, compression, ..
     }) = Hello::from_frame(&hello)
     else {
         return;
     };
 
-    let (ingest, hwm, slot) = {
-        let endpoints = inner.endpoints.lock();
-        match endpoints.get(&name) {
-            Some(ep) => {
-                let mut resume = ep.resume.lock();
-                // Opportunistic GC: drop cursors of links that have been
-                // dark longer than any sane reconnect window, so an
-                // elastic endpoint's resume map stays proportional to
-                // its *live* links, not to every link it ever served.
-                let now = Instant::now();
-                resume.retain(|_, s| {
-                    s.retired_at
-                        .lock()
-                        .is_none_or(|t| now.duration_since(t) < RESUME_RETENTION)
-                });
-                let slot = Arc::clone(resume.entry(link_id).or_default());
-                *slot.retired_at.lock() = None; // this link is live again
-                (ep.ingest.clone(), ep.hwm, slot)
-            }
-            None => {
-                drop(endpoints);
-                // Connect-before-bind (or a stale directory entry):
-                // report "not here" and close; the client's bounded
-                // retry loop tries again.
-                let _ = write_frame(&mut stream, &HelloReply::NotFound.to_frame());
-                return;
-            }
-        }
-    };
-
-    // Fence any earlier serving thread of this link, then read the
-    // cursor: the lock orders us after any in-flight ingest push, so the
-    // cursor we reply can never under-report what reached the queue.
-    let my_gen = slot.generation.fetch_add(1, Ordering::SeqCst) + 1;
-    // Marks the link dark for the resume GC — only while we still own
-    // the newest generation (a reconnected successor is the live owner).
-    let retire = |slot: &ResumeSlot| {
-        if slot.generation.load(Ordering::SeqCst) == my_gen {
-            *slot.retired_at.lock() = Some(Instant::now());
-        }
+    let endpoint = (inner.endpoints.lock().get(&name)).map(|ep| (ep.ingest.clone(), ep.hwm));
+    let Some((ingest, hwm)) = endpoint else {
+        // Connect-before-bind (or a stale directory entry): report "not
+        // here" and close; the client's bounded retry loop tries again.
+        let _ = write_frame(&mut stream, &HelloReply::NotFound.to_frame());
+        return;
     };
     let reply = HelloReply::Accepted {
         hwm,
-        resume: *slot.ingested.lock(),
+        resume: 0,
         compression,
     };
     if write_frame(&mut stream, &reply.to_frame()).is_err()
         || stream.set_read_timeout(None).is_err()
     {
-        retire(&slot);
         return;
     }
 
@@ -1088,76 +891,55 @@ fn serve_connection(mut stream: TcpStream, inner: Arc<TcpInner>) {
     if let Ok(handle) = stream.try_clone() {
         inner.serving.lock().push((name.clone(), token, handle));
     }
-    let ack_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            inner.serving.lock().retain(|(_, t, _)| *t != token);
-            retire(&slot);
-            return;
-        }
+    let Ok(ack_half) = stream.try_clone() else {
+        inner.serving.lock().retain(|(_, t, _)| *t != token);
+        return;
     };
 
     let mut reader = BlockReader::new(stream, Arc::clone(&inner.wire_io));
     let mut items: Vec<WireItem> = Vec::new();
     let mut run: VecDeque<Frame> = VecDeque::new();
-    let mut since_ack: u64 = 0;
-    // Pushes the data frames read so far — one batch — into the bounded
-    // ingest queue and returns the link's cursor after them; `None` when
-    // this thread must stop.  Blocking here is the receiver-side half of
-    // the HWM backpressure chain.  The cursor lock is held across the
-    // push so the count a re-handshake reads always covers it.
-    let push = |run: &mut VecDeque<Frame>| -> Option<u64> {
-        let mut cursor = slot.ingested.lock();
-        // Stop without counting when fenced by a reconnected link's newer
-        // connection; stop after counting what got through when the
-        // endpoint receiver is gone (stop/crash/rebind).
-        if slot.generation.load(Ordering::SeqCst) != my_gen {
-            return None;
-        }
-        let offered = run.len();
-        let delivered = ingest.send_batch(run, None);
-        *cursor += (offered - run.len()) as u64;
-        delivered.ok().map(|()| *cursor)
-    };
+    // Data frames this connection put into the ingest queue.
+    let mut ingested: u64 = 0;
     'serve: while let Ok(true) = reader.read_run(&mut items, MAX_DATA_FRAME) {
         // Whatever one read delivered goes in as one batch; a flush
         // request splits it, because its ack must cover exactly the
         // frames before it.
         let mut items = items.drain(..).peekable();
         while let Some(item) = items.next() {
-            if let WireItem::Frame(frame) = item {
-                run.push_back(frame);
-                if matches!(items.peek(), Some(WireItem::Frame(_))) {
-                    continue;
+            match item {
+                WireItem::Frame(frame) => {
+                    run.push_back(frame);
+                    if matches!(items.peek(), Some(WireItem::Frame(_))) {
+                        continue;
+                    }
+                    // Blocking here is the receiver-side half of the HWM
+                    // backpressure chain; an error means the endpoint's
+                    // receiver is gone (stop, crash or rebind).
+                    ingested += run.len() as u64;
+                    if ingest.send_batch(&mut run, None).is_err() {
+                        break 'serve;
+                    }
                 }
-            }
-            let pushed = run.len() as u64;
-            let Some(count) = push(&mut run) else {
-                break 'serve;
-            };
-            since_ack += pushed;
-            // Every earlier frame is in the ingest queue by now, so acking
-            // the cursor on a flush request is exactly the delivery
-            // barrier; otherwise the ack is the periodic one that bounds
-            // the sender's retransmit buffer.
-            if pushed == 0 || since_ack >= ACK_INTERVAL {
-                since_ack = 0;
-                if send_ack(&ack_half, count).is_err() {
-                    break 'serve;
+                // Every earlier frame is in the ingest queue by now, so
+                // the ack is exactly the delivery barrier.
+                WireItem::FlushRequest => {
+                    if send_ack(&ack_half, ingested).is_err() {
+                        break 'serve;
+                    }
                 }
             }
         }
     }
     let _ = reader.stream.shutdown(Shutdown::Both);
     inner.serving.lock().retain(|(_, t, _)| *t != token);
-    retire(&slot);
 }
 
-/// Writes one cursor ack on the connection's back channel.
-fn send_ack(mut stream: &TcpStream, count: u64) -> std::io::Result<()> {
+/// Writes one flush acknowledgement on the connection's back channel.
+fn send_ack(mut stream: &TcpStream, ingested: u64) -> std::io::Result<()> {
     let mut buf = [0u8; 9];
     buf[0] = ACK_TAG;
-    buf[1..9].copy_from_slice(&count.to_le_bytes());
+    buf[1..9].copy_from_slice(&ingested.to_le_bytes());
     stream.write_all(&buf)?;
     stream.flush()
 }
@@ -1170,17 +952,14 @@ enum DialError {
     Io(String),
 }
 
-/// Dials `addr` and handshakes `(name, link_id)` with a wire-compression
-/// proposal, returning the stream, the endpoint's HWM, the receiver's
-/// resume cursor for this link and the compression mode the acceptor
-/// accepted.  Idempotent: re-running it for the same link simply fences
-/// the earlier connection and reports how far the receiver got.
+/// Dials `addr` and handshakes `name` with a wire-compression proposal,
+/// returning the stream, the endpoint's HWM and the compression mode the
+/// acceptor accepted.
 fn dial_handshake(
     addr: &str,
     name: &str,
-    link_id: u64,
     proposed: WireCompression,
-) -> Result<(TcpStream, usize, u64, WireCompression), DialError> {
+) -> Result<(TcpStream, usize, WireCompression), DialError> {
     let io_err = |detail: String| DialError::Io(detail);
     let sock = addr
         .to_socket_addrs()
@@ -1198,7 +977,7 @@ fn dial_handshake(
 
     let hello = Hello {
         name: name.to_string(),
-        link_id,
+        link_id: 0,
         compression: proposed,
     };
     write_frame(&mut stream, &hello.to_frame()).map_err(|e| io_err(e.to_string()))?;
@@ -1210,40 +989,33 @@ fn dial_handshake(
     match HelloReply::from_frame(&reply).map_err(|e| io_err(format!("handshake reply: {e}")))? {
         HelloReply::NotFound => Err(DialError::NotFound),
         HelloReply::Accepted {
-            hwm,
-            resume,
-            compression,
+            hwm, compression, ..
         } => {
             stream
                 .set_read_timeout(None)
                 .map_err(|e| io_err(e.to_string()))?;
-            Ok((stream, hwm as usize, resume, compression))
+            Ok((stream, hwm as usize, compression))
         }
     }
 }
 
-/// One live socket of a link: the write half plus the raw stream (for
-/// shutdown).  Creating one spawns its ack reader.  There is no
+/// The socket of a link, as its writer thread holds it.  Creating one
+/// spawns its ack reader, which reads the back channel on a thread of its
+/// own so that a wedged peer cannot pin the writer.  There is no
 /// `BufWriter` here by design: the writer thread gathers queued frames
 /// into vectored bursts itself and hands each burst to the socket whole,
 /// so a stream-level buffer would only add a copy and a flush state
 /// machine.
 struct Conn {
     stream: TcpStream,
-    out: TcpStream,
 }
 
 impl Conn {
     fn start(stream: TcpStream, shared: &Arc<LinkShared>) -> Option<Conn> {
-        let gen = shared.new_conn();
         let read_half = stream.try_clone().ok()?;
-        let write_half = stream.try_clone().ok()?;
         let reader_shared = Arc::clone(shared);
-        spawn_named("tcp-ack", move || ack_reader(read_half, reader_shared, gen));
-        Some(Conn {
-            stream,
-            out: write_half,
-        })
+        spawn_named("tcp-ack", move || ack_reader(read_half, reader_shared));
+        Some(Conn { stream })
     }
 
     /// Writes one burst with gathered (vectored) writes: one `writev`
@@ -1256,7 +1028,7 @@ impl Conn {
     fn write_burst(&mut self, mut burst: &mut [IoSlice<'_>]) -> std::io::Result<u64> {
         let mut calls = 0;
         while !burst.is_empty() {
-            match self.out.write_vectored(burst) {
+            match (&self.stream).write_vectored(burst) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::WriteZero,
@@ -1282,9 +1054,7 @@ impl Conn {
 /// body is the sender's payload itself — zero-copy; the vectored burst
 /// write puts it on the wire straight from the caller's allocation.  A
 /// compressed frame's body is a window onto its burst's block of codec
-/// images (see [`stage_burst`]).  The retransmit buffer stores these
-/// verbatim, so a healed link re-sends byte-identical frames without
-/// re-encoding.
+/// images (see [`stage_burst`]).
 struct WireImage {
     prefix: [u8; 4],
     body: Bytes,
@@ -1384,270 +1154,93 @@ fn stage_burst(
     (!block.is_empty()).then(|| Bytes::from(block))
 }
 
-/// Drains cursor acks from the back channel into the link progress;
-/// flags the connection broken when the socket dies.
-fn ack_reader(stream: TcpStream, shared: Arc<LinkShared>, gen: u64) {
-    let mut r = BufReader::with_capacity(256, stream);
+/// Counts flush acknowledgements off the back channel.  Its end — the
+/// acceptor closed, the peer died, the connection was cut — or a byte
+/// that is not an ack kills the link: the socket is shut, so a write in
+/// progress fails at once, and the link is marked dead.
+fn ack_reader(stream: TcpStream, shared: Arc<LinkShared>) {
+    let mut r = BufReader::with_capacity(256, &stream);
     let mut buf = [0u8; 9];
-    loop {
-        match r.read_exact(&mut buf) {
-            Ok(()) if buf[0] == ACK_TAG => {
-                shared.absorb_ack(u64::from_le_bytes(buf[1..9].try_into().expect("8 bytes")));
-            }
-            _ => break,
-        }
+    while r.read_exact(&mut buf).is_ok() && buf[0] == ACK_TAG {
+        shared.absorb_ack();
     }
-    shared.mark_broken(gen);
-}
-
-/// What one element of a burst is: the next frame of the retransmit
-/// buffer, or a flush barrier.
-#[derive(Clone, Copy)]
-enum Part {
-    Frame,
-    Flush,
+    let _ = stream.shutdown(Shutdown::Both);
+    shared.mark_dead();
 }
 
 /// Connection writer thread: drains the send-side HWM queue in
 /// **bursts** — every wakeup takes all queued frames in one go
 /// (wire-encoding and compressing each in order, see [`stage_burst`]) and
 /// hands the socket one vectored write per [`BURST_BUDGET`] over the
-/// encodings in place,
-/// so a stream of frames costs one syscall per burst instead of one
-/// write-plus-flush per frame, with no staging copy of the payload
-/// bytes.  Keeps every unacknowledged frame *in its wire encoding* for
-/// retransmission, and heals the link (resolve → dial → idempotent
-/// re-handshake → resume) with bounded backoff when the connection
-/// breaks.
+/// encodings in place, so a stream of frames costs one syscall per burst
+/// instead of one write-plus-flush per frame, with no staging copy of the
+/// payload bytes.  Runs until every sender is gone or the link dies; a
+/// write error is the link's death.
 fn writer_loop(
     stream: TcpStream,
     rx: crate::endpoint::ChannelReceiver,
     shared: Arc<LinkShared>,
-    core: Arc<LinkCore>,
+    io: Arc<WireIo>,
     stats: Arc<LinkStats>,
-    negotiated: WireCompression,
+    compression: WireCompression,
 ) {
-    let mut conn = match Conn::start(stream, &shared) {
-        Some(c) => c,
-        None => {
-            shared.mark_dead();
-            return;
-        }
-    };
-    // The mode the *current* connection's acceptor accepted (re-read on
-    // every reconnect handshake; already-encoded frames retransmit
-    // verbatim either way).
-    let mut compression = negotiated;
-    // Data frames handed to any socket so far (the link's send cursor).
-    let mut seq: u64 = 0;
-    // Flush markers dequeued so far (equals the senders' epoch counter).
-    let mut epoch: u64 = 0;
-    // Sent-but-unacknowledged frames in wire encoding, oldest first.
-    let mut unacked: VecDeque<(u64, WireImage)> = VecDeque::new();
-    // Frames taken off the queue at one wakeup, the burst being staged
-    // from them and its parts in write order (all reused), and the
-    // codec's working storage.
-    let mut inbox: Vec<Frame> = Vec::new();
-    let mut staged: Vec<Staged> = Vec::with_capacity(64);
-    let mut burst: Vec<Part> = Vec::with_capacity(64);
-    let mut scratch = PlaneScratch::default();
-    // On a self-healing link an idle wait is a bounded poll, so a broken
-    // connection interrupts an idle link within one tick; with
-    // reconnection disabled there is nothing to heal and the writer
-    // blocks for free (breakage still surfaces at the next write or
-    // flush, the single-node contract).
-    let idle_wait = core
-        .directory
-        .is_some()
-        .then_some(Duration::from_millis(25));
-
-    'link: loop {
-        // Drop frames the receiver has acknowledged.
-        let acked = shared.acked();
-        while unacked.front().is_some_and(|&(s, _)| s <= acked) {
-            unacked.pop_front();
-        }
-        // Heal a connection the ack reader (or an earlier write) found
-        // broken — even while the queue is idle, so an outstanding flush
-        // barrier can complete without waiting for new traffic.
-        if shared.is_broken() {
-            if !reconnect(
-                &mut conn,
-                &mut unacked,
-                &shared,
-                &core,
-                &stats,
-                &mut compression,
-            ) {
-                break 'link;
-            }
-            continue;
-        }
-        match rx.recv_batch(&mut inbox, usize::MAX, idle_wait) {
-            Ok(_) => {}
-            Err(RecvTimeoutError::Timeout) => continue 'link,
-            Err(RecvTimeoutError::Disconnected) => break 'link, // senders gone
-        }
-        let mut room: usize = inbox.iter().map(|frame| frame.len()).sum();
-        let mut queued = inbox.drain(..).peekable();
-        while queued.peek().is_some() {
-            // Gather a burst: frames in queue order, up to the burst
-            // budget.  Its data frames go to the back of the retransmit
-            // buffer, which is where the write reads them from — no
-            // staging copy.
-            let io = &core.wire_io;
-            let block = stage_burst(
-                &mut queued,
-                compression,
-                &mut scratch,
-                room,
-                &mut staged,
-                io,
-            );
-            burst.clear();
-            let first = unacked.len();
-            for (frame, image) in staged.drain(..) {
-                room -= frame.len();
-                if is_flush_marker(&frame) {
-                    // Barrier: everything up to `seq` must reach the
-                    // ingest queue.  Register first so a concurrent ack
-                    // (or a reconnect resume) can satisfy it, then the
-                    // in-burst request asks for the receiver's cursor.
-                    epoch += 1;
-                    shared.push_pending(epoch, seq);
-                    burst.push(Part::Flush);
-                } else {
-                    seq += 1;
-                    let wire = WireImage::new(frame, image, block.as_ref());
-                    stats.add_wire_bytes(wire.len() as u64);
-                    unacked.push_back((seq, wire));
-                    burst.push(Part::Frame);
+    if let Some(mut conn) = Conn::start(stream, &shared) {
+        // Frames taken off the queue at one wakeup, the burst being staged
+        // from them and its wire images in write order — `None` for a
+        // flush request — (all reused), and the codec's working storage.
+        let mut inbox: Vec<Frame> = Vec::new();
+        let mut staged: Vec<Staged> = Vec::with_capacity(64);
+        let mut burst: Vec<Option<WireImage>> = Vec::with_capacity(64);
+        let mut scratch = PlaneScratch::default();
+        'link: while rx.recv_batch(&mut inbox, usize::MAX, None).is_ok() {
+            let mut room: usize = inbox.iter().map(|frame| frame.len()).sum();
+            let mut queued = inbox.drain(..).peekable();
+            while queued.peek().is_some() {
+                // Gather a burst: frames in queue order, up to the burst
+                // budget.
+                let block = stage_burst(
+                    &mut queued,
+                    compression,
+                    &mut scratch,
+                    room,
+                    &mut staged,
+                    &io,
+                );
+                burst.clear();
+                for (frame, image) in staged.drain(..) {
+                    room -= frame.len();
+                    burst.push((!is_flush_marker(&frame)).then(|| {
+                        let wire = WireImage::new(frame, image, block.as_ref());
+                        stats.add_wire_bytes(wire.len() as u64);
+                        wire
+                    }));
                 }
-            }
-            let written = {
-                let mut frames = unacked.range(first..);
                 let mut slices = Vec::with_capacity(2 * burst.len());
                 for part in &burst {
                     match part {
-                        Part::Flush => slices.push(IoSlice::new(&FLUSH_WIRE)),
-                        Part::Frame => {
-                            let (_, wire) = frames.next().expect("one image per frame part");
-                            wire.push_to(&mut slices);
-                        }
+                        Some(wire) => wire.push_to(&mut slices),
+                        None => slices.push(IoSlice::new(&FLUSH_WIRE)),
                     }
                 }
-                conn.write_burst(&mut slices)
-            };
-            match written {
-                Ok(calls) => {
-                    let frames = (unacked.len() - first) as u64;
-                    core.wire_io.writes.fetch_add(calls, Ordering::Relaxed);
-                    core.wire_io
-                        .frames_written
-                        .fetch_add(frames, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    if !reconnect(
-                        &mut conn,
-                        &mut unacked,
-                        &shared,
-                        &core,
-                        &stats,
-                        &mut compression,
-                    ) {
-                        break 'link;
-                    }
-                }
+                let Ok(calls) = conn.write_burst(&mut slices) else {
+                    break 'link;
+                };
+                let frames = burst.iter().filter(|part| part.is_some()).count();
+                io.writes.fetch_add(calls, Ordering::Relaxed);
+                io.frames_written
+                    .fetch_add(frames as u64, Ordering::Relaxed);
             }
         }
+        conn.kill();
     }
-    conn.kill();
     shared.mark_dead();
-}
-
-/// Re-establishes a broken link: resolve the name through the directory,
-/// dial and re-handshake (idempotently — the reply carries the receiver's
-/// cursor), retransmit exactly the unacknowledged tail **in its original
-/// wire encoding** (a compressed frame is re-sent byte-identical, once),
-/// re-arm any outstanding flush barrier.  Exponential backoff from 5 ms
-/// up to [`RECONNECT_BACKOFF_MAX`], bounded overall by
-/// [`RECONNECT_TIMEOUT`] (a link without a directory does not reconnect).
-fn reconnect(
-    conn: &mut Conn,
-    unacked: &mut VecDeque<(u64, WireImage)>,
-    shared: &Arc<LinkShared>,
-    core: &Arc<LinkCore>,
-    stats: &Arc<LinkStats>,
-    compression: &mut WireCompression,
-) -> bool {
-    conn.kill();
-    let Some(directory) = &core.directory else {
-        return false;
-    };
-    let deadline = Instant::now() + RECONNECT_TIMEOUT;
-    let mut backoff = Duration::from_millis(5);
-    loop {
-        let attempt = directory
-            .resolve(&core.name)
-            .ok()
-            .flatten()
-            .and_then(|addr| {
-                dial_handshake(&addr, &core.name, core.link_id, core.compression).ok()
-            });
-        if let Some((stream, _hwm, resume, accepted)) = attempt {
-            // The receiver's cursor is authoritative: everything at or
-            // below it arrived (possibly via an ack that never reached
-            // us), and satisfies any flush barrier it covers.
-            shared.absorb_ack(resume);
-            let acked = shared.acked();
-            while unacked.front().is_some_and(|&(s, _)| s <= acked) {
-                unacked.pop_front();
-            }
-            if let Some(mut fresh) = Conn::start(stream, shared) {
-                // One gathered retransmit burst: the unacknowledged wire
-                // frames verbatim, plus one re-armed barrier covering
-                // every outstanding flush (after the retransmitted tail,
-                // the receiver's cursor reaches the link's send cursor,
-                // past all targets).
-                let mut burst = Vec::with_capacity(2 * unacked.len() + 1);
-                for (_, wire) in unacked.iter() {
-                    wire.push_to(&mut burst);
-                }
-                // Retransmitted data bytes are wire traffic too (the
-                // re-armed barrier's 4 bytes stay uncounted, like every
-                // flush request).
-                let data_len: usize = unacked.iter().map(|(_, wire)| wire.len()).sum();
-                if shared.has_pending() {
-                    burst.push(IoSlice::new(&FLUSH_WIRE));
-                }
-                if let Ok(calls) = fresh.write_burst(&mut burst) {
-                    stats.add_wire_bytes(data_len as u64);
-                    core.wire_io.writes.fetch_add(calls, Ordering::Relaxed);
-                    core.wire_io
-                        .frames_written
-                        .fetch_add(unacked.len() as u64, Ordering::Relaxed);
-                    *conn = fresh;
-                    *compression = accepted;
-                    core.reconnects.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-                fresh.kill();
-            }
-        }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return false;
-        }
-        std::thread::sleep(backoff.min(left));
-        backoff = (backoff * 2).min(RECONNECT_BACKOFF_MAX);
-    }
 }
 
 /// One decoded wire element on an established connection.
 enum WireItem {
     /// An opaque data frame for the endpoint's ingest queue.
     Frame(Bytes),
-    /// The sender's flush barrier asking for a cursor ack.
+    /// The sender's flush barrier asking for an ack.
     FlushRequest,
 }
 
@@ -1665,7 +1258,7 @@ enum WireItem {
 /// block is kept, so a queued frame never pins much more memory than it
 /// holds.  A prefix carrying [`COMPRESSED_FLAG`] is decompressed here,
 /// **before** the frame enters the ingest queue, so receivers, protocol
-/// decode and the ingest cursor only ever see original payload bytes:
+/// decode and the flush barrier only ever see original payload bytes:
 /// the compressed frames of one read are decoded into one block of their
 /// own and handed out as windows onto that.
 struct BlockReader<R> {
@@ -2012,8 +1605,7 @@ mod tests {
             b"after restart"
         );
         // The old link dies cleanly: its reader saw the dropped receiver
-        // and closed the socket, so sends fail once the writer notices
-        // (single-node transports do not reconnect).
+        // and closed the socket, so the link is dead and sends fail.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
             match tx1.send(frame(b"zombie")) {
@@ -2612,13 +2204,5 @@ mod tests {
             ),
             (0, 0, 0)
         );
-    }
-
-    #[test]
-    fn link_ids_are_unique() {
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..10_000 {
-            assert!(seen.insert(next_link_id()), "link id collision");
-        }
     }
 }

@@ -21,11 +21,14 @@
 //!   resolves its shard's endpoints through the directory, streams every
 //!   timestep, flushes, exits.
 //!
-//! The run is then repeated with a scripted **link failure**: the busiest
-//! shard's server severs every established data connection mid-stream
-//! (a network partition at the endpoint), the affected group's links
-//! re-resolve through the directory, reconnect with backoff and resume
-//! exactly-once — and the study result is **still bit-identical**.
+//! The run is then repeated with the paper's recovery drill (Section
+//! 4.2): the first instance of group 0 crashes mid-stream — its process
+//! exits non-zero, its links die with it, and what its shard's workers
+//! got of the last timesteps is a prefix — and the orchestrator relaunches
+//! it as instance 1, whose replayed timesteps the server discards up to
+//! what it had integrated.  The study result is **still bit-identical**.
+//! Links are not healed: a lost connection is a failed group, recovered
+//! the same way.
 //!
 //! Mid-study the orchestrator also **scrapes** every shard's
 //! `shard<k>/server/main` inbox through the directory (the
@@ -50,7 +53,7 @@ use melissa_repro::melissa::server::state::WorkerState;
 use melissa_repro::melissa::server::{Server, ServerConfig};
 use melissa_repro::melissa::shard::{reduce_owned_states, GroupRouter, NodeMap};
 use melissa_repro::melissa::study::StudyResults;
-use melissa_repro::melissa::{Study, StudyConfig};
+use melissa_repro::melissa::{GroupFault, Study, StudyConfig};
 use melissa_repro::sobol::design::PickFreeze;
 use melissa_repro::solver::injection::InjectionParams;
 use melissa_repro::telemetry::Telemetry;
@@ -62,11 +65,15 @@ use melissa_repro::transport::{
 const ROLE_ENV: &str = "MELISSA_MN_ROLE";
 const SHARD_ENV: &str = "MELISSA_MN_SHARD";
 const GROUP_ENV: &str = "MELISSA_MN_GROUP";
-const SEVER_ENV: &str = "MELISSA_MN_SEVER_AFTER";
+const INSTANCE_ENV: &str = "MELISSA_MN_INSTANCE";
+const CRASH_ENV: &str = "MELISSA_MN_CRASH_AFTER";
 
 const N_SHARDS: usize = 2;
 const N_GROUPS: usize = 6;
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
+/// Instances a group may run as before the orchestrator gives up, as the
+/// launcher's retry cap does.
+const MAX_INSTANCES: u32 = 3;
 
 /// The one study every role derives its world from: a pure function, so
 /// separate OS processes agree on the design, the router, the partition
@@ -100,15 +107,11 @@ fn server_process() {
         .expect("shard id")
         .parse()
         .expect("shard id");
-    let sever_after: Option<u64> = std::env::var(SEVER_ENV)
-        .ok()
-        .map(|v| v.parse().expect("sever threshold"));
     let scope = names::shard_scope(shard);
     let config = study_config();
 
-    let node =
+    let transport: Arc<dyn Transport> =
         Arc::new(TcpTransport::with_config(TcpTransportConfig::node(&dir_addr)).expect("node"));
-    let transport: Arc<dyn Transport> = Arc::clone(&node) as Arc<dyn Transport>;
 
     let server_config = ServerConfig {
         scope: scope.clone(),
@@ -140,33 +143,10 @@ fn server_process() {
         .expect("launcher inbox unreachable");
     let server = Server::start(server_config, Arc::clone(&transport), launcher_tx);
 
-    // Scripted link failure: once this shard has ingested enough frames
-    // (mid-stream of an active group), sever every established inbound
-    // connection — a network partition at the endpoint.  Retries until a
-    // live connection is actually cut; exits non-zero if none ever was,
-    // so the fault run cannot pass vacuously.
-    if let Some(after) = sever_after {
-        let shared = Arc::clone(server.shared());
-        let node = Arc::clone(&node);
-        std::thread::spawn(move || {
-            while shared.messages_received.load(Ordering::Relaxed) < after {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            for _ in 0..5000 {
-                let cut = node.sever_all_connections();
-                if cut > 0 {
-                    eprintln!("[shard {shard}] FAULT INJECTION: severed {cut} live connections");
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            eprintln!("[shard {shard}] fault injection never found a live connection");
-            std::process::exit(3);
-        });
-    }
-
     // Block until the orchestrator says the study is over.
     let _ = ctl_rx.recv();
+    let replays = server.shared().replays_discarded.load(Ordering::Relaxed);
+    eprintln!("[shard {shard}] replayed messages discarded: {replays}");
     let states = server.stop();
 
     // Ship the final worker states through the checkpoint codec to the
@@ -193,6 +173,17 @@ fn group_process() {
         .expect("group id")
         .parse()
         .expect("group id");
+    let instance: u32 = std::env::var(INSTANCE_ENV)
+        .expect("instance")
+        .parse()
+        .expect("instance");
+    // The scripted crash: die after sending this timestep, as the
+    // in-process fault plan's `CrashAfter` does.
+    let fault = std::env::var(CRASH_ENV)
+        .ok()
+        .map(|ts| GroupFault::CrashAfter {
+            at_timestep: ts.parse().expect("crash timestep"),
+        });
     let config = study_config();
     let router = GroupRouter::from_config(&config);
     let scope = names::shard_scope(router.shard_of(group_id));
@@ -207,21 +198,23 @@ fn group_process() {
     let ctx = GroupContext {
         scope,
         group_id,
-        instance: 0,
+        instance,
         rows: design.group(group_id as usize).rows().to_vec(),
         solver: config.solver.clone(),
         flow: Arc::new(config.solver.prerun()),
         ranks: config.ranks_per_simulation,
         transport,
         timeout: config.group_timeout,
-        fault: None,
+        fault,
     };
     match run_group(ctx, &KillSwitch::new()) {
         GroupOutcome::Completed { messages, bytes } => {
-            eprintln!("[group {group_id}] completed: {messages} messages, {bytes} bytes");
+            eprintln!(
+                "[group {group_id}.{instance}] completed: {messages} messages, {bytes} bytes"
+            );
         }
         other => {
-            eprintln!("[group {group_id}] failed: {other:?}");
+            eprintln!("[group {group_id}.{instance}] failed: {other:?}");
             std::process::exit(1);
         }
     }
@@ -239,26 +232,29 @@ fn orchestrate() {
     println!("{}", reference.report);
 
     println!("== multi-node: server shards + groups as separate OS processes ==");
-    let clean = run_multinode(None);
+    let (clean, relaunched) = run_multinode(None);
     let diff = reference.results.first_bit_mismatch(&clean);
     assert_eq!(diff, None, "multi-node vs in-process");
+    assert!(relaunched.is_empty(), "clean run relaunched {relaunched:?}");
     println!("parity: every statistic at every timestep bit-identical to the in-process run\n");
 
-    println!("== multi-node again, one connection killed mid-study ==");
-    let severed = run_multinode(Some(150));
-    let diff = reference.results.first_bit_mismatch(&severed);
-    assert_eq!(diff, None, "severed multi-node vs in-process");
+    println!("== multi-node again, group 0's first instance crashes mid-stream ==");
+    let crash_after = (study_config().solver.n_timesteps / 2) as u32;
+    let (crashed, relaunched) = run_multinode(Some(crash_after));
+    let diff = reference.results.first_bit_mismatch(&crashed);
+    assert_eq!(diff, None, "crash-and-relaunch multi-node vs in-process");
+    assert_eq!(relaunched, [0], "exactly group 0 relaunched, once");
     println!(
-        "parity: every statistic at every timestep bit-identical after a mid-stream \
-         connection kill + exactly-once reconnect"
+        "parity: every statistic at every timestep bit-identical after group 0 crashed \
+         after timestep {crash_after} and was relaunched as instance 1"
     );
 }
 
-/// Runs the whole study as separate OS processes; `sever_after` arms the
-/// scripted link failure on the shard that ingests the first group.
-fn run_multinode(sever_after: Option<u64>) -> StudyResults {
+/// Runs the whole study as separate OS processes and returns its results
+/// and the group relaunched for each failed instance; `crash_after` arms
+/// the scripted crash of group 0's first instance.
+fn run_multinode(crash_after: Option<u32>) -> (StudyResults, Vec<u64>) {
     let config = study_config();
-    let router = GroupRouter::from_config(&config);
     let node_map = NodeMap::new(N_SHARDS); // one node per shard
     let (directory, dir_addr) = bootstrap_directory().expect("directory bootstrap");
 
@@ -273,10 +269,6 @@ fn run_multinode(sever_after: Option<u64>) -> StudyResults {
         .map(|k| transport.bind(&names::collect_in(k), 64))
         .collect();
 
-    // The kill must land mid-stream: arm it on the shard that serves the
-    // very first group of the sequential schedule.
-    let severed_shard = router.shard_of(0);
-
     let exe = std::env::current_exe().expect("current exe");
     let mut servers: Vec<std::process::Child> = (0..N_SHARDS)
         .map(|k| {
@@ -284,9 +276,6 @@ fn run_multinode(sever_after: Option<u64>) -> StudyResults {
             cmd.env(ROLE_ENV, "server")
                 .env(SHARD_ENV, k.to_string())
                 .env(DIRECTORY_ENV, &dir_addr);
-            if let (Some(after), true) = (sever_after, k == severed_shard) {
-                cmd.env(SEVER_ENV, after.to_string());
-            }
             println!(
                 "launcher: shard {k} -> node {} (own OS process, own listener)",
                 node_map.node_of_shard(k)
@@ -302,15 +291,31 @@ fn run_multinode(sever_after: Option<u64>) -> StudyResults {
 
     // Groups: independent OS processes, strictly sequential — the same
     // FCFS schedule as `max_concurrent_groups = 1` in-process, so every
-    // shard sees its groups in the same order, bit for bit.
+    // shard sees its groups in the same order, bit for bit.  A group
+    // whose process fails is relaunched as its next instance at once,
+    // before the next group starts, as the launcher would.
+    let mut relaunched = Vec::new();
     for g in 0..N_GROUPS as u64 {
-        let status = Command::new(&exe)
-            .env(ROLE_ENV, "group")
-            .env(GROUP_ENV, g.to_string())
-            .env(DIRECTORY_ENV, &dir_addr)
-            .status()
-            .expect("spawn group process");
-        assert!(status.success(), "group {g} process failed: {status}");
+        for instance in 0.. {
+            let mut cmd = Command::new(&exe);
+            cmd.env(ROLE_ENV, "group")
+                .env(GROUP_ENV, g.to_string())
+                .env(INSTANCE_ENV, instance.to_string())
+                .env(DIRECTORY_ENV, &dir_addr);
+            if let (Some(ts), 0, 0) = (crash_after, g, instance) {
+                cmd.env(CRASH_ENV, ts.to_string());
+            }
+            let status = cmd.status().expect("spawn group process");
+            if status.success() {
+                break;
+            }
+            assert!(
+                instance + 1 < MAX_INSTANCES,
+                "group {g}: {MAX_INSTANCES} instances failed, the last with {status}"
+            );
+            println!("launcher: group {g} instance {instance} failed ({status}); relaunching");
+            relaunched.push(g);
+        }
         // Keep the per-shard control inboxes drained (reports/heartbeats).
         for rx in &launcher_rxs {
             while rx.try_recv().is_ok() {}
@@ -324,13 +329,11 @@ fn run_multinode(sever_after: Option<u64>) -> StudyResults {
                     .unwrap_or_else(|e| panic!("scrape shard {k}: {e}"));
                 assert_eq!(snap.shard, k as u32, "scrape routed to the wrong shard");
                 println!(
-                    "scrape[shard {k}]: {} finished, {} running, {} links, {} events, \
-                     {} reconnects",
+                    "scrape[shard {k}]: {} finished, {} running, {} links, {} events",
                     snap.groups_finished,
                     snap.groups_running,
                     snap.links.len(),
-                    snap.events.len(),
-                    snap.reconnects
+                    snap.events.len()
                 );
             }
         }
@@ -373,12 +376,13 @@ fn run_multinode(sever_after: Option<u64>) -> StudyResults {
     // The shipped bytes were the wire crossing; the unpacked states are
     // owned here and fold in place.
     let reduced = reduce_owned_states(shard_states);
-    StudyResults::from_worker_states(
+    let results = StudyResults::from_worker_states(
         InjectionParams::parameter_space().dim(),
         config.solver.n_timesteps,
         config.solver.mesh().n_cells(),
         reduced,
-    )
+    );
+    (results, relaunched)
 }
 
 /// Waits for a `ServerReady` on one shard's launcher inbox.
